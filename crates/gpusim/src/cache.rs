@@ -19,19 +19,32 @@ pub enum Probe {
 }
 
 /// A set-associative cache with LRU replacement over 32-byte sectors.
+///
+/// Tags live in one flat `num_sets × ways` array; each set's occupied
+/// prefix is kept in most-recently-used-first order. A set whose stamp is
+/// older than the cache's epoch is empty, so [`Cache::flush`] — run at
+/// every thread-block boundary for the L1 — is one counter bump instead of
+/// a walk over every set.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Set>,
+    /// `num_sets × ways` tags; set `s` owns `tags[s*ways..(s+1)*ways]`.
+    tags: Vec<u64>,
+    /// Per-set occupancy and the epoch it is valid for.
+    sets: Vec<SetMeta>,
+    epoch: u64,
     num_sets: u64,
+    set_bits: u32,
     ways: usize,
     hits: u64,
     misses: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct Set {
-    /// Tags ordered most-recently-used first; length ≤ `ways`.
-    tags: Vec<u64>,
+#[derive(Debug, Clone, Copy, Default)]
+struct SetMeta {
+    /// Epoch in which `len` was last written; older means empty.
+    stamp: u64,
+    /// Occupied ways (≤ `ways`), MRU first.
+    len: usize,
 }
 
 impl Cache {
@@ -44,8 +57,11 @@ impl Cache {
         let ways = associativity.max(1);
         let num_sets = (lines / ways as u64).max(1).next_power_of_two();
         Cache {
-            sets: vec![Set::default(); num_sets as usize],
+            tags: vec![0; num_sets as usize * ways],
+            sets: vec![SetMeta::default(); num_sets as usize],
+            epoch: 1,
             num_sets,
+            set_bits: num_sets.trailing_zeros(),
             ways,
             hits: 0,
             misses: 0,
@@ -63,25 +79,37 @@ impl Cache {
     }
 
     /// Probes (and on miss, fills) the sector containing `addr`.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Probe {
         let line = addr / SECTOR_BYTES;
         let set_idx = (line & (self.num_sets - 1)) as usize;
-        let tag = line / self.num_sets;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.tags.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.tags.remove(pos);
-            set.tags.insert(0, t);
-            self.hits += 1;
-            Probe::Hit
-        } else {
-            set.tags.insert(0, tag);
-            if set.tags.len() > self.ways {
-                set.tags.pop();
-            }
-            self.misses += 1;
-            Probe::Miss
+        let tag = line >> self.set_bits;
+        let meta = &mut self.sets[set_idx];
+        if meta.stamp != self.epoch {
+            meta.stamp = self.epoch;
+            meta.len = 0;
         }
+        let base = set_idx * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        let probe = match set[..meta.len].iter().position(|&t| t == tag) {
+            Some(pos) => {
+                // Move to MRU position.
+                set.copy_within(0..pos, 1);
+                self.hits += 1;
+                Probe::Hit
+            }
+            None => {
+                // Shift everything down one way; the LRU tag falls off a
+                // full set.
+                let kept = meta.len.min(self.ways - 1);
+                set.copy_within(0..kept, 1);
+                meta.len = kept + 1;
+                self.misses += 1;
+                Probe::Miss
+            }
+        };
+        set[0] = tag;
+        probe
     }
 
     /// Number of ways.
@@ -96,9 +124,7 @@ impl Cache {
 
     /// Invalidates all lines, keeping hit/miss counters.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.tags.clear();
-        }
+        self.epoch += 1;
     }
 
     /// Hits so far.

@@ -22,17 +22,52 @@ pub fn coalesce(addresses: &[u64]) -> Vec<u64> {
     sectors
 }
 
-/// Sector bases for a dense run of `count` elements of `elem_bytes` starting
-/// at `base` — the fast path for unit-stride warp accesses, avoiding the
-/// per-lane vector.
-pub fn coalesce_contiguous(base: u64, count: usize, elem_bytes: usize) -> Vec<u64> {
-    if count == 0 {
-        return Vec::new();
-    }
-    let end = base + (count * elem_bytes) as u64;
+/// The 32-byte sectors a dense run of `count` elements of `elem_bytes`
+/// starting at `base` touches, in ascending order — the unit-stride fast
+/// path. The sectors are walked arithmetically, so nothing is allocated;
+/// `len()` is the transaction count without walking at all.
+pub fn sector_span(base: u64, count: usize, elem_bytes: usize) -> SectorSpan {
     let first = (base / SECTOR_BYTES) * SECTOR_BYTES;
-    (first..end).step_by(SECTOR_BYTES as usize).collect()
+    let remaining = if count == 0 {
+        0
+    } else {
+        (base + (count * elem_bytes) as u64 - first).div_ceil(SECTOR_BYTES)
+    };
+    SectorSpan {
+        next: first,
+        remaining,
+    }
 }
+
+/// Iterator over the sector bases of a contiguous run (see
+/// [`sector_span`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectorSpan {
+    next: u64,
+    remaining: u64,
+}
+
+impl Iterator for SectorSpan {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let sector = self.next;
+        self.next += SECTOR_BYTES;
+        self.remaining -= 1;
+        Some(sector)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining as usize, Some(self.remaining as usize))
+    }
+}
+
+impl ExactSizeIterator for SectorSpan {}
 
 #[cfg(test)]
 mod tests {
@@ -65,11 +100,17 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_matches_general_path() {
+    fn sector_span_matches_general_path() {
         for &(base, count) in &[(0u64, 32usize), (16, 32), (100, 7), (0, 0)] {
             let addrs: Vec<u64> = (0..count).map(|i| base + (i * 4) as u64).collect();
+            let span = sector_span(base, count, 4);
             assert_eq!(
-                coalesce_contiguous(base, count, 4),
+                span.len(),
+                coalesce(&addrs).len(),
+                "base {base} count {count}"
+            );
+            assert_eq!(
+                span.collect::<Vec<_>>(),
                 coalesce(&addrs),
                 "base {base} count {count}"
             );

@@ -29,7 +29,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -89,9 +89,46 @@ impl HotPhase {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns hotspot timing on or off process-wide.
+/// Mean host cost of one empty [`scope`], as `f64` bits (0 = never
+/// calibrated).
+static SCOPE_COST_NS: AtomicU64 = AtomicU64::new(0);
+
+/// Turns hotspot timing on or off process-wide. Turning it on also
+/// calibrates the timer: the mean cost of an empty [`scope`] is measured
+/// and reported alongside every [`HotspotReport`], so phases whose per-hit
+/// time is close to it can be read as measurement-dominated.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        SCOPE_COST_NS.store(calibrate_scope_ns().to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// Mean host nanoseconds one empty [`scope`] costs, measured by the last
+/// [`set_enabled`]`(true)` (0 if timing was never enabled).
+pub fn scope_cost_ns() -> f64 {
+    f64::from_bits(SCOPE_COST_NS.load(Ordering::Relaxed))
+}
+
+/// Times a run of empty scopes on the calling thread, then restores the
+/// thread's sheet so the calibration leaves no samples behind.
+fn calibrate_scope_ns() -> f64 {
+    const ROUNDS: u32 = 20_000;
+    let saved = SHEET.with(|s| {
+        let s = s.borrow();
+        (s.phases, s.window_ns)
+    });
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        let guard = scope(HotPhase::Staging);
+        std::hint::black_box(&guard);
+    }
+    let mean = start.elapsed().as_nanos() as f64 / f64::from(ROUNDS);
+    SHEET.with(|s| {
+        let mut s = s.borrow_mut();
+        (s.phases, s.window_ns) = saved;
+    });
+    mean
 }
 
 /// Whether hotspot timing is on (one relaxed load — the disabled-path
@@ -316,6 +353,9 @@ pub struct HotspotReport {
     pub workers: BTreeMap<u64, WorkerPhases>,
     /// Per-row-window attribution ([`OUTSIDE_WINDOW`] = unattributed).
     pub windows: BTreeMap<u64, WindowAcc>,
+    /// Mean host cost of one empty scope ([`scope_cost_ns`]) when the
+    /// report was taken; 0 when uncalibrated.
+    pub scope_cost_ns: f64,
 }
 
 impl HotspotReport {
@@ -367,6 +407,7 @@ pub fn take_report() -> HotspotReport {
     HotspotReport {
         workers: std::mem::take(&mut global.workers),
         windows: std::mem::take(&mut global.windows),
+        scope_cost_ns: scope_cost_ns(),
     }
 }
 
@@ -389,6 +430,7 @@ mod tests {
 
         set_enabled(true);
         let _ = take_report(); // drop anything a concurrent test left behind
+        assert!(scope_cost_ns() > 0.0, "enabling calibrates the timer");
         set_worker(3);
         begin_window(7);
         {

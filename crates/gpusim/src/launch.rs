@@ -15,7 +15,7 @@
 use tcg_fault::{FaultPlan, FaultSite, TcgError};
 
 use crate::cache::{Cache, Probe, SECTOR_BYTES};
-use crate::coalesce;
+use crate::coalesce::sector_span;
 use crate::cost;
 use crate::device::DeviceSpec;
 use crate::hotspot::{self, HotPhase};
@@ -131,6 +131,41 @@ enum MemSim<'a> {
     },
 }
 
+impl MemSim<'_> {
+    /// Probes each sector through L1 (and L2 or the L2 log on a miss),
+    /// counting into `stats`. The variant is matched once per call, not
+    /// per sector.
+    fn probe(&mut self, stats: &mut KernelStats, sectors: impl Iterator<Item = u64>) {
+        match self {
+            MemSim::Live { l1, l2 } => {
+                for sector in sectors {
+                    if l1.access(sector) == Probe::Hit {
+                        stats.l1_hits += 1;
+                        continue;
+                    }
+                    stats.l1_misses += 1;
+                    if l2.access(sector) == Probe::Hit {
+                        stats.l2_hits += 1;
+                    } else {
+                        stats.l2_misses += 1;
+                        stats.dram_read_bytes += SECTOR_BYTES;
+                    }
+                }
+            }
+            MemSim::Deferred { l1, l2_log } => {
+                for sector in sectors {
+                    if l1.access(sector) == Probe::Hit {
+                        stats.l1_hits += 1;
+                    } else {
+                        stats.l1_misses += 1;
+                        l2_log.push(sector);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Per-block execution context handed to kernel closures.
 pub struct BlockCtx<'a> {
     /// The device being simulated.
@@ -142,7 +177,9 @@ pub struct BlockCtx<'a> {
     stats: &'a mut KernelStats,
     mem: MemSim<'a>,
     ecc_armed: &'a mut bool,
-    scratch: Vec<u64>,
+    /// Sector sort/dedup buffer, owned by the launcher (or the worker) so
+    /// no warp instruction allocates.
+    scratch: &'a mut Vec<u64>,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -163,50 +200,25 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    fn probe(&mut self, sector: u64) {
-        match &mut self.mem {
-            MemSim::Live { l1, l2 } => match l1.access(sector) {
-                Probe::Hit => self.stats.l1_hits += 1,
-                Probe::Miss => {
-                    self.stats.l1_misses += 1;
-                    match l2.access(sector) {
-                        Probe::Hit => self.stats.l2_hits += 1,
-                        Probe::Miss => {
-                            self.stats.l2_misses += 1;
-                            self.stats.dram_read_bytes += SECTOR_BYTES;
-                        }
-                    }
-                }
-            },
-            MemSim::Deferred { l1, l2_log } => match l1.access(sector) {
-                Probe::Hit => self.stats.l1_hits += 1,
-                Probe::Miss => {
-                    self.stats.l1_misses += 1;
-                    l2_log.push(sector);
-                }
-            },
-        }
+    /// Fills the scratch buffer with the sorted, deduplicated sector bases
+    /// of `addrs` (the general coalescer, without allocating).
+    fn coalesce_into_scratch(&mut self, addrs: &[u64]) {
+        let _t = hotspot::scope(HotPhase::Coalesce);
+        self.scratch.clear();
+        self.scratch
+            .extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
     }
 
     /// One warp-wide global load with arbitrary lane addresses.
     pub fn ld_global_warp(&mut self, addrs: &[u64]) {
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64; // address arithmetic
-        {
-            let _t = hotspot::scope(HotPhase::Coalesce);
-            self.scratch.clear();
-            self.scratch
-                .extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
-        }
+        self.coalesce_into_scratch(addrs);
         self.stats.gl_load_transactions += self.scratch.len() as u64;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        let n = self.scratch.len();
-        for i in 0..n {
-            let s = self.scratch[i];
-            self.probe(s);
-        }
+        self.mem.probe(self.stats, self.scratch.iter().copied());
     }
 
     /// Global load of `count` contiguous elements of `elem_bytes` starting at
@@ -220,11 +232,10 @@ impl<'a> BlockCtx<'a> {
         let warps = (count * elem_bytes).div_ceil(lanes * 4).max(1);
         self.stats.warp_instructions += warps as u64;
         self.stats.int_ops += count as u64;
+        let sectors = sector_span(base, count, elem_bytes);
+        self.stats.gl_load_transactions += sectors.len() as u64;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        for sector in coalesce::coalesce_contiguous(base, count, elem_bytes) {
-            self.stats.gl_load_transactions += 1;
-            self.probe(sector);
-        }
+        self.mem.probe(self.stats, sectors);
     }
 
     /// Gathers `elems_per_row` consecutive elements from each of the given
@@ -248,12 +259,11 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += (total as u64).div_ceil(32);
         self.stats.int_ops += total as u64;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        for &base in bases {
-            for sector in coalesce::coalesce_contiguous(base, elems_per_row, elem_bytes) {
-                self.stats.gl_load_transactions += 1;
-                self.probe(sector);
-            }
-        }
+        let spans = bases
+            .iter()
+            .map(|&base| sector_span(base, elems_per_row, elem_bytes));
+        self.stats.gl_load_transactions += spans.clone().map(|s| s.len() as u64).sum::<u64>();
+        self.mem.probe(self.stats, spans.flatten());
     }
 
     /// Scatters `elems_per_row` consecutive elements to each row base — the
@@ -271,7 +281,7 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += (total as u64).div_ceil(32);
         self.stats.int_ops += total as u64;
         for &base in bases {
-            let n = coalesce::coalesce_contiguous(base, elems_per_row, elem_bytes).len() as u64;
+            let n = sector_span(base, elems_per_row, elem_bytes).len() as u64;
             self.stats.gl_store_transactions += n;
             self.stats.dram_write_bytes += n * SECTOR_BYTES;
         }
@@ -284,21 +294,14 @@ impl<'a> BlockCtx<'a> {
         self.stats.gl_load_transactions += 1;
         let sector = (addr / SECTOR_BYTES) * SECTOR_BYTES;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        self.probe(sector);
+        self.mem.probe(self.stats, std::iter::once(sector));
     }
 
     /// One warp-wide global store with arbitrary lane addresses.
     pub fn st_global_warp(&mut self, addrs: &[u64]) {
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64;
-        {
-            let _t = hotspot::scope(HotPhase::Coalesce);
-            self.scratch.clear();
-            self.scratch
-                .extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
-        }
+        self.coalesce_into_scratch(addrs);
         let n = self.scratch.len() as u64;
         self.stats.gl_store_transactions += n;
         self.stats.dram_write_bytes += n * SECTOR_BYTES;
@@ -313,7 +316,7 @@ impl<'a> BlockCtx<'a> {
         let warps = (count * elem_bytes).div_ceil(lanes * 4).max(1);
         self.stats.warp_instructions += warps as u64;
         self.stats.int_ops += count as u64;
-        let sectors = coalesce::coalesce_contiguous(base, count, elem_bytes).len() as u64;
+        let sectors = sector_span(base, count, elem_bytes).len() as u64;
         self.stats.gl_store_transactions += sectors;
         self.stats.dram_write_bytes += sectors * SECTOR_BYTES;
     }
@@ -409,6 +412,7 @@ pub struct Launcher {
     ecc_armed: bool,
     threads: usize,
     launch_log: Option<Vec<f64>>,
+    scratch: Vec<u64>,
 }
 
 impl Launcher {
@@ -427,6 +431,7 @@ impl Launcher {
             ecc_armed: false,
             threads: crate::par::threads_from_env(),
             launch_log: None,
+            scratch: Vec::with_capacity(64),
         }
     }
 
@@ -598,7 +603,7 @@ impl Launcher {
                         l2: &mut self.l2,
                     },
                     ecc_armed: &mut self.ecc_armed,
-                    scratch: Vec::with_capacity(64),
+                    scratch: &mut self.scratch,
                 };
                 body(&mut ctx);
                 let report = cost::analyze(&self.device, &block_stats);
@@ -619,7 +624,7 @@ impl Launcher {
                         l2: &mut self.l2,
                     },
                     ecc_armed: &mut self.ecc_armed,
-                    scratch: Vec::with_capacity(64),
+                    scratch: &mut self.scratch,
                 };
                 body(&mut ctx);
             }
@@ -698,6 +703,7 @@ impl Launcher {
                     s.spawn(move |_| {
                         hotspot::set_worker(wi as u64 + 1);
                         let mut l1 = Cache::l1(device.l1_bytes_per_sm);
+                        let mut scratch = Vec::with_capacity(64);
                         loop {
                             let b0 = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
                             if b0 >= num_blocks {
@@ -719,7 +725,7 @@ impl Launcher {
                                         l2_log: &mut l2_log,
                                     },
                                     ecc_armed: &mut ecc,
-                                    scratch: Vec::with_capacity(64),
+                                    scratch: &mut scratch,
                                 };
                                 body(&mut ctx);
                                 hotspot::end_window();

@@ -127,6 +127,9 @@ pub fn fused_attention(
         let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
         let mut spmm_a = vec![0.0f32; TC_BLK_H * TC_BLK_W];
         let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
+        let mut bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
+        let mut fa = FragmentA::default();
+        let mut fb = FragmentB::default();
         let (e_lo, e_hi) = t.window_edge_range(csr, w).expect("window in range");
         // SAFETY: window `w` exclusively owns rows [row_lo, row_hi) and the
         // edge range [e_lo, e_hi).
@@ -152,10 +155,9 @@ pub fn fused_attention(
             for di in 0..dim_iterations {
                 let dim0 = di * WMMA_K;
                 let kw = (da - dim0).min(WMMA_K);
-                let x_bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_xa.f32_addr(r * da + dim0))
-                    .collect();
-                ctx.ld_global_gather_rows(&x_bases, kw, 4);
+                bases.clear();
+                bases.extend((row_lo..row_hi).map(|r| buf_xa.f32_addr(r * da + dim0)));
+                ctx.ld_global_gather_rows(&bases, kw, 4);
                 a_tile.iter_mut().for_each(|v| *v = 0.0);
                 for (ri, r) in (row_lo..row_hi).enumerate() {
                     let xr = xa.row(r);
@@ -164,13 +166,13 @@ pub fn fused_attention(
                     }
                 }
                 b_tile.iter_mut().for_each(|v| *v = 0.0);
-                let mut y_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
+                bases.clear();
                 for (half, cb) in (cb_lo..cb_hi).enumerate() {
                     for (c8, &nid) in t.block_atox(cb).iter().enumerate() {
                         if nid == u32::MAX {
                             continue;
                         }
-                        y_bases.push(buf_xa.f32_addr(nid as usize * da + dim0));
+                        bases.push(buf_xa.f32_addr(nid as usize * da + dim0));
                         let yr = xa.row(nid as usize);
                         let c = c8 + half * t.blk_w;
                         for k in 0..kw {
@@ -178,10 +180,8 @@ pub fn fused_attention(
                         }
                     }
                 }
-                ctx.ld_global_gather_rows(&y_bases, kw, 4);
+                ctx.ld_global_gather_rows(&bases, kw, 4);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS + 8);
-                let mut fa = FragmentA::default();
-                let mut fb = FragmentB::default();
                 fa.load(&a_tile, WMMA_K);
                 fb.load(&b_tile, WMMA_N);
                 mma_sync(&mut acc, &fa, &fb, ctx);
@@ -242,14 +242,18 @@ pub fn fused_attention(
                 spmm_a[r * TC_BLK_W + c] = p_win[t.perm_orig[pos] as usize - e_lo];
             }
             ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32) + 1);
+            // The A fragment is the same for every dim slab: load it once
+            // per TC block (each warp's load is still charged).
+            fa.load(&spmm_a, TC_BLK_W);
             for (s, acc) in accs.iter_mut().enumerate() {
                 let dim0 = s * WMMA_N;
                 let width = (dv - dim0).min(WMMA_N);
-                let bases: Vec<u64> = atox
-                    .iter()
-                    .filter(|&&u| u != u32::MAX)
-                    .map(|&u| buf_xv.f32_addr(u as usize * dv + dim0))
-                    .collect();
+                bases.clear();
+                bases.extend(
+                    atox.iter()
+                        .filter(|&&u| u != u32::MAX)
+                        .map(|&u| buf_xv.f32_addr(u as usize * dv + dim0)),
+                );
                 ctx.ld_global_gather_rows(&bases, width, 4);
                 ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
                 b_tile.iter_mut().for_each(|v| *v = 0.0);
@@ -262,9 +266,6 @@ pub fn fused_attention(
                         b_tile[k * WMMA_N + c] = xrow[dim0 + c];
                     }
                 }
-                let mut fa = FragmentA::default();
-                let mut fb = FragmentB::default();
-                fa.load(&spmm_a, TC_BLK_W);
                 fb.load(&b_tile, WMMA_N);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
                 mma_sync(acc, &fa, &fb, ctx);
@@ -274,9 +275,8 @@ pub fn fused_attention(
         for (s, acc) in accs.iter().enumerate() {
             let dim0 = s * WMMA_N;
             let width = (dv - dim0).min(WMMA_N);
-            let bases: Vec<u64> = (row_lo..row_hi)
-                .map(|r| buf_out.f32_addr(r * dv + dim0))
-                .collect();
+            bases.clear();
+            bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * dv + dim0)));
             ctx.st_global_gather_rows(&bases, width, 4);
             for ri in 0..(row_hi - row_lo) {
                 let orow = &mut y_win[ri * dv..(ri + 1) * dv];

@@ -133,6 +133,9 @@ impl SddmmKernel for TcgnnSddmm {
             let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
             let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
             let mut store_addrs: Vec<u64> = Vec::with_capacity(64);
+            let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
+            let mut fa = FragmentA::default();
+            let mut fb = FragmentB::default();
             let e_lo = csr.node_pointer()[row_lo];
             let e_hi = csr.node_pointer()[row_hi];
             // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
@@ -183,10 +186,9 @@ impl SddmmKernel for TcgnnSddmm {
                     let kw = (d - dim0).min(WMMA_K);
 
                     // dense_X: the window's own rows (contiguous block of X).
-                    let x_bases: Vec<u64> = (row_lo..row_hi)
-                        .map(|r| buf_xa.f32_addr(r * d + dim0))
-                        .collect();
-                    ctx.ld_global_gather_rows(&x_bases, kw, 4);
+                    row_bases.clear();
+                    row_bases.extend((row_lo..row_hi).map(|r| buf_xa.f32_addr(r * d + dim0)));
+                    ctx.ld_global_gather_rows(&row_bases, kw, 4);
                     ctx.shared_access(((TC_BLK_H * WMMA_K) as u64).div_ceil(32));
                     a_tile.iter_mut().for_each(|v| *v = 0.0);
                     for (ri, r) in (row_lo..row_hi).enumerate() {
@@ -197,12 +199,13 @@ impl SddmmKernel for TcgnnSddmm {
                     }
 
                     // dense_Y: the frame's condensed neighbors (gather).
-                    let y_bases: Vec<u64> = atox
-                        .iter()
-                        .filter(|&&u| u != u32::MAX)
-                        .map(|&u| buf_xb.f32_addr(u as usize * d + dim0))
-                        .collect();
-                    ctx.ld_global_gather_rows(&y_bases, kw, 4);
+                    row_bases.clear();
+                    row_bases.extend(
+                        atox.iter()
+                            .filter(|&&u| u != u32::MAX)
+                            .map(|&u| buf_xb.f32_addr(u as usize * d + dim0)),
+                    );
+                    ctx.ld_global_gather_rows(&row_bases, kw, 4);
                     ctx.shared_access(((WMMA_K * TC_BLK_H) as u64).div_ceil(32));
                     b_tile.iter_mut().for_each(|v| *v = 0.0);
                     for (c, &u) in atox.iter().enumerate() {
@@ -215,8 +218,6 @@ impl SddmmKernel for TcgnnSddmm {
                         }
                     }
 
-                    let mut fa = FragmentA::default();
-                    let mut fb = FragmentB::default();
                     fa.load(&a_tile, WMMA_K);
                     fb.load(&b_tile, WMMA_N);
                     ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);

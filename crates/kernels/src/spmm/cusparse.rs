@@ -88,11 +88,13 @@ impl SpmmKernel for CusparseCsrSpmm {
                     }
                     ctx.ld_global_warp(&addrs);
                     if prob.edge_values.is_some() {
-                        let val_addrs: Vec<u64> = (w0..w1)
-                            .filter(|&v| it < csr.degree(v))
-                            .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4))
-                            .collect();
-                        ctx.ld_global_warp(&val_addrs);
+                        addrs.clear();
+                        addrs.extend(
+                            (w0..w1)
+                                .filter(|&v| it < csr.degree(v))
+                                .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4)),
+                        );
+                        ctx.ld_global_warp(&addrs);
                     }
                     // X gathers: per 4-column tile, each lane fetches 16 B
                     // of its own neighbor's row.

@@ -199,11 +199,13 @@ impl SpmmKernel for HybridSpmm {
                     }
                     ctx.ld_global_warp(&addrs);
                     if prob.edge_values.is_some() {
-                        let val_addrs: Vec<u64> = (row_lo..row_hi)
-                            .filter(|&v| it < csr.degree(v))
-                            .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4))
-                            .collect();
-                        ctx.ld_global_warp(&val_addrs);
+                        addrs.clear();
+                        addrs.extend(
+                            (row_lo..row_hi)
+                                .filter(|&v| it < csr.degree(v))
+                                .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4)),
+                        );
+                        ctx.ld_global_warp(&addrs);
                     }
                     for dt in 0..dim_tiles {
                         addrs.clear();
@@ -254,7 +256,10 @@ impl SpmmKernel for HybridSpmm {
             let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
             let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
             let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
+            let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
             let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
+            let mut fa = FragmentA::default();
+            let mut fb = FragmentB::default();
             let mut win_nnz = 0u64;
             let mut win_cols = 0u64;
             // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
@@ -294,6 +299,9 @@ impl SpmmKernel for HybridSpmm {
                         }
                     }
                 }
+                // The A fragment is the same for every dim slab: load it
+                // once per TC block (each warp's load is still charged).
+                fa.load(&a_tile, TC_BLK_W);
                 let nnz_blk = chunk as u64;
                 win_nnz += nnz_blk;
                 ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32));
@@ -311,8 +319,8 @@ impl SpmmKernel for HybridSpmm {
                 for (s, acc) in accs.iter_mut().enumerate() {
                     let dim0 = s * WMMA_N;
                     let width = (d - dim0).min(WMMA_N);
-                    let slab_bases: Vec<u64> =
-                        row_bases.iter().map(|&b| b + (dim0 * 4) as u64).collect();
+                    slab_bases.clear();
+                    slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
                     ctx.ld_global_gather_rows(&slab_bases, width, 4);
                     ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
 
@@ -330,9 +338,6 @@ impl SpmmKernel for HybridSpmm {
                         }
                     }
 
-                    let mut fa = FragmentA::default();
-                    let mut fb = FragmentB::default();
-                    fa.load(&a_tile, TC_BLK_W);
                     fb.load(&b_tile, WMMA_N);
                     ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
                     mma_sync(acc, &fa, &fb, ctx);
@@ -343,10 +348,9 @@ impl SpmmKernel for HybridSpmm {
             for (s, acc) in accs.iter().enumerate() {
                 let dim0 = s * WMMA_N;
                 let width = (d - dim0).min(WMMA_N);
-                let bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_out.f32_addr(r * d + dim0))
-                    .collect();
-                ctx.st_global_gather_rows(&bases, width, 4);
+                slab_bases.clear();
+                slab_bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * d + dim0)));
+                ctx.st_global_gather_rows(&slab_bases, width, 4);
                 ctx.shared_access(FRAG_ACC_TRANSACTIONS);
                 for ri in 0..(row_hi - row_lo) {
                     let orow = &mut out_win[ri * d..(ri + 1) * d];

@@ -142,7 +142,10 @@ impl SpmmKernel for TcgnnSpmm {
             let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
             let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
             let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
+            let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
             let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
+            let mut fa = FragmentA::default();
+            let mut fb = FragmentB::default();
             // Per-row-window telemetry for the hotspot profiler (free when
             // disabled: two integer adds per TC block, one gated call).
             let mut win_nnz = 0u64;
@@ -191,6 +194,9 @@ impl SpmmKernel for TcgnnSpmm {
                         }
                     }
                 }
+                // The A fragment is the same for every dim slab: load it
+                // once per TC block (each warp's load is still charged).
+                fa.load(&a_tile, TC_BLK_W);
                 let nnz_blk = chunk as u64;
                 win_nnz += nnz_blk;
                 // Shared-memory writes: zero-init + nnz scatter + index row.
@@ -212,8 +218,8 @@ impl SpmmKernel for TcgnnSpmm {
                     let width = (d - dim0).min(WMMA_N);
                     // Stage dense_X: each referenced row contributes its
                     // 16-dim slab slice.
-                    let slab_bases: Vec<u64> =
-                        row_bases.iter().map(|&b| b + (dim0 * 4) as u64).collect();
+                    slab_bases.clear();
+                    slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
                     ctx.ld_global_gather_rows(&slab_bases, width, 4);
                     ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
 
@@ -233,9 +239,6 @@ impl SpmmKernel for TcgnnSpmm {
                     }
 
                     // --- TCU phase (Listing 2 lines 36-37) --------------
-                    let mut fa = FragmentA::default();
-                    let mut fb = FragmentB::default();
-                    fa.load(&a_tile, TC_BLK_W);
                     fb.load(&b_tile, WMMA_N);
                     ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
                     mma_sync(acc, &fa, &fb, ctx);
@@ -247,10 +250,9 @@ impl SpmmKernel for TcgnnSpmm {
             for (s, acc) in accs.iter().enumerate() {
                 let dim0 = s * WMMA_N;
                 let width = (d - dim0).min(WMMA_N);
-                let bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_out.f32_addr(r * d + dim0))
-                    .collect();
-                ctx.st_global_gather_rows(&bases, width, 4);
+                slab_bases.clear();
+                slab_bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * d + dim0)));
+                ctx.st_global_gather_rows(&slab_bases, width, 4);
                 ctx.shared_access(FRAG_ACC_TRANSACTIONS);
                 for ri in 0..(row_hi - row_lo) {
                     let orow = &mut out_win[ri * d..(ri + 1) * d];

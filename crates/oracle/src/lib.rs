@@ -25,6 +25,9 @@
 //! - [`delta`] — the dynamic-graph law: incremental delta-translation must
 //!   equal from-scratch translation *bitwise* over random edit scripts,
 //!   with a script shrinker so failures reproduce in a few edges;
+//! - [`refmodel`] — reference models of the simulator's own hot-path
+//!   primitives (LRU cache, contiguous coalescer, TF-32 rounding), which
+//!   the fast versions are property-tested against;
 //! - [`shrink`] — a greedy input minimizer that reduces a failing graph
 //!   while preserving the failure, so repro cases stay small;
 //! - [`conformance`] — the full backend × kernel × family matrix behind
@@ -37,6 +40,7 @@ pub mod delta;
 pub mod diff;
 pub mod golden;
 pub mod metamorphic;
+pub mod refmodel;
 pub mod shrink;
 
 pub use advgen::Family;

@@ -61,8 +61,13 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders the ranked hotspot table: per-phase host time (descending, with
-/// share and hit counts), the hottest row windows by host time, and the
+/// Phases whose mean time per hit is under this many empty-scope costs are
+/// flagged as measurement-dominated in [`hotspot_table`].
+pub const MEASUREMENT_DOMINATED_FACTOR: f64 = 3.0;
+
+/// Renders the ranked hotspot table: the calibrated timer cost, per-phase
+/// host time (descending, with share and hit counts, flagging phases the
+/// timer dominates), the hottest row windows by host time, and the
 /// reconciliation line asserting `sum(phases) == sum(windows)`.
 pub fn hotspot_table(report: &HotspotReport) -> String {
     let mut out = String::new();
@@ -82,6 +87,16 @@ pub fn hotspot_table(report: &HotspotReport) -> String {
             .filter(|w| **w != OUTSIDE_WINDOW)
             .count(),
     ));
+    // Each hit pays one scope's own timer cost; a phase whose per-hit time
+    // is within a few scope costs mostly measures the timer.
+    let floor_ns = MEASUREMENT_DOMINATED_FACTOR * report.scope_cost_ns;
+    if report.scope_cost_ns > 0.0 {
+        out.push_str(&format!(
+            "timer: empty scope {:.1}ns; * = under {MEASUREMENT_DOMINATED_FACTOR}x that per hit \
+             (measurement-dominated)\n",
+            report.scope_cost_ns,
+        ));
+    }
     out.push_str(&format!(
         "{:<16}{:>12}{:>8}{:>12}{:>14}\n",
         "phase", "host", "share", "hits", "ns/hit"
@@ -96,8 +111,13 @@ pub fn hotspot_table(report: &HotspotReport) -> String {
             0.0
         };
         let per_hit = ns.checked_div(hits).unwrap_or(0);
+        let flag = if hits > 0 && (per_hit as f64) < floor_ns {
+            " *"
+        } else {
+            ""
+        };
         out.push_str(&format!(
-            "{:<16}{:>12}{:>7.1}%{:>12}{:>14}\n",
+            "{:<16}{:>12}{:>7.1}%{:>12}{:>14}{flag}\n",
             phase.label(),
             fmt_ns(ns),
             share,
@@ -242,6 +262,7 @@ mod tests {
                 distinct_cols: 0,
             },
         );
+        report.scope_cost_ns = 1000.0;
         report
     }
 
@@ -273,6 +294,22 @@ mod tests {
         assert!(table.contains("outside-windows"));
         // 60k + 1.5M + 440k phases == 1.7M + 250k + 50k windows == 2M.
         assert!(table.contains("reconciliation: phases 2000000 ns == windows 2000000 ns (OK)"));
+    }
+
+    #[test]
+    fn table_reports_timer_cost_and_flags_measurement_dominated_phases() {
+        let table = hotspot_table(&sample_report());
+        assert!(table.contains("timer: empty scope 1000.0ns"));
+        let row = |label: &str| table.lines().find(|l| l.starts_with(label)).unwrap();
+        // cache_probe: 2us/hit < 3 x 1us scope cost.
+        assert!(row("cache_probe").ends_with(" *"));
+        assert!(!row("mma_inner").ends_with('*'));
+        assert!(!row("staging").ends_with('*'));
+        // Uncalibrated reports print no timer line and flag nothing.
+        let mut report = sample_report();
+        report.scope_cost_ns = 0.0;
+        let table = hotspot_table(&report);
+        assert!(!table.contains("timer:") && !table.contains(" *"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! moment an arrival is processed, so [`tcg_fault::TcgError::QueueFull`]
 //! shedding is a deterministic function of the trace.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tcg_dist::{DistContext, Partitioner};
@@ -873,8 +873,16 @@ fn run_stream(
     let mut stream = Stream::new(stream_id);
     // Engines are keyed by `(graph, version)`: a mutated graph's batches
     // get a fresh engine built from their snapshot CSR, while batches for
-    // any still-resident earlier version keep theirs.
+    // any still-resident earlier version keep theirs. An engine is dropped
+    // once this stream's last batch for its version has run, so under
+    // churn superseded versions do not keep their CSR, translation and
+    // launcher resident for the rest of the run.
     let mut engines: HashMap<(usize, u64), Engine> = HashMap::new();
+    let mut last_use: HashMap<(usize, u64), usize> = HashMap::new();
+    for (i, b) in batches.iter().enumerate() {
+        last_use.insert((b.graph, b.version.as_u64()), i);
+    }
+    let mut evicted: HashSet<(usize, u64)> = HashSet::new();
     // Multi-device path: one sharded context per graph, built lazily like
     // the engines. Sharding re-runs SGT per shard, so the dispatcher's
     // whole-graph translation is not reused here (and the caller gates it
@@ -903,7 +911,15 @@ fn run_stream(
     } else {
         None
     };
-    for b in batches {
+    for (i, b) in batches.iter().enumerate() {
+        engines.retain(|key, eng| {
+            let keep = last_use[key] >= i;
+            if !keep {
+                merge_fault_reports(&mut faults, &eng.fault_report());
+                evicted.insert(*key);
+            }
+            keep
+        });
         let g = &graphs[b.graph];
         if dist {
             // Sharded execution: the whole batch's forward fans out over
@@ -1000,6 +1016,11 @@ fn run_stream(
             }
             live = still_live;
         }
+        debug_assert!(
+            !evicted.contains(&(b.graph, b.version.as_u64())),
+            "batch {} arrived for an evicted engine version",
+            b.index
+        );
         let eng = engines
             .entry((b.graph, b.version.as_u64()))
             .or_insert_with(|| {

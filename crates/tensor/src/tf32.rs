@@ -36,23 +36,15 @@ pub fn round_to_tf32(x: f32) -> f32 {
     if !x.is_finite() {
         return x;
     }
+    // Branchless round-to-nearest-even on the dropped bits: adding
+    // `half - 1` plus the kept LSB carries into the kept mantissa exactly
+    // when the dropped field is above half, or equal to half with an odd
+    // kept LSB. A carry out of the mantissa bumps the exponent, so the
+    // largest finite values round to infinity as the hardware does.
     let bits = x.to_bits();
-    let mask: u32 = (1 << DROPPED_BITS) - 1;
-    let dropped = bits & mask;
-    let truncated = bits & !mask;
-    let halfway: u32 = 1 << (DROPPED_BITS - 1);
-    let rounded = if dropped > halfway {
-        truncated.wrapping_add(1 << DROPPED_BITS)
-    } else if dropped == halfway {
-        // Round to even: bump only if the lowest kept bit is 1.
-        if truncated & (1 << DROPPED_BITS) != 0 {
-            truncated.wrapping_add(1 << DROPPED_BITS)
-        } else {
-            truncated
-        }
-    } else {
-        truncated
-    };
+    let lsb = (bits >> DROPPED_BITS) & 1;
+    let half_minus_one: u32 = (1 << (DROPPED_BITS - 1)) - 1;
+    let rounded = bits.wrapping_add(half_minus_one + lsb) & !((1 << DROPPED_BITS) - 1);
     f32::from_bits(rounded)
 }
 

@@ -55,6 +55,11 @@ grep -q '"failed": 0,' <<<"$chaos_out" || {
     exit 1
 }
 
+step "simulator reference models: fast hot-path primitives vs their slow references"
+# Flat epoch-stamped cache, arithmetic sector walk and branchless TF-32
+# rounding must agree exactly with the reference models in tcg-oracle.
+cargo test --release -q -p tcg-oracle refmodel
+
 step "verify: oracle conformance matrix (every backend x kernel x family)"
 # Full differential matrix against the golden oracle, plus the metamorphic
 # suite; nonzero exit (with a minimized repro) on any divergence.
@@ -66,6 +71,7 @@ step "parallel execution: determinism suite + conformance matrix at TCG_THREADS=
 # 8-vs-1-thread runs must be bitwise identical (logits, kernel reports,
 # cost totals).
 cargo test --release -q --test parallel_determinism
+TCG_THREADS=4 cargo test --release -q -p tcg-gpusim --lib
 TCG_THREADS=4 ./target/release/tcgnn verify --seed 2023
 TCG_THREADS=4 TCG_FAULT_RATE=0.05 TCG_FAULT_SEED=2023 \
     ./target/release/tcgnn train Pubmed/0.05 --epochs 3 | grep -q 'faults: '
