@@ -4,7 +4,10 @@ use std::fmt;
 
 use tcg_gpusim::{KernelReport, Launcher};
 use tcg_graph::CsrGraph;
+use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
+
+use crate::hybrid::WindowBackend;
 
 pub use tcg_fault::TcgError;
 
@@ -150,6 +153,57 @@ pub trait SpmmKernel {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError>;
+}
+
+/// Rejects a translation the TCU window bodies cannot run, before any of
+/// its arrays is indexed. The bodies stage `TC_BLK_H × TC_BLK_W` tiles and
+/// own rows `[w·TC_BLK_H, (w+1)·TC_BLK_H)`, so another window height or
+/// block width (which `Sgt::builder()` accepts) would index out of bounds
+/// mid-launch, as would a translation of a graph with other node or edge
+/// counts. O(1): compares geometry and counts, not the arrays.
+pub(crate) fn check_translation(t: &TranslatedGraph, csr: &CsrGraph) -> Result<(), TcgError> {
+    if t.win_size != TC_BLK_H || t.blk_w != TC_BLK_W {
+        return Err(TcgError::InvalidInput {
+            what: "translation geometry",
+            detail: format!(
+                "window {} x block width {}; the TCU kernels need {TC_BLK_H} x {TC_BLK_W}",
+                t.win_size, t.blk_w
+            ),
+        });
+    }
+    if t.edge_to_col.len() != csr.num_edges() {
+        return Err(TcgError::DimMismatch {
+            what: "translation edge count vs graph",
+            expected: csr.num_edges(),
+            actual: t.edge_to_col.len(),
+        });
+    }
+    if t.num_row_windows != csr.num_nodes().div_ceil(TC_BLK_H) {
+        return Err(TcgError::DimMismatch {
+            what: "translation row windows vs graph",
+            expected: csr.num_nodes().div_ceil(TC_BLK_H),
+            actual: t.num_row_windows,
+        });
+    }
+    Ok(())
+}
+
+/// Resolves a launch's dispatch mask, which must come after
+/// [`check_translation`] (the policy indexes the translation's windows),
+/// and checks that it covers every row window.
+pub(crate) fn window_mask(
+    t: &TranslatedGraph,
+    mask: impl FnOnce() -> Vec<WindowBackend>,
+) -> Result<Vec<WindowBackend>, TcgError> {
+    let mask = mask();
+    if mask.len() != t.num_row_windows {
+        return Err(TcgError::DimMismatch {
+            what: "dispatch mask length vs row windows",
+            expected: t.num_row_windows,
+            actual: mask.len(),
+        });
+    }
+    Ok(mask)
 }
 
 /// CPU reference SpMM: `out[v] = Σ_{u ∈ N(v)} w(v,u) · x[u]`, f64-accumulated.

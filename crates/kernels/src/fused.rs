@@ -10,6 +10,13 @@
 //! round-trips through global memory and two fewer kernel launches per
 //! layer. Exactly the AGNN forward pipeline
 //! `P = softmax(β·cos(x̂, x̂)); Y = P·X`.
+//!
+//! Stages 1 and 3 keep their own loops instead of calling the SDDMM and
+//! SpMM window bodies, because their charges differ: stage 1 issues no
+//! staging shared-memory traffic and 8 extra shared transactions per MMA,
+//! and stage 3 loads no AToX or value permutation (both block-resident).
+//! Sharing the bodies would make them branch on their caller; only the
+//! side-effect-free tile fills are shared.
 
 use tcg_gpusim::wmma::{
     mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_A_SMEM_TRANSACTIONS,
@@ -20,7 +27,9 @@ use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::TcgError;
+use crate::common::{check_translation, TcgError};
+use crate::sddmm::tcgnn::{fill_frame_atox, fill_x_tile, fill_y_tile, SDDMM_W};
+use crate::spmm::tcgnn::{fill_a_tile, fill_b_tile};
 
 /// Output of the fused attention kernel.
 pub struct FusedAttentionOutput {
@@ -47,13 +56,7 @@ pub fn fused_attention(
     xv: &DenseMatrix,
     beta: f32,
 ) -> Result<FusedAttentionOutput, TcgError> {
-    if t.edge_to_col.len() != csr.num_edges() {
-        return Err(TcgError::DimMismatch {
-            what: "translation edge count vs graph",
-            expected: csr.num_edges(),
-            actual: t.edge_to_col.len(),
-        });
-    }
+    check_translation(t, csr)?;
     if xa.rows() != csr.num_nodes() || xv.rows() != csr.num_nodes() {
         return Err(TcgError::DimMismatch {
             what: "feature rows vs graph nodes",
@@ -65,7 +68,6 @@ pub fn fused_attention(
     let da = xa.cols();
     let dv = xv.cols();
     let slabs = dv.div_ceil(WMMA_N);
-    let dim_iterations = da.div_ceil(WMMA_K);
     let mut y = DenseMatrix::zeros(n, dv);
     let mut cos = vec![0.0f32; csr.num_edges()];
     let mut p = vec![0.0f32; csr.num_edges()];
@@ -125,6 +127,7 @@ pub fn fused_attention(
         // so nothing mutable is captured from the outer scope).
         let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
         let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
+        let mut atox = [u32::MAX; SDDMM_W];
         let mut spmm_a = vec![0.0f32; TC_BLK_H * TC_BLK_W];
         let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
         let mut bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
@@ -151,35 +154,21 @@ pub fn fused_attention(
                 t.block_atox_ptr[cb_hi] - t.block_atox_ptr[cb_lo],
                 4,
             );
+            fill_frame_atox(&mut atox, t, cb_lo..cb_hi);
             let mut acc = FragmentAcc::default();
-            for di in 0..dim_iterations {
-                let dim0 = di * WMMA_K;
+            for dim0 in (0..da).step_by(WMMA_K) {
                 let kw = (da - dim0).min(WMMA_K);
                 bases.clear();
                 bases.extend((row_lo..row_hi).map(|r| buf_xa.f32_addr(r * da + dim0)));
                 ctx.ld_global_gather_rows(&bases, kw, 4);
-                a_tile.iter_mut().for_each(|v| *v = 0.0);
-                for (ri, r) in (row_lo..row_hi).enumerate() {
-                    let xr = xa.row(r);
-                    for k in 0..kw {
-                        a_tile[ri * WMMA_K + k] = xr[dim0 + k];
-                    }
-                }
-                b_tile.iter_mut().for_each(|v| *v = 0.0);
+                fill_x_tile(&mut a_tile, xa, row_lo..row_hi, dim0..dim0 + kw);
                 bases.clear();
-                for (half, cb) in (cb_lo..cb_hi).enumerate() {
-                    for (c8, &nid) in t.block_atox(cb).iter().enumerate() {
-                        if nid == u32::MAX {
-                            continue;
-                        }
-                        bases.push(buf_xa.f32_addr(nid as usize * da + dim0));
-                        let yr = xa.row(nid as usize);
-                        let c = c8 + half * t.blk_w;
-                        for k in 0..kw {
-                            b_tile[k * WMMA_N + c] = yr[dim0 + k];
-                        }
-                    }
-                }
+                bases.extend(
+                    atox.iter()
+                        .filter(|&&u| u != u32::MAX)
+                        .map(|&u| buf_xa.f32_addr(u as usize * da + dim0)),
+                );
+                fill_y_tile(&mut b_tile, xa, &atox, dim0..dim0 + kw);
                 ctx.ld_global_gather_rows(&bases, kw, 4);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS + 8);
                 fa.load(&a_tile, WMMA_K);
@@ -235,12 +224,8 @@ pub fn fused_attention(
             let (c_lo, c_hi) = t.block_chunk(b);
             // pack/atox are already block-resident from stage 1 (L1 hits).
             ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), c_hi - c_lo, 1);
-            let atox = t.block_atox(b);
-            spmm_a.iter_mut().for_each(|v| *v = 0.0);
-            for pos in c_lo..c_hi {
-                let (r, c) = t.unpack(t.perm_pack[pos]);
-                spmm_a[r * TC_BLK_W + c] = p_win[t.perm_orig[pos] as usize - e_lo];
-            }
+            let atox_ids = t.block_atox(b);
+            fill_a_tile(&mut spmm_a, t, c_lo..c_hi, |e| p_win[e - e_lo]);
             ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32) + 1);
             // The A fragment is the same for every dim slab: load it once
             // per TC block (each warp's load is still charged).
@@ -250,22 +235,14 @@ pub fn fused_attention(
                 let width = (dv - dim0).min(WMMA_N);
                 bases.clear();
                 bases.extend(
-                    atox.iter()
+                    atox_ids
+                        .iter()
                         .filter(|&&u| u != u32::MAX)
                         .map(|&u| buf_xv.f32_addr(u as usize * dv + dim0)),
                 );
                 ctx.ld_global_gather_rows(&bases, width, 4);
                 ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
-                b_tile.iter_mut().for_each(|v| *v = 0.0);
-                for (k, &u) in atox.iter().enumerate() {
-                    if u == u32::MAX {
-                        continue;
-                    }
-                    let xrow = xv.row(u as usize);
-                    for c in 0..width {
-                        b_tile[k * WMMA_N + c] = xrow[dim0 + c];
-                    }
-                }
+                fill_b_tile(&mut b_tile, xv, atox_ids, dim0..dim0 + width);
                 fb.load(&b_tile, WMMA_N);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
                 mma_sync(acc, &fa, &fb, ctx);

@@ -6,7 +6,10 @@
 //! the "much more intensive computations and memory access" pattern the
 //! paper says makes SDDMM especially sensitive to graph irregularity.
 
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use std::ops::Range;
+
+use tcg_gpusim::launch::Buffer;
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_tensor::DenseMatrix;
 
@@ -32,29 +35,20 @@ impl SddmmKernel for CudaCoreSddmm {
         xa: &DenseMatrix,
         xb: &DenseMatrix,
     ) -> Result<(Vec<f32>, KernelReport), TcgError> {
-        if xa.rows() != csr.num_nodes() || xb.rows() != csr.num_nodes() {
-            return Err(TcgError::DimMismatch {
-                what: "feature rows vs graph nodes",
-                expected: csr.num_nodes(),
-                actual: xa.rows().min(xb.rows()),
-            });
-        }
-        if xa.cols() != xb.cols() {
-            return Err(TcgError::DimMismatch {
-                what: "xa cols vs xb cols",
-                expected: xa.cols(),
-                actual: xb.cols(),
-            });
-        }
+        check_features(csr, xa, xb)?;
         let n = csr.num_nodes();
-        let d = xa.cols();
         let mut out = vec![0.0f32; csr.num_edges()];
 
-        let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
-        let buf_edges = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_xa = launcher.try_alloc_f32(xa.len())?;
-        let buf_xb = launcher.try_alloc_f32(xb.len())?;
-        let buf_out = launcher.try_alloc_f32(csr.num_edges())?;
+        let rows = CudaRows {
+            csr,
+            xa,
+            xb,
+            buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
+            buf_edges: launcher.try_alloc(csr.num_edges() * 4)?,
+            buf_xa: launcher.try_alloc_f32(xa.len())?,
+            buf_xb: launcher.try_alloc_f32(xb.len())?,
+            buf_out: launcher.try_alloc_f32(csr.num_edges())?,
+        };
 
         let num_blocks = n.div_ceil(ROWS_PER_BLOCK) as u64;
         let cfg = GridConfig {
@@ -68,53 +62,106 @@ impl SddmmKernel for CudaCoreSddmm {
         let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
         launcher.preflight("cuda-core-sddmm", &cfg)?;
         let stats = launcher.launch_par(cfg, num_blocks, |ctx| {
-            let mut bases: Vec<u64> = Vec::with_capacity(64);
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-            for v in row0..row1 {
-                let lo = csr.node_pointer()[v];
-                let hi = csr.node_pointer()[v + 1];
-                ctx.ld_global_scalar(buf_ptr.addr(v, 8));
-                ctx.ld_global_scalar(buf_ptr.addr(v + 1, 8));
-                if hi == lo {
-                    continue;
-                }
-                ctx.ld_global_contiguous(buf_edges.addr(lo, 4), hi - lo, 4);
-                // Source row: loaded once, reused per edge via registers.
-                ctx.ld_global_contiguous(buf_xa.f32_addr(v * d), d, 4);
-                // Destination rows: scattered gather.
-                bases.clear();
-                bases.extend(
-                    csr.neighbors(v)
-                        .iter()
-                        .map(|&u| buf_xb.f32_addr(u as usize * d)),
-                );
-                ctx.ld_global_gather_rows(&bases, d, 4);
-                // Multiply + warp tree reduction per edge: the dot product
-                // needs log2(lanes) shuffle steps per edge, unavoidable in
-                // the per-edge formulation.
-                let deg = hi - lo;
-                ctx.fma_warps(((deg * d) as u64).div_ceil(32));
-                let shuffle_steps = (d.min(32) as f64).log2().ceil() as u64;
-                ctx.fp32_warps(deg as u64 * shuffle_steps.max(1));
-                // Scattered-ish store of edge values (contiguous per row).
-                ctx.st_global_contiguous(buf_out.f32_addr(lo), deg, 4);
-
-                let xrow = xa.row(v);
-                // SAFETY: row `v`'s edge slice belongs to this block alone.
-                let orow = unsafe { out_slices.range_mut(lo, hi - lo) };
-                for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                    let urow = xb.row(u as usize);
-                    let mut s = 0.0f32;
-                    for (a, b) in xrow.iter().zip(urow) {
-                        s += a * b;
-                    }
-                    orow[i] = s;
-                }
-            }
+            let (e0, e1) = (csr.node_pointer()[row0], csr.node_pointer()[row1]);
+            // SAFETY: rows [row0, row1) own edges [e0, e1) exclusively.
+            rows.run(ctx, row0..row1, unsafe {
+                out_slices.range_mut(e0, e1 - e0)
+            });
         });
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
+    }
+}
+
+/// Rejects feature matrices that do not match the graph or each other.
+pub(crate) fn check_features(
+    csr: &CsrGraph,
+    xa: &DenseMatrix,
+    xb: &DenseMatrix,
+) -> Result<(), TcgError> {
+    if xa.rows() != csr.num_nodes() || xb.rows() != csr.num_nodes() {
+        return Err(TcgError::DimMismatch {
+            what: "feature rows vs graph nodes",
+            expected: csr.num_nodes(),
+            actual: xa.rows().min(xb.rows()),
+        });
+    }
+    if xa.cols() != xb.cols() {
+        return Err(TcgError::DimMismatch {
+            what: "xa cols vs xb cols",
+            expected: xa.cols(),
+            actual: xb.cols(),
+        });
+    }
+    Ok(())
+}
+
+/// The per-row warp body with the device buffers it reads and writes: the
+/// CUDA-core body of this kernel and of the hybrid launch's CUDA-core
+/// windows.
+#[derive(Clone, Copy)]
+pub(crate) struct CudaRows<'a> {
+    pub csr: &'a CsrGraph,
+    pub xa: &'a DenseMatrix,
+    pub xb: &'a DenseMatrix,
+    pub buf_ptr: Buffer,
+    pub buf_edges: Buffer,
+    pub buf_xa: Buffer,
+    pub buf_xb: Buffer,
+    pub buf_out: Buffer,
+}
+
+impl CudaRows<'_> {
+    /// Runs one warp per row of `rows`, writing their edge values into
+    /// `out` (the rows' CSR edge range). Each dot product depends on its
+    /// edge alone, so every grouping of rows yields the same bits.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>, out: &mut [f32]) {
+        let (csr, xa, xb) = (self.csr, self.xa, self.xb);
+        let d = xa.cols();
+        let e_base = csr.node_pointer()[rows.start];
+        let mut bases: Vec<u64> = Vec::with_capacity(64);
+        for v in rows {
+            let lo = csr.node_pointer()[v];
+            let hi = csr.node_pointer()[v + 1];
+            ctx.ld_global_scalar(self.buf_ptr.addr(v, 8));
+            ctx.ld_global_scalar(self.buf_ptr.addr(v + 1, 8));
+            if hi == lo {
+                continue;
+            }
+            ctx.ld_global_contiguous(self.buf_edges.addr(lo, 4), hi - lo, 4);
+            // Source row: loaded once, reused per edge via registers.
+            ctx.ld_global_contiguous(self.buf_xa.f32_addr(v * d), d, 4);
+            // Destination rows: scattered gather.
+            bases.clear();
+            bases.extend(
+                csr.neighbors(v)
+                    .iter()
+                    .map(|&u| self.buf_xb.f32_addr(u as usize * d)),
+            );
+            ctx.ld_global_gather_rows(&bases, d, 4);
+            // Multiply + warp tree reduction per edge: the dot product
+            // needs log2(lanes) shuffle steps per edge, unavoidable in
+            // the per-edge formulation.
+            let deg = hi - lo;
+            ctx.fma_warps(((deg * d) as u64).div_ceil(32));
+            let shuffle_steps = (d.min(32) as f64).log2().ceil() as u64;
+            ctx.fp32_warps(deg as u64 * shuffle_steps.max(1));
+            // Scattered-ish store of edge values (contiguous per row).
+            ctx.st_global_contiguous(self.buf_out.f32_addr(lo), deg, 4);
+
+            let xrow = xa.row(v);
+            let orow = &mut out[lo - e_base..hi - e_base];
+            for (i, &u) in csr.neighbors(v).iter().enumerate() {
+                let urow = xb.row(u as usize);
+                let mut s = 0.0f32;
+                for (a, b) in xrow.iter().zip(urow) {
+                    s += a * b;
+                }
+                orow[i] = s;
+            }
+        }
     }
 }
 

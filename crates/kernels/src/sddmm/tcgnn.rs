@@ -7,18 +7,28 @@
 //! dimension in `K = 8` slabs, accumulating `X · Yᵀ` before a final
 //! dense-to-sparse conversion writes each edge's scalar back to
 //! `edgeValList`.
+//!
+//! The window body, `TcuWindow`, is the one the hybrid launch runs for
+//! its TCU windows; this kernel is that launch under an all-TCU mask.
 
+use std::ops::Range;
+
+use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
     mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
 };
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::TcgError;
+use crate::hybrid::WindowBackend;
 use crate::sddmm::SddmmKernel;
+
+/// Condensed columns per SDDMM block: two SpMM-width chunks.
+pub(crate) const SDDMM_W: usize = TC_BLK_H;
 
 /// The TC-GNN SDDMM kernel, bound to a translated graph.
 #[derive(Debug, Clone)]
@@ -61,188 +71,173 @@ impl SddmmKernel for TcgnnSddmm {
         xb: &DenseMatrix,
     ) -> Result<(Vec<f32>, KernelReport), TcgError> {
         let t = &self.translated;
-        if t.edge_to_col.len() != csr.num_edges() {
-            return Err(TcgError::DimMismatch {
-                what: "translation edge count vs graph",
-                expected: csr.num_edges(),
-                actual: t.edge_to_col.len(),
-            });
+        let all_tcu = || vec![WindowBackend::Tcu; t.num_row_windows];
+        super::hybrid::launch(launcher, csr, xa, xb, t, all_tcu, "tc-gnn-sddmm")
+    }
+}
+
+/// The TCU row-window body of Listing 3, with the device buffers it reads
+/// and writes (allocated by the launch).
+#[derive(Clone, Copy)]
+pub(crate) struct TcuWindow<'a> {
+    pub t: &'a TranslatedGraph,
+    pub csr: &'a CsrGraph,
+    pub xa: &'a DenseMatrix,
+    pub xb: &'a DenseMatrix,
+    pub buf_ptr: Buffer,
+    pub buf_pack: Buffer,
+    pub buf_atox: Buffer,
+    pub buf_porig: Buffer,
+    pub buf_xa: Buffer,
+    pub buf_xb: Buffer,
+    pub buf_out: Buffer,
+}
+
+impl TcuWindow<'_> {
+    /// Runs row window `w`, writing its edges' values into `out_win` (the
+    /// window's CSR edge range). An empty window issues nothing.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize, out_win: &mut [f32]) {
+        let (t, csr, xa, xb) = (self.t, self.csr, self.xa, self.xb);
+        // Listing 3 line 9: SDDMM block count from the SpMM partition.
+        let num_tc_blocks = (t.win_partition[w] as usize * t.blk_w).div_ceil(SDDMM_W);
+        if num_tc_blocks == 0 {
+            return;
         }
-        if xa.rows() != csr.num_nodes() || xb.rows() != csr.num_nodes() {
-            return Err(TcgError::DimMismatch {
-                what: "feature rows vs graph nodes",
-                expected: csr.num_nodes(),
-                actual: xa.rows().min(xb.rows()),
-            });
-        }
-        if xa.cols() != xb.cols() {
-            return Err(TcgError::DimMismatch {
-                what: "xa cols vs xb cols",
-                expected: xa.cols(),
-                actual: xb.cols(),
-            });
-        }
-        let n = csr.num_nodes();
         let d = xa.cols();
-        let dim_iterations = d.div_ceil(WMMA_K);
-        let mut out = vec![0.0f32; csr.num_edges()];
+        let row_lo = w * TC_BLK_H;
+        let row_hi = (row_lo + TC_BLK_H).min(csr.num_nodes());
+        ctx.ld_global_scalar(self.buf_ptr.addr(row_lo, 8));
+        ctx.ld_global_scalar(self.buf_ptr.addr(row_hi, 8));
+        let b_lo = t.win_block_start[w];
+        let b_hi = t.win_block_start[w + 1];
+        let e_lo = csr.node_pointer()[row_lo];
 
-        let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
-        let buf_pack = launcher.try_alloc(csr.num_edges())?;
-        let buf_atox = launcher.try_alloc(t.block_atox.len() * 4)?;
-        let buf_porig = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_xa = launcher.try_alloc_f32(xa.len())?;
-        let buf_xb = launcher.try_alloc_f32(xb.len())?;
-        let buf_out = launcher.try_alloc_f32(csr.num_edges())?;
+        // Per-block scratch (bodies run concurrently on the parallel
+        // path, so nothing mutable is shared between blocks).
+        let mut edge_map = vec![usize::MAX; TC_BLK_H * SDDMM_W];
+        let mut atox = [u32::MAX; SDDMM_W];
+        let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
+        let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
+        let mut store_addrs: Vec<u64> = Vec::with_capacity(64);
+        let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
+        let mut fa = FragmentA::default();
+        let mut fb = FragmentB::default();
 
-        // Listing 3 shared layout: sparse_A 16×16 (edge ids), AToX 16,
-        // dense_X 16×8, dense_Y 8×16.
-        let smem_bytes = (TC_BLK_H * TC_BLK_H + TC_BLK_H) * 4 + 2 * (TC_BLK_H * WMMA_K) * 4;
-        let cfg = GridConfig {
-            block_size: 128,
-            shared_mem_bytes: smem_bytes,
-            regs_per_thread: 72,
-        };
-
-        const SDDMM_W: usize = TC_BLK_H; // 16 condensed columns per block
-
-        // A window's edges are exactly its rows' CSR edges — the contiguous
-        // range [ptr[row_lo], ptr[row_hi]) — so blocks write disjoint output
-        // slices and the body runs on the parallel path.
-        let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
-
-        launcher.preflight("tc-gnn-sddmm", &cfg)?;
-        let stats = launcher.launch_par(cfg, t.num_row_windows as u64, |ctx| {
-            let w = ctx.block_id as usize;
-            // Listing 3 line 9: SDDMM block count from the SpMM partition.
-            let num_tc_blocks = (t.win_partition[w] as usize * t.blk_w).div_ceil(SDDMM_W);
-            if num_tc_blocks == 0 {
-                return;
+        for i in 0..num_tc_blocks {
+            // Stage sparse_A (edge-index map) + AToX for this 16-wide
+            // condensed column frame: the frame fuses two SpMM-width
+            // chunks, which are adjacent in the sorted permutation
+            // (Algorithm 3's GetChunk over the reused translation).
+            let cb_lo = b_lo + 2 * i;
+            let cb_hi = (cb_lo + 2).min(b_hi);
+            let c_lo = t.block_ptr[cb_lo];
+            let c_hi = t.block_ptr[cb_hi];
+            let chunk = c_hi - c_lo;
+            // Packed coordinates (1 B/nnz), original edge ids (for the
+            // sparse output scatter), and per-block AToX lists.
+            ctx.ld_global_contiguous(self.buf_pack.addr(c_lo, 1), chunk, 1);
+            ctx.ld_global_contiguous(self.buf_porig.addr(c_lo, 4), chunk, 4);
+            ctx.ld_global_contiguous(
+                self.buf_atox.addr(t.block_atox_ptr[cb_lo], 4),
+                t.block_atox_ptr[cb_hi] - t.block_atox_ptr[cb_lo],
+                4,
+            );
+            edge_map.fill(usize::MAX);
+            for (half, cb) in (cb_lo..cb_hi).enumerate() {
+                let (h_lo, h_hi) = t.block_chunk(cb);
+                for pos in h_lo..h_hi {
+                    let (r, c8) = t.unpack(t.perm_pack[pos]);
+                    let c = c8 + half * t.blk_w;
+                    edge_map[r * SDDMM_W + c] = t.perm_orig[pos] as usize;
+                }
             }
-            let row_lo = w * TC_BLK_H;
-            let row_hi = (row_lo + TC_BLK_H).min(n);
-            ctx.ld_global_scalar(buf_ptr.addr(row_lo, 8));
-            ctx.ld_global_scalar(buf_ptr.addr(row_hi, 8));
-            let b_lo = t.win_block_start[w];
-            let b_hi = t.win_block_start[w + 1];
+            fill_frame_atox(&mut atox, t, cb_lo..cb_hi);
+            ctx.shared_access(((TC_BLK_H * SDDMM_W) as u64).div_ceil(32));
+            ctx.shared_access((chunk as u64).div_ceil(32).max(1));
+            ctx.shared_access(1);
 
-            // Per-block scratch (bodies run concurrently on the parallel
-            // path, so nothing mutable is captured from the outer scope).
-            let mut edge_map = vec![usize::MAX; TC_BLK_H * SDDMM_W];
-            let mut atox = [u32::MAX; SDDMM_W];
-            let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
-            let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
-            let mut store_addrs: Vec<u64> = Vec::with_capacity(64);
-            let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
-            let mut fa = FragmentA::default();
-            let mut fb = FragmentB::default();
-            let e_lo = csr.node_pointer()[row_lo];
-            let e_hi = csr.node_pointer()[row_hi];
-            // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
-            let out_win = unsafe { out_slices.range_mut(e_lo, e_hi - e_lo) };
+            let mut acc = FragmentAcc::default();
+            for dim0 in (0..d).step_by(WMMA_K) {
+                let kw = (d - dim0).min(WMMA_K);
 
-            for i in 0..num_tc_blocks {
-                // Stage sparse_A (edge-index map) + AToX for this 16-wide
-                // condensed column frame: the frame fuses two SpMM-width
-                // chunks, which are adjacent in the sorted permutation
-                // (Algorithm 3's GetChunk over the reused translation).
-                let cb_lo = b_lo + 2 * i;
-                let cb_hi = (cb_lo + 2).min(b_hi);
-                let c_lo = t.block_ptr[cb_lo];
-                let c_hi = t.block_ptr[cb_hi];
-                let chunk = c_hi - c_lo;
-                // Packed coordinates (1 B/nnz), original edge ids (for the
-                // sparse output scatter), and per-block AToX lists.
-                ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), chunk, 1);
-                ctx.ld_global_contiguous(buf_porig.addr(c_lo, 4), chunk, 4);
-                ctx.ld_global_contiguous(
-                    buf_atox.addr(t.block_atox_ptr[cb_lo], 4),
-                    t.block_atox_ptr[cb_hi] - t.block_atox_ptr[cb_lo],
-                    4,
+                // dense_X: the window's own rows (contiguous block of X).
+                row_bases.clear();
+                row_bases.extend((row_lo..row_hi).map(|r| self.buf_xa.f32_addr(r * d + dim0)));
+                ctx.ld_global_gather_rows(&row_bases, kw, 4);
+                ctx.shared_access(((TC_BLK_H * WMMA_K) as u64).div_ceil(32));
+                fill_x_tile(&mut a_tile, xa, row_lo..row_hi, dim0..dim0 + kw);
+
+                // dense_Y: the frame's condensed neighbors (gather).
+                row_bases.clear();
+                row_bases.extend(
+                    atox.iter()
+                        .filter(|&&u| u != u32::MAX)
+                        .map(|&u| self.buf_xb.f32_addr(u as usize * d + dim0)),
                 );
-                edge_map.iter_mut().for_each(|v| *v = usize::MAX);
-                atox.iter_mut().for_each(|v| *v = u32::MAX);
-                let nnz_blk = chunk as u64;
-                for (half, cb) in (cb_lo..cb_hi).enumerate() {
-                    let (h_lo, h_hi) = t.block_chunk(cb);
-                    for pos in h_lo..h_hi {
-                        let (r, c8) = t.unpack(t.perm_pack[pos]);
-                        let c = c8 + half * t.blk_w;
-                        edge_map[r * SDDMM_W + c] = t.perm_orig[pos] as usize;
-                    }
-                    for (c8, &nid) in t.block_atox(cb).iter().enumerate() {
-                        if nid != u32::MAX {
-                            atox[c8 + half * t.blk_w] = nid;
-                        }
-                    }
-                }
-                ctx.shared_access(((TC_BLK_H * SDDMM_W) as u64).div_ceil(32));
-                ctx.shared_access(nnz_blk.div_ceil(32).max(1));
-                ctx.shared_access(1);
+                ctx.ld_global_gather_rows(&row_bases, kw, 4);
+                ctx.shared_access(((WMMA_K * TC_BLK_H) as u64).div_ceil(32));
+                fill_y_tile(&mut b_tile, xb, &atox, dim0..dim0 + kw);
 
-                let mut acc = FragmentAcc::default();
-                for di in 0..dim_iterations {
-                    let dim0 = di * WMMA_K;
-                    let kw = (d - dim0).min(WMMA_K);
+                fa.load(&a_tile, WMMA_K);
+                fb.load(&b_tile, WMMA_N);
+                ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
+                mma_sync(&mut acc, &fa, &fb, ctx);
+            }
 
-                    // dense_X: the window's own rows (contiguous block of X).
-                    row_bases.clear();
-                    row_bases.extend((row_lo..row_hi).map(|r| buf_xa.f32_addr(r * d + dim0)));
-                    ctx.ld_global_gather_rows(&row_bases, kw, 4);
-                    ctx.shared_access(((TC_BLK_H * WMMA_K) as u64).div_ceil(32));
-                    a_tile.iter_mut().for_each(|v| *v = 0.0);
-                    for (ri, r) in (row_lo..row_hi).enumerate() {
-                        let xr = xa.row(r);
-                        for k in 0..kw {
-                            a_tile[ri * WMMA_K + k] = xr[dim0 + k];
-                        }
+            // Dense-to-sparse conversion: scatter edge scalars.
+            store_addrs.clear();
+            for r in 0..TC_BLK_H {
+                for c in 0..SDDMM_W {
+                    let e = edge_map[r * SDDMM_W + c];
+                    if e != usize::MAX {
+                        out_win[e - e_lo] = acc.get(r, c);
+                        store_addrs.push(self.buf_out.f32_addr(e));
                     }
-
-                    // dense_Y: the frame's condensed neighbors (gather).
-                    row_bases.clear();
-                    row_bases.extend(
-                        atox.iter()
-                            .filter(|&&u| u != u32::MAX)
-                            .map(|&u| buf_xb.f32_addr(u as usize * d + dim0)),
-                    );
-                    ctx.ld_global_gather_rows(&row_bases, kw, 4);
-                    ctx.shared_access(((WMMA_K * TC_BLK_H) as u64).div_ceil(32));
-                    b_tile.iter_mut().for_each(|v| *v = 0.0);
-                    for (c, &u) in atox.iter().enumerate() {
-                        if u == u32::MAX {
-                            continue;
-                        }
-                        let yr = xb.row(u as usize);
-                        for k in 0..kw {
-                            b_tile[k * WMMA_N + c] = yr[dim0 + k];
-                        }
-                    }
-
-                    fa.load(&a_tile, WMMA_K);
-                    fb.load(&b_tile, WMMA_N);
-                    ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                    mma_sync(&mut acc, &fa, &fb, ctx);
-                }
-
-                // Dense-to-sparse conversion: scatter edge scalars.
-                store_addrs.clear();
-                for r in 0..TC_BLK_H {
-                    for c in 0..SDDMM_W {
-                        let e = edge_map[r * SDDMM_W + c];
-                        if e != usize::MAX {
-                            out_win[e - e_lo] = acc.get(r, c);
-                            store_addrs.push(buf_out.f32_addr(e));
-                        }
-                    }
-                }
-                for chunk in store_addrs.chunks(32) {
-                    ctx.st_global_warp(chunk);
                 }
             }
-            ctx.syncthreads();
-        });
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+            for chunk in store_addrs.chunks(32) {
+                ctx.st_global_warp(chunk);
+            }
+        }
+        ctx.syncthreads();
+    }
+}
+
+/// Builds the 16-entry AToX of the frame fusing SpMM blocks `blocks` (one
+/// or two): block `half`'s condensed column `c` lands at `c + half·8`.
+pub(crate) fn fill_frame_atox(atox: &mut [u32], t: &TranslatedGraph, blocks: Range<usize>) {
+    atox.fill(u32::MAX);
+    for (half, cb) in blocks.enumerate() {
+        for (c8, &nid) in t.block_atox(cb).iter().enumerate() {
+            if nid != u32::MAX {
+                atox[c8 + half * t.blk_w] = nid;
+            }
+        }
+    }
+}
+
+/// Builds the `16×8` `dense_X` tile: row `ri` holds columns `cols` of
+/// `x`'s row `rows.start + ri`.
+pub(crate) fn fill_x_tile(
+    tile: &mut [f32],
+    x: &DenseMatrix,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    tile.fill(0.0);
+    for (ri, r) in rows.enumerate() {
+        tile[ri * WMMA_K..][..cols.len()].copy_from_slice(&x.row(r)[cols.clone()]);
+    }
+}
+
+/// Builds the `8×16` `dense_Y` tile: column `c` holds columns `cols` of
+/// `y`'s row `atox[c]` (zero for padding).
+pub(crate) fn fill_y_tile(tile: &mut [f32], y: &DenseMatrix, atox: &[u32], cols: Range<usize>) {
+    tile.fill(0.0);
+    for (c, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
+        for (k, &v) in y.row(u as usize)[cols.clone()].iter().enumerate() {
+            tile[k * WMMA_N + c] = v;
+        }
     }
 }
 

@@ -14,7 +14,10 @@
 //!   different sector per lane per instruction (Table 1's ~37% hit rate
 //!   comes only from consecutive 16 B granules sharing a 32 B sector).
 
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use std::ops::Range;
+
+use tcg_gpusim::launch::Buffer;
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
@@ -44,10 +47,13 @@ impl SpmmKernel for CusparseCsrSpmm {
         let mut out = DenseMatrix::zeros(n, d);
 
         let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
-        let buf_edges = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_vals = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
+        let rows = CudaRows {
+            prob,
+            buf_edges: launcher.try_alloc(csr.num_edges() * 4)?,
+            buf_vals: launcher.try_alloc(csr.num_edges() * 4)?,
+            buf_x: launcher.try_alloc_f32(prob.x.len())?,
+            buf_out: launcher.try_alloc_f32(out.len())?,
+        };
 
         let num_blocks = n.div_ceil(ROWS_PER_BLOCK) as u64;
         let cfg = GridConfig {
@@ -56,13 +62,11 @@ impl SpmmKernel for CusparseCsrSpmm {
             regs_per_thread: 64,
         };
 
-        let dim_tiles = d.div_ceil(COLS_PER_TILE);
         // Each block owns rows [block*256, block*256+256): disjoint output
         // slabs, so the body runs on the parallel path.
         let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
         launcher.preflight("cusparse-csr", &cfg)?;
         let stats = launcher.launch_par(cfg, num_blocks, |ctx| {
-            let mut addrs: Vec<u64> = Vec::with_capacity(32);
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
             // SAFETY: block owns rows [row0, row1) exclusively.
@@ -73,68 +77,88 @@ impl SpmmKernel for CusparseCsrSpmm {
             // Warp by warp: 32 consecutive rows in lockstep.
             for w0 in (row0..row1).step_by(32) {
                 let w1 = (w0 + 32).min(row1);
-                let max_deg = (w0..w1).map(|v| csr.degree(v)).max().unwrap_or(0);
-                for it in 0..max_deg {
-                    // Edge-id load: each active lane reads its row's next
-                    // neighbor — scattered positions in edgeList.
-                    addrs.clear();
-                    for v in w0..w1 {
-                        if it < csr.degree(v) {
-                            addrs.push(buf_edges.addr(csr.node_pointer()[v] + it, 4));
-                        }
-                    }
-                    if addrs.is_empty() {
-                        continue;
-                    }
-                    ctx.ld_global_warp(&addrs);
-                    if prob.edge_values.is_some() {
-                        addrs.clear();
-                        addrs.extend(
-                            (w0..w1)
-                                .filter(|&v| it < csr.degree(v))
-                                .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4)),
-                        );
-                        ctx.ld_global_warp(&addrs);
-                    }
-                    // X gathers: per 4-column tile, each lane fetches 16 B
-                    // of its own neighbor's row.
-                    for dt in 0..dim_tiles {
-                        addrs.clear();
-                        for v in w0..w1 {
-                            if it < csr.degree(v) {
-                                let u = csr.neighbors(v)[it] as usize;
-                                addrs.push(buf_x.f32_addr(u * d + dt * COLS_PER_TILE));
-                            }
-                        }
-                        ctx.ld_global_warp(&addrs);
-                        ctx.fma_warp(32);
-                    }
-                }
-                // Output stores: 16 B granules per lane per tile.
-                for dt in 0..dim_tiles {
-                    addrs.clear();
-                    for v in w0..w1 {
-                        addrs.push(buf_out.f32_addr(v * d + dt * COLS_PER_TILE));
-                    }
-                    ctx.st_global_warp(&addrs);
-                }
-            }
-
-            // Functional accumulation.
-            for v in row0..row1 {
-                let lo = csr.node_pointer()[v];
-                let orow = &mut out_rows[(v - row0) * d..(v - row0 + 1) * d];
-                for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                    let wgt = prob.value(lo + i);
-                    let xrow = prob.x.row(u as usize);
-                    for (o, &xv) in orow.iter_mut().zip(xrow) {
-                        *o += wgt * xv;
-                    }
-                }
+                rows.run(ctx, w0..w1, &mut out_rows[(w0 - row0) * d..(w1 - row0) * d]);
             }
         });
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
+    }
+}
+
+/// One lockstep group of thread-per-row lanes (≤ 32 rows) with the device
+/// buffers it reads and writes: the CUDA-core body of this kernel and of
+/// the hybrid launch's CUDA-core windows.
+#[derive(Clone, Copy)]
+pub(crate) struct CudaRows<'a> {
+    pub prob: &'a SpmmProblem<'a>,
+    pub buf_edges: Buffer,
+    pub buf_vals: Buffer,
+    pub buf_x: Buffer,
+    pub buf_out: Buffer,
+}
+
+impl CudaRows<'_> {
+    /// Walks `rows` in lockstep and writes them into `out_rows`. The group
+    /// runs as long as its highest-degree row, so a smaller group pays
+    /// less divergence. The functional accumulation is per row in CSR edge
+    /// order, so every grouping of rows yields the same bits.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>, out_rows: &mut [f32]) {
+        let prob = self.prob;
+        let csr = prob.csr;
+        let d = prob.dim();
+        let dim_tiles = d.div_ceil(COLS_PER_TILE);
+        let mut addrs: Vec<u64> = Vec::with_capacity(32);
+        let max_deg = rows.clone().map(|v| csr.degree(v)).max().unwrap_or(0);
+        for it in 0..max_deg {
+            // The lanes whose row still has an `it`-th neighbor.
+            let active = || rows.clone().filter(|&v| it < csr.degree(v));
+            // Edge-id load: each active lane reads its row's next
+            // neighbor — scattered positions in edgeList.
+            addrs.clear();
+            addrs.extend(active().map(|v| self.buf_edges.addr(csr.node_pointer()[v] + it, 4)));
+            if addrs.is_empty() {
+                continue;
+            }
+            ctx.ld_global_warp(&addrs);
+            if prob.edge_values.is_some() {
+                addrs.clear();
+                addrs.extend(active().map(|v| self.buf_vals.addr(csr.node_pointer()[v] + it, 4)));
+                ctx.ld_global_warp(&addrs);
+            }
+            // X gathers: per 4-column tile, each lane fetches 16 B
+            // of its own neighbor's row.
+            for dt in 0..dim_tiles {
+                addrs.clear();
+                addrs.extend(active().map(|v| {
+                    let u = csr.neighbors(v)[it] as usize;
+                    self.buf_x.f32_addr(u * d + dt * COLS_PER_TILE)
+                }));
+                ctx.ld_global_warp(&addrs);
+                ctx.fma_warp(32);
+            }
+        }
+        // Output stores: 16 B granules per lane per tile.
+        for dt in 0..dim_tiles {
+            addrs.clear();
+            addrs.extend(
+                rows.clone()
+                    .map(|v| self.buf_out.f32_addr(v * d + dt * COLS_PER_TILE)),
+            );
+            ctx.st_global_warp(&addrs);
+        }
+
+        // Functional accumulation.
+        for v in rows.clone() {
+            let lo = csr.node_pointer()[v];
+            let orow = &mut out_rows[(v - rows.start) * d..(v - rows.start + 1) * d];
+            for (i, &u) in csr.neighbors(v).iter().enumerate() {
+                let wgt = prob.value(lo + i);
+                let xrow = prob.x.row(u as usize);
+                for (o, &xv) in orow.iter_mut().zip(xrow) {
+                    *o += wgt * xv;
+                }
+            }
+        }
     }
 }
 

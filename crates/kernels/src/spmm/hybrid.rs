@@ -1,43 +1,33 @@
 //! Hybrid TCU/CUDA-core SpMM: one launch, per-row-window dispatch.
 //!
 //! Every SGT row window is routed by [`DispatchPolicy`] (or a forced mask)
-//! to either the TC-GNN tensor-core formulation or a cuSPARSE-style scalar
-//! walk scoped to the window's rows, inside a *single* kernel launch. Each
-//! window's body replays the chosen pure kernel's charges and functional
-//! arithmetic exactly:
+//! to one of two window bodies inside a *single* kernel launch. Each window
+//! type has exactly one body, shared with the pure kernel it comes from:
 //!
-//! - **TCU windows** run [`super::tcgnn::TcgnnSpmm`]'s window body verbatim
-//!   (same staging, same MMA order, same stores), so their output slab is
-//!   bitwise identical to the pure TCU kernel's.
-//! - **CUDA-core windows** run [`super::cusparse::CusparseCsrSpmm`]'s
-//!   lockstep row walk restricted to the window's ≤16 rows. The pure
-//!   kernel's functional accumulation is *per row in CSR edge order* —
-//!   independent of how rows are grouped into blocks — so the window's rows
-//!   are bitwise identical to the pure CUDA-core kernel's, while the
-//!   divergence charge shrinks (a 16-row lockstep group's max degree is
-//!   bounded by the 32-row group's that contains it).
+//! - **TCU windows** run `tcgnn::TcuWindow`, TC-GNN's Listing 2
+//!   body. [`super::tcgnn::TcgnnSpmm`] is this launch under an all-TCU
+//!   mask, so its output and cost report are the hybrid's by construction.
+//! - **CUDA-core windows** run `cusparse::CudaRows`, the
+//!   cuSPARSE-style lockstep walk, over the window's ≤16 rows as one group.
+//!   The pure kernel runs the same body over 32-row groups. Its functional
+//!   accumulation is per row in CSR edge order, independent of grouping, so
+//!   the window's rows are bitwise the pure CUDA-core kernel's, while the
+//!   divergence charge shrinks (a 16-row group's max degree is bounded by
+//!   that of the 32-row group containing it).
 //!
-//! With an all-TCU mask the launch allocates the same buffers in the same
-//! order and issues the identical charge sequence as `TcgnnSpmm`, so its
-//! cost report matches the pure kernel's exactly — the bench gate's
-//! "hybrid never loses to the best single backend" anchor.
+//! The fused attention kernel keeps its own SDDMM and SpMM stages: their
+//! charge sequences differ from these bodies (see `crate::fused`).
 
-use tcg_gpusim::hotspot::{self, HotPhase};
-use tcg_gpusim::wmma::{
-    mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS,
-    FRAG_B_SMEM_TRANSACTIONS, WMMA_N,
-};
+use tcg_gpusim::wmma::WMMA_N;
 use tcg_gpusim::{GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{SpmmKernel, SpmmProblem, TcgError};
+use super::cusparse::CudaRows;
+use super::tcgnn::TcuWindow;
+use crate::common::{check_translation, window_mask, SpmmKernel, SpmmProblem, TcgError};
 use crate::hybrid::{DispatchPolicy, WindowBackend};
-
-/// Dense columns per register tile on the CUDA-core path (matches
-/// `CusparseCsrSpmm`).
-const COLS_PER_TILE: usize = 4;
 
 /// The hybrid per-window SpMM dispatcher.
 #[derive(Debug, Clone)]
@@ -112,258 +102,103 @@ impl SpmmKernel for HybridSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
-        let t = &self.translated;
-        if t.edge_to_col.len() != csr.num_edges() {
-            return Err(TcgError::DimMismatch {
-                what: "translation edge count vs graph",
-                expected: csr.num_edges(),
-                actual: t.edge_to_col.len(),
-            });
-        }
-        let n = csr.num_nodes();
-        let d = prob.dim();
-        let mask = self.dispatch_mask(csr, d);
-        if mask.len() != t.num_row_windows {
-            return Err(TcgError::DimMismatch {
-                what: "dispatch mask length vs row windows",
-                expected: t.num_row_windows,
-                actual: mask.len(),
-            });
-        }
-        let slabs = d.div_ceil(WMMA_N);
-        let warps = slabs.clamp(4, 8);
-        let mut out = DenseMatrix::zeros(n, d);
+        let mask = || self.dispatch_mask(prob.csr, prob.dim());
+        launch(launcher, prob, &self.translated, mask, "hybrid", 0)
+    }
+}
 
-        // Buffer layout mirrors TcgnnSpmm exactly; the CUDA-core path's
-        // edge-id array is appended only when some window needs it, so an
-        // all-TCU mask reproduces the pure kernel's address space (and
-        // therefore its cache behavior and cost report) bit for bit.
-        let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
-        let buf_pack = launcher.try_alloc(csr.num_edges())?;
-        let buf_atox = launcher.try_alloc(t.block_atox.len() * 4)?;
-        let buf_porig = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_vals = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
-        let any_cuda = mask.contains(&WindowBackend::CudaCore);
-        let buf_edges = if any_cuda {
-            Some(launcher.try_alloc(csr.num_edges() * 4)?)
-        } else {
-            None
-        };
+/// The one SpMM launch behind [`HybridSpmm`] and
+/// [`super::tcgnn::TcgnnSpmm`]: validates the translation, then resolves
+/// `mask` (which indexes the translation's windows), allocates the
+/// buffers and runs every row window through the body its mask entry
+/// names. `warps_per_block` 0 picks one warp per 16-dim slab within
+/// `[4, 8]`.
+pub(crate) fn launch(
+    launcher: &mut Launcher,
+    prob: &SpmmProblem<'_>,
+    t: &TranslatedGraph,
+    mask: impl FnOnce() -> Vec<WindowBackend>,
+    name: &'static str,
+    warps_per_block: usize,
+) -> Result<(DenseMatrix, KernelReport), TcgError> {
+    let csr = prob.csr;
+    check_translation(t, csr)?;
+    let mask = window_mask(t, mask)?;
+    let n = csr.num_nodes();
+    let d = prob.dim();
+    // §5.1: "we use more CUDA-core threads than TCU threads" — the block
+    // always carries at least 4 warps for staging parallelism, even when
+    // fewer dimension slabs need TCU warps.
+    let warps = match warps_per_block {
+        0 => d.div_ceil(WMMA_N).clamp(4, 8),
+        w => w,
+    };
+    let mut out = DenseMatrix::zeros(n, d);
 
-        let smem_bytes = TC_BLK_H * TC_BLK_W * 4 + TC_BLK_W * 4 + warps * TC_BLK_W * WMMA_N * 4;
-        let cfg = GridConfig {
-            block_size: (warps * 32) as u32,
-            shared_mem_bytes: smem_bytes,
-            regs_per_thread: 64,
-        };
+    // The CUDA-core path's edge-id array is appended only when some
+    // window needs it, so every all-TCU launch has the same address space
+    // (and therefore the same cache behavior and cost report).
+    let tcu = TcuWindow {
+        t,
+        prob,
+        buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
+        buf_pack: launcher.try_alloc(csr.num_edges())?,
+        buf_atox: launcher.try_alloc(t.block_atox.len() * 4)?,
+        buf_porig: launcher.try_alloc(csr.num_edges() * 4)?,
+        buf_vals: launcher.try_alloc(csr.num_edges() * 4)?,
+        buf_x: launcher.try_alloc_f32(prob.x.len())?,
+        buf_out: launcher.try_alloc_f32(out.len())?,
+    };
+    let cuda = if mask.contains(&WindowBackend::CudaCore) {
+        Some(CudaRows {
+            prob,
+            buf_edges: launcher.try_alloc(csr.num_edges() * 4)?,
+            buf_vals: tcu.buf_vals,
+            buf_x: tcu.buf_x,
+            buf_out: tcu.buf_out,
+        })
+    } else {
+        None
+    };
 
-        let dim_tiles = d.div_ceil(COLS_PER_TILE);
-        let num_windows = t.num_row_windows as u64;
-        // Blocks write disjoint row-window slabs of `out` on both paths.
-        let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
+    // Shared memory mirrors Listing 2: sparse_A (16×8 f32),
+    // sparse_AToX_index (8 u32), dense_X (warps × 8×16 f32).
+    let smem_bytes = TC_BLK_H * TC_BLK_W * 4 + TC_BLK_W * 4 + warps * TC_BLK_W * WMMA_N * 4;
+    let cfg = GridConfig {
+        block_size: (warps * 32) as u32,
+        shared_mem_bytes: smem_bytes,
+        regs_per_thread: 64,
+    };
 
-        launcher.preflight("hybrid", &cfg)?;
-        let stats = launcher.launch_par(cfg, num_windows, |ctx| {
-            let w = ctx.block_id as usize;
-            let row_lo = w * TC_BLK_H;
-            let row_hi = (row_lo + TC_BLK_H).min(n);
+    // Blocks write disjoint row-window slabs of `out` on both paths, so
+    // the body runs on the parallel path without locks.
+    let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
 
-            if mask[w] == WindowBackend::CudaCore {
-                // --- CUDA-core window: CusparseCsrSpmm's lockstep walk
-                // scoped to rows [row_lo, row_hi) --------------------------
-                let e_lo = csr.node_pointer()[row_lo];
-                let e_hi = csr.node_pointer()[row_hi];
-                if e_hi == e_lo {
+    launcher.preflight(name, &cfg)?;
+    let stats = launcher.launch_par(cfg, t.num_row_windows as u64, |ctx| {
+        let w = ctx.block_id as usize;
+        let row_lo = w * TC_BLK_H;
+        let row_hi = (row_lo + TC_BLK_H).min(n);
+        // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
+        let out_win = unsafe { out_slices.range_mut(row_lo * d, (row_hi - row_lo) * d) };
+        match mask[w] {
+            WindowBackend::Tcu => tcu.run(ctx, w, out_win),
+            // An edgeless window issues nothing, not even its row
+            // pointers; otherwise its ≤16 rows are one lockstep group.
+            WindowBackend::CudaCore => {
+                if csr.node_pointer()[row_lo] == csr.node_pointer()[row_hi] {
                     return;
                 }
-                let buf_edges = buf_edges.as_ref().expect("cuda window implies edge buffer");
-                let mut addrs: Vec<u64> = Vec::with_capacity(32);
-                // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
-                let out_rows = unsafe { out_slices.range_mut(row_lo * d, (row_hi - row_lo) * d) };
-                ctx.ld_global_contiguous(buf_ptr.addr(row_lo, 8), row_hi - row_lo + 1, 8);
-
-                // One lockstep group: the window's ≤16 rows.
-                let max_deg = (row_lo..row_hi).map(|v| csr.degree(v)).max().unwrap_or(0);
-                for it in 0..max_deg {
-                    addrs.clear();
-                    for v in row_lo..row_hi {
-                        if it < csr.degree(v) {
-                            addrs.push(buf_edges.addr(csr.node_pointer()[v] + it, 4));
-                        }
-                    }
-                    if addrs.is_empty() {
-                        continue;
-                    }
-                    ctx.ld_global_warp(&addrs);
-                    if prob.edge_values.is_some() {
-                        addrs.clear();
-                        addrs.extend(
-                            (row_lo..row_hi)
-                                .filter(|&v| it < csr.degree(v))
-                                .map(|v| buf_vals.addr(csr.node_pointer()[v] + it, 4)),
-                        );
-                        ctx.ld_global_warp(&addrs);
-                    }
-                    for dt in 0..dim_tiles {
-                        addrs.clear();
-                        for v in row_lo..row_hi {
-                            if it < csr.degree(v) {
-                                let u = csr.neighbors(v)[it] as usize;
-                                addrs.push(buf_x.f32_addr(u * d + dt * COLS_PER_TILE));
-                            }
-                        }
-                        ctx.ld_global_warp(&addrs);
-                        ctx.fma_warp(32);
-                    }
-                }
-                for dt in 0..dim_tiles {
-                    addrs.clear();
-                    for v in row_lo..row_hi {
-                        addrs.push(buf_out.f32_addr(v * d + dt * COLS_PER_TILE));
-                    }
-                    ctx.st_global_warp(&addrs);
-                }
-
-                // Functional accumulation: identical to CusparseCsrSpmm's
-                // per-row loop, so the window is bitwise the pure kernel's.
-                for v in row_lo..row_hi {
-                    let lo = csr.node_pointer()[v];
-                    let orow = &mut out_rows[(v - row_lo) * d..(v - row_lo + 1) * d];
-                    for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                        let wgt = prob.value(lo + i);
-                        let xrow = prob.x.row(u as usize);
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += wgt * xv;
-                        }
-                    }
-                }
-                return;
+                let cuda = cuda
+                    .as_ref()
+                    .expect("a CUDA-core window implies the edge buffer");
+                ctx.ld_global_contiguous(tcu.buf_ptr.addr(row_lo, 8), row_hi - row_lo + 1, 8);
+                cuda.run(ctx, row_lo..row_hi, out_win);
             }
-
-            // --- TCU window: TcgnnSpmm's window body, verbatim ------------
-            let num_tc_blocks = t.win_partition[w] as usize;
-            if num_tc_blocks == 0 {
-                return;
-            }
-            ctx.ld_global_scalar(buf_ptr.addr(row_lo, 8));
-            ctx.ld_global_scalar(buf_ptr.addr(row_hi, 8));
-
-            let mut a_tile = vec![0.0f32; TC_BLK_H * TC_BLK_W];
-            let mut atox: Vec<u32> = vec![u32::MAX; TC_BLK_W];
-            let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
-            let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
-            let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
-            let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
-            let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
-            let mut fa = FragmentA::default();
-            let mut fb = FragmentB::default();
-            let mut win_nnz = 0u64;
-            let mut win_cols = 0u64;
-            // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
-            let out_win = unsafe { out_slices.range_mut(row_lo * d, (row_hi - row_lo) * d) };
-
-            for i in 0..num_tc_blocks {
-                let b = t.win_block_start[w] + i;
-                let (c_lo, c_hi) = t.block_chunk(b);
-                let chunk = c_hi - c_lo;
-                ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), chunk, 1);
-                let atox_ids = t.block_atox(b);
-                ctx.ld_global_contiguous(buf_atox.addr(t.block_atox_ptr[b], 4), atox_ids.len(), 4);
-                if prob.edge_values.is_some() {
-                    ctx.ld_global_contiguous(buf_porig.addr(c_lo, 4), chunk, 4);
-                    addr_scratch.clear();
-                    addr_scratch.extend(
-                        t.perm_orig[c_lo..c_hi]
-                            .iter()
-                            .map(|&e| buf_vals.f32_addr(e as usize)),
-                    );
-                    for wchunk in addr_scratch.chunks(32) {
-                        ctx.ld_global_warp(wchunk);
-                    }
-                }
-
-                {
-                    let _t = hotspot::scope(HotPhase::Staging);
-                    a_tile.iter_mut().for_each(|v| *v = 0.0);
-                    atox.iter_mut().for_each(|v| *v = u32::MAX);
-                    for pos in c_lo..c_hi {
-                        let (r, c) = t.unpack(t.perm_pack[pos]);
-                        a_tile[r * TC_BLK_W + c] = prob.value(t.perm_orig[pos] as usize);
-                    }
-                    for (c, &nid) in atox_ids.iter().enumerate() {
-                        if nid != u32::MAX {
-                            atox[c] = nid;
-                        }
-                    }
-                }
-                // The A fragment is the same for every dim slab: load it
-                // once per TC block (each warp's load is still charged).
-                fa.load(&a_tile, TC_BLK_W);
-                let nnz_blk = chunk as u64;
-                win_nnz += nnz_blk;
-                ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32));
-                ctx.shared_access(nnz_blk.div_ceil(32).max(1));
-                ctx.shared_access(1);
-
-                row_bases.clear();
-                row_bases.extend(
-                    atox.iter()
-                        .filter(|&&u| u != u32::MAX)
-                        .map(|&u| buf_x.f32_addr(u as usize * d)),
-                );
-                win_cols += row_bases.len() as u64;
-
-                for (s, acc) in accs.iter_mut().enumerate() {
-                    let dim0 = s * WMMA_N;
-                    let width = (d - dim0).min(WMMA_N);
-                    slab_bases.clear();
-                    slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
-                    ctx.ld_global_gather_rows(&slab_bases, width, 4);
-                    ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
-
-                    {
-                        let _t = hotspot::scope(HotPhase::Staging);
-                        b_tile.iter_mut().for_each(|v| *v = 0.0);
-                        for (k, &u) in atox.iter().enumerate() {
-                            if u == u32::MAX {
-                                continue;
-                            }
-                            let xrow = prob.x.row(u as usize);
-                            for c in 0..width {
-                                b_tile[k * WMMA_N + c] = xrow[dim0 + c];
-                            }
-                        }
-                    }
-
-                    fb.load(&b_tile, WMMA_N);
-                    ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                    mma_sync(acc, &fa, &fb, ctx);
-                }
-            }
-            ctx.syncthreads();
-
-            for (s, acc) in accs.iter().enumerate() {
-                let dim0 = s * WMMA_N;
-                let width = (d - dim0).min(WMMA_N);
-                slab_bases.clear();
-                slab_bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * d + dim0)));
-                ctx.st_global_gather_rows(&slab_bases, width, 4);
-                ctx.shared_access(FRAG_ACC_TRANSACTIONS);
-                for ri in 0..(row_hi - row_lo) {
-                    let orow = &mut out_win[ri * d..(ri + 1) * d];
-                    for c in 0..width {
-                        orow[dim0 + c] = acc.get(ri, c);
-                    }
-                }
-            }
-            hotspot::annotate_window(win_nnz, win_cols);
-        });
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
-    }
+        }
+    });
+    let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
+    Ok((out, report))
 }
 
 #[cfg(test)]

@@ -10,18 +10,29 @@
 //! output slab. The embedding dimension is *split across warps* (§5.2's
 //! dimension-split strategy), so every warp reuses the same shared sparse
 //! tile — the data-reuse benefit of the two-level workload mapping.
+//!
+//! The window body, `TcuWindow`, is the one the hybrid launch runs for
+//! its TCU windows; this kernel is that launch under an all-TCU mask.
+
+use std::ops::Range;
 
 use tcg_gpusim::hotspot::{self, HotPhase};
+use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
     mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_M, WMMA_N,
 };
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
+use crate::hybrid::WindowBackend;
+
+// The MMA shape is the SGT tile: one fragment row per window row, one
+// fragment k per condensed column.
+const _: () = assert!(WMMA_M == TC_BLK_H && WMMA_K == TC_BLK_W);
 
 /// The TC-GNN SpMM kernel, bound to a translated graph.
 #[derive(Debug, Clone)]
@@ -60,17 +71,6 @@ impl TcgnnSpmm {
     pub fn translated(&self) -> &TranslatedGraph {
         &self.translated
     }
-
-    fn resolve_warps(&self, dim_slabs: usize) -> usize {
-        if self.warps_per_block == 0 {
-            // §5.1: "we use more CUDA-core threads than TCU threads" — the
-            // block always carries at least 4 warps for staging parallelism,
-            // even when fewer dimension slabs need TCU warps.
-            dim_slabs.clamp(4, 8)
-        } else {
-            self.warps_per_block.max(1)
-        }
-    }
 }
 
 impl SpmmKernel for TcgnnSpmm {
@@ -83,190 +83,177 @@ impl SpmmKernel for TcgnnSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
         let t = &self.translated;
-        if t.edge_to_col.len() != csr.num_edges() {
-            return Err(TcgError::DimMismatch {
-                what: "translation edge count vs graph",
-                expected: csr.num_edges(),
-                actual: t.edge_to_col.len(),
-            });
+        let all_tcu = || vec![WindowBackend::Tcu; t.num_row_windows];
+        super::hybrid::launch(launcher, prob, t, all_tcu, "tc-gnn", self.warps_per_block)
+    }
+}
+
+/// The TCU row-window body of Listing 2, with the device buffers it reads
+/// and writes (allocated by the launch).
+#[derive(Clone, Copy)]
+pub(crate) struct TcuWindow<'a> {
+    pub t: &'a TranslatedGraph,
+    pub prob: &'a SpmmProblem<'a>,
+    pub buf_ptr: Buffer,
+    pub buf_pack: Buffer,
+    pub buf_atox: Buffer,
+    pub buf_porig: Buffer,
+    pub buf_vals: Buffer,
+    pub buf_x: Buffer,
+    pub buf_out: Buffer,
+}
+
+impl TcuWindow<'_> {
+    /// Runs row window `w`, writing its rows into `out_win`. An empty
+    /// window issues nothing.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize, out_win: &mut [f32]) {
+        let (t, prob) = (self.t, self.prob);
+        let num_tc_blocks = t.win_partition[w] as usize;
+        if num_tc_blocks == 0 {
+            return;
         }
-        let n = csr.num_nodes();
         let d = prob.dim();
-        let slabs = d.div_ceil(WMMA_N);
-        let warps = self.resolve_warps(slabs);
-        let mut out = DenseMatrix::zeros(n, d);
+        let row_lo = w * TC_BLK_H;
+        let row_hi = (row_lo + TC_BLK_H).min(prob.csr.num_nodes());
 
-        let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
-        let buf_pack = launcher.try_alloc(csr.num_edges())?;
-        let buf_atox = launcher.try_alloc(t.block_atox.len() * 4)?;
-        let buf_porig = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_vals = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
+        // Window metadata reads.
+        ctx.ld_global_scalar(self.buf_ptr.addr(row_lo, 8));
+        ctx.ld_global_scalar(self.buf_ptr.addr(row_hi, 8));
 
-        // Shared memory mirrors Listing 2: sparse_A (16×8 f32),
-        // sparse_AToX_index (8 u32), dense_X (warps × 8×16 f32).
-        let smem_bytes = TC_BLK_H * TC_BLK_W * 4 + TC_BLK_W * 4 + warps * TC_BLK_W * WMMA_N * 4;
-        let cfg = GridConfig {
-            block_size: (warps * 32) as u32,
-            shared_mem_bytes: smem_bytes,
-            regs_per_thread: 64,
-        };
+        // Per-block scratch (the parallel path runs bodies concurrently,
+        // so nothing mutable is shared between blocks).
+        let mut a_tile = vec![0.0f32; TC_BLK_H * TC_BLK_W];
+        let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
+        let mut accs = vec![FragmentAcc::default(); d.div_ceil(WMMA_N)];
+        let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
+        let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
+        let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
+        let mut fa = FragmentA::default();
+        let mut fb = FragmentB::default();
+        // Per-row-window telemetry for the hotspot profiler (free when
+        // disabled: two integer adds per TC block, one gated call).
+        let mut win_nnz = 0u64;
+        let mut win_cols = 0u64;
 
-        let num_windows = t.num_row_windows as u64;
-
-        // Blocks write disjoint row-window slabs of `out`, so the body can
-        // run on the parallel path without locks.
-        let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
-
-        launcher.preflight("tc-gnn", &cfg)?;
-        let stats = launcher.launch_par(cfg, num_windows, |ctx| {
-            let w = ctx.block_id as usize;
-            let num_tc_blocks = t.win_partition[w] as usize;
-            if num_tc_blocks == 0 {
-                return;
-            }
-            let row_lo = w * TC_BLK_H;
-            let row_hi = (row_lo + TC_BLK_H).min(n);
-
-            // Window metadata reads.
-            ctx.ld_global_scalar(buf_ptr.addr(row_lo, 8));
-            ctx.ld_global_scalar(buf_ptr.addr(row_hi, 8));
-
-            // Per-block scratch (the parallel path runs bodies concurrently,
-            // so nothing mutable is captured from the enclosing scope).
-            let mut a_tile = vec![0.0f32; TC_BLK_H * TC_BLK_W];
-            let mut atox: Vec<u32> = vec![u32::MAX; TC_BLK_W];
-            let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
-            let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
-            let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
-            let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
-            let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
-            let mut fa = FragmentA::default();
-            let mut fb = FragmentB::default();
-            // Per-row-window telemetry for the hotspot profiler (free when
-            // disabled: two integer adds per TC block, one gated call).
-            let mut win_nnz = 0u64;
-            let mut win_cols = 0u64;
-            // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
-            let out_win = unsafe { out_slices.range_mut(row_lo * d, (row_hi - row_lo) * d) };
-
-            for i in 0..num_tc_blocks {
-                // --- CUDA-core staging phase (Alg. 2's GetChunk + the
-                // shared-memory staging of Listing 2) -----------------
-                // Stream exactly this TC block's edge chunk: the
-                // column-sorted permutation arrays from SGT.
-                let b = t.win_block_start[w] + i;
-                let (c_lo, c_hi) = t.block_chunk(b);
-                let chunk = c_hi - c_lo;
-                // Packed coordinates: one byte per non-zero.
-                ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), chunk, 1);
-                // sparse_AToX_index: one id per condensed column.
-                let atox_ids = t.block_atox(b);
-                ctx.ld_global_contiguous(buf_atox.addr(t.block_atox_ptr[b], 4), atox_ids.len(), 4);
-                if prob.edge_values.is_some() {
-                    // Values live in original edge order: indirect gather.
-                    ctx.ld_global_contiguous(buf_porig.addr(c_lo, 4), chunk, 4);
-                    addr_scratch.clear();
-                    addr_scratch.extend(
-                        t.perm_orig[c_lo..c_hi]
-                            .iter()
-                            .map(|&e| buf_vals.f32_addr(e as usize)),
-                    );
-                    for wchunk in addr_scratch.chunks(32) {
-                        ctx.ld_global_warp(wchunk);
-                    }
-                }
-
-                {
-                    let _t = hotspot::scope(HotPhase::Staging);
-                    a_tile.iter_mut().for_each(|v| *v = 0.0);
-                    atox.iter_mut().for_each(|v| *v = u32::MAX);
-                    for pos in c_lo..c_hi {
-                        let (r, c) = t.unpack(t.perm_pack[pos]);
-                        a_tile[r * TC_BLK_W + c] = prob.value(t.perm_orig[pos] as usize);
-                    }
-                    for (c, &nid) in atox_ids.iter().enumerate() {
-                        if nid != u32::MAX {
-                            atox[c] = nid;
-                        }
-                    }
-                }
-                // The A fragment is the same for every dim slab: load it
-                // once per TC block (each warp's load is still charged).
-                fa.load(&a_tile, TC_BLK_W);
-                let nnz_blk = chunk as u64;
-                win_nnz += nnz_blk;
-                // Shared-memory writes: zero-init + nnz scatter + index row.
-                ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32));
-                ctx.shared_access(nnz_blk.div_ceil(32).max(1));
-                ctx.shared_access(1);
-
-                // Gather the up-to-8 referenced X rows (per warp dim slab).
-                row_bases.clear();
-                row_bases.extend(
-                    atox.iter()
-                        .filter(|&&u| u != u32::MAX)
-                        .map(|&u| buf_x.f32_addr(u as usize * d)),
+        for i in 0..num_tc_blocks {
+            // --- CUDA-core staging phase (Alg. 2's GetChunk + the
+            // shared-memory staging of Listing 2) -----------------
+            // Stream exactly this TC block's edge chunk: the
+            // column-sorted permutation arrays from SGT.
+            let b = t.win_block_start[w] + i;
+            let (c_lo, c_hi) = t.block_chunk(b);
+            let chunk = c_hi - c_lo;
+            // Packed coordinates: one byte per non-zero.
+            ctx.ld_global_contiguous(self.buf_pack.addr(c_lo, 1), chunk, 1);
+            // sparse_AToX_index: one id per condensed column.
+            let atox_ids = t.block_atox(b);
+            ctx.ld_global_contiguous(
+                self.buf_atox.addr(t.block_atox_ptr[b], 4),
+                atox_ids.len(),
+                4,
+            );
+            if prob.edge_values.is_some() {
+                // Values live in original edge order: indirect gather.
+                ctx.ld_global_contiguous(self.buf_porig.addr(c_lo, 4), chunk, 4);
+                addr_scratch.clear();
+                addr_scratch.extend(
+                    t.perm_orig[c_lo..c_hi]
+                        .iter()
+                        .map(|&e| self.buf_vals.f32_addr(e as usize)),
                 );
-                win_cols += row_bases.len() as u64;
-
-                for (s, acc) in accs.iter_mut().enumerate() {
-                    let dim0 = s * WMMA_N;
-                    let width = (d - dim0).min(WMMA_N);
-                    // Stage dense_X: each referenced row contributes its
-                    // 16-dim slab slice.
-                    slab_bases.clear();
-                    slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
-                    ctx.ld_global_gather_rows(&slab_bases, width, 4);
-                    ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
-
-                    // Build the B tile functionally.
-                    {
-                        let _t = hotspot::scope(HotPhase::Staging);
-                        b_tile.iter_mut().for_each(|v| *v = 0.0);
-                        for (k, &u) in atox.iter().enumerate() {
-                            if u == u32::MAX {
-                                continue;
-                            }
-                            let xrow = prob.x.row(u as usize);
-                            for c in 0..width {
-                                b_tile[k * WMMA_N + c] = xrow[dim0 + c];
-                            }
-                        }
-                    }
-
-                    // --- TCU phase (Listing 2 lines 36-37) --------------
-                    fb.load(&b_tile, WMMA_N);
-                    ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                    mma_sync(acc, &fa, &fb, ctx);
+                for wchunk in addr_scratch.chunks(32) {
+                    ctx.ld_global_warp(wchunk);
                 }
             }
-            ctx.syncthreads();
 
-            // Store each warp's 16×16 output slab (boundary-clipped).
-            for (s, acc) in accs.iter().enumerate() {
+            {
+                let _t = hotspot::scope(HotPhase::Staging);
+                fill_a_tile(&mut a_tile, t, c_lo..c_hi, |e| prob.value(e));
+            }
+            // The A fragment is the same for every dim slab: load it
+            // once per TC block (each warp's load is still charged).
+            fa.load(&a_tile, TC_BLK_W);
+            let nnz_blk = chunk as u64;
+            win_nnz += nnz_blk;
+            // Shared-memory writes: zero-init + nnz scatter + index row.
+            ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32));
+            ctx.shared_access(nnz_blk.div_ceil(32).max(1));
+            ctx.shared_access(1);
+
+            // Gather the up-to-8 referenced X rows (per warp dim slab).
+            row_bases.clear();
+            row_bases.extend(
+                atox_ids
+                    .iter()
+                    .filter(|&&u| u != u32::MAX)
+                    .map(|&u| self.buf_x.f32_addr(u as usize * d)),
+            );
+            win_cols += row_bases.len() as u64;
+
+            for (s, acc) in accs.iter_mut().enumerate() {
                 let dim0 = s * WMMA_N;
                 let width = (d - dim0).min(WMMA_N);
+                // Stage dense_X: each referenced row contributes its
+                // 16-dim slab slice.
                 slab_bases.clear();
-                slab_bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * d + dim0)));
-                ctx.st_global_gather_rows(&slab_bases, width, 4);
-                ctx.shared_access(FRAG_ACC_TRANSACTIONS);
-                for ri in 0..(row_hi - row_lo) {
-                    let orow = &mut out_win[ri * d..(ri + 1) * d];
-                    for c in 0..width {
-                        orow[dim0 + c] = acc.get(ri, c);
-                    }
+                slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
+                ctx.ld_global_gather_rows(&slab_bases, width, 4);
+                ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
+                {
+                    let _t = hotspot::scope(HotPhase::Staging);
+                    fill_b_tile(&mut b_tile, prob.x, atox_ids, dim0..dim0 + width);
+                }
+
+                // --- TCU phase (Listing 2 lines 36-37) --------------
+                fb.load(&b_tile, WMMA_N);
+                ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
+                mma_sync(acc, &fa, &fb, ctx);
+            }
+        }
+        ctx.syncthreads();
+
+        // Store each warp's 16×16 output slab (boundary-clipped).
+        for (s, acc) in accs.iter().enumerate() {
+            let dim0 = s * WMMA_N;
+            let width = (d - dim0).min(WMMA_N);
+            slab_bases.clear();
+            slab_bases.extend((row_lo..row_hi).map(|r| self.buf_out.f32_addr(r * d + dim0)));
+            ctx.st_global_gather_rows(&slab_bases, width, 4);
+            ctx.shared_access(FRAG_ACC_TRANSACTIONS);
+            for ri in 0..(row_hi - row_lo) {
+                let orow = &mut out_win[ri * d..(ri + 1) * d];
+                for c in 0..width {
+                    orow[dim0 + c] = acc.get(ri, c);
                 }
             }
-            hotspot::annotate_window(win_nnz, win_cols);
-        });
-        debug_assert_eq!(WMMA_M, TC_BLK_H);
-        debug_assert_eq!(WMMA_K, TC_BLK_W);
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+        }
+        hotspot::annotate_window(win_nnz, win_cols);
+    }
+}
+
+/// Builds the `16×8` sparse tile of the TC block whose edge chunk is
+/// `chunk` (positions in SGT's column-sorted order), taking each non-zero's
+/// value from `value(original edge id)`.
+pub(crate) fn fill_a_tile(
+    a_tile: &mut [f32],
+    t: &TranslatedGraph,
+    chunk: Range<usize>,
+    value: impl Fn(usize) -> f32,
+) {
+    a_tile.fill(0.0);
+    for pos in chunk {
+        let (r, c) = t.unpack(t.perm_pack[pos]);
+        a_tile[r * TC_BLK_W + c] = value(t.perm_orig[pos] as usize);
+    }
+}
+
+/// Builds the `8×16` `dense_X` tile: row `k` holds columns `cols` of `x`'s
+/// row `atox[k]` (zero for padding).
+pub(crate) fn fill_b_tile(tile: &mut [f32], x: &DenseMatrix, atox: &[u32], cols: Range<usize>) {
+    tile.fill(0.0);
+    for (k, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
+        tile[k * WMMA_N..][..cols.len()].copy_from_slice(&x.row(u as usize)[cols.clone()]);
     }
 }
 

@@ -15,7 +15,7 @@ use tcg_kernels::common::SpmmKernel;
 use tcg_kernels::fused::fused_attention;
 use tcg_kernels::sddmm::{CudaCoreSddmm, HybridSddmm, SddmmKernel, TcgnnSddmm};
 use tcg_kernels::spmm::{CusparseCsrSpmm, HybridSpmm, TcgnnSpmm};
-use tcg_kernels::{SpmmProblem, WindowBackend};
+use tcg_kernels::{SpmmProblem, TcgError, WindowBackend};
 use tcg_sgt::{Sgt, TranslatedGraph};
 use tcg_tensor::init;
 
@@ -183,4 +183,46 @@ fn window_bodies_match_pinned_charges() {
         drifted.is_empty() && actual.len() == PINS.len(),
         "window bodies drifted from the pinned charges: {drifted:#?}\ncurrent table: {actual:#?}"
     );
+}
+
+#[test]
+fn translation_geometry_the_kernels_cannot_run_is_a_typed_error() {
+    let g = gen::community(200, 1600, 8, 32, 23).unwrap();
+    let x = init::uniform(200, 16, -1.0, 1.0, 24);
+    let prob = SpmmProblem::new(&g, None, &x).unwrap();
+    let l = || Launcher::new(DeviceSpec::rtx3090());
+    for t in [
+        Sgt::builder().window(8).translate(&g).unwrap(),
+        Sgt::builder().block_width(16).translate(&g).unwrap(),
+    ] {
+        let errs = [
+            TcgnnSpmm::from_translated(t.clone())
+                .execute(&mut l(), &prob)
+                .err(),
+            HybridSpmm::from_translated(t.clone())
+                .execute(&mut l(), &prob)
+                .err(),
+            TcgnnSddmm::from_translated(t.clone())
+                .execute(&mut l(), &g, &x, &x)
+                .err(),
+            HybridSddmm::from_translated(t.clone())
+                .execute(&mut l(), &g, &x, &x)
+                .err(),
+            fused_attention(&mut l(), &g, &t, &x, &x, 1.0).err(),
+        ];
+        for (i, e) in errs.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    e,
+                    Some(TcgError::InvalidInput {
+                        what: "translation geometry",
+                        ..
+                    })
+                ),
+                "entry point {i} on a {}x{} translation: {e:?}",
+                t.win_size,
+                t.blk_w
+            );
+        }
+    }
 }

@@ -27,11 +27,7 @@ pub mod translate;
 
 pub use census::{census, BlockCensus};
 pub use delta::{DeltaReport, EdgeDelta};
-#[allow(deprecated)]
-pub use translate::{
-    translate, translate_parallel, translate_with, try_translate_with, Sgt, SgtBuilder,
-    TranslatedGraph,
-};
+pub use translate::{Sgt, SgtBuilder, TranslatedGraph};
 
 /// Row-window height — `M` of the TF-32 MMA shape (paper: `TC_BLK_H = 16`).
 pub const TC_BLK_H: usize = 16;

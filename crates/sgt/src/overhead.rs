@@ -22,9 +22,9 @@ use crate::translate::{Sgt, TranslatedGraph};
 ///
 /// Dominated by the per-window sort + dedup + binary-search mapping. The
 /// translation parallelizes embarrassingly over row windows (the paper
-/// notes this; `translate_parallel` implements it), so the modeled constant
-/// reflects the paper's 8-core Xeon 4110 running all cores: ~7 ns of
-/// amortized work per edge.
+/// notes this; `Sgt::builder().threads(n)` implements it), so the modeled
+/// constant reflects the paper's 8-core Xeon 4110 running all cores: ~7 ns
+/// of amortized work per edge.
 pub const HOST_NS_PER_EDGE: f64 = 7.0;
 
 /// Fixed per-window cost (loop + allocation amortization), nanoseconds.

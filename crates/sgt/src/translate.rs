@@ -729,10 +729,9 @@ impl Sgt {
 
 /// Fluent configuration for a Sparse Graph Translation run.
 ///
-/// Replaces the old free-function trio `translate` / `translate_with` /
-/// `translate_parallel`: geometry and parallelism are named knobs, and the
-/// terminal [`SgtBuilder::translate`] call returns a typed error on invalid
-/// geometry instead of panicking. The builder is `Copy`, so one configured
+/// Geometry and parallelism are named knobs, and the terminal
+/// [`SgtBuilder::translate`] call returns a typed error on invalid geometry
+/// instead of panicking. The builder is `Copy`, so one configured
 /// instance can translate many graphs.
 #[derive(Debug, Clone, Copy)]
 #[must_use]
@@ -863,52 +862,6 @@ impl SgtBuilder {
         post_validate(&t, csr)?;
         Ok(t)
     }
-}
-
-/// Runs SGT with custom window geometry.
-///
-/// # Panics
-///
-/// Panics if `win_size * blk_w > 256` (the packed-coordinate byte would
-/// overflow).
-#[deprecated(note = "use `Sgt::builder().window(..).block_width(..).translate(&csr)`")]
-pub fn translate_with(csr: &CsrGraph, win_size: usize, blk_w: usize) -> TranslatedGraph {
-    Sgt::builder()
-        .window(win_size)
-        .block_width(blk_w)
-        .translate(csr)
-        .expect("valid SGT window geometry")
-}
-
-/// Fallible [`translate_with`]: rejects bad window geometry with
-/// [`TcgError::InvalidInput`] instead of panicking.
-#[deprecated(note = "use `Sgt::builder().window(..).block_width(..).translate(&csr)`")]
-pub fn try_translate_with(
-    csr: &CsrGraph,
-    win_size: usize,
-    blk_w: usize,
-) -> Result<TranslatedGraph, TcgError> {
-    Sgt::builder()
-        .window(win_size)
-        .block_width(blk_w)
-        .translate(csr)
-}
-
-/// Runs SGT with the paper's TF-32 geometry (`16 × 8`).
-#[deprecated(note = "use `Sgt::builder().translate(&csr)`")]
-pub fn translate(csr: &CsrGraph) -> TranslatedGraph {
-    Sgt::builder()
-        .translate(csr)
-        .expect("default SGT geometry is valid")
-}
-
-/// Parallel SGT over the default geometry.
-#[deprecated(note = "use `Sgt::builder().threads(n).translate(&csr)`")]
-pub fn translate_parallel(csr: &CsrGraph, threads: usize) -> TranslatedGraph {
-    Sgt::builder()
-        .threads(threads)
-        .translate(csr)
-        .expect("default SGT geometry is valid")
 }
 
 #[cfg(test)]

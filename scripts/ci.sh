@@ -72,6 +72,9 @@ step "parallel execution: determinism suite + conformance matrix at TCG_THREADS=
 # cost totals).
 cargo test --release -q --test parallel_determinism
 TCG_THREADS=4 cargo test --release -q -p tcg-gpusim --lib
+# Kernel unit tests and the window-body charge pins (one body per window
+# type, shared by the pure and hybrid launches) with bodies on 4 workers.
+TCG_THREADS=4 cargo test --release -q -p tcg-kernels
 TCG_THREADS=4 ./target/release/tcgnn verify --seed 2023
 TCG_THREADS=4 TCG_FAULT_RATE=0.05 TCG_FAULT_SEED=2023 \
     ./target/release/tcgnn train Pubmed/0.05 --epochs 3 | grep -q 'faults: '
