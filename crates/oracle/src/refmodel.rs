@@ -14,12 +14,23 @@
 //!   [`tcg_gpusim::coalesce::sector_span`];
 //! - [`round_to_tf32`] — TF-32 round-to-nearest-even written as an explicit
 //!   three-way branch on the dropped bits; the reference for
-//!   [`tcg_tensor::tf32::round_to_tf32`].
+//!   [`tcg_tensor::tf32::round_to_tf32`];
+//! - [`gemm_tf32`] — the TF-32 GEMM that rounds both operands inside the
+//!   triple loop, once per multiply; the reference for
+//!   [`tcg_tensor::gemm::gemm_tf32`].
+//!
+//! The dense update GEMMs [`tcg_tensor::gemm::gemm`] (`X·W`) and
+//! [`tcg_tensor::gemm::gemm_at_b`] (`Xᵀ·dY`) are pinned against the triple
+//! loop [`tcg_tensor::gemm::gemm_naive`], which stays in `tcg-tensor`:
+//! zero-skip in `A`, `±inf`/NaN in `B` rows met only by zeros, `n` across
+//! the 16-column panel edge, and row subsets (the row-sharded `tcg-dist`
+//! executor relies on each output row depending only on its own `A` row).
 //!
 //! Fast and reference must agree exactly: same probe outcomes and hit/miss
 //! counters, same sector sequences, same result bits.
 
 use tcg_gpusim::cache::{Probe, SECTOR_BYTES};
+use tcg_tensor::{DenseMatrix, TensorError};
 
 /// Set-associative LRU cache over 32-byte sectors, one `Vec` per set.
 #[derive(Debug, Clone)]
@@ -131,6 +142,35 @@ pub fn round_to_tf32(x: f32) -> f32 {
     f32::from_bits(rounded)
 }
 
+/// GEMM with TF-32 input rounding and FP32 accumulation, rounding each
+/// operand element at every multiply.
+pub fn gemm_tf32(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, TensorError> {
+    if a.cols() != b.rows() {
+        return Err(TensorError::DimMismatch {
+            op: "gemm_tf32",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
+    }
+    let (m, k) = a.shape();
+    let n = b.cols();
+    let mut c = DenseMatrix::zeros(m, n);
+    for i in 0..m {
+        for p in 0..k {
+            let av = round_to_tf32(a.get(i, p));
+            if av == 0.0 {
+                continue;
+            }
+            let brow = b.row(p);
+            let crow = c.row_mut(i);
+            for j in 0..n {
+                crow[j] += av * round_to_tf32(brow[j]);
+            }
+        }
+    }
+    Ok(c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +178,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tcg_gpusim::cache::Cache;
     use tcg_gpusim::coalesce::sector_span;
+    use tcg_tensor::gemm;
 
     /// Replays one op stream through both caches. Op codes: 0 flushes,
     /// 1 resets, anything else accesses the address.
@@ -279,5 +320,107 @@ mod tests {
         for _ in 0..1_000_000 {
             tf32_agrees(f32::from_bits(rng.random::<u32>()));
         }
+    }
+
+    /// Operands for `A (m×k) · B (k×n)` drawn from `seed`. About a quarter
+    /// of `A` is exact `0.0`/`-0.0`; the rest spans several binades so a
+    /// reordered sum changes low bits. Every third inner index is a
+    /// "poison" index: its whole `A` column is zero and its `B` row holds
+    /// `±inf`/NaN, which reaches `C` only if a zero term is not skipped.
+    fn update_operands(m: usize, k: usize, n: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let poison = |p: usize| p % 3 == 2;
+        let a = DenseMatrix::from_fn(m, k, |_, p| match rng.random_range(0..8) {
+            _ if poison(p) => [0.0, -0.0][rng.random_range(0..2)],
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.random_range(-1.0f32..1.0) * [1.0, 1e-3, 1e3][rng.random_range(0..3)],
+        });
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let b = DenseMatrix::from_fn(k, n, |p, _| {
+            if poison(p) {
+                specials[rng.random_range(0..3)]
+            } else {
+                rng.random_range(-2.0f32..2.0)
+            }
+        });
+        (a, b)
+    }
+
+    fn bits(c: &DenseMatrix) -> Vec<u32> {
+        c.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Rows `r0..r1` of `a` as a matrix of their own.
+    fn row_slice(a: &DenseMatrix, r0: usize, r1: usize) -> DenseMatrix {
+        DenseMatrix::from_fn(r1 - r0, a.cols(), |i, p| a.get(r0 + i, p))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn gemm_matches_naive_bitwise(
+            m in 0usize..12, k in 0usize..48, n in 1usize..40, seed in 0u64..u64::MAX,
+        ) {
+            let (a, b) = update_operands(m, k, n, seed);
+            let fast = gemm::gemm(&a, &b).expect("shapes agree");
+            let naive = gemm::gemm_naive(&a, &b).expect("shapes agree");
+            prop_assert_eq!(fast.shape(), (m, n));
+            prop_assert_eq!(bits(&fast), bits(&naive), "m {} k {} n {} seed {}", m, k, n, seed);
+        }
+
+        #[test]
+        fn gemm_at_b_matches_naive_of_transpose_bitwise(
+            k in 0usize..48, m in 0usize..12, n in 1usize..40, seed in 0u64..u64::MAX,
+        ) {
+            // `a` is k×m; transposed it is the m×k operand with poison columns.
+            let (at, b) = update_operands(m, k, n, seed);
+            let a = at.transpose();
+            let fast = gemm::gemm_at_b(&a, &b).expect("shapes agree");
+            let naive = gemm::gemm_naive(&a.transpose(), &b).expect("shapes agree");
+            prop_assert_eq!(fast.shape(), (m, n));
+            prop_assert_eq!(bits(&fast), bits(&naive), "k {} m {} n {} seed {}", k, m, n, seed);
+        }
+
+        #[test]
+        fn gemm_rows_depend_only_on_their_own_a_row(
+            m in 1usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
+            cut in (0usize..64, 0usize..64),
+        ) {
+            let (a, b) = update_operands(m, k, n, seed);
+            let (r0, r1) = {
+                let (x, y) = (cut.0 % (m + 1), cut.1 % (m + 1));
+                (x.min(y), x.max(y))
+            };
+            let full = gemm::gemm(&a, &b).expect("shapes agree");
+            let part = gemm::gemm(&row_slice(&a, r0, r1), &b).expect("shapes agree");
+            prop_assert_eq!(
+                bits(&part),
+                bits(&row_slice(&full, r0, r1)),
+                "rows {}..{} of m {} k {} n {} seed {}", r0, r1, m, k, n, seed
+            );
+        }
+
+        #[test]
+        fn gemm_tf32_matches_reference_bitwise(
+            m in 0usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
+        ) {
+            let (a, b) = update_operands(m, k, n, seed);
+            let fast = gemm::gemm_tf32(&a, &b).expect("shapes agree");
+            let reference = gemm_tf32(&a, &b).expect("shapes agree");
+            prop_assert_eq!(
+                bits(&fast),
+                bits(&reference),
+                "m {} k {} n {} seed {}", m, k, n, seed
+            );
+        }
+    }
+
+    #[test]
+    fn gemm_tf32_rejects_what_the_reference_rejects() {
+        let (a, b) = (DenseMatrix::zeros(2, 3), DenseMatrix::zeros(4, 2));
+        assert!(gemm::gemm_tf32(&a, &b).is_err());
+        assert!(gemm_tf32(&a, &b).is_err());
     }
 }

@@ -193,7 +193,8 @@ mod tests {
         let b = rand_mat(53, 29, 2);
         let c1 = gemm_naive(&a, &b).unwrap();
         let c2 = gemm(&a, &b).unwrap();
-        assert!(c1.max_abs_diff(&c2).unwrap() < 1e-4);
+        let bits = |c: &DenseMatrix| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]

@@ -97,7 +97,10 @@ proptest! {
         let b = tc_gnn::tensor::init::uniform(k, n, -2.0, 2.0, seed ^ 1);
         let c1 = gemm(&a, &b).expect("dims");
         let c2 = gemm_naive(&a, &b).expect("dims");
-        prop_assert!(c1.max_abs_diff(&c2).expect("shape") < 1e-3);
+        let bits = |c: &tc_gnn::tensor::DenseMatrix| {
+            c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]
