@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tcg_gpusim::wmma::{mma_functional, FragmentA, FragmentAcc, FragmentB};
-use tcg_tensor::gemm::{gemm, gemm_naive, gemm_tf32};
+use tcg_tensor::gemm::{gemm, gemm_at_b, gemm_naive, gemm_tf32};
 use tcg_tensor::init;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -20,6 +20,21 @@ fn bench_gemm(c: &mut Criterion) {
     });
     group.bench_function("tf32", |bch| {
         bch.iter(|| black_box(gemm_tf32(&a, &b).unwrap()))
+    });
+    group.finish();
+
+    // The update GEMMs of GCN layer 1 on Cora: forward `X·W` and the
+    // weight gradient `Xᵀ·dY`, with 2708 nodes, 1433 features, hidden 16.
+    let x = init::uniform(2708, 1433, -1.0, 1.0, 5);
+    let w = init::uniform(1433, 16, -1.0, 1.0, 6);
+    let dy = init::uniform(2708, 16, -1.0, 1.0, 7);
+    let mut group = c.benchmark_group("gemm_cora_update");
+    group.sample_size(15);
+    group.bench_function("xw_2708x1433x16", |bch| {
+        bch.iter(|| black_box(gemm(black_box(&x), black_box(&w)).unwrap()))
+    });
+    group.bench_function("xt_dy_1433x2708x16", |bch| {
+        bch.iter(|| black_box(gemm_at_b(black_box(&x), black_box(&dy)).unwrap()))
     });
     group.finish();
 

@@ -95,7 +95,7 @@ fn raw_aggregation_matches_engine_spmm_per_family() {
     }
 }
 
-/// `X·I + 0` through the same cache-blocked GEMM the layers use — keeps
+/// `X·I + 0` through the same register-blocked GEMM the layers use — keeps
 /// the reference pipeline's float ops identical to the layer path.
 fn want_linear(x: &DenseMatrix) -> DenseMatrix {
     let mut y = tcg_tensor::gemm::gemm(x, &identity16()).unwrap();

@@ -416,11 +416,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn gemm_tf32_rejects_what_the_reference_rejects() {
-        let (a, b) = (DenseMatrix::zeros(2, 3), DenseMatrix::zeros(4, 2));
-        assert!(gemm::gemm_tf32(&a, &b).is_err());
-        assert!(gemm_tf32(&a, &b).is_err());
-    }
 }

@@ -57,8 +57,11 @@ grep -q '"failed": 0,' <<<"$chaos_out" || {
 
 step "simulator reference models: fast hot-path primitives vs their slow references"
 # Flat epoch-stamped cache, arithmetic sector walk and branchless TF-32
-# rounding must agree exactly with the reference models in tcg-oracle.
+# rounding must agree exactly with the reference models in tcg-oracle, and
+# the register-blocked update GEMMs (X·W, Xᵀ·dY, TF-32) must equal the naive
+# loop bit for bit, which training, serving and dist results rely on.
 cargo test --release -q -p tcg-oracle refmodel
+cargo test --release -q -p tcg-tensor
 
 step "verify: oracle conformance matrix (every backend x kernel x family)"
 # Full differential matrix against the golden oracle, plus the metamorphic
