@@ -132,6 +132,28 @@ grep -Eq '^tcgnn;(main|worker-[0-9]+);[a-z_]+ [0-9]+$' "$obs_dir/profile-hotspot
 # verdict exits nonzero and gates CI; warnings are reported but pass.
 ./target/release/tcgnn bench --check
 
+step "serve replay: regenerated serve benches equal the committed files"
+# The sentinel above compares committed files with baselines; this step
+# re-runs the serving benches and requires every value (apart from the
+# host-specific `_meta`) to equal the committed JSON, so a serve-path
+# change that moves any report byte fails here.
+replay_dir=$(mktemp -d)
+for b in serve resilience churn; do
+    TCG_THREADS=1 TCG_RESULTS_DIR="$replay_dir" ./target/release/bench_$b >/dev/null
+    python3 -c "
+import json, sys
+def load(p):
+    d = json.load(open(p))
+    d.pop('_meta', None)
+    return d
+assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the replay'
+" "results/BENCH_$b.json" "$replay_dir/BENCH_$b.json" || {
+        echo "serve replay: BENCH_$b.json no longer reproduces" >&2
+        exit 1
+    }
+done
+rm -rf "$replay_dir"
+
 step "resilience: chaos-serve with breakers at TCG_THREADS=4"
 # Full containment stack under seeded overload + faults: the property/
 # integration suite (breaker purity, backoff thread-invariance, typed
