@@ -20,7 +20,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize, Value};
-use tcg_gnn::{train_agnn, train_gcn, Backend, Engine, TrainConfig, TrainResult};
+use tcg_gnn::{train_agnn, train_gcn, Backend, Engine, TrainConfig};
 use tcg_gpusim::DeviceSpec;
 use tcg_graph::datasets::{DatasetSpec, GraphClass, TABLE4};
 use tcg_graph::Dataset;
@@ -301,24 +301,6 @@ pub fn save_profile_artifacts(profiler: &SharedProfiler, prefix: &str) {
     }
 }
 
-/// When `TCG_PROFILE=hotspot`, drains the gpusim host-time accumulator and
-/// writes `<prefix>.folded`, `<prefix>.hotspots.txt`, and
-/// `<prefix>.windows.csv` under [`results_dir`]. No-op at other levels.
-pub fn save_hotspot_artifacts(prefix: &str) -> Option<tcg_gpusim::HotspotReport> {
-    if !ProfileLevel::from_env().hotspots() {
-        return None;
-    }
-    let report = tcg_gpusim::hotspot::take_report();
-    match tcg_profile::write_hotspot_artifacts(&report, &results_dir(), prefix) {
-        Ok(a) => eprintln!(
-            "  [hotspots: {} + table + windows]",
-            a.folded_path.display()
-        ),
-        Err(e) => eprintln!("  [warn: could not write hotspot artifacts for {prefix}: {e}]"),
-    }
-    Some(report)
-}
-
 /// Lowercase alphanumeric-and-dash version of a dataset name, for use in
 /// artifact file names.
 pub fn artifact_slug(name: &str) -> String {
@@ -342,18 +324,6 @@ pub fn engine(backend: Backend, ds: &Dataset) -> Engine {
         .device(device())
         .build()
         .expect("benchmark graphs are symmetric")
-}
-
-/// Convenience: a GCN training run on one backend.
-pub fn gcn_run(backend: Backend, ds: &Dataset, epochs: u32) -> TrainResult {
-    let mut eng = engine(backend, ds);
-    train_gcn(&mut eng, ds, TrainConfig::gcn_paper().with_epochs(epochs))
-}
-
-/// Convenience: an AGNN training run on one backend.
-pub fn agnn_run(backend: Backend, ds: &Dataset, epochs: u32) -> TrainResult {
-    let mut eng = engine(backend, ds);
-    train_agnn(&mut eng, ds, TrainConfig::agnn_paper().with_epochs(epochs))
 }
 
 #[cfg(test)]

@@ -45,16 +45,6 @@ impl Partition {
         self.assignment[row / self.win_size]
     }
 
-    /// Windows owned by `device`, ascending.
-    pub fn windows_of(&self, device: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d as usize == device)
-            .map(|(w, _)| w)
-            .collect()
-    }
-
     /// Checks structural validity against `csr`: one entry per window
     /// (every window covered exactly once, by construction of the dense
     /// assignment vector) and every device id in range.

@@ -481,6 +481,16 @@ impl FaultReport {
             degraded: 0,
         }
     }
+
+    /// Sums another report's counters into this one (per-engine merge).
+    pub fn absorb(&mut self, other: &FaultReport) {
+        self.launch_failures += other.launch_failures;
+        self.smem_overcommits += other.smem_overcommits;
+        self.device_ooms += other.device_ooms;
+        self.ecc_flips += other.ecc_flips;
+        self.retried += other.retried;
+        self.degraded += other.degraded;
+    }
 }
 
 /// Seeded exponential-backoff retry policy with optional deterministic
@@ -1020,6 +1030,24 @@ mod tests {
         assert_eq!(r.device_ooms, 1);
         assert_eq!(r.ecc_flips, 1);
         assert_eq!(r.total_injected(), 3);
+    }
+
+    #[test]
+    fn fault_report_absorb_sums_every_field() {
+        let report = |n: [u64; 6]| {
+            let [launch_failures, smem_overcommits, device_ooms, ecc_flips, retried, degraded] = n;
+            FaultReport {
+                launch_failures,
+                smem_overcommits,
+                device_ooms,
+                ecc_flips,
+                retried,
+                degraded,
+            }
+        };
+        let mut sum = report([1, 2, 3, 4, 5, 6]);
+        sum.absorb(&report([10, 20, 30, 40, 50, 60]));
+        assert_eq!(sum, report([11, 22, 33, 44, 55, 66]));
     }
 }
 

@@ -39,20 +39,10 @@ impl Backend {
     }
 
     /// The paper's three backends, in the order the figures list them.
-    /// (The hybrid dispatcher is not a paper baseline; callers that want
-    /// it too use [`Backend::all_with_hybrid`].)
+    /// The hybrid dispatcher is not a paper baseline; callers that want it
+    /// too chain [`Backend::Hybrid`] on.
     pub fn all() -> [Backend; 3] {
         [Backend::DglLike, Backend::PygLike, Backend::TcGnn]
-    }
-
-    /// Every backend, hybrid included.
-    pub fn all_with_hybrid() -> [Backend; 4] {
-        [
-            Backend::DglLike,
-            Backend::PygLike,
-            Backend::TcGnn,
-            Backend::Hybrid,
-        ]
     }
 
     /// Whether this backend consumes an SGT translation.
@@ -497,11 +487,6 @@ impl Engine {
     /// Replaces the recovery policy (defaults are sensible; tests tighten).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-    }
-
-    /// The active recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Enables (or disables) the simulated device's per-launch virtual-time

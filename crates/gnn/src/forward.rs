@@ -34,11 +34,6 @@ impl<C> Forward<C> {
     pub fn into_parts(self) -> (DenseMatrix, C, Cost) {
         (self.out, self.cache, self.cost)
     }
-
-    /// Drops the cache — the inference view of a training forward.
-    pub fn discard_cache(self) -> (DenseMatrix, Cost) {
-        (self.out, self.cost)
-    }
 }
 
 /// The surface every GNN layer exposes: forward to a [`Forward`] bundle,

@@ -81,11 +81,6 @@ impl Linear {
         };
         (dx, LinearGrads { dw, db }, cost)
     }
-
-    /// Applies a gradient step (used by the optimizer glue).
-    pub fn params_mut(&mut self) -> (&mut DenseMatrix, &mut Vec<f32>) {
-        (&mut self.w, &mut self.b)
-    }
 }
 
 impl Layer for Linear {

@@ -19,7 +19,7 @@ use crate::coalesce::sector_span;
 use crate::cost;
 use crate::device::DeviceSpec;
 use crate::hotspot::{self, HotPhase};
-use crate::stats::{KernelReport, KernelStats};
+use crate::stats::KernelStats;
 
 /// Launch configuration of a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,11 +480,6 @@ impl Launcher {
         self.fault_plan.as_ref()
     }
 
-    /// Mutable access to the attached fault plan, if any.
-    pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
-        self.fault_plan.as_mut()
-    }
-
     /// Suppresses (or re-enables) injection on the attached plan. No-op
     /// without a plan.
     pub fn set_fault_suppressed(&mut self, on: bool) {
@@ -499,19 +494,9 @@ impl Launcher {
         self.fault_plan.as_ref().is_some_and(|p| p.is_suppressed())
     }
 
-    /// Allocates a synthetic device buffer of `bytes`.
-    pub fn alloc(&mut self, bytes: usize) -> Buffer {
-        self.address_space.alloc(bytes)
-    }
-
-    /// Allocates a synthetic device buffer of `n` f32 values.
-    pub fn alloc_f32(&mut self, n: usize) -> Buffer {
-        self.address_space.alloc_f32(n)
-    }
-
-    /// Fallible allocation: consults the fault plan's
-    /// [`FaultSite::DeviceOom`] site before delegating to
-    /// [`Launcher::alloc`]. Without a plan this is just `alloc`.
+    /// Allocates a synthetic device buffer of `bytes`, first consulting the
+    /// fault plan's [`FaultSite::DeviceOom`] site. Without a plan it never
+    /// fails.
     pub fn try_alloc(&mut self, bytes: usize) -> Result<Buffer, TcgError> {
         if let Some(plan) = self.fault_plan.as_mut() {
             if plan.roll(FaultSite::DeviceOom) {
@@ -641,15 +626,6 @@ impl Launcher {
             log.push(cost::analyze(&self.device, &stats).time_ms);
         }
         stats
-    }
-
-    /// Convenience: launch then analyze.
-    pub fn launch_analyzed<F>(&mut self, cfg: GridConfig, num_blocks: u64, body: F) -> KernelReport
-    where
-        F: FnMut(&mut BlockCtx<'_>),
-    {
-        let stats = self.launch(cfg, num_blocks, body);
-        cost::analyze(&self.device, &stats)
     }
 
     /// Like [`Launcher::launch`], but fans block bodies out over the
@@ -790,20 +766,6 @@ impl Launcher {
         total
     }
 
-    /// Convenience: [`Launcher::launch_par`] then analyze.
-    pub fn launch_par_analyzed<F>(
-        &mut self,
-        cfg: GridConfig,
-        num_blocks: u64,
-        body: F,
-    ) -> KernelReport
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        let stats = self.launch_par(cfg, num_blocks, body);
-        cost::analyze(&self.device, &stats)
-    }
-
     /// Drops all cached state (e.g. between unrelated experiments).
     pub fn reset_caches(&mut self) {
         self.l1.reset();
@@ -847,7 +809,7 @@ mod tests {
     #[test]
     fn repeated_loads_hit_l1_within_block() {
         let mut l = launcher();
-        let buf = l.alloc_f32(1024);
+        let buf = l.try_alloc_f32(1024).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let stats = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs);
@@ -861,7 +823,7 @@ mod tests {
     #[test]
     fn l1_does_not_survive_block_boundary_but_l2_does() {
         let mut l = launcher();
-        let buf = l.alloc_f32(1024);
+        let buf = l.try_alloc_f32(1024).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let stats = l.launch(GridConfig::with_block_size(32), 2, |ctx| {
             ctx.ld_global_warp(&addrs);
@@ -877,7 +839,7 @@ mod tests {
     #[test]
     fn l2_persists_across_launches() {
         let mut l = launcher();
-        let buf = l.alloc_f32(64);
+        let buf = l.try_alloc_f32(64).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let s1 = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs)
@@ -898,7 +860,7 @@ mod tests {
     #[test]
     fn contiguous_load_matches_warp_loads() {
         let mut l = launcher();
-        let buf = l.alloc_f32(256);
+        let buf = l.try_alloc_f32(256).unwrap();
         let s_contig = l.launch(GridConfig::with_block_size(256), 1, |ctx| {
             ctx.ld_global_contiguous(buf.base(), 256, 4);
         });
@@ -916,7 +878,7 @@ mod tests {
     #[test]
     fn scattered_stores_cost_more_transactions() {
         let mut l = launcher();
-        let buf = l.alloc_f32(100_000);
+        let buf = l.try_alloc_f32(100_000).unwrap();
         let dense: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let sparse: Vec<u64> = (0..32).map(|i| buf.f32_addr(i * 1000)).collect();
         let s = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
@@ -929,7 +891,7 @@ mod tests {
     #[test]
     fn atomic_conflicts_serialize() {
         let mut l = launcher();
-        let buf = l.alloc_f32(1024);
+        let buf = l.try_alloc_f32(1024).unwrap();
         let conflict: Vec<u64> = vec![buf.f32_addr(0); 32];
         let spread: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let s_conflict = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
@@ -946,7 +908,7 @@ mod tests {
     #[test]
     fn gather_rows_cost_reflects_scatter() {
         let mut l = launcher();
-        let buf = l.alloc_f32(1_000_000);
+        let buf = l.try_alloc_f32(1_000_000).unwrap();
         // 8 adjacent rows of 16 f32 vs 8 rows scattered 4 KB apart.
         let adjacent: Vec<u64> = (0..8).map(|r| buf.f32_addr(r * 16)).collect();
         let scattered: Vec<u64> = (0..8).map(|r| buf.f32_addr(r * 1024)).collect();
@@ -973,7 +935,7 @@ mod tests {
     #[test]
     fn scalar_load_counts_one_transaction() {
         let mut l = launcher();
-        let buf = l.alloc_f32(16);
+        let buf = l.try_alloc_f32(16).unwrap();
         let s = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_scalar(buf.f32_addr(0));
             ctx.ld_global_scalar(buf.f32_addr(1)); // same sector: L1 hit
@@ -1073,7 +1035,7 @@ mod tests {
         let run = |threads: usize| {
             let mut l = launcher();
             l.set_threads(threads);
-            let buf = l.alloc_f32(1 << 16);
+            let buf = l.try_alloc_f32(1 << 16).unwrap();
             let body = |ctx: &mut BlockCtx<'_>| {
                 let b = ctx.block_id as usize;
                 // Scattered per-block loads (L1 locality within the block),
@@ -1137,9 +1099,10 @@ mod tests {
     #[test]
     fn launch_analyzed_produces_report() {
         let mut l = launcher();
-        let r = l.launch_analyzed(GridConfig::with_block_size(128), 82 * 6, |ctx| {
+        let stats = l.launch(GridConfig::with_block_size(128), 82 * 6, |ctx| {
             ctx.fma_warps(100);
         });
+        let r = cost::analyze(l.device(), &stats);
         assert!(r.time_ms > 0.0);
         assert!(r.occupancy > 0.0);
     }

@@ -145,25 +145,6 @@ impl FragmentB {
         Ok(())
     }
 
-    /// Loads B from a column-major source (`ld` = column stride), the
-    /// layout Listing 2 stages `dense_X` in.
-    pub fn load_col_major(&mut self, src: &[f32], ld: usize) {
-        self.try_load_col_major(src, ld)
-            .expect("B-tile within source bounds");
-    }
-
-    /// Fallible [`FragmentB::load_col_major`].
-    pub fn try_load_col_major(&mut self, src: &[f32], ld: usize) -> Result<(), TcgError> {
-        check_tile("wmma B-fragment source", src.len(), WMMA_N, WMMA_K, ld)?;
-        let _t = hotspot::scope(HotPhase::FragmentStage);
-        for r in 0..WMMA_K {
-            for c in 0..WMMA_N {
-                self.data[r * WMMA_N + c] = round_to_tf32(src[c * ld + r]);
-            }
-        }
-        Ok(())
-    }
-
     /// Raw fragment contents (row-major).
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -310,18 +291,6 @@ mod tests {
                 assert!((acc.get(r, c) - reference.get(r, c)).abs() < tol);
             }
         }
-    }
-
-    #[test]
-    fn col_major_b_load_transposes() {
-        // Column-major buffer: element (r,c) at c*ld + r.
-        let b = init::uniform(WMMA_K, WMMA_N, -1.0, 1.0, 5);
-        let bt = b.transpose(); // N×K row-major == K×N col-major with ld=K
-        let mut f1 = FragmentB::default();
-        let mut f2 = FragmentB::default();
-        f1.load(b.as_slice(), WMMA_N);
-        f2.load_col_major(bt.as_slice(), WMMA_K);
-        assert_eq!(f1.data(), f2.data());
     }
 
     #[test]

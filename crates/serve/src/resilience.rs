@@ -155,8 +155,8 @@ impl BrownoutController {
 }
 
 /// The resilience layer's configuration. `ServeConfig::resilience = None`
-/// runs the legacy pipeline byte-identically; `Some(default)` turns every
-/// pillar on.
+/// resolves to `ResilienceConfig::off()`, in which every policy is a
+/// no-op; `Some(default)` turns every pillar on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Cancel dead-deadline requests at checkpoint boundaries
@@ -183,6 +183,20 @@ impl Default for ResilienceConfig {
             brownout: Some(BrownoutConfig::default()),
             retry_jitter_frac: 0.25,
             spot_check_every: 8,
+        }
+    }
+}
+
+impl ResilienceConfig {
+    /// Every policy off — what `ServeConfig::resilience = None` resolves
+    /// to: no deadline culling, breaker, brownout or retry jitter.
+    pub(crate) fn off() -> Self {
+        ResilienceConfig {
+            deadline_cancellation: false,
+            breaker: None,
+            brownout: None,
+            retry_jitter_frac: 0.0,
+            spot_check_every: 0,
         }
     }
 }

@@ -1,31 +1,35 @@
-//! The serving core: session state, the virtual-time dispatcher with
-//! admission control, and the multi-stream worker executor.
+//! The serving core: one staged pipeline, admit → batch → resolve
+//! translation → execute → respond.
+//!
+//! The serial dispatcher admits each arrival (brownout ladder, then the
+//! bounded queue), lets the batcher ([`crate::batcher`]) seal batches, and
+//! resolves each batch's SGT translation through the session cache before
+//! binding it to a stream; a [`GraphMutation`] is a barrier that seals
+//! every open batch and then lands. One worker thread per stream executes
+//! its batches through an executor — single-device engines keyed by
+//! `(graph, version)`, or one sharded [`DistContext`] per graph, as picked
+//! by [`sharding_gate`] — and one respond step turns logits into
+//! Served/Late outcomes. [`ServeConfig::resilience`] is resolved once at
+//! entry; `None` resolves to policies that are all no-ops, so a run
+//! without the layer takes the same path.
 //!
 //! # Determinism
 //!
-//! The server runs real worker threads, yet every run over the same session
-//! and request trace produces byte-identical timelines and reports. Three
-//! decisions make that hold:
+//! Worker threads notwithstanding, every run over the same session and
+//! request trace produces byte-identical timelines and reports:
 //!
-//! 1. **Batch formation is trace-pure.** The dispatcher seals batches from
-//!    arrival times alone ([`crate::batcher`]); execution timing never
-//!    feeds back into formation.
-//! 2. **Stream assignment is round-robin** over the batch index — a pure
-//!    function of dispatch order, never of which stream happens to drain
-//!    first in wall-clock terms.
-//! 3. **Each stream owns its virtual clock.** A worker thread walks its
-//!    stream's batches in dispatch order, placing each at
-//!    `max(ready, previous end)` on the stream's
-//!    [`tcg_gpusim::Stream`]; no cross-thread state is read. Per-engine
-//!    fault plans are seeded from `(stream, graph)`, so chaos runs are as
-//!    reproducible as clean ones.
+//! 1. **Batch formation is trace-pure**: batches seal from arrival times
+//!    alone, never from execution timing.
+//! 2. **Stream assignment is round-robin** over the batch index.
+//! 3. **Each stream owns its virtual clock**: a worker places each batch at
+//!    `max(ready, previous end)` on its [`tcg_gpusim::Stream`] and reads no
+//!    cross-thread state; fault plans are seeded from `(stream, graph)`.
 //!
-//! Admission control is likewise virtual-time: the bounded queue's
-//! occupancy is the number of requests sitting in open batches at the
-//! moment an arrival is processed, so [`tcg_fault::TcgError::QueueFull`]
-//! shedding is a deterministic function of the trace.
+//! Admission is virtual-time too: queue occupancy is the number of requests
+//! in open batches when an arrival is processed, so
+//! [`tcg_fault::TcgError::QueueFull`] shedding is a function of the trace.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use tcg_dist::{DistContext, Partitioner};
@@ -33,11 +37,11 @@ use tcg_fault::{
     BreakerRoute, BreakerStats, CircuitBreaker, FaultConfig, FaultPlan, FaultReport, RetryPolicy,
     TcgError,
 };
-use tcg_gnn::{Backend, Engine, RecoveryPolicy};
+use tcg_gnn::{Backend, Engine, GcnModel, RecoveryPolicy};
 use tcg_gpusim::{DeviceSpec, Stream};
 use tcg_graph::{CsrGraph, GraphVersion};
 use tcg_kernels::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
-use tcg_profile::{Phase, SharedProfiler, StreamingHistogram};
+use tcg_profile::{Phase, RequestSpan, SharedProfiler, StreamingHistogram};
 use tcg_sgt::{EdgeDelta, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::{ops, DenseMatrix};
 
@@ -86,11 +90,6 @@ impl Session {
     /// The served graphs, indexed by [`Request::graph`].
     pub fn graphs(&self) -> &[ServedGraph] {
         &self.graphs
-    }
-
-    /// The translation cache's amortization counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Mutable access to the translation cache — the quarantine knobs
@@ -208,13 +207,13 @@ pub struct ServeConfig {
     pub threads: usize,
     /// The failure-containment layer (deadline cancellation, circuit
     /// breaking, brownout, quarantine spot-checks). `None` (the default)
-    /// runs the legacy pipeline byte-identically.
+    /// resolves to no-op policies: nothing is culled, browned out or
+    /// rerouted.
     pub resilience: Option<ResilienceConfig>,
-    /// Simulated devices each batch shards across (`1` = single-device,
-    /// the legacy path). Multi-device execution applies only to clean GCN
-    /// serving — fault injection and the resilience layer operate on the
-    /// single-engine pipeline, so either of them (or a non-GCN model)
-    /// falls the run back to one device.
+    /// Simulated devices each batch shards across (`1` = single-device).
+    /// [`sharding_gate`] decides whether a run actually shards: fault
+    /// injection, the resilience layer, graph mutations or a non-GCN model
+    /// keep it on one device.
     pub devices: usize,
     /// How row windows are assigned to devices when `devices > 1`.
     pub partitioner: Partitioner,
@@ -238,17 +237,30 @@ impl Default for ServeConfig {
     }
 }
 
-/// Whether this run actually shards across devices (see
-/// [`ServeConfig::devices`] for the gating rules).
-fn dist_active(cfg: &ServeConfig, model: &ServableModel) -> bool {
-    cfg.devices > 1
-        && matches!(model, ServableModel::Gcn(_))
-        && cfg.fault.is_none()
-        && cfg.resilience.is_none()
+/// The one sharding gate: the devices each batch of this run shards
+/// across, or — when [`ServeConfig::devices`]` > 1` asks for sharding the
+/// run cannot do — what keeps it on one device. Sharded execution runs the
+/// GCN forward only, without fault injection or resilience policies, and
+/// re-runs SGT per shard instead of resolving versioned translations.
+pub fn sharding_gate(
+    cfg: &ServeConfig,
+    model: &ServableModel,
+    mutations: &[GraphMutation],
+) -> Result<usize, &'static str> {
+    let gates = [
+        (!matches!(model, ServableModel::Gcn(_)), "a non-GCN model"),
+        (cfg.fault.is_some(), "fault injection"),
+        (cfg.resilience.is_some(), "the resilience layer"),
+        (!mutations.is_empty(), "graph mutations"),
+    ];
+    match gates.into_iter().find(|&(closed, _)| closed) {
+        Some((_, gate)) if cfg.devices > 1 => Err(gate),
+        _ => Ok(cfg.devices.max(1)),
+    }
 }
 
 /// A sealed batch bound to a stream, with its translation resolved.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DispatchedBatch {
     index: usize,
     graph: usize,
@@ -265,7 +277,7 @@ struct DispatchedBatch {
     /// session's CSR moves on, but this batch executes against the
     /// adjacency it was admitted for.
     csr: Arc<CsrGraph>,
-    /// Version of that snapshot; workers key engines by `(graph, version)`
+    /// Version of that snapshot; engines are keyed by `(graph, version)`
     /// so a mutated graph gets a fresh engine instead of stale kernels.
     version: GraphVersion,
 }
@@ -324,7 +336,7 @@ pub struct ServeReport {
     /// Streams configured.
     pub streams: usize,
     /// Devices each batch actually sharded across (1 when multi-device
-    /// execution was configured but gated off — see [`ServeConfig::devices`]).
+    /// execution was configured but gated off — see [`sharding_gate`]).
     pub devices: usize,
     /// Partitioner label (`"none"` on single-device runs).
     pub partitioner: &'static str,
@@ -378,34 +390,6 @@ pub struct ServeReport {
     pub responses: Vec<Response>,
 }
 
-/// What one worker thread hands back: its stream (with the recorded
-/// timeline), the responses it resolved, and its engines' fault accounting.
-struct WorkerResult {
-    stream: Stream,
-    responses: Vec<Response>,
-    faults: FaultReport,
-    /// Halo bytes this stream's sharded batches exchanged (0 single-device).
-    halo_bytes: u64,
-    /// Interconnect milliseconds this stream's sharded batches paid.
-    transfer_ms: f64,
-    /// This stream's circuit-breaker counters (zeroed when breaking is off).
-    breaker: BreakerStats,
-    /// Breaker state transitions this stream's breaker went through.
-    breaker_transitions: usize,
-    /// The worker's private profiler (request-scoped tracing), recovered
-    /// once its engines are dropped; `None` when the run is unprofiled.
-    profiler: Option<tcg_profile::Profiler>,
-}
-
-fn merge_fault_reports(into: &mut FaultReport, other: &FaultReport) {
-    into.launch_failures += other.launch_failures;
-    into.smem_overcommits += other.smem_overcommits;
-    into.device_ooms += other.device_ooms;
-    into.ecc_flips += other.ecc_flips;
-    into.retried += other.retried;
-    into.degraded += other.degraded;
-}
-
 /// Serves `trace` (sorted by arrival time) against the session, returning
 /// the full report. When a profiler is supplied, each translation lands as
 /// a host span (dispatch order) and each stream's timeline as `stream-N`
@@ -429,10 +413,7 @@ pub fn serve(
 /// under the new [`GraphVersion`] — which the translation cache typically
 /// satisfies by retranslating only the touched windows. Mutations
 /// scheduled after the last arrival are applied after the trace drains.
-///
-/// Multi-device sharding ([`ServeConfig::devices`]` > 1`) is gated off when
-/// any mutations are scheduled: shard contexts re-run SGT per shard and do
-/// not participate in versioned translation reuse.
+/// Scheduling any mutation keeps the run on one device ([`sharding_gate`]).
 pub fn serve_with_mutations(
     session: &mut Session,
     cfg: &ServeConfig,
@@ -448,381 +429,83 @@ pub fn serve_with_mutations(
         mutations.windows(2).all(|w| w[0].at_ms <= w[1].at_ms),
         "mutation schedule must be sorted by time"
     );
-    let streams = cfg.streams.max(1);
-    let dist_on = dist_active(cfg, session.model()) && mutations.is_empty();
-    let cancel = cfg
-        .resilience
-        .as_ref()
-        .is_some_and(|r| r.deadline_cancellation);
+    let devices = sharding_gate(cfg, session.model(), mutations).unwrap_or(1);
     if let Some(r) = &cfg.resilience {
         session.cache.set_spot_check_every(r.spot_check_every);
     }
-    let mut brownout: Option<BrownoutController> = cfg
-        .resilience
-        .as_ref()
-        .and_then(|r| r.brownout)
-        .map(|bc| BrownoutController::new(bc, cfg.policy.max_batch, cfg.queue_capacity.max(1)));
-
-    // ---- Dispatch: admission, batching, cache accounting (serial). ----
-    let mut batcher = Batcher::new(cfg.policy);
-    let mut dispatched: Vec<DispatchedBatch> = Vec::new();
-    let mut shed_responses: Vec<Response> = Vec::new();
-    let mut translations: Vec<(String, f64, Vec<u64>)> = Vec::new();
-    // Per-graph CSR snapshots: batches capture the adjacency they were
-    // admitted against, refreshed only at mutation barriers.
-    let mut snapshots: Vec<Arc<CsrGraph>> = session
-        .graphs
-        .iter()
-        .map(|g| Arc::new(g.csr.clone()))
-        .collect();
-    let mut mut_summary = MutationSummary::default();
-    // Hybrid backend: maintain the per-graph window dispatch mask so a
-    // delta resolution re-decides only the touched windows.
-    let hybrid = matches!(cfg.backend, Backend::Hybrid);
-    let hybrid_policy = DispatchPolicy::from_env(KernelClass::Spmm);
-    let mut masks: Vec<Option<Vec<WindowBackend>>> = vec![None; session.graphs.len()];
-    let dispatch = |mut closed: ClosedBatch,
-                    session: &mut Session,
-                    dispatched: &mut Vec<DispatchedBatch>,
-                    translations: &mut Vec<(String, f64, Vec<u64>)>,
-                    cancelled: &mut Vec<Response>,
-                    brownout: &mut Option<BrownoutController>,
-                    snapshots: &[Arc<CsrGraph>],
-                    masks: &mut [Option<Vec<WindowBackend>>],
-                    mut_summary: &mut MutationSummary| {
-        if let Some(ctl) = brownout.as_mut() {
-            // Dispatch-time queue wait feeds the brownout p99 signal.
-            for r in &closed.requests {
-                ctl.observe_wait(closed.close_ms - r.arrival_ms);
-            }
-        }
-        if cancel {
-            // Pre-translate checkpoint: requests whose deadline already
-            // passed when the batch sealed never pay for translation.
-            let close_ms = closed.close_ms;
-            let (live, dead): (Vec<Request>, Vec<Request>) = closed
-                .requests
-                .into_iter()
-                .partition(|r| r.deadline_at_ms().is_none_or(|d| d > close_ms));
-            for r in dead {
-                cancelled.push(Response {
-                    id: r.id,
-                    outcome: Outcome::Cancelled {
-                        stage: CancelStage::PreTranslate,
-                        deadline_ms: r.deadline_ms.unwrap_or(0.0),
-                        cancelled_at_ms: close_ms,
-                    },
-                });
-            }
-            if live.is_empty() {
-                return;
-            }
-            closed.requests = live;
-        }
-        let g = &session.graphs[closed.graph];
-        let r = session.cache.get_or_translate(&g.csr);
-        let dim = g.features.cols();
-        match &r.kind {
-            ResolutionKind::Hit => {}
-            ResolutionKind::Full => {
-                // Attribute the translation to the batch that paid it — its
-                // host event carries the same trace ids as the batch's
-                // kernels.
-                let ids: Vec<u64> = closed.requests.iter().map(|r| r.id).collect();
-                translations.push((format!("sgt_translate:{}", g.name), r.paid_ms, ids));
-                if hybrid {
-                    masks[closed.graph] = Some(hybrid_policy.mask(&r.translation, &g.csr, dim));
-                }
-            }
-            ResolutionKind::Delta { touched, preserved } => {
-                let ids: Vec<u64> = closed.requests.iter().map(|r| r.id).collect();
-                translations.push((format!("sgt_delta:{}", g.name), r.paid_ms, ids));
-                mut_summary.windows_touched += touched.len();
-                mut_summary.windows_preserved += preserved;
-                mut_summary.delta_translate_ms += r.paid_ms;
-                if hybrid {
-                    match &mut masks[closed.graph] {
-                        Some(mask) => {
-                            hybrid_policy.refresh_mask(mask, &r.translation, &g.csr, dim, touched);
-                            mut_summary.mask_refreshed_windows += touched.len();
-                        }
-                        slot => *slot = Some(hybrid_policy.mask(&r.translation, &g.csr, dim)),
-                    }
-                }
-            }
-        }
-        let index = dispatched.len();
-        dispatched.push(DispatchedBatch {
-            index,
-            graph: closed.graph,
-            stream: (index % streams) as u32,
-            close_ms: closed.close_ms,
-            translate_ms: r.paid_ms,
-            ready_ms: closed.close_ms + r.paid_ms,
-            requests: closed.requests,
-            translation: r.translation,
-            csr: Arc::clone(&snapshots[closed.graph]),
-            version: g.csr.fingerprint(),
-        });
+    let off = ResilienceConfig::off();
+    let policy = cfg.resilience.as_ref().unwrap_or(&off);
+    let mut d = Dispatcher::new(session, cfg, policy);
+    d.run(trace, mutations);
+    let run = Run {
+        cfg,
+        graphs: &d.session.graphs,
+        model: &d.session.model,
+        policy,
+        devices,
+        profiled: profiler.is_some(),
     };
-    let mut queue = QueueDepth::default();
-    let mut next_mutation = 0usize;
-    for req in trace {
-        // Mutation barrier: every edit due at or before this arrival seals
-        // the batcher first (pre-edit batches run pre-edit state), then
-        // lands, then admission resumes under the new graph version.
-        while next_mutation < mutations.len() && mutations[next_mutation].at_ms <= req.arrival_ms {
-            let gm = &mutations[next_mutation];
-            for closed in batcher
-                .flush_due(gm.at_ms)
-                .into_iter()
-                .chain(batcher.flush_all())
-            {
-                dispatch(
-                    closed,
-                    session,
-                    &mut dispatched,
-                    &mut translations,
-                    &mut shed_responses,
-                    &mut brownout,
-                    &snapshots,
-                    &mut masks,
-                    &mut mut_summary,
-                );
-            }
-            mut_summary.requested += 1;
-            match session.mutate(gm.graph, &gm.delta) {
-                Ok(out) => {
-                    mut_summary.applied += 1;
-                    mut_summary.edges_inserted += out.inserted;
-                    mut_summary.edges_deleted += out.deleted;
-                    snapshots[gm.graph] = Arc::new(session.graphs[gm.graph].csr.clone());
-                }
-                Err(_) => mut_summary.rejected += 1,
-            }
-            next_mutation += 1;
-        }
-        for closed in batcher.flush_due(req.arrival_ms) {
-            dispatch(
-                closed,
-                session,
-                &mut dispatched,
-                &mut translations,
-                &mut shed_responses,
-                &mut brownout,
-                &snapshots,
-                &mut masks,
-                &mut mut_summary,
-            );
-        }
-        if let Some(ctl) = brownout.as_mut() {
-            let pending = batcher.pending();
-            ctl.update(pending, &mut batcher);
-            if ctl.should_shed(req.priority) {
-                shed_responses.push(Response {
-                    id: req.id,
-                    outcome: Outcome::Shed {
-                        reason: ShedReason::Brownout {
-                            level: ctl.level(),
-                            priority: req.priority,
-                        },
-                    },
-                });
-                queue.sample(batcher.pending());
-                continue;
-            }
-        }
-        if batcher.pending() >= cfg.queue_capacity.max(1) {
-            shed_responses.push(Response {
-                id: req.id,
-                outcome: Outcome::Shed {
-                    reason: ShedReason::QueueFull {
-                        capacity: cfg.queue_capacity.max(1),
-                    },
-                },
-            });
-            queue.sample(batcher.pending());
-            continue;
-        }
-        if let Some(closed) = batcher.offer(req.clone()) {
-            dispatch(
-                closed,
-                session,
-                &mut dispatched,
-                &mut translations,
-                &mut shed_responses,
-                &mut brownout,
-                &snapshots,
-                &mut masks,
-                &mut mut_summary,
-            );
-        }
-        queue.sample(batcher.pending());
-    }
-    for closed in batcher.flush_all() {
-        dispatch(
-            closed,
-            session,
-            &mut dispatched,
-            &mut translations,
-            &mut shed_responses,
-            &mut brownout,
-            &snapshots,
-            &mut masks,
-            &mut mut_summary,
-        );
-    }
-    // Mutations scheduled past the last arrival still land (the trace has
-    // drained, so no barrier is needed) — the session's graphs and the
-    // report's version stamps reflect every scheduled edit.
-    for gm in &mutations[next_mutation..] {
-        mut_summary.requested += 1;
-        match session.mutate(gm.graph, &gm.delta) {
-            Ok(out) => {
-                mut_summary.applied += 1;
-                mut_summary.edges_inserted += out.inserted;
-                mut_summary.edges_deleted += out.deleted;
-            }
-            Err(_) => mut_summary.rejected += 1,
-        }
-    }
-
-    // ---- Execute: one worker thread per stream, virtual clocks. ----
-    let mut per_stream: Vec<Vec<DispatchedBatch>> = vec![Vec::new(); streams];
-    for b in dispatched {
-        per_stream[b.stream as usize].push(b);
-    }
-    let graphs = &session.graphs;
-    let model = &session.model;
-    let profiled = profiler.is_some();
-    let worker_results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_stream
-            .iter()
-            .enumerate()
-            .map(|(sid, batches)| {
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    run_stream(sid as u32, batches, graphs, model, &cfg, profiled, dist_on)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stream worker panicked"))
-            .collect()
-    });
+    let mut workers = execute(&run, std::mem::take(&mut d.dispatched), d.streams);
 
     // ---- Merge (deterministic: stream order, then id order). ----
-    let mut responses = shed_responses;
-    let mut faults = FaultReport::default();
-    let mut per_stream_summary = Vec::with_capacity(streams);
-    let mut batches = 0usize;
-    let graph_versions: Vec<(String, u64)> = session
+    let graph_versions: Vec<(String, u64)> = d
+        .session
         .graphs
         .iter()
         .map(|g| (g.name.clone(), g.csr.fingerprint().as_u64()))
         .collect();
     if let Some(p) = profiler {
-        let mut p = p.write().expect("profiler lock");
-        for (name, ms, ids) in &translations {
-            p.set_trace(ids);
-            p.record_host(name, *ms);
-        }
-        p.clear_trace();
-        // Version provenance: run labels stamping the final graph versions
-        // into the trace's process metadata alongside the serve timeline.
-        for (name, v) in &graph_versions {
-            p.set_label(&format!("graph_version:{name}"), &format!("{v:016x}"));
-        }
+        record_trace(p, &d, &graph_versions, &mut workers);
     }
-    let mut breaker_stats = BreakerStats::default();
-    let mut breaker_transitions = 0usize;
-    let mut halo_bytes = 0u64;
-    let mut transfer_ms = 0.0f64;
-    for wr in worker_results {
-        merge_fault_reports(&mut faults, &wr.faults);
-        halo_bytes += wr.halo_bytes;
-        transfer_ms += wr.transfer_ms;
-        breaker_stats.absorb(&wr.breaker);
-        breaker_transitions += wr.breaker_transitions;
-        batches += wr.stream.launches();
-        per_stream_summary.push(StreamSummary {
-            stream: wr.stream.id(),
-            launches: wr.stream.launches(),
-            busy_ms: wr.stream.busy_ms(),
-            end_ms: wr.stream.now_ms(),
-        });
-        if let Some(p) = profiler {
-            let mut p = p.write().expect("profiler lock");
-            for span in wr.stream.spans() {
-                // Worker tid = stream index + 1 (0 is the main thread):
-                // deterministic by construction, so traces stay
-                // byte-identical however the OS schedules the workers.
-                p.record_stream_span_on(
-                    wr.stream.id(),
-                    &span.name,
-                    span.start_ms,
-                    span.dur_ms,
-                    u64::from(wr.stream.id()) + 1,
-                );
-            }
-            // Fold the worker's private recorder in (stream order, so the
-            // merged event list is deterministic): kernel events tagged
-            // with their batch's trace ids, plus per-request span trees.
-            if let Some(wp) = wr.profiler {
-                p.absorb(wp);
-            }
+    let mut responses = std::mem::take(&mut d.early);
+    let (mut faults, mut breaker) = (FaultReport::default(), BreakerStats::default());
+    let (mut breaker_transitions, mut halo_bytes, mut transfer_ms) = (0, 0, 0.0);
+    let mut per_stream = Vec::with_capacity(d.streams);
+    for w in workers {
+        faults.absorb(&w.faults);
+        halo_bytes += w.halo_bytes;
+        transfer_ms += w.transfer_ms;
+        if let Some(br) = &w.breaker {
+            breaker.absorb(br.stats());
+            breaker_transitions += br.transitions().len();
         }
-        responses.extend(wr.responses);
+        per_stream.push(StreamSummary {
+            stream: w.stream.id(),
+            launches: w.stream.launches(),
+            busy_ms: w.stream.busy_ms(),
+            end_ms: w.stream.now_ms(),
+        });
+        responses.extend(w.responses);
     }
     responses.sort_by_key(|r| r.id);
 
     let mut latency = StreamingHistogram::new();
-    let (mut on_time, mut late, mut shed) = (0usize, 0usize, 0usize);
-    let (mut c_pre_translate, mut c_pre_launch, mut c_boundary) = (0usize, 0usize, 0usize);
+    let (mut on_time, mut late, mut shed) = (0, 0, 0);
+    // Cancellations by stage, in pipeline order (`CancelStage::all`).
+    let mut cancelled = [0usize; 3];
     for r in &responses {
-        match &r.outcome {
-            Outcome::Served { latency_ms, .. } => {
-                on_time += 1;
-                latency.record(*latency_ms);
-            }
-            Outcome::Late { latency_ms, .. } => {
-                late += 1;
-                latency.record(*latency_ms);
-            }
+        if let Some(ms) = r.outcome.latency_ms() {
+            latency.record(ms);
+        }
+        match r.outcome {
+            Outcome::Served { .. } => on_time += 1,
+            Outcome::Late { .. } => late += 1,
             Outcome::Shed { .. } => shed += 1,
-            Outcome::Cancelled { stage, .. } => match stage {
-                CancelStage::PreTranslate => c_pre_translate += 1,
-                CancelStage::PreLaunch => c_pre_launch += 1,
-                CancelStage::KernelBoundary => c_boundary += 1,
-            },
+            Outcome::Cancelled { stage, .. } => cancelled[stage as usize] += 1,
         }
     }
-    let cancelled = c_pre_translate + c_pre_launch + c_boundary;
-    let resilience = cfg.resilience.as_ref().map(|_| ResilienceSummary {
-        cancelled_pre_translate: c_pre_translate,
-        cancelled_pre_launch: c_pre_launch,
-        cancelled_kernel_boundary: c_boundary,
-        brownout: brownout.as_ref().map(|b| b.stats()).unwrap_or_default(),
-        breaker: breaker_stats,
-        breaker_transitions,
-    });
     let answered = on_time + late;
-    let makespan_ms =
-        per_stream_summary
-            .iter()
-            .fold(0.0f64, |acc, s| if s.end_ms > acc { s.end_ms } else { acc });
-    let throughput_rps = if makespan_ms > 0.0 {
-        answered as f64 / makespan_ms * 1000.0
-    } else {
-        0.0
-    };
+    let batches: usize = per_stream.iter().map(|s| s.launches).sum();
+    let makespan_ms = per_stream
+        .iter()
+        .fold(0.0, |acc, s| if s.end_ms > acc { s.end_ms } else { acc });
+    let ratio = |n: usize, over: f64| if over > 0.0 { n as f64 / over } else { 0.0 };
     ServeReport {
         backend: cfg.backend.name(),
-        model: session.model.kind(),
-        streams,
-        devices: if dist_on { cfg.devices } else { 1 },
-        partitioner: if dist_on {
+        model: d.session.model.kind(),
+        streams: d.streams,
+        devices,
+        partitioner: if devices > 1 {
             cfg.partitioner.name()
         } else {
             "none"
@@ -834,367 +517,600 @@ pub fn serve_with_mutations(
         on_time,
         late,
         shed,
-        cancelled,
+        cancelled: cancelled.iter().sum(),
         failed: 0,
         batches,
-        mean_batch_size: if batches > 0 {
-            answered as f64 / batches as f64
-        } else {
-            0.0
-        },
+        mean_batch_size: ratio(answered, batches as f64),
         makespan_ms,
-        throughput_rps,
+        throughput_rps: ratio(answered, makespan_ms) * 1000.0,
         latency,
-        cache: session.cache.stats(),
+        cache: d.session.cache.stats(),
         faults,
-        queue,
-        per_stream: per_stream_summary,
-        resilience,
-        mutations: mut_summary,
+        queue: d.queue,
+        per_stream,
+        resilience: cfg.resilience.as_ref().map(|_| ResilienceSummary {
+            cancelled_pre_translate: cancelled[0],
+            cancelled_pre_launch: cancelled[1],
+            cancelled_kernel_boundary: cancelled[2],
+            brownout: d.brownout.as_ref().map(|b| b.stats()).unwrap_or_default(),
+            breaker,
+            breaker_transitions,
+        }),
+        mutations: d.mutations,
         graph_versions,
         responses,
     }
 }
 
+/// Folds the translations the dispatcher paid, the final graph versions and
+/// every worker's stream timeline and private recorder into the run's
+/// trace, in stream order so the merged event list is deterministic.
+fn record_trace(p: &SharedProfiler, d: &Dispatcher, versions: &[(String, u64)], ws: &mut [Worker]) {
+    let mut p = p.write().expect("profiler lock");
+    for (name, ms, ids) in &d.translations {
+        p.set_trace(ids);
+        p.record_host(name, *ms);
+    }
+    p.clear_trace();
+    for (name, v) in versions {
+        p.set_label(&format!("graph_version:{name}"), &format!("{v:016x}"));
+    }
+    for w in ws {
+        // Worker tid = stream index + 1 (0 is the main thread), so traces
+        // stay byte-identical however the OS schedules the workers.
+        let (id, tid) = (w.stream.id(), u64::from(w.stream.id()) + 1);
+        for s in w.stream.spans() {
+            p.record_stream_span_on(id, &s.name, s.start_ms, s.dur_ms, tid);
+        }
+        // The worker's engines are gone, so its recorder (kernel events
+        // tagged with trace ids, request span trees) is free to absorb.
+        if let Some(wp) = w.profiler.take() {
+            let wp = Arc::try_unwrap(wp).expect("worker profiler handles released");
+            p.absorb(wp.into_inner().expect("profiler lock"));
+        }
+    }
+}
+
+/// Deadline culling, the one helper behind the pre-translate and
+/// pre-launch checkpoints: when `on`, every request whose deadline is dead
+/// at `at_ms` is answered with a `stage` cancel and removed (arrival order
+/// kept). Returns whether any request is still live.
+fn cull(
+    on: bool,
+    requests: &mut Vec<Request>,
+    stage: CancelStage,
+    at_ms: f64,
+    out: &mut Vec<Response>,
+) -> bool {
+    if on {
+        requests.retain(|r| {
+            let live = r.deadline_at_ms().is_none_or(|d| d > at_ms);
+            if !live {
+                out.push(cancelled(r, stage, at_ms));
+            }
+            live
+        });
+    }
+    !requests.is_empty()
+}
+
+/// Stages 1–3: admission, batching and translation resolution, serial and
+/// in virtual time.
+struct Dispatcher<'s> {
+    session: &'s mut Session,
+    streams: usize,
+    capacity: usize,
+    cancel: bool,
+    batcher: Batcher,
+    brownout: Option<BrownoutController>,
+    /// Hybrid backend: per-graph window dispatch masks, so a delta
+    /// resolution re-decides only the touched windows.
+    hybrid: Option<DispatchPolicy>,
+    masks: Vec<Option<Vec<WindowBackend>>>,
+    /// Per-graph CSR snapshots: batches capture the adjacency they were
+    /// admitted against, refreshed only by mutations.
+    snapshots: Vec<Arc<CsrGraph>>,
+    dispatched: Vec<DispatchedBatch>,
+    /// Translations paid: host span name, milliseconds, trace ids.
+    translations: Vec<(String, f64, Vec<u64>)>,
+    /// Shed and pre-translate-cancelled responses.
+    early: Vec<Response>,
+    queue: QueueDepth,
+    mutations: MutationSummary,
+}
+
+impl<'s> Dispatcher<'s> {
+    fn new(session: &'s mut Session, cfg: &ServeConfig, policy: &ResilienceConfig) -> Self {
+        let capacity = cfg.queue_capacity.max(1);
+        Dispatcher {
+            streams: cfg.streams.max(1),
+            capacity,
+            cancel: policy.deadline_cancellation,
+            batcher: Batcher::new(cfg.policy),
+            brownout: policy
+                .brownout
+                .map(|bc| BrownoutController::new(bc, cfg.policy.max_batch, capacity)),
+            hybrid: matches!(cfg.backend, Backend::Hybrid)
+                .then(|| DispatchPolicy::from_env(KernelClass::Spmm)),
+            masks: vec![None; session.graphs.len()],
+            snapshots: session
+                .graphs
+                .iter()
+                .map(|g| Arc::new(g.csr.clone()))
+                .collect(),
+            dispatched: Vec::new(),
+            translations: Vec::new(),
+            early: Vec::new(),
+            queue: QueueDepth::default(),
+            mutations: MutationSummary::default(),
+            session,
+        }
+    }
+
+    /// Walks the trace. Every sealed batch goes through the one dispatch
+    /// call below, in the order it sealed: an edit due by an arrival (and
+    /// every edit left once the trace has drained) seals the whole batcher
+    /// before it lands, and a batch an arrival seals by size is dispatched
+    /// first in the next step.
+    fn run(&mut self, trace: &[Request], mutations: &[GraphMutation]) {
+        let mut edits = mutations.iter().peekable();
+        let mut offered: Option<ClosedBatch> = None;
+        for req in trace.iter().map(Some).chain([None]) {
+            loop {
+                let edit = edits.next_if(|gm| req.is_none_or(|r| gm.at_ms <= r.arrival_ms));
+                let sealed = match (edit, req) {
+                    (None, Some(r)) => self.batcher.flush_due(r.arrival_ms),
+                    // A barrier (or the drain) seals every open batch.
+                    _ => self.batcher.flush_all(),
+                };
+                for closed in offered.take().into_iter().chain(sealed) {
+                    self.dispatch(closed);
+                }
+                match (edit, req) {
+                    (Some(gm), _) => self.apply_mutation(gm),
+                    (None, Some(r)) => {
+                        offered = self.admit(r);
+                        break;
+                    }
+                    (None, None) => break,
+                }
+            }
+        }
+    }
+
+    /// Stage 1: sheds `req` (brownout ladder first, then the bounded
+    /// queue) or offers it to the batcher, returning the batch it seals.
+    fn admit(&mut self, req: &Request) -> Option<ClosedBatch> {
+        let batcher = &mut self.batcher;
+        let brownout = self.brownout.as_mut().and_then(|ctl| {
+            ctl.update(batcher.pending(), batcher);
+            let (level, priority) = (ctl.level(), req.priority);
+            ctl.should_shed(priority)
+                .then_some(ShedReason::Brownout { level, priority })
+        });
+        let capacity = self.capacity;
+        let full = (batcher.pending() >= capacity).then_some(ShedReason::QueueFull { capacity });
+        let closed = match brownout.or(full) {
+            Some(reason) => {
+                let (id, outcome) = (req.id, Outcome::Shed { reason });
+                self.early.push(Response { id, outcome });
+                None
+            }
+            None => batcher.offer(req.clone()),
+        };
+        self.queue.sample(self.batcher.pending());
+        closed
+    }
+
+    /// Stage 3: culls requests already dead when the batch sealed, resolves
+    /// the batch's translation through the session cache and binds it to a
+    /// stream round-robin.
+    fn dispatch(&mut self, mut closed: ClosedBatch) {
+        let close_ms = closed.close_ms;
+        if let Some(ctl) = self.brownout.as_mut() {
+            // Dispatch-time queue wait feeds the brownout p99 signal.
+            for r in &closed.requests {
+                ctl.observe_wait(close_ms - r.arrival_ms);
+            }
+        }
+        let (stage, early) = (CancelStage::PreTranslate, &mut self.early);
+        if !cull(self.cancel, &mut closed.requests, stage, close_ms, early) {
+            return;
+        }
+        let g = &self.session.graphs[closed.graph];
+        let r = self.session.cache.get_or_translate(&g.csr);
+        let (span, touched) = match &r.kind {
+            ResolutionKind::Hit => (None, None),
+            ResolutionKind::Full => (Some("sgt_translate"), None),
+            ResolutionKind::Delta { touched, preserved } => {
+                self.mutations.windows_touched += touched.len();
+                self.mutations.windows_preserved += preserved;
+                self.mutations.delta_translate_ms += r.paid_ms;
+                (Some("sgt_delta"), Some(touched))
+            }
+        };
+        if let Some(span) = span {
+            // Attributed to the batch that paid it: the host span carries
+            // the same trace ids as the batch's kernels.
+            let ids = closed.requests.iter().map(|r| r.id).collect();
+            let name = format!("{span}:{}", g.name);
+            self.translations.push((name, r.paid_ms, ids));
+            if let Some(policy) = &self.hybrid {
+                let (slot, dim) = (&mut self.masks[closed.graph], g.features.cols());
+                match (slot.as_mut(), touched) {
+                    (Some(mask), Some(touched)) => {
+                        policy.refresh_mask(mask, &r.translation, &g.csr, dim, touched);
+                        self.mutations.mask_refreshed_windows += touched.len();
+                    }
+                    _ => *slot = Some(policy.mask(&r.translation, &g.csr, dim)),
+                }
+            }
+        }
+        let index = self.dispatched.len();
+        self.dispatched.push(DispatchedBatch {
+            index,
+            graph: closed.graph,
+            stream: (index % self.streams) as u32,
+            close_ms,
+            translate_ms: r.paid_ms,
+            ready_ms: close_ms + r.paid_ms,
+            requests: closed.requests,
+            translation: r.translation,
+            csr: Arc::clone(&self.snapshots[closed.graph]),
+            version: g.csr.fingerprint(),
+        });
+    }
+
+    /// Applies one scheduled edit once its barrier has dispatched every
+    /// batch admitted before it; a rejected delta is counted, not fatal.
+    fn apply_mutation(&mut self, gm: &GraphMutation) {
+        let m = &mut self.mutations;
+        m.requested += 1;
+        match self.session.mutate(gm.graph, &gm.delta) {
+            Ok(out) => {
+                m.applied += 1;
+                m.edges_inserted += out.inserted;
+                m.edges_deleted += out.deleted;
+                let csr = self.session.graphs[gm.graph].csr.clone();
+                self.snapshots[gm.graph] = Arc::new(csr);
+            }
+            Err(_) => m.rejected += 1,
+        }
+    }
+}
+
+/// What every stream worker reads.
+struct Run<'a> {
+    cfg: &'a ServeConfig,
+    graphs: &'a [ServedGraph],
+    model: &'a ServableModel,
+    policy: &'a ResilienceConfig,
+    /// Devices each batch shards across, from [`sharding_gate`].
+    devices: usize,
+    profiled: bool,
+}
+
+/// One stream's worker: its virtual clock, breaker and private recorder,
+/// plus what its batches accumulate.
+struct Worker {
+    stream: Stream,
+    /// Guards this stream's (device, backend) pair, folding only this
+    /// stream's batch results, so chaos runs stay deterministic per stream.
+    breaker: Option<CircuitBreaker>,
+    /// Private recorder: no lock is contended on the hot path, and the
+    /// merge absorbs it in stream order after the join.
+    profiler: Option<SharedProfiler>,
+    responses: Vec<Response>,
+    faults: FaultReport,
+    /// Halo bytes and interconnect milliseconds of sharded batches.
+    halo_bytes: u64,
+    transfer_ms: f64,
+}
+
+impl Worker {
+    /// Runs `step` on the stream's breaker, if it has one, and records the
+    /// state transitions it caused on the worker's trace.
+    fn breaker_step<T>(&mut self, step: impl FnOnce(&mut CircuitBreaker) -> T) -> Option<T> {
+        let br = self.breaker.as_mut()?;
+        let seen = br.transitions().len();
+        let out = step(br);
+        if let Some(p) = &self.profiler {
+            let mut p = p.write().expect("profiler lock");
+            for t in &br.transitions()[seen..] {
+                p.record_breaker(&format!("breaker:{}->{}", t.from, t.to), Phase::Host);
+            }
+        }
+        Some(out)
+    }
+
+    /// Sets (or, with `None`, clears) the trace ids kernel events carry.
+    fn set_trace(&self, batch: Option<&DispatchedBatch>) {
+        if let Some(p) = &self.profiler {
+            let mut p = p.write().expect("profiler lock");
+            match batch {
+                Some(b) => p.set_trace(&b.requests.iter().map(|r| r.id).collect::<Vec<_>>()),
+                None => p.clear_trace(),
+            }
+        }
+    }
+}
+
+/// Stage 4: one worker thread per stream.
+fn execute(run: &Run, dispatched: Vec<DispatchedBatch>, streams: usize) -> Vec<Worker> {
+    let mut per_stream: Vec<Vec<DispatchedBatch>> = (0..streams).map(|_| Vec::new()).collect();
+    for b in dispatched {
+        per_stream[b.stream as usize].push(b);
+    }
+    std::thread::scope(|scope| {
+        let spawn = |(id, batches)| scope.spawn(move || run_stream(id as u32, batches, run));
+        let handles: Vec<_> = per_stream.into_iter().enumerate().map(spawn).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("stream worker panicked"))
+            .collect()
+    })
+}
+
 /// Executes one stream's batches in dispatch order on its virtual clock.
 ///
-/// Runs on a worker thread; the engine (which holds non-`Send` kernel
-/// objects) is constructed *inside* the thread, one per graph, seeded with
-/// the dispatcher-resolved translation so Algorithm 1 never reruns here.
-fn run_stream(
-    stream_id: u32,
-    batches: &[DispatchedBatch],
-    graphs: &[ServedGraph],
-    model: &ServableModel,
-    cfg: &ServeConfig,
-    profiled: bool,
-    dist: bool,
-) -> WorkerResult {
-    let mut stream = Stream::new(stream_id);
-    // Engines are keyed by `(graph, version)`: a mutated graph's batches
-    // get a fresh engine built from their snapshot CSR, while batches for
-    // any still-resident earlier version keep theirs. An engine is dropped
-    // once this stream's last batch for its version has run, so under
-    // churn superseded versions do not keep their CSR, translation and
-    // launcher resident for the rest of the run.
-    let mut engines: HashMap<(usize, u64), Engine> = HashMap::new();
-    let mut last_use: HashMap<(usize, u64), usize> = HashMap::new();
-    for (i, b) in batches.iter().enumerate() {
-        last_use.insert((b.graph, b.version.as_u64()), i);
-    }
-    let mut evicted: HashSet<(usize, u64)> = HashSet::new();
-    // Multi-device path: one sharded context per graph, built lazily like
-    // the engines. Sharding re-runs SGT per shard, so the dispatcher's
-    // whole-graph translation is not reused here (and the caller gates it
-    // off whenever mutations are scheduled).
-    let mut dist_ctxs: HashMap<usize, DistContext> = HashMap::new();
-    let mut halo_bytes = 0u64;
-    let mut transfer_ms = 0.0f64;
-    let mut responses = Vec::new();
-    let mut faults = FaultReport::default();
-    let res = cfg.resilience.as_ref();
-    let cancel = res.is_some_and(|r| r.deadline_cancellation);
-    // One breaker per stream: it guards this stream's (device, backend)
-    // pair, folding only this stream's batch results, so chaos runs stay
-    // deterministic per stream regardless of scheduling.
-    let mut breaker: Option<CircuitBreaker> = res.and_then(|r| r.breaker).map(CircuitBreaker::new);
-    // Private per-worker recorder: no locks are contended on the hot path
-    // (each engine clone of the handle lives on this thread only), and the
-    // dispatcher absorbs it in stream order after the join.
-    let worker_profiler: Option<SharedProfiler> = if profiled {
-        let p = tcg_profile::shared(cfg.backend.name());
-        // Deterministic tid: stream index + 1 (0 is the main thread).
-        p.write()
-            .expect("profiler lock")
-            .set_thread(u64::from(stream_id) + 1);
-        Some(p)
-    } else {
-        None
+/// Runs on a worker thread; engines (which hold non-`Send` kernel objects)
+/// are built inside it, seeded with the dispatcher-resolved translation so
+/// Algorithm 1 never reruns here.
+fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
+    let mut w = Worker {
+        stream: Stream::new(id),
+        breaker: run.policy.breaker.map(CircuitBreaker::new),
+        profiler: run.profiled.then(|| {
+            let p = tcg_profile::shared(run.cfg.backend.name());
+            // Deterministic tid: stream index + 1 (0 is the main thread).
+            p.write()
+                .expect("profiler lock")
+                .set_thread(u64::from(id) + 1);
+            p
+        }),
+        responses: Vec::new(),
+        faults: FaultReport::default(),
+        halo_bytes: 0,
+        transfer_ms: 0.0,
     };
-    for (i, b) in batches.iter().enumerate() {
-        engines.retain(|key, eng| {
-            let keep = last_use[key] >= i;
-            if !keep {
-                merge_fault_reports(&mut faults, &eng.fault_report());
-                evicted.insert(*key);
-            }
-            keep
-        });
-        let g = &graphs[b.graph];
-        if dist {
-            // Sharded execution: the whole batch's forward fans out over
-            // `cfg.devices` simulated devices; the serve stream is charged
-            // the distributed makespan (compute + halo exchange), so
-            // speedup from sharding shows up directly in serve latency.
-            let ServableModel::Gcn(gcn) = model else {
-                unreachable!("dist_active requires a GCN model");
-            };
-            let ctx = dist_ctxs.entry(b.graph).or_insert_with(|| {
-                DistContext::new(
-                    &g.csr,
-                    cfg.devices,
-                    cfg.partitioner,
-                    cfg.device.clone(),
-                    cfg.threads,
-                )
-            });
-            let (logits, drep) = ctx
-                .gcn_forward(gcn, &g.features)
-                .expect("session graphs are validated at admission");
-            halo_bytes += drep.total_halo_bytes();
-            transfer_ms += drep.transfer_ms;
-            let name = format!("{}:batch-{}:dist{}", g.name, b.index, drep.devices);
-            let (start_ms, end_ms) = stream.launch_at(&name, b.ready_ms, drep.makespan_ms);
-            if let Some(p) = &worker_profiler {
-                let mut p = p.write().expect("profiler lock");
-                let ids: Vec<u64> = b.requests.iter().map(|r| r.id).collect();
-                p.set_trace(&ids);
-                // Per-device timelines, shifted to the batch's slot on the
-                // serve stream. Device tracks are 1-indexed in serve traces
-                // (`dev1`..`devN`) so they can never collide with the serve
-                // `stream-N` tracks, which own ids below the stride.
-                for (gid, spans) in ctx.stream_spans() {
-                    let track = gid + tcg_gpusim::stream::DEVICE_STREAM_STRIDE as u32;
-                    for span in spans {
-                        p.record_stream_span_on(
-                            track,
-                            &span.name,
-                            start_ms + span.start_ms,
-                            span.dur_ms,
-                            u64::from(stream_id) + 1,
-                        );
-                    }
-                }
-                p.clear_trace();
-            }
-            let classes = ops::argmax_rows(&logits);
-            for req in &b.requests {
-                let latency_ms = end_ms - req.arrival_ms;
-                let class = classes[req.node];
-                let outcome = match req.deadline_ms {
-                    Some(d) if latency_ms > d => Outcome::Late {
-                        class,
-                        latency_ms,
-                        deadline_ms: d,
-                    },
-                    _ => Outcome::Served { class, latency_ms },
-                };
-                responses.push(Response {
-                    id: req.id,
-                    outcome,
-                });
-            }
-            continue;
-        }
+    // Eviction compares global batch indices, which is sound only because
+    // a stream's batches run in ascending index order.
+    debug_assert!(batches.windows(2).all(|p| p[0].index < p[1].index));
+    let mut executor = match run.model {
+        ServableModel::Gcn(gcn) if run.devices > 1 => Executor::Sharded(gcn, HashMap::new()),
+        _ => Executor::Single {
+            engines: HashMap::new(),
+            last_use: batches
+                .iter()
+                .map(|b| ((b.graph, b.version.as_u64()), b.index))
+                .collect(),
+        },
+    };
+    for mut b in batches {
         // Where this batch would start on the stream's virtual clock —
         // known before any engine work, so cancellation and breaker
         // routing decide on it without executing anything.
-        let projected_start = if b.ready_ms > stream.now_ms() {
-            b.ready_ms
-        } else {
-            stream.now_ms()
-        };
-        let mut live: Vec<Request> = b.requests.clone();
-        if cancel {
-            // Pre-launch checkpoint: deadlines already dead at the
-            // projected start never build an engine or launch a kernel.
-            let (still_live, dead): (Vec<Request>, Vec<Request>) = live
-                .into_iter()
-                .partition(|r| r.deadline_at_ms().is_none_or(|d| d > projected_start));
-            for r in dead {
-                responses.push(Response {
-                    id: r.id,
-                    outcome: Outcome::Cancelled {
-                        stage: CancelStage::PreLaunch,
-                        deadline_ms: r.deadline_ms.unwrap_or(0.0),
-                        cancelled_at_ms: projected_start,
-                    },
-                });
-            }
-            if still_live.is_empty() {
-                continue;
-            }
-            live = still_live;
+        let now = w.stream.now_ms();
+        let start = if b.ready_ms > now { b.ready_ms } else { now };
+        // Pre-launch checkpoint: deadlines already dead at the projected
+        // start never build an engine or launch a kernel.
+        let (cancel, stage) = (run.policy.deadline_cancellation, CancelStage::PreLaunch);
+        if cull(cancel, &mut b.requests, stage, start, &mut w.responses) {
+            let execution = executor.execute(run, &b, start, &mut w);
+            respond(&b.requests, execution, &mut w.responses);
         }
-        debug_assert!(
-            !evicted.contains(&(b.graph, b.version.as_u64())),
-            "batch {} arrived for an evicted engine version",
-            b.index
-        );
-        let eng = engines
-            .entry((b.graph, b.version.as_u64()))
-            .or_insert_with(|| {
-                let mut eng = Engine::builder((*b.csr).clone())
-                    .backend(cfg.backend)
-                    .device(cfg.device.clone())
-                    .translation((*b.translation).clone())
-                    .threads(cfg.threads)
-                    .build()
+    }
+    if let Executor::Single { engines, .. } = &executor {
+        // Map order is arbitrary, but summing counters is not order-sensitive.
+        for eng in engines.values() {
+            w.faults.absorb(&eng.fault_report());
+        }
+    }
+    // Engines hold the only other handles to the worker's recorder.
+    drop(executor);
+    w
+}
+
+/// Stage 4's two variants; [`sharding_gate`] picks one per run.
+enum Executor<'a> {
+    /// Engines keyed by `(graph, version)`: a mutated graph's batches get a
+    /// fresh engine built from their snapshot CSR. An engine is dropped
+    /// once this stream's last batch for its version has run (`last_use`),
+    /// so under churn superseded versions do not stay resident.
+    Single {
+        engines: HashMap<(usize, u64), Engine>,
+        last_use: HashMap<(usize, u64), usize>,
+    },
+    /// One sharded context per graph: each batch's GCN forward fans out
+    /// over the run's devices, and the stream is charged the distributed
+    /// makespan (compute + halo exchange). Sharding re-runs SGT per shard,
+    /// so the dispatcher's whole-graph translation is not reused.
+    Sharded(&'a GcnModel, HashMap<usize, DistContext>),
+}
+
+/// What executing one batch produced.
+enum Execution {
+    /// The batch ran to completion; its stream slot ended at `end_ms`.
+    Answered { logits: DenseMatrix, end_ms: f64 },
+    /// The kernel-boundary checkpoint stopped the batch at `at_ms`.
+    Cancelled { at_ms: f64 },
+}
+
+impl Executor<'_> {
+    /// Runs a batch projected to start at `start` on `w`'s stream.
+    fn execute(&mut self, run: &Run, b: &DispatchedBatch, start: f64, w: &mut Worker) -> Execution {
+        let (cfg, g) = (run.cfg, &run.graphs[b.graph]);
+        let (engines, last_use) = match self {
+            Executor::Single { engines, last_use } => (engines, last_use),
+            Executor::Sharded(gcn, contexts) => {
+                let ctx = contexts.entry(b.graph).or_insert_with(|| {
+                    let (part, dev) = (cfg.partitioner, cfg.device.clone());
+                    DistContext::new(&g.csr, run.devices, part, dev, cfg.threads)
+                });
+                let (logits, drep) = ctx
+                    .gcn_forward(gcn, &g.features)
                     .expect("session graphs are validated at admission");
-                // One plan per (stream, graph): the draw sequence depends
-                // only on this stream's batch order, never on scheduling.
-                let seed = cfg
-                    .fault_seed
-                    .wrapping_add((u64::from(stream_id) + 1) << 32)
-                    .wrapping_add(b.graph as u64);
-                if let Some(fault_cfg) = cfg.fault {
-                    eng.attach_fault_plan(FaultPlan::new(seed, fault_cfg));
-                }
-                if let Some(r) = res {
-                    if r.retry_jitter_frac > 0.0 {
-                        // Jittered exponential backoff, seeded like the fault
-                        // plan so retry schedules are bit-reproducible.
-                        eng.set_recovery_policy(RecoveryPolicy {
-                            backoff: RetryPolicy::default().with_jitter(r.retry_jitter_frac, seed),
-                            ..RecoveryPolicy::default()
-                        });
-                    }
-                    if r.deadline_cancellation {
-                        eng.set_launch_log(true);
+                w.halo_bytes += drep.total_halo_bytes();
+                w.transfer_ms += drep.transfer_ms;
+                let name = format!("{}:batch-{}:dist{}", g.name, b.index, drep.devices);
+                let (start_ms, end_ms) = w.stream.launch_at(&name, b.ready_ms, drep.makespan_ms);
+                w.set_trace(Some(b));
+                if let Some(p) = &w.profiler {
+                    // Per-device timelines, shifted to the batch's slot on
+                    // the serve stream. Device tracks sit above the stride
+                    // (`dev1`..`devN`), clear of the serve `stream-N` ids.
+                    let mut p = p.write().expect("profiler lock");
+                    let tid = u64::from(w.stream.id()) + 1;
+                    for (gid, spans) in ctx.stream_spans() {
+                        let track = gid + tcg_gpusim::stream::DEVICE_STREAM_STRIDE as u32;
+                        for s in spans {
+                            let at = start_ms + s.start_ms;
+                            p.record_stream_span_on(track, &s.name, at, s.dur_ms, tid);
+                        }
                     }
                 }
-                if let Some(p) = &worker_profiler {
-                    eng.attach_profiler(Arc::clone(p));
-                }
-                eng
-            });
-        if let Some(p) = &worker_profiler {
-            // Propagate the batch's trace ids: every kernel event the
-            // engine records during this inference carries the ids of the
-            // requests it does work for.
-            let ids: Vec<u64> = live.iter().map(|r| r.id).collect();
-            p.write().expect("profiler lock").set_trace(&ids);
-        }
-        // Breaker routing: an open breaker forces the whole batch onto the
-        // CUDA-core fallback path (suppressed injection, no RNG draws)
-        // instead of paying a retry storm on the primary backend.
-        let mut fallback_routed = false;
-        if let Some(br) = breaker.as_mut() {
-            let seen = br.transitions().len();
-            if br.route(projected_start) == BreakerRoute::Fallback {
-                fallback_routed = true;
-                eng.set_forced_fallback(true);
+                w.set_trace(None);
+                return Execution::Answered { logits, end_ms };
             }
-            if let Some(p) = &worker_profiler {
-                let mut p = p.write().expect("profiler lock");
-                for t in &br.transitions()[seen..] {
-                    p.record_breaker(&format!("breaker:{}->{}", t.from, t.to), Phase::Host);
-                }
-            }
-        }
-        let injected_before = eng.fault_report().total_injected();
-        let (logits, cost) = model.infer(eng, &g.features);
-        let launch_log = if cancel {
-            eng.take_launch_log()
-        } else {
-            Vec::new()
         };
-        if fallback_routed {
-            eng.set_forced_fallback(false);
-        }
-        // A fallback-routed batch reports clean: suppressed injection
-        // consumes no draws, and a cooling breaker must see quiet to close.
-        let faulted = !fallback_routed && eng.fault_report().total_injected() > injected_before;
-        // Kernel-boundary checkpoint: if even the latest deadline in the
-        // batch dies mid-execution, stop charging the stream at the first
-        // launch boundary past the budget and discard the answers — a dead
-        // request never returns a logit, and the stream frees up early.
-        let mut exec_ms = cost.total_ms();
-        let mut boundary_prefix: Option<f64> = None;
-        if cancel && live.iter().all(|r| r.deadline_ms.is_some()) {
-            let latest = live
-                .iter()
-                .filter_map(|r| r.deadline_at_ms())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let budget = latest - projected_start;
-            if exec_ms > budget {
-                let mut acc = 0.0;
-                for &ms in &launch_log {
-                    acc += ms;
-                    if acc >= budget {
-                        boundary_prefix = Some(acc);
-                        break;
-                    }
-                }
-                if let Some(prefix) = boundary_prefix {
-                    exec_ms = prefix;
-                }
+        let key = (b.graph, b.version.as_u64());
+        engines.retain(|key, eng| {
+            let keep = last_use[key] >= b.index;
+            if !keep {
+                w.faults.absorb(&eng.fault_report());
             }
-        }
-        let name = if boundary_prefix.is_some() {
-            format!("{}:batch-{}:cancelled", g.name, b.index)
-        } else {
-            format!("{}:batch-{}", g.name, b.index)
-        };
-        let (start_ms, end_ms) = stream.launch_at(&name, b.ready_ms, exec_ms);
-        if let Some(br) = breaker.as_mut() {
-            let seen = br.transitions().len();
-            br.on_result(end_ms, faulted);
-            if let Some(p) = &worker_profiler {
-                let mut p = p.write().expect("profiler lock");
-                for t in &br.transitions()[seen..] {
-                    p.record_breaker(&format!("breaker:{}->{}", t.from, t.to), Phase::Host);
-                }
+            keep
+        });
+        debug_assert!(
+            last_use[&key] >= b.index,
+            "batch arrived for an evicted engine"
+        );
+        let eng = engines.entry(key).or_insert_with(|| {
+            let mut eng = Engine::builder((*b.csr).clone())
+                .backend(cfg.backend)
+                .device(cfg.device.clone())
+                .translation((*b.translation).clone())
+                .threads(cfg.threads)
+                .build()
+                .expect("session graphs are validated at admission");
+            // One plan per (stream, graph): the draw sequence depends only
+            // on this stream's batch order, never on scheduling.
+            let seed = cfg
+                .fault_seed
+                .wrapping_add((u64::from(w.stream.id()) + 1) << 32)
+                .wrapping_add(b.graph as u64);
+            if let Some(fault_cfg) = cfg.fault {
+                eng.attach_fault_plan(FaultPlan::new(seed, fault_cfg));
             }
-        }
-        if let Some(p) = &worker_profiler {
-            let mut p = p.write().expect("profiler lock");
-            p.clear_trace();
-            // One span tree per answered request, entirely on the virtual
-            // clock: arrival → batcher queue → (translation, if this batch
-            // paid one) → stream execution. Byte-identical across reruns.
-            if boundary_prefix.is_none() {
-                for req in &live {
-                    let mut children = vec![tcg_profile::RequestSpan {
-                        trace_id: req.id,
-                        name: "queued".into(),
-                        start_ms: req.arrival_ms,
-                        dur_ms: b.close_ms - req.arrival_ms,
-                        children: Vec::new(),
-                    }];
-                    if b.translate_ms > 0.0 {
-                        children.push(tcg_profile::RequestSpan {
-                            trace_id: req.id,
-                            name: "sgt_translate".into(),
-                            start_ms: b.close_ms,
-                            dur_ms: b.translate_ms,
-                            children: Vec::new(),
-                        });
-                    }
-                    children.push(tcg_profile::RequestSpan {
-                        trace_id: req.id,
-                        name: "execute".into(),
-                        start_ms,
-                        dur_ms: end_ms - start_ms,
-                        children: Vec::new(),
-                    });
-                    p.record_request_tree(tcg_profile::RequestSpan {
-                        trace_id: req.id,
-                        name: format!("req-{}", req.id),
-                        start_ms: req.arrival_ms,
-                        dur_ms: end_ms - req.arrival_ms,
-                        children,
-                    });
-                }
-            }
-        }
-        if let Some(prefix) = boundary_prefix {
-            let cancelled_at_ms = start_ms + prefix;
-            for req in &live {
-                responses.push(Response {
-                    id: req.id,
-                    outcome: Outcome::Cancelled {
-                        stage: CancelStage::KernelBoundary,
-                        deadline_ms: req.deadline_ms.unwrap_or(0.0),
-                        cancelled_at_ms,
-                    },
+            let jitter = run.policy.retry_jitter_frac;
+            if jitter > 0.0 {
+                // Seeded like the fault plan: bit-reproducible backoff.
+                let backoff = RetryPolicy::default().with_jitter(jitter, seed);
+                eng.set_recovery_policy(RecoveryPolicy {
+                    backoff,
+                    ..RecoveryPolicy::default()
                 });
             }
-        } else {
+            // The kernel-boundary checkpoint reads the per-launch log.
+            eng.set_launch_log(run.policy.deadline_cancellation);
+            if let Some(p) = &w.profiler {
+                eng.attach_profiler(Arc::clone(p));
+            }
+            eng
+        });
+        // Every kernel event of this inference carries the batch's ids.
+        w.set_trace(Some(b));
+        // An open breaker forces the whole batch onto the CUDA-core
+        // fallback (suppressed injection, no RNG draws) instead of paying
+        // a retry storm on the primary backend.
+        let rerouted = w.breaker_step(|br| br.route(start) == BreakerRoute::Fallback) == Some(true);
+        eng.set_forced_fallback(rerouted);
+        let injected_before = eng.fault_report().total_injected();
+        let (logits, cost) = run.model.infer(eng, &g.features);
+        eng.set_forced_fallback(false);
+        // A rerouted batch reports clean: suppressed injection consumes no
+        // draws, and a cooling breaker must see quiet to close.
+        let faulted = !rerouted && eng.fault_report().total_injected() > injected_before;
+        let stop = kernel_boundary(&b.requests, start, cost.total_ms(), &eng.take_launch_log());
+        let name = match stop {
+            Some(_) => format!("{}:batch-{}:cancelled", g.name, b.index),
+            None => format!("{}:batch-{}", g.name, b.index),
+        };
+        let exec_ms = stop.unwrap_or(cost.total_ms());
+        let (start_ms, end_ms) = w.stream.launch_at(&name, b.ready_ms, exec_ms);
+        w.breaker_step(|br| br.on_result(end_ms, faulted));
+        w.set_trace(None);
+        match stop {
+            Some(prefix) => Execution::Cancelled {
+                at_ms: start_ms + prefix,
+            },
+            None => {
+                if let Some(p) = &w.profiler {
+                    let mut p = p.write().expect("profiler lock");
+                    for req in &b.requests {
+                        p.record_request_tree(request_tree(req, b, start_ms, end_ms));
+                    }
+                }
+                Execution::Answered { logits, end_ms }
+            }
+        }
+    }
+}
+
+/// The kernel-boundary checkpoint: if even the latest deadline in the batch
+/// dies mid-execution, the stream is charged only up to the first launch
+/// boundary past the budget. Returns those milliseconds, or `None` to run
+/// to completion — always `None` without the launch log, which only
+/// deadline cancellation records.
+fn kernel_boundary(live: &[Request], start: f64, exec_ms: f64, log: &[f64]) -> Option<f64> {
+    // No budget at all when any request carries no deadline.
+    let latest = live.iter().try_fold(f64::NEG_INFINITY, |latest, r| {
+        Some(f64::max(latest, r.deadline_at_ms()?))
+    })?;
+    let budget = latest - start;
+    let mut acc = 0.0;
+    let mut prefixes = log.iter().map(|&ms| {
+        acc += ms;
+        acc
+    });
+    (exec_ms > budget).then(|| prefixes.find(|&p| p >= budget))?
+}
+
+/// One request's span tree on the virtual clock: batcher queue →
+/// (translation, if its batch paid one) → stream execution.
+fn request_tree(req: &Request, b: &DispatchedBatch, start_ms: f64, end_ms: f64) -> RequestSpan {
+    let span = |name: &str, start_ms: f64, dur_ms: f64| RequestSpan {
+        trace_id: req.id,
+        name: name.to_string(),
+        start_ms,
+        dur_ms,
+        children: Vec::new(),
+    };
+    let mut children = vec![span("queued", req.arrival_ms, b.close_ms - req.arrival_ms)];
+    if b.translate_ms > 0.0 {
+        children.push(span("sgt_translate", b.close_ms, b.translate_ms));
+    }
+    children.push(span("execute", start_ms, end_ms - start_ms));
+    let root = format!("req-{}", req.id);
+    RequestSpan {
+        children,
+        ..span(&root, req.arrival_ms, end_ms - req.arrival_ms)
+    }
+}
+
+/// Stage 5: one response per live request of an executed batch. A batch
+/// stopped at a kernel boundary discards its logits: a dead request never
+/// returns one.
+fn respond(requests: &[Request], execution: Execution, out: &mut Vec<Response>) {
+    match execution {
+        Execution::Cancelled { at_ms } => {
+            let stage = CancelStage::KernelBoundary;
+            out.extend(requests.iter().map(|r| cancelled(r, stage, at_ms)));
+        }
+        Execution::Answered { logits, end_ms } => {
             let classes = ops::argmax_rows(&logits);
-            for req in &live {
-                let latency_ms = end_ms - req.arrival_ms;
-                let class = classes[req.node];
+            out.extend(requests.iter().map(|req| {
+                let (latency_ms, class) = (end_ms - req.arrival_ms, classes[req.node]);
                 let outcome = match req.deadline_ms {
                     Some(d) if latency_ms > d => Outcome::Late {
                         class,
@@ -1203,38 +1119,20 @@ fn run_stream(
                     },
                     _ => Outcome::Served { class, latency_ms },
                 };
-                responses.push(Response {
-                    id: req.id,
-                    outcome,
-                });
-            }
+                let id = req.id;
+                Response { id, outcome }
+            }));
         }
     }
-    // Engine order in the map is arbitrary; summing counters is
-    // order-insensitive, so the merged report stays deterministic.
-    for eng in engines.values() {
-        merge_fault_reports(&mut faults, &eng.fault_report());
-    }
-    // Engines hold the only other handles to the worker profiler; dropping
-    // them lets us recover it by value for the absorb step.
-    drop(engines);
-    let profiler = worker_profiler.map(|p| {
-        Arc::try_unwrap(p)
-            .expect("worker profiler handles released")
-            .into_inner()
-            .expect("profiler lock")
-    });
-    let (breaker_stats, breaker_transitions) = breaker
-        .map(|br| (*br.stats(), br.transitions().len()))
-        .unwrap_or_default();
-    WorkerResult {
-        stream,
-        responses,
-        faults,
-        halo_bytes,
-        transfer_ms,
-        breaker: breaker_stats,
-        breaker_transitions,
-        profiler,
-    }
+}
+
+/// A request cancelled at `stage` once its deadline died at `at_ms`.
+fn cancelled(req: &Request, stage: CancelStage, at_ms: f64) -> Response {
+    let (id, deadline_ms) = (req.id, req.deadline_ms.unwrap_or(0.0));
+    let outcome = Outcome::Cancelled {
+        stage,
+        deadline_ms,
+        cancelled_at_ms: at_ms,
+    };
+    Response { id, outcome }
 }

@@ -108,11 +108,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access without bounds checking beyond the slice index panic.
     ///
     /// # Panics

@@ -219,6 +219,14 @@ print(f\"churn gate: {m['applied']} mutations, {m['windows_touched']} windows re
     echo "dynamic graphs: CLI churn smoke failed" >&2
     exit 1
 }
+# Sharding gate: scheduled mutations keep a --devices run on one device,
+# and the CLI must say so (the note names the gate that fired).
+gate_note=$(./target/release/tcgnn serve Cora --requests 32 --rate 2000 --epochs 2 \
+    --devices 2 --churn 1 2>&1 >/dev/null)
+grep -q 'ran single-device (sharding gated off by graph mutations)' <<<"$gate_note" || {
+    echo "dynamic graphs: --devices with --churn fell back to one device silently" >&2
+    exit 1
+}
 # Churn-bench sentinel over the committed BENCH_churn baselines (the full
 # run is \`cargo run --release -p tcg-bench --bin bench_churn\`).
 cargo run --release -q -p tcg-bench --bin bench_churn -- --check

@@ -482,8 +482,8 @@ fn cmd_eval(args: &[String]) -> ExitCode {
 /// dashboard instead. Both honor `--metrics PATH` and `TCG_PROFILE`.
 fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
     use tc_gnn::serve::{
-        churn_schedule, poisson_trace, serve_with_mutations, ChurnConfig, LoadgenConfig,
-        ServeConfig, ServedGraph, Session,
+        churn_schedule, poisson_trace, serve_with_mutations, sharding_gate, ChurnConfig,
+        LoadgenConfig, ServeConfig, ServedGraph, Session,
     };
 
     let Some(names_arg) = args.first() else {
@@ -576,9 +576,6 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
             }
         }
     }
-    if cfg.devices > 1 && (model != "gcn" || cfg.resilience.is_some()) {
-        eprintln!("note: --devices applies to clean GCN serving; running single-device");
-    }
     let lg = LoadgenConfig {
         rate_rps: parse_f64("--rate", 200.0),
         requests: parse_usize("--requests", 64),
@@ -632,6 +629,14 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
         .profiler(cfg.backend.name())
         .map(|p| std::sync::Arc::new(std::sync::RwLock::new(p)));
     let report = serve_with_mutations(&mut session, &cfg, &trace, &mutations, profiler.as_ref());
+    // `report.devices` reads from the same gate, so this fires exactly when
+    // the run fell short of the devices asked for.
+    if let Err(gate) = sharding_gate(&cfg, session.model(), &mutations) {
+        eprintln!(
+            "note: --devices {} ran single-device (sharding gated off by {gate})",
+            cfg.devices
+        );
+    }
     if dashboard {
         print!("{}", tc_gnn::serve::render_top(&report));
     } else {
