@@ -1,7 +1,7 @@
 //! `BENCH_dist` — multi-device sharded execution scaling curve.
 //!
 //! Runs the same 2-layer GCN forward over a seeded ~1M-node power-law
-//! graph at 1, 2, 4, and 8 simulated devices (greedy edge-cut
+//! graph on engines of 1, 2, 4, and 8 simulated devices (greedy edge-cut
 //! partitioner, NVLink-class A100 interconnect) and reports:
 //!
 //! - the scaling curve: distributed makespan + speedup vs the 1-device
@@ -22,11 +22,11 @@
 
 use serde::Value;
 use tcg_bench::{print_table, save_json, save_profile_artifacts, sentinel};
-use tcg_dist::{DistContext, DistReport, Partitioner};
-use tcg_gnn::GcnModel;
+use tcg_dist::{DistReport, Partitioner};
+use tcg_gnn::{Backend, Engine, GcnModel};
 use tcg_gpusim::DeviceSpec;
-use tcg_graph::synth;
-use tcg_tensor::init;
+use tcg_graph::{synth, CsrGraph};
+use tcg_tensor::{init, DenseMatrix};
 
 const GRAPH_SEED: u64 = 20230710;
 const NUM_NODES: usize = 1_050_000;
@@ -88,6 +88,37 @@ fn report_value(rep: &DistReport, speedup: f64) -> Value {
     ])
 }
 
+/// One GCN forward on an engine of `devices` copies of `device`: the
+/// logits and the run's report. A one-device engine has no shards, so its
+/// row is the plain forward: makespan = the forward's cost, no halo, no cut.
+fn forward(
+    g: &CsrGraph,
+    device: &DeviceSpec,
+    devices: usize,
+    partitioner: Partitioner,
+    (model, x): (&GcnModel, &DenseMatrix),
+) -> (DenseMatrix, DistReport) {
+    let mut eng = Engine::builder(g.clone())
+        .backend(Backend::TcGnn)
+        .device(device.clone())
+        .devices(devices)
+        .partitioner(partitioner)
+        .build()
+        .expect("generator graphs are symmetric");
+    let (logits, cost) = model.infer(&mut eng, x);
+    let rep = eng.take_dist_report().unwrap_or_else(|| DistReport {
+        devices: 1,
+        partitioner: partitioner.name(),
+        makespan_ms: cost.total_ms(),
+        compute_busy_ms: vec![cost.total_ms()],
+        halo_rows: vec![0],
+        halo_bytes: vec![0],
+        shard_nnz: vec![g.num_edges()],
+        ..DistReport::default()
+    });
+    (logits, rep)
+}
+
 fn main() {
     if std::env::args().any(|a| a == "--check") {
         let baselines = std::path::Path::new("results").join("baselines");
@@ -127,31 +158,23 @@ fn main() {
     let mut logits_4dev = None;
     let profiler = tcg_profile::shared("tcgnn-dist");
     for devices in DEVICE_CURVE {
-        let mut ctx = DistContext::new(
+        let (logits, rep) = forward(
             &g,
+            &device,
             devices,
             Partitioner::GreedyEdgeCut,
-            device.clone(),
-            threads,
+            (&model, &x),
         );
-        let (logits, rep) = ctx.gcn_forward(&model, &x).expect("dims agree");
         assert_eq!(
             rep.transfer_bytes_priced,
             rep.total_halo_bytes(),
             "interconnect model priced bytes must reconcile with halo accounting"
         );
         if devices == 4 {
-            // Per-device Perfetto tracks from the 4-device forward. Tracks
-            // are 1-indexed (`dev1`..`dev4`) so device 0 gets a `devN/`
-            // track too instead of colliding with the plain `stream-N`
-            // namespace below the stride.
+            // Per-device Perfetto tracks (`dev1`..`dev4`) of the 4-device
+            // forward.
             let mut p = profiler.write().expect("profiler lock");
-            for (gid, spans) in ctx.stream_spans() {
-                let track = gid + tcg_gpusim::stream::DEVICE_STREAM_STRIDE as u32;
-                for span in spans {
-                    p.record_stream_span(track, &span.name, span.start_ms, span.dur_ms);
-                }
-            }
+            p.record_device_timelines(&rep.timelines, 0.0, 0);
         }
         match devices {
             1 => logits_1dev = Some(logits),
@@ -178,8 +201,7 @@ fn main() {
     );
 
     // Contiguous-vs-greedy cut comparison at 4 devices (same forward).
-    let mut contig = DistContext::new(&g, 4, Partitioner::Contiguous, device.clone(), threads);
-    let (lc, contig_rep) = contig.gcn_forward(&model, &x).expect("dims agree");
+    let (lc, contig_rep) = forward(&g, &device, 4, Partitioner::Contiguous, (&model, &x));
     assert_eq!(
         l1.as_slice(),
         lc.as_slice(),

@@ -1,8 +1,8 @@
 //! Per-device shard construction.
 //!
-//! A [`Shard`] materializes one device's slice of the global graph as a
-//! self-contained local [`CsrGraph`] that the unmodified TC-GNN kernels
-//! run on, plus the bookkeeping to gather inputs and scatter outputs.
+//! [`Shard::build`] materializes one device's slice of the global graph as
+//! a self-contained local [`CsrGraph`] that the unmodified kernels run on,
+//! plus the [`Shard`] bookkeeping to gather inputs and scatter outputs.
 //!
 //! # Why the sharded result is bitwise-identical
 //!
@@ -65,13 +65,12 @@ pub struct Shard {
     pub halo_rows: usize,
     /// Rows this shard owns (and writes output for).
     pub owned_rows: usize,
-    /// The shard-local graph the kernels execute on.
-    pub local: CsrGraph,
 }
 
 impl Shard {
-    /// Builds device `device_id`'s shard of `csr` under `partition`.
-    pub fn build(csr: &CsrGraph, partition: &Partition, device_id: usize) -> Self {
+    /// Builds device `device_id`'s shard of `csr` under `partition`,
+    /// returned with the shard-local graph the kernels execute on.
+    pub fn build(csr: &CsrGraph, partition: &Partition, device_id: usize) -> (Self, CsrGraph) {
         let win = partition.win_size;
         let n = csr.num_nodes();
         let num_windows = n.div_ceil(win);
@@ -141,15 +140,15 @@ impl Shard {
 
         let halo_rows = halo.iter().filter(|&&h| h).count();
         let owned_rows = owned_runs.iter().map(|r| r.len).sum();
-        Shard {
+        let shard = Shard {
             device_id,
             gather,
             owned_runs,
             edge_ranges,
             halo_rows,
             owned_rows,
-            local,
-        }
+        };
+        (shard, local)
     }
 
     /// Whether the shard owns no windows (more devices than windows).
@@ -174,7 +173,7 @@ impl Shard {
 
     /// Edges executed on this shard.
     pub fn nnz(&self) -> usize {
-        self.local.num_edges()
+        self.edge_ranges.iter().map(|&(lo, hi)| hi - lo).sum()
     }
 
     /// Bytes pulled from peers per aggregation at feature width `dim`
@@ -199,53 +198,34 @@ impl Shard {
     /// Slices a global per-edge vector (e.g. the GCN norm) into local edge
     /// order.
     pub fn slice_edge_values(&self, global_vals: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.local.num_edges());
+        let mut out = Vec::with_capacity(self.nnz());
         for &(lo, hi) in &self.edge_ranges {
             out.extend_from_slice(&global_vals[lo..hi]);
         }
         out
     }
 
-    /// Stacks the owned rows of a *global* `n × d` matrix, ascending.
-    pub fn stack_owned_global(&self, global: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.owned_rows, global.cols());
-        let mut s = 0usize;
-        for run in &self.owned_runs {
-            for i in 0..run.len {
-                out.row_mut(s)
-                    .copy_from_slice(global.row(run.global_start + i));
-                s += 1;
-            }
+    /// Writes a local per-edge vector (in local edge order, e.g. a shard
+    /// SDDMM output) back into its global edge slots.
+    pub fn scatter_edge_values(&self, local_vals: &[f32], global_out: &mut [f32]) {
+        debug_assert_eq!(local_vals.len(), self.nnz());
+        let mut k = 0usize;
+        for &(lo, hi) in &self.edge_ranges {
+            global_out[lo..hi].copy_from_slice(&local_vals[k..k + hi - lo]);
+            k += hi - lo;
         }
-        out
     }
 
-    /// Stacks the owned rows of a *local* matrix (e.g. a shard SpMM
-    /// output), dropping padding and halo rows.
-    pub fn stack_owned_local(&self, local: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.owned_rows, local.cols());
-        let mut s = 0usize;
-        for run in &self.owned_runs {
-            for i in 0..run.len {
-                out.row_mut(s)
-                    .copy_from_slice(local.row(run.local_start + i));
-                s += 1;
-            }
-        }
-        out
-    }
-
-    /// Writes a stacked owned-rows matrix back into a global `n × d`
-    /// buffer.
-    pub fn scatter_owned(&self, stacked: &DenseMatrix, global_out: &mut DenseMatrix) {
-        debug_assert_eq!(stacked.rows(), self.owned_rows);
-        let mut s = 0usize;
+    /// Writes the owned rows of a *local* matrix (e.g. a shard SpMM
+    /// output) into a global `n × d` buffer, dropping padding and halo
+    /// rows.
+    pub fn scatter_owned(&self, local: &DenseMatrix, global_out: &mut DenseMatrix) {
+        debug_assert_eq!(local.rows(), self.local_rows());
         for run in &self.owned_runs {
             for i in 0..run.len {
                 global_out
                     .row_mut(run.global_start + i)
-                    .copy_from_slice(stacked.row(s));
-                s += 1;
+                    .copy_from_slice(local.row(run.local_start + i));
             }
         }
     }
@@ -260,9 +240,18 @@ mod tests {
     use tcg_tensor::init;
 
     fn shards_of(g: &CsrGraph, devices: usize, p: Partitioner) -> (Partition, Vec<Shard>) {
+        let (part, built) = built_of(g, devices, p);
+        (part, built.into_iter().map(|(sh, _)| sh).collect())
+    }
+
+    fn built_of(
+        g: &CsrGraph,
+        devices: usize,
+        p: Partitioner,
+    ) -> (Partition, Vec<(Shard, CsrGraph)>) {
         let part = p.partition(g, devices);
-        let shards = (0..devices).map(|d| Shard::build(g, &part, d)).collect();
-        (part, shards)
+        let built = (0..devices).map(|d| Shard::build(g, &part, d)).collect();
+        (part, built)
     }
 
     #[test]
@@ -312,13 +301,14 @@ mod tests {
     #[test]
     fn local_graph_matches_remapped_global_neighborhoods() {
         let g = gen::community(300, 2500, 10, 30, 5).unwrap();
-        let (part, shards) = shards_of(&g, 2, Partitioner::Contiguous);
-        for sh in &shards {
+        let (part, built) = built_of(&g, 2, Partitioner::Contiguous);
+        for (sh, local) in &built {
+            assert_eq!(sh.nnz(), local.num_edges());
             for run in sh.owned_runs() {
                 for i in 0..run.len {
                     let gv = run.global_start + i;
                     let lv = run.local_start + i;
-                    let local_nbrs = sh.local.neighbors(lv);
+                    let local_nbrs = local.neighbors(lv);
                     let global_nbrs = g.neighbors(gv);
                     assert_eq!(local_nbrs.len(), global_nbrs.len());
                     for (&lu, &gu) in local_nbrs.iter().zip(global_nbrs) {
@@ -332,7 +322,7 @@ mod tests {
                 let owned =
                     gv != PAD && part.assignment[gv as usize / TC_BLK_H] as usize == sh.device_id;
                 if !owned {
-                    assert!(sh.local.neighbors(lv).is_empty());
+                    assert!(local.neighbors(lv).is_empty());
                 }
             }
         }
@@ -344,9 +334,11 @@ mod tests {
         let vals: Vec<f32> = (0..g.num_edges()).map(|e| e as f32).collect();
         let (_, shards) = shards_of(&g, 3, Partitioner::GreedyEdgeCut);
         let mut covered = vec![false; g.num_edges()];
+        let mut rebuilt = vec![-1.0f32; g.num_edges()];
         for sh in &shards {
             let local_vals = sh.slice_edge_values(&vals);
             assert_eq!(local_vals.len(), sh.nnz());
+            sh.scatter_edge_values(&local_vals, &mut rebuilt);
             // Each sliced value is the global value of the matching edge.
             let mut k = 0usize;
             for run in sh.owned_runs() {
@@ -364,10 +356,11 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&c| c));
+        assert_eq!(rebuilt, vals);
     }
 
     #[test]
-    fn gather_stack_scatter_roundtrips() {
+    fn gather_scatter_roundtrips() {
         let g = gen::rmat_default(250, 2000, 6).unwrap();
         let x = init::uniform(g.num_nodes(), 5, -1.0, 1.0, 8);
         let (_, shards) = shards_of(&g, 4, Partitioner::Contiguous);
@@ -375,12 +368,7 @@ mod tests {
         for sh in &shards {
             let lx = sh.gather_x(&x);
             assert_eq!(lx.rows(), sh.local_rows());
-            sh.scatter_owned(&sh.stack_owned_local(&lx), &mut rebuilt);
-            // stack_owned_global must agree with the local route.
-            assert_eq!(
-                sh.stack_owned_global(&x).as_slice(),
-                sh.stack_owned_local(&lx).as_slice()
-            );
+            sh.scatter_owned(&lx, &mut rebuilt);
         }
         assert_eq!(rebuilt.as_slice(), x.as_slice());
     }
@@ -410,7 +398,7 @@ mod tests {
         let g = gen::erdos_renyi(20, 80, 1).unwrap(); // 2 windows
         let part = Partitioner::Contiguous.partition(&g, 8);
         for d in 0..8 {
-            let sh = Shard::build(&g, &part, d);
+            let (sh, _) = Shard::build(&g, &part, d);
             if sh.is_empty() {
                 assert_eq!(sh.owned_rows, 0);
                 assert_eq!(sh.local_rows(), 0);

@@ -72,7 +72,7 @@ proptest! {
             let part = p.partition(&g, devices);
             let mut owned_total = 0usize;
             for d in 0..devices {
-                let sh = Shard::build(&g, &part, d);
+                let (sh, _) = Shard::build(&g, &part, d);
                 for run in sh.owned_runs() {
                     // 16-aligned local starts, window-aligned global starts.
                     prop_assert_eq!(run.local_start % TC_BLK_H, 0);

@@ -1,5 +1,12 @@
-//! The aggregation engine: one graph, one backend, simulated costs.
+//! The aggregation engine: one graph, one backend, simulated costs — on
+//! one simulated device, or sharded across several (see [`sharded`]).
 
+mod sharded;
+
+use std::sync::Arc;
+
+use sharded::ShardSet;
+use tcg_dist::{DistReport, Partitioner, Shard};
 use tcg_fault::{FaultPlan, FaultReport, RetryPolicy, TcgError};
 use tcg_gpusim::cost::stream_pass_report;
 use tcg_gpusim::{DeviceSpec, Launcher};
@@ -156,14 +163,11 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// A graph bound to a backend: owns the simulated device state, the
-/// backend's kernels, and the per-graph preprocessing (SGT translation for
-/// TC-GNN, symmetric-normalization values, transpose permutation).
-pub struct Engine {
-    backend: Backend,
-    launcher: Launcher,
-    csr: CsrGraph,
-    /// Edge permutation realizing `Aᵀ` value alignment.
+/// The per-graph normalization vectors, always computed on the global
+/// graph: a shard's halo rows are edgeless, so their local degree is 0.
+struct Norms {
+    /// Edge permutation realizing `Aᵀ` value alignment (empty on a shard's
+    /// device engine: transposes realign on the global graph).
     t_perm: Vec<u32>,
     /// Per-edge `1/sqrt(d_u d_v)` (GCN symmetric normalization).
     gcn_norm: Vec<f32>,
@@ -173,6 +177,60 @@ pub struct Engine {
     mean_norm_t: Vec<f32>,
     /// Per-node `1/sqrt(d)` for the pre/post scaling path.
     inv_sqrt_deg: Vec<f32>,
+}
+
+impl Norms {
+    fn of(csr: &CsrGraph) -> Norms {
+        let t_perm = csr.transpose_permutation();
+        let gcn_norm = csr.gcn_norm_edge_values();
+        let mut mean_norm = Vec::with_capacity(csr.num_edges());
+        for v in 0..csr.num_nodes() {
+            let inv = 1.0 / csr.degree(v).max(1) as f32;
+            mean_norm.extend(std::iter::repeat_n(inv, csr.degree(v)));
+        }
+        let mean_norm_t: Vec<f32> = t_perm.iter().map(|&i| mean_norm[i as usize]).collect();
+        let inv_sqrt_deg: Vec<f32> = (0..csr.num_nodes())
+            .map(|v| 1.0 / (csr.degree(v).max(1) as f32).sqrt())
+            .collect();
+        Norms {
+            t_perm,
+            gcn_norm,
+            mean_norm,
+            mean_norm_t,
+            inv_sqrt_deg,
+        }
+    }
+
+    /// `shard`'s view: edge vectors sliced into local edge order, node
+    /// vectors gathered per local row (`PAD` rows are out of range and
+    /// read 1; nothing uses them).
+    fn for_shard(&self, shard: &Shard) -> Norms {
+        Norms {
+            t_perm: Vec::new(),
+            gcn_norm: shard.slice_edge_values(&self.gcn_norm),
+            mean_norm: shard.slice_edge_values(&self.mean_norm),
+            mean_norm_t: shard.slice_edge_values(&self.mean_norm_t),
+            inv_sqrt_deg: shard
+                .gather_map()
+                .iter()
+                .map(|&g| self.inv_sqrt_deg.get(g as usize).copied().unwrap_or(1.0))
+                .collect(),
+        }
+    }
+}
+
+/// A graph bound to a backend: owns the simulated device state, the
+/// backend's kernels, and the per-graph preprocessing (SGT translation for
+/// TC-GNN, symmetric-normalization values, transpose permutation).
+///
+/// Built for more than one device, the engine is sharded: its ops compute
+/// the same bits on one device engine per shard (see [`sharded`]) and cost
+/// their share of the distributed makespan.
+pub struct Engine {
+    backend: Backend,
+    launcher: Launcher,
+    csr: CsrGraph,
+    norms: Norms,
     spmm: Box<dyn SpmmKernel>,
     sddmm: Box<dyn SddmmKernel>,
     /// The SGT translation (TC-GNN/hybrid backends; enables the fused path).
@@ -199,6 +257,9 @@ pub struct Engine {
     retried: u64,
     /// Ops degraded to the fallback kernel.
     degraded: u64,
+    /// The device engines of a sharded engine; `None` on one device, where
+    /// ops run on `launcher` directly.
+    shards: Option<ShardSet>,
 }
 
 /// Step-by-step construction of an [`Engine`] — the one entry point that
@@ -219,6 +280,8 @@ pub struct EngineBuilder {
     device: DeviceSpec,
     translation: Option<tcg_sgt::TranslatedGraph>,
     threads: Option<usize>,
+    devices: usize,
+    partitioner: Partitioner,
 }
 
 impl EngineBuilder {
@@ -242,7 +305,8 @@ impl EngineBuilder {
     /// from [`EngineBuilder::build`]), but Algorithm 1 itself is skipped,
     /// so [`Engine::preprocessing_ms`] reports zero: the one-time
     /// translation cost was paid by whoever populated the cache. Only
-    /// meaningful for [`Backend::TcGnn`]; other backends ignore it.
+    /// meaningful for one-device engines on a translating backend; others
+    /// ignore it (a sharded engine translates each shard).
     pub fn translation(mut self, translation: tcg_sgt::TranslatedGraph) -> Self {
         self.translation = Some(translation);
         self
@@ -258,20 +322,43 @@ impl EngineBuilder {
         self
     }
 
+    /// Simulated devices the graph is sharded across (default 1). More
+    /// than one builds a sharded engine: the same ops, bitwise-identical
+    /// results, costed on per-device timelines with halo exchange.
+    pub fn devices(mut self, devices: usize) -> Self {
+        self.devices = devices;
+        self
+    }
+
+    /// How row windows are assigned to devices when sharding (default
+    /// [`Partitioner::Contiguous`]).
+    pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
+        self.partitioner = partitioner;
+        self
+    }
+
     /// Validates the graph (and any seeded translation) and constructs the
-    /// engine. A non-symmetric graph is [`TcgError::InvalidInput`]; for the
-    /// TC-GNN backend the SGT translation is validated against the CSR
-    /// before any kernel can consume it (corruption surfaces as
-    /// [`TcgError::CorruptMeta`] here rather than as garbage aggregation
-    /// output later).
+    /// engine. Zero devices or a non-symmetric graph is
+    /// [`TcgError::InvalidInput`]; for the TC-GNN backend the SGT
+    /// translation is validated against the CSR before any kernel can
+    /// consume it (corruption surfaces as [`TcgError::CorruptMeta`] here
+    /// rather than as garbage aggregation output later).
     pub fn build(self) -> Result<Engine, TcgError> {
         let EngineBuilder {
             backend,
             csr,
             device,
-            translation: cached,
+            translation,
             threads,
+            devices,
+            partitioner,
         } = self;
+        if devices == 0 {
+            return Err(TcgError::InvalidInput {
+                what: "engine devices",
+                detail: "an engine needs at least one device".into(),
+            });
+        }
         if !csr.is_symmetric() {
             return Err(TcgError::InvalidInput {
                 what: "engine graph",
@@ -279,84 +366,20 @@ impl EngineBuilder {
             });
         }
         let threads = tcg_gpusim::resolve_threads(threads).max(1);
-        let mut launcher = Launcher::new(device);
-        launcher.set_threads(threads);
-        let t_perm = csr.transpose_permutation();
-        let gcn_norm = csr.gcn_norm_edge_values();
-        let mut mean_norm = Vec::with_capacity(csr.num_edges());
-        for v in 0..csr.num_nodes() {
-            let inv = 1.0 / csr.degree(v).max(1) as f32;
-            mean_norm.extend(std::iter::repeat_n(inv, csr.degree(v)));
-        }
-        let mean_norm_t: Vec<f32> = t_perm.iter().map(|&i| mean_norm[i as usize]).collect();
-        let inv_sqrt_deg: Vec<f32> = (0..csr.num_nodes())
-            .map(|v| 1.0 / (csr.degree(v).max(1) as f32).sqrt())
-            .collect();
-        let mut translated = None;
-        let mut hybrid_policies = None;
-        let (spmm, sddmm, preprocessing_ms): (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>, f64) =
-            match backend {
-                Backend::DglLike => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm), 0.0),
-                Backend::PygLike => (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm), 0.0),
-                Backend::TcGnn => {
-                    let (t, sgt_ms) = match cached {
-                        Some(t) => (t, 0.0),
-                        None => (
-                            tcg_sgt::Sgt::builder().threads(threads).translate(&csr)?,
-                            tcg_sgt::overhead::model_ms(&csr),
-                        ),
-                    };
-                    t.validate(&csr)?;
-                    translated = Some(t.clone());
-                    (
-                        Box::new(TcgnnSpmm::from_translated(t.clone())),
-                        Box::new(TcgnnSddmm::from_translated(t)),
-                        sgt_ms,
-                    )
-                }
-                Backend::Hybrid => {
-                    let (t, sgt_ms) = match cached {
-                        Some(t) => (t, 0.0),
-                        None => (
-                            tcg_sgt::Sgt::builder().threads(threads).translate(&csr)?,
-                            tcg_sgt::overhead::model_ms(&csr),
-                        ),
-                    };
-                    t.validate(&csr)?;
-                    translated = Some(t.clone());
-                    let spmm_policy = DispatchPolicy::from_env(KernelClass::Spmm);
-                    let sddmm_policy = DispatchPolicy::from_env(KernelClass::Sddmm);
-                    hybrid_policies = Some((spmm_policy, sddmm_policy));
-                    (
-                        Box::new(HybridSpmm::from_translated(t.clone()).with_policy(spmm_policy)),
-                        Box::new(HybridSddmm::from_translated(t).with_policy(sddmm_policy)),
-                        sgt_ms,
-                    )
-                }
-            };
-        Ok(Engine {
-            backend,
-            launcher,
-            csr,
-            t_perm,
-            gcn_norm,
-            mean_norm,
-            mean_norm_t,
-            inv_sqrt_deg,
-            spmm,
-            sddmm,
-            translated,
-            hybrid_policies,
-            preprocessing_ms,
-            last_spmm_report: None,
-            last_sddmm_report: None,
-            last_fused_report: None,
-            profiler: None,
-            recovery: RecoveryPolicy::default(),
-            forced_fallback: false,
-            retried: 0,
-            degraded: 0,
-        })
+        let norms = Norms::of(&csr);
+        let shards = match devices {
+            1 => None,
+            _ => Some(ShardSet::build(
+                &csr,
+                &norms,
+                backend,
+                &device,
+                threads,
+                devices,
+                partitioner,
+            )?),
+        };
+        Engine::assemble(backend, csr, &device, threads, norms, translation, shards)
     }
 }
 
@@ -371,7 +394,81 @@ impl Engine {
             device: DeviceSpec::rtx3090(),
             translation: None,
             threads: None,
+            devices: 1,
+            partitioner: Partitioner::Contiguous,
         }
+    }
+
+    /// Binds `csr` to `backend`'s kernels. A sharded engine's kernels live
+    /// on its device engines, so it builds none of its own.
+    fn assemble(
+        backend: Backend,
+        csr: CsrGraph,
+        device: &DeviceSpec,
+        threads: usize,
+        norms: Norms,
+        cached: Option<tcg_sgt::TranslatedGraph>,
+        shards: Option<ShardSet>,
+    ) -> Result<Engine, TcgError> {
+        let mut launcher = Launcher::new(device.clone());
+        launcher.set_threads(threads);
+        let mut translated = None;
+        let mut hybrid_policies = None;
+        let (spmm, sddmm, preprocessing_ms): (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>, f64) =
+            match backend {
+                _ if shards.is_some() => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm), 0.0),
+                Backend::DglLike => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm), 0.0),
+                Backend::PygLike => (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm), 0.0),
+                Backend::TcGnn | Backend::Hybrid => {
+                    let (t, sgt_ms) = match cached {
+                        Some(t) => (t, 0.0),
+                        None => (
+                            tcg_sgt::Sgt::builder().threads(threads).translate(&csr)?,
+                            tcg_sgt::overhead::model_ms(&csr),
+                        ),
+                    };
+                    t.validate(&csr)?;
+                    translated = Some(t.clone());
+                    if backend == Backend::TcGnn {
+                        (
+                            Box::new(TcgnnSpmm::from_translated(t.clone())),
+                            Box::new(TcgnnSddmm::from_translated(t)),
+                            sgt_ms,
+                        )
+                    } else {
+                        let spmm_policy = DispatchPolicy::from_env(KernelClass::Spmm);
+                        let sddmm_policy = DispatchPolicy::from_env(KernelClass::Sddmm);
+                        hybrid_policies = Some((spmm_policy, sddmm_policy));
+                        (
+                            Box::new(
+                                HybridSpmm::from_translated(t.clone()).with_policy(spmm_policy),
+                            ),
+                            Box::new(HybridSddmm::from_translated(t).with_policy(sddmm_policy)),
+                            sgt_ms,
+                        )
+                    }
+                }
+            };
+        Ok(Engine {
+            backend,
+            launcher,
+            csr,
+            norms,
+            spmm,
+            sddmm,
+            translated,
+            hybrid_policies,
+            preprocessing_ms,
+            last_spmm_report: None,
+            last_sddmm_report: None,
+            last_fused_report: None,
+            profiler: None,
+            recovery: RecoveryPolicy::default(),
+            forced_fallback: false,
+            retried: 0,
+            degraded: 0,
+            shards,
+        })
     }
 
     /// Worker threads the launcher fans block bodies over (1 = sequential).
@@ -382,8 +479,13 @@ impl Engine {
     /// Attaches a profiler; every subsequent simulated launch records one
     /// event whose duration is exactly the milliseconds charged to the
     /// caller's [`Cost`]. The one-time preprocessing already paid at
-    /// construction is recorded immediately as a host span.
+    /// construction is recorded immediately as a host span. A sharded
+    /// engine's device engines record their own kernels and preprocessing,
+    /// so its trace sums device work, not the makespan.
     pub fn attach_profiler(&mut self, profiler: SharedProfiler) {
+        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
+            eng.attach_profiler(Arc::clone(&profiler));
+        }
         if self.preprocessing_ms > 0.0 {
             profiler
                 .write()
@@ -475,32 +577,50 @@ impl Engine {
     /// Attaches a fault-injection plan to the simulated device. Ops keep
     /// their signatures; injected faults surface through the recovery
     /// machinery (retry, then CUDA-core fallback) instead of as errors.
+    /// A sharded engine gives device 0 `plan` and derives one per other
+    /// device.
     pub fn attach_fault_plan(&mut self, plan: FaultPlan) {
-        self.launcher.attach_fault_plan(Some(plan));
+        match &mut self.shards {
+            Some(set) => set.attach_fault_plan(plan),
+            None => self.launcher.attach_fault_plan(Some(plan)),
+        }
     }
 
-    /// The attached fault plan, if any.
+    /// The attached fault plan, if any (device 0's on a sharded engine).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.launcher.fault_plan()
+        match &self.shards {
+            Some(set) => set.fault_plan(),
+            None => self.launcher.fault_plan(),
+        }
     }
 
     /// Replaces the recovery policy (defaults are sensible; tests tighten).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
+        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
+            eng.set_recovery_policy(policy);
+        }
     }
 
     /// Enables (or disables) the simulated device's per-launch virtual-time
     /// log. While enabled, every completed kernel launch appends its modeled
     /// milliseconds — the checkpoint granularity at which the serving
     /// layer's deadline cancellation can charge a partially-executed batch.
+    /// A sharded engine logs each op's share of the makespan instead.
     pub fn set_launch_log(&mut self, on: bool) {
-        self.launcher.set_launch_log(on);
+        match &mut self.shards {
+            Some(set) => set.set_launch_log(on),
+            None => self.launcher.set_launch_log(on),
+        }
     }
 
     /// Drains the accumulated per-launch milliseconds (empty when the log
     /// is disabled), in launch-completion order.
     pub fn take_launch_log(&mut self) -> Vec<f64> {
-        self.launcher.take_launch_log()
+        match &mut self.shards {
+            Some(set) => set.take_launch_log(),
+            None => self.launcher.take_launch_log(),
+        }
     }
 
     /// Forces (or releases) the CUDA-core fallback path for every op. While
@@ -510,6 +630,9 @@ impl Engine {
     pub fn set_forced_fallback(&mut self, on: bool) {
         self.forced_fallback = on;
         self.launcher.set_fault_suppressed(on);
+        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
+            eng.set_forced_fallback(on);
+        }
     }
 
     /// Whether ops are currently pinned to the fallback path.
@@ -519,8 +642,12 @@ impl Engine {
 
     /// Fault accounting for this engine: the plan's per-site injection
     /// counts plus the engine's retry/degradation totals. All zeros when no
-    /// plan is attached and nothing was retried.
+    /// plan is attached and nothing was retried. A sharded engine sums its
+    /// devices.
     pub fn fault_report(&self) -> FaultReport {
+        if let Some(set) = &self.shards {
+            return set.fault_report();
+        }
         let mut r = self
             .launcher
             .fault_plan()
@@ -562,6 +689,60 @@ impl Engine {
         Ok(false)
     }
 
+    /// Runs an op's primary kernel under the recovery policy: transients
+    /// retry with backoff; a consumed ECC flip (when scanned) discards the
+    /// output, its time still spent. `Err(poisoned output, if any)` means
+    /// degrade, as does a forced fallback, which runs nothing. Backoff and
+    /// wasted time accrue to `extra_ms`; other errors propagate.
+    fn attempt<T>(
+        &mut self,
+        op: &str,
+        extra_ms: &mut f64,
+        mut run: impl FnMut(&mut Engine) -> Result<(T, tcg_gpusim::KernelReport), TcgError>,
+    ) -> Result<Result<(T, tcg_gpusim::KernelReport), Option<T>>, TcgError> {
+        if self.forced_fallback {
+            return Ok(Err(None));
+        }
+        let mut attempt = 0u32;
+        loop {
+            match run(self) {
+                Ok((out, report)) if self.recovery.ecc_scan && report.stats.ecc_faults > 0 => {
+                    self.prof_fault("ecc_bit_flip", Phase::Aggregation);
+                    let wasted = report.time_ms + self.sparse_dispatch_ms(1);
+                    self.prof_span(&format!("{op}_discarded"), Phase::Aggregation, wasted);
+                    *extra_ms += wasted;
+                    return Ok(Err(Some(out)));
+                }
+                Ok(clean) => return Ok(Ok(clean)),
+                Err(e) => {
+                    if !self.absorb_fault(e, Phase::Aggregation, &mut attempt, extra_ms)? {
+                        return Ok(Err(None));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts `op` as degraded to its CUDA-core fallback (a forced fallback
+    /// is not a degradation).
+    fn degrade(&mut self, op: &str) {
+        if self.forced_fallback {
+            return;
+        }
+        self.degraded += 1;
+        self.prof_fallback(&format!("{op}_fallback"), Phase::Aggregation);
+    }
+
+    /// Runs `f` with fault injection suppressed (the fallback path),
+    /// restoring the previous suppression afterwards.
+    fn suppressed<T>(&mut self, f: impl FnOnce(&mut Engine) -> T) -> T {
+        let was_suppressed = self.launcher.fault_suppressed();
+        self.launcher.set_fault_suppressed(true);
+        let out = f(self);
+        self.launcher.set_fault_suppressed(was_suppressed);
+        out
+    }
+
     /// The backend this engine models.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -573,13 +754,20 @@ impl Engine {
     }
 
     /// One-time preprocessing cost in modeled milliseconds (SGT for the
-    /// TC-GNN backend, zero otherwise) — Figure 7(b)'s numerator.
+    /// TC-GNN backend, zero otherwise) — Figure 7(b)'s numerator. A sharded
+    /// engine sums the per-shard translations.
     pub fn preprocessing_ms(&self) -> f64 {
-        self.preprocessing_ms
+        match &self.shards {
+            Some(set) => set.engines().map(|e| e.preprocessing_ms).sum(),
+            None => self.preprocessing_ms,
+        }
     }
 
-    fn device(&self) -> DeviceSpec {
-        self.launcher.device().clone()
+    /// Closes a sharded run: returns its [`DistReport`] — everything the
+    /// devices executed since the previous call — and restarts every device
+    /// timeline. `None` on a one-device engine.
+    pub fn take_dist_report(&mut self) -> Option<DistReport> {
+        self.shards.as_mut().map(ShardSet::take_report)
     }
 
     /// Cost of a streaming elementwise pass.
@@ -594,6 +782,42 @@ impl Engine {
             _ => FRAMEWORK_DISPATCH_MS,
         };
         per_op * f64::from(n)
+    }
+
+    /// Sharded node-row op: gathers each shard's rows of `x` (exchanging
+    /// its halo), runs `op` on its device engine, scatters the owned rows.
+    fn sharded_rows(
+        &mut self,
+        name: &str,
+        x: &DenseMatrix,
+        mut op: impl FnMut(&mut Engine, &Shard, &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError>,
+    ) -> Result<(DenseMatrix, f64), TcgError> {
+        SpmmProblem::new(&self.csr, None, x)?;
+        let set = self
+            .shards
+            .as_mut()
+            .expect("sharded op on a sharded engine");
+        let mut out = DenseMatrix::zeros(x.rows(), x.cols());
+        let ms = set.run(name, x.cols(), |eng, sh| {
+            let (local, ms) = op(eng, sh, &sh.gather_x(x))?;
+            sh.scatter_owned(&local, &mut out);
+            Ok(ms)
+        })?;
+        Ok((out, ms))
+    }
+
+    /// Charges a dense op over `rows` rows: `cost(self, rows)` on one
+    /// device; on a sharded engine each device pays for the node rows it
+    /// owns (all `rows` if they are not node rows, e.g. weights), unsynced,
+    /// and the op costs its share of the makespan.
+    fn dense_ms(&mut self, name: &str, rows: usize, cost: impl Fn(&Engine, usize) -> f64) -> f64 {
+        let n = self.csr.num_nodes();
+        let Some(set) = self.shards.as_mut() else {
+            return cost(self, rows);
+        };
+        let rows_of = |sh: &Shard| if rows == n { sh.owned_rows } else { rows };
+        set.run(name, 0, |eng, sh| Ok(cost(eng, rows_of(sh))))
+            .expect("dense charges cannot fail")
     }
 
     /// Hybrid ECC recovery: identifies the poisoned row windows by
@@ -635,12 +859,9 @@ impl Engine {
         }
         self.prof_hybrid_dispatch("spmm_degraded", &mask);
         let kernel = HybridSpmm::from_translated(t).with_mask(mask);
-        let was_suppressed = self.launcher.fault_suppressed();
-        self.launcher.set_fault_suppressed(true);
-        let prob = SpmmProblem::new(&self.csr, values, x)?;
-        let result = kernel.execute(&mut self.launcher, &prob);
-        self.launcher.set_fault_suppressed(was_suppressed);
-        let (out, report) = result?;
+        let (out, report) = self.suppressed(|eng| {
+            kernel.execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+        })?;
         let ms = report.time_ms + self.sparse_dispatch_ms(1);
         self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
         self.last_spmm_report = Some(report);
@@ -662,51 +883,36 @@ impl Engine {
         values: Option<&[f32]>,
     ) -> Result<(DenseMatrix, f64), TcgError> {
         SpmmProblem::new(&self.csr, values, x)?;
+        if self.shards.is_some() {
+            return self.sharded_rows("spmm", x, |eng, sh, lx| {
+                let local_values = values.map(|v| sh.slice_edge_values(v));
+                eng.spmm(lx, local_values.as_deref())
+            });
+        }
         let mut extra_ms = 0.0;
-        if !self.forced_fallback {
-            let mut attempt = 0u32;
-            loop {
-                let prob = SpmmProblem::new(&self.csr, values, x)?;
-                match self.spmm.execute(&mut self.launcher, &prob) {
-                    Ok((out, report)) => {
-                        if self.recovery.ecc_scan && report.stats.ecc_faults > 0 {
-                            // Poisoned accumulator: discard the output (its
-                            // time was still spent) and degrade.
-                            self.prof_fault("ecc_bit_flip", Phase::Aggregation);
-                            let wasted = report.time_ms + self.sparse_dispatch_ms(1);
-                            self.prof_span("spmm_discarded", Phase::Aggregation, wasted);
-                            extra_ms += wasted;
-                            if self.backend == Backend::Hybrid {
-                                if let Some((out, ms)) =
-                                    self.hybrid_spmm_window_degrade(x, values, &out)?
-                                {
-                                    return Ok((out, extra_ms + ms));
-                                }
-                            }
-                            break;
-                        }
-                        let ms = report.time_ms + self.sparse_dispatch_ms(1);
-                        self.prof_hybrid_mask("spmm", KernelClass::Spmm, x.cols());
-                        self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
-                        self.last_spmm_report = Some(report);
-                        return Ok((out, extra_ms + ms));
-                    }
-                    Err(e) => {
-                        if !self.absorb_fault(e, Phase::Aggregation, &mut attempt, &mut extra_ms)? {
-                            break;
-                        }
-                    }
+        let primary = self.attempt("spmm", &mut extra_ms, |eng| {
+            eng.spmm
+                .execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+        })?;
+        match primary {
+            Ok((out, report)) => {
+                let ms = report.time_ms + self.sparse_dispatch_ms(1);
+                self.prof_hybrid_mask("spmm", KernelClass::Spmm, x.cols());
+                self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
+                self.last_spmm_report = Some(report);
+                return Ok((out, extra_ms + ms));
+            }
+            Err(Some(poisoned)) if self.backend == Backend::Hybrid => {
+                if let Some((out, ms)) = self.hybrid_spmm_window_degrade(x, values, &poisoned)? {
+                    return Ok((out, extra_ms + ms));
                 }
             }
-            self.degraded += 1;
-            self.prof_fallback("spmm_fallback", Phase::Aggregation);
+            Err(_) => {}
         }
-        let was_suppressed = self.launcher.fault_suppressed();
-        self.launcher.set_fault_suppressed(true);
-        let prob = SpmmProblem::new(&self.csr, values, x)?;
-        let result = CusparseCsrSpmm.execute(&mut self.launcher, &prob);
-        self.launcher.set_fault_suppressed(was_suppressed);
-        let (out, report) = result?;
+        self.degrade("spmm");
+        let (out, report) = self.suppressed(|eng| {
+            CusparseCsrSpmm.execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+        })?;
         let ms = report.time_ms + self.sparse_dispatch_ms(1);
         self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
         self.last_spmm_report = Some(report);
@@ -723,26 +929,35 @@ impl Engine {
         x: &DenseMatrix,
         values: Option<&[f32]>,
     ) -> Result<(DenseMatrix, f64), TcgError> {
-        match values {
-            None => self.spmm(x, None),
-            Some(v) => {
-                if v.len() != self.csr.num_edges() {
-                    return Err(TcgError::DimMismatch {
-                        what: "edge value count vs edges",
-                        expected: self.csr.num_edges(),
-                        actual: v.len(),
-                    });
-                }
-                let vt: Vec<f32> = self.t_perm.iter().map(|&i| v[i as usize]).collect();
-                let perm_ms = self.pass_ms(
-                    (self.csr.num_edges() * 8) as u64,
-                    (self.csr.num_edges() * 4) as u64,
-                ) + self.sparse_dispatch_ms(1);
-                self.prof_span("edge_permute", Phase::Aggregation, perm_ms);
-                let (out, ms) = self.spmm(x, Some(&vt))?;
-                Ok((out, ms + perm_ms))
-            }
+        let Some(v) = values else {
+            return self.spmm(x, None);
+        };
+        SpmmProblem::new(&self.csr, values, x)?;
+        // Realigned on the global graph: a transposed edge's partner may
+        // live in another shard.
+        let vt: Vec<f32> = self.norms.t_perm.iter().map(|&i| v[i as usize]).collect();
+        if self.shards.is_some() {
+            return self.sharded_rows("spmm_t", x, |eng, sh, lx| {
+                eng.spmm_permuted(lx, &sh.slice_edge_values(&vt))
+            });
         }
+        self.spmm_permuted(x, &vt)
+    }
+
+    /// [`Engine::spmm`] over already-transposed edge values, charging the
+    /// permutation pass that realigned them.
+    fn spmm_permuted(
+        &mut self,
+        x: &DenseMatrix,
+        vt: &[f32],
+    ) -> Result<(DenseMatrix, f64), TcgError> {
+        let perm_ms = self.pass_ms(
+            (self.csr.num_edges() * 8) as u64,
+            (self.csr.num_edges() * 4) as u64,
+        ) + self.sparse_dispatch_ms(1);
+        self.prof_span("edge_permute", Phase::Aggregation, perm_ms);
+        let (out, ms) = self.spmm(x, Some(vt))?;
+        Ok((out, ms + perm_ms))
     }
 
     /// Edge-feature computation `f[e] = xa[src]·xb[dst]` on the backend's
@@ -753,43 +968,31 @@ impl Engine {
         xa: &DenseMatrix,
         xb: &DenseMatrix,
     ) -> Result<(Vec<f32>, f64), TcgError> {
+        if let Some(set) = &mut self.shards {
+            SpmmProblem::new(&self.csr, None, xa)?;
+            SpmmProblem::new(&self.csr, None, xb)?;
+            let mut out = vec![0.0; self.csr.num_edges()];
+            // `f[e] = xa[row]·xb[neighbor]`: only `xb` has halo rows.
+            let ms = set.run("sddmm", xb.cols(), |eng, sh| {
+                let (local, ms) = eng.sddmm(&sh.gather_x(xa), &sh.gather_x(xb))?;
+                sh.scatter_edge_values(&local, &mut out);
+                Ok(ms)
+            })?;
+            return Ok((out, ms));
+        }
         let mut extra_ms = 0.0;
-        let (vals, report) = 'run: {
-            if !self.forced_fallback {
-                let mut attempt = 0u32;
-                loop {
-                    match self.sddmm.execute(&mut self.launcher, &self.csr, xa, xb) {
-                        Ok((vals, report)) => {
-                            if self.recovery.ecc_scan && report.stats.ecc_faults > 0 {
-                                self.prof_fault("ecc_bit_flip", Phase::Aggregation);
-                                let wasted = report.time_ms + self.sparse_dispatch_ms(1);
-                                self.prof_span("sddmm_discarded", Phase::Aggregation, wasted);
-                                extra_ms += wasted;
-                                break;
-                            }
-                            self.prof_hybrid_mask("sddmm", KernelClass::Sddmm, xa.cols());
-                            break 'run (vals, report);
-                        }
-                        Err(e) => {
-                            if !self.absorb_fault(
-                                e,
-                                Phase::Aggregation,
-                                &mut attempt,
-                                &mut extra_ms,
-                            )? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                self.degraded += 1;
-                self.prof_fallback("sddmm_fallback", Phase::Aggregation);
+        let primary = self.attempt("sddmm", &mut extra_ms, |eng| {
+            eng.sddmm.execute(&mut eng.launcher, &eng.csr, xa, xb)
+        })?;
+        let (vals, report) = match primary {
+            Ok(clean) => {
+                self.prof_hybrid_mask("sddmm", KernelClass::Sddmm, xa.cols());
+                clean
             }
-            let was_suppressed = self.launcher.fault_suppressed();
-            self.launcher.set_fault_suppressed(true);
-            let result = CudaCoreSddmm.execute(&mut self.launcher, &self.csr, xa, xb);
-            self.launcher.set_fault_suppressed(was_suppressed);
-            result?
+            Err(_) => {
+                self.degrade("sddmm");
+                self.suppressed(|eng| CudaCoreSddmm.execute(&mut eng.launcher, &eng.csr, xa, xb))?
+            }
         };
         let kernel_ms = report.time_ms + self.sparse_dispatch_ms(1);
         let mut ms = extra_ms + kernel_ms;
@@ -813,35 +1016,30 @@ impl Engine {
     /// sum, divide); PyG's scatter softmax behaves the same; TC-GNN fuses the
     /// passes into the single kernel implemented in `tcg-kernels`.
     pub fn edge_softmax(&mut self, values: &[f32]) -> Result<(Vec<f32>, f64), TcgError> {
-        let mut extra_ms = 0.0;
-        let (out, report) = 'run: {
-            if !self.forced_fallback {
-                let mut attempt = 0u32;
-                loop {
-                    // The softmax kernel runs no MMA, so an armed ECC flip
-                    // cannot poison it; transients are the only concern.
-                    match sparse_row_softmax(&mut self.launcher, &self.csr, values) {
-                        Ok(ok) => break 'run ok,
-                        Err(e) => {
-                            if !self.absorb_fault(
-                                e,
-                                Phase::Aggregation,
-                                &mut attempt,
-                                &mut extra_ms,
-                            )? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                self.degraded += 1;
-                self.prof_fallback("edge_softmax_fallback", Phase::Aggregation);
+        if self.shards.is_some() {
+            if values.len() != self.csr.num_edges() {
+                return Err(TcgError::DimMismatch {
+                    what: "edge value count vs edges",
+                    expected: self.csr.num_edges(),
+                    actual: values.len(),
+                });
             }
-            let was_suppressed = self.launcher.fault_suppressed();
-            self.launcher.set_fault_suppressed(true);
-            let result = sparse_row_softmax(&mut self.launcher, &self.csr, values);
-            self.launcher.set_fault_suppressed(was_suppressed);
-            result?
+            return self.sharded_edges("edge_softmax", |eng, sh| {
+                eng.edge_softmax(&sh.slice_edge_values(values))
+            });
+        }
+        // The softmax kernel runs no MMA, so an armed ECC flip cannot poison
+        // it; transients are the only concern.
+        let mut extra_ms = 0.0;
+        let primary = self.attempt("edge_softmax", &mut extra_ms, |eng| {
+            sparse_row_softmax(&mut eng.launcher, &eng.csr, values)
+        })?;
+        let (out, report) = match primary {
+            Ok(clean) => clean,
+            Err(_) => {
+                self.degrade("edge_softmax");
+                self.suppressed(|eng| sparse_row_softmax(&mut eng.launcher, &eng.csr, values))?
+            }
         };
         let kernel_ms = report.time_ms + self.sparse_dispatch_ms(1);
         let mut ms = extra_ms + kernel_ms;
@@ -861,6 +1059,14 @@ impl Engine {
     /// Same cost structure in every framework (two passes over edges).
     pub fn edge_softmax_backward(&mut self, p: &[f32], dp: &[f32]) -> (Vec<f32>, f64) {
         assert_eq!(p.len(), dp.len());
+        if self.shards.is_some() {
+            return self
+                .sharded_edges("edge_softmax_backward", |eng, sh| {
+                    let (p, dp) = (sh.slice_edge_values(p), sh.slice_edge_values(dp));
+                    Ok(eng.edge_softmax_backward(&p, &dp))
+                })
+                .expect("softmax backward cannot fail");
+        }
         let mut de = vec![0.0f32; p.len()];
         for v in 0..self.csr.num_nodes() {
             let lo = self.csr.node_pointer()[v];
@@ -876,14 +1082,36 @@ impl Engine {
         (de, ms)
     }
 
+    /// Sharded edge-valued op: runs `op` on each shard's device engine
+    /// (edge values of owned rows are resident, so nothing is exchanged)
+    /// and scatters its local edge values into global edge order.
+    fn sharded_edges(
+        &mut self,
+        name: &str,
+        mut op: impl FnMut(&mut Engine, &Shard) -> Result<(Vec<f32>, f64), TcgError>,
+    ) -> Result<(Vec<f32>, f64), TcgError> {
+        let mut out = vec![0.0; self.csr.num_edges()];
+        let set = self
+            .shards
+            .as_mut()
+            .expect("sharded op on a sharded engine");
+        let ms = set.run(name, 0, |eng, sh| {
+            let (local, ms) = op(eng, sh)?;
+            sh.scatter_edge_values(&local, &mut out);
+            Ok(ms)
+        })?;
+        Ok((out, ms))
+    }
+
     /// Whether this backend can run the fused attention pipeline.
     pub fn supports_fused_attention(&self) -> bool {
-        self.translated.is_some()
+        self.backend.uses_translation()
     }
 
     /// The SGT translation backing the TC-GNN kernels, if this backend has
     /// one. A serving layer reads this after a cache miss to populate its
-    /// translation cache.
+    /// translation cache. `None` on a sharded engine, whose shards
+    /// translate their own local graphs.
     pub fn translation(&self) -> Option<&tcg_sgt::TranslatedGraph> {
         self.translated.as_ref()
     }
@@ -903,68 +1131,59 @@ impl Engine {
         xv: &DenseMatrix,
         beta: f32,
     ) -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
+        if let Some(set) = &mut self.shards {
+            SpmmProblem::new(&self.csr, None, xa)?;
+            SpmmProblem::new(&self.csr, None, xv)?;
+            let e = self.csr.num_edges();
+            let mut y = DenseMatrix::zeros(xv.rows(), xv.cols());
+            let (mut cos, mut p) = (vec![0.0; e], vec![0.0; e]);
+            // Neighbor rows of both operands cross the link.
+            let ms = set.run("fused_attention", xa.cols() + xv.cols(), |eng, sh| {
+                let (lxa, lxv) = (sh.gather_x(xa), sh.gather_x(xv));
+                let (ly, lcos, lp, ms) = eng.fused_attention(&lxa, &lxv, beta)?;
+                sh.scatter_owned(&ly, &mut y);
+                sh.scatter_edge_values(&lcos, &mut cos);
+                sh.scatter_edge_values(&lp, &mut p);
+                Ok(ms)
+            })?;
+            return Ok((y, cos, p, ms));
+        }
         let t = self
             .translated
             .clone()
             .expect("fused attention requires the TC-GNN backend");
         let mut extra_ms = 0.0;
-        if !self.forced_fallback {
-            let mut attempt = 0u32;
-            loop {
-                match tcg_kernels::fused::fused_attention(
-                    &mut self.launcher,
-                    &self.csr,
-                    &t,
-                    xa,
-                    xv,
-                    beta,
-                ) {
-                    Ok(out) => {
-                        if self.recovery.ecc_scan && out.report.stats.ecc_faults > 0 {
-                            self.prof_fault("ecc_bit_flip", Phase::Aggregation);
-                            let wasted = out.report.time_ms + self.sparse_dispatch_ms(1);
-                            self.prof_span("fused_attention_discarded", Phase::Aggregation, wasted);
-                            extra_ms += wasted;
-                            break;
-                        }
-                        let ms = out.report.time_ms + self.sparse_dispatch_ms(1);
-                        self.prof_kernel("fused_attention", Phase::Aggregation, ms, &out.report);
-                        self.last_fused_report = Some(out.report);
-                        return Ok((out.y, out.cos, out.p, extra_ms + ms));
-                    }
-                    Err(e) => {
-                        if !self.absorb_fault(e, Phase::Aggregation, &mut attempt, &mut extra_ms)? {
-                            break;
-                        }
-                    }
-                }
-            }
-            self.degraded += 1;
-            self.prof_fallback("fused_attention_fallback", Phase::Aggregation);
+        let primary = self.attempt("fused_attention", &mut extra_ms, |eng| {
+            let out =
+                tcg_kernels::fused::fused_attention(&mut eng.launcher, &eng.csr, &t, xa, xv, beta)?;
+            Ok(((out.y, out.cos, out.p), out.report))
+        })?;
+        if let Ok(((y, cos, p), report)) = primary {
+            let ms = report.time_ms + self.sparse_dispatch_ms(1);
+            self.prof_kernel("fused_attention", Phase::Aggregation, ms, &report);
+            self.last_fused_report = Some(report);
+            return Ok((y, cos, p, extra_ms + ms));
         }
+        self.degrade("fused_attention");
         // Unfused CUDA-core pipeline: SDDMM logits, β scaling, row softmax,
         // weighted cuSPARSE SpMM — the pre-TCU formulation of the same math.
-        let was_suppressed = self.launcher.fault_suppressed();
-        self.launcher.set_fault_suppressed(true);
-        let result = (|| -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
-            let (cos, r1) = CudaCoreSddmm.execute(&mut self.launcher, &self.csr, xa, xa)?;
-            let ms1 = r1.time_ms + self.sparse_dispatch_ms(1);
-            self.prof_kernel("sddmm", Phase::Aggregation, ms1, &r1);
+        let (y, cos, p, ms) = self.suppressed(|eng| {
+            let (cos, r1) = CudaCoreSddmm.execute(&mut eng.launcher, &eng.csr, xa, xa)?;
+            let ms1 = r1.time_ms + eng.sparse_dispatch_ms(1);
+            eng.prof_kernel("sddmm", Phase::Aggregation, ms1, &r1);
             let scaled: Vec<f32> = cos.iter().map(|&c| beta * c).collect();
-            let e_bytes = (self.csr.num_edges() * 4) as u64;
-            let scale_ms = self.pass_ms(e_bytes, e_bytes) + self.sparse_dispatch_ms(1);
-            self.prof_span("beta_scale", Phase::Aggregation, scale_ms);
-            let (p, r2) = sparse_row_softmax(&mut self.launcher, &self.csr, &scaled)?;
-            let ms2 = r2.time_ms + self.sparse_dispatch_ms(1);
-            self.prof_kernel("edge_softmax", Phase::Aggregation, ms2, &r2);
-            let prob = SpmmProblem::new(&self.csr, Some(&p), xv)?;
-            let (y, r3) = CusparseCsrSpmm.execute(&mut self.launcher, &prob)?;
-            let ms3 = r3.time_ms + self.sparse_dispatch_ms(1);
-            self.prof_kernel("spmm", Phase::Aggregation, ms3, &r3);
-            Ok((y, cos, p, ms1 + scale_ms + ms2 + ms3))
-        })();
-        self.launcher.set_fault_suppressed(was_suppressed);
-        let (y, cos, p, ms) = result?;
+            let e_bytes = (eng.csr.num_edges() * 4) as u64;
+            let scale_ms = eng.pass_ms(e_bytes, e_bytes) + eng.sparse_dispatch_ms(1);
+            eng.prof_span("beta_scale", Phase::Aggregation, scale_ms);
+            let (p, r2) = sparse_row_softmax(&mut eng.launcher, &eng.csr, &scaled)?;
+            let ms2 = r2.time_ms + eng.sparse_dispatch_ms(1);
+            eng.prof_kernel("edge_softmax", Phase::Aggregation, ms2, &r2);
+            let prob = SpmmProblem::new(&eng.csr, Some(&p), xv)?;
+            let (y, r3) = CusparseCsrSpmm.execute(&mut eng.launcher, &prob)?;
+            let ms3 = r3.time_ms + eng.sparse_dispatch_ms(1);
+            eng.prof_kernel("spmm", Phase::Aggregation, ms3, &r3);
+            Ok::<_, TcgError>((y, cos, p, ms1 + scale_ms + ms2 + ms3))
+        })?;
         Ok((y, cos, p, extra_ms + ms))
     }
 
@@ -975,16 +1194,19 @@ impl Engine {
     /// TC-GNN folds the normalization into the translated kernel's edge
     /// values.
     pub fn gcn_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
+        if self.shards.is_some() {
+            return self.sharded_rows("gcn_aggregate", x, |eng, _, lx| eng.gcn_aggregate(lx));
+        }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
-                let norm = self.gcn_norm.clone();
+                let norm = self.norms.gcn_norm.clone();
                 self.spmm(x, Some(&norm))
             }
             _ => {
                 let nd_bytes = (x.len() * 4) as u64;
                 let mut scaled = x.clone();
                 for v in 0..scaled.rows() {
-                    let s = self.inv_sqrt_deg[v];
+                    let s = self.norms.inv_sqrt_deg[v];
                     for val in scaled.row_mut(v) {
                         *val *= s;
                     }
@@ -999,7 +1221,7 @@ impl Engine {
                 );
                 let (mut out, spmm_ms) = self.spmm(&scaled, None)?;
                 for v in 0..out.rows() {
-                    let s = self.inv_sqrt_deg[v];
+                    let s = self.norms.inv_sqrt_deg[v];
                     for val in out.row_mut(v) {
                         *val *= s;
                     }
@@ -1019,9 +1241,12 @@ impl Engine {
     /// aggregator). DGL/PyG run the unweighted SpMM plus a per-node scaling
     /// kernel; TC-GNN folds `1/d` into the translated kernel's edge values.
     pub fn mean_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
+        if self.shards.is_some() {
+            return self.sharded_rows("mean_aggregate", x, |eng, _, lx| eng.mean_aggregate(lx));
+        }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
-                let norm = self.mean_norm.clone();
+                let norm = self.norms.mean_norm.clone();
                 self.spmm(x, Some(&norm))
             }
             _ => {
@@ -1042,9 +1267,12 @@ impl Engine {
 
     /// Transposed mean aggregation `(D^{-1} A)ᵀ · X` (GraphSAGE backward).
     pub fn mean_aggregate_t(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
+        if self.shards.is_some() {
+            return self.sharded_rows("mean_aggregate_t", x, |eng, _, lx| eng.mean_aggregate_t(lx));
+        }
         // `Aᵀ = A` topologically; the transposed normalization values are
         // precomputed, so no runtime permutation pass is needed.
-        let norm_t = self.mean_norm_t.clone();
+        let norm_t = self.norms.mean_norm_t.clone();
         self.spmm(x, Some(&norm_t))
     }
 
@@ -1056,30 +1284,35 @@ impl Engine {
     /// Dense update GEMM `X·W` (cuBLAS TF-32 class in every framework).
     pub fn linear(&mut self, x: &DenseMatrix, w: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm(x, w).expect("linear shapes validated by layers");
-        let report =
-            tcg_gpusim::cost::dense_gemm_report(&self.device(), x.rows(), x.cols(), w.cols(), true);
-        let ms = report.time_ms + DENSE_DISPATCH_MS;
-        self.prof_kernel("gemm_xw", Phase::Update, ms, &report);
+        let ms = self.dense_ms("gemm_xw", x.rows(), |eng, rows| {
+            eng.gemm_ms("gemm_xw", (rows, x.cols(), w.cols()))
+        });
         (out, ms)
+    }
+
+    /// Cost of one cuBLAS-class GEMM of shape `(m, k, n)`, traced as `name`.
+    fn gemm_ms(&self, name: &str, (m, k, n): (usize, usize, usize)) -> f64 {
+        let report = tcg_gpusim::cost::dense_gemm_report(self.launcher.device(), m, k, n, true);
+        let ms = report.time_ms + DENSE_DISPATCH_MS;
+        self.prof_kernel(name, Phase::Update, ms, &report);
+        ms
     }
 
     /// Dense GEMM `Xᵀ·Y` (weight gradients).
     pub fn linear_at_b(&mut self, x: &DenseMatrix, y: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm_at_b(x, y).expect("shapes validated by layers");
-        let report =
-            tcg_gpusim::cost::dense_gemm_report(&self.device(), x.cols(), x.rows(), y.cols(), true);
-        let ms = report.time_ms + DENSE_DISPATCH_MS;
-        self.prof_kernel("gemm_xt_y", Phase::Update, ms, &report);
+        let ms = self.dense_ms("gemm_xt_y", x.rows(), |eng, rows| {
+            eng.gemm_ms("gemm_xt_y", (x.cols(), rows, y.cols()))
+        });
         (out, ms)
     }
 
     /// Dense GEMM `X·Wᵀ` (input gradients).
     pub fn linear_a_bt(&mut self, x: &DenseMatrix, w: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm_a_bt(x, w).expect("shapes validated by layers");
-        let report =
-            tcg_gpusim::cost::dense_gemm_report(&self.device(), x.rows(), x.cols(), w.rows(), true);
-        let ms = report.time_ms + DENSE_DISPATCH_MS;
-        self.prof_kernel("gemm_x_wt", Phase::Update, ms, &report);
+        let ms = self.dense_ms("gemm_x_wt", x.rows(), |eng, rows| {
+            eng.gemm_ms("gemm_x_wt", (rows, x.cols(), w.rows()))
+        });
         (out, ms)
     }
 
@@ -1107,12 +1340,22 @@ impl Engine {
         reads: u32,
         writes: u32,
     ) -> f64 {
-        let ms = self.pass_ms(
-            (elems * 4 * reads as usize) as u64,
-            (elems * 4 * writes as usize) as u64,
-        ) + DENSE_DISPATCH_MS;
-        self.prof_span(name, phase, ms);
-        ms
+        // Node-row passes (whole rows per node) shard by owned rows.
+        let n = self.csr.num_nodes();
+        let (rows, width) = match n {
+            0 => (1, elems),
+            _ if elems.is_multiple_of(n) => (n, elems / n),
+            _ => (1, elems),
+        };
+        self.dense_ms(name, rows, |eng, rows| {
+            let elems = rows * width;
+            let ms = eng.pass_ms(
+                (elems * 4 * reads as usize) as u64,
+                (elems * 4 * writes as usize) as u64,
+            ) + DENSE_DISPATCH_MS;
+            eng.prof_span(name, phase, ms);
+            ms
+        })
     }
 }
 

@@ -65,9 +65,8 @@ impl GcnLayer {
 
     /// Whether the forward pass aggregates before the weight multiply
     /// (DGL's `GraphConv` heuristic: aggregate first unless `in_dim >
-    /// out_dim`). Public so external orchestrators — the sharded executor
-    /// in `tcg-dist` — can replay the exact same op order and stay
-    /// bitwise-identical to [`GcnLayer::infer`].
+    /// out_dim`). Public so callers that replay the layer op by op can
+    /// keep the exact op order of [`GcnLayer::infer`].
     pub fn aggregate_first(&self) -> bool {
         self.w.rows() <= self.w.cols()
     }

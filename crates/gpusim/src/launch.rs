@@ -102,11 +102,6 @@ impl AddressSpace {
             len_bytes: bytes as u64,
         }
     }
-
-    /// Allocates space for `n` f32 values.
-    pub fn alloc_f32(&mut self, n: usize) -> Buffer {
-        self.alloc(n * 4)
-    }
 }
 
 /// How a [`BlockCtx`] drives the memory-hierarchy simulation.
@@ -785,7 +780,7 @@ mod tests {
     fn address_space_is_disjoint_and_aligned() {
         let mut a = AddressSpace::new();
         let b1 = a.alloc(100);
-        let b2 = a.alloc_f32(10);
+        let b2 = a.alloc(10 * 4);
         assert_eq!(b1.base() % 256, 0);
         assert_eq!(b2.base() % 256, 0);
         assert!(b2.base() >= b1.base() + 100);

@@ -6,7 +6,7 @@
 //!
 //! 1. **Functional execution.** Kernels are ordinary Rust written at warp /
 //!    block granularity against [`launch::BlockCtx`]: they really load data,
-//!    really stage tiles into [`smem::SharedMem`], and really multiply
+//!    really stage tiles, and really multiply
 //!    fragments through [`wmma`] (with bit-exact TF-32 input rounding), so
 //!    outputs are checked against CPU references in tests.
 //!
@@ -34,7 +34,6 @@ pub mod interconnect;
 pub mod launch;
 pub mod occupancy;
 pub mod par;
-pub mod smem;
 pub mod stats;
 pub mod stream;
 pub mod wmma;

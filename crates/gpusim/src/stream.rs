@@ -112,19 +112,10 @@ pub struct StreamSet {
 }
 
 impl StreamSet {
-    /// `count` fresh streams with ids `0..count`.
-    ///
-    /// At least one stream is always created; a zero-stream device cannot
-    /// execute anything.
-    pub fn new(count: usize) -> Self {
-        let count = count.max(1);
-        StreamSet {
-            streams: (0..count as u32).map(Stream::new).collect(),
-        }
-    }
-
     /// `count` fresh streams scoped to simulated device `device_id`, with
     /// globally unique ids `device_id * DEVICE_STREAM_STRIDE + 0..count`.
+    /// At least one stream is always created; a zero-stream device cannot
+    /// execute anything.
     ///
     /// Multi-device executors give each shard its own `StreamSet`; the
     /// strided ids keep the per-device timelines on distinct trace tracks
@@ -142,16 +133,6 @@ impl StreamSet {
         }
     }
 
-    /// Number of streams in the set.
-    pub fn len(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Whether the set is empty (never true; see [`StreamSet::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
     /// The streams, indexed by id.
     pub fn streams(&self) -> &[Stream] {
         &self.streams
@@ -159,28 +140,11 @@ impl StreamSet {
 
     /// Mutable access to stream `id`.
     ///
-    /// Ids are contiguous from the set's base (0 for [`StreamSet::new`],
-    /// `device_id * DEVICE_STREAM_STRIDE` for [`StreamSet::for_device`]),
-    /// so lookup is base-relative.
+    /// Ids are contiguous from the set's base, `device_id *
+    /// DEVICE_STREAM_STRIDE`, so lookup is base-relative.
     pub fn stream_mut(&mut self, id: u32) -> &mut Stream {
         let base = self.streams[0].id;
         &mut self.streams[(id - base) as usize]
-    }
-
-    /// The id of the stream that frees up first, lowest id winning ties.
-    ///
-    /// The tie-break makes scheduling decisions a pure function of launch
-    /// history, which keeps multi-stream schedules reproducible.
-    pub fn earliest_free(&self) -> u32 {
-        let mut best = 0u32;
-        let mut best_now = f64::INFINITY;
-        for s in &self.streams {
-            if s.now_ms < best_now {
-                best_now = s.now_ms;
-                best = s.id;
-            }
-        }
-        best
     }
 
     /// The simulated time at which every stream has drained.
@@ -188,11 +152,6 @@ impl StreamSet {
         self.streams
             .iter()
             .fold(0.0, |acc, s| if s.now_ms > acc { s.now_ms } else { acc })
-    }
-
-    /// Total busy time summed across streams.
-    pub fn total_busy_ms(&self) -> f64 {
-        self.streams.iter().fold(0.0, |acc, s| acc + s.busy_ms)
     }
 }
 
@@ -218,33 +177,19 @@ mod tests {
 
     #[test]
     fn streams_overlap_across_the_set() {
-        let mut set = StreamSet::new(2);
+        let mut set = StreamSet::for_device(0, 2);
         set.stream_mut(0).launch_at("a", 0.0, 4.0);
         set.stream_mut(1).launch_at("b", 0.0, 3.0);
         // Both ran concurrently on the virtual clock.
         assert_eq!(set.streams()[0].spans()[0].start_ms, 0.0);
         assert_eq!(set.streams()[1].spans()[0].start_ms, 0.0);
         assert_eq!(set.sync_all_ms(), 4.0);
-        assert_eq!(set.total_busy_ms(), 7.0);
-    }
-
-    #[test]
-    fn earliest_free_breaks_ties_toward_lower_ids() {
-        let mut set = StreamSet::new(3);
-        assert_eq!(set.earliest_free(), 0);
-        set.stream_mut(0).launch_at("a", 0.0, 5.0);
-        assert_eq!(set.earliest_free(), 1);
-        set.stream_mut(1).launch_at("b", 0.0, 5.0);
-        set.stream_mut(2).launch_at("c", 0.0, 5.0);
-        // All equal again: lowest id wins.
-        assert_eq!(set.earliest_free(), 0);
     }
 
     #[test]
     fn zero_stream_set_is_promoted_to_one() {
-        let set = StreamSet::new(0);
-        assert_eq!(set.len(), 1);
-        assert!(!set.is_empty());
+        let set = StreamSet::for_device(0, 0);
+        assert_eq!(set.streams().len(), 1);
     }
 
     #[test]
@@ -252,14 +197,11 @@ mod tests {
         let mut set = StreamSet::for_device(3, 2);
         assert_eq!(set.streams()[0].id(), 300);
         assert_eq!(set.streams()[1].id(), 301);
-        // earliest_free returns global ids; stream_mut resolves them.
-        assert_eq!(set.earliest_free(), 300);
+        // stream_mut resolves global ids.
         set.stream_mut(300).launch_at("a", 0.0, 5.0);
-        assert_eq!(set.earliest_free(), 301);
         set.stream_mut(301).launch_at("b", 0.0, 1.0);
         assert_eq!(set.sync_all_ms(), 5.0);
-        // Device 0 with for_device matches the plain constructor's ids.
-        let plain = StreamSet::for_device(0, 2);
-        assert_eq!(plain.streams()[0].id(), 0);
+        // Device 0's ids start at 0.
+        assert_eq!(StreamSet::for_device(0, 2).streams()[0].id(), 0);
     }
 }

@@ -23,8 +23,8 @@
 //! [`tcg_tensor::gemm::gemm_at_b`] (`Xᵀ·dY`) are pinned against the triple
 //! loop [`tcg_tensor::gemm::gemm_naive`], which stays in `tcg-tensor`:
 //! zero-skip in `A`, `±inf`/NaN in `B` rows met only by zeros, `n` across
-//! the 16-column panel edge, and row subsets (the row-sharded `tcg-dist`
-//! executor relies on each output row depending only on its own `A` row).
+//! the 16-column panel edge, and row subsets (each output row depends only
+//! on its own `A` row).
 //!
 //! Fast and reference must agree exactly: same probe outcomes and hit/miss
 //! counters, same sector sequences, same result bits.

@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-use tcg_gpusim::{KernelReport, KernelStats};
+use tcg_gpusim::stream::DEVICE_STREAM_STRIDE;
+use tcg_gpusim::{KernelReport, KernelStats, StreamSpan};
 
 use crate::event::{EventKind, KernelEvent, Phase};
 use crate::registry::MetricsRegistry;
@@ -340,6 +341,25 @@ impl Profiler {
     /// their absolute timestamps preserved.
     pub fn record_stream_span(&mut self, stream: u32, name: &str, start_ms: f64, dur_ms: f64) {
         self.record_stream_span_on(stream, name, start_ms, dur_ms, 0);
+    }
+
+    /// Records a sharded run's per-device stream timelines (as in
+    /// `DistReport::timelines`) shifted by `offset_ms`. Tracks sit above the
+    /// device stride (`dev1`..`devN`), so device 0 stays clear of the plain
+    /// `stream-N` ids.
+    pub fn record_device_timelines(
+        &mut self,
+        timelines: &[(u32, Vec<StreamSpan>)],
+        offset_ms: f64,
+        tid: u64,
+    ) {
+        for (id, spans) in timelines {
+            let track = id + DEVICE_STREAM_STRIDE as u32;
+            for s in spans {
+                let at = offset_ms + s.start_ms;
+                self.record_stream_span_on(track, &s.name, at, s.dur_ms, tid);
+            }
+        }
     }
 
     /// Like [`Profiler::record_stream_span`], tagging the span with the

@@ -53,7 +53,7 @@ pub use tcg_dist::Partitioner;
 // Re-exported so `ServeConfig { fault, .. }` and breaker knobs can be
 // filled in without a direct `tcg-fault` dependency.
 pub use server::{
-    serve, serve_with_mutations, sharding_gate, GraphMutation, MutationOutcome, MutationSummary,
-    QueueDepth, ServeConfig, ServeReport, ServedGraph, Session, StreamSummary,
+    serve, serve_with_mutations, GraphMutation, MutationOutcome, MutationSummary, QueueDepth,
+    ServeConfig, ServeReport, ServedGraph, Session, StreamSummary,
 };
 pub use tcg_fault::{BreakerConfig, FaultConfig};

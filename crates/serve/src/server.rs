@@ -6,12 +6,12 @@
 //! resolves each batch's SGT translation through the session cache before
 //! binding it to a stream; a [`GraphMutation`] is a barrier that seals
 //! every open batch and then lands. One worker thread per stream executes
-//! its batches through an executor — single-device engines keyed by
-//! `(graph, version)`, or one sharded [`DistContext`] per graph, as picked
-//! by [`sharding_gate`] — and one respond step turns logits into
-//! Served/Late outcomes. [`ServeConfig::resilience`] is resolved once at
-//! entry; `None` resolves to policies that are all no-ops, so a run
-//! without the layer takes the same path.
+//! its batches through one executor — engines keyed by `(graph, version)`,
+//! sharded across [`ServeConfig::devices`] when that is more than one —
+//! and one respond step turns logits into Served/Late outcomes.
+//! [`ServeConfig::resilience`] is resolved once at entry; `None` resolves
+//! to policies that are all no-ops, so a run without the layer takes the
+//! same path.
 //!
 //! # Determinism
 //!
@@ -32,12 +32,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tcg_dist::{DistContext, Partitioner};
+use tcg_dist::Partitioner;
 use tcg_fault::{
     BreakerRoute, BreakerStats, CircuitBreaker, FaultConfig, FaultPlan, FaultReport, RetryPolicy,
     TcgError,
 };
-use tcg_gnn::{Backend, Engine, GcnModel, RecoveryPolicy};
+use tcg_gnn::{Backend, Engine, RecoveryPolicy};
 use tcg_gpusim::{DeviceSpec, Stream};
 use tcg_graph::{CsrGraph, GraphVersion};
 use tcg_kernels::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
@@ -211,9 +211,8 @@ pub struct ServeConfig {
     /// rerouted.
     pub resilience: Option<ResilienceConfig>,
     /// Simulated devices each batch shards across (`1` = single-device).
-    /// [`sharding_gate`] decides whether a run actually shards: fault
-    /// injection, the resilience layer, graph mutations or a non-GCN model
-    /// keep it on one device.
+    /// Every model, fault plan, resilience policy and graph mutation runs
+    /// sharded through the same engine forward; must be at least 1.
     pub devices: usize,
     /// How row windows are assigned to devices when `devices > 1`.
     pub partitioner: Partitioner,
@@ -234,28 +233,6 @@ impl Default for ServeConfig {
             devices: 1,
             partitioner: Partitioner::Contiguous,
         }
-    }
-}
-
-/// The one sharding gate: the devices each batch of this run shards
-/// across, or — when [`ServeConfig::devices`]` > 1` asks for sharding the
-/// run cannot do — what keeps it on one device. Sharded execution runs the
-/// GCN forward only, without fault injection or resilience policies, and
-/// re-runs SGT per shard instead of resolving versioned translations.
-pub fn sharding_gate(
-    cfg: &ServeConfig,
-    model: &ServableModel,
-    mutations: &[GraphMutation],
-) -> Result<usize, &'static str> {
-    let gates = [
-        (!matches!(model, ServableModel::Gcn(_)), "a non-GCN model"),
-        (cfg.fault.is_some(), "fault injection"),
-        (cfg.resilience.is_some(), "the resilience layer"),
-        (!mutations.is_empty(), "graph mutations"),
-    ];
-    match gates.into_iter().find(|&(closed, _)| closed) {
-        Some((_, gate)) if cfg.devices > 1 => Err(gate),
-        _ => Ok(cfg.devices.max(1)),
     }
 }
 
@@ -335,8 +312,7 @@ pub struct ServeReport {
     pub model: &'static str,
     /// Streams configured.
     pub streams: usize,
-    /// Devices each batch actually sharded across (1 when multi-device
-    /// execution was configured but gated off — see [`sharding_gate`]).
+    /// Devices each batch sharded across.
     pub devices: usize,
     /// Partitioner label (`"none"` on single-device runs).
     pub partitioner: &'static str,
@@ -413,7 +389,6 @@ pub fn serve(
 /// under the new [`GraphVersion`] — which the translation cache typically
 /// satisfies by retranslating only the touched windows. Mutations
 /// scheduled after the last arrival are applied after the trace drains.
-/// Scheduling any mutation keeps the run on one device ([`sharding_gate`]).
 pub fn serve_with_mutations(
     session: &mut Session,
     cfg: &ServeConfig,
@@ -429,7 +404,6 @@ pub fn serve_with_mutations(
         mutations.windows(2).all(|w| w[0].at_ms <= w[1].at_ms),
         "mutation schedule must be sorted by time"
     );
-    let devices = sharding_gate(cfg, session.model(), mutations).unwrap_or(1);
     if let Some(r) = &cfg.resilience {
         session.cache.set_spot_check_every(r.spot_check_every);
     }
@@ -442,7 +416,6 @@ pub fn serve_with_mutations(
         graphs: &d.session.graphs,
         model: &d.session.model,
         policy,
-        devices,
         profiled: profiler.is_some(),
     };
     let mut workers = execute(&run, std::mem::take(&mut d.dispatched), d.streams);
@@ -504,8 +477,8 @@ pub fn serve_with_mutations(
         backend: cfg.backend.name(),
         model: d.session.model.kind(),
         streams: d.streams,
-        devices,
-        partitioner: if devices > 1 {
+        devices: cfg.devices,
+        partitioner: if cfg.devices > 1 {
             cfg.partitioner.name()
         } else {
             "none"
@@ -785,8 +758,6 @@ struct Run<'a> {
     graphs: &'a [ServedGraph],
     model: &'a ServableModel,
     policy: &'a ResilienceConfig,
-    /// Devices each batch shards across, from [`sharding_gate`].
-    devices: usize,
     profiled: bool,
 }
 
@@ -876,15 +847,12 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
     // Eviction compares global batch indices, which is sound only because
     // a stream's batches run in ascending index order.
     debug_assert!(batches.windows(2).all(|p| p[0].index < p[1].index));
-    let mut executor = match run.model {
-        ServableModel::Gcn(gcn) if run.devices > 1 => Executor::Sharded(gcn, HashMap::new()),
-        _ => Executor::Single {
-            engines: HashMap::new(),
-            last_use: batches
-                .iter()
-                .map(|b| ((b.graph, b.version.as_u64()), b.index))
-                .collect(),
-        },
+    let mut executor = Executor {
+        engines: HashMap::new(),
+        last_use: batches
+            .iter()
+            .map(|b| ((b.graph, b.version.as_u64()), b.index))
+            .collect(),
     };
     for mut b in batches {
         // Where this batch would start on the stream's virtual clock —
@@ -900,32 +868,24 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
             respond(&b.requests, execution, &mut w.responses);
         }
     }
-    if let Executor::Single { engines, .. } = &executor {
-        // Map order is arbitrary, but summing counters is not order-sensitive.
-        for eng in engines.values() {
-            w.faults.absorb(&eng.fault_report());
-        }
+    // Map order is arbitrary, but summing counters is not order-sensitive.
+    for eng in executor.engines.values() {
+        w.faults.absorb(&eng.fault_report());
     }
     // Engines hold the only other handles to the worker's recorder.
     drop(executor);
     w
 }
 
-/// Stage 4's two variants; [`sharding_gate`] picks one per run.
-enum Executor<'a> {
-    /// Engines keyed by `(graph, version)`: a mutated graph's batches get a
-    /// fresh engine built from their snapshot CSR. An engine is dropped
-    /// once this stream's last batch for its version has run (`last_use`),
-    /// so under churn superseded versions do not stay resident.
-    Single {
-        engines: HashMap<(usize, u64), Engine>,
-        last_use: HashMap<(usize, u64), usize>,
-    },
-    /// One sharded context per graph: each batch's GCN forward fans out
-    /// over the run's devices, and the stream is charged the distributed
-    /// makespan (compute + halo exchange). Sharding re-runs SGT per shard,
-    /// so the dispatcher's whole-graph translation is not reused.
-    Sharded(&'a GcnModel, HashMap<usize, DistContext>),
+/// Stage 4: engines keyed by `(graph, version)` — a mutated graph's
+/// batches get a fresh engine built from their snapshot CSR. An engine is
+/// dropped once this stream's last batch for its version has run
+/// (`last_use`), so under churn superseded versions do not stay resident.
+/// With more than one device each engine is sharded: it re-runs SGT per
+/// shard, so the dispatcher's whole-graph translation is not reused.
+struct Executor {
+    engines: HashMap<(usize, u64), Engine>,
+    last_use: HashMap<(usize, u64), usize>,
 }
 
 /// What executing one batch produced.
@@ -936,43 +896,11 @@ enum Execution {
     Cancelled { at_ms: f64 },
 }
 
-impl Executor<'_> {
+impl Executor {
     /// Runs a batch projected to start at `start` on `w`'s stream.
     fn execute(&mut self, run: &Run, b: &DispatchedBatch, start: f64, w: &mut Worker) -> Execution {
         let (cfg, g) = (run.cfg, &run.graphs[b.graph]);
-        let (engines, last_use) = match self {
-            Executor::Single { engines, last_use } => (engines, last_use),
-            Executor::Sharded(gcn, contexts) => {
-                let ctx = contexts.entry(b.graph).or_insert_with(|| {
-                    let (part, dev) = (cfg.partitioner, cfg.device.clone());
-                    DistContext::new(&g.csr, run.devices, part, dev, cfg.threads)
-                });
-                let (logits, drep) = ctx
-                    .gcn_forward(gcn, &g.features)
-                    .expect("session graphs are validated at admission");
-                w.halo_bytes += drep.total_halo_bytes();
-                w.transfer_ms += drep.transfer_ms;
-                let name = format!("{}:batch-{}:dist{}", g.name, b.index, drep.devices);
-                let (start_ms, end_ms) = w.stream.launch_at(&name, b.ready_ms, drep.makespan_ms);
-                w.set_trace(Some(b));
-                if let Some(p) = &w.profiler {
-                    // Per-device timelines, shifted to the batch's slot on
-                    // the serve stream. Device tracks sit above the stride
-                    // (`dev1`..`devN`), clear of the serve `stream-N` ids.
-                    let mut p = p.write().expect("profiler lock");
-                    let tid = u64::from(w.stream.id()) + 1;
-                    for (gid, spans) in ctx.stream_spans() {
-                        let track = gid + tcg_gpusim::stream::DEVICE_STREAM_STRIDE as u32;
-                        for s in spans {
-                            let at = start_ms + s.start_ms;
-                            p.record_stream_span_on(track, &s.name, at, s.dur_ms, tid);
-                        }
-                    }
-                }
-                w.set_trace(None);
-                return Execution::Answered { logits, end_ms };
-            }
-        };
+        let Executor { engines, last_use } = self;
         let key = (b.graph, b.version.as_u64());
         engines.retain(|key, eng| {
             let keep = last_use[key] >= b.index;
@@ -991,8 +919,10 @@ impl Executor<'_> {
                 .device(cfg.device.clone())
                 .translation((*b.translation).clone())
                 .threads(cfg.threads)
+                .devices(cfg.devices)
+                .partitioner(cfg.partitioner)
                 .build()
-                .expect("session graphs are validated at admission");
+                .expect("session graphs and the serve config build an engine");
             // One plan per (stream, graph): the draw sequence depends only
             // on this stream's batch order, never on scheduling.
             let seed = cfg
@@ -1028,6 +958,9 @@ impl Executor<'_> {
         let injected_before = eng.fault_report().total_injected();
         let (logits, cost) = run.model.infer(eng, &g.features);
         eng.set_forced_fallback(false);
+        // Closing the sharded run restarts the device timelines, so every
+        // batch is priced from an idle fabric — with or without a profiler.
+        let dist = eng.take_dist_report();
         // A rerouted batch reports clean: suppressed injection consumes no
         // draws, and a cooling breaker must see quiet to close.
         let faulted = !rerouted && eng.fault_report().total_injected() > injected_before;
@@ -1039,6 +972,16 @@ impl Executor<'_> {
         let exec_ms = stop.unwrap_or(cost.total_ms());
         let (start_ms, end_ms) = w.stream.launch_at(&name, b.ready_ms, exec_ms);
         w.breaker_step(|br| br.on_result(end_ms, faulted));
+        if let Some(rep) = dist {
+            w.halo_bytes += rep.total_halo_bytes();
+            w.transfer_ms += rep.transfer_ms;
+            if let Some(p) = &w.profiler {
+                // Per-device timelines, shifted to the batch's slot.
+                let tid = u64::from(w.stream.id()) + 1;
+                let mut p = p.write().expect("profiler lock");
+                p.record_device_timelines(&rep.timelines, start_ms, tid);
+            }
+        }
         w.set_trace(None);
         match stop {
             Some(prefix) => Execution::Cancelled {

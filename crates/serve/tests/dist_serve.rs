@@ -1,25 +1,28 @@
 //! Multi-device serving: sharded batches must answer with exactly the
-//! classes single-device serving produces, while the report carries the
-//! halo-exchange accounting.
+//! classes single-device serving produces — for every model, backend and
+//! serve policy — while the report carries the halo-exchange accounting.
 
-use tcg_gnn::GcnModel;
+use tcg_gnn::{AgnnModel, Backend, GcnModel, GinModel, SageModel};
 use tcg_graph::gen;
 use tcg_serve::{
-    poisson_trace, serve, LoadgenConfig, Outcome, Partitioner, Response, ServableModel,
-    ServeConfig, ServedGraph, Session,
+    churn_schedule, poisson_trace, serve, serve_with_mutations, ChurnConfig, FaultConfig,
+    GraphMutation, LoadgenConfig, Outcome, Partitioner, ResilienceConfig, Response, ServableModel,
+    ServeConfig, ServeReport, ServedGraph, Session,
 };
 use tcg_tensor::init;
 
-fn setup() -> (ServableModel, ServedGraph, Vec<tcg_serve::Request>) {
+fn graph() -> ServedGraph {
     let g = gen::rmat_default(512, 4000, 7).unwrap();
     let features = init::uniform(g.num_nodes(), 12, -1.0, 1.0, 5);
-    let frozen = ServableModel::Gcn(GcnModel::new(12, 16, 5, 3));
-    let graph = ServedGraph {
+    ServedGraph {
         name: "rmat512".into(),
         csr: g,
         features,
-    };
-    let trace = poisson_trace(
+    }
+}
+
+fn trace() -> Vec<tcg_serve::Request> {
+    poisson_trace(
         &[512],
         &LoadgenConfig {
             rate_rps: 50_000.0,
@@ -28,8 +31,11 @@ fn setup() -> (ServableModel, ServedGraph, Vec<tcg_serve::Request>) {
             seed: 11,
             ..LoadgenConfig::default()
         },
-    );
-    (frozen, graph, trace)
+    )
+}
+
+fn gcn() -> ServableModel {
+    ServableModel::Gcn(GcnModel::new(12, 16, 5, 3))
 }
 
 fn classes(responses: &[Response]) -> Vec<(u64, usize)> {
@@ -42,50 +48,140 @@ fn classes(responses: &[Response]) -> Vec<(u64, usize)> {
         .collect()
 }
 
-#[test]
-fn sharded_serving_answers_identically_to_single_device() {
-    let (frozen, graph, trace) = setup();
-    let run = |devices: usize, partitioner: Partitioner| {
-        let mut session = Session::new(frozen.clone(), vec![graph.clone()], 4);
-        let cfg = ServeConfig {
-            devices,
-            partitioner,
-            queue_capacity: trace.len(),
-            ..ServeConfig::default()
-        };
-        serve(&mut session, &cfg, &trace, None)
+fn run(model: &ServableModel, cfg: &ServeConfig, mutations: &[GraphMutation]) -> ServeReport {
+    let trace = trace();
+    let mut session = Session::new(model.clone(), vec![graph()], 4);
+    let cfg = ServeConfig {
+        queue_capacity: trace.len(),
+        ..cfg.clone()
     };
-    let single = run(1, Partitioner::Contiguous);
-    assert_eq!(single.devices, 1);
-    assert_eq!(single.partitioner, "none");
-    assert_eq!(single.halo_bytes, 0);
-    for p in [Partitioner::Contiguous, Partitioner::GreedyEdgeCut] {
-        let sharded = run(4, p);
-        assert_eq!(sharded.devices, 4);
-        assert_eq!(sharded.partitioner, p.name());
-        assert_eq!(sharded.answered, single.answered);
-        // Bitwise-identical logits ⇒ identical argmax classes per request.
-        assert_eq!(classes(&sharded.responses), classes(&single.responses));
-        // The 4-way shards of a dense-ish R-MAT graph must exchange halos.
-        assert!(sharded.halo_bytes > 0, "no halo traffic recorded");
-        assert!(sharded.transfer_ms > 0.0, "no interconnect time recorded");
+    serve_with_mutations(&mut session, &cfg, &trace, mutations, None)
+}
+
+fn sharded(cfg: &ServeConfig, partitioner: Partitioner) -> ServeConfig {
+    ServeConfig {
+        devices: 4,
+        partitioner,
+        ..cfg.clone()
     }
 }
 
 #[test]
-fn fault_injection_gates_multi_device_off() {
-    let (frozen, graph, trace) = setup();
-    let mut session = Session::new(frozen, vec![graph], 4);
-    let cfg = ServeConfig {
-        devices: 4,
-        fault: Some(tcg_serve::FaultConfig::default()),
-        queue_capacity: trace.len(),
+fn sharded_serving_answers_identically_to_single_device() {
+    let models = [
+        gcn(),
+        ServableModel::Agnn(AgnnModel::new(12, 16, 5, 2, 3)),
+        ServableModel::Sage(SageModel::new(12, 16, 5, 3)),
+        ServableModel::Gin(GinModel::new(12, 16, 5, 3)),
+    ];
+    for model in &models {
+        let single = run(model, &ServeConfig::default(), &[]);
+        assert_eq!(single.devices, 1);
+        assert_eq!(single.partitioner, "none");
+        assert_eq!(single.halo_bytes, 0);
+        for p in [Partitioner::Contiguous, Partitioner::GreedyEdgeCut] {
+            let sharded = run(model, &sharded(&ServeConfig::default(), p), &[]);
+            let kind = model.kind();
+            assert_eq!(sharded.devices, 4, "{kind}");
+            assert_eq!(sharded.partitioner, p.name());
+            assert_eq!(sharded.answered, single.answered, "{kind}");
+            // Bitwise-identical logits ⇒ identical argmax classes per request.
+            assert_eq!(classes(&sharded.responses), classes(&single.responses));
+            // The 4-way shards of a dense-ish R-MAT graph must exchange halos.
+            assert!(sharded.halo_bytes > 0, "{kind}: no halo traffic recorded");
+            assert!(sharded.transfer_ms > 0.0, "{kind}: no interconnect time");
+        }
+    }
+}
+
+#[test]
+fn sharded_serving_honors_the_hybrid_backend() {
+    let hybrid = ServeConfig {
+        backend: Backend::Hybrid,
         ..ServeConfig::default()
     };
-    let report = serve(&mut session, &cfg, &trace, None);
-    // Chaos runs stay on the single-engine pipeline (retry + degradation
-    // live there), and the report says so instead of claiming 4 devices.
-    assert_eq!(report.devices, 1);
-    assert_eq!(report.partitioner, "none");
-    assert_eq!(report.halo_bytes, 0);
+    let single = run(&gcn(), &hybrid, &[]);
+    let cfg = sharded(&hybrid, Partitioner::Contiguous);
+    let sharded_run = run(&gcn(), &cfg, &[]);
+    assert_eq!(sharded_run.backend, "Hybrid");
+    assert_eq!(classes(&sharded_run.responses), classes(&single.responses));
+    // The profiled run shows the device engines dispatching per window.
+    let trace = trace();
+    let mut session = Session::new(gcn(), vec![graph()], 4);
+    let profiler = tcg_profile::shared("Hybrid");
+    let cfg = ServeConfig {
+        queue_capacity: trace.len(),
+        ..cfg
+    };
+    serve(&mut session, &cfg, &trace, Some(&profiler));
+    let p = profiler.read().unwrap();
+    assert!(p.named_counter("tcg_hybrid_launches_total") > 0);
+    assert!(p
+        .events()
+        .iter()
+        .any(|ev| ev.name.starts_with("hybrid_dispatch:spmm[")));
+}
+
+/// Faults, resilience and churn all run sharded: 4 devices reported, every
+/// admitted request answered, and the report byte-identical across repeats
+/// and across 1 vs 4 engine threads.
+#[test]
+fn faulted_resilient_and_churned_runs_shard_deterministically() {
+    let faults = ServeConfig {
+        fault: Some(FaultConfig::uniform(0.3)),
+        fault_seed: 9,
+        ..ServeConfig::default()
+    };
+    let resilient = ServeConfig {
+        resilience: Some(ResilienceConfig::default()),
+        ..faults.clone()
+    };
+    let churn = churn_schedule(
+        &[graph().csr],
+        &ChurnConfig {
+            events: 3,
+            rate_eps: 10_000.0,
+            batch: 4,
+            seed: 13,
+        },
+    );
+    let cases: [(&str, ServeConfig, &[GraphMutation]); 3] = [
+        ("faults", sharded(&faults, Partitioner::Contiguous), &[]),
+        (
+            "resilience",
+            sharded(&resilient, Partitioner::GreedyEdgeCut),
+            &[],
+        ),
+        (
+            "churn",
+            sharded(&ServeConfig::default(), Partitioner::Contiguous),
+            &churn,
+        ),
+    ];
+    for (case, cfg, mutations) in cases {
+        let at_threads = |threads| {
+            run(
+                &gcn(),
+                &ServeConfig {
+                    threads,
+                    ..cfg.clone()
+                },
+                mutations,
+            )
+        };
+        let report = at_threads(1);
+        assert_eq!(report.devices, 4, "{case}");
+        let admitted = report.total_requests - report.shed;
+        assert_eq!(report.answered, admitted, "{case}");
+        assert!(report.halo_bytes > 0, "{case}");
+        let json = report.to_json();
+        assert_eq!(json, at_threads(1).to_json(), "{case}: repeat drifted");
+        assert_eq!(json, at_threads(4).to_json(), "{case}: threads drifted");
+        if case == "faults" {
+            assert!(report.faults.total_injected() > 0, "no faults injected");
+        }
+        if case == "churn" {
+            assert!(report.mutations.applied > 0, "no mutation applied");
+        }
+    }
 }

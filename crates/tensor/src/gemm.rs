@@ -20,9 +20,8 @@
 //! memory is the tile in locals.
 //!
 //! Each output row depends only on its own `A` row (its own `A` column for
-//! [`gemm_at_b`]). The row-sharded executor in `tcg-dist` multiplies each
-//! device's row block on its own, so it stays bitwise equal to one device
-//! only because of this. `tcg_oracle::refmodel` pins the contract.
+//! [`gemm_at_b`]), so any row subset multiplies to the same bits as the
+//! full matrix. `tcg_oracle::refmodel` pins the contract.
 
 use crate::{DenseMatrix, Result, TensorError};
 

@@ -219,12 +219,20 @@ print(f\"churn gate: {m['applied']} mutations, {m['windows_touched']} windows re
     echo "dynamic graphs: CLI churn smoke failed" >&2
     exit 1
 }
-# Sharding gate: scheduled mutations keep a --devices run on one device,
-# and the CLI must say so (the note names the gate that fired).
-gate_note=$(./target/release/tcgnn serve Cora --requests 32 --rate 2000 --epochs 2 \
-    --devices 2 --churn 1 2>&1 >/dev/null)
-grep -q 'ran single-device (sharding gated off by graph mutations)' <<<"$gate_note" || {
-    echo "dynamic graphs: --devices with --churn fell back to one device silently" >&2
+# Sharded churn smoke: a --devices run with mutations shards every batch
+# (the engine backend composes with churn), applies the edit and pays halo
+# traffic.
+dist_out=$(./target/release/tcgnn serve Cora --requests 32 --rate 2000 --epochs 2 \
+    --devices 2 --churn 1)
+sed -n '/^{/,$p' <<<"$dist_out" | python3 -c "
+import json, sys
+d = json.load(sys.stdin)
+assert d['devices'] == 2, f'sharded churn ran on {d[\"devices\"]} devices'
+assert d['mutations']['applied'] == 1, f'churn event lost: {d[\"mutations\"]}'
+assert d['halo_bytes'] > 0, 'sharded churn exchanged no halo'
+print(f\"sharded churn: {d['devices']} devices, {d['halo_bytes']} halo bytes\")
+" || {
+    echo "dynamic graphs: --devices 2 --churn 1 smoke failed" >&2
     exit 1
 }
 # Churn-bench sentinel over the committed BENCH_churn baselines (the full
@@ -232,10 +240,12 @@ grep -q 'ran single-device (sharding gated off by graph mutations)' <<<"$gate_no
 cargo run --release -q -p tcg-bench --bin bench_churn -- --check
 
 step "dist: sharded-execution bitwise equality + scaling baselines"
-# Bitwise gate across the 10 adversarial oracle families and the fig7b
+# Partition/shard properties, then the bitwise gate: every servable model on
+# every backend across the 10 adversarial oracle families and the fig7b
 # dataset suite at 2 and 4 devices under both partitioners, with block
 # bodies fanned over 4 workers — sharding must be invisible to the math.
 TCG_THREADS=4 cargo test --release -q -p tcg-dist
+TCG_THREADS=4 cargo test --release -q --test sharded_equivalence
 # Scaling-curve sentinel over the committed BENCH_dist baselines (the full
 # 1M-node workload is `cargo run --release -p tcg-bench --bin bench_dist`).
 cargo run --release -q -p tcg-bench --bin bench_dist -- --check

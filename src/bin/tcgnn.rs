@@ -67,8 +67,9 @@ fn usage() -> ExitCode {
                      --metrics writes Prometheus text-format RED metrics;\n\
                      --resilience enables deadline cancellation, circuit\n\
                      breakers, brownout shedding, and cache quarantine;\n\
-                     --devices > 1 shards clean GCN batches across simulated\n\
-                     devices with halo exchange (see DESIGN.md \u{00a7}14);\n\
+                     --devices > 1 shards every batch across simulated\n\
+                     devices with halo exchange, for every model, fault plan,\n\
+                     resilience policy and churn (see DESIGN.md \u{00a7}14);\n\
                      --churn N interleaves N seeded edge-mutation events with\n\
                      the trace; touched 16-row windows retranslate in place,\n\
                      the rest reuse cached state (see DESIGN.md \u{00a7}16)\n\
@@ -482,8 +483,8 @@ fn cmd_eval(args: &[String]) -> ExitCode {
 /// dashboard instead. Both honor `--metrics PATH` and `TCG_PROFILE`.
 fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
     use tc_gnn::serve::{
-        churn_schedule, poisson_trace, serve_with_mutations, sharding_gate, ChurnConfig,
-        LoadgenConfig, ServeConfig, ServedGraph, Session,
+        churn_schedule, poisson_trace, serve_with_mutations, ChurnConfig, LoadgenConfig,
+        ServeConfig, ServedGraph, Session,
     };
 
     let Some(names_arg) = args.first() else {
@@ -532,6 +533,29 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
             .unwrap_or(default)
     };
 
+    let devices = parse_usize("--devices", 1);
+    let partitioner = match flag_value(args, "--partitioner") {
+        None => tc_gnn::dist::Partitioner::Contiguous,
+        Some(p) => match tc_gnn::dist::Partitioner::parse(&p) {
+            Some(part) => part,
+            None => {
+                eprintln!("error: unknown partitioner {p} (contiguous|greedy)");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    // The engine builder owns the device-count rules: ask it before training
+    // (CUDA-core kernels, so no SGT runs), not inside a serve worker.
+    let preflight = Engine::builder(datasets[0].graph.clone())
+        .backend(Backend::DglLike)
+        .devices(devices)
+        .partitioner(partitioner)
+        .build();
+    if let Err(e) = preflight {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
+
     eprintln!(
         "training frozen {model} model on {}...",
         datasets[0].spec.name
@@ -566,16 +590,8 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
     if args.iter().any(|a| a == "--resilience") {
         cfg.resilience = Some(tc_gnn::serve::ResilienceConfig::default());
     }
-    cfg.devices = parse_usize("--devices", 1);
-    if let Some(p) = flag_value(args, "--partitioner") {
-        match tc_gnn::dist::Partitioner::parse(&p) {
-            Some(part) => cfg.partitioner = part,
-            None => {
-                eprintln!("error: unknown partitioner {p} (contiguous|greedy)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    cfg.devices = devices;
+    cfg.partitioner = partitioner;
     let lg = LoadgenConfig {
         rate_rps: parse_f64("--rate", 200.0),
         requests: parse_usize("--requests", 64),
@@ -629,14 +645,6 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
         .profiler(cfg.backend.name())
         .map(|p| std::sync::Arc::new(std::sync::RwLock::new(p)));
     let report = serve_with_mutations(&mut session, &cfg, &trace, &mutations, profiler.as_ref());
-    // `report.devices` reads from the same gate, so this fires exactly when
-    // the run fell short of the devices asked for.
-    if let Err(gate) = sharding_gate(&cfg, session.model(), &mutations) {
-        eprintln!(
-            "note: --devices {} ran single-device (sharding gated off by {gate})",
-            cfg.devices
-        );
-    }
     if dashboard {
         print!("{}", tc_gnn::serve::render_top(&report));
     } else {

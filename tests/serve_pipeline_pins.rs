@@ -5,9 +5,9 @@
 //! profiled Perfetto trace. The cases cover every branch of the serve
 //! pipeline: clean and faulted single-device runs, each resilience policy
 //! alone and all together, the hybrid backend, edge churn (which refreshes
-//! the hybrid dispatch mask), sharded runs under both partitioners, and the
-//! two configurations that gate sharding back to one device. A mismatch
-//! prints the current table, so an intentional change can re-record it.
+//! the hybrid dispatch mask), and sharded runs under both partitioners,
+//! with fault injection and with churn. A mismatch prints the current
+//! table, so an intentional change can re-record it.
 
 use tc_gnn::fault::FaultConfig;
 use tc_gnn::gnn::{Backend, GcnModel};
@@ -33,8 +33,8 @@ const PINS: &[&str] = &[
     "tcgnn/churn+faults+resilience f9d191621aeac991 e8df39aa16e54651 68d35aefd031ebcd",
     "dist4/contiguous c73a0aceff833fdc e6a5b5230591457e 9a0267713f4520dc",
     "dist4/greedy f2db3dc4bbfe2b69 f55be0e6cda06337 fb7a86ac2e5a8ad6",
-    "dist4/faults-gated 8c5a3a00d1fb0479 6aab54b13489d439 0b5a190492163e40",
-    "dist4/churn-gated d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
+    "dist4/faults 8c5a3a00d1fb0479 6aab54b13489d439 0b5a190492163e40",
+    "dist4/churn d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
 ];
 
 const RATE_RPS: f64 = 100_000.0;
@@ -179,12 +179,12 @@ fn serve_pipeline_matches_pinned_artifacts() {
             &[],
         ),
         (
-            "dist4/faults-gated",
+            "dist4/faults",
             sharded(&faults, Partitioner::Contiguous),
             &[],
         ),
         (
-            "dist4/churn-gated",
+            "dist4/churn",
             sharded(&base, Partitioner::Contiguous),
             &churn,
         ),
