@@ -31,10 +31,10 @@ const PINS: &[&str] = &[
     "tcgnn/churn d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
     "hybrid/churn f00bfcdf89f43a5a 8996035bbe6a8079 14a87f5f47a41118",
     "tcgnn/churn+faults+resilience f9d191621aeac991 e8df39aa16e54651 68d35aefd031ebcd",
-    "dist4/contiguous c73a0aceff833fdc e6a5b5230591457e 9a0267713f4520dc",
-    "dist4/greedy f2db3dc4bbfe2b69 f55be0e6cda06337 fb7a86ac2e5a8ad6",
-    "dist4/faults 8c5a3a00d1fb0479 6aab54b13489d439 0b5a190492163e40",
-    "dist4/churn d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
+    "dist4/contiguous c73a0aceff833fdc e6a5b5230591457e a4a0046db1aadf15",
+    "dist4/greedy f2db3dc4bbfe2b69 f55be0e6cda06337 133267866b8979d9",
+    "dist4/faults ef89488367a74e8b e17b78f10213809f ab8c493d4c61c2f1",
+    "dist4/churn efdce388ce6c7edc 8fafafc3befb2fed 65adc59487650e94",
 ];
 
 const RATE_RPS: f64 = 100_000.0;
