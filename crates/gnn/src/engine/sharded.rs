@@ -365,20 +365,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_entry_points_return_typed_errors() {
+    fn sharded_build_rejects_an_asymmetric_graph() {
         let asym = CsrGraph::from_raw(3, vec![0, 1, 1, 1], vec![1]).unwrap();
         let built = Engine::builder(asym).devices(2).build();
         assert!(matches!(built, Err(TcgError::InvalidInput { .. })));
+    }
+
+    #[test]
+    fn zero_devices_is_invalid_input() {
         let g = gen::rmat_default(128, 800, 2).unwrap();
-        let zero = Engine::builder(g.clone()).devices(0).build();
-        assert!(matches!(zero, Err(TcgError::InvalidInput { .. })));
+        let built = Engine::builder(g).devices(0).build();
+        assert!(matches!(built, Err(TcgError::InvalidInput { .. })));
+    }
+
+    #[test]
+    fn wrong_feature_rows_are_a_dim_mismatch_on_every_sharded_op() {
+        let g = gen::rmat_default(128, 800, 2).unwrap();
         let mut eng = engine(&g, 2, Partitioner::Contiguous);
         let short = init::uniform(g.num_nodes() - 1, 4, -1.0, 1.0, 1);
-        let err = eng.gcn_aggregate(&short).unwrap_err();
-        assert!(matches!(err, TcgError::DimMismatch { .. }), "{err:?}");
-        assert!(matches!(
-            eng.sddmm(&short, &short),
-            Err(TcgError::DimMismatch { .. })
-        ));
+        let dim = |r: Result<(), TcgError>| matches!(r, Err(TcgError::DimMismatch { .. }));
+        assert!(dim(eng.gcn_aggregate(&short).map(drop)));
+        assert!(dim(eng.spmm(&short, None).map(drop)));
+        assert!(dim(eng.sddmm(&short, &short).map(drop)));
+        assert!(dim(eng.fused_attention(&short, &short, 1.0).map(drop)));
+        assert!(dim(eng.edge_softmax(&[1.0]).map(drop)));
     }
 }

@@ -122,20 +122,58 @@ fn sharded_serving_honors_the_hybrid_backend() {
         .any(|ev| ev.name.starts_with("hybrid_dispatch:spmm[")));
 }
 
-/// Faults, resilience and churn all run sharded: 4 devices reported, every
-/// admitted request answered, and the report byte-identical across repeats
-/// and across 1 vs 4 engine threads.
-#[test]
-fn faulted_resilient_and_churned_runs_shard_deterministically() {
-    let faults = ServeConfig {
+/// Runs `cfg` sharded 4 ways and checks what every serve policy must keep
+/// when sharded: 4 devices reported, every admitted request answered, halo
+/// traffic paid, and the report byte-identical across repeats and across
+/// 1 vs 4 engine threads. Returns the report for policy-specific checks.
+fn assert_shards_deterministically(cfg: &ServeConfig, mutations: &[GraphMutation]) -> ServeReport {
+    let at_threads = |threads| {
+        run(
+            &gcn(),
+            &ServeConfig {
+                threads,
+                ..cfg.clone()
+            },
+            mutations,
+        )
+    };
+    let report = at_threads(1);
+    assert_eq!(report.devices, 4);
+    assert_eq!(report.answered, report.total_requests - report.shed);
+    assert!(report.halo_bytes > 0);
+    let json = report.to_json();
+    assert_eq!(json, at_threads(1).to_json(), "repeat drifted");
+    assert_eq!(json, at_threads(4).to_json(), "engine threads drifted");
+    report
+}
+
+fn faults() -> ServeConfig {
+    ServeConfig {
         fault: Some(FaultConfig::uniform(0.3)),
         fault_seed: 9,
         ..ServeConfig::default()
-    };
+    }
+}
+
+#[test]
+fn faulted_serving_shards_deterministically() {
+    let report = assert_shards_deterministically(&sharded(&faults(), Partitioner::Contiguous), &[]);
+    assert!(report.faults.total_injected() > 0, "no faults injected");
+}
+
+#[test]
+fn resilient_serving_shards_deterministically() {
     let resilient = ServeConfig {
         resilience: Some(ResilienceConfig::default()),
-        ..faults.clone()
+        ..faults()
     };
+    let report =
+        assert_shards_deterministically(&sharded(&resilient, Partitioner::GreedyEdgeCut), &[]);
+    assert!(report.resilience.is_some());
+}
+
+#[test]
+fn churned_serving_shards_deterministically() {
     let churn = churn_schedule(
         &[graph().csr],
         &ChurnConfig {
@@ -145,43 +183,7 @@ fn faulted_resilient_and_churned_runs_shard_deterministically() {
             seed: 13,
         },
     );
-    let cases: [(&str, ServeConfig, &[GraphMutation]); 3] = [
-        ("faults", sharded(&faults, Partitioner::Contiguous), &[]),
-        (
-            "resilience",
-            sharded(&resilient, Partitioner::GreedyEdgeCut),
-            &[],
-        ),
-        (
-            "churn",
-            sharded(&ServeConfig::default(), Partitioner::Contiguous),
-            &churn,
-        ),
-    ];
-    for (case, cfg, mutations) in cases {
-        let at_threads = |threads| {
-            run(
-                &gcn(),
-                &ServeConfig {
-                    threads,
-                    ..cfg.clone()
-                },
-                mutations,
-            )
-        };
-        let report = at_threads(1);
-        assert_eq!(report.devices, 4, "{case}");
-        let admitted = report.total_requests - report.shed;
-        assert_eq!(report.answered, admitted, "{case}");
-        assert!(report.halo_bytes > 0, "{case}");
-        let json = report.to_json();
-        assert_eq!(json, at_threads(1).to_json(), "{case}: repeat drifted");
-        assert_eq!(json, at_threads(4).to_json(), "{case}: threads drifted");
-        if case == "faults" {
-            assert!(report.faults.total_injected() > 0, "no faults injected");
-        }
-        if case == "churn" {
-            assert!(report.mutations.applied > 0, "no mutation applied");
-        }
-    }
+    let cfg = sharded(&ServeConfig::default(), Partitioner::Contiguous);
+    let report = assert_shards_deterministically(&cfg, &churn);
+    assert!(report.mutations.applied > 0, "no mutation applied");
 }
