@@ -968,17 +968,13 @@ impl Engine {
         xa: &DenseMatrix,
         xb: &DenseMatrix,
     ) -> Result<(Vec<f32>, f64), TcgError> {
-        if let Some(set) = &mut self.shards {
+        if self.shards.is_some() {
             SpmmProblem::new(&self.csr, None, xa)?;
             SpmmProblem::new(&self.csr, None, xb)?;
-            let mut out = vec![0.0; self.csr.num_edges()];
             // `f[e] = xa[row]·xb[neighbor]`: only `xb` has halo rows.
-            let ms = set.run("sddmm", xb.cols(), |eng, sh| {
-                let (local, ms) = eng.sddmm(&sh.gather_x(xa), &sh.gather_x(xb))?;
-                sh.scatter_edge_values(&local, &mut out);
-                Ok(ms)
-            })?;
-            return Ok((out, ms));
+            return self.sharded_edges("sddmm", xb.cols(), |eng, sh| {
+                eng.sddmm(&sh.gather_x(xa), &sh.gather_x(xb))
+            });
         }
         let mut extra_ms = 0.0;
         let primary = self.attempt("sddmm", &mut extra_ms, |eng| {
@@ -1024,7 +1020,7 @@ impl Engine {
                     actual: values.len(),
                 });
             }
-            return self.sharded_edges("edge_softmax", |eng, sh| {
+            return self.sharded_edges("edge_softmax", 0, |eng, sh| {
                 eng.edge_softmax(&sh.slice_edge_values(values))
             });
         }
@@ -1061,7 +1057,7 @@ impl Engine {
         assert_eq!(p.len(), dp.len());
         if self.shards.is_some() {
             return self
-                .sharded_edges("edge_softmax_backward", |eng, sh| {
+                .sharded_edges("edge_softmax_backward", 0, |eng, sh| {
                     let (p, dp) = (sh.slice_edge_values(p), sh.slice_edge_values(dp));
                     Ok(eng.edge_softmax_backward(&p, &dp))
                 })
@@ -1083,11 +1079,13 @@ impl Engine {
     }
 
     /// Sharded edge-valued op: runs `op` on each shard's device engine
-    /// (edge values of owned rows are resident, so nothing is exchanged)
-    /// and scatters its local edge values into global edge order.
+    /// (after exchanging `halo_dim` columns of halo rows; edge values of
+    /// owned rows are resident) and scatters its local edge values into
+    /// global edge order.
     fn sharded_edges(
         &mut self,
         name: &str,
+        halo_dim: usize,
         mut op: impl FnMut(&mut Engine, &Shard) -> Result<(Vec<f32>, f64), TcgError>,
     ) -> Result<(Vec<f32>, f64), TcgError> {
         let mut out = vec![0.0; self.csr.num_edges()];
@@ -1095,7 +1093,7 @@ impl Engine {
             .shards
             .as_mut()
             .expect("sharded op on a sharded engine");
-        let ms = set.run(name, 0, |eng, sh| {
+        let ms = set.run(name, halo_dim, |eng, sh| {
             let (local, ms) = op(eng, sh)?;
             sh.scatter_edge_values(&local, &mut out);
             Ok(ms)
