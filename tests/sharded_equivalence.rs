@@ -11,9 +11,12 @@
 use std::process::Command;
 
 use tc_gnn::dist::Partitioner;
-use tc_gnn::gnn::{AgnnModel, Backend, Engine, GcnModel, GinModel, SageModel};
+use tc_gnn::gnn::{
+    train_agnn, train_gcn, AgnnModel, Backend, Engine, GcnModel, GinModel, SageModel, TrainConfig,
+    TrainResult,
+};
 use tc_gnn::gpusim::DeviceSpec;
-use tc_gnn::graph::datasets::{GraphClass, TABLE4};
+use tc_gnn::graph::datasets::{spec_by_name, Dataset, GraphClass, TABLE4};
 use tc_gnn::graph::CsrGraph;
 use tc_gnn::oracle::Family;
 use tc_gnn::serve::ServableModel;
@@ -169,6 +172,41 @@ fn fig7b_suite_shards_bitwise_identically_tcgnn() {
 #[test]
 fn fig7b_suite_shards_bitwise_identically_hybrid() {
     fig7b_suite_shards_bitwise_identically(Backend::Hybrid);
+}
+
+#[test]
+fn training_on_a_sharded_engine_reproduces_one_device_losses() {
+    // Forward and backward both run sharded: transposed aggregation,
+    // softmax backward and the weight-gradient GEMMs included.
+    let ds = spec_by_name("Cora")
+        .expect("registry")
+        .scaled(8)
+        .materialize(2024)
+        .expect("synthetic dataset");
+    let cfg = TrainConfig {
+        hidden: 16,
+        layers: 2,
+        epochs: 3,
+        lr: 0.02,
+        seed: 3,
+    };
+    type Train = fn(&mut Engine, &Dataset, TrainConfig) -> TrainResult;
+    let losses = |train: Train, backend, devices| {
+        let mut eng = engine(&ds.graph, backend, devices, Partitioner::GreedyEdgeCut);
+        let result = train(&mut eng, &ds, cfg);
+        result
+            .epochs
+            .iter()
+            .map(|e| e.loss.to_bits())
+            .collect::<Vec<_>>()
+    };
+    for backend in [Backend::TcGnn, Backend::DglLike] {
+        assert_eq!(losses(train_gcn, backend, 4), losses(train_gcn, backend, 1));
+        assert_eq!(
+            losses(train_agnn, backend, 4),
+            losses(train_agnn, backend, 1)
+        );
+    }
 }
 
 #[test]
