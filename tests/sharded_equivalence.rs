@@ -55,16 +55,18 @@ fn models(in_dim: usize, classes: usize, seed: u64) -> [ServableModel; 4] {
     ]
 }
 
-/// Every model on `backend`: sharded logits equal one-device logits bit for
-/// bit, and the halo accounting reconciles with the interconnect.
+/// Every model on `backend`, with weights drawn from `seed`: sharded logits
+/// equal one-device logits bit for bit, and the halo accounting reconciles
+/// with the interconnect.
 fn assert_models_shard_exactly(
     g: &CsrGraph,
     x: &DenseMatrix,
     classes: usize,
     backend: Backend,
     label: &str,
+    seed: u64,
 ) {
-    for model in models(x.cols(), classes, 5) {
+    for model in models(x.cols(), classes, seed) {
         let (want, _) = model.infer(&mut engine(g, backend, 1, Partitioner::Contiguous), x);
         for (devices, p) in SHARDINGS {
             let mut eng = engine(g, backend, devices, p);
@@ -80,10 +82,13 @@ fn assert_models_shard_exactly(
 #[test]
 fn all_adversarial_families_shard_bitwise_identically() {
     for family in Family::ALL {
-        let g = family.generate(42);
-        let x = init::uniform(g.num_nodes(), 12, -1.0, 1.0, 7);
-        for backend in backends() {
-            assert_models_shard_exactly(&g, &x, 5, backend, family.name());
+        for seed in [1u64, 42] {
+            let g = family.generate(seed);
+            let x = init::uniform(g.num_nodes(), 12, -1.0, 1.0, seed ^ 7);
+            let label = format!("{} seed {seed}", family.name());
+            for backend in backends() {
+                assert_models_shard_exactly(&g, &x, 5, backend, &label, seed);
+            }
         }
     }
 }
@@ -149,7 +154,7 @@ fn fig7b_suite_shards_bitwise_identically(backend: Backend) {
             .generate_graph(20230710)
             .expect("generator");
         let x = init::uniform(g.num_nodes(), spec.feat_dim.min(32), -1.0, 1.0, 11);
-        assert_models_shard_exactly(&g, &x, spec.num_classes.max(2), backend, spec.name);
+        assert_models_shard_exactly(&g, &x, spec.num_classes.max(2), backend, spec.name, 5);
     }
 }
 
