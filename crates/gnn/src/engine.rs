@@ -219,6 +219,82 @@ impl Norms {
     }
 }
 
+/// One simulated device bound to a graph: its warm launcher, the
+/// backend's kernels and the SGT translation they consume.
+struct Device {
+    launcher: Launcher,
+    spmm: Box<dyn SpmmKernel>,
+    sddmm: Box<dyn SddmmKernel>,
+    /// The SGT translation (TC-GNN/hybrid backends; enables the fused path).
+    translated: Option<tcg_sgt::TranslatedGraph>,
+    /// Per-window dispatch policies, `(spmm, sddmm)` (hybrid backend only).
+    hybrid_policies: Option<(DispatchPolicy, DispatchPolicy)>,
+    /// One-time preprocessing cost (SGT for TC-GNN), modeled host ms.
+    preprocessing_ms: f64,
+}
+
+impl Device {
+    /// Binds `csr` to `backend`'s kernels on a `spec` device, translating
+    /// it with SGT unless a `cached` translation is given (which is still
+    /// validated against `csr`).
+    fn build(
+        backend: Backend,
+        csr: &CsrGraph,
+        spec: &DeviceSpec,
+        threads: usize,
+        cached: Option<tcg_sgt::TranslatedGraph>,
+    ) -> Result<Device, TcgError> {
+        let mut launcher = Launcher::new(spec.clone());
+        launcher.set_threads(threads);
+        let (translated, preprocessing_ms) = match (backend.uses_translation(), cached) {
+            (false, _) => (None, 0.0),
+            (true, Some(t)) => (Some(t), 0.0),
+            (true, None) => (
+                Some(tcg_sgt::Sgt::builder().threads(threads).translate(csr)?),
+                tcg_sgt::overhead::model_ms(csr),
+            ),
+        };
+        if let Some(t) = &translated {
+            t.validate(csr)?;
+        }
+        let hybrid_policies = (backend == Backend::Hybrid).then(|| {
+            let policy = DispatchPolicy::from_env;
+            (policy(KernelClass::Spmm), policy(KernelClass::Sddmm))
+        });
+        let (spmm, sddmm): (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>) =
+            match (translated.clone(), hybrid_policies) {
+                (None, _) if backend == Backend::PygLike => {
+                    (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm))
+                }
+                (None, _) => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm)),
+                (Some(t), None) => (
+                    Box::new(TcgnnSpmm::from_translated(t.clone())),
+                    Box::new(TcgnnSddmm::from_translated(t)),
+                ),
+                (Some(t), Some((spmm, sddmm))) => (
+                    Box::new(HybridSpmm::from_translated(t.clone()).with_policy(spmm)),
+                    Box::new(HybridSddmm::from_translated(t).with_policy(sddmm)),
+                ),
+            };
+        Ok(Device {
+            launcher,
+            spmm,
+            sddmm,
+            translated,
+            hybrid_policies,
+            preprocessing_ms,
+        })
+    }
+}
+
+/// Where an engine's ops run.
+enum Exec {
+    /// One device: ops launch on it directly.
+    Single(Box<Device>),
+    /// One device engine per shard (see [`sharded`]).
+    Sharded(Box<ShardSet>),
+}
+
 /// A graph bound to a backend: owns the simulated device state, the
 /// backend's kernels, and the per-graph preprocessing (SGT translation for
 /// TC-GNN, symmetric-normalization values, transpose permutation).
@@ -228,17 +304,9 @@ impl Norms {
 /// their share of the distributed makespan.
 pub struct Engine {
     backend: Backend,
-    launcher: Launcher,
     csr: CsrGraph,
     norms: Norms,
-    spmm: Box<dyn SpmmKernel>,
-    sddmm: Box<dyn SddmmKernel>,
-    /// The SGT translation (TC-GNN/hybrid backends; enables the fused path).
-    translated: Option<tcg_sgt::TranslatedGraph>,
-    /// Per-window dispatch policies, `(spmm, sddmm)` (hybrid backend only).
-    hybrid_policies: Option<(DispatchPolicy, DispatchPolicy)>,
-    /// One-time preprocessing cost (SGT for TC-GNN), modeled host ms.
-    preprocessing_ms: f64,
+    exec: Exec,
     /// Most recent SpMM kernel report (for profiling tables).
     pub last_spmm_report: Option<tcg_gpusim::KernelReport>,
     /// Most recent SDDMM kernel report.
@@ -257,9 +325,6 @@ pub struct Engine {
     retried: u64,
     /// Ops degraded to the fallback kernel.
     degraded: u64,
-    /// The device engines of a sharded engine; `None` on one device, where
-    /// ops run on `launcher` directly.
-    shards: Option<ShardSet>,
 }
 
 /// Step-by-step construction of an [`Engine`] — the one entry point that
@@ -348,17 +413,12 @@ impl EngineBuilder {
             backend,
             csr,
             device,
-            translation,
+            translation: cached,
             threads,
             devices,
             partitioner,
         } = self;
-        if devices == 0 {
-            return Err(TcgError::InvalidInput {
-                what: "engine devices",
-                detail: "an engine needs at least one device".into(),
-            });
-        }
+        check_devices(devices)?;
         if !csr.is_symmetric() {
             return Err(TcgError::InvalidInput {
                 what: "engine graph",
@@ -367,9 +427,11 @@ impl EngineBuilder {
         }
         let threads = tcg_gpusim::resolve_threads(threads).max(1);
         let norms = Norms::of(&csr);
-        let shards = match devices {
-            1 => None,
-            _ => Some(ShardSet::build(
+        let exec = match devices {
+            1 => Exec::Single(Box::new(Device::build(
+                backend, &csr, &device, threads, cached,
+            )?)),
+            _ => Exec::Sharded(Box::new(ShardSet::build(
                 &csr,
                 &norms,
                 backend,
@@ -377,10 +439,22 @@ impl EngineBuilder {
                 threads,
                 devices,
                 partitioner,
-            )?),
+            )?)),
         };
-        Engine::assemble(backend, csr, &device, threads, norms, translation, shards)
+        Ok(Engine::assemble(backend, csr, norms, exec))
     }
+}
+
+/// The device-count rule [`EngineBuilder::build`] applies, for front ends
+/// to ask before they have a graph: zero is [`TcgError::InvalidInput`].
+pub fn check_devices(devices: usize) -> Result<(), TcgError> {
+    if devices == 0 {
+        return Err(TcgError::InvalidInput {
+            what: "engine devices",
+            detail: "an engine needs at least one device".into(),
+        });
+    }
+    Ok(())
 }
 
 impl Engine {
@@ -399,66 +473,13 @@ impl Engine {
         }
     }
 
-    /// Binds `csr` to `backend`'s kernels. A sharded engine's kernels live
-    /// on its device engines, so it builds none of its own.
-    fn assemble(
-        backend: Backend,
-        csr: CsrGraph,
-        device: &DeviceSpec,
-        threads: usize,
-        norms: Norms,
-        cached: Option<tcg_sgt::TranslatedGraph>,
-        shards: Option<ShardSet>,
-    ) -> Result<Engine, TcgError> {
-        let mut launcher = Launcher::new(device.clone());
-        launcher.set_threads(threads);
-        let mut translated = None;
-        let mut hybrid_policies = None;
-        let (spmm, sddmm, preprocessing_ms): (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>, f64) =
-            match backend {
-                _ if shards.is_some() => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm), 0.0),
-                Backend::DglLike => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm), 0.0),
-                Backend::PygLike => (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm), 0.0),
-                Backend::TcGnn | Backend::Hybrid => {
-                    let (t, sgt_ms) = match cached {
-                        Some(t) => (t, 0.0),
-                        None => (
-                            tcg_sgt::Sgt::builder().threads(threads).translate(&csr)?,
-                            tcg_sgt::overhead::model_ms(&csr),
-                        ),
-                    };
-                    t.validate(&csr)?;
-                    translated = Some(t.clone());
-                    if backend == Backend::TcGnn {
-                        (
-                            Box::new(TcgnnSpmm::from_translated(t.clone())),
-                            Box::new(TcgnnSddmm::from_translated(t)),
-                            sgt_ms,
-                        )
-                    } else {
-                        let spmm_policy = DispatchPolicy::from_env(KernelClass::Spmm);
-                        let sddmm_policy = DispatchPolicy::from_env(KernelClass::Sddmm);
-                        hybrid_policies = Some((spmm_policy, sddmm_policy));
-                        (
-                            Box::new(
-                                HybridSpmm::from_translated(t.clone()).with_policy(spmm_policy),
-                            ),
-                            Box::new(HybridSddmm::from_translated(t).with_policy(sddmm_policy)),
-                            sgt_ms,
-                        )
-                    }
-                }
-            };
-        Ok(Engine {
+    /// The engine over `csr` running on `exec`, with default recovery.
+    fn assemble(backend: Backend, csr: CsrGraph, norms: Norms, exec: Exec) -> Engine {
+        Engine {
             backend,
-            launcher,
             csr,
             norms,
-            spmm,
-            sddmm,
-            translated,
-            hybrid_policies,
-            preprocessing_ms,
+            exec,
             last_spmm_report: None,
             last_sddmm_report: None,
             last_fused_report: None,
@@ -467,13 +488,43 @@ impl Engine {
             forced_fallback: false,
             retried: 0,
             degraded: 0,
-            shards,
-        })
+        }
+    }
+
+    /// The one-device state and the graph it runs on. A sharded engine
+    /// hands every op to its device engines before reaching a path that
+    /// calls this.
+    fn local(&mut self) -> (&mut Device, &CsrGraph) {
+        match &mut self.exec {
+            Exec::Single(dev) => (dev, &self.csr),
+            Exec::Sharded(_) => unreachable!("one-device path on a sharded engine"),
+        }
+    }
+
+    /// [`Engine::local`], shared.
+    fn local_ref(&self) -> &Device {
+        match &self.exec {
+            Exec::Single(dev) => dev,
+            Exec::Sharded(_) => unreachable!("one-device path on a sharded engine"),
+        }
+    }
+
+    /// The device engines of a sharded engine (none on one device).
+    fn device_engines_mut(&mut self) -> impl Iterator<Item = &mut Engine> {
+        match &mut self.exec {
+            Exec::Single(_) => None,
+            Exec::Sharded(set) => Some(set.engines_mut()),
+        }
+        .into_iter()
+        .flatten()
     }
 
     /// Worker threads the launcher fans block bodies over (1 = sequential).
     pub fn threads(&self) -> usize {
-        self.launcher.threads()
+        match &self.exec {
+            Exec::Single(dev) => dev.launcher.threads(),
+            Exec::Sharded(set) => set.threads(),
+        }
     }
 
     /// Attaches a profiler; every subsequent simulated launch records one
@@ -483,14 +534,16 @@ impl Engine {
     /// engine's device engines record their own kernels and preprocessing,
     /// so its trace sums device work, not the makespan.
     pub fn attach_profiler(&mut self, profiler: SharedProfiler) {
-        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
+        for eng in self.device_engines_mut() {
             eng.attach_profiler(Arc::clone(&profiler));
         }
-        if self.preprocessing_ms > 0.0 {
-            profiler
-                .write()
-                .expect("profiler lock")
-                .record_host("sgt_preprocess", self.preprocessing_ms);
+        if let Exec::Single(dev) = &self.exec {
+            if dev.preprocessing_ms > 0.0 {
+                profiler
+                    .write()
+                    .expect("profiler lock")
+                    .record_host("sgt_preprocess", dev.preprocessing_ms);
+            }
         }
         self.profiler = Some(profiler);
     }
@@ -562,7 +615,8 @@ impl Engine {
         if self.profiler.is_none() {
             return;
         }
-        let (Some(t), Some((spmm_policy, sddmm_policy))) = (&self.translated, self.hybrid_policies)
+        let dev = self.local_ref();
+        let (Some(t), Some((spmm_policy, sddmm_policy))) = (&dev.translated, dev.hybrid_policies)
         else {
             return;
         };
@@ -580,24 +634,24 @@ impl Engine {
     /// A sharded engine gives device 0 `plan` and derives one per other
     /// device.
     pub fn attach_fault_plan(&mut self, plan: FaultPlan) {
-        match &mut self.shards {
-            Some(set) => set.attach_fault_plan(plan),
-            None => self.launcher.attach_fault_plan(Some(plan)),
+        match &mut self.exec {
+            Exec::Single(dev) => dev.launcher.attach_fault_plan(Some(plan)),
+            Exec::Sharded(set) => set.attach_fault_plan(plan),
         }
     }
 
     /// The attached fault plan, if any (device 0's on a sharded engine).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        match &self.shards {
-            Some(set) => set.fault_plan(),
-            None => self.launcher.fault_plan(),
+        match &self.exec {
+            Exec::Single(dev) => dev.launcher.fault_plan(),
+            Exec::Sharded(set) => set.fault_plan(),
         }
     }
 
     /// Replaces the recovery policy (defaults are sensible; tests tighten).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
+        for eng in self.device_engines_mut() {
             eng.set_recovery_policy(policy);
         }
     }
@@ -608,18 +662,18 @@ impl Engine {
     /// layer's deadline cancellation can charge a partially-executed batch.
     /// A sharded engine logs each op's share of the makespan instead.
     pub fn set_launch_log(&mut self, on: bool) {
-        match &mut self.shards {
-            Some(set) => set.set_launch_log(on),
-            None => self.launcher.set_launch_log(on),
+        match &mut self.exec {
+            Exec::Single(dev) => dev.launcher.set_launch_log(on),
+            Exec::Sharded(set) => set.set_launch_log(on),
         }
     }
 
     /// Drains the accumulated per-launch milliseconds (empty when the log
     /// is disabled), in launch-completion order.
     pub fn take_launch_log(&mut self) -> Vec<f64> {
-        match &mut self.shards {
-            Some(set) => set.take_launch_log(),
-            None => self.launcher.take_launch_log(),
+        match &mut self.exec {
+            Exec::Single(dev) => dev.launcher.take_launch_log(),
+            Exec::Sharded(set) => set.take_launch_log(),
         }
     }
 
@@ -629,9 +683,13 @@ impl Engine {
     /// untouched — the property the deterministic chaos tests rely on.
     pub fn set_forced_fallback(&mut self, on: bool) {
         self.forced_fallback = on;
-        self.launcher.set_fault_suppressed(on);
-        for eng in self.shards.iter_mut().flat_map(ShardSet::engines_mut) {
-            eng.set_forced_fallback(on);
+        match &mut self.exec {
+            Exec::Single(dev) => dev.launcher.set_fault_suppressed(on),
+            Exec::Sharded(set) => {
+                for eng in set.engines_mut() {
+                    eng.set_forced_fallback(on);
+                }
+            }
         }
     }
 
@@ -645,10 +703,11 @@ impl Engine {
     /// plan is attached and nothing was retried. A sharded engine sums its
     /// devices.
     pub fn fault_report(&self) -> FaultReport {
-        if let Some(set) = &self.shards {
-            return set.fault_report();
-        }
-        let mut r = self
+        let dev = match &self.exec {
+            Exec::Single(dev) => dev,
+            Exec::Sharded(set) => return set.fault_report(),
+        };
+        let mut r = dev
             .launcher
             .fault_plan()
             .map(FaultReport::from_plan)
@@ -736,10 +795,11 @@ impl Engine {
     /// Runs `f` with fault injection suppressed (the fallback path),
     /// restoring the previous suppression afterwards.
     fn suppressed<T>(&mut self, f: impl FnOnce(&mut Engine) -> T) -> T {
-        let was_suppressed = self.launcher.fault_suppressed();
-        self.launcher.set_fault_suppressed(true);
+        let launcher = &mut self.local().0.launcher;
+        let was_suppressed = launcher.fault_suppressed();
+        launcher.set_fault_suppressed(true);
         let out = f(self);
-        self.launcher.set_fault_suppressed(was_suppressed);
+        self.local().0.launcher.set_fault_suppressed(was_suppressed);
         out
     }
 
@@ -757,9 +817,9 @@ impl Engine {
     /// TC-GNN backend, zero otherwise) — Figure 7(b)'s numerator. A sharded
     /// engine sums the per-shard translations.
     pub fn preprocessing_ms(&self) -> f64 {
-        match &self.shards {
-            Some(set) => set.engines().map(|e| e.preprocessing_ms).sum(),
-            None => self.preprocessing_ms,
+        match &self.exec {
+            Exec::Single(dev) => dev.preprocessing_ms,
+            Exec::Sharded(set) => set.engines().map(Engine::preprocessing_ms).sum(),
         }
     }
 
@@ -767,12 +827,15 @@ impl Engine {
     /// devices executed since the previous call — and restarts every device
     /// timeline. `None` on a one-device engine.
     pub fn take_dist_report(&mut self) -> Option<DistReport> {
-        self.shards.as_mut().map(ShardSet::take_report)
+        match &mut self.exec {
+            Exec::Single(_) => None,
+            Exec::Sharded(set) => Some(set.take_report()),
+        }
     }
 
     /// Cost of a streaming elementwise pass.
     fn pass_ms(&self, read_bytes: u64, write_bytes: u64) -> f64 {
-        stream_pass_report(self.launcher.device(), read_bytes, write_bytes).time_ms
+        stream_pass_report(self.local_ref().launcher.device(), read_bytes, write_bytes).time_ms
     }
 
     /// Host dispatch cost of `n` sparse graph operations on this backend.
@@ -793,10 +856,9 @@ impl Engine {
         mut op: impl FnMut(&mut Engine, &Shard, &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError>,
     ) -> Result<(DenseMatrix, f64), TcgError> {
         SpmmProblem::new(&self.csr, None, x)?;
-        let set = self
-            .shards
-            .as_mut()
-            .expect("sharded op on a sharded engine");
+        let Exec::Sharded(set) = &mut self.exec else {
+            unreachable!("sharded op on a one-device engine");
+        };
         let mut out = DenseMatrix::zeros(x.rows(), x.cols());
         let ms = set.run(name, x.cols(), |eng, sh| {
             let (local, ms) = op(eng, sh, &sh.gather_x(x))?;
@@ -807,16 +869,20 @@ impl Engine {
     }
 
     /// Charges a dense op over `rows` rows: `cost(self, rows)` on one
-    /// device; on a sharded engine each device pays for the node rows it
-    /// owns (all `rows` if they are not node rows, e.g. weights), unsynced,
-    /// and the op costs its share of the makespan.
-    fn dense_ms(&mut self, name: &str, rows: usize, cost: impl Fn(&Engine, usize) -> f64) -> f64 {
-        let n = self.csr.num_nodes();
-        let Some(set) = self.shards.as_mut() else {
+    /// device. On a sharded engine each device pays `cost` for its
+    /// `split(shard)` rows, unsynced, and the op costs its share of the
+    /// makespan.
+    fn dense_ms(
+        &mut self,
+        name: &str,
+        rows: usize,
+        split: impl Fn(&Shard) -> usize,
+        cost: impl Fn(&Engine, usize) -> f64,
+    ) -> f64 {
+        let Exec::Sharded(set) = &mut self.exec else {
             return cost(self, rows);
         };
-        let rows_of = |sh: &Shard| if rows == n { sh.owned_rows } else { rows };
-        set.run(name, 0, |eng, sh| Ok(cost(eng, rows_of(sh))))
+        set.run(name, 0, |eng, sh| Ok(cost(eng, split(sh))))
             .expect("dense charges cannot fail")
     }
 
@@ -832,7 +898,8 @@ impl Engine {
         values: Option<&[f32]>,
         poisoned: &DenseMatrix,
     ) -> Result<Option<(DenseMatrix, f64)>, TcgError> {
-        let (Some(t), Some((spmm_policy, _))) = (self.translated.clone(), self.hybrid_policies)
+        let dev = self.local_ref();
+        let (Some(t), Some((spmm_policy, _))) = (dev.translated.clone(), dev.hybrid_policies)
         else {
             return Ok(None);
         };
@@ -860,7 +927,8 @@ impl Engine {
         self.prof_hybrid_dispatch("spmm_degraded", &mask);
         let kernel = HybridSpmm::from_translated(t).with_mask(mask);
         let (out, report) = self.suppressed(|eng| {
-            kernel.execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+            let (dev, csr) = eng.local();
+            kernel.execute(&mut dev.launcher, &SpmmProblem::new(csr, values, x)?)
         })?;
         let ms = report.time_ms + self.sparse_dispatch_ms(1);
         self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
@@ -883,7 +951,7 @@ impl Engine {
         values: Option<&[f32]>,
     ) -> Result<(DenseMatrix, f64), TcgError> {
         SpmmProblem::new(&self.csr, values, x)?;
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("spmm", x, |eng, sh, lx| {
                 let local_values = values.map(|v| sh.slice_edge_values(v));
                 eng.spmm(lx, local_values.as_deref())
@@ -891,8 +959,9 @@ impl Engine {
         }
         let mut extra_ms = 0.0;
         let primary = self.attempt("spmm", &mut extra_ms, |eng| {
-            eng.spmm
-                .execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+            let (dev, csr) = eng.local();
+            dev.spmm
+                .execute(&mut dev.launcher, &SpmmProblem::new(csr, values, x)?)
         })?;
         match primary {
             Ok((out, report)) => {
@@ -911,7 +980,8 @@ impl Engine {
         }
         self.degrade("spmm");
         let (out, report) = self.suppressed(|eng| {
-            CusparseCsrSpmm.execute(&mut eng.launcher, &SpmmProblem::new(&eng.csr, values, x)?)
+            let (dev, csr) = eng.local();
+            CusparseCsrSpmm.execute(&mut dev.launcher, &SpmmProblem::new(csr, values, x)?)
         })?;
         let ms = report.time_ms + self.sparse_dispatch_ms(1);
         self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
@@ -936,7 +1006,7 @@ impl Engine {
         // Realigned on the global graph: a transposed edge's partner may
         // live in another shard.
         let vt: Vec<f32> = self.norms.t_perm.iter().map(|&i| v[i as usize]).collect();
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("spmm_t", x, |eng, sh, lx| {
                 eng.spmm_permuted(lx, &sh.slice_edge_values(&vt))
             });
@@ -968,7 +1038,7 @@ impl Engine {
         xa: &DenseMatrix,
         xb: &DenseMatrix,
     ) -> Result<(Vec<f32>, f64), TcgError> {
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             SpmmProblem::new(&self.csr, None, xa)?;
             SpmmProblem::new(&self.csr, None, xb)?;
             // `f[e] = xa[row]·xb[neighbor]`: only `xb` has halo rows.
@@ -978,7 +1048,8 @@ impl Engine {
         }
         let mut extra_ms = 0.0;
         let primary = self.attempt("sddmm", &mut extra_ms, |eng| {
-            eng.sddmm.execute(&mut eng.launcher, &eng.csr, xa, xb)
+            let (dev, csr) = eng.local();
+            dev.sddmm.execute(&mut dev.launcher, csr, xa, xb)
         })?;
         let (vals, report) = match primary {
             Ok(clean) => {
@@ -987,7 +1058,10 @@ impl Engine {
             }
             Err(_) => {
                 self.degrade("sddmm");
-                self.suppressed(|eng| CudaCoreSddmm.execute(&mut eng.launcher, &eng.csr, xa, xb))?
+                self.suppressed(|eng| {
+                    let (dev, csr) = eng.local();
+                    CudaCoreSddmm.execute(&mut dev.launcher, csr, xa, xb)
+                })?
             }
         };
         let kernel_ms = report.time_ms + self.sparse_dispatch_ms(1);
@@ -1012,7 +1086,7 @@ impl Engine {
     /// sum, divide); PyG's scatter softmax behaves the same; TC-GNN fuses the
     /// passes into the single kernel implemented in `tcg-kernels`.
     pub fn edge_softmax(&mut self, values: &[f32]) -> Result<(Vec<f32>, f64), TcgError> {
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             if values.len() != self.csr.num_edges() {
                 return Err(TcgError::DimMismatch {
                     what: "edge value count vs edges",
@@ -1028,13 +1102,17 @@ impl Engine {
         // it; transients are the only concern.
         let mut extra_ms = 0.0;
         let primary = self.attempt("edge_softmax", &mut extra_ms, |eng| {
-            sparse_row_softmax(&mut eng.launcher, &eng.csr, values)
+            let (dev, csr) = eng.local();
+            sparse_row_softmax(&mut dev.launcher, csr, values)
         })?;
         let (out, report) = match primary {
             Ok(clean) => clean,
             Err(_) => {
                 self.degrade("edge_softmax");
-                self.suppressed(|eng| sparse_row_softmax(&mut eng.launcher, &eng.csr, values))?
+                self.suppressed(|eng| {
+                    let (dev, csr) = eng.local();
+                    sparse_row_softmax(&mut dev.launcher, csr, values)
+                })?
             }
         };
         let kernel_ms = report.time_ms + self.sparse_dispatch_ms(1);
@@ -1055,7 +1133,7 @@ impl Engine {
     /// Same cost structure in every framework (two passes over edges).
     pub fn edge_softmax_backward(&mut self, p: &[f32], dp: &[f32]) -> (Vec<f32>, f64) {
         assert_eq!(p.len(), dp.len());
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self
                 .sharded_edges("edge_softmax_backward", 0, |eng, sh| {
                     let (p, dp) = (sh.slice_edge_values(p), sh.slice_edge_values(dp));
@@ -1089,10 +1167,9 @@ impl Engine {
         mut op: impl FnMut(&mut Engine, &Shard) -> Result<(Vec<f32>, f64), TcgError>,
     ) -> Result<(Vec<f32>, f64), TcgError> {
         let mut out = vec![0.0; self.csr.num_edges()];
-        let set = self
-            .shards
-            .as_mut()
-            .expect("sharded op on a sharded engine");
+        let Exec::Sharded(set) = &mut self.exec else {
+            unreachable!("sharded op on a one-device engine");
+        };
         let ms = set.run(name, halo_dim, |eng, sh| {
             let (local, ms) = op(eng, sh)?;
             sh.scatter_edge_values(&local, &mut out);
@@ -1111,7 +1188,10 @@ impl Engine {
     /// translation cache. `None` on a sharded engine, whose shards
     /// translate their own local graphs.
     pub fn translation(&self) -> Option<&tcg_sgt::TranslatedGraph> {
-        self.translated.as_ref()
+        match &self.exec {
+            Exec::Single(dev) => dev.translated.as_ref(),
+            Exec::Sharded(_) => None,
+        }
     }
 
     /// Fused attention pipeline (TC-GNN backend only): SDDMM logits from
@@ -1129,7 +1209,7 @@ impl Engine {
         xv: &DenseMatrix,
         beta: f32,
     ) -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
-        if let Some(set) = &mut self.shards {
+        if let Exec::Sharded(set) = &mut self.exec {
             SpmmProblem::new(&self.csr, None, xa)?;
             SpmmProblem::new(&self.csr, None, xv)?;
             let e = self.csr.num_edges();
@@ -1146,14 +1226,13 @@ impl Engine {
             })?;
             return Ok((y, cos, p, ms));
         }
-        let t = self
-            .translated
-            .clone()
+        let t = (self.local_ref().translated.clone())
             .expect("fused attention requires the TC-GNN backend");
         let mut extra_ms = 0.0;
         let primary = self.attempt("fused_attention", &mut extra_ms, |eng| {
+            let (dev, csr) = eng.local();
             let out =
-                tcg_kernels::fused::fused_attention(&mut eng.launcher, &eng.csr, &t, xa, xv, beta)?;
+                tcg_kernels::fused::fused_attention(&mut dev.launcher, csr, &t, xa, xv, beta)?;
             Ok(((out.y, out.cos, out.p), out.report))
         })?;
         if let Ok(((y, cos, p), report)) = primary {
@@ -1166,18 +1245,21 @@ impl Engine {
         // Unfused CUDA-core pipeline: SDDMM logits, β scaling, row softmax,
         // weighted cuSPARSE SpMM — the pre-TCU formulation of the same math.
         let (y, cos, p, ms) = self.suppressed(|eng| {
-            let (cos, r1) = CudaCoreSddmm.execute(&mut eng.launcher, &eng.csr, xa, xa)?;
+            let (dev, csr) = eng.local();
+            let (cos, r1) = CudaCoreSddmm.execute(&mut dev.launcher, csr, xa, xa)?;
             let ms1 = r1.time_ms + eng.sparse_dispatch_ms(1);
             eng.prof_kernel("sddmm", Phase::Aggregation, ms1, &r1);
             let scaled: Vec<f32> = cos.iter().map(|&c| beta * c).collect();
             let e_bytes = (eng.csr.num_edges() * 4) as u64;
             let scale_ms = eng.pass_ms(e_bytes, e_bytes) + eng.sparse_dispatch_ms(1);
             eng.prof_span("beta_scale", Phase::Aggregation, scale_ms);
-            let (p, r2) = sparse_row_softmax(&mut eng.launcher, &eng.csr, &scaled)?;
+            let (dev, csr) = eng.local();
+            let (p, r2) = sparse_row_softmax(&mut dev.launcher, csr, &scaled)?;
             let ms2 = r2.time_ms + eng.sparse_dispatch_ms(1);
             eng.prof_kernel("edge_softmax", Phase::Aggregation, ms2, &r2);
-            let prob = SpmmProblem::new(&eng.csr, Some(&p), xv)?;
-            let (y, r3) = CusparseCsrSpmm.execute(&mut eng.launcher, &prob)?;
+            let (dev, csr) = eng.local();
+            let (y, r3) = CusparseCsrSpmm
+                .execute(&mut dev.launcher, &SpmmProblem::new(csr, Some(&p), xv)?)?;
             let ms3 = r3.time_ms + eng.sparse_dispatch_ms(1);
             eng.prof_kernel("spmm", Phase::Aggregation, ms3, &r3);
             Ok::<_, TcgError>((y, cos, p, ms1 + scale_ms + ms2 + ms3))
@@ -1192,7 +1274,7 @@ impl Engine {
     /// TC-GNN folds the normalization into the translated kernel's edge
     /// values.
     pub fn gcn_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("gcn_aggregate", x, |eng, _, lx| eng.gcn_aggregate(lx));
         }
         match self.backend {
@@ -1239,7 +1321,7 @@ impl Engine {
     /// aggregator). DGL/PyG run the unweighted SpMM plus a per-node scaling
     /// kernel; TC-GNN folds `1/d` into the translated kernel's edge values.
     pub fn mean_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("mean_aggregate", x, |eng, _, lx| eng.mean_aggregate(lx));
         }
         match self.backend {
@@ -1265,7 +1347,7 @@ impl Engine {
 
     /// Transposed mean aggregation `(D^{-1} A)ᵀ · X` (GraphSAGE backward).
     pub fn mean_aggregate_t(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
-        if self.shards.is_some() {
+        if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("mean_aggregate_t", x, |eng, _, lx| eng.mean_aggregate_t(lx));
         }
         // `Aᵀ = A` topologically; the transposed normalization values are
@@ -1282,15 +1364,19 @@ impl Engine {
     /// Dense update GEMM `X·W` (cuBLAS TF-32 class in every framework).
     pub fn linear(&mut self, x: &DenseMatrix, w: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm(x, w).expect("linear shapes validated by layers");
-        let ms = self.dense_ms("gemm_xw", x.rows(), |eng, rows| {
-            eng.gemm_ms("gemm_xw", (rows, x.cols(), w.cols()))
-        });
+        let ms = self.dense_ms(
+            "gemm_xw",
+            x.rows(),
+            |sh| sh.owned_rows,
+            |eng, rows| eng.gemm_ms("gemm_xw", (rows, x.cols(), w.cols())),
+        );
         (out, ms)
     }
 
     /// Cost of one cuBLAS-class GEMM of shape `(m, k, n)`, traced as `name`.
     fn gemm_ms(&self, name: &str, (m, k, n): (usize, usize, usize)) -> f64 {
-        let report = tcg_gpusim::cost::dense_gemm_report(self.launcher.device(), m, k, n, true);
+        let device = self.local_ref().launcher.device();
+        let report = tcg_gpusim::cost::dense_gemm_report(device, m, k, n, true);
         let ms = report.time_ms + DENSE_DISPATCH_MS;
         self.prof_kernel(name, Phase::Update, ms, &report);
         ms
@@ -1299,33 +1385,41 @@ impl Engine {
     /// Dense GEMM `Xᵀ·Y` (weight gradients).
     pub fn linear_at_b(&mut self, x: &DenseMatrix, y: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm_at_b(x, y).expect("shapes validated by layers");
-        let ms = self.dense_ms("gemm_xt_y", x.rows(), |eng, rows| {
-            eng.gemm_ms("gemm_xt_y", (x.cols(), rows, y.cols()))
-        });
+        let ms = self.dense_ms(
+            "gemm_xt_y",
+            x.rows(),
+            |sh| sh.owned_rows,
+            |eng, rows| eng.gemm_ms("gemm_xt_y", (x.cols(), rows, y.cols())),
+        );
         (out, ms)
     }
 
     /// Dense GEMM `X·Wᵀ` (input gradients).
     pub fn linear_a_bt(&mut self, x: &DenseMatrix, w: &DenseMatrix) -> (DenseMatrix, f64) {
         let out = tcg_tensor::gemm::gemm_a_bt(x, w).expect("shapes validated by layers");
-        let ms = self.dense_ms("gemm_x_wt", x.rows(), |eng, rows| {
-            eng.gemm_ms("gemm_x_wt", (rows, x.cols(), w.rows()))
-        });
+        let ms = self.dense_ms(
+            "gemm_x_wt",
+            x.rows(),
+            |sh| sh.owned_rows,
+            |eng, rows| eng.gemm_ms("gemm_x_wt", (rows, x.cols(), w.rows())),
+        );
         (out, ms)
     }
 
-    /// Cost of a generic elementwise kernel over `elems` f32 values with
-    /// `reads` input and `writes` output streams (activation, scaling,
-    /// optimizer step...). Functional work is done by the caller. Recorded
-    /// in the trace as an `other`-phase `"elementwise"` span; callers whose
-    /// cost belongs elsewhere use [`Engine::elementwise_tagged_ms`].
+    /// Cost of a generic elementwise kernel over `elems` f32 values — a
+    /// whole number of values per node — with `reads` input and `writes`
+    /// output streams (activation, bias, loss...). Functional work is done
+    /// by the caller. Recorded in the trace as an `other`-phase
+    /// `"elementwise"` span; callers whose cost belongs elsewhere use
+    /// [`Engine::elementwise_tagged_ms`]. A sharded engine's devices each
+    /// run their owned rows.
     pub fn elementwise_ms(&mut self, elems: usize, reads: u32, writes: u32) -> f64 {
         self.elementwise_tagged_ms("elementwise", Phase::Other, elems, reads, writes)
     }
 
     /// [`Engine::elementwise_ms`] with an explicit trace name and phase,
-    /// for elementwise work that is part of aggregation (e.g. AGNN's `β`
-    /// scaling) or deserves its own timeline label (loss, optimizer).
+    /// for node-row elementwise work that deserves its own timeline label
+    /// (activation, loss).
     ///
     /// The phase must match how the caller charges the returned
     /// milliseconds to [`Cost`], or per-phase event sums drift from the
@@ -1338,15 +1432,44 @@ impl Engine {
         reads: u32,
         writes: u32,
     ) -> f64 {
-        // Node-row passes (whole rows per node) shard by owned rows.
-        let n = self.csr.num_nodes();
-        let (rows, width) = match n {
-            0 => (1, elems),
-            _ if elems.is_multiple_of(n) => (n, elems / n),
-            _ => (1, elems),
-        };
-        self.dense_ms(name, rows, |eng, rows| {
-            let elems = rows * width;
+        let width = elems / self.csr.num_nodes().max(1);
+        let split = |sh: &Shard| sh.owned_rows * width;
+        self.charge_pass(name, phase, elems, split, (reads, writes))
+    }
+
+    /// An elementwise kernel over one value per edge (e.g. AGNN's `β`
+    /// scaling, charged to `phase`). A sharded engine's devices each run
+    /// their shard's edges.
+    pub fn edge_elementwise_ms(
+        &mut self,
+        name: &str,
+        phase: Phase,
+        reads: u32,
+        writes: u32,
+    ) -> f64 {
+        let edges = self.csr.num_edges();
+        self.charge_pass(name, phase, edges, Shard::nnz, (reads, writes))
+    }
+
+    /// The optimizer's update pass over `n_params` parameters (three
+    /// streams in, three out). Parameters are replicated, so every device
+    /// of a sharded engine runs the whole pass.
+    pub fn optimizer_step_ms(&mut self, n_params: usize) -> f64 {
+        let whole = |_: &Shard| n_params;
+        self.charge_pass("optimizer_step", Phase::Other, n_params, whole, (3, 3))
+    }
+
+    /// One traced streaming pass over `elems` values (`split(shard)` per
+    /// device when sharded), `reads`/`writes` streams of f32 each.
+    fn charge_pass(
+        &mut self,
+        name: &str,
+        phase: Phase,
+        elems: usize,
+        split: impl Fn(&Shard) -> usize,
+        (reads, writes): (u32, u32),
+    ) -> f64 {
+        self.dense_ms(name, elems, split, |eng, elems| {
             let ms = eng.pass_ms(
                 (elems * 4 * reads as usize) as u64,
                 (elems * 4 * writes as usize) as u64,

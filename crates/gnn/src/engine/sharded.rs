@@ -13,7 +13,7 @@ use tcg_gpusim::stream::DEVICE_STREAM_STRIDE;
 use tcg_gpusim::{interconnect, DeviceSpec, StreamSet};
 use tcg_graph::CsrGraph;
 
-use super::{Backend, Engine, Norms};
+use super::{Backend, Device, Engine, Exec, Norms};
 
 /// Stream offsets within a device's [`StreamSet`].
 const COMPUTE: u32 = 0;
@@ -55,8 +55,13 @@ impl ShardSet {
         let states: Vec<DeviceState> = (0..devices)
             .map(|d| {
                 let (shard, local) = Shard::build(csr, &partition, d);
-                let norms = norms.for_shard(&shard);
-                let engine = Engine::assemble(backend, local, device, threads, norms, None, None)?;
+                let dev = Device::build(backend, &local, device, threads, None)?;
+                let engine = Engine::assemble(
+                    backend,
+                    local,
+                    norms.for_shard(&shard),
+                    Exec::Single(Box::new(dev)),
+                );
                 let streams = StreamSet::for_device(d, 2);
                 Ok(DeviceState {
                     shard,
@@ -87,6 +92,11 @@ impl ShardSet {
     /// The device engines, in device order.
     pub(super) fn engines(&self) -> impl Iterator<Item = &Engine> {
         self.states.iter().map(|s| &s.engine)
+    }
+
+    /// Worker threads each device engine fans block bodies over.
+    pub(super) fn threads(&self) -> usize {
+        self.states[0].engine.threads()
     }
 
     /// Mutable device engines, in device order.
@@ -223,8 +233,10 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::Adam;
     use crate::GcnModel;
     use tcg_graph::gen;
+    use tcg_profile::Phase;
     use tcg_tensor::{init, DenseMatrix};
 
     fn engine(g: &CsrGraph, devices: usize, p: Partitioner) -> Engine {
@@ -334,7 +346,7 @@ mod tests {
     fn one_device_engine_holds_no_shards_and_reports_nothing() {
         let g = gen::rmat_default(300, 2500, 8).unwrap();
         let mut eng = engine(&g, 1, Partitioner::GreedyEdgeCut);
-        assert!(eng.shards.is_none());
+        assert!(matches!(eng.exec, Exec::Single(_)));
         let x = init::uniform(g.num_nodes(), 10, -1.0, 1.0, 9);
         GcnModel::new(10, 16, 4, 6).infer(&mut eng, &x);
         assert!(eng.take_dist_report().is_none());
@@ -362,6 +374,45 @@ mod tests {
         assert_eq!(second.timelines[1].1[0].name, "halo_exchange");
         assert_eq!(second.timelines[1].1[0].start_ms, 0.0);
         assert_eq!(second.halo_bytes, first.halo_bytes);
+    }
+
+    #[test]
+    fn optimizer_step_charges_every_device_the_whole_pass() {
+        // 83 parameters on an 83-node graph: a parameter pass whose length
+        // is a multiple of the node count is still not a node-row pass.
+        let g = gen::erdos_renyi(83, 400, 5).unwrap();
+        let model = GcnModel::new(6, 8, 3, 1);
+        let (l1, l2) = (&model.l1, &model.l2);
+        assert_eq!(l1.w.len() + l1.b.len() + l2.w.len() + l2.b.len(), 83);
+        let x = init::uniform(g.num_nodes(), 6, -1.0, 1.0, 2);
+        let step_ms = |devices| {
+            let mut eng = engine(&g, devices, Partitioner::Contiguous);
+            let fwd = model.forward(&mut eng, &x);
+            let (grads, _) = model.backward(&mut eng, &fwd.cache, &fwd.out);
+            // Restart the device timelines so the step's share is its own.
+            eng.take_dist_report();
+            let mut model = model.clone();
+            model.apply_grads(&mut eng, &mut Adam::new(0.01), &grads)
+        };
+        assert_eq!(step_ms(4), step_ms(1));
+    }
+
+    #[test]
+    fn edge_passes_charge_each_device_its_shard_edges() {
+        let g = gen::rmat_default(512, 4000, 5).unwrap();
+        let mut eng = engine(&g, 4, Partitioner::GreedyEdgeCut);
+        let Exec::Sharded(set) = &mut eng.exec else {
+            unreachable!("four devices shard");
+        };
+        let slowest = (set.engines_mut())
+            .map(|dev| dev.edge_elementwise_ms("scale", Phase::Aggregation, 1, 1))
+            .fold(0.0, f64::max);
+        // From idle timelines the op's share is the slowest device's pass
+        // over its own shard's edges.
+        assert_eq!(
+            eng.edge_elementwise_ms("scale", Phase::Aggregation, 1, 1),
+            slowest
+        );
     }
 
     #[test]

@@ -64,13 +64,7 @@ impl AgnnLayer {
             let s: Vec<f32> = cos.iter().map(|c| self.beta * c).collect();
             // The β scaling is part of the attention pipeline, so it is
             // charged (and traced) as aggregation, not generic elementwise.
-            cost += Cost::agg(eng.elementwise_tagged_ms(
-                "attn_beta_scale",
-                Phase::Aggregation,
-                s.len(),
-                1,
-                1,
-            ));
+            cost += Cost::agg(eng.edge_elementwise_ms("attn_beta_scale", Phase::Aggregation, 1, 1));
             let (p, softmax_ms) = eng.edge_softmax(&s).expect("value count matches edges");
             cost += Cost::agg(softmax_ms);
             let (y, spmm_ms) = eng.spmm(x, Some(&p)).expect("dims agree");
@@ -109,13 +103,7 @@ impl AgnnLayer {
             let (cos, sddmm_ms) = eng.sddmm(&x_hat, &x_hat).expect("dims agree");
             cost += Cost::agg(sddmm_ms);
             let s: Vec<f32> = cos.iter().map(|c| self.beta * c).collect();
-            cost += Cost::agg(eng.elementwise_tagged_ms(
-                "attn_beta_scale",
-                Phase::Aggregation,
-                s.len(),
-                1,
-                1,
-            ));
+            cost += Cost::agg(eng.edge_elementwise_ms("attn_beta_scale", Phase::Aggregation, 1, 1));
             let (p, softmax_ms) = eng.edge_softmax(&s).expect("value count matches edges");
             cost += Cost::agg(softmax_ms);
             let (y, spmm_ms) = eng.spmm(x, Some(&p)).expect("dims agree");
@@ -149,13 +137,7 @@ impl AgnnLayer {
         // dβ and dcos.
         let dbeta: f32 = de.iter().zip(&cache.cos).map(|(d, c)| d * c).sum();
         let dcos: Vec<f32> = de.iter().map(|d| self.beta * d).collect();
-        cost += Cost::agg(eng.elementwise_tagged_ms(
-            "attn_dbeta_dcos",
-            Phase::Aggregation,
-            de.len(),
-            2,
-            1,
-        ));
+        cost += Cost::agg(eng.edge_elementwise_ms("attn_dbeta_dcos", Phase::Aggregation, 2, 1));
 
         // cos[e=(v,u)] = x̂_v · x̂_u ⇒ dx̂_v += Σ_u dcos·x̂_u (SpMM) and
         // dx̂_u += Σ_v dcos·x̂_v (transposed SpMM).

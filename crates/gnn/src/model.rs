@@ -133,7 +133,7 @@ impl GcnModel {
             (self.l2.w.as_mut_slice(), grads.g2.dw.as_slice()),
             (self.l2.b.as_mut_slice(), &grads.g2.db),
         ]);
-        Cost::other(eng.elementwise_tagged_ms("optimizer_step", Phase::Other, n_params, 3, 3))
+        Cost::other(eng.optimizer_step_ms(n_params))
     }
 
     /// Whether no parameter has been contaminated by NaN/Inf.
@@ -283,7 +283,7 @@ impl AgnnModel {
         for (p, b) in self.props.iter_mut().zip(betas) {
             p.beta = b;
         }
-        Cost::other(eng.elementwise_tagged_ms("optimizer_step", Phase::Other, n_params, 3, 3))
+        Cost::other(eng.optimizer_step_ms(n_params))
     }
 
     /// Whether no parameter has been contaminated by NaN/Inf.
@@ -393,7 +393,7 @@ impl SageModel {
             (self.l2.w_neigh.as_mut_slice(), grads.g2.dw_neigh.as_slice()),
             (self.l2.b.as_mut_slice(), &grads.g2.db),
         ]);
-        Cost::other(eng.elementwise_tagged_ms("optimizer_step", Phase::Other, n_params, 3, 3))
+        Cost::other(eng.optimizer_step_ms(n_params))
     }
 
     /// Whether no parameter has been contaminated by NaN/Inf.
@@ -502,7 +502,7 @@ impl GinModel {
         ]);
         self.l1.eps = eps[0];
         self.l2.eps = eps[1];
-        Cost::other(eng.elementwise_tagged_ms("optimizer_step", Phase::Other, n_params, 3, 3))
+        Cost::other(eng.optimizer_step_ms(n_params))
     }
 
     /// Whether no parameter has been contaminated by NaN/Inf.
