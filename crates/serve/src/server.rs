@@ -4,7 +4,8 @@
 //! The serial dispatcher admits each arrival (brownout ladder, then the
 //! bounded queue), lets the batcher ([`crate::batcher`]) seal batches, and
 //! resolves each batch's SGT translation through the session cache before
-//! binding it to a stream; a [`GraphMutation`] is a barrier that seals
+//! binding it to a stream (a sharded run skips the cache: its engines
+//! translate their own shards); a [`GraphMutation`] is a barrier that seals
 //! every open batch and then lands. One worker thread per stream executes
 //! its batches through one executor — engines keyed by `(graph, version)`,
 //! sharded across [`ServeConfig::devices`] when that is more than one —
@@ -212,7 +213,8 @@ pub struct ServeConfig {
     pub resilience: Option<ResilienceConfig>,
     /// Simulated devices each batch shards across (`1` = single-device).
     /// Every model, fault plan, resilience policy and graph mutation runs
-    /// sharded through the same engine forward; must be at least 1.
+    /// sharded through the same engine forward; must be at least 1 (zero
+    /// panics at the start of [`serve`]).
     pub devices: usize,
     /// How row windows are assigned to devices when `devices > 1`.
     pub partitioner: Partitioner,
@@ -244,12 +246,15 @@ struct DispatchedBatch {
     stream: u32,
     /// When the batcher sealed the batch.
     close_ms: f64,
-    /// Translation milliseconds paid at dispatch (0 on a cache hit).
+    /// Translation milliseconds paid before the batch can launch: at
+    /// dispatch on a cache miss, or by the sharded engine it builds.
     translate_ms: f64,
-    /// Close time plus any translation milliseconds paid on a cache miss.
+    /// Close time plus `translate_ms`.
     ready_ms: f64,
     requests: Vec<Request>,
-    translation: Arc<TranslatedGraph>,
+    /// The cache-resolved whole-graph translation (`None` on a sharded
+    /// run, whose engines translate their own shards).
+    translation: Option<Arc<TranslatedGraph>>,
     /// Snapshot of the graph at dispatch time — under mutations the
     /// session's CSR moves on, but this batch executes against the
     /// adjacency it was admitted for.
@@ -347,7 +352,9 @@ pub struct ServeReport {
     pub throughput_rps: f64,
     /// Latency distribution over answered requests.
     pub latency: StreamingHistogram,
-    /// Translation-cache amortization counters.
+    /// Translation-cache amortization counters. All zero on a sharded run,
+    /// which bypasses the cache: each sharded engine translates its shards
+    /// when built, and that time delays the batch that built it.
     pub cache: CacheStats,
     /// Fault accounting summed over every worker engine.
     pub faults: FaultReport,
@@ -404,6 +411,9 @@ pub fn serve_with_mutations(
         mutations.windows(2).all(|w| w[0].at_ms <= w[1].at_ms),
         "mutation schedule must be sorted by time"
     );
+    if let Err(e) = tcg_gnn::engine::check_devices(cfg.devices) {
+        panic!("serve config: {e}");
+    }
     if let Some(r) = &cfg.resilience {
         session.cache.set_spot_check_every(r.spot_check_every);
     }
@@ -572,6 +582,9 @@ fn cull(
 struct Dispatcher<'s> {
     session: &'s mut Session,
     streams: usize,
+    /// Sharded engines translate each shard when built, so a sharded run
+    /// never resolves whole-graph translations through the cache.
+    sharded: bool,
     capacity: usize,
     cancel: bool,
     batcher: Batcher,
@@ -597,6 +610,7 @@ impl<'s> Dispatcher<'s> {
         let capacity = cfg.queue_capacity.max(1);
         Dispatcher {
             streams: cfg.streams.max(1),
+            sharded: cfg.devices > 1,
             capacity,
             cancel: policy.deadline_cancellation,
             batcher: Batcher::new(cfg.policy),
@@ -676,8 +690,8 @@ impl<'s> Dispatcher<'s> {
     }
 
     /// Stage 3: culls requests already dead when the batch sealed, resolves
-    /// the batch's translation through the session cache and binds it to a
-    /// stream round-robin.
+    /// the batch's translation through the session cache (one-device runs)
+    /// and binds it to a stream round-robin.
     fn dispatch(&mut self, mut closed: ClosedBatch) {
         let close_ms = closed.close_ms;
         if let Some(ctl) = self.brownout.as_mut() {
@@ -690,6 +704,32 @@ impl<'s> Dispatcher<'s> {
         if !cull(self.cancel, &mut closed.requests, stage, close_ms, early) {
             return;
         }
+        let (translation, paid_ms) = match self.sharded {
+            true => (None, 0.0),
+            false => {
+                let (t, ms) = self.resolve(&closed);
+                (Some(t), ms)
+            }
+        };
+        let index = self.dispatched.len();
+        self.dispatched.push(DispatchedBatch {
+            index,
+            graph: closed.graph,
+            stream: (index % self.streams) as u32,
+            close_ms,
+            translate_ms: paid_ms,
+            ready_ms: close_ms + paid_ms,
+            requests: closed.requests,
+            translation,
+            csr: Arc::clone(&self.snapshots[closed.graph]),
+            version: self.session.graphs[closed.graph].csr.fingerprint(),
+        });
+    }
+
+    /// Resolves `closed`'s graph through the session cache, recording any
+    /// translation paid (and, on the hybrid backend, refreshing the graph's
+    /// window dispatch mask). Returns the translation and its cost.
+    fn resolve(&mut self, closed: &ClosedBatch) -> (Arc<TranslatedGraph>, f64) {
         let g = &self.session.graphs[closed.graph];
         let r = self.session.cache.get_or_translate(&g.csr);
         let (span, touched) = match &r.kind {
@@ -719,19 +759,7 @@ impl<'s> Dispatcher<'s> {
                 }
             }
         }
-        let index = self.dispatched.len();
-        self.dispatched.push(DispatchedBatch {
-            index,
-            graph: closed.graph,
-            stream: (index % self.streams) as u32,
-            close_ms,
-            translate_ms: r.paid_ms,
-            ready_ms: close_ms + r.paid_ms,
-            requests: closed.requests,
-            translation: r.translation,
-            csr: Arc::clone(&self.snapshots[closed.graph]),
-            version: g.csr.fingerprint(),
-        });
+        (r.translation, r.paid_ms)
     }
 
     /// Applies one scheduled edit once its barrier has dispatched every
@@ -825,8 +853,9 @@ fn execute(run: &Run, dispatched: Vec<DispatchedBatch>, streams: usize) -> Vec<W
 /// Executes one stream's batches in dispatch order on its virtual clock.
 ///
 /// Runs on a worker thread; engines (which hold non-`Send` kernel objects)
-/// are built inside it, seeded with the dispatcher-resolved translation so
-/// Algorithm 1 never reruns here.
+/// are built inside it. One-device engines are seeded with the
+/// dispatcher-resolved translation, so Algorithm 1 never reruns here; a
+/// sharded engine translates its shards, delaying the batch that builds it.
 fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
     let mut w = Worker {
         stream: Stream::new(id),
@@ -864,7 +893,7 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
         // start never build an engine or launch a kernel.
         let (cancel, stage) = (run.policy.deadline_cancellation, CancelStage::PreLaunch);
         if cull(cancel, &mut b.requests, stage, start, &mut w.responses) {
-            let execution = executor.execute(run, &b, start, &mut w);
+            let execution = executor.execute(run, &mut b, start, &mut w);
             respond(&b.requests, execution, &mut w.responses);
         }
     }
@@ -881,8 +910,8 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
 /// batches get a fresh engine built from their snapshot CSR. An engine is
 /// dropped once this stream's last batch for its version has run
 /// (`last_use`), so under churn superseded versions do not stay resident.
-/// With more than one device each engine is sharded: it re-runs SGT per
-/// shard, so the dispatcher's whole-graph translation is not reused.
+/// With more than one device each engine is sharded and runs SGT per shard
+/// when built (the dispatcher resolves no whole-graph translation).
 struct Executor {
     engines: HashMap<(usize, u64), Engine>,
     last_use: HashMap<(usize, u64), usize>,
@@ -898,7 +927,13 @@ enum Execution {
 
 impl Executor {
     /// Runs a batch projected to start at `start` on `w`'s stream.
-    fn execute(&mut self, run: &Run, b: &DispatchedBatch, start: f64, w: &mut Worker) -> Execution {
+    fn execute(
+        &mut self,
+        run: &Run,
+        b: &mut DispatchedBatch,
+        start: f64,
+        w: &mut Worker,
+    ) -> Execution {
         let (cfg, g) = (run.cfg, &run.graphs[b.graph]);
         let Executor { engines, last_use } = self;
         let key = (b.graph, b.version.as_u64());
@@ -913,14 +948,18 @@ impl Executor {
             last_use[&key] >= b.index,
             "batch arrived for an evicted engine"
         );
+        let fresh = !engines.contains_key(&key);
         let eng = engines.entry(key).or_insert_with(|| {
-            let mut eng = Engine::builder((*b.csr).clone())
+            let mut builder = Engine::builder((*b.csr).clone())
                 .backend(cfg.backend)
                 .device(cfg.device.clone())
-                .translation((*b.translation).clone())
                 .threads(cfg.threads)
                 .devices(cfg.devices)
-                .partitioner(cfg.partitioner)
+                .partitioner(cfg.partitioner);
+            if let Some(t) = &b.translation {
+                builder = builder.translation((**t).clone());
+            }
+            let mut eng = builder
                 .build()
                 .expect("session graphs and the serve config build an engine");
             // One plan per (stream, graph): the draw sequence depends only
@@ -948,6 +987,16 @@ impl Executor {
             }
             eng
         });
+        // Translation the new engine paid itself (a sharded engine's shard
+        // SGT; zero when seeded from the cache) delays this batch the way a
+        // cache miss at dispatch does.
+        let sgt_ms = if fresh { eng.preprocessing_ms() } else { 0.0 };
+        let mut start = start;
+        if sgt_ms > 0.0 {
+            b.translate_ms += sgt_ms;
+            b.ready_ms += sgt_ms;
+            start = f64::max(start, b.ready_ms);
+        }
         // Every kernel event of this inference carries the batch's ids.
         w.set_trace(Some(b));
         // An open breaker forces the whole batch onto the CUDA-core

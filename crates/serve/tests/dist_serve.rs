@@ -2,12 +2,12 @@
 //! classes single-device serving produces — for every model, backend and
 //! serve policy — while the report carries the halo-exchange accounting.
 
-use tcg_gnn::{AgnnModel, Backend, GcnModel, GinModel, SageModel};
+use tcg_gnn::{AgnnModel, Backend, Engine, GcnModel, GinModel, SageModel};
 use tcg_graph::gen;
 use tcg_serve::{
-    churn_schedule, poisson_trace, serve, serve_with_mutations, ChurnConfig, FaultConfig,
-    GraphMutation, LoadgenConfig, Outcome, Partitioner, ResilienceConfig, Response, ServableModel,
-    ServeConfig, ServeReport, ServedGraph, Session,
+    churn_schedule, poisson_trace, serve, serve_with_mutations, CacheStats, ChurnConfig,
+    FaultConfig, GraphMutation, LoadgenConfig, Outcome, Partitioner, ResilienceConfig, Response,
+    ServableModel, ServeConfig, ServeReport, ServedGraph, Session,
 };
 use tcg_tensor::init;
 
@@ -186,4 +186,38 @@ fn churned_serving_shards_deterministically() {
     let cfg = sharded(&ServeConfig::default(), Partitioner::Contiguous);
     let report = assert_shards_deterministically(&cfg, &churn);
     assert!(report.mutations.applied > 0, "no mutation applied");
+}
+
+#[test]
+#[should_panic(expected = "at least one device")]
+fn serving_on_zero_devices_is_rejected_up_front() {
+    let cfg = ServeConfig {
+        devices: 0,
+        ..ServeConfig::default()
+    };
+    run(&gcn(), &cfg, &[]);
+}
+
+#[test]
+fn sharded_serving_charges_shard_translation_instead_of_the_cache() {
+    let single = run(&gcn(), &ServeConfig::default(), &[]);
+    assert!(single.cache.translation_ms_paid > 0.0);
+    let cfg = sharded(&ServeConfig::default(), Partitioner::Contiguous);
+    let sharded_run = run(&gcn(), &cfg, &[]);
+    // No whole-graph translation is resolved for a sharded run...
+    assert_eq!(sharded_run.cache, CacheStats::default());
+    // ...each stream's engine translates its shards when built, and the
+    // batch that builds it (the first arrival's) waits for that.
+    let shard_sgt_ms = Engine::builder(graph().csr)
+        .devices(4)
+        .partitioner(Partitioner::Contiguous)
+        .build()
+        .unwrap()
+        .preprocessing_ms();
+    assert!(shard_sgt_ms > 0.0);
+    let first = &sharded_run.responses[0];
+    assert_eq!(first.id, 0);
+    let latency = first.outcome.latency_ms().expect("first request answered");
+    assert!(latency > shard_sgt_ms, "{latency} vs {shard_sgt_ms}");
+    assert_eq!(classes(&sharded_run.responses), classes(&single.responses));
 }

@@ -544,14 +544,8 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
             }
         },
     };
-    // The engine builder owns the device-count rules: ask it before training
-    // (CUDA-core kernels, so no SGT runs), not inside a serve worker.
-    let preflight = Engine::builder(datasets[0].graph.clone())
-        .backend(Backend::DglLike)
-        .devices(devices)
-        .partitioner(partitioner)
-        .build();
-    if let Err(e) = preflight {
+    // The engine owns the device-count rule: ask it before training.
+    if let Err(e) = tc_gnn::gnn::engine::check_devices(devices) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
