@@ -31,10 +31,10 @@ const PINS: &[&str] = &[
     "tcgnn/churn d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
     "hybrid/churn f00bfcdf89f43a5a 8996035bbe6a8079 14a87f5f47a41118",
     "tcgnn/churn+faults+resilience f9d191621aeac991 e8df39aa16e54651 68d35aefd031ebcd",
-    "dist4/contiguous c73a0aceff833fdc e6a5b5230591457e a4a0046db1aadf15",
-    "dist4/greedy f2db3dc4bbfe2b69 f55be0e6cda06337 133267866b8979d9",
-    "dist4/faults ef89488367a74e8b e17b78f10213809f ab8c493d4c61c2f1",
-    "dist4/churn efdce388ce6c7edc 8fafafc3befb2fed 65adc59487650e94",
+    "dist4/contiguous 6f1d9ba5df5ea994 0ef2fb6b0b8a9ef3 3b69a5a0da3da961",
+    "dist4/greedy 7041f7cc685e3866 d852f6edd8b44d72 8572e732950bc6a9",
+    "dist4/faults a86895f847fc318b afd65af6915c1f24 a98f0508407116a2",
+    "dist4/churn c3b80f013e27539a 21c520dc86238a94 832269421a605e14",
 ];
 
 const RATE_RPS: f64 = 100_000.0;
