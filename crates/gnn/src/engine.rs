@@ -1183,17 +1183,6 @@ impl Engine {
         self.backend.uses_translation()
     }
 
-    /// The SGT translation backing the TC-GNN kernels, if this backend has
-    /// one. A serving layer reads this after a cache miss to populate its
-    /// translation cache. `None` on a sharded engine, whose shards
-    /// translate their own local graphs.
-    pub fn translation(&self) -> Option<&tcg_sgt::TranslatedGraph> {
-        match &self.exec {
-            Exec::Single(dev) => dev.translated.as_ref(),
-            Exec::Sharded(_) => None,
-        }
-    }
-
     /// Fused attention pipeline (TC-GNN backend only): SDDMM logits from
     /// `xa`, `β` scaling, row softmax, and the weighted SpMM over `xv` — a
     /// single kernel launch (see `tcg_kernels::fused`). Returns
