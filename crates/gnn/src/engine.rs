@@ -221,6 +221,10 @@ impl Norms {
 
 /// One simulated device bound to a graph: its warm launcher, the
 /// backend's kernels and the SGT translation they consume.
+///
+/// All of it is fixed for the launcher's lifetime, so an op's launches
+/// are memoized (see [`Launcher::memoized`]) under a key holding just the
+/// op, its operand widths and whether it carries edge values.
 struct Device {
     launcher: Launcher,
     spmm: Box<dyn SpmmKernel>,
@@ -693,6 +697,15 @@ impl Engine {
         }
     }
 
+    /// Launches answered from the launch memo instead of simulated (see
+    /// [`Launcher::memoized`]); a sharded engine sums its devices.
+    pub fn memo_hits(&self) -> u64 {
+        match &self.exec {
+            Exec::Single(dev) => dev.launcher.memo_hits(),
+            Exec::Sharded(set) => set.engines().map(Engine::memo_hits).sum(),
+        }
+    }
+
     /// Whether ops are currently pinned to the fallback path.
     pub fn forced_fallback(&self) -> bool {
         self.forced_fallback
@@ -960,8 +973,9 @@ impl Engine {
         let mut extra_ms = 0.0;
         let primary = self.attempt("spmm", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            dev.spmm
-                .execute(&mut dev.launcher, &SpmmProblem::new(csr, values, x)?)
+            let prob = SpmmProblem::new(csr, values, x)?;
+            let key = ("spmm", x.cols(), values.is_some());
+            dev.launcher.memoized(key, |l| dev.spmm.execute(l, &prob))
         })?;
         match primary {
             Ok((out, report)) => {
@@ -1049,7 +1063,9 @@ impl Engine {
         let mut extra_ms = 0.0;
         let primary = self.attempt("sddmm", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            dev.sddmm.execute(&mut dev.launcher, csr, xa, xb)
+            let key = ("sddmm", xa.cols(), xb.cols());
+            dev.launcher
+                .memoized(key, |l| dev.sddmm.execute(l, csr, xa, xb))
         })?;
         let (vals, report) = match primary {
             Ok(clean) => {
@@ -1103,7 +1119,8 @@ impl Engine {
         let mut extra_ms = 0.0;
         let primary = self.attempt("edge_softmax", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            sparse_row_softmax(&mut dev.launcher, csr, values)
+            dev.launcher
+                .memoized("edge_softmax", |l| sparse_row_softmax(l, csr, values))
         })?;
         let (out, report) = match primary {
             Ok(clean) => clean,
@@ -1215,13 +1232,18 @@ impl Engine {
             })?;
             return Ok((y, cos, p, ms));
         }
-        let t = (self.local_ref().translated.clone())
-            .expect("fused attention requires the TC-GNN backend");
+        assert!(
+            self.local_ref().translated.is_some(),
+            "fused attention requires the TC-GNN backend"
+        );
         let mut extra_ms = 0.0;
         let primary = self.attempt("fused_attention", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            let out =
-                tcg_kernels::fused::fused_attention(&mut dev.launcher, csr, &t, xa, xv, beta)?;
+            let t = dev.translated.as_ref().expect("checked above");
+            let key = ("fused_attention", xa.cols(), xv.cols());
+            let out = dev.launcher.memoized(key, |l| {
+                tcg_kernels::fused::fused_attention(l, csr, t, xa, xv, beta)
+            })?;
             Ok(((out.y, out.cos, out.p), out.report))
         })?;
         if let Ok(((y, cos, p), report)) = primary {

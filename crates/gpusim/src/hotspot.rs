@@ -411,6 +411,14 @@ pub fn take_report() -> HotspotReport {
     }
 }
 
+/// Held by unit tests that switch timing on, or that need it to stay
+/// off (the launch memo is bypassed while it is on).
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +427,7 @@ mod tests {
     /// enable→record→drain must happen inside a single test body.
     #[test]
     fn scopes_reconcile_with_windows_and_disabled_path_records_nothing() {
+        let _lock = test_lock();
         // Disabled: scopes are inert.
         set_enabled(false);
         {

@@ -11,6 +11,14 @@
 //! Data buffers live in the kernel's own Rust memory; the launcher only
 //! assigns them *synthetic device addresses* via [`AddressSpace`] so the
 //! cache simulation sees a realistic address stream.
+//!
+//! Inside a [`Launcher::memoized`] scope each launch is simulated once: a
+//! repeat replays the recorded [`KernelStats`] and runs its block bodies
+//! values-only (every charge method returns at entry).
+
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tcg_fault::{FaultPlan, FaultSite, TcgError};
 
@@ -22,7 +30,7 @@ use crate::hotspot::{self, HotPhase};
 use crate::stats::KernelStats;
 
 /// Launch configuration of a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridConfig {
     /// Threads per block.
     pub block_size: u32,
@@ -124,6 +132,9 @@ enum MemSim<'a> {
         l1: &'a mut Cache,
         l2_log: &'a mut Vec<u64>,
     },
+    /// A memo hit: nothing is simulated, so every charge method of the
+    /// [`BlockCtx`] returns at entry and this is never probed.
+    ValuesOnly,
 }
 
 impl MemSim<'_> {
@@ -157,6 +168,7 @@ impl MemSim<'_> {
                     }
                 }
             }
+            MemSim::ValuesOnly => {}
         }
     }
 }
@@ -178,6 +190,13 @@ pub struct BlockCtx<'a> {
 }
 
 impl<'a> BlockCtx<'a> {
+    /// Whether this block runs values-only (a memo hit): the window body's
+    /// arithmetic still runs, but nothing is charged.
+    #[inline]
+    fn values_only(&self) -> bool {
+        matches!(self.mem, MemSim::ValuesOnly)
+    }
+
     /// Consumes a pending ECC bit flip armed by the launcher's fault plan.
     ///
     /// Returns `true` at most once per launch: the first tensor-core op to
@@ -208,6 +227,9 @@ impl<'a> BlockCtx<'a> {
 
     /// One warp-wide global load with arbitrary lane addresses.
     pub fn ld_global_warp(&mut self, addrs: &[u64]) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64; // address arithmetic
         self.coalesce_into_scratch(addrs);
@@ -220,6 +242,9 @@ impl<'a> BlockCtx<'a> {
     /// `base`, performed by however many warps it takes (unit stride — the
     /// coalesced fast path).
     pub fn ld_global_contiguous(&mut self, base: u64, count: usize, elem_bytes: usize) {
+        if self.values_only() {
+            return;
+        }
         if count == 0 {
             return;
         }
@@ -247,6 +272,9 @@ impl<'a> BlockCtx<'a> {
         elems_per_row: usize,
         elem_bytes: usize,
     ) {
+        if self.values_only() {
+            return;
+        }
         if bases.is_empty() || elems_per_row == 0 {
             return;
         }
@@ -269,6 +297,9 @@ impl<'a> BlockCtx<'a> {
         elems_per_row: usize,
         elem_bytes: usize,
     ) {
+        if self.values_only() {
+            return;
+        }
         if bases.is_empty() || elems_per_row == 0 {
             return;
         }
@@ -284,6 +315,9 @@ impl<'a> BlockCtx<'a> {
 
     /// One scalar global load (a single thread reading e.g. a row pointer).
     pub fn ld_global_scalar(&mut self, addr: u64) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += 1;
         self.stats.gl_load_transactions += 1;
@@ -294,6 +328,9 @@ impl<'a> BlockCtx<'a> {
 
     /// One warp-wide global store with arbitrary lane addresses.
     pub fn st_global_warp(&mut self, addrs: &[u64]) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64;
         self.coalesce_into_scratch(addrs);
@@ -304,6 +341,9 @@ impl<'a> BlockCtx<'a> {
 
     /// Contiguous global store of `count` elements of `elem_bytes`.
     pub fn st_global_contiguous(&mut self, base: u64, count: usize, elem_bytes: usize) {
+        if self.values_only() {
+            return;
+        }
         if count == 0 {
             return;
         }
@@ -318,6 +358,9 @@ impl<'a> BlockCtx<'a> {
 
     /// Atomic adds from one warp; duplicate target addresses serialize.
     pub fn atomic_add_global(&mut self, addrs: &[u64]) {
+        if self.values_only() {
+            return;
+        }
         self.stats.int_ops += addrs.len() as u64;
         self.stats.atomic_ops += addrs.len() as u64;
         let _t = hotspot::scope(HotPhase::Coalesce);
@@ -348,24 +391,36 @@ impl<'a> BlockCtx<'a> {
 
     /// `n` warp-wide shared-memory transactions (load or store).
     pub fn shared_access(&mut self, n: u64) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += n;
         self.stats.shared_transactions += n;
     }
 
     /// One warp-wide FMA (`lanes` active lanes, 2 FLOPs each).
     pub fn fma_warp(&mut self, lanes: u32) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.fp32_flops += 2 * lanes as u64;
     }
 
     /// `n` warp-wide FMA instructions at full width.
     pub fn fma_warps(&mut self, n: u64) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += n;
         self.stats.fp32_flops += 2 * 32 * n;
     }
 
     /// One warp-wide non-FMA FP32 op (add/mul/exp approximations count 1).
     pub fn fp32_warp(&mut self, lanes: u32) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.fp32_flops += lanes as u64;
     }
@@ -373,18 +428,27 @@ impl<'a> BlockCtx<'a> {
     /// `n` warp-wide non-FMA FP32 instructions at full width (bulk form for
     /// per-edge shuffle/reduction charging).
     pub fn fp32_warps(&mut self, n: u64) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += n;
         self.stats.fp32_flops += 32 * n;
     }
 
     /// One warp-wide integer/address op.
     pub fn int_warp(&mut self, lanes: u32) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += lanes as u64;
     }
 
     /// A tensor-core MMA instruction of the given FLOP count.
     pub fn tcu_mma(&mut self, flops: u64) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions += 1;
         self.stats.tcu_mma_instructions += 1;
         self.stats.tcu_flops += flops;
@@ -392,10 +456,76 @@ impl<'a> BlockCtx<'a> {
 
     /// Block-wide barrier.
     pub fn syncthreads(&mut self) {
+        if self.values_only() {
+            return;
+        }
         self.stats.warp_instructions +=
             u64::from(self.config.block_size.div_ceil(self.device.warp_size));
     }
 }
+
+/// What a values-only [`BlockCtx`] points its counters at: the charge
+/// methods return at entry, so none of it is ever touched.
+#[derive(Default)]
+struct Discard {
+    stats: KernelStats,
+    ecc_armed: bool,
+    scratch: Vec<u64>,
+}
+
+impl Discard {
+    fn ctx<'a>(
+        &'a mut self,
+        device: &'a DeviceSpec,
+        cfg: GridConfig,
+        block_id: u64,
+    ) -> BlockCtx<'a> {
+        BlockCtx {
+            device,
+            block_id,
+            config: cfg,
+            stats: &mut self.stats,
+            mem: MemSim::ValuesOnly,
+            ecc_armed: &mut self.ecc_armed,
+            scratch: &mut self.scratch,
+        }
+    }
+}
+
+/// Runs `block(state, id)` for every block id on `threads` workers, each
+/// with its own `worker()` state. Workers claim chunks of ids from a
+/// shared cursor, so which worker runs a block is unspecified.
+fn fan_out<S>(
+    threads: usize,
+    num_blocks: u64,
+    worker: impl Fn() -> S + Sync,
+    block: impl Fn(&mut S, u64) + Sync,
+) {
+    let next = AtomicU64::new(0);
+    let chunk = (num_blocks / (threads as u64 * 8)).clamp(1, 256);
+    let (worker, block, next) = (&worker, &block, &next);
+    rayon::scope(|s| {
+        for wi in 0..threads {
+            s.spawn(move |_| {
+                hotspot::set_worker(wi as u64 + 1);
+                let mut state = worker();
+                loop {
+                    let b0 = next.fetch_add(chunk, Ordering::Relaxed);
+                    if b0 >= num_blocks {
+                        break;
+                    }
+                    for block_id in b0..(b0 + chunk).min(num_blocks) {
+                        block(&mut state, block_id);
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// A launch's place in the memo: the scope's key, the launch's ordinal
+/// within the scope, and its shape.
+type MemoSlot = (u64, u32, GridConfig, u64);
 
 /// Owns the persistent memory-system state and launches kernels.
 pub struct Launcher {
@@ -408,6 +538,15 @@ pub struct Launcher {
     threads: usize,
     launch_log: Option<Vec<f64>>,
     scratch: Vec<u64>,
+    /// Stats recorded by the first full simulation of each memo slot.
+    memo: HashMap<MemoSlot, KernelStats>,
+    /// The open [`Launcher::memoized`] scope: its key and the number of
+    /// launches it has made.
+    scope: Option<(u64, u32)>,
+    memo_hits: u64,
+    /// `TCG_VERIFY=1`: every memo hit also simulates in full and asserts
+    /// that the recorded stats match.
+    verify: bool,
 }
 
 impl Launcher {
@@ -427,6 +566,10 @@ impl Launcher {
             threads: crate::par::threads_from_env(),
             launch_log: None,
             scratch: Vec::with_capacity(64),
+            memo: HashMap::new(),
+            scope: None,
+            memo_hits: 0,
+            verify: std::env::var("TCG_VERIFY").is_ok_and(|v| v == "1"),
         }
     }
 
@@ -540,12 +683,119 @@ impl Launcher {
         Ok(())
     }
 
+    /// Runs `f` with the launch memo open under `key`; returns `f`'s
+    /// result.
+    ///
+    /// The caller vouches that `key` fixes every input of the launches `f`
+    /// makes except the values their bodies compute on. A launch's stats
+    /// then depend only on its own access sequence: its buffers are fresh
+    /// bump allocations (earlier launches left no line of them in L2, and
+    /// shifting the whole layout keeps its set conflicts), the L1 is
+    /// flushed at every block, and the L2 is LRU (older lines always
+    /// evict first). So each launch is simulated once, recorded under
+    /// `(key, ordinal in the scope, config, blocks)`, and every repeat
+    /// runs its bodies values-only and replays the record, launch-log
+    /// entry included. The memo is off while a fault plan is attached
+    /// (ECC and OOM change the launch) or the hotspot profiler is on.
+    pub fn memoized<K: Hash, T>(&mut self, key: K, f: impl FnOnce(&mut Launcher) -> T) -> T {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        let outer = self.scope.replace((h.finish(), 0));
+        let out = f(self);
+        self.scope = outer;
+        out
+    }
+
+    /// Launches answered from the memo so far.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
+    }
+
     /// Runs `body` once per block and returns the accumulated counters.
     ///
     /// The L1 is flushed at block boundaries (a block starts on a cold SM);
     /// the L2 persists across blocks *and* across launches, modeling
-    /// cross-kernel reuse of inputs.
-    pub fn launch<F>(&mut self, cfg: GridConfig, num_blocks: u64, mut body: F) -> KernelStats
+    /// cross-kernel reuse of inputs. Inside a [`Launcher::memoized`] scope
+    /// a repeat launch replays its recorded counters instead.
+    pub fn launch<F>(&mut self, cfg: GridConfig, num_blocks: u64, body: F) -> KernelStats
+    where
+        F: FnMut(&mut BlockCtx<'_>),
+    {
+        self.replay_or_simulate(
+            cfg,
+            num_blocks,
+            body,
+            |l, body| l.simulate(cfg, num_blocks, body),
+            |l, mut body| {
+                let mut discard = Discard::default();
+                for block_id in 0..num_blocks {
+                    body(&mut discard.ctx(&l.device, cfg, block_id));
+                }
+            },
+        )
+    }
+
+    /// The memo around one launch: on a hit, runs `values_only` (or,
+    /// under `TCG_VERIFY=1`, `simulate` and a check) and replays the
+    /// record; otherwise simulates and records.
+    fn replay_or_simulate<B>(
+        &mut self,
+        cfg: GridConfig,
+        num_blocks: u64,
+        body: B,
+        simulate: impl FnOnce(&mut Launcher, B) -> KernelStats,
+        values_only: impl FnOnce(&Launcher, B),
+    ) -> KernelStats {
+        let slot = self.memo_slot(cfg, num_blocks);
+        let Some(recorded) = slot.and_then(|s| self.memo.get(&s)).cloned() else {
+            let stats = simulate(self, body);
+            if let Some(slot) = slot {
+                self.memo.insert(slot, stats.clone());
+            }
+            return self.complete(stats);
+        };
+        self.memo_hits += 1;
+        if self.verify {
+            let full = simulate(self, body);
+            assert_eq!(
+                full, recorded,
+                "a memo hit diverged from its full simulation"
+            );
+        } else {
+            values_only(self, body);
+        }
+        self.complete(recorded)
+    }
+
+    /// The memo slot of the next launch, or `None` while the memo is off.
+    fn memo_slot(&mut self, cfg: GridConfig, num_blocks: u64) -> Option<MemoSlot> {
+        let (key, ordinal) = self.scope.as_mut()?;
+        if self.fault_plan.is_some() || hotspot::enabled() {
+            return None;
+        }
+        *ordinal += 1;
+        Some((*key, *ordinal, cfg, num_blocks))
+    }
+
+    /// Closes a launch: hands a consumed ECC flip to the fault plan, drops
+    /// an unconsumed one, and logs the launch's modeled milliseconds.
+    fn complete(&mut self, stats: KernelStats) -> KernelStats {
+        if stats.ecc_faults > 0 {
+            if let Some(plan) = self.fault_plan.as_mut() {
+                plan.note_ecc_consumed(stats.ecc_faults);
+            }
+        }
+        // An armed flip no tensor-core op consumed (e.g. a CUDA-core
+        // kernel) must not leak into the next launch.
+        self.ecc_armed = false;
+        if let Some(log) = self.launch_log.as_mut() {
+            log.push(cost::analyze(&self.device, &stats).time_ms);
+        }
+        stats
+    }
+
+    /// The full sequential simulation behind [`Launcher::launch`].
+    fn simulate<F>(&mut self, cfg: GridConfig, num_blocks: u64, mut body: F) -> KernelStats
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
@@ -609,17 +859,6 @@ impl Launcher {
                 body(&mut ctx);
             }
         }
-        if stats.ecc_faults > 0 {
-            if let Some(plan) = self.fault_plan.as_mut() {
-                plan.note_ecc_consumed(stats.ecc_faults);
-            }
-        }
-        // An armed flip no tensor-core op consumed (e.g. a CUDA-core
-        // kernel) must not leak into the next launch.
-        self.ecc_armed = false;
-        if let Some(log) = self.launch_log.as_mut() {
-            log.push(cost::analyze(&self.device, &stats).time_ms);
-        }
         stats
     }
 
@@ -655,7 +894,36 @@ impl Launcher {
         if threads <= 1 || num_blocks < 2 || self.ecc_armed {
             return self.launch(cfg, num_blocks, body);
         }
+        self.replay_or_simulate(
+            cfg,
+            num_blocks,
+            body,
+            |l, body| l.simulate_par(cfg, num_blocks, threads, body),
+            |l, body| {
+                let device = &l.device;
+                fan_out(
+                    threads,
+                    num_blocks,
+                    Discard::default,
+                    |discard, block_id| {
+                        body(&mut discard.ctx(device, cfg, block_id));
+                    },
+                );
+            },
+        )
+    }
 
+    /// The full parallel simulation behind [`Launcher::launch_par`].
+    fn simulate_par<F>(
+        &mut self,
+        cfg: GridConfig,
+        num_blocks: u64,
+        threads: usize,
+        body: F,
+    ) -> KernelStats
+    where
+        F: Fn(&mut BlockCtx<'_>) + Sync,
+    {
         // Phase 1: execute bodies in parallel. Workers claim chunks of
         // block ids from a shared cursor; results land in per-block slots,
         // so the claim order has no effect on the outcome.
@@ -663,55 +931,34 @@ impl Launcher {
         blocks.resize_with(num_blocks as usize, || None);
         {
             let slots = crate::par::DisjointSlices::new(&mut blocks);
-            let next = std::sync::atomic::AtomicU64::new(0);
-            let chunk = (num_blocks / (threads as u64 * 8)).clamp(1, 256);
             let device = &self.device;
-            let body = &body;
-            let slots = &slots;
-            let next = &next;
-            rayon::scope(|s| {
-                for wi in 0..threads {
-                    s.spawn(move |_| {
-                        hotspot::set_worker(wi as u64 + 1);
-                        let mut l1 = Cache::l1(device.l1_bytes_per_sm);
-                        let mut scratch = Vec::with_capacity(64);
-                        loop {
-                            let b0 = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                            if b0 >= num_blocks {
-                                break;
-                            }
-                            for block_id in b0..(b0 + chunk).min(num_blocks) {
-                                l1.reset();
-                                hotspot::begin_window(block_id);
-                                let mut stats = KernelStats::default();
-                                let mut l2_log = Vec::new();
-                                let mut ecc = false;
-                                let mut ctx = BlockCtx {
-                                    device,
-                                    block_id,
-                                    config: cfg,
-                                    stats: &mut stats,
-                                    mem: MemSim::Deferred {
-                                        l1: &mut l1,
-                                        l2_log: &mut l2_log,
-                                    },
-                                    ecc_armed: &mut ecc,
-                                    scratch: &mut scratch,
-                                };
-                                body(&mut ctx);
-                                hotspot::end_window();
-                                // SAFETY: each block id is claimed by
-                                // exactly one worker (fetch_add), so the
-                                // ranges are disjoint.
-                                let slot = unsafe { slots.range_mut(block_id as usize, 1) };
-                                slot[0] = Some((stats, l2_log));
-                            }
-                        }
-                    });
-                }
+            let worker = || (Cache::l1(device.l1_bytes_per_sm), Vec::with_capacity(64));
+            fan_out(threads, num_blocks, worker, |(l1, scratch), block_id| {
+                l1.reset();
+                hotspot::begin_window(block_id);
+                let mut stats = KernelStats::default();
+                let mut l2_log = Vec::new();
+                let mut ecc = false;
+                let mut ctx = BlockCtx {
+                    device,
+                    block_id,
+                    config: cfg,
+                    stats: &mut stats,
+                    mem: MemSim::Deferred {
+                        l1,
+                        l2_log: &mut l2_log,
+                    },
+                    ecc_armed: &mut ecc,
+                    scratch,
+                };
+                body(&mut ctx);
+                hotspot::end_window();
+                // SAFETY: each block id is claimed by exactly one worker
+                // (fetch_add), so the ranges are disjoint.
+                let slot = unsafe { slots.range_mut(block_id as usize, 1) };
+                slot[0] = Some((stats, l2_log));
             });
         }
-
         // Phase 2: ordered L2 replay + ordered stats fold, in block order.
         let mut total = KernelStats {
             num_blocks,
@@ -751,12 +998,6 @@ impl Launcher {
                 hotspot::end_window();
             }
             total.merge(&stats);
-        }
-        self.ecc_armed = false;
-        // The sequential fallback above logs inside `launch`; this is the
-        // parallel path's single completion point.
-        if let Some(log) = self.launch_log.as_mut() {
-            log.push(cost::analyze(&self.device, &total).time_ms);
         }
         total
     }
@@ -1089,6 +1330,103 @@ mod tests {
         assert_eq!(l.threads(), 4);
         l.set_threads(0); // 0 = all cores
         assert!(l.threads() >= 1);
+    }
+
+    /// A launcher whose memo hits never cross-check, whatever
+    /// `TCG_VERIFY` says (the cross-check simulates and so touches L2).
+    fn memo_launcher(threads: usize) -> Launcher {
+        let mut l = launcher();
+        l.verify = false;
+        l.set_threads(threads);
+        l
+    }
+
+    /// One scoped launch of 8 blocks over a fresh buffer, each block
+    /// loading its own rows and the shared head; counts executed blocks.
+    fn scoped_launch(l: &mut Launcher, ran: &AtomicU64) -> KernelStats {
+        l.memoized("k", |l| {
+            let buf = l.try_alloc_f32(4096).unwrap();
+            l.launch_par(GridConfig::with_block_size(64), 8, |ctx| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                ctx.ld_global_contiguous(buf.f32_addr(ctx.block_id as usize * 256), 256, 4);
+                ctx.ld_global_contiguous(buf.base(), 64, 4);
+                ctx.fma_warps(3);
+            })
+        })
+    }
+
+    #[test]
+    fn memo_hit_replays_the_recorded_stats_and_launch_log() {
+        let _lock = hotspot::test_lock();
+        for threads in [1, 4] {
+            let mut l = memo_launcher(threads);
+            l.set_launch_log(true);
+            let ran = AtomicU64::new(0);
+            let miss = scoped_launch(&mut l, &ran);
+            let hit = scoped_launch(&mut l, &ran);
+            assert_eq!(l.memo_hits(), 1);
+            assert_eq!(hit, miss);
+            assert!(miss.l2_hits > 0, "the launch exercises the L2");
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                16,
+                "a hit still runs every body"
+            );
+            let log = l.take_launch_log();
+            assert_eq!(log.len(), 2);
+            assert_eq!(log[0].to_bits(), log[1].to_bits());
+        }
+    }
+
+    #[test]
+    fn memo_hit_leaves_l2_untouched() {
+        let _lock = hotspot::test_lock();
+        let mut l = memo_launcher(1);
+        let ran = AtomicU64::new(0);
+        scoped_launch(&mut l, &ran);
+        let probes = (l.l2.hits(), l.l2.misses());
+        scoped_launch(&mut l, &ran);
+        assert_eq!(l.memo_hits(), 1);
+        assert_eq!((l.l2.hits(), l.l2.misses()), probes);
+    }
+
+    #[test]
+    fn fault_plan_or_hotspot_profiler_bypasses_the_memo() {
+        use tcg_fault::FaultConfig;
+        let _lock = hotspot::test_lock();
+        let ran = AtomicU64::new(0);
+        let mut l = memo_launcher(1);
+        l.attach_fault_plan(Some(FaultPlan::new(1, FaultConfig::none())));
+        let first = scoped_launch(&mut l, &ran);
+        assert_eq!(scoped_launch(&mut l, &ran), first);
+        assert_eq!(l.memo_hits(), 0);
+
+        let mut l = memo_launcher(1);
+        hotspot::set_enabled(true);
+        scoped_launch(&mut l, &ran);
+        scoped_launch(&mut l, &ran);
+        hotspot::set_enabled(false);
+        let _ = hotspot::take_report();
+        assert_eq!(l.memo_hits(), 0);
+    }
+
+    #[test]
+    fn ordinal_gives_each_launch_in_a_scope_its_own_slot() {
+        let _lock = hotspot::test_lock();
+        let mut l = memo_launcher(1);
+        let cfg = GridConfig::with_block_size(32);
+        let mut scope = || {
+            l.memoized(7u64, |l| {
+                let a = l.launch(cfg, 4, |ctx| ctx.fma_warps(1));
+                let b = l.launch(cfg, 4, |ctx| ctx.fma_warps(3));
+                (a, b)
+            })
+        };
+        let (a1, b1) = scope();
+        let (a2, b2) = scope();
+        assert_ne!(a1, b1);
+        assert_eq!((a2, b2), (a1, b1));
+        assert_eq!(l.memo_hits(), 2);
     }
 
     #[test]

@@ -17,6 +17,11 @@ cargo build --release --workspace
 step "tier-1 tests (root package)"
 cargo test --release -q
 
+step "tier-1 tests with every launch-memo hit cross-checked"
+# Under TCG_VERIFY=1 each memo hit also simulates the launch in full and
+# asserts that its stats equal the recorded ones.
+TCG_VERIFY=1 cargo test --release -q
+
 if [[ $quick -eq 0 ]]; then
     step "workspace tests"
     cargo test --workspace -q
@@ -75,8 +80,10 @@ step "parallel execution: determinism suite + conformance matrix at TCG_THREADS=
 # cost totals).
 cargo test --release -q --test parallel_determinism
 TCG_THREADS=4 cargo test --release -q -p tcg-gpusim --lib
-# Kernel unit tests and the window-body charge pins (one body per window
-# type, shared by the pure and hybrid launches) with bodies on 4 workers.
+# Kernel unit tests, the window-body charge pins (one body per window
+# type, shared by the pure and hybrid launches) and the launch-purity pin
+# (stats independent of operand values and launcher history, which the
+# launch memo relies on) with bodies on 4 workers.
 TCG_THREADS=4 cargo test --release -q -p tcg-kernels
 TCG_THREADS=4 ./target/release/tcgnn verify --seed 2023
 TCG_THREADS=4 TCG_FAULT_RATE=0.05 TCG_FAULT_SEED=2023 \
