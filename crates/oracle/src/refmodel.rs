@@ -17,7 +17,14 @@
 //!   [`tcg_tensor::tf32::round_to_tf32`];
 //! - [`gemm_tf32`] — the TF-32 GEMM that rounds both operands inside the
 //!   triple loop, once per multiply; the reference for
-//!   [`tcg_tensor::gemm::gemm_tf32`].
+//!   [`tcg_tensor::gemm::gemm_tf32`];
+//! - [`mma_m16n16k8`] — the dense `m16n16k8` TF-32 MMA over staged tiles,
+//!   rounding every operand element as its fragment is loaded — the
+//!   description half of the TCU kernels' MMA, as SparseTIR pairs
+//!   `wmma_sync_desc` with `wmma_sync_impl` — and the staged-tile kernel
+//!   loops built on it: [`tcu_spmm`] (Listing 2: 16×8 sparse tiles, 8×16
+//!   dense tiles per 16-wide slab) and [`tcu_sddmm`] (Listing 3: 16×8 row
+//!   tiles, 8×16 gathered tiles per 8-wide slab, 16×16 edge frames).
 //!
 //! The dense update GEMMs [`tcg_tensor::gemm::gemm`] (`X·W`) and
 //! [`tcg_tensor::gemm::gemm_at_b`] (`Xᵀ·dY`) are pinned against the triple
@@ -30,6 +37,9 @@
 //! counters, same sector sequences, same result bits.
 
 use tcg_gpusim::cache::{Probe, SECTOR_BYTES};
+use tcg_gpusim::wmma::{WMMA_K, WMMA_M, WMMA_N};
+use tcg_graph::CsrGraph;
+use tcg_sgt::TranslatedGraph;
 use tcg_tensor::{DenseMatrix, TensorError};
 
 /// Set-associative LRU cache over 32-byte sectors, one `Vec` per set.
@@ -169,6 +179,151 @@ pub fn gemm_tf32(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, Tensor
         }
     }
     Ok(c)
+}
+
+/// The `16×8` A tile of one `m16n16k8` MMA, row-major.
+pub type TileA = [f32; WMMA_M * WMMA_K];
+/// The `8×16` B tile of one `m16n16k8` MMA, row-major.
+pub type TileB = [f32; WMMA_K * WMMA_N];
+/// The `16×16` FP32 accumulator of one `m16n16k8` MMA, row-major.
+pub type TileAcc = [f32; WMMA_M * WMMA_N];
+
+/// `wmma::load_matrix_sync` of both tiles, then `wmma::mma_sync(acc, a, b,
+/// acc)`: every element of `a` and `b` is rounded to TF-32 as its fragment
+/// is loaded, and `acc += A·B` runs row by row with `k` ascending, one
+/// separate multiply and add per term, skipping zero elements of the
+/// rounded `A` (a zero A element meets any `B`, `±inf` and NaN included,
+/// without a trace).
+pub fn mma_m16n16k8(acc: &mut TileAcc, a: &TileA, b: &TileB) {
+    let (a, b) = (a.map(round_to_tf32), b.map(round_to_tf32));
+    for r in 0..WMMA_M {
+        for k in 0..WMMA_K {
+            let av = a[r * WMMA_K + k];
+            if av == 0.0 {
+                continue;
+            }
+            for c in 0..WMMA_N {
+                acc[r * WMMA_N + c] += av * b[k * WMMA_N + c];
+            }
+        }
+    }
+}
+
+/// Poisons accumulator element `(0, 0)` the way an armed ECC flip does
+/// when the launch's first MMA consumes it; `ecc` is disarmed after use.
+fn ecc_flip(acc: &mut TileAcc, ecc: &mut bool) {
+    if std::mem::take(ecc) {
+        acc[0] = f32::NAN;
+    }
+}
+
+/// TC-GNN SpMM (Listing 2) over staged tiles: `out = (F ⊙ A) · x`, with
+/// `F[e] = values[e]` (1.0 when `None`). Each row window accumulates one
+/// `16×16` tile per 16-wide slab of `x`. For every TC block it builds the
+/// `16×8` sparse tile from the block's chunk, and per slab the `8×16`
+/// tile holding columns of `x`'s rows `atox[k]` (zero beyond the width and
+/// for padding), and runs one MMA. Each window then stores its rows,
+/// clipped to `x`'s width. With `ecc`, the first MMA of the first window
+/// that has a TC block poisons its accumulator's `(0, 0)`.
+pub fn tcu_spmm(
+    t: &TranslatedGraph,
+    x: &DenseMatrix,
+    values: Option<&[f32]>,
+    mut ecc: bool,
+) -> DenseMatrix {
+    let (n, d) = x.shape();
+    let mut out = DenseMatrix::zeros(n, d);
+    for w in 0..t.num_row_windows {
+        let (row_lo, row_hi) = (w * WMMA_M, ((w + 1) * WMMA_M).min(n));
+        let mut accs = vec![[0.0f32; WMMA_M * WMMA_N]; d.div_ceil(WMMA_N)];
+        for b in t.win_block_start[w]..t.win_block_start[w + 1] {
+            let (lo, hi) = t.block_chunk(b);
+            let mut a = [0.0f32; WMMA_M * WMMA_K];
+            for pos in lo..hi {
+                let (r, k) = t.unpack(t.perm_pack[pos]);
+                let e = t.perm_orig[pos] as usize;
+                a[r * WMMA_K + k] = values.map_or(1.0, |v| v[e]);
+            }
+            let atox = t.block_atox(b);
+            for (s, acc) in accs.iter_mut().enumerate() {
+                let cols = s * WMMA_N..(s * WMMA_N + WMMA_N).min(d);
+                let mut tile = [0.0f32; WMMA_K * WMMA_N];
+                for (k, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
+                    tile[k * WMMA_N..][..cols.len()]
+                        .copy_from_slice(&x.row(u as usize)[cols.clone()]);
+                }
+                mma_m16n16k8(acc, &a, &tile);
+                ecc_flip(acc, &mut ecc);
+            }
+        }
+        for (s, acc) in accs.iter().enumerate() {
+            let cols = s * WMMA_N..(s * WMMA_N + WMMA_N).min(d);
+            for r in row_lo..row_hi {
+                let src = &acc[(r - row_lo) * WMMA_N..][..cols.len()];
+                out.row_mut(r)[cols.clone()].copy_from_slice(src);
+            }
+        }
+    }
+    out
+}
+
+/// TC-GNN SDDMM (Listing 3) over staged tiles: `out[e] = xa[src(e)] ·
+/// xb[dst(e)]` for every edge of `csr`, in CSR edge order. Each row window
+/// walks 16-column frames, each fusing two adjacent TC blocks of the
+/// translation. Per 8-wide slab of the features it builds the `16×8` tile
+/// of the window's `xa` rows and the `8×16` tile whose column `c` holds
+/// `xb`'s row `atox[c]` (zero for padding), and runs one MMA; the frame's
+/// edge entries are then read off the `16×16` accumulator. With `ecc`, the
+/// first MMA of the first window that has a TC block poisons its
+/// accumulator's `(0, 0)`.
+pub fn tcu_sddmm(
+    t: &TranslatedGraph,
+    csr: &CsrGraph,
+    xa: &DenseMatrix,
+    xb: &DenseMatrix,
+    mut ecc: bool,
+) -> Vec<f32> {
+    let (n, d) = xa.shape();
+    let mut out = vec![0.0f32; csr.num_edges()];
+    for w in 0..t.num_row_windows {
+        let (row_lo, row_hi) = (w * WMMA_M, ((w + 1) * WMMA_M).min(n));
+        let (b_lo, b_hi) = (t.win_block_start[w], t.win_block_start[w + 1]);
+        for cb_lo in (b_lo..b_hi).step_by(2) {
+            let frame = cb_lo..(cb_lo + 2).min(b_hi);
+            let mut atox = [u32::MAX; WMMA_N];
+            let mut edges = Vec::new();
+            for (half, b) in frame.enumerate() {
+                for (c8, &u) in t.block_atox(b).iter().enumerate() {
+                    atox[c8 + half * WMMA_K] = u;
+                }
+                let (lo, hi) = t.block_chunk(b);
+                for pos in lo..hi {
+                    let (r, c8) = t.unpack(t.perm_pack[pos]);
+                    edges.push((r, c8 + half * WMMA_K, t.perm_orig[pos] as usize));
+                }
+            }
+            let mut acc = [0.0f32; WMMA_M * WMMA_N];
+            for k0 in (0..d).step_by(WMMA_K) {
+                let ks = k0..(k0 + WMMA_K).min(d);
+                let mut a = [0.0f32; WMMA_M * WMMA_K];
+                for r in row_lo..row_hi {
+                    a[(r - row_lo) * WMMA_K..][..ks.len()].copy_from_slice(&xa.row(r)[ks.clone()]);
+                }
+                let mut b = [0.0f32; WMMA_K * WMMA_N];
+                for (c, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
+                    for (k, &v) in xb.row(u as usize)[ks.clone()].iter().enumerate() {
+                        b[k * WMMA_N + c] = v;
+                    }
+                }
+                mma_m16n16k8(&mut acc, &a, &b);
+                ecc_flip(&mut acc, &mut ecc);
+            }
+            for (r, c, e) in edges {
+                out[e] = acc[r * WMMA_N + c];
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
