@@ -1,9 +1,9 @@
 //! Criterion benchmarks of the dense substrate: CPU GEMM variants and the
-//! WMMA fragment pipeline.
+//! staged-tile `m16n16k8` MMA that the TCU kernels' MMAs reproduce.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tcg_gpusim::wmma::{mma_functional, FragmentA, FragmentAcc, FragmentB};
+use tcg_oracle::refmodel::mma_m16n16k8;
 use tcg_tensor::gemm::{gemm, gemm_at_b, gemm_naive, gemm_tf32};
 use tcg_tensor::init;
 
@@ -40,14 +40,12 @@ fn bench_gemm(c: &mut Criterion) {
 
     let ta = init::uniform(16, 8, -1.0, 1.0, 3);
     let tb = init::uniform(8, 16, -1.0, 1.0, 4);
-    let mut fa = FragmentA::default();
-    let mut fb = FragmentB::default();
-    fa.load(ta.as_slice(), 8);
-    fb.load(tb.as_slice(), 16);
+    let a: [f32; 128] = ta.as_slice().try_into().unwrap();
+    let b: [f32; 128] = tb.as_slice().try_into().unwrap();
     c.bench_function("wmma_mma_m16n16k8", |bch| {
         bch.iter(|| {
-            let mut acc = FragmentAcc::default();
-            mma_functional(&mut acc, &fa, &fb);
+            let mut acc = [0.0f32; 256];
+            mma_m16n16k8(&mut acc, black_box(&a), black_box(&b));
             black_box(acc)
         })
     });

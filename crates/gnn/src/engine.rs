@@ -1203,18 +1203,24 @@ impl Engine {
     /// Fused attention pipeline (TC-GNN backend only): SDDMM logits from
     /// `xa`, `β` scaling, row softmax, and the weighted SpMM over `xv` — a
     /// single kernel launch (see `tcg_kernels::fused`). Returns
-    /// `(Y, cos, P, ms)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend has no translation
-    /// ([`Engine::supports_fused_attention`] is false).
+    /// `(Y, cos, P, ms)`, or [`TcgError::InvalidInput`] on a backend
+    /// without a translation ([`Engine::supports_fused_attention`] is
+    /// false).
     pub fn fused_attention(
         &mut self,
         xa: &DenseMatrix,
         xv: &DenseMatrix,
         beta: f32,
     ) -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
+        if !self.supports_fused_attention() {
+            return Err(TcgError::InvalidInput {
+                what: "fused attention backend",
+                detail: format!(
+                    "{} has no SGT translation to fuse over",
+                    self.backend.name()
+                ),
+            });
+        }
         if let Exec::Sharded(set) = &mut self.exec {
             SpmmProblem::new(&self.csr, None, xa)?;
             SpmmProblem::new(&self.csr, None, xv)?;
@@ -1232,14 +1238,10 @@ impl Engine {
             })?;
             return Ok((y, cos, p, ms));
         }
-        assert!(
-            self.local_ref().translated.is_some(),
-            "fused attention requires the TC-GNN backend"
-        );
         let mut extra_ms = 0.0;
         let primary = self.attempt("fused_attention", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            let t = dev.translated.as_ref().expect("checked above");
+            let t = dev.translated.as_ref().expect("the backend translates");
             let key = ("fused_attention", xa.cols(), xv.cols());
             let out = dev.launcher.memoized(key, |l| {
                 tcg_kernels::fused::fused_attention(l, csr, t, xa, xv, beta)
@@ -1684,6 +1686,25 @@ mod tests {
         let prob = SpmmProblem::new(&gt, Some(&vt), &x).unwrap();
         let expect = reference_spmm(&prob);
         assert!(got.max_abs_diff(&expect).unwrap() < 0.02);
+    }
+
+    #[test]
+    fn fused_attention_without_a_translation_is_an_error_not_a_panic() {
+        let x = init::uniform(400, 8, -1.0, 1.0, 5);
+        for devices in [1, 2] {
+            let g = gen::community(400, 3000, 16, 24, 1).unwrap();
+            let mut e = Engine::builder(g)
+                .backend(Backend::DglLike)
+                .devices(devices)
+                .build()
+                .unwrap();
+            assert!(!e.supports_fused_attention());
+            let err = e.fused_attention(&x, &x, 1.0).unwrap_err();
+            assert!(
+                matches!(err, TcgError::InvalidInput { .. }),
+                "{devices} device(s): {err:?}"
+            );
+        }
     }
 
     #[test]

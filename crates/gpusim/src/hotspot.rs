@@ -45,17 +45,16 @@ pub enum HotPhase {
     CacheProbe = 1,
     /// Phase-2 ordered L2 miss-log replay of the parallel launcher.
     L2Replay = 2,
-    /// WMMA fragment loads (`FragmentA`/`FragmentB` staging).
-    FragmentStage = 3,
-    /// The `mma_sync` inner loop (functional m16n16k8 + ECC consume).
-    MmaInner = 4,
-    /// Kernel-side tile staging (a-tile / b-tile gather into shared mem).
-    Staging = 5,
+    /// The MMA inner loops (`mma_sync_gather` / `mma_sync_entries`, with
+    /// the ECC consume).
+    MmaInner = 3,
+    /// Kernel-side operand staging (a block's sparse non-zero list).
+    Staging = 4,
 }
 
 impl HotPhase {
     /// Number of phases (array extent for per-phase accumulators).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// All phases, in enum order.
     pub fn all() -> [HotPhase; HotPhase::COUNT] {
@@ -63,7 +62,6 @@ impl HotPhase {
             HotPhase::Coalesce,
             HotPhase::CacheProbe,
             HotPhase::L2Replay,
-            HotPhase::FragmentStage,
             HotPhase::MmaInner,
             HotPhase::Staging,
         ]
@@ -75,7 +73,6 @@ impl HotPhase {
             HotPhase::Coalesce => "coalesce",
             HotPhase::CacheProbe => "cache_probe",
             HotPhase::L2Replay => "l2_replay",
-            HotPhase::FragmentStage => "fragment_stage",
             HotPhase::MmaInner => "mma_inner",
             HotPhase::Staging => "staging",
         }

@@ -1218,7 +1218,7 @@ mod tests {
 
     #[test]
     fn armed_ecc_flip_is_consumed_by_mma_and_counted() {
-        use crate::wmma::{mma_sync, FragmentA, FragmentAcc, FragmentB};
+        use crate::wmma::{mma_sync_gather, FragmentAcc};
         use tcg_fault::{FaultConfig, FaultSite};
         let mut l = launcher();
         // ecc_rate = 1.0: the first preflight arms a flip.
@@ -1228,10 +1228,8 @@ mod tests {
         l.preflight("wmma", &GridConfig::with_block_size(32))
             .unwrap();
         let stats = l.launch(GridConfig::with_block_size(32), 2, |ctx| {
-            let fa = FragmentA::default();
-            let fb = FragmentB::default();
             let mut acc = FragmentAcc::default();
-            mma_sync(&mut acc, &fa, &fb, ctx);
+            mma_sync_gather(&mut acc, &[], &[], &[], 16, ctx);
             if ctx.block_id == 0 {
                 assert!(acc.get(0, 0).is_nan(), "first mma takes the flip");
             } else {
@@ -1242,10 +1240,8 @@ mod tests {
         assert_eq!(l.fault_plan().unwrap().injected(FaultSite::EccBitFlip), 1);
         // Without a fresh preflight the next launch is clean.
         let stats2 = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
-            let fa = FragmentA::default();
-            let fb = FragmentB::default();
             let mut acc = FragmentAcc::default();
-            mma_sync(&mut acc, &fa, &fb, ctx);
+            mma_sync_gather(&mut acc, &[], &[], &[], 16, ctx);
             assert!(!acc.get(0, 0).is_nan());
         });
         assert_eq!(stats2.ecc_faults, 0);
@@ -1303,7 +1299,7 @@ mod tests {
 
     #[test]
     fn launch_par_with_armed_ecc_falls_back_to_sequential_semantics() {
-        use crate::wmma::{mma_sync, FragmentA, FragmentAcc, FragmentB};
+        use crate::wmma::{mma_sync_gather, FragmentAcc};
         use tcg_fault::FaultConfig;
         let mut l = launcher();
         l.set_threads(8);
@@ -1313,10 +1309,8 @@ mod tests {
         l.preflight("wmma", &GridConfig::with_block_size(32))
             .unwrap();
         let stats = l.launch_par(GridConfig::with_block_size(32), 4, |ctx| {
-            let fa = FragmentA::default();
-            let fb = FragmentB::default();
             let mut acc = FragmentAcc::default();
-            mma_sync(&mut acc, &fa, &fb, ctx);
+            mma_sync_gather(&mut acc, &[], &[], &[], 16, ctx);
             // Sequential fallback: block 0's first MMA takes the flip.
             assert_eq!(acc.get(0, 0).is_nan(), ctx.block_id == 0);
         });

@@ -1,14 +1,23 @@
-//! WMMA fragments: the `nvcuda::wmma` API surface of the simulator.
+//! WMMA: the `nvcuda::wmma` API surface of the simulator.
 //!
 //! Mirrors the paper's Listing 1 for the Ampere TF-32 MMA shape
 //! `m16n16k8`: `A` is `16×8`, `B` is `8×16`, the accumulator is `16×16` in
-//! FP32. `load` applies TF-32 rounding to the inputs exactly as the hardware
-//! does (see [`tcg_tensor::tf32`]); `mma_sync` performs the full-precision
-//! multiply-accumulate of the rounded operands and charges one tensor-core
-//! instruction to the block context.
+//! FP32. The hardware rounds both operands to TF-32 as it loads them (see
+//! [`tcg_tensor::tf32`]) and multiply-accumulates them at full precision.
+//!
+//! The kernels charge the whole MMA, padding included, but compute only
+//! the outputs they keep: [`mma_sync_gather`] is the SpMM shape (a sparse
+//! A tile times gathered B rows, clipped to the slab width) and
+//! [`mma_sync_entries`] the SDDMM shape (only the edge entries of the
+//! accumulator). Each charges one tensor-core instruction to the block
+//! context, as `mma_sync` does. Their operands are rounded to TF-32 once
+//! per launch instead of at every fragment load; the dense loop over
+//! staged fragments they reproduce bit for bit is
+//! `tcg_oracle::refmodel::mma_m16n16k8`.
+
+use std::ops::Range;
 
 use tcg_fault::TcgError;
-use tcg_tensor::tf32::round_to_tf32;
 
 use crate::hotspot::{self, HotPhase};
 use crate::launch::BlockCtx;
@@ -49,38 +58,10 @@ pub const WMMA_K: usize = 8;
 /// FLOPs one `mma_sync` performs (multiply + add over M×N×K).
 pub const MMA_FLOPS: u64 = (2 * WMMA_M * WMMA_N * WMMA_K) as u64;
 
-/// The `matrix_a` fragment: `16×8`, row-major, TF-32.
-#[derive(Debug, Clone)]
-pub struct FragmentA {
-    data: [f32; WMMA_M * WMMA_K],
-}
-
-/// The `matrix_b` fragment: `8×16`, row-major, TF-32.
-#[derive(Debug, Clone)]
-pub struct FragmentB {
-    data: [f32; WMMA_K * WMMA_N],
-}
-
 /// The accumulator fragment: `16×16`, FP32.
 #[derive(Debug, Clone)]
 pub struct FragmentAcc {
     data: [f32; WMMA_M * WMMA_N],
-}
-
-impl Default for FragmentA {
-    fn default() -> Self {
-        FragmentA {
-            data: [0.0; WMMA_M * WMMA_K],
-        }
-    }
-}
-
-impl Default for FragmentB {
-    fn default() -> Self {
-        FragmentB {
-            data: [0.0; WMMA_K * WMMA_N],
-        }
-    }
 }
 
 impl Default for FragmentAcc {
@@ -88,66 +69,6 @@ impl Default for FragmentAcc {
         FragmentAcc {
             data: [0.0; WMMA_M * WMMA_N],
         }
-    }
-}
-
-impl FragmentA {
-    /// `wmma::load_matrix_sync` for A: reads a `16×8` tile from `src` with
-    /// leading dimension `ld`, rounding each element to TF-32.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is too short for the addressed tile.
-    pub fn load(&mut self, src: &[f32], ld: usize) {
-        self.try_load(src, ld).expect("A-tile within source bounds");
-    }
-
-    /// Fallible [`FragmentA::load`]: returns [`TcgError::DimMismatch`]
-    /// instead of panicking when `src` is too short for the addressed tile.
-    pub fn try_load(&mut self, src: &[f32], ld: usize) -> Result<(), TcgError> {
-        check_tile("wmma A-fragment source", src.len(), WMMA_M, WMMA_K, ld)?;
-        let _t = hotspot::scope(HotPhase::FragmentStage);
-        for r in 0..WMMA_M {
-            for c in 0..WMMA_K {
-                self.data[r * WMMA_K + c] = round_to_tf32(src[r * ld + c]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Raw fragment contents (row-major).
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-}
-
-impl FragmentB {
-    /// `wmma::load_matrix_sync` for B: reads an `8×16` tile from `src`
-    /// (row-major with leading dimension `ld`), rounding to TF-32.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is too short for the addressed tile.
-    pub fn load(&mut self, src: &[f32], ld: usize) {
-        self.try_load(src, ld).expect("B-tile within source bounds");
-    }
-
-    /// Fallible [`FragmentB::load`]: returns [`TcgError::DimMismatch`]
-    /// instead of panicking when `src` is too short for the addressed tile.
-    pub fn try_load(&mut self, src: &[f32], ld: usize) -> Result<(), TcgError> {
-        check_tile("wmma B-fragment source", src.len(), WMMA_K, WMMA_N, ld)?;
-        let _t = hotspot::scope(HotPhase::FragmentStage);
-        for r in 0..WMMA_K {
-            for c in 0..WMMA_N {
-                self.data[r * WMMA_N + c] = round_to_tf32(src[r * ld + c]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Raw fragment contents (row-major).
-    pub fn data(&self) -> &[f32] {
-        &self.data
     }
 }
 
@@ -201,36 +122,98 @@ impl FragmentAcc {
     }
 }
 
-/// `wmma::mma_sync(acc, a, b, acc)`: `acc += A·B` with FP32 accumulation,
-/// charging one tensor-core instruction.
+/// `wmma::mma_sync(acc, a, b, acc)` in SpMM shape (Listing 2), computed
+/// only where the kernel keeps results: `a` lists the `16×8` A tile's
+/// non-zeros `(r, k, value)` with values already rounded to TF-32, row `k`
+/// of the `8×16` B tile is `b[b_rows[k]..]` (already rounded), and only
+/// accumulator columns `< width` are computed. Charges one tensor-core
+/// instruction, like the full MMA.
+///
+/// The kept outputs get the bits of the dense loop over the staged tiles
+/// (`tcg_oracle::refmodel::mma_m16n16k8`) as long as each row's entries
+/// of `a` come in ascending `k` with no `(r, k)` twice: each output adds
+/// `a·b` as a separate multiply and add, `k` ascending, skipping zero `a`.
+/// A tile position missing from `a` holds zero, which the dense loop skips
+/// too.
 ///
 /// If the launcher's fault plan armed an ECC bit flip for this launch, the
-/// first `mma_sync` consumes it and the corruption surfaces as NaN in the
-/// accumulator — the way an uncorrectable flip in an FP32 exponent field
-/// would poison everything downstream of the fragment.
-pub fn mma_sync(acc: &mut FragmentAcc, a: &FragmentA, b: &FragmentB, ctx: &mut BlockCtx<'_>) {
+/// launch's first MMA consumes it and the corruption surfaces as NaN in
+/// accumulator element `(0, 0)` — the way an uncorrectable flip in an FP32
+/// exponent field would poison everything downstream of the fragment.
+pub fn mma_sync_gather(
+    acc: &mut FragmentAcc,
+    a: &[(usize, usize, f32)],
+    b: &[f32],
+    b_rows: &[usize],
+    width: usize,
+    ctx: &mut BlockCtx<'_>,
+) {
     let _t = hotspot::scope(HotPhase::MmaInner);
     ctx.tcu_mma(MMA_FLOPS);
-    mma_functional(acc, a, b);
+    for &(r, k, av) in a {
+        if av == 0.0 {
+            continue;
+        }
+        let brow = &b[b_rows[k]..][..width];
+        let crow = &mut acc.data[r * WMMA_N..][..width];
+        for (cv, &bv) in crow.iter_mut().zip(brow) {
+            *cv += av * bv;
+        }
+    }
     if ctx.consume_ecc() {
         acc.data[0] = f32::NAN;
     }
 }
 
-/// The arithmetic of [`mma_sync`] without cost charging — used by CPU-side
-/// reference paths and tests.
-pub fn mma_functional(acc: &mut FragmentAcc, a: &FragmentA, b: &FragmentB) {
-    for r in 0..WMMA_M {
-        for k in 0..WMMA_K {
-            let av = a.data[r * WMMA_K + k];
-            if av == 0.0 {
-                continue;
+/// An accumulator element an SDDMM-shape MMA keeps: tile position
+/// `(r, c)`, where row `r` of the A tile starts in the A operand, and
+/// where column `c` of the B tile starts in the B operand (stored as a
+/// row, as the SDDMM gathers it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MmaEntry {
+    /// Accumulator row.
+    pub r: usize,
+    /// Accumulator column.
+    pub c: usize,
+    /// Start of A tile row `r` in the A operand.
+    pub a_row: usize,
+    /// Start of B tile column `c` in the B operand.
+    pub b_row: usize,
+}
+
+/// `wmma::mma_sync(acc, a, b, acc)` in SDDMM shape (Listing 3), computed
+/// only for the accumulator elements the kernel keeps: `acc[i]` is the
+/// element `entries[i]`, and the MMA's `k` runs over `ks` within the A row
+/// and B column each entry names. Both operands are already rounded to
+/// TF-32. Charges one tensor-core instruction, like the full MMA.
+///
+/// Each kept element gets the bits of the dense loop over the staged tiles
+/// (`tcg_oracle::refmodel::mma_m16n16k8`): it adds `a·b` as a separate
+/// multiply and add, `k` ascending, skipping zero `a`. An armed ECC flip
+/// is consumed as by [`mma_sync_gather`]; it poisons element `(0, 0)` if
+/// that element is kept.
+pub fn mma_sync_entries(
+    acc: &mut [f32],
+    entries: &[MmaEntry],
+    a: &[f32],
+    b: &[f32],
+    ks: Range<usize>,
+    ctx: &mut BlockCtx<'_>,
+) {
+    let _t = hotspot::scope(HotPhase::MmaInner);
+    ctx.tcu_mma(MMA_FLOPS);
+    for (v, e) in acc.iter_mut().zip(entries) {
+        let arow = &a[e.a_row..][ks.clone()];
+        let brow = &b[e.b_row..][ks.clone()];
+        for (&av, &bv) in arow.iter().zip(brow) {
+            if av != 0.0 {
+                *v += av * bv;
             }
-            let brow = &b.data[k * WMMA_N..(k + 1) * WMMA_N];
-            let crow = &mut acc.data[r * WMMA_N..(r + 1) * WMMA_N];
-            for c in 0..WMMA_N {
-                crow[c] += av * brow[c];
-            }
+        }
+    }
+    if ctx.consume_ecc() {
+        if let Some(i) = entries.iter().position(|e| (e.r, e.c) == (0, 0)) {
+            acc[i] = f32::NAN;
         }
     }
 }
@@ -246,51 +229,11 @@ pub const FRAG_ACC_TRANSACTIONS: u64 = ((WMMA_M * WMMA_N) / 32) as u64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcg_tensor::gemm::gemm_f64_reference;
-    use tcg_tensor::tf32::tf32_rel_tolerance;
-    use tcg_tensor::{init, DenseMatrix};
 
-    #[test]
-    fn mma_matches_reference_gemm_within_tf32() {
-        let a = init::uniform(WMMA_M, WMMA_K, -1.0, 1.0, 1);
-        let b = init::uniform(WMMA_K, WMMA_N, -1.0, 1.0, 2);
-        let mut fa = FragmentA::default();
-        let mut fb = FragmentB::default();
-        let mut acc = FragmentAcc::default();
-        fa.load(a.as_slice(), WMMA_K);
-        fb.load(b.as_slice(), WMMA_N);
-        mma_functional(&mut acc, &fa, &fb);
-        let reference = gemm_f64_reference(&a, &b).unwrap();
-        let tol = tf32_rel_tolerance(WMMA_K) * 8.0;
-        for r in 0..WMMA_M {
-            for c in 0..WMMA_N {
-                let d = (acc.get(r, c) - reference.get(r, c)).abs();
-                assert!(d < tol, "({r},{c}): {d} > {tol}");
-            }
-        }
-    }
-
-    #[test]
-    fn accumulation_chains_across_k_tiles() {
-        // Full 16×16×32 GEMM as 4 chained k8 MMAs.
-        let a = init::uniform(WMMA_M, 32, -1.0, 1.0, 3);
-        let b = init::uniform(32, WMMA_N, -1.0, 1.0, 4);
-        let mut acc = FragmentAcc::default();
-        for kt in 0..4 {
-            let mut fa = FragmentA::default();
-            let mut fb = FragmentB::default();
-            // Tile starting column kt*8 of A / row kt*8 of B.
-            fa.load(&a.as_slice()[kt * WMMA_K..], 32);
-            fb.load(&b.as_slice()[kt * WMMA_K * WMMA_N..], WMMA_N);
-            mma_functional(&mut acc, &fa, &fb);
-        }
-        let reference = gemm_f64_reference(&a, &b).unwrap();
-        let tol = tf32_rel_tolerance(32) * 16.0;
-        for r in 0..WMMA_M {
-            for c in 0..WMMA_N {
-                assert!((acc.get(r, c) - reference.get(r, c)).abs() < tol);
-            }
-        }
+    /// Runs `body` as the single block of a one-block launch.
+    fn in_block(body: impl Fn(&mut BlockCtx<'_>)) -> crate::KernelStats {
+        let mut l = crate::Launcher::new(crate::DeviceSpec::rtx3090());
+        l.launch(crate::GridConfig::with_block_size(32), 1, body)
     }
 
     #[test]
@@ -305,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn inputs_are_rounded_to_tf32() {
-        let x = 1.000_123_4_f32;
-        let src = vec![x; WMMA_M * WMMA_K];
-        let mut fa = FragmentA::default();
-        fa.load(&src, WMMA_K);
-        assert_eq!(fa.data()[0], round_to_tf32(x));
-        assert_ne!(fa.data()[0], x);
-    }
-
-    #[test]
     fn zero_resets_accumulator() {
         let mut acc = FragmentAcc::default();
         acc.data[7] = 3.0;
@@ -323,38 +256,56 @@ mod tests {
     }
 
     #[test]
-    fn mma_sync_charges_one_tcu_instruction() {
-        let mut l = crate::Launcher::new(crate::DeviceSpec::rtx3090());
-        let stats = l.launch(crate::GridConfig::with_block_size(32), 1, |ctx| {
-            let fa = FragmentA::default();
-            let fb = FragmentB::default();
-            let mut acc = FragmentAcc::default();
-            mma_sync(&mut acc, &fa, &fb, ctx);
+    fn each_mma_shape_charges_one_tcu_instruction() {
+        let stats = in_block(|ctx| {
+            mma_sync_gather(&mut FragmentAcc::default(), &[], &[], &[], WMMA_N, ctx);
         });
+        assert_eq!(stats.tcu_mma_instructions, 1);
+        assert_eq!(stats.tcu_flops, MMA_FLOPS);
+        let stats = in_block(|ctx| mma_sync_entries(&mut [], &[], &[], &[], 0..WMMA_K, ctx));
         assert_eq!(stats.tcu_mma_instructions, 1);
         assert_eq!(stats.tcu_flops, MMA_FLOPS);
     }
 
     #[test]
-    fn dense_matrix_tile_roundtrip_through_fragments() {
-        // Load a padded tile from a DenseMatrix, multiply by identity-ish B.
-        let x = init::uniform(20, 10, -1.0, 1.0, 7);
-        let tile = x.tile_padded(0, 0, WMMA_M, WMMA_K);
-        let mut fa = FragmentA::default();
-        fa.load(tile.as_slice(), WMMA_K);
-        // B = [I8 | 0]: acc(:, 0..8) == rounded A.
-        let mut bbuf = DenseMatrix::zeros(WMMA_K, WMMA_N);
-        for i in 0..WMMA_K {
-            bbuf.set(i, i, 1.0);
-        }
-        let mut fb = FragmentB::default();
-        fb.load(bbuf.as_slice(), WMMA_N);
-        let mut acc = FragmentAcc::default();
-        mma_functional(&mut acc, &fa, &fb);
-        for r in 0..WMMA_M {
-            for c in 0..WMMA_K {
-                assert_eq!(acc.get(r, c), round_to_tf32(tile.get(r, c)));
-            }
-        }
+    fn gather_computes_only_the_kept_columns() {
+        // B row 1 (offset 0) holds NaN past the width; B row 0 (offset 16)
+        // is all NaN and meets only a zero A element.
+        let b: Vec<f32> = (0..2 * WMMA_N)
+            .map(|i| if i < 3 { i as f32 } else { f32::NAN })
+            .collect();
+        in_block(|ctx| {
+            let mut acc = FragmentAcc::default();
+            let a = [(0, 1, 2.0), (0, 0, 0.0), (5, 1, -1.0)];
+            mma_sync_gather(&mut acc, &a, &b, &[WMMA_N, 0], 3, ctx);
+            assert_eq!(&acc.data()[..3], &[0.0, 2.0, 4.0]);
+            assert_eq!(&acc.data()[5 * WMMA_N..][..3], &[0.0, -1.0, -2.0]);
+            assert!(acc.data().iter().all(|v| !v.is_nan()));
+        });
+    }
+
+    #[test]
+    fn entries_read_their_own_rows_over_the_k_range() {
+        let a: Vec<f32> = (0..16).map(|i| i as f32).collect();
+        let b = vec![1.0f32; 16];
+        in_block(|ctx| {
+            let entries = [
+                MmaEntry {
+                    r: 3,
+                    c: 9,
+                    a_row: 8,
+                    b_row: 0,
+                },
+                MmaEntry {
+                    r: 0,
+                    c: 1,
+                    a_row: 0,
+                    b_row: 8,
+                },
+            ];
+            let mut acc = [0.5, 0.0];
+            mma_sync_entries(&mut acc, &entries, &a, &b, 1..3, ctx);
+            assert_eq!(acc, [0.5 + 9.0 + 10.0, 1.0 + 2.0]);
+        });
     }
 }

@@ -5,6 +5,7 @@ use std::fmt;
 use tcg_gpusim::{KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
+use tcg_tensor::tf32::round_to_tf32;
 use tcg_tensor::DenseMatrix;
 
 use crate::hybrid::WindowBackend;
@@ -204,6 +205,17 @@ pub(crate) fn window_mask(
         });
     }
     Ok(mask)
+}
+
+/// `x`'s elements rounded to TF-32 when some window of the launch runs a
+/// TCU body (empty otherwise). The TCU bodies read their dense operands
+/// from this copy, made once per launch, where the fragment loads would
+/// round each element at every MMA.
+pub(crate) fn tf32_operand(x: &DenseMatrix, tcu: bool) -> Vec<f32> {
+    if !tcu {
+        return Vec::new();
+    }
+    x.as_slice().iter().map(|&v| round_to_tf32(v)).collect()
 }
 
 /// CPU reference SpMM: `out[v] = Σ_{u ∈ N(v)} w(v,u) · x[u]`, f64-accumulated.

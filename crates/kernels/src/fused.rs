@@ -16,10 +16,14 @@
 //! staging shared-memory traffic and 8 extra shared transactions per MMA,
 //! and stage 3 loads no AToX or value permutation (both block-resident).
 //! Sharing the bodies would make them branch on their caller; only the
-//! side-effect-free tile fills are shared.
+//! side-effect-free staging helpers are shared. As in those bodies, the
+//! MMAs compute only the outputs the kernel keeps, from operands rounded
+//! to TF-32 once per launch: stage 1 only the edge entries
+//! (`mma_sync_entries`), stage 3 the gathered rows clipped to the width
+//! (`mma_sync_gather`).
 
 use tcg_gpusim::wmma::{
-    mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_A_SMEM_TRANSACTIONS,
+    mma_sync_entries, mma_sync_gather, FragmentAcc, MmaEntry, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
 };
 use tcg_gpusim::{GridConfig, KernelReport, Launcher};
@@ -27,9 +31,9 @@ use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{check_translation, TcgError};
-use crate::sddmm::tcgnn::{fill_frame_atox, fill_x_tile, fill_y_tile, SDDMM_W};
-use crate::spmm::tcgnn::{fill_a_tile, fill_b_tile};
+use crate::common::{check_translation, tf32_operand, TcgError};
+use crate::sddmm::tcgnn::{fill_frame_atox, SDDMM_W};
+use crate::spmm::tcgnn::block_nonzeros;
 
 /// Output of the fused attention kernel.
 pub struct FusedAttentionOutput {
@@ -71,6 +75,7 @@ pub fn fused_attention(
     let mut y = DenseMatrix::zeros(n, dv);
     let mut cos = vec![0.0f32; csr.num_edges()];
     let mut p = vec![0.0f32; csr.num_edges()];
+    let (xa_tf32, xv_tf32) = (tf32_operand(xa, true), tf32_operand(xv, true));
 
     let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
     let buf_pack = launcher.try_alloc(csr.num_edges())?;
@@ -125,14 +130,14 @@ pub fn fused_attention(
 
         // Per-block scratch (bodies run concurrently on the parallel path,
         // so nothing mutable is captured from the outer scope).
-        let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
-        let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
         let mut atox = [u32::MAX; SDDMM_W];
-        let mut spmm_a = vec![0.0f32; TC_BLK_H * TC_BLK_W];
+        let mut entries: Vec<MmaEntry> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
+        let mut edges: Vec<usize> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
+        let mut logits: Vec<f32> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
+        let mut nonzeros = Vec::with_capacity(TC_BLK_H * TC_BLK_W);
+        let mut b_rows: Vec<usize> = Vec::with_capacity(TC_BLK_W);
         let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
         let mut bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
-        let mut fa = FragmentA::default();
-        let mut fb = FragmentB::default();
         let (e_lo, e_hi) = t.window_edge_range(csr, w).expect("window in range");
         // SAFETY: window `w` exclusively owns rows [row_lo, row_hi) and the
         // edge range [e_lo, e_hi).
@@ -155,35 +160,41 @@ pub fn fused_attention(
                 4,
             );
             fill_frame_atox(&mut atox, t, cb_lo..cb_hi);
-            let mut acc = FragmentAcc::default();
+            // The frame's edge entries, in chunk order.
+            entries.clear();
+            edges.clear();
+            for (half, cb) in (cb_lo..cb_hi).enumerate() {
+                let (h_lo, h_hi) = t.block_chunk(cb);
+                for pos in h_lo..h_hi {
+                    let (r, c8) = t.unpack(t.perm_pack[pos]);
+                    let c = c8 + half * t.blk_w;
+                    let (a_row, b_row) = ((row_lo + r) * da, atox[c] as usize * da);
+                    entries.push(MmaEntry { r, c, a_row, b_row });
+                    edges.push(t.perm_orig[pos] as usize);
+                }
+            }
+            logits.clear();
+            logits.resize(entries.len(), 0.0);
             for dim0 in (0..da).step_by(WMMA_K) {
                 let kw = (da - dim0).min(WMMA_K);
                 bases.clear();
                 bases.extend((row_lo..row_hi).map(|r| buf_xa.f32_addr(r * da + dim0)));
                 ctx.ld_global_gather_rows(&bases, kw, 4);
-                fill_x_tile(&mut a_tile, xa, row_lo..row_hi, dim0..dim0 + kw);
                 bases.clear();
                 bases.extend(
                     atox.iter()
                         .filter(|&&u| u != u32::MAX)
                         .map(|&u| buf_xa.f32_addr(u as usize * da + dim0)),
                 );
-                fill_y_tile(&mut b_tile, xa, &atox, dim0..dim0 + kw);
                 ctx.ld_global_gather_rows(&bases, kw, 4);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS + 8);
-                fa.load(&a_tile, WMMA_K);
-                fb.load(&b_tile, WMMA_N);
-                mma_sync(&mut acc, &fa, &fb, ctx);
+                let ks = dim0..dim0 + kw;
+                mma_sync_entries(&mut logits, &entries, &xa_tf32, &xa_tf32, ks, ctx);
             }
             // Scatter logits into the window-local shared buffer (stays in
             // shared memory — the fusion's point; charged as shared traffic).
-            for (half, cb) in (cb_lo..cb_hi).enumerate() {
-                let (h_lo, h_hi) = t.block_chunk(cb);
-                for pos in h_lo..h_hi {
-                    let (r, c8) = t.unpack(t.perm_pack[pos]);
-                    let c = c8 + half * t.blk_w;
-                    cos_win[t.perm_orig[pos] as usize - e_lo] = acc.get(r, c);
-                }
+            for (&e, &v) in edges.iter().zip(&logits) {
+                cos_win[e - e_lo] = v;
             }
             ctx.shared_access(((c_hi - c_lo) as u64).div_ceil(32).max(1));
         }
@@ -225,11 +236,12 @@ pub fn fused_attention(
             // pack/atox are already block-resident from stage 1 (L1 hits).
             ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), c_hi - c_lo, 1);
             let atox_ids = t.block_atox(b);
-            fill_a_tile(&mut spmm_a, t, c_lo..c_hi, |e| p_win[e - e_lo]);
-            ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32) + 1);
-            // The A fragment is the same for every dim slab: load it once
+            // The A operand is the same for every dim slab: stage it once
             // per TC block (each warp's load is still charged).
-            fa.load(&spmm_a, TC_BLK_W);
+            block_nonzeros(&mut nonzeros, t, b, |e| p_win[e - e_lo]);
+            ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32) + 1);
+            b_rows.clear();
+            b_rows.extend(atox_ids.iter().map(|&u| u as usize * dv));
             for (s, acc) in accs.iter_mut().enumerate() {
                 let dim0 = s * WMMA_N;
                 let width = (dv - dim0).min(WMMA_N);
@@ -242,10 +254,9 @@ pub fn fused_attention(
                 );
                 ctx.ld_global_gather_rows(&bases, width, 4);
                 ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
-                fill_b_tile(&mut b_tile, xv, atox_ids, dim0..dim0 + width);
-                fb.load(&b_tile, WMMA_N);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                mma_sync(acc, &fa, &fb, ctx);
+                let b_slab = &xv_tf32[dim0..];
+                mma_sync_gather(acc, &nonzeros, b_slab, &b_rows, width, ctx);
             }
         }
         ctx.syncthreads();

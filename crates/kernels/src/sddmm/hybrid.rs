@@ -26,7 +26,7 @@ use tcg_tensor::DenseMatrix;
 
 use super::cuda_core::{check_features, CudaRows};
 use super::tcgnn::TcuWindow;
-use crate::common::{check_translation, window_mask, TcgError};
+use crate::common::{check_translation, tf32_operand, window_mask, TcgError};
 use crate::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
 use crate::sddmm::SddmmKernel;
 
@@ -128,11 +128,14 @@ pub(crate) fn launch(
     let n = csr.num_nodes();
     let mut out = vec![0.0f32; csr.num_edges()];
 
+    let tcu_windows = mask.contains(&WindowBackend::Tcu);
+    let (xa_tf32, xb_tf32) = (tf32_operand(xa, tcu_windows), tf32_operand(xb, tcu_windows));
     let tcu = TcuWindow {
         t,
         csr,
-        xa,
-        xb,
+        dim: xa.cols(),
+        xa_tf32: &xa_tf32,
+        xb_tf32: &xb_tf32,
         buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
         buf_pack: launcher.try_alloc(csr.num_edges())?,
         buf_atox: launcher.try_alloc(t.block_atox.len() * 4)?,

@@ -8,6 +8,10 @@
 //! dense-to-sparse conversion writes each edge's scalar back to
 //! `edgeValList`.
 //!
+//! The body charges the full 16×16 tile's staging and MMAs, but computes
+//! only the frame's edge entries, from the operands rounded to TF-32 once
+//! per launch (`mma_sync_entries`), with the staged tiles' bits.
+//!
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
 
@@ -15,8 +19,7 @@ use std::ops::Range;
 
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
-    mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_A_SMEM_TRANSACTIONS,
-    FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
+    mma_sync_entries, MmaEntry, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K,
 };
 use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
@@ -82,8 +85,12 @@ impl SddmmKernel for TcgnnSddmm {
 pub(crate) struct TcuWindow<'a> {
     pub t: &'a TranslatedGraph,
     pub csr: &'a CsrGraph,
-    pub xa: &'a DenseMatrix,
-    pub xb: &'a DenseMatrix,
+    /// Feature width of both operands.
+    pub dim: usize,
+    /// `xa` rounded to TF-32, row-major.
+    pub xa_tf32: &'a [f32],
+    /// `xb` rounded to TF-32, row-major.
+    pub xb_tf32: &'a [f32],
     pub buf_ptr: Buffer,
     pub buf_pack: Buffer,
     pub buf_atox: Buffer,
@@ -97,13 +104,12 @@ impl TcuWindow<'_> {
     /// Runs row window `w`, writing its edges' values into `out_win` (the
     /// window's CSR edge range). An empty window issues nothing.
     pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize, out_win: &mut [f32]) {
-        let (t, csr, xa, xb) = (self.t, self.csr, self.xa, self.xb);
+        let (t, csr, d) = (self.t, self.csr, self.dim);
         // Listing 3 line 9: SDDMM block count from the SpMM partition.
         let num_tc_blocks = (t.win_partition[w] as usize * t.blk_w).div_ceil(SDDMM_W);
         if num_tc_blocks == 0 {
             return;
         }
-        let d = xa.cols();
         let row_lo = w * TC_BLK_H;
         let row_hi = (row_lo + TC_BLK_H).min(csr.num_nodes());
         ctx.ld_global_scalar(self.buf_ptr.addr(row_lo, 8));
@@ -116,12 +122,11 @@ impl TcuWindow<'_> {
         // path, so nothing mutable is shared between blocks).
         let mut edge_map = vec![usize::MAX; TC_BLK_H * SDDMM_W];
         let mut atox = [u32::MAX; SDDMM_W];
-        let mut a_tile = vec![0.0f32; TC_BLK_H * WMMA_K];
-        let mut b_tile = vec![0.0f32; WMMA_K * WMMA_N];
+        let mut entries: Vec<MmaEntry> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
+        let mut edges: Vec<usize> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
+        let mut acc: Vec<f32> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
         let mut store_addrs: Vec<u64> = Vec::with_capacity(64);
         let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
-        let mut fa = FragmentA::default();
-        let mut fb = FragmentB::default();
 
         for i in 0..num_tc_blocks {
             // Stage sparse_A (edge-index map) + AToX for this 16-wide
@@ -155,8 +160,22 @@ impl TcuWindow<'_> {
             ctx.shared_access(((TC_BLK_H * SDDMM_W) as u64).div_ceil(32));
             ctx.shared_access((chunk as u64).div_ceil(32).max(1));
             ctx.shared_access(1);
-
-            let mut acc = FragmentAcc::default();
+            // The accumulator elements the dense-to-sparse conversion
+            // keeps: the frame's edges, row-major.
+            entries.clear();
+            edges.clear();
+            for (i, &e) in edge_map
+                .iter()
+                .enumerate()
+                .filter(|&(_, &e)| e != usize::MAX)
+            {
+                let (r, c) = (i / SDDMM_W, i % SDDMM_W);
+                let (a_row, b_row) = ((row_lo + r) * d, atox[c] as usize * d);
+                entries.push(MmaEntry { r, c, a_row, b_row });
+                edges.push(e);
+            }
+            acc.clear();
+            acc.resize(entries.len(), 0.0);
             for dim0 in (0..d).step_by(WMMA_K) {
                 let kw = (d - dim0).min(WMMA_K);
 
@@ -165,7 +184,6 @@ impl TcuWindow<'_> {
                 row_bases.extend((row_lo..row_hi).map(|r| self.buf_xa.f32_addr(r * d + dim0)));
                 ctx.ld_global_gather_rows(&row_bases, kw, 4);
                 ctx.shared_access(((TC_BLK_H * WMMA_K) as u64).div_ceil(32));
-                fill_x_tile(&mut a_tile, xa, row_lo..row_hi, dim0..dim0 + kw);
 
                 // dense_Y: the frame's condensed neighbors (gather).
                 row_bases.clear();
@@ -176,24 +194,17 @@ impl TcuWindow<'_> {
                 );
                 ctx.ld_global_gather_rows(&row_bases, kw, 4);
                 ctx.shared_access(((WMMA_K * TC_BLK_H) as u64).div_ceil(32));
-                fill_y_tile(&mut b_tile, xb, &atox, dim0..dim0 + kw);
 
-                fa.load(&a_tile, WMMA_K);
-                fb.load(&b_tile, WMMA_N);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                mma_sync(&mut acc, &fa, &fb, ctx);
+                let (xa, xb) = (self.xa_tf32, self.xb_tf32);
+                mma_sync_entries(&mut acc, &entries, xa, xb, dim0..dim0 + kw, ctx);
             }
 
             // Dense-to-sparse conversion: scatter edge scalars.
             store_addrs.clear();
-            for r in 0..TC_BLK_H {
-                for c in 0..SDDMM_W {
-                    let e = edge_map[r * SDDMM_W + c];
-                    if e != usize::MAX {
-                        out_win[e - e_lo] = acc.get(r, c);
-                        store_addrs.push(self.buf_out.f32_addr(e));
-                    }
-                }
+            for (&e, &v) in edges.iter().zip(&acc) {
+                out_win[e - e_lo] = v;
+                store_addrs.push(self.buf_out.f32_addr(e));
             }
             for chunk in store_addrs.chunks(32) {
                 ctx.st_global_warp(chunk);
@@ -212,31 +223,6 @@ pub(crate) fn fill_frame_atox(atox: &mut [u32], t: &TranslatedGraph, blocks: Ran
             if nid != u32::MAX {
                 atox[c8 + half * t.blk_w] = nid;
             }
-        }
-    }
-}
-
-/// Builds the `16×8` `dense_X` tile: row `ri` holds columns `cols` of
-/// `x`'s row `rows.start + ri`.
-pub(crate) fn fill_x_tile(
-    tile: &mut [f32],
-    x: &DenseMatrix,
-    rows: Range<usize>,
-    cols: Range<usize>,
-) {
-    tile.fill(0.0);
-    for (ri, r) in rows.enumerate() {
-        tile[ri * WMMA_K..][..cols.len()].copy_from_slice(&x.row(r)[cols.clone()]);
-    }
-}
-
-/// Builds the `8×16` `dense_Y` tile: column `c` holds columns `cols` of
-/// `y`'s row `atox[c]` (zero for padding).
-pub(crate) fn fill_y_tile(tile: &mut [f32], y: &DenseMatrix, atox: &[u32], cols: Range<usize>) {
-    tile.fill(0.0);
-    for (c, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
-        for (k, &v) in y.row(u as usize)[cols.clone()].iter().enumerate() {
-            tile[k * WMMA_N + c] = v;
         }
     }
 }

@@ -26,7 +26,9 @@ use tcg_tensor::DenseMatrix;
 
 use super::cusparse::CudaRows;
 use super::tcgnn::TcuWindow;
-use crate::common::{check_translation, window_mask, SpmmKernel, SpmmProblem, TcgError};
+use crate::common::{
+    check_translation, tf32_operand, window_mask, SpmmKernel, SpmmProblem, TcgError,
+};
 use crate::hybrid::{DispatchPolicy, WindowBackend};
 
 /// The hybrid per-window SpMM dispatcher.
@@ -138,6 +140,7 @@ pub(crate) fn launch(
     // The CUDA-core path's edge-id array is appended only when some
     // window needs it, so every all-TCU launch has the same address space
     // (and therefore the same cache behavior and cost report).
+    let x_tf32 = tf32_operand(prob.x, mask.contains(&WindowBackend::Tcu));
     let tcu = TcuWindow {
         t,
         prob,
@@ -148,6 +151,7 @@ pub(crate) fn launch(
         buf_vals: launcher.try_alloc(csr.num_edges() * 4)?,
         buf_x: launcher.try_alloc_f32(prob.x.len())?,
         buf_out: launcher.try_alloc_f32(out.len())?,
+        x_tf32: &x_tf32,
     };
     let cuda = if mask.contains(&WindowBackend::CudaCore) {
         Some(CudaRows {

@@ -11,20 +11,24 @@
 //! dimension-split strategy), so every warp reuses the same shared sparse
 //! tile — the data-reuse benefit of the two-level workload mapping.
 //!
+//! The body charges that staging and every MMA in full, but computes only
+//! what it keeps: each MMA multiplies the block's non-zero list with the
+//! gathered rows of `X` (rounded to TF-32 once per launch), up to the
+//! slab's width (`mma_sync_gather`), with the staged tiles' bits.
+//!
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
-
-use std::ops::Range;
 
 use tcg_gpusim::hotspot::{self, HotPhase};
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
-    mma_sync, FragmentA, FragmentAcc, FragmentB, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS,
+    mma_sync_gather, FragmentAcc, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_M, WMMA_N,
 };
 use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
+use tcg_tensor::tf32::round_to_tf32;
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
@@ -102,6 +106,8 @@ pub(crate) struct TcuWindow<'a> {
     pub buf_vals: Buffer,
     pub buf_x: Buffer,
     pub buf_out: Buffer,
+    /// `prob.x` rounded to TF-32, row-major.
+    pub x_tf32: &'a [f32],
 }
 
 impl TcuWindow<'_> {
@@ -123,14 +129,12 @@ impl TcuWindow<'_> {
 
         // Per-block scratch (the parallel path runs bodies concurrently,
         // so nothing mutable is shared between blocks).
-        let mut a_tile = vec![0.0f32; TC_BLK_H * TC_BLK_W];
-        let mut b_tile = vec![0.0f32; TC_BLK_W * WMMA_N];
+        let mut nonzeros = Vec::with_capacity(TC_BLK_H * TC_BLK_W);
+        let mut b_rows: Vec<usize> = Vec::with_capacity(TC_BLK_W);
         let mut accs = vec![FragmentAcc::default(); d.div_ceil(WMMA_N)];
         let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
         let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
         let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
-        let mut fa = FragmentA::default();
-        let mut fb = FragmentB::default();
         // Per-row-window telemetry for the hotspot profiler (free when
         // disabled: two integer adds per TC block, one gated call).
         let mut win_nnz = 0u64;
@@ -167,13 +171,9 @@ impl TcuWindow<'_> {
                 }
             }
 
-            {
-                let _t = hotspot::scope(HotPhase::Staging);
-                fill_a_tile(&mut a_tile, t, c_lo..c_hi, |e| prob.value(e));
-            }
-            // The A fragment is the same for every dim slab: load it
+            // The A operand is the same for every dim slab: stage it
             // once per TC block (each warp's load is still charged).
-            fa.load(&a_tile, TC_BLK_W);
+            block_nonzeros(&mut nonzeros, t, b, |e| prob.value(e));
             let nnz_blk = chunk as u64;
             win_nnz += nnz_blk;
             // Shared-memory writes: zero-init + nnz scatter + index row.
@@ -190,6 +190,8 @@ impl TcuWindow<'_> {
                     .map(|&u| self.buf_x.f32_addr(u as usize * d)),
             );
             win_cols += row_bases.len() as u64;
+            b_rows.clear();
+            b_rows.extend(atox_ids.iter().map(|&u| u as usize * d));
 
             for (s, acc) in accs.iter_mut().enumerate() {
                 let dim0 = s * WMMA_N;
@@ -200,15 +202,11 @@ impl TcuWindow<'_> {
                 slab_bases.extend(row_bases.iter().map(|&b| b + (dim0 * 4) as u64));
                 ctx.ld_global_gather_rows(&slab_bases, width, 4);
                 ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
-                {
-                    let _t = hotspot::scope(HotPhase::Staging);
-                    fill_b_tile(&mut b_tile, prob.x, atox_ids, dim0..dim0 + width);
-                }
 
                 // --- TCU phase (Listing 2 lines 36-37) --------------
-                fb.load(&b_tile, WMMA_N);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                mma_sync(acc, &fa, &fb, ctx);
+                let b_slab = &self.x_tf32[dim0..];
+                mma_sync_gather(acc, &nonzeros, b_slab, &b_rows, width, ctx);
             }
         }
         ctx.syncthreads();
@@ -232,29 +230,43 @@ impl TcuWindow<'_> {
     }
 }
 
-/// Builds the `16×8` sparse tile of the TC block whose edge chunk is
-/// `chunk` (positions in SGT's column-sorted order), taking each non-zero's
-/// value from `value(original edge id)`.
-pub(crate) fn fill_a_tile(
-    a_tile: &mut [f32],
+/// Stages the A operand of TC block `b`'s MMAs: the non-zeros `(r, k,
+/// value)` of its `16×8` sparse tile, straight from the block's chunk, each
+/// value `value(original edge id)` rounded to TF-32.
+///
+/// Their order gives each output the dense tile loop's bits: SGT sorts a
+/// chunk by condensed column, so each row's `k` ascends, and
+/// `TranslatedGraph::validate` ties every chunk position to a distinct
+/// edge of a duplicate-free CSR row, so no `(r, k)` comes twice.
+pub(crate) fn block_nonzeros(
+    nonzeros: &mut Vec<(usize, usize, f32)>,
     t: &TranslatedGraph,
-    chunk: Range<usize>,
+    b: usize,
     value: impl Fn(usize) -> f32,
 ) {
-    a_tile.fill(0.0);
-    for pos in chunk {
-        let (r, c) = t.unpack(t.perm_pack[pos]);
-        a_tile[r * TC_BLK_W + c] = value(t.perm_orig[pos] as usize);
-    }
+    let _t = hotspot::scope(HotPhase::Staging);
+    let (lo, hi) = t.block_chunk(b);
+    debug_assert!(
+        rows_ascend(t, lo, hi),
+        "block {b}: a row's columns do not strictly ascend"
+    );
+    nonzeros.clear();
+    nonzeros.extend((lo..hi).map(|pos| {
+        let (r, k) = t.unpack(t.perm_pack[pos]);
+        (r, k, round_to_tf32(value(t.perm_orig[pos] as usize)))
+    }));
 }
 
-/// Builds the `8×16` `dense_X` tile: row `k` holds columns `cols` of `x`'s
-/// row `atox[k]` (zero for padding).
-pub(crate) fn fill_b_tile(tile: &mut [f32], x: &DenseMatrix, atox: &[u32], cols: Range<usize>) {
-    tile.fill(0.0);
-    for (k, &u) in atox.iter().enumerate().filter(|&(_, &u)| u != u32::MAX) {
-        tile[k * WMMA_N..][..cols.len()].copy_from_slice(&x.row(u as usize)[cols.clone()]);
-    }
+/// Whether every tile row meets its columns in strictly ascending order
+/// over chunk positions `lo..hi`.
+fn rows_ascend(t: &TranslatedGraph, lo: usize, hi: usize) -> bool {
+    let mut next = [0usize; TC_BLK_H];
+    t.perm_pack[lo..hi].iter().all(|&p| {
+        let (r, k) = t.unpack(p);
+        let ascends = k >= next[r];
+        next[r] = k + 1;
+        ascends
+    })
 }
 
 #[cfg(test)]

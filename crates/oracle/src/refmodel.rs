@@ -571,4 +571,219 @@ mod tests {
             );
         }
     }
+
+    // --- The m16n16k8 description and the TCU primitives -------------------
+
+    /// Columns `k0..k0 + 8` of `m`'s first 16 rows.
+    fn a_tile(m: &DenseMatrix, k0: usize) -> TileA {
+        std::array::from_fn(|i| m.get(i / WMMA_K, k0 + i % WMMA_K))
+    }
+
+    /// Rows `k0..k0 + 8` of `m`'s first 16 columns.
+    fn b_tile(m: &DenseMatrix, k0: usize) -> TileB {
+        std::array::from_fn(|i| m.get(k0 + i / WMMA_N, i % WMMA_N))
+    }
+
+    #[test]
+    fn mma_matches_reference_gemm_within_tf32() {
+        let a = tcg_tensor::init::uniform(WMMA_M, WMMA_K, -1.0, 1.0, 1);
+        let b = tcg_tensor::init::uniform(WMMA_K, WMMA_N, -1.0, 1.0, 2);
+        let mut acc = [0.0f32; WMMA_M * WMMA_N];
+        mma_m16n16k8(&mut acc, &a_tile(&a, 0), &b_tile(&b, 0));
+        let reference = gemm::gemm_f64_reference(&a, &b).unwrap();
+        let tol = tcg_tensor::tf32::tf32_rel_tolerance(WMMA_K) * 8.0;
+        for r in 0..WMMA_M {
+            for c in 0..WMMA_N {
+                let d = (acc[r * WMMA_N + c] - reference.get(r, c)).abs();
+                assert!(d < tol, "({r},{c}): {d} > {tol}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulation_chains_across_k_tiles() {
+        // A 16×16×32 GEMM as 4 chained k8 MMAs.
+        let a = tcg_tensor::init::uniform(WMMA_M, 32, -1.0, 1.0, 3);
+        let b = tcg_tensor::init::uniform(32, WMMA_N, -1.0, 1.0, 4);
+        let mut acc = [0.0f32; WMMA_M * WMMA_N];
+        for k0 in (0..32).step_by(WMMA_K) {
+            mma_m16n16k8(&mut acc, &a_tile(&a, k0), &b_tile(&b, k0));
+        }
+        let reference = gemm::gemm_f64_reference(&a, &b).unwrap();
+        let tol = tcg_tensor::tf32::tf32_rel_tolerance(32) * 16.0;
+        for r in 0..WMMA_M {
+            for c in 0..WMMA_N {
+                assert!((acc[r * WMMA_N + c] - reference.get(r, c)).abs() < tol);
+            }
+        }
+    }
+
+    #[test]
+    fn mma_rounds_both_operands_to_tf32() {
+        // B = [I8 | 0]: acc(:, 0..8) is the rounded A, and A = [I8; 0]
+        // passes B's rounded rows through.
+        let x = 1.000_123_4_f32;
+        let mut identity_b = [0.0f32; WMMA_K * WMMA_N];
+        for i in 0..WMMA_K {
+            identity_b[i * WMMA_N + i] = 1.0;
+        }
+        let mut acc = [0.0f32; WMMA_M * WMMA_N];
+        mma_m16n16k8(&mut acc, &[x; WMMA_M * WMMA_K], &identity_b);
+        assert_ne!(round_to_tf32(x), x);
+        assert!(
+            (0..WMMA_M * WMMA_K).all(|i| acc[i / WMMA_K * WMMA_N + i % WMMA_K] == round_to_tf32(x))
+        );
+        let mut identity_a = [0.0f32; WMMA_M * WMMA_K];
+        for i in 0..WMMA_K {
+            identity_a[i * WMMA_K + i] = 1.0;
+        }
+        let mut acc = [0.0f32; WMMA_M * WMMA_N];
+        mma_m16n16k8(&mut acc, &identity_a, &[x; WMMA_K * WMMA_N]);
+        assert!(acc[..WMMA_K * WMMA_N]
+            .iter()
+            .all(|&v| v == round_to_tf32(x)));
+    }
+
+    #[test]
+    fn one_k16_half_mma_equals_two_k8_tf32_mmas() {
+        // The FP16 shape folds two TF-32-depth reductions into one
+        // instruction; with inputs exactly representable in both precisions
+        // the results agree bit for bit.
+        use tcg_gpusim::wmma::FragmentAcc;
+        use tcg_gpusim::wmma_half::{mma_functional_half, HalfFragmentA, HalfFragmentB};
+        let a = DenseMatrix::from_fn(16, 16, |r, c| ((r + c) % 5) as f32 - 2.0);
+        let b = DenseMatrix::from_fn(16, 16, |r, c| ((r * 3 + c) % 7) as f32 - 3.0);
+        let (mut fa, mut fb) = (HalfFragmentA::default(), HalfFragmentB::default());
+        fa.load(a.as_slice(), 16);
+        fb.load(b.as_slice(), 16);
+        let mut acc16 = FragmentAcc::default();
+        mma_functional_half(&mut acc16, &fa, &fb);
+        let mut acc8 = [0.0f32; WMMA_M * WMMA_N];
+        for k0 in [0, WMMA_K] {
+            mma_m16n16k8(&mut acc8, &a_tile(&a, k0), &b_tile(&b, k0));
+        }
+        assert_eq!(acc16.data(), &acc8[..]);
+    }
+
+    /// An operand value: mostly finite over several binades, with exact
+    /// `±0.0`, subnormals, and (when `specials`) `±inf` and NaN.
+    fn operand(rng: &mut rand::rngs::StdRng, specials: bool) -> f32 {
+        match rng.random_range(0..24) {
+            0..=3 => [0.0, -0.0][rng.random_range(0..2)],
+            4 => f32::from_bits(rng.random_range(1..0x0080_0000)),
+            5 if specials => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.random_range(0..3)],
+            _ => rng.random_range(-1.0f32..1.0) * [1.0, 1e-3, 1e3][rng.random_range(0..3)],
+        }
+    }
+
+    /// Equal bits, or NaN on both sides: Rust leaves the sign and payload
+    /// of a NaN that arithmetic returns unspecified, so an add meeting two
+    /// different NaNs may return either, depending on operand order in the
+    /// generated code.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn in_block(body: impl Fn(&mut tcg_gpusim::BlockCtx<'_>)) {
+        let mut l = tcg_gpusim::Launcher::new(tcg_gpusim::DeviceSpec::rtx3090());
+        l.launch(tcg_gpusim::GridConfig::with_block_size(32), 1, body);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mma_sync_gather_matches_the_dense_loop_bitwise(
+            seed in 0u64..u64::MAX, width in 1usize..=WMMA_N, density in 0usize..=8,
+        ) {
+            use tcg_gpusim::wmma::{mma_sync_gather, FragmentAcc};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // The sparse tile: a position holds a value with probability
+            // density/8; a held value may itself be zero.
+            let mut a = [0.0f32; WMMA_M * WMMA_K];
+            let mut held = Vec::new();
+            for k in 0..WMMA_K {
+                for r in 0..WMMA_M {
+                    if rng.random_range(0..8) < density {
+                        a[r * WMMA_K + k] = operand(&mut rng, true);
+                        held.push((r, k));
+                    }
+                }
+            }
+            // B rows live at scattered offsets of a larger operand whose
+            // columns past the width hold anything, NaN included.
+            let ld = WMMA_N + 5;
+            let b_op: Vec<f32> = (0..WMMA_K * 2 * ld).map(|_| operand(&mut rng, true)).collect();
+            let b_rows: Vec<usize> = (0..WMMA_K).map(|k| ((k * 5 + 3) % (2 * WMMA_K)) * ld).collect();
+            let b: TileB = std::array::from_fn(|i| b_op[b_rows[i / WMMA_N] + i % WMMA_N]);
+            let start: Vec<f32> = (0..WMMA_M * WMMA_N).map(|_| operand(&mut rng, false)).collect();
+
+            let mut want: TileAcc = std::array::from_fn(|i| start[i]);
+            mma_m16n16k8(&mut want, &a, &b);
+            let b_tf32: Vec<f32> = b_op.iter().map(|&v| round_to_tf32(v)).collect();
+            let nonzeros: Vec<(usize, usize, f32)> = held
+                .iter()
+                .map(|&(r, k)| (r, k, round_to_tf32(a[r * WMMA_K + k])))
+                .collect();
+            in_block(|ctx| {
+                let mut acc = FragmentAcc::default();
+                acc.data_mut().copy_from_slice(&start);
+                mma_sync_gather(&mut acc, &nonzeros, &b_tf32, &b_rows, width, ctx);
+                for r in 0..WMMA_M {
+                    for c in 0..width {
+                        let i = r * WMMA_N + c;
+                        let (got, want) = (acc.data()[i], want[i]);
+                        assert!(same_bits(got, want), "({r},{c}) seed {seed}: {got} vs {want}");
+                    }
+                }
+            });
+        }
+
+        #[test]
+        fn mma_sync_entries_matches_the_dense_loop_bitwise(
+            seed in 0u64..u64::MAX, kw in 1usize..=WMMA_K, k0 in 0usize..6, kept in 0usize..=WMMA_M * WMMA_N,
+        ) {
+            use tcg_gpusim::wmma::{mma_sync_entries, MmaEntry};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // A rows and B columns are rows of width `len`; the MMA reads
+            // columns `k0..k0 + kw` of each.
+            let len = k0 + kw + 3;
+            let a_op: Vec<f32> = (0..WMMA_M * len).map(|_| operand(&mut rng, true)).collect();
+            let b_op: Vec<f32> = (0..WMMA_N * len).map(|_| operand(&mut rng, true)).collect();
+            let a: TileA = std::array::from_fn(|i| {
+                let (r, k) = (i / WMMA_K, i % WMMA_K);
+                if k < kw { a_op[r * len + k0 + k] } else { 0.0 }
+            });
+            let b: TileB = std::array::from_fn(|i| {
+                let (k, c) = (i / WMMA_N, i % WMMA_N);
+                if k < kw { b_op[c * len + k0 + k] } else { f32::NAN }
+            });
+            let start: Vec<f32> = (0..WMMA_M * WMMA_N).map(|_| operand(&mut rng, false)).collect();
+            let mut want: TileAcc = std::array::from_fn(|i| start[i]);
+            mma_m16n16k8(&mut want, &a, &b);
+
+            // `kept` distinct elements, in a shuffled order.
+            let mut cells: Vec<usize> = (0..WMMA_M * WMMA_N).collect();
+            for i in (1..cells.len()).rev() {
+                cells.swap(i, rng.random_range(0..=i));
+            }
+            cells.truncate(kept);
+            let entries: Vec<MmaEntry> = cells
+                .iter()
+                .map(|&i| {
+                    let (r, c) = (i / WMMA_N, i % WMMA_N);
+                    MmaEntry { r, c, a_row: r * len, b_row: c * len }
+                })
+                .collect();
+            let a_tf32: Vec<f32> = a_op.iter().map(|&v| round_to_tf32(v)).collect();
+            let b_tf32: Vec<f32> = b_op.iter().map(|&v| round_to_tf32(v)).collect();
+            in_block(|ctx| {
+                let mut acc: Vec<f32> = cells.iter().map(|&i| start[i]).collect();
+                mma_sync_entries(&mut acc, &entries, &a_tf32, &b_tf32, k0..k0 + kw, ctx);
+                for (v, &i) in acc.iter().zip(&cells) {
+                    assert!(same_bits(*v, want[i]), "element {i} seed {seed}: {v} vs {}", want[i]);
+                }
+            });
+        }
+    }
 }

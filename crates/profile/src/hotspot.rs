@@ -2,7 +2,7 @@
 //! [`tcg_gpusim::hotspot`].
 //!
 //! The gpusim layer measures where *host* wall-clock time goes while the
-//! simulator runs — cache probes, coalescing analysis, fragment staging,
+//! simulator runs — cache probes, coalescing analysis, operand staging,
 //! MMA inner loops — attributed both per phase and per SGT row window.
 //! This module renders a [`HotspotReport`] as
 //!
@@ -310,6 +310,27 @@ mod tests {
         report.scope_cost_ns = 0.0;
         let table = hotspot_table(&report);
         assert!(!table.contains("timer:") && !table.contains(" *"));
+    }
+
+    #[test]
+    fn phases_are_the_five_interpreter_phases_with_folded_safe_labels() {
+        let labels: Vec<&str> = HotPhase::all().iter().map(|p| p.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "coalesce",
+                "cache_probe",
+                "l2_replay",
+                "mma_inner",
+                "staging"
+            ]
+        );
+        for (i, phase) in HotPhase::all().into_iter().enumerate() {
+            assert_eq!(phase.idx(), i);
+            // A collapsed-stack frame: no `;` separators, no spaces.
+            let frame_safe = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+            assert!(phase.label().bytes().all(frame_safe), "{}", phase.label());
+        }
     }
 
     #[test]

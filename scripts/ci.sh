@@ -64,9 +64,13 @@ step "simulator reference models: fast hot-path primitives vs their slow referen
 # Flat epoch-stamped cache, arithmetic sector walk and branchless TF-32
 # rounding must agree exactly with the reference models in tcg-oracle, and
 # the register-blocked update GEMMs (X·W, Xᵀ·dY, TF-32) must equal the naive
-# loop bit for bit, which training, serving and dist results rely on.
+# loop bit for bit, which training, serving and dist results rely on. The
+# TCU MMA primitives (gather, entries) must match the staged-fragment
+# m16n16k8 reference, and every TCU kernel's outputs (TC-GNN, hybrid,
+# fused) its staged-tile SpMM/SDDMM loops, bit for bit.
 cargo test --release -q -p tcg-oracle refmodel
 cargo test --release -q -p tcg-tensor
+cargo test --release -q -p tcg-kernels --test tcu_values
 
 step "verify: oracle conformance matrix (every backend x kernel x family)"
 # Full differential matrix against the golden oracle, plus the metamorphic
