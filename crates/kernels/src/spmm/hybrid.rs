@@ -137,10 +137,10 @@ pub(crate) fn launch(
     };
     let mut out = DenseMatrix::zeros(n, d);
 
+    let x_tf32 = tf32_operand(prob.x, mask.contains(&WindowBackend::Tcu));
     // The CUDA-core path's edge-id array is appended only when some
     // window needs it, so every all-TCU launch has the same address space
     // (and therefore the same cache behavior and cost report).
-    let x_tf32 = tf32_operand(prob.x, mask.contains(&WindowBackend::Tcu));
     let tcu = TcuWindow {
         t,
         prob,
