@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tcg_oracle::refmodel::mma_m16n16k8;
-use tcg_tensor::gemm::{gemm, gemm_at_b, gemm_naive, gemm_tf32};
+use tcg_tensor::gemm::{gemm, gemm_a_bt, gemm_at_b, gemm_naive, gemm_tf32};
 use tcg_tensor::init;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -35,6 +35,17 @@ fn bench_gemm(c: &mut Criterion) {
     });
     group.bench_function("xt_dy_1433x2708x16", |bch| {
         bch.iter(|| black_box(gemm_at_b(black_box(&x), black_box(&dy)).unwrap()))
+    });
+    group.finish();
+
+    // The input gradient `dY·Wᵀ` of AGNN's output layer on PPI ÷16, with
+    // 3559 nodes, hidden 32 and 121 classes.
+    let dy = init::uniform(3559, 121, -1.0, 1.0, 8);
+    let w = init::uniform(32, 121, -1.0, 1.0, 9);
+    let mut group = c.benchmark_group("gemm_ppi_input_grad");
+    group.sample_size(15);
+    group.bench_function("dy_wt_3559x121x32", |bch| {
+        bch.iter(|| black_box(gemm_a_bt(black_box(&dy), black_box(&w)).unwrap()))
     });
     group.finish();
 

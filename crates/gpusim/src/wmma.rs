@@ -17,36 +17,8 @@
 
 use std::ops::Range;
 
-use tcg_fault::TcgError;
-
 use crate::hotspot::{self, HotPhase};
 use crate::launch::BlockCtx;
-
-/// Bounds-checks a `rows×cols` tile read/write at leading dimension `ld`.
-fn check_tile(
-    what: &'static str,
-    len: usize,
-    rows: usize,
-    cols: usize,
-    ld: usize,
-) -> Result<(), TcgError> {
-    if ld < cols {
-        return Err(TcgError::DimMismatch {
-            what,
-            expected: cols,
-            actual: ld,
-        });
-    }
-    let needed = (rows - 1) * ld + cols;
-    if len < needed {
-        return Err(TcgError::DimMismatch {
-            what,
-            expected: needed,
-            actual: len,
-        });
-    }
-    Ok(())
-}
 
 /// Rows of the accumulator (`M` in `m16n16k8`).
 pub const WMMA_M: usize = 16;
@@ -76,33 +48,6 @@ impl FragmentAcc {
     /// `wmma::fill_fragment(acc, 0.0)`.
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// `wmma::store_matrix_sync`: writes the `16×16` accumulator into `dst`
-    /// with leading dimension `ld` (row-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is too short for the addressed tile.
-    pub fn store(&self, dst: &mut [f32], ld: usize) {
-        self.try_store(dst, ld)
-            .expect("acc tile within destination bounds");
-    }
-
-    /// Fallible [`FragmentAcc::store`]: returns [`TcgError::DimMismatch`]
-    /// instead of panicking when `dst` is too short for the addressed tile.
-    pub fn try_store(&self, dst: &mut [f32], ld: usize) -> Result<(), TcgError> {
-        check_tile(
-            "wmma accumulator destination",
-            dst.len(),
-            WMMA_M,
-            WMMA_N,
-            ld,
-        )?;
-        for r in 0..WMMA_M {
-            dst[r * ld..r * ld + WMMA_N].copy_from_slice(&self.data[r * WMMA_N..(r + 1) * WMMA_N]);
-        }
-        Ok(())
     }
 
     /// Element `(r, c)` of the accumulator.
@@ -234,17 +179,6 @@ mod tests {
     fn in_block(body: impl Fn(&mut BlockCtx<'_>)) -> crate::KernelStats {
         let mut l = crate::Launcher::new(crate::DeviceSpec::rtx3090());
         l.launch(crate::GridConfig::with_block_size(32), 1, body)
-    }
-
-    #[test]
-    fn store_respects_leading_dimension() {
-        let mut acc = FragmentAcc::default();
-        acc.data[0] = 1.5; // (0,0)
-        acc.data[WMMA_N + 1] = 2.5; // (1,1)
-        let mut out = vec![0.0f32; 32 * 20];
-        acc.store(&mut out, 20);
-        assert_eq!(out[0], 1.5);
-        assert_eq!(out[20 + 1], 2.5);
     }
 
     #[test]

@@ -26,12 +26,16 @@
 //!   dense tiles per 16-wide slab) and [`tcu_sddmm`] (Listing 3: 16×8 row
 //!   tiles, 8×16 gathered tiles per 8-wide slab, 16×16 edge frames).
 //!
-//! The dense update GEMMs [`tcg_tensor::gemm::gemm`] (`X·W`) and
-//! [`tcg_tensor::gemm::gemm_at_b`] (`Xᵀ·dY`) are pinned against the triple
-//! loop [`tcg_tensor::gemm::gemm_naive`], which stays in `tcg-tensor`:
-//! zero-skip in `A`, `±inf`/NaN in `B` rows met only by zeros, `n` across
-//! the 16-column panel edge, and row subsets (each output row depends only
-//! on its own `A` row).
+//! The dense update GEMMs [`tcg_tensor::gemm::gemm`] (`X·W`),
+//! [`tcg_tensor::gemm::gemm_at_b`] (`Xᵀ·dY`) and
+//! [`tcg_tensor::gemm::gemm_a_bt`] (`dY·Wᵀ`) are pinned against the triple
+//! loop [`tcg_tensor::gemm::gemm_naive`], which stays in `tcg-tensor`, on
+//! every vector-ISA instantiation the host supports: zero-skip in `A`,
+//! `±inf`/NaN in `B` rows met only by zeros, finite overflow-scale `B`
+//! (the path without the zero test), `n` across the 16-column panel edge,
+//! `m` across the row tile, and row subsets (each output row depends only
+//! on its own `A` row). The dot loop `gemm_a_bt` ran before it moved onto
+//! the blocked kernel stays in the tests as its finite-input reference.
 //!
 //! Fast and reference must agree exactly: same probe outcomes and hit/miss
 //! counters, same sector sequences, same result bits.
@@ -333,7 +337,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tcg_gpusim::cache::Cache;
     use tcg_gpusim::coalesce::sector_span;
-    use tcg_tensor::gemm;
+    use tcg_tensor::gemm::{self, Isa};
 
     /// Replays one op stream through both caches. Op codes: 0 flushes,
     /// 1 resets, anything else accesses the address.
@@ -502,6 +506,63 @@ mod tests {
         (a, b)
     }
 
+    /// Operands for the branch-free path, which runs when every `B` entry
+    /// is finite. About a third of `A` is `0.0`/`-0.0`, and every fourth
+    /// inner index is an all-zero `A` column. `B` is finite, but some
+    /// entries are large enough that products and sums overflow to `±inf`
+    /// (and meet to NaN), and some are `±f32::MAX`, which TF-32 rounds to
+    /// `±inf`.
+    fn finite_operands(m: usize, k: usize, n: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = DenseMatrix::from_fn(m, k, |_, p| match rng.random_range(0..6) {
+            _ if p % 4 == 3 => [0.0, -0.0][rng.random_range(0..2)],
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.random_range(-1.0f32..1.0) * [1.0, 1e-3, 1e3][rng.random_range(0..3)],
+        });
+        let b = DenseMatrix::from_fn(k, n, |_, _| match rng.random_range(0..6) {
+            0 => [f32::MAX, -f32::MAX][rng.random_range(0..2)],
+            1 => rng.random_range(-1.0f32..1.0) * 1e38,
+            _ => rng.random_range(-2.0f32..2.0),
+        });
+        (a, b)
+    }
+
+    /// Both operand families for `A (m×k) · B (k×n)`.
+    fn both_families(
+        m: usize,
+        k: usize,
+        n: usize,
+        seed: u64,
+    ) -> [(&'static str, DenseMatrix, DenseMatrix); 2] {
+        let (a, b) = update_operands(m, k, n, seed);
+        let (fa, fb) = finite_operands(m, k, n, seed);
+        [("poison", a, b), ("finite", fa, fb)]
+    }
+
+    /// The dot loop `gemm_a_bt` ran before it moved onto the blocked `X·W`
+    /// kernel: every term added, zero `A` entries included. On finite `B`
+    /// a skipped `0·b` only adds `±0.0` to an accumulator that is never
+    /// `-0.0`, so it is the reference for finite operands.
+    fn dot_a_bt(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let (m, k) = a.shape();
+        let n = b.rows();
+        let mut c = DenseMatrix::zeros(m, n);
+        for i in 0..m {
+            let arow = a.row(i);
+            let crow = c.row_mut(i);
+            for (j, cj) in crow.iter_mut().enumerate().take(n) {
+                let brow = b.row(j);
+                let mut s = 0.0_f32;
+                for p in 0..k {
+                    s += arow[p] * brow[p];
+                }
+                *cj = s;
+            }
+        }
+        c
+    }
+
     fn bits(c: &DenseMatrix) -> Vec<u32> {
         c.as_slice().iter().map(|v| v.to_bits()).collect()
     }
@@ -511,18 +572,28 @@ mod tests {
         DenseMatrix::from_fn(r1 - r0, a.cols(), |i, p| a.get(r0 + i, p))
     }
 
+    // Every property runs on every kernel instantiation this host has, not
+    // only the one the free functions dispatch to.
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn gemm_matches_naive_bitwise(
-            m in 0usize..12, k in 0usize..48, n in 1usize..40, seed in 0u64..u64::MAX,
+            m in 0usize..20, k in 0usize..48, n in 1usize..40, seed in 0u64..u64::MAX,
         ) {
-            let (a, b) = update_operands(m, k, n, seed);
-            let fast = gemm::gemm(&a, &b).expect("shapes agree");
-            let naive = gemm::gemm_naive(&a, &b).expect("shapes agree");
-            prop_assert_eq!(fast.shape(), (m, n));
-            prop_assert_eq!(bits(&fast), bits(&naive), "m {} k {} n {} seed {}", m, k, n, seed);
+            for (family, a, b) in both_families(m, k, n, seed) {
+                let naive = gemm::gemm_naive(&a, &b).expect("shapes agree");
+                for isa in Isa::supported() {
+                    let fast = isa.gemm(&a, &b).expect("shapes agree");
+                    prop_assert_eq!(fast.shape(), (m, n));
+                    prop_assert_eq!(
+                        bits(&fast),
+                        bits(&naive),
+                        "{:?} {} m {} k {} n {} seed {}", isa, family, m, k, n, seed
+                    );
+                }
+            }
         }
 
         #[test]
@@ -530,45 +601,87 @@ mod tests {
             k in 0usize..48, m in 0usize..12, n in 1usize..40, seed in 0u64..u64::MAX,
         ) {
             // `a` is k×m; transposed it is the m×k operand with poison columns.
-            let (at, b) = update_operands(m, k, n, seed);
-            let a = at.transpose();
-            let fast = gemm::gemm_at_b(&a, &b).expect("shapes agree");
-            let naive = gemm::gemm_naive(&a.transpose(), &b).expect("shapes agree");
-            prop_assert_eq!(fast.shape(), (m, n));
-            prop_assert_eq!(bits(&fast), bits(&naive), "k {} m {} n {} seed {}", k, m, n, seed);
+            for (family, at, b) in both_families(m, k, n, seed) {
+                let a = at.transpose();
+                let naive = gemm::gemm_naive(&at, &b).expect("shapes agree");
+                for isa in Isa::supported() {
+                    let fast = isa.gemm_at_b(&a, &b).expect("shapes agree");
+                    prop_assert_eq!(fast.shape(), (m, n));
+                    prop_assert_eq!(
+                        bits(&fast),
+                        bits(&naive),
+                        "{:?} {} k {} m {} n {} seed {}", isa, family, k, m, n, seed
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn gemm_a_bt_matches_naive_of_transpose_bitwise(
+            m in 0usize..20, k in 0usize..48, n in 1usize..40, seed in 0u64..u64::MAX,
+        ) {
+            // `b` is n×k; transposed it is the k×n operand with poison rows.
+            for (family, a, bt) in both_families(m, k, n, seed) {
+                let b = bt.transpose();
+                let naive = gemm::gemm_naive(&a, &bt).expect("shapes agree");
+                let dot = dot_a_bt(&a, &b);
+                for isa in Isa::supported() {
+                    let fast = isa.gemm_a_bt(&a, &b).expect("shapes agree");
+                    prop_assert_eq!(fast.shape(), (m, n));
+                    prop_assert_eq!(
+                        bits(&fast),
+                        bits(&naive),
+                        "{:?} {} m {} k {} n {} seed {}", isa, family, m, k, n, seed
+                    );
+                    if family == "finite" {
+                        prop_assert_eq!(
+                            bits(&fast),
+                            bits(&dot),
+                            "{:?} dot loop, m {} k {} n {} seed {}", isa, m, k, n, seed
+                        );
+                    }
+                }
+            }
         }
 
         #[test]
         fn gemm_rows_depend_only_on_their_own_a_row(
-            m in 1usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
+            m in 1usize..20, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
             cut in (0usize..64, 0usize..64),
         ) {
-            let (a, b) = update_operands(m, k, n, seed);
             let (r0, r1) = {
                 let (x, y) = (cut.0 % (m + 1), cut.1 % (m + 1));
                 (x.min(y), x.max(y))
             };
-            let full = gemm::gemm(&a, &b).expect("shapes agree");
-            let part = gemm::gemm(&row_slice(&a, r0, r1), &b).expect("shapes agree");
-            prop_assert_eq!(
-                bits(&part),
-                bits(&row_slice(&full, r0, r1)),
-                "rows {}..{} of m {} k {} n {} seed {}", r0, r1, m, k, n, seed
-            );
+            for (family, a, b) in both_families(m, k, n, seed) {
+                for isa in Isa::supported() {
+                    let full = isa.gemm(&a, &b).expect("shapes agree");
+                    let part = isa.gemm(&row_slice(&a, r0, r1), &b).expect("shapes agree");
+                    prop_assert_eq!(
+                        bits(&part),
+                        bits(&row_slice(&full, r0, r1)),
+                        "{:?} {} rows {}..{} of m {} k {} n {} seed {}",
+                        isa, family, r0, r1, m, k, n, seed
+                    );
+                }
+            }
         }
 
         #[test]
         fn gemm_tf32_matches_reference_bitwise(
-            m in 0usize..12, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
+            m in 0usize..20, k in 0usize..40, n in 1usize..40, seed in 0u64..u64::MAX,
         ) {
-            let (a, b) = update_operands(m, k, n, seed);
-            let fast = gemm::gemm_tf32(&a, &b).expect("shapes agree");
-            let reference = gemm_tf32(&a, &b).expect("shapes agree");
-            prop_assert_eq!(
-                bits(&fast),
-                bits(&reference),
-                "m {} k {} n {} seed {}", m, k, n, seed
-            );
+            for (family, a, b) in both_families(m, k, n, seed) {
+                let reference = gemm_tf32(&a, &b).expect("shapes agree");
+                for isa in Isa::supported() {
+                    let fast = isa.gemm_tf32(&a, &b).expect("shapes agree");
+                    prop_assert_eq!(
+                        bits(&fast),
+                        bits(&reference),
+                        "{:?} {} m {} k {} n {} seed {}", isa, family, m, k, n, seed
+                    );
+                }
+            }
         }
     }
 

@@ -1,35 +1,66 @@
 //! CPU GEMM: the dense update GEMMs, a TF-32 variant and the references.
 //!
 //! Two use cases: (1) the dense *Update* phase of GNN layers, `X · W`
-//! forward ([`gemm`]) and `Xᵀ · dY` for weight gradients ([`gemm_at_b`]),
-//! which is most of a training epoch's host time on wide-feature graphs;
-//! and (2) reference results for validating the simulated WMMA pipeline.
+//! forward ([`gemm`]), `Xᵀ · dY` for weight gradients ([`gemm_at_b`]) and
+//! `dY · Wᵀ` for input gradients ([`gemm_a_bt`]), which is most of a
+//! training epoch's host time on wide-feature graphs; and (2) reference
+//! results for validating the simulated WMMA pipeline.
 //!
 //! # Bit-exact contract of the update GEMMs
 //!
-//! [`gemm`] and [`gemm_at_b`] are register-blocked, yet every output bit
-//! equals the triple loop [`gemm_naive`]. Each `C[i][j]` starts from `+0.0`
-//! and adds `a·b` for `p` in ascending order as a separate multiply and
-//! add: no FMA, no reassociation, no split-k. Terms whose `A` entry is
+//! [`gemm`], [`gemm_at_b`] and [`gemm_a_bt`] are register-blocked, yet
+//! every output bit equals the triple loop [`gemm_naive`] (of `Aᵀ` for
+//! [`gemm_at_b`], of `Bᵀ` for [`gemm_a_bt`]). Each `C[i][j]` starts from
+//! `+0.0` and adds `a·b` for `p` in ascending order as a separate multiply
+//! and add: no FMA, no reassociation, no split-k. Terms whose `A` entry is
 //! `== 0.0` are skipped, so a `±inf`/NaN in a `B` row met only by zeros
 //! never reaches `C`. Blocking changes only which outputs are computed
-//! together. [`gemm`] holds a 2-row × 16-column tile of `C` in locals
-//! across all of `k`; [`gemm_at_b`] streams rows of `A` and `B` and holds
-//! each 16-wide `C` row segment in locals across 4 consecutive `p`.
-//! Columns go in 16-wide panels plus one narrower tail panel, and scratch
-//! memory is the tile in locals.
+//! together. The `X·W` kernel holds an `R`-row × 16-column tile of `C` in
+//! locals across all of `k`; [`gemm_at_b`] streams rows of `A` and `B` and
+//! holds each 16-wide `C` row segment in locals across `G` consecutive
+//! `p`. Columns go in 16-wide panels plus one narrower tail panel, and
+//! scratch memory is the tile in locals. [`gemm_a_bt`] transposes `B` (a
+//! weight matrix, small) and runs the `X·W` kernel. It thereby skips a
+//! `0·±inf/NaN` term that a plain dot loop over `A`'s row and `B`'s row
+//! would add; on finite `B` the two give the same bits (next section).
 //!
 //! Each output row depends only on its own `A` row (its own `A` column for
 //! [`gemm_at_b`]), so any row subset multiplies to the same bits as the
 //! full matrix. `tcg_oracle::refmodel` pins the contract.
+//!
+//! # Finite `B`: the zero test is dropped
+//!
+//! An accumulator that starts at `+0.0` never becomes `-0.0`: a sum is
+//! `-0.0` only if both addends are, and an exact cancellation gives
+//! `+0.0`. So adding a `±0.0` term leaves every accumulator's bits as they
+//! are. When every `B` entry is finite, a skipped term `0·b` is such a
+//! `±0.0`, and skipping it changes nothing. Each call checks `B` once
+//! (O(k·n)) and, when it is all finite, runs an instantiation of the same
+//! body without the per-`(row, p)` test, which is branch-free. Non-finite
+//! `B` keeps the test.
+//!
+//! # One body per GEMM, instantiated per vector ISA
+//!
+//! The two kernel bodies are `#[inline(always)]` generics over their tile
+//! shape and the zero test, written without intrinsics: the compiler
+//! vectorizes the 16-wide column loops, and each output keeps its separate
+//! multiply and add in ascending `p` whatever the vector width. Each body
+//! is compiled three times: inside `#[target_feature(enable = "avx512f")]`
+//! and `"avx2"` wrappers on x86-64, and once for the build's baseline
+//! (SSE2 on x86-64, the only one elsewhere). Every call runs the widest
+//! one the host has, found with `is_x86_feature_detected!`. Only the tile
+//! shape differs per ISA; the register file sets it:
+//!
+//! | ISA | `X·W` rows `R` | `Aᵀ·B` group `G` |
+//! |---|---|---|
+//! | AVX-512F | 8 | 4 |
+//! | AVX2 | 4 | 8 |
+//! | baseline | 2 | 4 |
 
 use crate::{DenseMatrix, Result, TensorError};
 
-/// Columns of `C` a tile holds in locals: four SSE vectors per row.
+/// Columns of `C` a tile holds in locals: one AVX-512 vector per row.
 const PANEL: usize = 16;
-
-/// Rows of `A` and `B` that [`gemm_at_b`] folds into `C` per pass.
-const P_GROUP: usize = 4;
 
 fn check_dims(op: &'static str, a: &DenseMatrix, b: &DenseMatrix) -> Result<()> {
     if a.cols() != b.rows() {
@@ -67,10 +98,7 @@ pub fn gemm_naive(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 
 /// Register-blocked GEMM, `C = A · B`, bitwise equal to [`gemm_naive`].
 pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    check_dims("gemm", a, b)?;
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    xw(a, b.as_slice(), &mut c, |av| av);
-    Ok(c)
+    Isa::widest().gemm(a, b)
 }
 
 /// GEMM with TF-32 input rounding and FP32 accumulation, matching the
@@ -79,35 +107,234 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// `B` is rounded once up front; each `A` element is rounded as the
 /// [`gemm`] kernel loads it, once per 16-column panel.
 pub fn gemm_tf32(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    check_dims("gemm_tf32", a, b)?;
-    let mut b_tf32 = b.clone();
-    b_tf32.round_tf32_inplace();
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    xw(a, b_tf32.as_slice(), &mut c, crate::tf32::round_to_tf32);
-    Ok(c)
+    Isa::widest().gemm_tf32(a, b)
 }
 
-/// `C = load(A) · B` into a zeroed `c`, two rows of `A` at a time.
-fn xw(a: &DenseMatrix, b: &[f32], c: &mut DenseMatrix, load: impl Fn(f32) -> f32 + Copy) {
-    let (k, n) = (a.cols(), c.cols());
-    if k == 0 || n == 0 {
-        return;
+/// `C = Aᵀ · B` without materializing the transpose, bitwise equal to
+/// `gemm_naive(&a.transpose(), b)`.
+pub fn gemm_at_b(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    Isa::widest().gemm_at_b(a, b)
+}
+
+/// `C = A · Bᵀ`, bitwise equal to `gemm_naive(a, &b.transpose())`: `B` is
+/// transposed (it is the small weight matrix) and multiplied by the
+/// [`gemm`] kernel. A `0·±inf/NaN` term is skipped, as in [`gemm`].
+pub fn gemm_a_bt(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+    Isa::widest().gemm_a_bt(a, b)
+}
+
+/// One vector ISA the update GEMMs are compiled for. A value exists only
+/// for an ISA this host supports: [`Isa::supported`] is the one way to get
+/// one. Tests use it to run every instantiation; every other caller gets
+/// the widest through the free functions.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Isa(Unit);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Unit {
+    Avx512,
+    Avx2,
+    Baseline,
+}
+
+impl Unit {
+    fn detected(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Unit::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Unit::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Unit::Avx512 | Unit::Avx2 => false,
+            Unit::Baseline => true,
+        }
     }
-    let mut a_pairs = a.as_slice().chunks_exact(2 * k);
-    let mut c_pairs = c.as_mut_slice().chunks_exact_mut(2 * n);
-    for (a2, c2) in a_pairs.by_ref().zip(c_pairs.by_ref()) {
-        let (c0, c1) = c2.split_at_mut(n);
-        xw_rows([&a2[..k], &a2[k..]], b, [c0, c1], load);
+}
+
+impl Isa {
+    /// Every ISA this host can run the GEMMs on, widest first; the
+    /// baseline is always last.
+    pub fn supported() -> impl Iterator<Item = Isa> {
+        [Unit::Avx512, Unit::Avx2, Unit::Baseline]
+            .into_iter()
+            .filter(|u| u.detected())
+            .map(Isa)
     }
-    let a_last = a_pairs.remainder();
-    if !a_last.is_empty() {
-        xw_rows([a_last], b, [c_pairs.into_remainder()], load);
+
+    fn widest() -> Isa {
+        Isa::supported()
+            .next()
+            .expect("the baseline is always supported")
+    }
+
+    /// [`gemm`] on this ISA.
+    pub fn gemm(self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        check_dims("gemm", a, b)?;
+        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+        self.xw(a, b.as_slice(), &mut c, |av| av);
+        Ok(c)
+    }
+
+    /// [`gemm_tf32`] on this ISA.
+    pub fn gemm_tf32(self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        check_dims("gemm_tf32", a, b)?;
+        let mut b_tf32 = b.clone();
+        b_tf32.round_tf32_inplace();
+        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+        self.xw(a, b_tf32.as_slice(), &mut c, crate::tf32::round_to_tf32);
+        Ok(c)
+    }
+
+    /// [`gemm_at_b`] on this ISA.
+    pub fn gemm_at_b(self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        if a.rows() != b.rows() {
+            return Err(TensorError::DimMismatch {
+                op: "gemm_at_b",
+                lhs: a.shape(),
+                rhs: b.shape(),
+            });
+        }
+        let n = b.cols();
+        let mut c = DenseMatrix::zeros(a.cols(), n);
+        if !c.as_slice().is_empty() {
+            let skip_zeros = !all_finite(b.as_slice());
+            let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+            match self.0 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: an `Isa` holding `Avx512` is only made by
+                // `Isa::supported`, after run-time detection found AVX-512F.
+                Unit::Avx512 => unsafe { x86::at_b_avx512(skip_zeros, a, b, c, n) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above, detection found AVX2.
+                Unit::Avx2 => unsafe { x86::at_b_avx2(skip_zeros, a, b, c, n) },
+                _ => at_b::<4>(skip_zeros, a, b, c, n),
+            }
+        }
+        Ok(c)
+    }
+
+    /// [`gemm_a_bt`] on this ISA.
+    pub fn gemm_a_bt(self, a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
+        if a.cols() != b.cols() {
+            return Err(TensorError::DimMismatch {
+                op: "gemm_a_bt",
+                lhs: a.shape(),
+                rhs: b.shape(),
+            });
+        }
+        self.gemm(a, &b.transpose())
+    }
+
+    /// `C = load(A) · B` into a zeroed `c`.
+    fn xw(self, a: &DenseMatrix, b: &[f32], c: &mut DenseMatrix, load: impl Fn(f32) -> f32 + Copy) {
+        let n = c.cols();
+        if a.cols() == 0 || n == 0 {
+            return;
+        }
+        let skip_zeros = !all_finite(b);
+        let (a, c) = (a.as_slice(), c.as_mut_slice());
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Isa` holding `Avx512` is only made by
+            // `Isa::supported`, after run-time detection found AVX-512F.
+            Unit::Avx512 => unsafe { x86::xw_avx512(skip_zeros, a, b, c, n, load) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above, detection found AVX2.
+            Unit::Avx2 => unsafe { x86::xw_avx2(skip_zeros, a, b, c, n, load) },
+            _ => xw::<2>(skip_zeros, a, b, c, n, load),
+        }
+    }
+}
+
+/// Whether the zero test can be dropped for this `B` (see the module doc).
+fn all_finite(b: &[f32]) -> bool {
+    b.iter().all(|v| v.is_finite())
+}
+
+/// The AVX-512F and AVX2 instantiations of the two bodies.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn xw_avx512(
+        skip_zeros: bool,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+        load: impl Fn(f32) -> f32 + Copy,
+    ) {
+        super::xw::<8>(skip_zeros, a, b, c, n, load)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn xw_avx2(
+        skip_zeros: bool,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+        load: impl Fn(f32) -> f32 + Copy,
+    ) {
+        super::xw::<4>(skip_zeros, a, b, c, n, load)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn at_b_avx512(skip_zeros: bool, a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
+        super::at_b::<4>(skip_zeros, a, b, c, n)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn at_b_avx2(skip_zeros: bool, a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
+        super::at_b::<8>(skip_zeros, a, b, c, n)
+    }
+}
+
+/// `C = load(A) · B` for row-major `a` (m×k), `b` (k×n) and a zeroed `c`
+/// (m×n), `R` rows of `A` at a time, then the last `m % R` one by one.
+/// `k` and `n` are non-zero.
+#[inline(always)]
+fn xw<const R: usize>(
+    skip_zeros: bool,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    load: impl Fn(f32) -> f32 + Copy,
+) {
+    if skip_zeros {
+        xw_tiles::<R, true>(a, b, c, n, load)
+    } else {
+        xw_tiles::<R, false>(a, b, c, n, load)
+    }
+}
+
+#[inline(always)]
+fn xw_tiles<const R: usize, const SKIP_ZEROS: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    load: impl Fn(f32) -> f32 + Copy,
+) {
+    let k = b.len() / n;
+    let mut a_tiles = a.chunks_exact(R * k);
+    let mut c_tiles = c.chunks_exact_mut(R * n);
+    for (a_t, c_t) in a_tiles.by_ref().zip(c_tiles.by_ref()) {
+        let a_rows = std::array::from_fn(|r| &a_t[r * k..(r + 1) * k]);
+        let mut c_rows = c_t.chunks_exact_mut(n);
+        let c_rows = std::array::from_fn(|_| c_rows.next().expect("the tile has R rows"));
+        xw_rows::<R, SKIP_ZEROS>(a_rows, b, c_rows, load);
+    }
+    let a_last = a_tiles.remainder().chunks_exact(k);
+    for (a_row, c_row) in a_last.zip(c_tiles.into_remainder().chunks_exact_mut(n)) {
+        xw_rows::<1, SKIP_ZEROS>([a_row], b, [c_row], load);
     }
 }
 
 /// All column panels of `R` rows of `C = load(A) · B`.
 #[inline(always)]
-fn xw_rows<const R: usize>(
+fn xw_rows<const R: usize, const SKIP_ZEROS: bool>(
     a_rows: [&[f32]; R],
     b: &[f32],
     mut c_rows: [&mut [f32]; R],
@@ -118,8 +345,8 @@ fn xw_rows<const R: usize>(
         // A full panel passes the constant, so its inlined copy runs on
         // fixed-width chunks the compiler keeps in registers.
         match n - j0 {
-            w if w >= PANEL => xw_panel(&a_rows, b, &mut c_rows, j0, PANEL, load),
-            w => xw_panel(&a_rows, b, &mut c_rows, j0, w, load),
+            w if w >= PANEL => xw_panel::<R, SKIP_ZEROS>(&a_rows, b, &mut c_rows, j0, PANEL, load),
+            w => xw_panel::<R, SKIP_ZEROS>(&a_rows, b, &mut c_rows, j0, w, load),
         }
     }
 }
@@ -127,7 +354,7 @@ fn xw_rows<const R: usize>(
 /// Columns `j0..j0 + w` of `R` rows of `C`, accumulated over all of `k`
 /// in locals, then stored once.
 #[inline(always)]
-fn xw_panel<const R: usize>(
+fn xw_panel<const R: usize, const SKIP_ZEROS: bool>(
     a_rows: &[&[f32]; R],
     b: &[f32],
     c_rows: &mut [&mut [f32]; R],
@@ -141,7 +368,7 @@ fn xw_panel<const R: usize>(
         let b_seg = &b_row[j0..j0 + w];
         for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
             let av = load(a_row[p]);
-            if av != 0.0 {
+            if !SKIP_ZEROS || av != 0.0 {
                 for (cv, &bv) in acc_r[..w].iter_mut().zip(b_seg) {
                     *cv += av * bv;
                 }
@@ -150,6 +377,92 @@ fn xw_panel<const R: usize>(
     }
     for (c_row, acc_r) in c_rows.iter_mut().zip(&acc) {
         c_row[j0..j0 + w].copy_from_slice(&acc_r[..w]);
+    }
+}
+
+/// `C = Aᵀ · B` for row-major `a` (k×m), `b` (k×n) and a zeroed `c` (m×n),
+/// `G` rows of `A` and `B` per pass over `C`, then the last `k % G` one by
+/// one. `m` and `n` are non-zero.
+#[inline(always)]
+fn at_b<const G: usize>(skip_zeros: bool, a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
+    if skip_zeros {
+        at_b_groups::<G, true>(a, b, c, n)
+    } else {
+        at_b_groups::<G, false>(a, b, c, n)
+    }
+}
+
+#[inline(always)]
+fn at_b_groups<const G: usize, const SKIP_ZEROS: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+) {
+    let m = c.len() / n;
+    let mut a_groups = a.chunks_exact(G * m);
+    let mut b_groups = b.chunks_exact(G * n);
+    for (a_grp, b_grp) in a_groups.by_ref().zip(b_groups.by_ref()) {
+        at_b_rows::<G, SKIP_ZEROS>(a_grp, b_grp, c, n);
+    }
+    let a_tail = a_groups.remainder().chunks_exact(m);
+    for (a_row, b_row) in a_tail.zip(b_groups.remainder().chunks_exact(n)) {
+        at_b_rows::<1, SKIP_ZEROS>(a_row, b_row, c, n);
+    }
+}
+
+/// Folds `G` consecutive rows of `A` and `B` into every row of `C`, one
+/// column panel at a time.
+#[inline(always)]
+fn at_b_rows<const G: usize, const SKIP_ZEROS: bool>(
+    a_grp: &[f32],
+    b_grp: &[f32],
+    c: &mut [f32],
+    n: usize,
+) {
+    for j0 in (0..n).step_by(PANEL) {
+        // Same full-panel specialization as `xw_rows`.
+        match n - j0 {
+            w if w >= PANEL => at_b_panel::<G, SKIP_ZEROS>(a_grp, b_grp, c, n, j0, PANEL),
+            w => at_b_panel::<G, SKIP_ZEROS>(a_grp, b_grp, c, n, j0, w),
+        }
+    }
+}
+
+/// Columns `j0..j0 + w` of every row of `C`, each row segment held in
+/// locals while `G` terms are added.
+#[inline(always)]
+fn at_b_panel<const G: usize, const SKIP_ZEROS: bool>(
+    a_grp: &[f32],
+    b_grp: &[f32],
+    c: &mut [f32],
+    n: usize,
+    j0: usize,
+    w: usize,
+) {
+    let m = c.len() / n;
+    let a_rows: [&[f32]; G] = std::array::from_fn(|q| &a_grp[q * m..(q + 1) * m]);
+    // The group's B panel, zero-padded to full width: the update below
+    // always runs on whole [f32; PANEL] chunks, and the padded columns are
+    // never stored.
+    let b_pan: [[f32; PANEL]; G] = std::array::from_fn(|q| {
+        let mut pan = [0.0; PANEL];
+        pan[..w].copy_from_slice(&b_grp[q * n + j0..][..w]);
+        pan
+    });
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        let c_seg = &mut c_row[j0..j0 + w];
+        let mut acc = [0.0_f32; PANEL];
+        acc[..w].copy_from_slice(c_seg);
+        for (a_row, b_row) in a_rows.iter().zip(&b_pan) {
+            let av = a_row[i];
+            if !SKIP_ZEROS || av != 0.0 {
+                for (cv, &bv) in acc.iter_mut().zip(b_row) {
+                    *cv += av * bv;
+                }
+            }
+        }
+        c_seg.copy_from_slice(&acc[..w]);
     }
 }
 
@@ -172,112 +485,6 @@ pub fn gemm_f64_reference(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatri
         }
     }
     DenseMatrix::from_vec(m, n, acc.into_iter().map(|v| v as f32).collect())
-}
-
-/// `C = Aᵀ · B` without materializing the transpose, bitwise equal to
-/// `gemm_naive(&a.transpose(), b)`.
-pub fn gemm_at_b(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    if a.rows() != b.rows() {
-        return Err(TensorError::DimMismatch {
-            op: "gemm_at_b",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let m = a.cols();
-    let n = b.cols();
-    let mut c = DenseMatrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return Ok(c);
-    }
-    let mut a_groups = a.as_slice().chunks_exact(P_GROUP * m);
-    let mut b_groups = b.as_slice().chunks_exact(P_GROUP * n);
-    for (a_grp, b_grp) in a_groups.by_ref().zip(b_groups.by_ref()) {
-        at_b_rows::<P_GROUP>(a_grp, b_grp, &mut c);
-    }
-    // The last `k % P_GROUP` rows, one pass each.
-    let a_tail = a_groups.remainder().chunks_exact(m);
-    for (a_row, b_row) in a_tail.zip(b_groups.remainder().chunks_exact(n)) {
-        at_b_rows::<1>(a_row, b_row, &mut c);
-    }
-    Ok(c)
-}
-
-/// Folds `G` consecutive rows of `A` and `B` into every row of `C`, one
-/// column panel at a time.
-#[inline(always)]
-fn at_b_rows<const G: usize>(a_grp: &[f32], b_grp: &[f32], c: &mut DenseMatrix) {
-    let n = c.cols();
-    for j0 in (0..n).step_by(PANEL) {
-        // Same full-panel specialization as `xw_rows`.
-        match n - j0 {
-            w if w >= PANEL => at_b_panel::<G>(a_grp, b_grp, c, j0, PANEL),
-            w => at_b_panel::<G>(a_grp, b_grp, c, j0, w),
-        }
-    }
-}
-
-/// Columns `j0..j0 + w` of every row of `C`, each row segment held in
-/// locals while `G` terms are added.
-#[inline(always)]
-fn at_b_panel<const G: usize>(
-    a_grp: &[f32],
-    b_grp: &[f32],
-    c: &mut DenseMatrix,
-    j0: usize,
-    w: usize,
-) {
-    let (m, n) = c.shape();
-    let a_rows: [&[f32]; G] = std::array::from_fn(|q| &a_grp[q * m..(q + 1) * m]);
-    // The group's B panel, zero-padded to full width: the update below
-    // always runs on whole [f32; PANEL] chunks, and the padded columns are
-    // never stored.
-    let b_pan: [[f32; PANEL]; G] = std::array::from_fn(|q| {
-        let mut pan = [0.0; PANEL];
-        pan[..w].copy_from_slice(&b_grp[q * n + j0..][..w]);
-        pan
-    });
-    for (i, c_row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        let c_seg = &mut c_row[j0..j0 + w];
-        let mut acc = [0.0_f32; PANEL];
-        acc[..w].copy_from_slice(c_seg);
-        for (a_row, b_row) in a_rows.iter().zip(&b_pan) {
-            let av = a_row[i];
-            if av != 0.0 {
-                for (cv, &bv) in acc.iter_mut().zip(b_row) {
-                    *cv += av * bv;
-                }
-            }
-        }
-        c_seg.copy_from_slice(&acc[..w]);
-    }
-}
-
-/// `C = A · Bᵀ` without materializing the transpose.
-pub fn gemm_a_bt(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    if a.cols() != b.cols() {
-        return Err(TensorError::DimMismatch {
-            op: "gemm_a_bt",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let mut c = DenseMatrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let crow = c.row_mut(i);
-        for (j, cj) in crow.iter_mut().enumerate().take(n) {
-            let brow = b.row(j);
-            let mut s = 0.0_f32;
-            for p in 0..k {
-                s += arow[p] * brow[p];
-            }
-            *cj = s;
-        }
-    }
-    Ok(c)
 }
 
 #[cfg(test)]
@@ -351,6 +558,7 @@ mod tests {
         assert!(gemm_naive(&a, &b).is_err());
         assert!(gemm_tf32(&a, &b).is_err());
         assert!(gemm_at_b(&a, &b).is_err());
+        assert!(gemm_a_bt(&a, &b).is_err());
     }
 
     #[test]

@@ -63,8 +63,9 @@ grep -q '"failed": 0,' <<<"$chaos_out" || {
 step "simulator reference models: fast hot-path primitives vs their slow references"
 # Flat epoch-stamped cache, arithmetic sector walk and branchless TF-32
 # rounding must agree exactly with the reference models in tcg-oracle, and
-# the register-blocked update GEMMs (X·W, Xᵀ·dY, TF-32) must equal the naive
-# loop bit for bit, which training, serving and dist results rely on. The
+# the register-blocked update GEMMs (X·W, Xᵀ·dY, dY·Wᵀ, TF-32) must equal the
+# naive loop bit for bit on every vector ISA the host has, which training,
+# serving and dist results rely on. The
 # TCU MMA primitives (gather, entries) must match the staged-fragment
 # m16n16k8 reference, and every TCU kernel's outputs (TC-GNN, hybrid,
 # fused) its staged-tile SpMM/SDDMM loops, bit for bit.
@@ -128,14 +129,16 @@ cargo test --release -q -p tcg-serve metrics
     exit 1
 }
 # Hotspot profile on a registry subset: ranked table + reconciliation +
-# well-formed collapsed-stack artifact (frames 'tcgnn;<worker>;<phase> ns').
+# well-formed collapsed-stack artifact: non-empty, and every line is
+# 'tcgnn;<worker>;<phase> ns'.
 TCG_RESULTS_DIR="$obs_dir" \
     ./target/release/tcgnn profile --hotspots --datasets Cora --epochs 1 \
     | grep -q 'reconciliation: .* (OK)' || {
     echo "observability: hotspot reconciliation failed" >&2
     exit 1
 }
-grep -Eq '^tcgnn;(main|worker-[0-9]+);[a-z_]+ [0-9]+$' "$obs_dir/profile-hotspots.folded" || {
+folded="$obs_dir/profile-hotspots.folded"
+[ -s "$folded" ] && ! grep -Evq '^tcgnn;(main|worker-[0-9]+);[a-z0-9_]+ [0-9]+$' "$folded" || {
     echo "observability: malformed collapsed-stack artifact" >&2
     exit 1
 }
