@@ -39,23 +39,35 @@
 //! body without the per-`(row, p)` test, which is branch-free. Non-finite
 //! `B` keeps the test.
 //!
+//! The same argument allows a single body that adds `+0.0` in place of a
+//! zero-`A` term (`if av != 0.0 { av * bv } else { 0.0 }`). It gives the
+//! same bits for every `B`, but the compiler turns the select back into a
+//! branch per `(row, p)`: on a 2-vCPU AVX-512F Xeon a GCN-on-Cora epoch
+//! took 14.3 ms with it, 12.0 ms with the zero test always on, and 10.3
+//! ms with the finite path.
+//!
 //! # One body per GEMM, instantiated per vector ISA
 //!
 //! The two kernel bodies are `#[inline(always)]` generics over their tile
 //! shape and the zero test, written without intrinsics: the compiler
 //! vectorizes the 16-wide column loops, and each output keeps its separate
 //! multiply and add in ascending `p` whatever the vector width. Each body
-//! is compiled three times: inside `#[target_feature(enable = "avx512f")]`
-//! and `"avx2"` wrappers on x86-64, and once for the build's baseline
-//! (SSE2 on x86-64, the only one elsewhere). Every call runs the widest
-//! one the host has, found with `is_x86_feature_detected!`. Only the tile
-//! shape differs per ISA; the register file sets it:
+//! is compiled twice: inside a `#[target_feature(enable = "avx512f")]`
+//! wrapper on x86-64, and once for the build's baseline (SSE2 on x86-64,
+//! the only one elsewhere). Every call runs AVX-512F when
+//! `is_x86_feature_detected!` finds it and the baseline otherwise. Only
+//! the tile shape differs per ISA. `R` rows of 16 accumulators fill 8
+//! vector registers in both; `G` is not set by the register file but by
+//! timing (AVX-512F against `G` = 8 and 16):
 //!
 //! | ISA | `X·W` rows `R` | `Aᵀ·B` group `G` |
 //! |---|---|---|
 //! | AVX-512F | 8 | 4 |
-//! | AVX2 | 4 | 8 |
 //! | baseline | 2 | 4 |
+//!
+//! An AVX2 instantiation (`R` = 4, `G` = 8) was timed against AVX-512F on
+//! a 2-vCPU Xeon that has both, and made a GCN-on-Cora training epoch
+//! about 6% slower (11.1 against 10.5 ms); it is not kept.
 
 use crate::{DenseMatrix, Result, TensorError};
 
@@ -134,7 +146,6 @@ pub struct Isa(Unit);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Unit {
     Avx512,
-    Avx2,
     Baseline,
 }
 
@@ -143,10 +154,8 @@ impl Unit {
         match self {
             #[cfg(target_arch = "x86_64")]
             Unit::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(target_arch = "x86_64")]
-            Unit::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            Unit::Avx512 | Unit::Avx2 => false,
+            Unit::Avx512 => false,
             Unit::Baseline => true,
         }
     }
@@ -156,7 +165,7 @@ impl Isa {
     /// Every ISA this host can run the GEMMs on, widest first; the
     /// baseline is always last.
     pub fn supported() -> impl Iterator<Item = Isa> {
-        [Unit::Avx512, Unit::Avx2, Unit::Baseline]
+        [Unit::Avx512, Unit::Baseline]
             .into_iter()
             .filter(|u| u.detected())
             .map(Isa)
@@ -205,9 +214,6 @@ impl Isa {
                 // SAFETY: an `Isa` holding `Avx512` is only made by
                 // `Isa::supported`, after run-time detection found AVX-512F.
                 Unit::Avx512 => unsafe { x86::at_b_avx512(skip_zeros, a, b, c, n) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above, detection found AVX2.
-                Unit::Avx2 => unsafe { x86::at_b_avx2(skip_zeros, a, b, c, n) },
                 _ => at_b::<4>(skip_zeros, a, b, c, n),
             }
         }
@@ -239,9 +245,6 @@ impl Isa {
             // SAFETY: an `Isa` holding `Avx512` is only made by
             // `Isa::supported`, after run-time detection found AVX-512F.
             Unit::Avx512 => unsafe { x86::xw_avx512(skip_zeros, a, b, c, n, load) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above, detection found AVX2.
-            Unit::Avx2 => unsafe { x86::xw_avx2(skip_zeros, a, b, c, n, load) },
             _ => xw::<2>(skip_zeros, a, b, c, n, load),
         }
     }
@@ -252,7 +255,7 @@ fn all_finite(b: &[f32]) -> bool {
     b.iter().all(|v| v.is_finite())
 }
 
-/// The AVX-512F and AVX2 instantiations of the two bodies.
+/// The AVX-512F instantiations of the two bodies.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     #[target_feature(enable = "avx512f")]
@@ -267,26 +270,9 @@ mod x86 {
         super::xw::<8>(skip_zeros, a, b, c, n, load)
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) fn xw_avx2(
-        skip_zeros: bool,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        n: usize,
-        load: impl Fn(f32) -> f32 + Copy,
-    ) {
-        super::xw::<4>(skip_zeros, a, b, c, n, load)
-    }
-
     #[target_feature(enable = "avx512f")]
     pub(super) fn at_b_avx512(skip_zeros: bool, a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
         super::at_b::<4>(skip_zeros, a, b, c, n)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn at_b_avx2(skip_zeros: bool, a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
-        super::at_b::<8>(skip_zeros, a, b, c, n)
     }
 }
 

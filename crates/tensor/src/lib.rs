@@ -7,8 +7,8 @@
 //! to their inputs, and parameter initialization helpers.
 //!
 //! Everything here is plain Rust without intrinsics; the only `unsafe` is
-//! the call into the update GEMMs' AVX-512/AVX2 instantiations after
-//! run-time feature detection. The "GPU" behaviour (fragments, shared
+//! the call into the update GEMMs' AVX-512 instantiations after run-time
+//! feature detection. The "GPU" behaviour (fragments, shared
 //! memory, cost accounting) lives in `tcg-gpusim`; this crate is the
 //! numerical substrate both the simulated kernels and the CPU reference
 //! implementations share.
