@@ -63,7 +63,10 @@ pub fn analyze(device: &DeviceSpec, stats: &KernelStats) -> KernelReport {
     let total_latency = stats.l2_hits as f64 * device.l2_latency_cycles as f64
         + stats.l2_misses as f64 * device.dram_latency_cycles as f64
         + stats.atomic_ops as f64 * device.l2_latency_cycles as f64;
-    let resident_warps = (occ.achieved * device.max_warps_per_sm as f64 * parallel_sms).max(1.0);
+    // `achieved` is averaged over every SM (a grid smaller than the device
+    // leaves some idle), so it scales by the SM count, not by the busy SMs.
+    let resident_warps =
+        (occ.achieved * device.max_warps_per_sm as f64 * device.num_sms as f64).max(1.0);
     let in_flight = (resident_warps * device.mlp_per_warp as f64)
         .min(parallel_sms * device.max_outstanding_per_sm as f64)
         .max(1.0);
@@ -228,6 +231,22 @@ mod tests {
         assert!((r.time_ms - 1.0).abs() < 0.4, "{}", r.time_ms);
         let tiny = stream_pass_report(&dev(), 1024, 1024);
         assert!(tiny.cycles >= LAUNCH_OVERHEAD_CYCLES);
+    }
+
+    #[test]
+    fn a_small_grid_keeps_every_block_in_flight() {
+        // The same misses per block on 6 blocks and on one full wave: each
+        // block's warps stay resident either way, so the small grid hides
+        // latency exactly as well.
+        let grid = |blocks: u64| KernelStats {
+            num_blocks: blocks,
+            block_size: 256,
+            l2_misses: blocks * 64,
+            ..Default::default()
+        };
+        let small = analyze(&dev(), &grid(6)).pipe_cycles.memory_latency;
+        let full = analyze(&dev(), &grid(82)).pipe_cycles.memory_latency;
+        assert!((small - full).abs() <= 1e-9 * full, "{small} vs {full}");
     }
 
     #[test]
