@@ -21,20 +21,20 @@ use tc_gnn::serve::{
 
 /// `case report-hash prometheus-hash trace-hash`, the hashes in hex.
 const PINS: &[&str] = &[
-    "tcgnn/clean d4a0004f7476afa4 981bbe735a4650e0 fdb680724c7fb3c5",
-    "tcgnn/faults 8c5a3a00d1fb0479 6aab54b13489d439 0b5a190492163e40",
-    "tcgnn/faults+resilience 3dd8143c45c4d46e fc9ea87bc08b30f7 6765ae09b85e5615",
-    "tcgnn/deadline-only 79183d614001a47d 7132d00e1c1163c0 6b4fa946859bc72c",
-    "tcgnn/brownout-only 5aed2e2eb44f778e e63e1089866ed236 b802da956634369d",
-    "hybrid/clean 9759b49604262a09 981bbe735a4650e0 ad5f82cedeb1f7cf",
-    "hybrid/faults+resilience 9ccca8e950fc17e9 fc9ea87bc08b30f7 2a3b3855055cb8f0",
-    "tcgnn/churn d005c942021e7c9d 8996035bbe6a8079 da1d35b5009555bc",
-    "hybrid/churn f00bfcdf89f43a5a 8996035bbe6a8079 14a87f5f47a41118",
-    "tcgnn/churn+faults+resilience f9d191621aeac991 e8df39aa16e54651 68d35aefd031ebcd",
-    "dist4/contiguous 6f1d9ba5df5ea994 0ef2fb6b0b8a9ef3 3b69a5a0da3da961",
-    "dist4/greedy 7041f7cc685e3866 d852f6edd8b44d72 8572e732950bc6a9",
-    "dist4/faults a86895f847fc318b afd65af6915c1f24 a98f0508407116a2",
-    "dist4/churn c3b80f013e27539a 21c520dc86238a94 832269421a605e14",
+    "tcgnn/clean 025edb37a4647e42 fd21296003ee3174 e0a7b3187e00b040",
+    "tcgnn/faults e56669fe39f448a7 e390d166e5aac5a8 f4922d06a383d3fc",
+    "tcgnn/faults+resilience 7d28e5e97e22389a f57e02995f0f82c6 5aa1b899b1f2120f",
+    "tcgnn/deadline-only b0b88716b75b4914 64a01c0fe331e8ec 0f8b96d896314655",
+    "tcgnn/brownout-only 00959a232a4344c1 3c6096a3288882d2 78b92ce5d2529e73",
+    "hybrid/clean adca690f594cdc05 fd21296003ee3174 75274b279a09a461",
+    "hybrid/faults+resilience 7263c03035da7221 f57e02995f0f82c6 9538f0bf8dc2cfb3",
+    "tcgnn/churn f8b206f548a8ac49 a2a0ac01ef556287 50ca6ef1f387b6dd",
+    "hybrid/churn e9c450ed22d58440 a2a0ac01ef556287 368ff055c1f155c1",
+    "tcgnn/churn+faults+resilience f33078509ce7f3fd 174d07fc61239223 0453370fb6ca8014",
+    "dist4/contiguous 7399329555fa4737 65adb710c4bf008a 4ef0868f7614d3b2",
+    "dist4/greedy 61f52c2e7e1d4fd6 3527870e095b1550 07ba9a20ee9e3c20",
+    "dist4/faults 49c90f1e9188d2e6 b5c01fff9958b83f e6fa68f5c46880d1",
+    "dist4/churn 4e80ac039333d6d0 2791cfbc0c6ba770 43778df729b3fe96",
 ];
 
 const RATE_RPS: f64 = 100_000.0;
