@@ -88,6 +88,7 @@ fn sweep(
                 r.hybrid_cycles += cuda;
                 r.windows_cuda += 1;
             }
+            WindowBackend::Skip => unreachable!("the policy computes every window"),
         }
     }
     r

@@ -17,7 +17,10 @@ use tcg_kernels::sddmm::{CudaCoreSddmm, HybridSddmm, SddmmKernel, TcgnnSddmm};
 use tcg_kernels::softmax::sparse_row_softmax;
 use tcg_kernels::spmm::{CusparseCsrSpmm, HybridSpmm, ScatterGatherSpmm, TcgnnSpmm};
 use tcg_profile::{Phase, SharedProfiler};
+use tcg_sgt::TranslatedGraph;
 use tcg_tensor::DenseMatrix;
+
+use crate::receptive::WindowSet;
 
 /// Which framework's aggregation path the engine models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,13 +227,17 @@ impl Norms {
 ///
 /// All of it is fixed for the launcher's lifetime, so an op's launches
 /// are memoized (see [`Launcher::memoized`]) under a key holding just the
-/// op, its operand widths and whether it carries edge values.
+/// op, its operand widths and whether it carries edge values. A launch
+/// over some row windows only is never memoized: serve batches draw their
+/// windows from random targets, so a repeat is rare and each entry would
+/// stay for the engine's lifetime.
 struct Device {
     launcher: Launcher,
     spmm: Box<dyn SpmmKernel>,
     sddmm: Box<dyn SddmmKernel>,
-    /// The SGT translation (TC-GNN/hybrid backends; enables the fused path).
-    translated: Option<tcg_sgt::TranslatedGraph>,
+    /// The SGT translation (TC-GNN/hybrid backends; enables the fused
+    /// path), shared with both kernels.
+    translated: Option<Arc<TranslatedGraph>>,
     /// Per-window dispatch policies, `(spmm, sddmm)` (hybrid backend only).
     hybrid_policies: Option<(DispatchPolicy, DispatchPolicy)>,
     /// One-time preprocessing cost (SGT for TC-GNN), modeled host ms.
@@ -246,7 +253,7 @@ impl Device {
         csr: &CsrGraph,
         spec: &DeviceSpec,
         threads: usize,
-        cached: Option<tcg_sgt::TranslatedGraph>,
+        cached: Option<Arc<TranslatedGraph>>,
     ) -> Result<Device, TcgError> {
         let mut launcher = Launcher::new(spec.clone());
         launcher.set_threads(threads);
@@ -254,7 +261,9 @@ impl Device {
             (false, _) => (None, 0.0),
             (true, Some(t)) => (Some(t), 0.0),
             (true, None) => (
-                Some(tcg_sgt::Sgt::builder().threads(threads).translate(csr)?),
+                Some(Arc::new(
+                    tcg_sgt::Sgt::builder().threads(threads).translate(csr)?,
+                )),
                 tcg_sgt::overhead::model_ms(csr),
             ),
         };
@@ -272,11 +281,11 @@ impl Device {
                 }
                 (None, _) => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm)),
                 (Some(t), None) => (
-                    Box::new(TcgnnSpmm::from_translated(t.clone())),
+                    Box::new(TcgnnSpmm::from_translated(Arc::clone(&t))),
                     Box::new(TcgnnSddmm::from_translated(t)),
                 ),
                 (Some(t), Some((spmm, sddmm))) => (
-                    Box::new(HybridSpmm::from_translated(t.clone()).with_policy(spmm)),
+                    Box::new(HybridSpmm::from_translated(Arc::clone(&t)).with_policy(spmm)),
                     Box::new(HybridSddmm::from_translated(t).with_policy(sddmm)),
                 ),
             };
@@ -347,7 +356,7 @@ pub struct EngineBuilder {
     backend: Backend,
     csr: CsrGraph,
     device: DeviceSpec,
-    translation: Option<tcg_sgt::TranslatedGraph>,
+    translation: Option<Arc<TranslatedGraph>>,
     threads: Option<usize>,
     devices: usize,
     partitioner: Partitioner,
@@ -375,9 +384,10 @@ impl EngineBuilder {
     /// so [`Engine::preprocessing_ms`] reports zero: the one-time
     /// translation cost was paid by whoever populated the cache. Only
     /// meaningful for one-device engines on a translating backend; others
-    /// ignore it (a sharded engine translates each shard).
-    pub fn translation(mut self, translation: tcg_sgt::TranslatedGraph) -> Self {
-        self.translation = Some(translation);
+    /// ignore it (a sharded engine translates each shard). An `Arc` is
+    /// shared by the engine's kernels, not copied.
+    pub fn translation(mut self, translation: impl Into<Arc<TranslatedGraph>>) -> Self {
+        self.translation = Some(translation.into());
         self
     }
 
@@ -597,8 +607,8 @@ impl Engine {
     /// `tcg_hybrid_*` counter family. No-op without a profiler.
     fn prof_hybrid_dispatch(&self, op: &str, mask: &[WindowBackend]) {
         if let Some(p) = &self.profiler {
-            let tcu = mask.iter().filter(|b| **b == WindowBackend::Tcu).count() as u64;
-            let cuda = mask.len() as u64 - tcu;
+            let count = |wb| mask.iter().filter(|b| **b == wb).count() as u64;
+            let (tcu, cuda) = (count(WindowBackend::Tcu), count(WindowBackend::CudaCore));
             let mut p = p.write().expect("profiler lock");
             p.incr_counter("tcg_hybrid_launches_total", 1);
             p.incr_counter("tcg_hybrid_windows_tcu_total", tcu);
@@ -615,7 +625,13 @@ impl Engine {
     /// is a pure function of window geometry, so this reproduces exactly
     /// what the kernel decided. No-op on non-hybrid backends or without a
     /// profiler.
-    fn prof_hybrid_mask(&self, op: &str, class: KernelClass, dim: usize) {
+    fn prof_hybrid_mask(
+        &self,
+        op: &str,
+        class: KernelClass,
+        dim: usize,
+        windows: Option<&WindowSet>,
+    ) {
         if self.profiler.is_none() {
             return;
         }
@@ -628,7 +644,7 @@ impl Engine {
             KernelClass::Spmm => spmm_policy,
             KernelClass::Sddmm => sddmm_policy,
         };
-        let mask = policy.mask(t, &self.csr, dim);
+        let mask = policy.mask_windows(t, &self.csr, dim, windows.map(WindowSet::ids));
         self.prof_hybrid_dispatch(op, &mask);
     }
 
@@ -826,6 +842,22 @@ impl Engine {
         &self.csr
     }
 
+    /// The SGT translation the kernels run over (one-device translating
+    /// engines; `None` otherwise).
+    pub fn translation(&self) -> Option<&TranslatedGraph> {
+        match &self.exec {
+            Exec::Single(dev) => dev.translated.as_deref(),
+            Exec::Sharded(_) => None,
+        }
+    }
+
+    /// Whether the sparse ops honor a row-window set (the `*_on` variants):
+    /// one device, a translating backend, and not forced onto the
+    /// fallback kernels. Elsewhere they compute every window.
+    pub fn skips_windows(&self) -> bool {
+        self.translation().is_some() && !self.forced_fallback
+    }
+
     /// One-time preprocessing cost in modeled milliseconds (SGT for the
     /// TC-GNN backend, zero otherwise) — Figure 7(b)'s numerator. A sharded
     /// engine sums the per-shard translations.
@@ -909,6 +941,7 @@ impl Engine {
         &mut self,
         x: &DenseMatrix,
         values: Option<&[f32]>,
+        windows: Option<&WindowSet>,
         poisoned: &DenseMatrix,
     ) -> Result<Option<(DenseMatrix, f64)>, TcgError> {
         let dev = self.local_ref();
@@ -916,7 +949,8 @@ impl Engine {
         else {
             return Ok(None);
         };
-        let mut mask = spmm_policy.mask(&t, &self.csr, x.cols());
+        let ids = windows.map(WindowSet::ids);
+        let mut mask = spmm_policy.mask_windows(&t, &self.csr, x.cols(), ids);
         let mut flipped = 0u64;
         for (w, choice) in mask.iter_mut().enumerate() {
             let row_lo = w * tcg_sgt::TC_BLK_H;
@@ -963,7 +997,22 @@ impl Engine {
         x: &DenseMatrix,
         values: Option<&[f32]>,
     ) -> Result<(DenseMatrix, f64), TcgError> {
+        self.spmm_on(x, values, None)
+    }
+
+    /// [`Engine::spmm`] promising only the rows of `windows` (`None` is
+    /// every window): the others launch nothing, cost nothing and stay
+    /// zero where [`Engine::skips_windows`] holds, and compute as usual
+    /// elsewhere. Only the degrade to the CUDA-core kernel computes every
+    /// row.
+    pub fn spmm_on(
+        &mut self,
+        x: &DenseMatrix,
+        values: Option<&[f32]>,
+        windows: Option<&WindowSet>,
+    ) -> Result<(DenseMatrix, f64), TcgError> {
         SpmmProblem::new(&self.csr, values, x)?;
+        let windows = windows.filter(|_| self.skips_windows());
         if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("spmm", x, |eng, sh, lx| {
                 let local_values = values.map(|v| sh.slice_edge_values(v));
@@ -975,18 +1024,24 @@ impl Engine {
             let (dev, csr) = eng.local();
             let prob = SpmmProblem::new(csr, values, x)?;
             let key = ("spmm", x.cols(), values.is_some());
-            dev.launcher.memoized(key, |l| dev.spmm.execute(l, &prob))
+            let (l, k) = (&mut dev.launcher, &dev.spmm);
+            match windows {
+                None => l.memoized(key, |l| k.execute(l, &prob)),
+                Some(w) => k.execute_windows(l, &prob, w.ids()),
+            }
         })?;
         match primary {
             Ok((out, report)) => {
                 let ms = report.time_ms + self.sparse_dispatch_ms(1);
-                self.prof_hybrid_mask("spmm", KernelClass::Spmm, x.cols());
+                self.prof_hybrid_mask("spmm", KernelClass::Spmm, x.cols(), windows);
                 self.prof_kernel("spmm", Phase::Aggregation, ms, &report);
                 self.last_spmm_report = Some(report);
                 return Ok((out, extra_ms + ms));
             }
             Err(Some(poisoned)) if self.backend == Backend::Hybrid => {
-                if let Some((out, ms)) = self.hybrid_spmm_window_degrade(x, values, &poisoned)? {
+                if let Some((out, ms)) =
+                    self.hybrid_spmm_window_degrade(x, values, windows, &poisoned)?
+                {
                     return Ok((out, extra_ms + ms));
                 }
             }
@@ -1069,7 +1124,7 @@ impl Engine {
         })?;
         let (vals, report) = match primary {
             Ok(clean) => {
-                self.prof_hybrid_mask("sddmm", KernelClass::Sddmm, xa.cols());
+                self.prof_hybrid_mask("sddmm", KernelClass::Sddmm, xa.cols(), None);
                 clean
             }
             Err(_) => {
@@ -1212,6 +1267,19 @@ impl Engine {
         xv: &DenseMatrix,
         beta: f32,
     ) -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
+        self.fused_attention_on(xa, xv, beta, None)
+    }
+
+    /// [`Engine::fused_attention`] promising only the rows (and the edges)
+    /// of `windows`, as [`Engine::spmm_on`] does.
+    pub fn fused_attention_on(
+        &mut self,
+        xa: &DenseMatrix,
+        xv: &DenseMatrix,
+        beta: f32,
+        windows: Option<&WindowSet>,
+    ) -> Result<(DenseMatrix, Vec<f32>, Vec<f32>, f64), TcgError> {
+        let windows = windows.filter(|_| self.skips_windows());
         if !self.supports_fused_attention() {
             return Err(TcgError::InvalidInput {
                 what: "fused attention backend",
@@ -1241,11 +1309,15 @@ impl Engine {
         let mut extra_ms = 0.0;
         let primary = self.attempt("fused_attention", &mut extra_ms, |eng| {
             let (dev, csr) = eng.local();
-            let t = dev.translated.as_ref().expect("the backend translates");
+            let t = dev.translated.as_deref().expect("the backend translates");
             let key = ("fused_attention", xa.cols(), xv.cols());
-            let out = dev.launcher.memoized(key, |l| {
-                tcg_kernels::fused::fused_attention(l, csr, t, xa, xv, beta)
-            })?;
+            let run = |l: &mut Launcher, ids| {
+                tcg_kernels::fused::fused_attention_windows(l, csr, t, xa, xv, beta, ids)
+            };
+            let out = match windows {
+                None => dev.launcher.memoized(key, |l| run(l, None)),
+                Some(w) => run(&mut dev.launcher, Some(w.ids())),
+            }?;
             Ok(((out.y, out.cos, out.p), out.report))
         })?;
         if let Ok(((y, cos, p), report)) = primary {
@@ -1287,13 +1359,23 @@ impl Engine {
     /// TC-GNN folds the normalization into the translated kernel's edge
     /// values.
     pub fn gcn_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
+        self.gcn_aggregate_on(x, None)
+    }
+
+    /// [`Engine::gcn_aggregate`] promising only the rows of `windows` (see
+    /// [`Engine::spmm_on`]).
+    pub fn gcn_aggregate_on(
+        &mut self,
+        x: &DenseMatrix,
+        windows: Option<&WindowSet>,
+    ) -> Result<(DenseMatrix, f64), TcgError> {
         if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("gcn_aggregate", x, |eng, _, lx| eng.gcn_aggregate(lx));
         }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
                 let norm = self.norms.gcn_norm.clone();
-                self.spmm(x, Some(&norm))
+                self.spmm_on(x, Some(&norm), windows)
             }
             _ => {
                 let nd_bytes = (x.len() * 4) as u64;
@@ -1334,13 +1416,23 @@ impl Engine {
     /// aggregator). DGL/PyG run the unweighted SpMM plus a per-node scaling
     /// kernel; TC-GNN folds `1/d` into the translated kernel's edge values.
     pub fn mean_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
+        self.mean_aggregate_on(x, None)
+    }
+
+    /// [`Engine::mean_aggregate`] promising only the rows of `windows` (see
+    /// [`Engine::spmm_on`]).
+    pub fn mean_aggregate_on(
+        &mut self,
+        x: &DenseMatrix,
+        windows: Option<&WindowSet>,
+    ) -> Result<(DenseMatrix, f64), TcgError> {
         if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("mean_aggregate", x, |eng, _, lx| eng.mean_aggregate(lx));
         }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
                 let norm = self.norms.mean_norm.clone();
-                self.spmm(x, Some(&norm))
+                self.spmm_on(x, Some(&norm), windows)
             }
             _ => {
                 let (mut out, spmm_ms) = self.spmm(x, None)?;
@@ -1372,6 +1464,16 @@ impl Engine {
     /// Unweighted sum aggregation `A · X` (GIN's aggregator).
     pub fn sum_aggregate(&mut self, x: &DenseMatrix) -> Result<(DenseMatrix, f64), TcgError> {
         self.spmm(x, None)
+    }
+
+    /// [`Engine::sum_aggregate`] promising only the rows of `windows` (see
+    /// [`Engine::spmm_on`]).
+    pub fn sum_aggregate_on(
+        &mut self,
+        x: &DenseMatrix,
+        windows: Option<&WindowSet>,
+    ) -> Result<(DenseMatrix, f64), TcgError> {
+        self.spmm_on(x, None, windows)
     }
 
     /// Dense update GEMM `X·W` (cuBLAS TF-32 class in every framework).

@@ -10,6 +10,7 @@ use tcg_tensor::{ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::{Forward, Layer};
+use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One AGNN propagation layer; the only parameter is the scalar `β`.
 #[derive(Debug, Clone)]
@@ -89,16 +90,31 @@ impl AgnnLayer {
     /// [`AgnnLayer::forward`], discarding the cosine/softmax edge buffers
     /// instead of caching them (and never cloning `x`).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_on(eng, x, LayerDemand::FULL)
+    }
+
+    /// [`AgnnLayer::infer`] under a receptive-field demand: `x` holds the
+    /// rows of `d.input` and the result the rows of `d.output`, compact
+    /// (see [`crate::receptive`]). The normalization runs on those input
+    /// rows only; the attention needs a translating backend (the unfused
+    /// path is always full demand).
+    pub fn infer_on(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        d: LayerDemand,
+    ) -> (DenseMatrix, Cost) {
         let mut cost = Cost::default();
         let mut x_hat = x.clone();
         ops::l2_normalize_rows(&mut x_hat);
         cost += Cost::other(eng.elementwise_ms(x.len(), 1, 1));
         let y = if eng.supports_fused_attention() {
+            let (xa, xv) = (spread(d.input, &x_hat), spread(d.input, x));
             let (y, _, _, ms) = eng
-                .fused_attention(&x_hat, x, self.beta)
+                .fused_attention_on(&xa, &xv, self.beta, d.output)
                 .expect("dims agree");
             cost += Cost::agg(ms);
-            y
+            gather_owned(d.output, y)
         } else {
             let (cos, sddmm_ms) = eng.sddmm(&x_hat, &x_hat).expect("dims agree");
             cost += Cost::agg(sddmm_ms);

@@ -10,6 +10,7 @@ use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::{Forward, Layer};
+use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One GCN layer.
 #[derive(Debug, Clone)]
@@ -110,9 +111,24 @@ impl GcnLayer {
     /// aggregate-first path hands its intermediate straight to the GEMM and
     /// the update-first path never clones `x`.
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_on(eng, x, LayerDemand::FULL)
+    }
+
+    /// [`GcnLayer::infer`] under a receptive-field demand: `x` holds the
+    /// rows of `d.input` and the result the rows of `d.output`, compact
+    /// (see [`crate::receptive`]). Every dense op runs on those rows only.
+    pub fn infer_on(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        d: LayerDemand,
+    ) -> (DenseMatrix, Cost) {
         match self.order() {
             Order::AggregateFirst => {
-                let (h_agg, agg_ms) = eng.gcn_aggregate(x).expect("graph and x dims agree");
+                let (h_agg, agg_ms) = eng
+                    .gcn_aggregate_on(&spread(d.input, x), d.output)
+                    .expect("graph and x dims agree");
+                let h_agg = gather_owned(d.output, h_agg);
                 let (mut y, gemm_ms) = eng.linear(&h_agg, &self.w);
                 ops::add_bias_inplace(&mut y, &self.b).expect("bias length matches out_dim");
                 let bias_ms = eng.elementwise_ms(y.len(), 1, 1);
@@ -125,9 +141,11 @@ impl GcnLayer {
                 let (mut h, gemm_ms) = eng.linear(x, &self.w);
                 ops::add_bias_inplace(&mut h, &self.b).expect("bias length matches out_dim");
                 let bias_ms = eng.elementwise_ms(h.len(), 1, 1);
-                let (y, agg_ms) = eng.gcn_aggregate(&h).expect("dims agree");
+                let (y, agg_ms) = eng
+                    .gcn_aggregate_on(&spread(d.input, &h), d.output)
+                    .expect("dims agree");
                 (
-                    y,
+                    gather_owned(d.output, y),
                     Cost::update(gemm_ms) + Cost::other(bias_ms) + Cost::agg(agg_ms),
                 )
             }

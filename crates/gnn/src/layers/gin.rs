@@ -10,6 +10,7 @@ use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::{Forward, Layer};
+use crate::receptive::{gather, gather_owned, spread, LayerDemand};
 
 /// One GIN layer.
 #[derive(Debug, Clone)]
@@ -97,7 +98,23 @@ impl GinLayer {
     /// Inference-only forward: same kernels and cost as
     /// [`GinLayer::forward`] with no backward state retained.
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        let (mut h, agg_ms) = eng.sum_aggregate(x).expect("dims agree");
+        self.infer_on(eng, x, LayerDemand::FULL)
+    }
+
+    /// [`GinLayer::infer`] under a receptive-field demand: `x` holds the
+    /// rows of `d.input` and the result the rows of `d.output`, compact
+    /// (see [`crate::receptive`]). The self term and the MLP run on the
+    /// output rows only.
+    pub fn infer_on(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        d: LayerDemand,
+    ) -> (DenseMatrix, Cost) {
+        let x_full = spread(d.input, x);
+        let (h, agg_ms) = eng.sum_aggregate_on(&x_full, d.output).expect("dims agree");
+        let mut h = gather_owned(d.output, h);
+        let x = gather(d.output, &x_full);
         for (hv, xv) in h.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *hv += (1.0 + self.eps) * xv;
         }

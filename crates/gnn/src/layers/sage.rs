@@ -10,6 +10,7 @@ use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::{Forward, Layer};
+use crate::receptive::{gather, gather_owned, spread, LayerDemand};
 
 /// One GraphSAGE (mean) layer.
 #[derive(Debug, Clone)]
@@ -68,8 +69,24 @@ impl SageLayer {
     /// Inference-only forward: same kernels and cost as
     /// [`SageLayer::forward`] with no backward state retained.
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        let (mean, agg_ms) = eng.mean_aggregate(x).expect("dims agree");
-        let (mut y, ms1) = eng.linear(x, &self.w_self);
+        self.infer_on(eng, x, LayerDemand::FULL)
+    }
+
+    /// [`SageLayer::infer`] under a receptive-field demand: `x` holds the
+    /// rows of `d.input` and the result the rows of `d.output`, compact
+    /// (see [`crate::receptive`]). Both GEMMs run on the output rows only.
+    pub fn infer_on(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        d: LayerDemand,
+    ) -> (DenseMatrix, Cost) {
+        let x_full = spread(d.input, x);
+        let (mean, agg_ms) = eng
+            .mean_aggregate_on(&x_full, d.output)
+            .expect("dims agree");
+        let mean = gather_owned(d.output, mean);
+        let (mut y, ms1) = eng.linear(&gather(d.output, &x_full), &self.w_self);
         let (y2, ms2) = eng.linear(&mean, &self.w_neigh);
         y.add_assign(&y2).expect("same shape");
         ops::add_bias_inplace(&mut y, &self.b).expect("bias length");

@@ -27,11 +27,13 @@ pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod optim;
+pub mod receptive;
 pub mod trainer;
 
 pub use engine::{Backend, Cost, Engine, EngineBuilder, RecoveryPolicy};
 pub use forward::{Forward, Layer};
 pub use model::{AgnnModel, GcnModel, GinModel, SageModel};
+pub use receptive::{Demand, LayerDemand, WindowSet};
 pub use trainer::{
     train_agnn, train_gcn, train_gin, train_model, train_model_returning, train_sage, TrainConfig,
     TrainResult, TrainableModel,

@@ -13,6 +13,7 @@ use crate::layers::gin::{GinCache, GinGrads, GinLayer};
 use crate::layers::linear::{Linear, LinearCache, LinearGrads};
 use crate::layers::sage::{SageCache, SageGrads, SageLayer};
 use crate::optim::Adam;
+use crate::receptive::{gather, spread_owned, Demand};
 
 /// Tags subsequent profiler events with a model-layer index (no-op when
 /// the engine has no profiler attached).
@@ -87,14 +88,41 @@ impl GcnModel {
     /// [`GcnModel::forward`], but no gradient buffers are allocated — the
     /// frozen-model path an inference server runs per batch.
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::full())
+    }
+
+    /// Inference of the logit rows `targets` only: each layer computes just
+    /// the row windows its receptive field needs (see
+    /// [`crate::receptive`]). Target rows are bitwise [`GcnModel::infer`]'s;
+    /// other rows are zero unless the engine computes every window.
+    pub fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+    }
+
+    fn infer_demand(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        demand: &Demand,
+    ) -> (DenseMatrix, Cost) {
         prof_set_layer(eng, Some(0));
-        let (z1, cost1) = self.l1.infer(eng, x);
+        let (z1, cost1) = self
+            .l1
+            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer(eng, &h1);
+        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
         prof_set_layer(eng, None);
-        (logits, cost1 + cost2 + Cost::other(relu_ms))
+        (
+            spread_owned(demand.output(), logits),
+            cost1 + cost2 + Cost::other(relu_ms),
+        )
     }
 
     /// Backward pass from logits gradient.
@@ -213,13 +241,36 @@ impl AgnnModel {
 
     /// Inference-only forward to logits (no gradient buffers).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::full())
+    }
+
+    /// Inference of the logit rows `targets` only (see
+    /// [`GcnModel::infer_targets`]); each propagation layer is one
+    /// receptive-field hop, and the linear layers run on the rows of the
+    /// hop next to them.
+    pub fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        let demand = Demand::for_targets(eng, targets, self.props.len());
+        self.infer_demand(eng, x, &demand)
+    }
+
+    fn infer_demand(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        demand: &Demand,
+    ) -> (DenseMatrix, Cost) {
         prof_set_layer(eng, Some(0));
-        let (z0, mut cost) = self.lin_in.infer(eng, x);
+        let (z0, mut cost) = self.lin_in.infer(eng, &gather(demand.input(), x));
         let mut h = ops::relu(&z0);
         cost += Cost::other(eng.elementwise_tagged_ms("relu", Phase::Other, h.len(), 1, 1));
         for (i, prop) in self.props.iter().enumerate() {
             prof_set_layer(eng, Some(i as u32 + 1));
-            let (h_next, c) = prop.infer(eng, &h);
+            let (h_next, c) = prop.infer_on(eng, &h, demand.layer(i + 1));
             cost += c;
             h = h_next;
         }
@@ -227,7 +278,7 @@ impl AgnnModel {
         let (logits, c) = self.lin_out.infer(eng, &h);
         prof_set_layer(eng, None);
         cost += c;
-        (logits, cost)
+        (spread_owned(demand.output(), logits), cost)
     }
 
     /// Backward pass from logits gradient.
@@ -345,14 +396,39 @@ impl SageModel {
 
     /// Inference-only forward to logits (no gradient buffers).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::full())
+    }
+
+    /// Inference of the logit rows `targets` only (see
+    /// [`GcnModel::infer_targets`]).
+    pub fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+    }
+
+    fn infer_demand(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        demand: &Demand,
+    ) -> (DenseMatrix, Cost) {
         prof_set_layer(eng, Some(0));
-        let (z1, cost1) = self.l1.infer(eng, x);
+        let (z1, cost1) = self
+            .l1
+            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer(eng, &h1);
+        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
         prof_set_layer(eng, None);
-        (logits, cost1 + cost2 + Cost::other(relu_ms))
+        (
+            spread_owned(demand.output(), logits),
+            cost1 + cost2 + Cost::other(relu_ms),
+        )
     }
 
     /// Backward pass from logits gradient.
@@ -447,12 +523,34 @@ impl GinModel {
 
     /// Inference-only forward to logits (no gradient buffers).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::full())
+    }
+
+    /// Inference of the logit rows `targets` only (see
+    /// [`GcnModel::infer_targets`]).
+    pub fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+    }
+
+    fn infer_demand(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        demand: &Demand,
+    ) -> (DenseMatrix, Cost) {
         prof_set_layer(eng, Some(0));
-        let (h1, cost1) = self.l1.infer(eng, x);
+        let (h1, cost1) = self
+            .l1
+            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer(eng, &h1);
+        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
         prof_set_layer(eng, None);
-        (logits, cost1 + cost2)
+        (spread_owned(demand.output(), logits), cost1 + cost2)
     }
 
     /// Backward pass from logits gradient.

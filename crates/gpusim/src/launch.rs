@@ -492,9 +492,45 @@ impl Discard {
     }
 }
 
-/// Runs `block(state, id)` for every block id on `threads` workers, each
-/// with its own `worker()` state. Workers claim chunks of ids from a
-/// shared cursor, so which worker runs a block is unspecified.
+/// The blocks one launch runs: every id below a count, or a listed
+/// ascending subset of them (the row windows a receptive-field launch
+/// computes). A block's [`BlockCtx::block_id`] is its id either way.
+#[derive(Debug, Clone, Copy)]
+pub enum Blocks<'a> {
+    /// Blocks `0..n`.
+    All(u64),
+    /// Exactly these ids, ascending.
+    Only(&'a [u32]),
+}
+
+impl Blocks<'_> {
+    /// Number of blocks launched.
+    pub fn len(&self) -> u64 {
+        match self {
+            Blocks::All(n) => *n,
+            Blocks::Only(ids) => ids.len() as u64,
+        }
+    }
+
+    /// Whether the launch runs no block.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The id of the `i`-th block launched.
+    #[inline]
+    pub fn id(&self, i: u64) -> u64 {
+        match self {
+            Blocks::All(_) => i,
+            Blocks::Only(ids) => u64::from(ids[i as usize]),
+        }
+    }
+}
+
+/// Runs `block(state, i)` for every launch index `i < num_blocks` on
+/// `threads` workers, each with its own `worker()` state. Workers claim
+/// chunks of indices from a shared cursor, so which worker runs a block is
+/// unspecified.
 fn fan_out<S>(
     threads: usize,
     num_blocks: u64,
@@ -514,8 +550,8 @@ fn fan_out<S>(
                     if b0 >= num_blocks {
                         break;
                     }
-                    for block_id in b0..(b0 + chunk).min(num_blocks) {
-                        block(&mut state, block_id);
+                    for i in b0..(b0 + chunk).min(num_blocks) {
+                        block(&mut state, i);
                     }
                 }
             });
@@ -721,15 +757,24 @@ impl Launcher {
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
+        self.launch_blocks(cfg, Blocks::All(num_blocks), body)
+    }
+
+    /// [`Launcher::launch`] over an explicit set of block ids: only those
+    /// blocks run and are charged, and the stats count only them.
+    fn launch_blocks<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: F) -> KernelStats
+    where
+        F: FnMut(&mut BlockCtx<'_>),
+    {
         self.replay_or_simulate(
             cfg,
-            num_blocks,
+            blocks.len(),
             body,
-            |l, body| l.simulate(cfg, num_blocks, body),
+            |l, body| l.simulate(cfg, blocks, body),
             |l, mut body| {
                 let mut discard = Discard::default();
-                for block_id in 0..num_blocks {
-                    body(&mut discard.ctx(&l.device, cfg, block_id));
+                for i in 0..blocks.len() {
+                    body(&mut discard.ctx(&l.device, cfg, blocks.id(i)));
                 }
             },
         )
@@ -795,12 +840,12 @@ impl Launcher {
     }
 
     /// The full sequential simulation behind [`Launcher::launch`].
-    fn simulate<F>(&mut self, cfg: GridConfig, num_blocks: u64, mut body: F) -> KernelStats
+    fn simulate<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, mut body: F) -> KernelStats
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
         let mut stats = KernelStats {
-            num_blocks,
+            num_blocks: blocks.len(),
             block_size: cfg.block_size,
             shared_mem_per_block: cfg.shared_mem_bytes,
             regs_per_thread: cfg.regs_per_thread,
@@ -813,7 +858,8 @@ impl Launcher {
             // nanoseconds the scoped timers collect. Counters are u64 sums,
             // so folding per-block stats reproduces the inline totals
             // exactly (`KernelStats::merge` keeps the outer shape fields).
-            for block_id in 0..num_blocks {
+            for i in 0..blocks.len() {
+                let block_id = blocks.id(i);
                 self.l1.flush();
                 hotspot::begin_window(block_id);
                 let mut block_stats = KernelStats {
@@ -842,7 +888,8 @@ impl Launcher {
                 stats.merge(&block_stats);
             }
         } else {
-            for block_id in 0..num_blocks {
+            for i in 0..blocks.len() {
+                let block_id = blocks.id(i);
                 self.l1.flush();
                 let mut ctx = BlockCtx {
                     device: &self.device,
@@ -890,25 +937,35 @@ impl Launcher {
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
+        self.launch_par_blocks(cfg, Blocks::All(num_blocks), body)
+    }
+
+    /// [`Launcher::launch_par`] over an explicit set of block ids (see
+    /// [`Launcher::launch_blocks`]).
+    pub fn launch_par_blocks<F>(
+        &mut self,
+        cfg: GridConfig,
+        blocks: Blocks<'_>,
+        body: F,
+    ) -> KernelStats
+    where
+        F: Fn(&mut BlockCtx<'_>) + Sync,
+    {
+        let num_blocks = blocks.len();
         let threads = self.threads.min(num_blocks as usize);
         if threads <= 1 || num_blocks < 2 || self.ecc_armed {
-            return self.launch(cfg, num_blocks, body);
+            return self.launch_blocks(cfg, blocks, body);
         }
         self.replay_or_simulate(
             cfg,
             num_blocks,
             body,
-            |l, body| l.simulate_par(cfg, num_blocks, threads, body),
+            |l, body| l.simulate_par(cfg, blocks, threads, body),
             |l, body| {
                 let device = &l.device;
-                fan_out(
-                    threads,
-                    num_blocks,
-                    Discard::default,
-                    |discard, block_id| {
-                        body(&mut discard.ctx(device, cfg, block_id));
-                    },
-                );
+                fan_out(threads, num_blocks, Discard::default, |discard, i| {
+                    body(&mut discard.ctx(device, cfg, blocks.id(i)));
+                });
             },
         )
     }
@@ -917,23 +974,25 @@ impl Launcher {
     fn simulate_par<F>(
         &mut self,
         cfg: GridConfig,
-        num_blocks: u64,
+        grid: Blocks<'_>,
         threads: usize,
         body: F,
     ) -> KernelStats
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
+        let num_blocks = grid.len();
         // Phase 1: execute bodies in parallel. Workers claim chunks of
-        // block ids from a shared cursor; results land in per-block slots,
-        // so the claim order has no effect on the outcome.
+        // launch indices from a shared cursor; results land in per-block
+        // slots, so the claim order has no effect on the outcome.
         let mut blocks: Vec<Option<(KernelStats, Vec<u64>)>> = Vec::new();
         blocks.resize_with(num_blocks as usize, || None);
         {
             let slots = crate::par::DisjointSlices::new(&mut blocks);
             let device = &self.device;
             let worker = || (Cache::l1(device.l1_bytes_per_sm), Vec::with_capacity(64));
-            fan_out(threads, num_blocks, worker, |(l1, scratch), block_id| {
+            fan_out(threads, num_blocks, worker, |(l1, scratch), i| {
+                let block_id = grid.id(i);
                 l1.reset();
                 hotspot::begin_window(block_id);
                 let mut stats = KernelStats::default();
@@ -953,9 +1012,9 @@ impl Launcher {
                 };
                 body(&mut ctx);
                 hotspot::end_window();
-                // SAFETY: each block id is claimed by exactly one worker
-                // (fetch_add), so the ranges are disjoint.
-                let slot = unsafe { slots.range_mut(block_id as usize, 1) };
+                // SAFETY: each launch index is claimed by exactly one
+                // worker (fetch_add), so the ranges are disjoint.
+                let slot = unsafe { slots.range_mut(i as usize, 1) };
                 slot[0] = Some((stats, l2_log));
             });
         }
@@ -968,10 +1027,10 @@ impl Launcher {
             ..Default::default()
         };
         let hot = hotspot::enabled();
-        for (block_id, slot) in blocks.iter_mut().enumerate() {
+        for (i, slot) in blocks.iter_mut().enumerate() {
             let (mut stats, l2_log) = slot.take().expect("every block id was executed");
             if hot {
-                hotspot::begin_window(block_id as u64);
+                hotspot::begin_window(grid.id(i as u64));
             }
             {
                 let _t = hotspot::scope(HotPhase::L2Replay);

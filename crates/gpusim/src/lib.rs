@@ -41,7 +41,7 @@ pub mod wmma_half;
 
 pub use device::DeviceSpec;
 pub use hotspot::{HotPhase, HotspotReport, WindowAcc, WorkerPhases};
-pub use launch::{AddressSpace, BlockCtx, GridConfig, Launcher};
+pub use launch::{AddressSpace, BlockCtx, Blocks, GridConfig, Launcher};
 pub use par::{resolve_threads, threads_from_env, DisjointSlices, THREADS_ENV};
 pub use stats::{KernelReport, KernelStats};
 pub use stream::{Stream, StreamSet, StreamSpan};

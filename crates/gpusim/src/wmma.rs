@@ -137,28 +137,53 @@ pub struct MmaEntry {
 /// multiply and add, `k` ascending, skipping zero `a`. An armed ECC flip
 /// is consumed as by [`mma_sync_gather`]; it poisons element `(0, 0)` if
 /// that element is kept.
+///
+/// `b_finite` says every element of `b` is finite (the caller checks once
+/// per launch). Then a zero `a` times `b` is `±0`, and adding `±0` leaves
+/// an accumulator that is never `−0` unchanged, so the loop drops the zero
+/// test, whose branch mispredicts on ReLU'd operands. The kernels'
+/// accumulators start at `+0` and so are never `−0` (a sum is `−0` only
+/// when both addends are); a caller passing `true` must keep that so.
 pub fn mma_sync_entries(
     acc: &mut [f32],
     entries: &[MmaEntry],
     a: &[f32],
     b: &[f32],
     ks: Range<usize>,
+    b_finite: bool,
     ctx: &mut BlockCtx<'_>,
 ) {
     let _t = hotspot::scope(HotPhase::MmaInner);
     ctx.tcu_mma(MMA_FLOPS);
-    for (v, e) in acc.iter_mut().zip(entries) {
-        let arow = &a[e.a_row..][ks.clone()];
-        let brow = &b[e.b_row..][ks.clone()];
-        for (&av, &bv) in arow.iter().zip(brow) {
-            if av != 0.0 {
-                *v += av * bv;
-            }
-        }
+    if b_finite {
+        entries_loop::<false>(acc, entries, a, b, ks);
+    } else {
+        entries_loop::<true>(acc, entries, a, b, ks);
     }
     if ctx.consume_ecc() {
         if let Some(i) = entries.iter().position(|e| (e.r, e.c) == (0, 0)) {
             acc[i] = f32::NAN;
+        }
+    }
+}
+
+/// The arithmetic of [`mma_sync_entries`], with or without the zero-`a`
+/// test.
+#[inline(always)]
+fn entries_loop<const SKIP_ZEROS: bool>(
+    acc: &mut [f32],
+    entries: &[MmaEntry],
+    a: &[f32],
+    b: &[f32],
+    ks: Range<usize>,
+) {
+    for (v, e) in acc.iter_mut().zip(entries) {
+        let arow = &a[e.a_row..][ks.clone()];
+        let brow = &b[e.b_row..][ks.clone()];
+        for (&av, &bv) in arow.iter().zip(brow) {
+            if !SKIP_ZEROS || av != 0.0 {
+                *v += av * bv;
+            }
         }
     }
 }
@@ -196,7 +221,7 @@ mod tests {
         });
         assert_eq!(stats.tcu_mma_instructions, 1);
         assert_eq!(stats.tcu_flops, MMA_FLOPS);
-        let stats = in_block(|ctx| mma_sync_entries(&mut [], &[], &[], &[], 0..WMMA_K, ctx));
+        let stats = in_block(|ctx| mma_sync_entries(&mut [], &[], &[], &[], 0..WMMA_K, true, ctx));
         assert_eq!(stats.tcu_mma_instructions, 1);
         assert_eq!(stats.tcu_flops, MMA_FLOPS);
     }
@@ -238,7 +263,7 @@ mod tests {
                 },
             ];
             let mut acc = [0.5, 0.0];
-            mma_sync_entries(&mut acc, &entries, &a, &b, 1..3, ctx);
+            mma_sync_entries(&mut acc, &entries, &a, &b, 1..3, true, ctx);
             assert_eq!(acc, [0.5 + 9.0 + 10.0, 1.0 + 2.0]);
         });
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tcg_gpusim::{KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, GridConfig, KernelReport, KernelStats, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::tf32::round_to_tf32;
@@ -154,6 +154,21 @@ pub trait SpmmKernel {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError>;
+
+    /// [`SpmmKernel::execute`] that promises only the output rows of the
+    /// row windows `windows` (ascending ids, `TC_BLK_H` rows each). The
+    /// row-window kernels skip every other window: it launches no block, is
+    /// charged nothing and its rows stay zero. The default, for kernels
+    /// that do not tile by row window, computes every row.
+    fn execute_windows(
+        &self,
+        launcher: &mut Launcher,
+        prob: &SpmmProblem<'_>,
+        windows: &[u32],
+    ) -> Result<(DenseMatrix, KernelReport), TcgError> {
+        let _ = windows;
+        self.execute(launcher, prob)
+    }
 }
 
 /// Rejects a translation the TCU window bodies cannot run, before any of
@@ -207,6 +222,43 @@ pub(crate) fn window_mask(
     Ok(mask)
 }
 
+/// Rejects a window list that is not strictly ascending or names a window
+/// `t` does not have.
+pub(crate) fn check_windows(t: &TranslatedGraph, windows: &[u32]) -> Result<(), TcgError> {
+    let ascending = windows.windows(2).all(|p| p[0] < p[1]);
+    match windows.last() {
+        Some(&w) if !ascending || w as usize >= t.num_row_windows => Err(TcgError::InvalidInput {
+            what: "row window list",
+            detail: format!(
+                "windows must ascend below {}; got up to {w}",
+                t.num_row_windows
+            ),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Runs `body` as one launch over the windows of `mask` that are not
+/// [`WindowBackend::Skip`], block id = window id. A mask without `Skip`
+/// is exactly `launch_par` over every window.
+pub(crate) fn launch_mask<F>(
+    launcher: &mut Launcher,
+    cfg: GridConfig,
+    mask: &[WindowBackend],
+    body: F,
+) -> KernelStats
+where
+    F: Fn(&mut BlockCtx<'_>) + Sync,
+{
+    if !mask.contains(&WindowBackend::Skip) {
+        return launcher.launch_par(cfg, mask.len() as u64, body);
+    }
+    let running: Vec<u32> = (0..mask.len() as u32)
+        .filter(|&w| mask[w as usize] != WindowBackend::Skip)
+        .collect();
+    launcher.launch_par_blocks(cfg, Blocks::Only(&running), body)
+}
+
 /// `x`'s elements rounded to TF-32 when some window of the launch runs a
 /// TCU body (empty otherwise). The TCU bodies read their dense operands
 /// from this copy, made once per launch, where the fragment loads would
@@ -216,6 +268,13 @@ pub(crate) fn tf32_operand(x: &DenseMatrix, tcu: bool) -> Vec<f32> {
         return Vec::new();
     }
     x.as_slice().iter().map(|&v| round_to_tf32(v)).collect()
+}
+
+/// Whether every element of a launch's TF-32 operand is finite: the
+/// SDDMM-shape MMA then skips no zero element (see
+/// `tcg_gpusim::wmma::mma_sync_entries`).
+pub(crate) fn all_finite(x: &[f32]) -> bool {
+    x.iter().all(|v| v.is_finite())
 }
 
 /// CPU reference SpMM: `out[v] = Σ_{u ∈ N(v)} w(v,u) · x[u]`, f64-accumulated.

@@ -26,12 +26,12 @@ use tcg_gpusim::wmma::{
     mma_sync_entries, mma_sync_gather, FragmentAcc, MmaEntry, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
 };
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{Blocks, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{check_translation, tf32_operand, TcgError};
+use crate::common::{all_finite, check_translation, check_windows, tf32_operand, TcgError};
 use crate::sddmm::tcgnn::{fill_frame_atox, SDDMM_W};
 use crate::spmm::tcgnn::block_nonzeros;
 
@@ -60,7 +60,27 @@ pub fn fused_attention(
     xv: &DenseMatrix,
     beta: f32,
 ) -> Result<FusedAttentionOutput, TcgError> {
+    fused_attention_windows(launcher, csr, t, xa, xv, beta, None)
+}
+
+/// [`fused_attention`] over only the row windows `windows` (ascending ids;
+/// `None` is every window). Every other window launches no block and is
+/// charged nothing; its rows of `y` and its edges of `cos` and `p` stay
+/// zero. Window `w`'s outputs read only `xa` at its own rows and its
+/// neighbors and `xv` at its neighbors.
+pub fn fused_attention_windows(
+    launcher: &mut Launcher,
+    csr: &CsrGraph,
+    t: &TranslatedGraph,
+    xa: &DenseMatrix,
+    xv: &DenseMatrix,
+    beta: f32,
+    windows: Option<&[u32]>,
+) -> Result<FusedAttentionOutput, TcgError> {
     check_translation(t, csr)?;
+    if let Some(ids) = windows {
+        check_windows(t, ids)?;
+    }
     if xa.rows() != csr.num_nodes() || xv.rows() != csr.num_nodes() {
         return Err(TcgError::DimMismatch {
             what: "feature rows vs graph nodes",
@@ -76,6 +96,7 @@ pub fn fused_attention(
     let mut cos = vec![0.0f32; csr.num_edges()];
     let mut p = vec![0.0f32; csr.num_edges()];
     let (xa_tf32, xv_tf32) = (tf32_operand(xa, true), tf32_operand(xv, true));
+    let xa_finite = all_finite(&xa_tf32);
 
     let buf_ptr = launcher.try_alloc(csr.node_pointer().len() * 8)?;
     let buf_pack = launcher.try_alloc(csr.num_edges())?;
@@ -115,7 +136,11 @@ pub fn fused_attention(
     let p_slices = tcg_gpusim::DisjointSlices::new(&mut p);
 
     launcher.preflight("fused-attention", &cfg)?;
-    let stats = launcher.launch_par(cfg, t.num_row_windows as u64, |ctx| {
+    let blocks = match windows {
+        None => Blocks::All(t.num_row_windows as u64),
+        Some(ids) => Blocks::Only(ids),
+    };
+    let stats = launcher.launch_par_blocks(cfg, blocks, |ctx| {
         let w = ctx.block_id as usize;
         let num_spmm_blocks = t.win_partition[w] as usize;
         if num_spmm_blocks == 0 {
@@ -189,7 +214,15 @@ pub fn fused_attention(
                 ctx.ld_global_gather_rows(&bases, kw, 4);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS + 8);
                 let ks = dim0..dim0 + kw;
-                mma_sync_entries(&mut logits, &entries, &xa_tf32, &xa_tf32, ks, ctx);
+                mma_sync_entries(
+                    &mut logits,
+                    &entries,
+                    &xa_tf32,
+                    &xa_tf32,
+                    ks,
+                    xa_finite,
+                    ctx,
+                );
             }
             // Scatter logits into the window-local shared buffer (stays in
             // shared memory — the fusion's point; charged as shared traffic).

@@ -43,6 +43,10 @@ pub enum WindowBackend {
     /// Scalar CUDA-core path: cuSPARSE-style row walk (SpMM) or per-edge
     /// dot products (SDDMM), scoped to the window's rows.
     CudaCore,
+    /// Not computed: nobody reads the window's outputs (a receptive-field
+    /// launch). The window runs no body, is charged nothing and launches
+    /// no block; its outputs stay zero. [`DispatchPolicy`] never picks it.
+    Skip,
 }
 
 impl WindowBackend {
@@ -51,6 +55,31 @@ impl WindowBackend {
         match self {
             WindowBackend::Tcu => 'T',
             WindowBackend::CudaCore => 'c',
+            WindowBackend::Skip => '-',
+        }
+    }
+}
+
+/// A mask over `n` windows: `decide(w)` for each window of `windows`
+/// (ascending ids; `None` is every window) and [`WindowBackend::Skip`]
+/// for the rest.
+///
+/// # Panics
+///
+/// If an id is not below `n` (the kernels check the list first).
+pub(crate) fn mask_over(
+    n: usize,
+    windows: Option<&[u32]>,
+    decide: impl Fn(usize) -> WindowBackend,
+) -> Vec<WindowBackend> {
+    match windows {
+        None => (0..n).map(decide).collect(),
+        Some(ids) => {
+            let mut mask = vec![WindowBackend::Skip; n];
+            for &w in ids {
+                mask[w as usize] = decide(w as usize);
+            }
+            mask
         }
     }
 }
@@ -220,9 +249,25 @@ impl DispatchPolicy {
 
     /// The full dispatch mask for a translated graph at dimension `dim`.
     pub fn mask(&self, t: &TranslatedGraph, csr: &CsrGraph, dim: usize) -> Vec<WindowBackend> {
-        (0..t.num_row_windows)
-            .map(|w| self.decide(&WindowGeometry::from_translation(t, csr, w), dim))
-            .collect()
+        self.mask_windows(t, csr, dim, None)
+    }
+
+    /// [`DispatchPolicy::mask`] deciding only `windows` and skipping the
+    /// rest; `None` decides every window.
+    ///
+    /// # Panics
+    ///
+    /// If an id is not a window of `t` (the kernels check the list first).
+    pub fn mask_windows(
+        &self,
+        t: &TranslatedGraph,
+        csr: &CsrGraph,
+        dim: usize,
+        windows: Option<&[u32]>,
+    ) -> Vec<WindowBackend> {
+        mask_over(t.num_row_windows, windows, |w| {
+            self.decide(&WindowGeometry::from_translation(t, csr, w), dim)
+        })
     }
 
     /// Delta counterpart of [`DispatchPolicy::mask`]: re-decides only the
@@ -439,14 +484,14 @@ pub fn predict_cycles(
     class: KernelClass,
     backend: WindowBackend,
 ) -> f64 {
-    if geom.nnz == 0 {
+    if geom.nnz == 0 || backend == WindowBackend::Skip {
         return 0.0;
     }
     let one = match (class, backend) {
         (KernelClass::Spmm, WindowBackend::Tcu) => tcu_spmm_stats(geom, dim),
-        (KernelClass::Spmm, WindowBackend::CudaCore) => cuda_spmm_stats(geom, dim),
+        (KernelClass::Spmm, _) => cuda_spmm_stats(geom, dim),
         (KernelClass::Sddmm, WindowBackend::Tcu) => tcu_sddmm_stats(geom, dim),
-        (KernelClass::Sddmm, WindowBackend::CudaCore) => cuda_sddmm_stats(geom, dim),
+        (KernelClass::Sddmm, _) => cuda_sddmm_stats(geom, dim),
     };
     let r = replicas(device);
     let scaled = KernelStats {

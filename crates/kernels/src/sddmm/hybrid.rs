@@ -18,6 +18,8 @@
 //! issues no staging shared-memory traffic and scatters into shared
 //! memory, so its charges differ from this body's (see `crate::fused`).
 
+use std::sync::Arc;
+
 use tcg_gpusim::wmma::WMMA_K;
 use tcg_gpusim::{GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
@@ -26,14 +28,16 @@ use tcg_tensor::DenseMatrix;
 
 use super::cuda_core::{check_features, CudaRows};
 use super::tcgnn::TcuWindow;
-use crate::common::{check_translation, tf32_operand, window_mask, TcgError};
+use crate::common::{
+    all_finite, check_translation, launch_mask, tf32_operand, window_mask, TcgError,
+};
 use crate::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
 use crate::sddmm::SddmmKernel;
 
 /// The hybrid per-window SDDMM dispatcher.
 #[derive(Debug, Clone)]
 pub struct HybridSddmm {
-    translated: TranslatedGraph,
+    translated: Arc<TranslatedGraph>,
     policy: DispatchPolicy,
     forced_mask: Option<Vec<WindowBackend>>,
 }
@@ -48,10 +52,11 @@ impl HybridSddmm {
         )
     }
 
-    /// Builds the kernel from a pre-computed translation.
-    pub fn from_translated(translated: TranslatedGraph) -> Self {
+    /// Builds the kernel from a pre-computed translation (shared, not
+    /// copied, when given an `Arc`).
+    pub fn from_translated(translated: impl Into<Arc<TranslatedGraph>>) -> Self {
         HybridSddmm {
-            translated,
+            translated: translated.into(),
             policy: DispatchPolicy::default_for(KernelClass::Sddmm),
             forced_mask: None,
         }
@@ -112,7 +117,7 @@ impl SddmmKernel for HybridSddmm {
 /// [`super::tcgnn::TcgnnSddmm`]: validates the translation and operands,
 /// then resolves `mask` (which indexes the translation's windows),
 /// allocates the buffers and runs every row window through the body its
-/// mask entry names.
+/// mask entry names; a [`WindowBackend::Skip`] window launches no block.
 pub(crate) fn launch(
     launcher: &mut Launcher,
     csr: &CsrGraph,
@@ -136,6 +141,7 @@ pub(crate) fn launch(
         dim: xa.cols(),
         xa_tf32: &xa_tf32,
         xb_tf32: &xb_tf32,
+        xb_finite: all_finite(&xb_tf32),
         buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
         buf_pack: launcher.try_alloc(csr.num_edges())?,
         buf_atox: launcher.try_alloc(t.block_atox.len() * 4)?,
@@ -174,7 +180,7 @@ pub(crate) fn launch(
     let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
 
     launcher.preflight(name, &cfg)?;
-    let stats = launcher.launch_par(cfg, t.num_row_windows as u64, |ctx| {
+    let stats = launch_mask(launcher, cfg, &mask, |ctx| {
         let w = ctx.block_id as usize;
         let row_lo = w * TC_BLK_H;
         let row_hi = (row_lo + TC_BLK_H).min(n);
@@ -187,6 +193,7 @@ pub(crate) fn launch(
                 .as_ref()
                 .expect("a CUDA-core window implies the edge buffer")
                 .run(ctx, row_lo..row_hi, out_win),
+            WindowBackend::Skip => {}
         }
     });
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
@@ -260,6 +267,7 @@ mod tests {
             let want = match wb {
                 WindowBackend::Tcu => &out_t,
                 WindowBackend::CudaCore => &out_c,
+                WindowBackend::Skip => unreachable!("no window is skipped"),
             };
             assert_eq!(&out_h[e_lo..e_hi], &want[e_lo..e_hi], "window {w} ({wb:?})");
         }

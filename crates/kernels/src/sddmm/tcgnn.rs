@@ -16,6 +16,7 @@
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
@@ -36,23 +37,25 @@ pub(crate) const SDDMM_W: usize = TC_BLK_H;
 /// The TC-GNN SDDMM kernel, bound to a translated graph.
 #[derive(Debug, Clone)]
 pub struct TcgnnSddmm {
-    translated: TranslatedGraph,
+    translated: Arc<TranslatedGraph>,
 }
 
 impl TcgnnSddmm {
     /// Builds the kernel by running SGT on `csr`.
     pub fn new(csr: &CsrGraph) -> Self {
-        TcgnnSddmm {
-            translated: Sgt::builder()
+        Self::from_translated(
+            Sgt::builder()
                 .translate(csr)
                 .expect("default SGT geometry is valid"),
-        }
+        )
     }
 
     /// Builds the kernel from a pre-computed translation (shared with the
     /// SpMM kernel — SGT runs once per graph).
-    pub fn from_translated(translated: TranslatedGraph) -> Self {
-        TcgnnSddmm { translated }
+    pub fn from_translated(translated: impl Into<Arc<TranslatedGraph>>) -> Self {
+        TcgnnSddmm {
+            translated: translated.into(),
+        }
     }
 
     /// The translation this kernel runs over.
@@ -91,6 +94,9 @@ pub(crate) struct TcuWindow<'a> {
     pub xa_tf32: &'a [f32],
     /// `xb` rounded to TF-32, row-major.
     pub xb_tf32: &'a [f32],
+    /// Whether every element of `xb_tf32` is finite (the MMA then drops
+    /// its zero test).
+    pub xb_finite: bool,
     pub buf_ptr: Buffer,
     pub buf_pack: Buffer,
     pub buf_atox: Buffer,
@@ -197,7 +203,8 @@ impl TcuWindow<'_> {
 
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
                 let (xa, xb) = (self.xa_tf32, self.xb_tf32);
-                mma_sync_entries(&mut acc, &entries, xa, xb, dim0..dim0 + kw, ctx);
+                let ks = dim0..dim0 + kw;
+                mma_sync_entries(&mut acc, &entries, xa, xb, ks, self.xb_finite, ctx);
             }
 
             // Dense-to-sparse conversion: scatter edge scalars.

@@ -18,6 +18,8 @@
 //! The fused attention kernel keeps its own SDDMM and SpMM stages: their
 //! charge sequences differ from these bodies (see `crate::fused`).
 
+use std::sync::Arc;
+
 use tcg_gpusim::wmma::WMMA_N;
 use tcg_gpusim::{GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
@@ -27,14 +29,15 @@ use tcg_tensor::DenseMatrix;
 use super::cusparse::CudaRows;
 use super::tcgnn::TcuWindow;
 use crate::common::{
-    check_translation, tf32_operand, window_mask, SpmmKernel, SpmmProblem, TcgError,
+    check_translation, check_windows, launch_mask, tf32_operand, window_mask, SpmmKernel,
+    SpmmProblem, TcgError,
 };
-use crate::hybrid::{DispatchPolicy, WindowBackend};
+use crate::hybrid::{mask_over, DispatchPolicy, WindowBackend};
 
 /// The hybrid per-window SpMM dispatcher.
 #[derive(Debug, Clone)]
 pub struct HybridSpmm {
-    translated: TranslatedGraph,
+    translated: Arc<TranslatedGraph>,
     policy: DispatchPolicy,
     forced_mask: Option<Vec<WindowBackend>>,
 }
@@ -50,10 +53,11 @@ impl HybridSpmm {
         )
     }
 
-    /// Builds the kernel from a pre-computed translation.
-    pub fn from_translated(translated: TranslatedGraph) -> Self {
+    /// Builds the kernel from a pre-computed translation (shared, not
+    /// copied, when given an `Arc`).
+    pub fn from_translated(translated: impl Into<Arc<TranslatedGraph>>) -> Self {
         HybridSpmm {
-            translated,
+            translated: translated.into(),
             policy: DispatchPolicy::default(),
             forced_mask: None,
         }
@@ -87,9 +91,22 @@ impl HybridSpmm {
     /// forced mask when set, otherwise the policy applied to each window's
     /// geometry. Pure in `(translation, csr, dim)`.
     pub fn dispatch_mask(&self, csr: &CsrGraph, dim: usize) -> Vec<WindowBackend> {
+        self.dispatch_mask_for(csr, dim, None)
+    }
+
+    /// [`HybridSpmm::dispatch_mask`] with every window outside `windows`
+    /// (ascending ids; `None` is every window) skipped.
+    fn dispatch_mask_for(
+        &self,
+        csr: &CsrGraph,
+        dim: usize,
+        windows: Option<&[u32]>,
+    ) -> Vec<WindowBackend> {
         match &self.forced_mask {
-            Some(m) => m.clone(),
-            None => self.policy.mask(&self.translated, csr, dim),
+            Some(m) => mask_over(m.len(), windows, |w| m[w]),
+            None => self
+                .policy
+                .mask_windows(&self.translated, csr, dim, windows),
         }
     }
 }
@@ -107,14 +124,25 @@ impl SpmmKernel for HybridSpmm {
         let mask = || self.dispatch_mask(prob.csr, prob.dim());
         launch(launcher, prob, &self.translated, mask, "hybrid", 0)
     }
+
+    fn execute_windows(
+        &self,
+        launcher: &mut Launcher,
+        prob: &SpmmProblem<'_>,
+        windows: &[u32],
+    ) -> Result<(DenseMatrix, KernelReport), TcgError> {
+        check_windows(&self.translated, windows)?;
+        let mask = || self.dispatch_mask_for(prob.csr, prob.dim(), Some(windows));
+        launch(launcher, prob, &self.translated, mask, "hybrid", 0)
+    }
 }
 
 /// The one SpMM launch behind [`HybridSpmm`] and
 /// [`super::tcgnn::TcgnnSpmm`]: validates the translation, then resolves
 /// `mask` (which indexes the translation's windows), allocates the
 /// buffers and runs every row window through the body its mask entry
-/// names. `warps_per_block` 0 picks one warp per 16-dim slab within
-/// `[4, 8]`.
+/// names; a [`WindowBackend::Skip`] window launches no block.
+/// `warps_per_block` 0 picks one warp per 16-dim slab within `[4, 8]`.
 pub(crate) fn launch(
     launcher: &mut Launcher,
     prob: &SpmmProblem<'_>,
@@ -179,7 +207,7 @@ pub(crate) fn launch(
     let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
 
     launcher.preflight(name, &cfg)?;
-    let stats = launcher.launch_par(cfg, t.num_row_windows as u64, |ctx| {
+    let stats = launch_mask(launcher, cfg, &mask, |ctx| {
         let w = ctx.block_id as usize;
         let row_lo = w * TC_BLK_H;
         let row_hi = (row_lo + TC_BLK_H).min(n);
@@ -199,6 +227,7 @@ pub(crate) fn launch(
                 ctx.ld_global_contiguous(tcu.buf_ptr.addr(row_lo, 8), row_hi - row_lo + 1, 8);
                 cuda.run(ctx, row_lo..row_hi, out_win);
             }
+            WindowBackend::Skip => {}
         }
     });
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
@@ -293,12 +322,57 @@ mod tests {
             let want = match wb {
                 WindowBackend::Tcu => &out_t,
                 WindowBackend::CudaCore => &out_c,
+                WindowBackend::Skip => unreachable!("no window is skipped"),
             };
             assert_eq!(
                 &out_h.as_slice()[lo..hi],
                 &want.as_slice()[lo..hi],
                 "window {w} ({wb:?})"
             );
+        }
+    }
+
+    #[test]
+    fn skipped_windows_launch_nothing_and_stay_zero() {
+        let g = gen::community(200, 1800, 8, 16, 9).unwrap();
+        let x = init::uniform(200, 24, -1.0, 1.0, 10);
+        let prob = SpmmProblem::new(&g, None, &x).unwrap();
+        let t = Sgt::builder().translate(&g).unwrap();
+        let windows = [1u32, 4, 5, 11];
+        let d = x.cols();
+        for kernel in [
+            Box::new(TcgnnSpmm::from_translated(t.clone())) as Box<dyn SpmmKernel>,
+            Box::new(HybridSpmm::from_translated(t.clone())),
+        ] {
+            let (full, full_rep) = kernel.execute(&mut launcher(), &prob).unwrap();
+            let (part, rep) = kernel
+                .execute_windows(&mut launcher(), &prob, &windows)
+                .unwrap();
+            assert_eq!(rep.stats.num_blocks, windows.len() as u64);
+            // Skipped windows issue nothing. (Compared on counters: the
+            // cost model's time is not monotone in the block count.)
+            assert!(rep.stats.warp_instructions < full_rep.stats.warp_instructions);
+            assert!(rep.stats.tcu_mma_instructions < full_rep.stats.tcu_mma_instructions);
+            for w in 0..t.num_row_windows {
+                let rows = w * TC_BLK_H * d..((w + 1) * TC_BLK_H).min(200) * d;
+                let got = &part.as_slice()[rows.clone()];
+                if windows.contains(&(w as u32)) {
+                    assert_eq!(got, &full.as_slice()[rows], "window {w}");
+                } else {
+                    assert!(got.iter().all(|&v| v.to_bits() == 0), "window {w}");
+                }
+            }
+            // Every window listed is the full launch, bit for bit.
+            let all: Vec<u32> = (0..t.num_row_windows as u32).collect();
+            let (every, every_rep) = kernel
+                .execute_windows(&mut launcher(), &prob, &all)
+                .unwrap();
+            assert_eq!(every.as_slice(), full.as_slice());
+            assert_eq!(every_rep.stats, full_rep.stats);
+            let unsorted = [4u32, 1];
+            assert!(kernel
+                .execute_windows(&mut launcher(), &prob, &unsorted)
+                .is_err());
         }
     }
 

@@ -19,6 +19,8 @@
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
 
+use std::sync::Arc;
+
 use tcg_gpusim::hotspot::{self, HotPhase};
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
@@ -31,8 +33,8 @@ use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::tf32::round_to_tf32;
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::hybrid::WindowBackend;
+use crate::common::{check_windows, SpmmKernel, SpmmProblem, TcgError};
+use crate::hybrid::{mask_over, WindowBackend};
 
 // The MMA shape is the SGT tile: one fragment row per window row, one
 // fragment k per condensed column.
@@ -41,7 +43,7 @@ const _: () = assert!(WMMA_M == TC_BLK_H && WMMA_K == TC_BLK_W);
 /// The TC-GNN SpMM kernel, bound to a translated graph.
 #[derive(Debug, Clone)]
 pub struct TcgnnSpmm {
-    translated: TranslatedGraph,
+    translated: Arc<TranslatedGraph>,
     warps_per_block: usize,
 }
 
@@ -56,10 +58,10 @@ impl TcgnnSpmm {
     }
 
     /// Builds the kernel from a pre-computed translation (SGT runs once and
-    /// is reused across epochs — §4.1).
-    pub fn from_translated(translated: TranslatedGraph) -> Self {
+    /// is reused across epochs — §4.1), shared when given an `Arc`.
+    pub fn from_translated(translated: impl Into<Arc<TranslatedGraph>>) -> Self {
         TcgnnSpmm {
-            translated,
+            translated: translated.into(),
             warps_per_block: 0,
         }
     }
@@ -90,6 +92,18 @@ impl SpmmKernel for TcgnnSpmm {
         let t = &self.translated;
         let all_tcu = || vec![WindowBackend::Tcu; t.num_row_windows];
         super::hybrid::launch(launcher, prob, t, all_tcu, "tc-gnn", self.warps_per_block)
+    }
+
+    fn execute_windows(
+        &self,
+        launcher: &mut Launcher,
+        prob: &SpmmProblem<'_>,
+        windows: &[u32],
+    ) -> Result<(DenseMatrix, KernelReport), TcgError> {
+        let t = &self.translated;
+        check_windows(t, windows)?;
+        let tcu = || mask_over(t.num_row_windows, Some(windows), |_| WindowBackend::Tcu);
+        super::hybrid::launch(launcher, prob, t, tcu, "tc-gnn", self.warps_per_block)
     }
 }
 

@@ -48,6 +48,17 @@ fn features(n: usize, d: usize, seed: u64) -> DenseMatrix {
     })
 }
 
+/// [`features`] with one element in eight replaced by `±inf` or NaN: a
+/// non-finite dense operand keeps the MMA's zero test (`0·inf` is NaN).
+fn non_finite_features(n: usize, d: usize, seed: u64) -> DenseMatrix {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1f);
+    let x = features(n, d, seed);
+    DenseMatrix::from_fn(n, d, |r, c| match rng.random_range(0..8) {
+        0 => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.random_range(0..3)],
+        _ => x.get(r, c),
+    })
+}
+
 /// Edge values, one in eight of them special.
 fn edge_values(g: &CsrGraph, seed: u64) -> Vec<f32> {
     let specials = [
@@ -170,23 +181,26 @@ fn spmm_cells(name: &str, g: &CsrGraph, t: &TranslatedGraph, d: usize, seed: u64
 }
 
 fn sddmm_cells(name: &str, g: &CsrGraph, t: &TranslatedGraph, d: usize, seed: u64) {
-    let cell = format!("{name}, width {d}");
     let (xa, xb) = (
         features(g.num_nodes(), d, seed),
         features(g.num_nodes(), d, seed + 1),
     );
-    let want = tcu_sddmm(t, g, &xa, &xb, false);
+    sddmm_cell(&format!("{name}, width {d}"), g, t, &xa, &xb);
+}
+
+fn sddmm_cell(cell: &str, g: &CsrGraph, t: &TranslatedGraph, xa: &DenseMatrix, xb: &DenseMatrix) {
+    let want = tcu_sddmm(t, g, xa, xb, false);
     let mut l = Launcher::new(DeviceSpec::rtx3090());
     let (got, _) = TcgnnSddmm::from_translated(t.clone())
-        .execute(&mut l, g, &xa, &xb)
+        .execute(&mut l, g, xa, xb)
         .unwrap();
     assert_bits(&format!("tc-gnn sddmm: {cell}"), &got, &want);
 
-    let (cuda, _) = CudaCoreSddmm.execute(&mut l, g, &xa, &xb).unwrap();
+    let (cuda, _) = CudaCoreSddmm.execute(&mut l, g, xa, xb).unwrap();
     let mask = mixed_mask(t);
     let (got, _) = HybridSddmm::from_translated(t.clone())
         .with_mask(mask.clone())
-        .execute(&mut l, g, &xa, &xb)
+        .execute(&mut l, g, xa, xb)
         .unwrap();
     let want = stitch(&mask, &want, &cuda, window_edges(g));
     assert_bits(&format!("hybrid sddmm (mixed): {cell}"), &got, &want);
@@ -254,6 +268,30 @@ fn tcu_kernels_match_the_staged_tile_reference_bitwise() {
             let mut l = Launcher::new(DeviceSpec::rtx3090());
             let cell = format!("{}, widths {d}/{}", family.name(), xv.cols());
             fused_cell(&cell, &mut l, &g, &t, &xa, &xv, 0.5 + i as f32, false);
+        }
+    }
+}
+
+#[test]
+fn non_finite_dense_operands_match_the_staged_tile_reference_bitwise() {
+    for family in [Family::PowerLaw, Family::NearDense, Family::WideRow] {
+        let g = family.generate(19);
+        let t = Sgt::builder().translate(&g).unwrap();
+        for (i, &d) in [7, 16, 33].iter().enumerate() {
+            let seed = 500 + 10 * i as u64 + family as u64;
+            let n = g.num_nodes();
+            let cell = format!("{}, width {d}, non-finite operands", family.name());
+            let (xa, xb) = (
+                non_finite_features(n, d, seed),
+                non_finite_features(n, d, seed + 1),
+            );
+            sddmm_cell(&cell, &g, &t, &xa, &xb);
+            // One finite side each: the zero test is kept or dropped per
+            // launch by the B operand alone.
+            sddmm_cell(&cell, &g, &t, &xa, &features(n, d, seed + 2));
+            sddmm_cell(&cell, &g, &t, &features(n, d, seed + 2), &xb);
+            let mut l = Launcher::new(DeviceSpec::rtx3090());
+            fused_cell(&cell, &mut l, &g, &t, &xa, &xb, 0.5, false);
         }
     }
 }

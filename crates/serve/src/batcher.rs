@@ -1,10 +1,11 @@
 //! The dynamic micro-batcher: coalesces queued requests into batched
 //! forward passes under a max-batch / max-delay policy.
 //!
-//! One batched forward is a full-graph inference, so every request against
-//! the same graph shares a single pass — the server's whole batching win.
-//! Requests against *different* graphs can never share a pass, so the
-//! batcher keeps one open batch per graph.
+//! One batched forward computes the union of its requests' receptive
+//! fields (`tcg_gnn::receptive`): every request against the same graph
+//! shares a single pass, and neighbouring targets share the row windows
+//! they both read. Requests against *different* graphs can never share a
+//! pass, so the batcher keeps one open batch per graph.
 //!
 //! Batch formation is a pure function of the arrival trace: a batch closes
 //! either when it reaches `max_batch` requests (closing at the triggering

@@ -61,12 +61,23 @@ impl CachedTranslation {
     /// Wraps a translation together with the per-window fingerprints of the
     /// graph it was built from, enabling delta reuse after mutations.
     pub fn for_graph(csr: &CsrGraph, translation: Arc<TranslatedGraph>, sgt_ms: f64) -> Self {
+        Self::with_window_fps(csr, translation, sgt_ms, csr.window_fingerprints(TC_BLK_H))
+    }
+
+    /// [`CachedTranslation::for_graph`] with `csr`'s window fingerprints
+    /// already computed.
+    fn with_window_fps(
+        csr: &CsrGraph,
+        translation: Arc<TranslatedGraph>,
+        sgt_ms: f64,
+        window_fps: Vec<u64>,
+    ) -> Self {
         let checksum = translation.checksum();
         CachedTranslation {
             translation,
             sgt_ms,
             checksum,
-            window_fps: csr.window_fingerprints(TC_BLK_H),
+            window_fps,
             num_nodes: csr.num_nodes(),
         }
     }
@@ -359,7 +370,14 @@ impl TranslationCache {
     /// translations — the differential oracle exercises exactly this path as
     /// its "cached-translation" backend.
     pub fn get_or_translate(&mut self, csr: &CsrGraph) -> Resolution {
-        let fp = csr.fingerprint();
+        self.get_or_translate_version(csr, csr.fingerprint())
+    }
+
+    /// [`TranslationCache::get_or_translate`] for a caller that already
+    /// knows `csr`'s version (`csr.fingerprint()`): a server hashes each
+    /// graph version once, when it is created, not at every batch.
+    pub(crate) fn get_or_translate_version(&mut self, csr: &CsrGraph, fp: GraphVersion) -> Resolution {
+        debug_assert_eq!(fp, csr.fingerprint(), "version of another graph");
         let mut recovered_poison = false;
         if let Some(pos) = self.entries.iter().position(|(f, _)| *f == fp) {
             self.hit_seq += 1;
@@ -393,9 +411,10 @@ impl TranslationCache {
         self.stats.misses += 1;
         let full_ms = tcg_sgt::overhead::model_ms(csr);
 
-        // Delta path: splice from the closest resident predecessor.
+        // Delta path: splice from the closest resident predecessor. The
+        // window fingerprints are computed once and kept by the new entry.
+        let new_fps = csr.window_fingerprints(TC_BLK_H);
         if self.delta_enabled {
-            let new_fps = csr.window_fingerprints(TC_BLK_H);
             if let Some(pos) = self.best_predecessor(&new_fps, csr.num_nodes()) {
                 let cached = &self.entries[pos].1;
                 let touched: Vec<usize> = new_fps
@@ -419,10 +438,13 @@ impl TranslationCache {
                     self.stats.translation_ms_paid += paid;
                     self.stats.translation_ms_saved += (full_ms - paid).max(0.0);
                     // A future hit on this entry saves a *full* translation.
-                    self.insert_entry(
-                        fp,
-                        CachedTranslation::for_graph(csr, Arc::clone(&translation), full_ms),
+                    let cached = CachedTranslation::with_window_fps(
+                        csr,
+                        Arc::clone(&translation),
+                        full_ms,
+                        new_fps,
                     );
+                    self.insert_entry(fp, cached);
                     if recovered_poison {
                         self.stats.poison_recovered += 1;
                     }
@@ -443,7 +465,7 @@ impl TranslationCache {
         self.stats.window_misses += csr.num_nodes().div_ceil(TC_BLK_H) as u64;
         self.insert(
             fp,
-            CachedTranslation::for_graph(csr, Arc::clone(&translation), full_ms),
+            CachedTranslation::with_window_fps(csr, Arc::clone(&translation), full_ms, new_fps),
         );
         if recovered_poison {
             self.stats.poison_recovered += 1;

@@ -10,8 +10,11 @@
 //!   a cache hit skips Algorithm 1 entirely and records the saved
 //!   milliseconds.
 //! - [`batcher`]: a dynamic micro-batcher coalescing queued
-//!   node-classification requests into full-graph forward passes under a
-//!   max-batch / max-delay policy.
+//!   node-classification requests into batched forward passes under a
+//!   max-batch / max-delay policy. On a one-device translating backend a
+//!   pass computes only the row windows its targets' receptive fields
+//!   need, layer by layer; sharded, DGL/PyG and breaker-rerouted batches
+//!   run the full-graph forward.
 //! - [`server`]: admission control (bounded queue → `QueueFull` shedding,
 //!   per-request deadlines) and a multi-stream executor — one worker thread
 //!   per [`tcg_gpusim::Stream`], each with its own virtual timeline that

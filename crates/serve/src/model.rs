@@ -38,4 +38,22 @@ impl ServableModel {
             ServableModel::Gin(m) => m.infer(eng, x),
         }
     }
+
+    /// Inference of the logit rows `targets` only — the row windows their
+    /// receptive field needs, layer by layer (`tcg_gnn::receptive`). The
+    /// target rows are bitwise [`ServableModel::infer`]'s; what a batch
+    /// runs.
+    pub fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        match self {
+            ServableModel::Gcn(m) => m.infer_targets(eng, x, targets),
+            ServableModel::Agnn(m) => m.infer_targets(eng, x, targets),
+            ServableModel::Sage(m) => m.infer_targets(eng, x, targets),
+            ServableModel::Gin(m) => m.infer_targets(eng, x, targets),
+        }
+    }
 }

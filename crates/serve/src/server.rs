@@ -9,7 +9,11 @@
 //! every open batch and then lands. One worker thread per stream executes
 //! its batches through one executor — engines keyed by `(graph, version)`,
 //! sharded across [`ServeConfig::devices`] when that is more than one —
-//! and one respond step turns logits into Served/Late outcomes.
+//! and one respond step turns each request's logit row into a Served/Late
+//! outcome. On a one-device translating backend a batch computes only the
+//! row windows its targets' receptive fields read
+//! ([`ServableModel::infer_targets`]); sharded, DGL/PyG and
+//! breaker-rerouted batches run the full-graph forward.
 //! [`ServeConfig::resilience`] is resolved once at entry; `None` resolves
 //! to policies that are all no-ops, so a run without the layer takes the
 //! same path.
@@ -435,7 +439,8 @@ pub fn serve_with_mutations(
         .session
         .graphs
         .iter()
-        .map(|g| (g.name.clone(), g.csr.fingerprint().as_u64()))
+        .zip(&d.snapshots)
+        .map(|(g, (_, version))| (g.name.clone(), version.as_u64()))
         .collect();
     if let Some(p) = profiler {
         record_trace(p, &d, &graph_versions, &mut workers);
@@ -593,9 +598,10 @@ struct Dispatcher<'s> {
     /// resolution re-decides only the touched windows.
     hybrid: Option<DispatchPolicy>,
     masks: Vec<Option<Vec<WindowBackend>>>,
-    /// Per-graph CSR snapshots: batches capture the adjacency they were
-    /// admitted against, refreshed only by mutations.
-    snapshots: Vec<Arc<CsrGraph>>,
+    /// Per-graph CSR snapshots and their versions: batches capture the
+    /// adjacency they were admitted against, refreshed only by mutations.
+    /// Each version is hashed once: at start, or by the mutation.
+    snapshots: Vec<(Arc<CsrGraph>, GraphVersion)>,
     dispatched: Vec<DispatchedBatch>,
     /// Translations paid: host span name, milliseconds, trace ids.
     translations: Vec<(String, f64, Vec<u64>)>,
@@ -623,7 +629,7 @@ impl<'s> Dispatcher<'s> {
             snapshots: session
                 .graphs
                 .iter()
-                .map(|g| Arc::new(g.csr.clone()))
+                .map(|g| (Arc::new(g.csr.clone()), g.csr.fingerprint()))
                 .collect(),
             dispatched: Vec::new(),
             translations: Vec::new(),
@@ -712,6 +718,7 @@ impl<'s> Dispatcher<'s> {
             }
         };
         let index = self.dispatched.len();
+        let (csr, version) = &self.snapshots[closed.graph];
         self.dispatched.push(DispatchedBatch {
             index,
             graph: closed.graph,
@@ -721,8 +728,8 @@ impl<'s> Dispatcher<'s> {
             ready_ms: close_ms + paid_ms,
             requests: closed.requests,
             translation,
-            csr: Arc::clone(&self.snapshots[closed.graph]),
-            version: self.session.graphs[closed.graph].csr.fingerprint(),
+            csr: Arc::clone(csr),
+            version: *version,
         });
     }
 
@@ -731,7 +738,8 @@ impl<'s> Dispatcher<'s> {
     /// window dispatch mask). Returns the translation and its cost.
     fn resolve(&mut self, closed: &ClosedBatch) -> (Arc<TranslatedGraph>, f64) {
         let g = &self.session.graphs[closed.graph];
-        let r = self.session.cache.get_or_translate(&g.csr);
+        let version = self.snapshots[closed.graph].1;
+        let r = self.session.cache.get_or_translate_version(&g.csr, version);
         let (span, touched) = match &r.kind {
             ResolutionKind::Hit => (None, None),
             ResolutionKind::Full => (Some("sgt_translate"), None),
@@ -773,7 +781,7 @@ impl<'s> Dispatcher<'s> {
                 m.edges_inserted += out.inserted;
                 m.edges_deleted += out.deleted;
                 let csr = self.session.graphs[gm.graph].csr.clone();
-                self.snapshots[gm.graph] = Arc::new(csr);
+                self.snapshots[gm.graph] = (Arc::new(csr), out.version);
             }
             Err(_) => m.rejected += 1,
         }
@@ -957,7 +965,7 @@ impl Executor {
                 .devices(cfg.devices)
                 .partitioner(cfg.partitioner);
             if let Some(t) = &b.translation {
-                builder = builder.translation((**t).clone());
+                builder = builder.translation(Arc::clone(t));
             }
             let mut eng = builder
                 .build()
@@ -1005,7 +1013,10 @@ impl Executor {
         let rerouted = w.breaker_step(|br| br.route(start) == BreakerRoute::Fallback) == Some(true);
         eng.set_forced_fallback(rerouted);
         let injected_before = eng.fault_report().total_injected();
-        let (logits, cost) = run.model.infer(eng, &g.features);
+        // Only the windows the targets' receptive fields read run; a
+        // rerouted batch (forced fallback) runs the full forward.
+        let targets: Vec<usize> = b.requests.iter().map(|r| r.node).collect();
+        let (logits, cost) = run.model.infer_targets(eng, &g.features, &targets);
         eng.set_forced_fallback(false);
         // Closing the sharded run restarts the device timelines, so every
         // batch is priced from an idle fabric — with or without a profiler.
@@ -1100,9 +1111,9 @@ fn respond(requests: &[Request], execution: Execution, out: &mut Vec<Response>) 
             out.extend(requests.iter().map(|r| cancelled(r, stage, at_ms)));
         }
         Execution::Answered { logits, end_ms } => {
-            let classes = ops::argmax_rows(&logits);
             out.extend(requests.iter().map(|req| {
-                let (latency_ms, class) = (end_ms - req.arrival_ms, classes[req.node]);
+                let (latency_ms, class) =
+                    (end_ms - req.arrival_ms, ops::argmax(logits.row(req.node)));
                 let outcome = match req.deadline_ms {
                     Some(d) if latency_ms > d => Outcome::Late {
                         class,

@@ -156,21 +156,22 @@ impl TranslatedGraph {
         (pack as usize / self.blk_w, pack as usize % self.blk_w)
     }
 
-    /// Stable FNV-1a content checksum over every field of the translation.
+    /// Stable content checksum over every field of the translation: FNV-1a
+    /// over whole elements, `h = (h ^ v)·P`, one multiply per element.
     ///
     /// `O(E)` but branch-free and allocation-free — cheap enough for the
     /// serving cache to verify on every hit, orders of magnitude cheaper
-    /// than a full [`TranslatedGraph::validate`] pass. Any single-bit
-    /// mutation of any array (a poisoned cache entry) changes the digest.
+    /// than a full [`TranslatedGraph::validate`] pass. Each step is a
+    /// bijection of `h` for a fixed element and injective in the element
+    /// for a fixed `h` (`P` is odd), so any mutation of one element of any
+    /// array (a poisoned cache entry) changes the digest. The value is
+    /// compared only with checksums of the same build; no report or pin
+    /// carries it.
     pub fn checksum(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(FNV_PRIME);
         eat(self.win_size as u64);
         eat(self.blk_w as u64);
         eat(self.num_row_windows as u64);

@@ -111,18 +111,19 @@ pub fn l2_normalize_rows(x: &mut DenseMatrix) -> Vec<f32> {
 
 /// Row argmax, breaking ties toward the lower index — prediction extraction.
 pub fn argmax_rows(x: &DenseMatrix) -> Vec<usize> {
-    (0..x.rows())
-        .map(|r| {
-            let row = x.row(r);
-            let mut best = 0;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            best
-        })
-        .collect()
+    (0..x.rows()).map(|r| argmax(x.row(r))).collect()
+}
+
+/// Index of `row`'s largest value, the first on ties (0 when empty or
+/// all NaN).
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -201,6 +201,14 @@ print(f\"resilience gate: {d['cancelled']} cancelled, \"
     exit 1
 }
 
+step "receptive-field serving: targeted rows equal the full forward at TCG_THREADS=4"
+# A serve batch computes only the row windows its targets' receptive fields
+# read, layer by layer. Every servable model on TC-GNN and hybrid over the
+# ten adversarial families must give target rows bitwise equal to the full
+# forward with block bodies on 4 workers, and the launch memo must key a
+# partial launch by its window set.
+TCG_THREADS=4 cargo test --release -q --test receptive_serving
+
 step "hybrid: per-window dispatch conformance + tune-threshold bench gate"
 # The conformance matrix above already runs the hybrid backend column
 # (BackendKind::ALL); here the dispatch-specific suites: stitching/purity
