@@ -21,15 +21,15 @@ use tc_gnn::serve::{
 
 /// `case report-hash prometheus-hash trace-hash`, the hashes in hex.
 const PINS: &[&str] = &[
-    "tcgnn/clean 025edb37a4647e42 fd21296003ee3174 e0a7b3187e00b040",
+    "tcgnn/clean 4ab881d9fa57b4f5 2dd6b5031ca65a7f 118f10190efc56d8",
     "tcgnn/faults e56669fe39f448a7 e390d166e5aac5a8 f4922d06a383d3fc",
     "tcgnn/faults+resilience 7d28e5e97e22389a f57e02995f0f82c6 5aa1b899b1f2120f",
-    "tcgnn/deadline-only b0b88716b75b4914 64a01c0fe331e8ec 0f8b96d896314655",
-    "tcgnn/brownout-only 00959a232a4344c1 3c6096a3288882d2 78b92ce5d2529e73",
-    "hybrid/clean adca690f594cdc05 fd21296003ee3174 75274b279a09a461",
+    "tcgnn/deadline-only 75ac11403c98ff3c 43c01783352fa4ab 22f173f50d7398b8",
+    "tcgnn/brownout-only c5b88f94b39b1561 d37eab19e3b9e0f0 b7b2da3013834dc5",
+    "hybrid/clean 7a6dbdda46e248b0 2dd6b5031ca65a7f 4d21d937c111c7ae",
     "hybrid/faults+resilience 7263c03035da7221 f57e02995f0f82c6 9538f0bf8dc2cfb3",
-    "tcgnn/churn f8b206f548a8ac49 a2a0ac01ef556287 50ca6ef1f387b6dd",
-    "hybrid/churn e9c450ed22d58440 a2a0ac01ef556287 368ff055c1f155c1",
+    "tcgnn/churn 5de41e5904995c9a ffe08585719c0f22 33394fc9e0b26a5c",
+    "hybrid/churn 9d9e0b0b544ad07d ffe08585719c0f22 a0647ca9cd2e9537",
     "tcgnn/churn+faults+resilience f33078509ce7f3fd 174d07fc61239223 0453370fb6ca8014",
     "dist4/contiguous 7399329555fa4737 65adb710c4bf008a 4ef0868f7614d3b2",
     "dist4/greedy 61f52c2e7e1d4fd6 3527870e095b1550 07ba9a20ee9e3c20",
