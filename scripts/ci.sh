@@ -205,8 +205,8 @@ step "receptive-field serving: targeted rows equal the full forward at TCG_THREA
 # A serve batch computes only the row windows its targets' receptive fields
 # read, layer by layer. Every servable model on TC-GNN and hybrid over the
 # ten adversarial families must give target rows bitwise equal to the full
-# forward with block bodies on 4 workers, and the launch memo must key a
-# partial launch by its window set.
+# forward with block bodies on 4 workers, and two partial launches over
+# different windows on one engine must each get their own stats.
 TCG_THREADS=4 cargo test --release -q --test receptive_serving
 
 step "hybrid: per-window dispatch conformance + tune-threshold bench gate"
