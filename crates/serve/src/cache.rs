@@ -376,7 +376,11 @@ impl TranslationCache {
     /// [`TranslationCache::get_or_translate`] for a caller that already
     /// knows `csr`'s version (`csr.fingerprint()`): a server hashes each
     /// graph version once, when it is created, not at every batch.
-    pub(crate) fn get_or_translate_version(&mut self, csr: &CsrGraph, fp: GraphVersion) -> Resolution {
+    pub(crate) fn get_or_translate_version(
+        &mut self,
+        csr: &CsrGraph,
+        fp: GraphVersion,
+    ) -> Resolution {
         debug_assert_eq!(fp, csr.fingerprint(), "version of another graph");
         let mut recovered_poison = false;
         if let Some(pos) = self.entries.iter().position(|(f, _)| *f == fp) {

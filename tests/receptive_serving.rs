@@ -190,7 +190,11 @@ fn partial_launches_over_different_windows_get_their_own_stats() {
             assert_eq!(second, op(&mut engine(&g, backend), &x, &s2), "{backend:?}");
             let hits = shared.memo_hits();
             assert_eq!(op(&mut shared, &x, &s1), first, "{backend:?}");
-            assert_eq!(shared.memo_hits(), hits, "a partial launch is never memoized");
+            assert_eq!(
+                shared.memo_hits(),
+                hits,
+                "a partial launch is never memoized"
+            );
         }
     }
 }
