@@ -182,7 +182,7 @@ TCG_THREADS=4 cargo test --release -q --test resilience
 # breaker openings proving both containment paths actually fired.
 resil_out=$(TCG_THREADS=4 TCG_FAULT_RATE=0.3 TCG_FAULT_SEED=7 \
     ./target/release/tcgnn serve Cora --requests 128 --rate 100000 \
-    --deadline 0.4 --low-every 3 --epochs 2 --resilience)
+    --deadline 0.25 --low-every 3 --epochs 2 --resilience)
 sed -n '/^{/,$p' <<<"$resil_out" | python3 -c "
 import json, sys
 d = json.load(sys.stdin)
