@@ -80,7 +80,7 @@ fn main() {
     }
 
     let spec = spec_by_name("Cora").expect("Cora is in the Table 4 registry");
-    let ds = load_dataset(&spec);
+    let ds = load_dataset(spec);
     println!(
         "BENCH_churn: {} ({} nodes, {} edges), {} requests at {} req/s, {} mutation \
          events x {} toggles",
@@ -121,7 +121,7 @@ fn main() {
         },
     );
     let mutations = churn_schedule(
-        &[ds.graph.clone()],
+        std::slice::from_ref(&ds.graph),
         &ChurnConfig {
             events: CHURN_EVENTS,
             rate_eps: CHURN_RATE_EPS,

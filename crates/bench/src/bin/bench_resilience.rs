@@ -63,7 +63,7 @@ fn goodput(report: &ServeReport) -> f64 {
 
 fn main() {
     let spec = spec_by_name("Cora").expect("Cora is in the Table 4 registry");
-    let ds = load_dataset(&spec);
+    let ds = load_dataset(spec);
     println!(
         "BENCH_resilience: {} ({} nodes, {} edges), {} requests at {} req/s, \
          deadline {} ms, fault rate {}",

@@ -55,7 +55,7 @@ fn run(
 
 fn main() {
     let spec = spec_by_name("Cora").expect("Cora is in the Table 4 registry");
-    let ds = load_dataset(&spec);
+    let ds = load_dataset(spec);
     println!(
         "BENCH_serve: {} ({} nodes, {} edges), {} requests at {} req/s",
         spec.name,

@@ -112,7 +112,7 @@ fn main() {
 
     // --- Serve ---
     let spec = spec_by_name("Cora").expect("registry");
-    let ds = load_dataset(&spec);
+    let ds = load_dataset(spec);
     let cfg = TrainConfig::gcn_paper().with_epochs(2);
     let mut eng = Engine::builder(ds.graph.clone())
         .backend(Backend::TcGnn)

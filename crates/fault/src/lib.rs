@@ -804,6 +804,14 @@ impl CircuitBreaker {
 }
 
 #[cfg(test)]
+impl TcgError {
+    fn source_is_graph(&self) -> bool {
+        use std::error::Error;
+        self.source().is_some()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1048,13 +1056,5 @@ mod tests {
         let mut sum = report([1, 2, 3, 4, 5, 6]);
         sum.absorb(&report([10, 20, 30, 40, 50, 60]));
         assert_eq!(sum, report([11, 22, 33, 44, 55, 66]));
-    }
-}
-
-#[cfg(test)]
-impl TcgError {
-    fn source_is_graph(&self) -> bool {
-        use std::error::Error;
-        self.source().is_some()
     }
 }

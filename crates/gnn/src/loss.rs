@@ -81,7 +81,7 @@ mod tests {
     fn uniform_logits_loss_is_log_k() {
         let logits = DenseMatrix::zeros(10, 4);
         let labels = vec![0u32; 10];
-        let out = masked_cross_entropy(&logits, &labels, &vec![true; 10]);
+        let out = masked_cross_entropy(&logits, &labels, &[true; 10]);
         assert!((out.loss - (4.0f64).ln()).abs() < 1e-5);
     }
 
@@ -91,9 +91,9 @@ mod tests {
         let labels = vec![1u32; 6];
         let mask = vec![true, false, true, false, false, true];
         let out = masked_cross_entropy(&logits, &labels, &mask);
-        for v in 0..6 {
+        for (v, &m) in mask.iter().enumerate() {
             let row_norm: f32 = out.dlogits.row(v).iter().map(|x| x.abs()).sum();
-            if mask[v] {
+            if m {
                 assert!(row_norm > 0.0);
             } else {
                 assert_eq!(row_norm, 0.0);

@@ -282,7 +282,7 @@ mod tests {
         assert_eq!(set.num_rows(), 16 + 5);
         let back = set.scatter(&set.gather(&x));
         for r in 0..37 {
-            let kept = r < 16 || r >= 32;
+            let kept = !(16..32).contains(&r);
             for c in 0..3 {
                 let want = if kept { x.get(r, c) } else { 0.0 };
                 assert_eq!(back.get(r, c), want);

@@ -1345,9 +1345,12 @@ mod tests {
             let first = l.launch_par(cfg, 64, body);
             // Second launch observes the L2 state the first left behind.
             let second = l.launch_par(cfg, 64, body);
+            // A partial launch over a non-contiguous id list (the row
+            // windows a receptive-field batch reads).
+            let partial = l.launch_par_blocks(cfg, Blocks::Only(&[1, 4, 5, 17, 40, 63]), body);
             // And the sequential entry point sees the same L2 afterwards.
             let third = l.launch(cfg, 8, body);
-            (first, second, third)
+            (first, second, partial, third)
         };
         let seq = run(1);
         let par = run(8);

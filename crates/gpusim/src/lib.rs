@@ -37,7 +37,6 @@ pub mod par;
 pub mod stats;
 pub mod stream;
 pub mod wmma;
-pub mod wmma_half;
 
 pub use device::DeviceSpec;
 pub use hotspot::{HotPhase, HotspotReport, WindowAcc, WorkerPhases};

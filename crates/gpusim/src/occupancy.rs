@@ -132,7 +132,7 @@ mod tests {
     fn registers_limit_blocks() {
         // 255 regs/thread × 512 threads > 64 K regs: one block per SM.
         let o = occupancy(&dev(), 100_000, 512, 0, 255);
-        assert_eq!(o.blocks_per_sm, 0.max(1));
+        assert_eq!(o.blocks_per_sm, 1);
         assert_eq!(o.limiter, Limiter::Registers);
     }
 

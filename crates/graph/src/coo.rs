@@ -104,17 +104,6 @@ impl CooGraph {
         }
     }
 
-    /// Adds a self loop to every node (GCN's renormalization trick uses
-    /// `A + I`). Existing self loops are not duplicated after [`dedup`].
-    ///
-    /// [`dedup`]: CooGraph::dedup
-    pub fn add_self_loops(&mut self) {
-        for v in 0..self.num_nodes as NodeId {
-            self.src.push(v);
-            self.dst.push(v);
-        }
-    }
-
     /// Sorts edges by `(src, dst)` and removes duplicates.
     pub fn dedup(&mut self) {
         let mut pairs: Vec<(NodeId, NodeId)> = self
@@ -166,15 +155,6 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.src(), &[0, 1]);
         assert_eq!(g.dst(), &[1, 2]);
-    }
-
-    #[test]
-    fn self_loops_then_dedup() {
-        let mut g = CooGraph::from_edges(2, vec![0, 0], vec![0, 1]).unwrap();
-        g.add_self_loops();
-        g.dedup();
-        // Edges: (0,0), (0,1), (1,1).
-        assert_eq!(g.num_edges(), 3);
     }
 
     #[test]

@@ -313,11 +313,6 @@ impl CsrGraph {
             + self.edge_list.len() * std::mem::size_of::<NodeId>()
     }
 
-    /// Bytes a dense `N×N` f32 adjacency of this graph would take (Table 2).
-    pub fn dense_adjacency_bytes(&self) -> u128 {
-        (self.num_nodes as u128) * (self.num_nodes as u128) * 4
-    }
-
     /// Stable content hash over the graph's structure: node count, row
     /// pointers, and column indices, folded through FNV-1a (64-bit).
     ///
@@ -613,7 +608,6 @@ mod tests {
     #[test]
     fn metric_helpers() {
         let g = small();
-        assert_eq!(g.dense_adjacency_bytes(), 4 * 4 * 4);
         assert!((g.effective_compute_ratio() - 4.0 / 16.0).abs() < 1e-12);
         assert!(g.memory_bytes() > 0);
     }

@@ -334,11 +334,6 @@ impl Dataset {
     pub fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
-
-    /// Fraction of labeled training nodes.
-    pub fn train_fraction(&self) -> f64 {
-        self.train_mask.iter().filter(|&&m| m).count() as f64 / self.train_mask.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +368,7 @@ mod tests {
         assert_eq!(ds.features.shape(), (spec.num_nodes, spec.feat_dim));
         assert_eq!(ds.labels.len(), spec.num_nodes);
         assert!(ds.labels.iter().all(|&l| (l as usize) < spec.num_classes));
-        let frac = ds.train_fraction();
+        let frac = ds.train_mask.iter().filter(|&&m| m).count() as f64 / spec.num_nodes as f64;
         assert!((0.2..0.4).contains(&frac), "train fraction {frac}");
         assert!(ds.graph.is_symmetric());
     }

@@ -251,10 +251,8 @@ mod tests {
         let starts = community_partition(300, 10, 20, seed);
         // Map node -> component index.
         let mut comp = vec![0usize; 300];
-        for c in 0..starts.len() - 1 {
-            for v in starts[c]..starts[c + 1] {
-                comp[v] = c;
-            }
+        for (c, w) in starts.windows(2).enumerate() {
+            comp[w[0]..w[1]].fill(c);
         }
         for (s, d) in g.iter_edges() {
             assert_eq!(

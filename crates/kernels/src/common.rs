@@ -382,10 +382,8 @@ mod tests {
         let x = init::uniform(40, 12, -1.0, 1.0, 3);
         let f = reference_sddmm(&g, &x, &x);
         let full = tcg_tensor::gemm::gemm_a_bt(&x, &x).unwrap();
-        let mut i = 0usize;
-        for (s, d) in g.iter_edges() {
+        for (i, (s, d)) in g.iter_edges().enumerate() {
             assert!((f[i] - full.get(s as usize, d as usize)).abs() < 1e-4);
-            i += 1;
         }
     }
 }

@@ -343,12 +343,12 @@ mod tests {
                 .map(|c| beta * c)
                 .fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
-            for e in lo..hi {
-                p_ref[e] = (beta * cos_ref[e] - m).exp();
-                sum += p_ref[e];
+            for (p, c) in p_ref[lo..hi].iter_mut().zip(&cos_ref[lo..hi]) {
+                *p = (beta * c - m).exp();
+                sum += *p;
             }
-            for e in lo..hi {
-                p_ref[e] /= sum;
+            for p in &mut p_ref[lo..hi] {
+                *p /= sum;
             }
         }
         for (a, b) in out.p.iter().zip(&p_ref) {

@@ -7,7 +7,6 @@ pub mod gespmm;
 pub mod hybrid;
 pub mod scatter;
 pub mod tcgnn;
-pub mod tcgnn_half;
 pub(crate) mod tiling;
 pub mod triton;
 pub mod tsparse;
@@ -19,6 +18,5 @@ pub use gespmm::GeSpmm;
 pub use hybrid::HybridSpmm;
 pub use scatter::ScatterGatherSpmm;
 pub use tcgnn::TcgnnSpmm;
-pub use tcgnn_half::TcgnnSpmmHalf;
 pub use triton::TritonBlockSparseSpmm;
 pub use tsparse::TsparseLikeSpmm;

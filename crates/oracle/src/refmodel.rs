@@ -757,27 +757,6 @@ mod tests {
             .all(|&v| v == round_to_tf32(x)));
     }
 
-    #[test]
-    fn one_k16_half_mma_equals_two_k8_tf32_mmas() {
-        // The FP16 shape folds two TF-32-depth reductions into one
-        // instruction; with inputs exactly representable in both precisions
-        // the results agree bit for bit.
-        use tcg_gpusim::wmma::FragmentAcc;
-        use tcg_gpusim::wmma_half::{mma_functional_half, HalfFragmentA, HalfFragmentB};
-        let a = DenseMatrix::from_fn(16, 16, |r, c| ((r + c) % 5) as f32 - 2.0);
-        let b = DenseMatrix::from_fn(16, 16, |r, c| ((r * 3 + c) % 7) as f32 - 3.0);
-        let (mut fa, mut fb) = (HalfFragmentA::default(), HalfFragmentB::default());
-        fa.load(a.as_slice(), 16);
-        fb.load(b.as_slice(), 16);
-        let mut acc16 = FragmentAcc::default();
-        mma_functional_half(&mut acc16, &fa, &fb);
-        let mut acc8 = [0.0f32; WMMA_M * WMMA_N];
-        for k0 in [0, WMMA_K] {
-            mma_m16n16k8(&mut acc8, &a_tile(&a, k0), &b_tile(&b, k0));
-        }
-        assert_eq!(acc16.data(), &acc8[..]);
-    }
-
     /// An operand value: mostly finite over several binades, with exact
     /// `±0.0`, subnormals, and (when `specials`) `±inf` and NaN.
     fn operand(rng: &mut rand::rngs::StdRng, specials: bool) -> f32 {

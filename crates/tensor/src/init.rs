@@ -24,19 +24,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> DenseMatrix {
     uniform(fan_in, fan_out, -bound, bound, seed)
 }
 
-/// Sparse-ish binary feature matrix: each row has roughly `density * cols`
-/// ones, mimicking bag-of-words node features (Cora/Citeseer-style).
-pub fn binary_features(rows: usize, cols: usize, density: f64, seed: u64) -> DenseMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    DenseMatrix::from_fn(rows, cols, |_, _| {
-        if rng.random_bool(density.clamp(0.0, 1.0)) {
-            1.0
-        } else {
-            0.0
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,14 +45,5 @@ mod tests {
         let max_small = small.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let max_large = large.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         assert!(max_large < max_small);
-    }
-
-    #[test]
-    fn binary_features_density() {
-        let f = binary_features(100, 100, 0.1, 7);
-        let ones: usize = f.as_slice().iter().filter(|&&v| v == 1.0).count();
-        // 10_000 Bernoulli(0.1) draws: expect ~1000, allow wide tolerance.
-        assert!((500..1500).contains(&ones), "got {ones} ones");
-        assert!(f.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
     }
 }

@@ -14,7 +14,6 @@
 //! implementations share.
 
 pub mod error;
-pub mod f16;
 pub mod gemm;
 pub mod init;
 pub mod matrix;
@@ -23,7 +22,7 @@ pub mod tf32;
 
 pub use error::TensorError;
 pub use matrix::DenseMatrix;
-pub use tf32::{round_to_tf32, tf32_mul};
+pub use tf32::round_to_tf32;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -240,15 +240,6 @@ impl DenseMatrix {
         DenseMatrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|v| (*v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
     /// Maximum absolute element-wise difference against `other`.
     ///
     /// Shapes must match; used pervasively in tests to compare kernel output
@@ -357,12 +348,6 @@ mod tests {
         assert!(a.sub_assign(&b).is_err());
         assert!(a.hadamard(&b).is_err());
         assert!(a.max_abs_diff(&b).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -48,22 +48,6 @@ pub fn softmax_rows(x: &DenseMatrix) -> DenseMatrix {
     out
 }
 
-/// Row-wise log-softmax (stable), the usual output head for node
-/// classification.
-pub fn log_softmax_rows(x: &DenseMatrix) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-        let orow = out.row_mut(r);
-        for (o, &v) in orow.iter_mut().zip(row) {
-            *o = v - lse;
-        }
-    }
-    out
-}
-
 /// Adds a broadcast row vector (`bias`) to every row of `x` in place.
 pub fn add_bias_inplace(x: &mut DenseMatrix, bias: &[f32]) -> Result<()> {
     if bias.len() != x.cols() {
@@ -164,18 +148,6 @@ mod tests {
             *v += 100.0;
         }
         assert!(softmax_rows(&x).max_abs_diff(&softmax_rows(&y)).unwrap() < 1e-5);
-    }
-
-    #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let x = init::uniform(4, 6, -2.0, 2.0, 2);
-        let ls = log_softmax_rows(&x);
-        let s = softmax_rows(&x);
-        for r in 0..4 {
-            for c in 0..6 {
-                assert!((ls.get(r, c) - s.get(r, c).ln()).abs() < 1e-4);
-            }
-        }
     }
 
     #[test]

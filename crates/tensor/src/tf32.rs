@@ -48,14 +48,6 @@ pub fn round_to_tf32(x: f32) -> f32 {
     f32::from_bits(rounded)
 }
 
-/// Multiplies two values the way a TF-32 tensor core does: both inputs are
-/// rounded to TF-32, the product is an exact FP32 multiply of the rounded
-/// operands (the hardware keeps full precision inside the dot-product tree).
-#[inline]
-pub fn tf32_mul(a: f32, b: f32) -> f32 {
-    round_to_tf32(a) * round_to_tf32(b)
-}
-
 /// Relative tolerance appropriate when comparing a TF-32 computation against
 /// an f64 reference: one ULP at 10 mantissa bits, with headroom for
 /// accumulation order differences across a K-long dot product.
@@ -120,6 +112,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::approx_constant)]
     fn idempotent() {
         let mut x = -3.14159_f32;
         for _ in 0..100 {

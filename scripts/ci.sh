@@ -146,25 +146,47 @@ folded="$obs_dir/profile-hotspots.folded"
 # verdict exits nonzero and gates CI; warnings are reported but pass.
 ./target/release/tcgnn bench --check
 
+# replay_equal <name>: the regenerated $replay_dir/<name>.json must equal
+# the committed results/<name>.json in every value, apart from the
+# host-specific `_meta` and fig7b's host-clock `sgt_wallclock_ms`.
+replay_equal() {
+    python3 -c "
+import json, sys
+host_clock = {'fig7b': ['sgt_wallclock_ms']}.get(sys.argv[3], [])
+def load(p):
+    d = json.load(open(p))
+    if isinstance(d, dict):
+        d.pop('_meta', None)
+    for row in d if isinstance(d, list) else []:
+        for k in host_clock:
+            row.pop(k, None)
+    return d
+assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the replay'
+" "results/$1.json" "$replay_dir/$1.json" "$1" || {
+        echo "replay: $1.json no longer reproduces" >&2
+        exit 1
+    }
+}
+
 step "serve replay: regenerated serve benches equal the committed files"
 # The sentinel above compares committed files with baselines; this step
-# re-runs the serving benches and requires every value (apart from the
-# host-specific `_meta`) to equal the committed JSON, so a serve-path
-# change that moves any report byte fails here.
+# re-runs the serving benches and requires every report byte to reproduce,
+# so a serve-path change that moves any of them fails here.
 replay_dir=$(mktemp -d)
 for b in serve resilience churn; do
     TCG_THREADS=1 TCG_RESULTS_DIR="$replay_dir" ./target/release/bench_$b >/dev/null
-    python3 -c "
-import json, sys
-def load(p):
-    d = json.load(open(p))
-    d.pop('_meta', None)
-    return d
-assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the replay'
-" "results/BENCH_$b.json" "$replay_dir/BENCH_$b.json" || {
-        echo "serve replay: BENCH_$b.json no longer reproduces" >&2
-        exit 1
-    }
+    replay_equal "BENCH_$b"
+done
+rm -rf "$replay_dir"
+
+step "figure replay: regenerated figures, tables and ablations equal the committed files"
+# Every paper figure, table and ablation is simulated-clock output, so a
+# change that moves no simulated number must reproduce each file exactly.
+replay_dir=$(mktemp -d)
+for b in fig6a fig6b fig6c fig7a fig7b fig7c table1 table2 table3 table5 \
+    ablation_cyclesim ablation_device ablation_geometry ext_models; do
+    TCG_THREADS=1 TCG_RESULTS_DIR="$replay_dir" ./target/release/$b >/dev/null
+    replay_equal "$b"
 done
 rm -rf "$replay_dir"
 
@@ -275,7 +297,7 @@ cargo run --release -q -p tcg-bench --bin bench_dist -- --check
 step "cargo fmt --check"
 cargo fmt --check
 
-step "cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+step "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 step "CI PASSED"

@@ -11,14 +11,9 @@ pub use std::hint::black_box;
 const DEFAULT_SAMPLES: usize = 20;
 
 /// Entry point handed to each bench function.
+#[derive(Default)]
 pub struct Criterion {
     _private: (),
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { _private: () }
-    }
 }
 
 impl Criterion {

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn scope_returns_closure_result_and_borrows_env() {
-        let data = vec![1u64, 2, 3, 4];
+        let data = [1u64, 2, 3, 4];
         let sum = AtomicUsize::new(0);
         let ret = super::scope(|s| {
             let (lo, hi) = data.split_at(2);
