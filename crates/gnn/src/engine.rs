@@ -227,10 +227,11 @@ impl Norms {
 ///
 /// All of it is fixed for the launcher's lifetime, so an op's launches
 /// are memoized (see [`Launcher::memoized`]) under a key holding just the
-/// op, its operand widths and whether it carries edge values. A launch
-/// over some row windows only is never memoized: serve batches draw their
-/// windows from random targets, so a repeat is rare and each entry would
-/// stay for the engine's lifetime.
+/// op, its operand widths and whether it carries edge values: a repeat
+/// replays the first simulation's stats and computes its outputs with the
+/// kernel's plain loops. A launch over some row windows only is never
+/// memoized: serve batches draw their windows from random targets, so a
+/// repeat is rare and each entry would stay for the engine's lifetime.
 struct Device {
     launcher: Launcher,
     spmm: Box<dyn SpmmKernel>,

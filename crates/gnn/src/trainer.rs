@@ -318,7 +318,7 @@ pub fn train_model_returning<M: TrainableModel>(
         let mut attempt = run_epoch(eng, ds, &mut model, &mut adam);
         if attempt.poisoned {
             if let Some((m0, a0)) = checkpoint {
-                // Discard the contaminated epoch's state and replay it on
+                // Drop the contaminated epoch's state and replay it on
                 // the CUDA-core fallback path with injection suppressed;
                 // RNG draws are untouched, so later epochs see the exact
                 // fault schedule they would have seen anyway.

@@ -12,9 +12,12 @@
 //! assigns them *synthetic device addresses* via [`AddressSpace`] so the
 //! cache simulation sees a realistic address stream.
 //!
-//! Inside a [`Launcher::memoized`] scope each launch is simulated once: a
-//! repeat replays the recorded [`KernelStats`] and runs its block bodies
-//! values-only (every charge method returns at entry).
+//! Inside a [`Launcher::memoized`] scope each launch that also has a plain
+//! loop for its outputs ([`Launcher::launch_values`],
+//! [`Launcher::launch_par_values`]) is simulated once: a repeat replays the
+//! recorded [`KernelStats`] and runs the loop instead of the block bodies
+//! ([`Launcher::launch_par_values`]' per-block loop on the same worker
+//! threads as its bodies).
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -27,6 +30,7 @@ use crate::coalesce::sector_span;
 use crate::cost;
 use crate::device::DeviceSpec;
 use crate::hotspot::{self, HotPhase};
+use crate::par::DisjointSlices;
 use crate::stats::KernelStats;
 
 /// Launch configuration of a kernel.
@@ -132,9 +136,6 @@ enum MemSim<'a> {
         l1: &'a mut Cache,
         l2_log: &'a mut Vec<u64>,
     },
-    /// A memo hit: nothing is simulated, so every charge method of the
-    /// [`BlockCtx`] returns at entry and this is never probed.
-    ValuesOnly,
 }
 
 impl MemSim<'_> {
@@ -168,7 +169,6 @@ impl MemSim<'_> {
                     }
                 }
             }
-            MemSim::ValuesOnly => {}
         }
     }
 }
@@ -190,13 +190,6 @@ pub struct BlockCtx<'a> {
 }
 
 impl<'a> BlockCtx<'a> {
-    /// Whether this block runs values-only (a memo hit): the window body's
-    /// arithmetic still runs, but nothing is charged.
-    #[inline]
-    fn values_only(&self) -> bool {
-        matches!(self.mem, MemSim::ValuesOnly)
-    }
-
     /// Consumes a pending ECC bit flip armed by the launcher's fault plan.
     ///
     /// Returns `true` at most once per launch: the first tensor-core op to
@@ -227,9 +220,6 @@ impl<'a> BlockCtx<'a> {
 
     /// One warp-wide global load with arbitrary lane addresses.
     pub fn ld_global_warp(&mut self, addrs: &[u64]) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64; // address arithmetic
         self.coalesce_into_scratch(addrs);
@@ -242,9 +232,6 @@ impl<'a> BlockCtx<'a> {
     /// `base`, performed by however many warps it takes (unit stride — the
     /// coalesced fast path).
     pub fn ld_global_contiguous(&mut self, base: u64, count: usize, elem_bytes: usize) {
-        if self.values_only() {
-            return;
-        }
         if count == 0 {
             return;
         }
@@ -272,9 +259,6 @@ impl<'a> BlockCtx<'a> {
         elems_per_row: usize,
         elem_bytes: usize,
     ) {
-        if self.values_only() {
-            return;
-        }
         if bases.is_empty() || elems_per_row == 0 {
             return;
         }
@@ -297,9 +281,6 @@ impl<'a> BlockCtx<'a> {
         elems_per_row: usize,
         elem_bytes: usize,
     ) {
-        if self.values_only() {
-            return;
-        }
         if bases.is_empty() || elems_per_row == 0 {
             return;
         }
@@ -315,9 +296,6 @@ impl<'a> BlockCtx<'a> {
 
     /// One scalar global load (a single thread reading e.g. a row pointer).
     pub fn ld_global_scalar(&mut self, addr: u64) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += 1;
         self.stats.gl_load_transactions += 1;
@@ -328,9 +306,6 @@ impl<'a> BlockCtx<'a> {
 
     /// One warp-wide global store with arbitrary lane addresses.
     pub fn st_global_warp(&mut self, addrs: &[u64]) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64;
         self.coalesce_into_scratch(addrs);
@@ -341,9 +316,6 @@ impl<'a> BlockCtx<'a> {
 
     /// Contiguous global store of `count` elements of `elem_bytes`.
     pub fn st_global_contiguous(&mut self, base: u64, count: usize, elem_bytes: usize) {
-        if self.values_only() {
-            return;
-        }
         if count == 0 {
             return;
         }
@@ -358,9 +330,6 @@ impl<'a> BlockCtx<'a> {
 
     /// Atomic adds from one warp; duplicate target addresses serialize.
     pub fn atomic_add_global(&mut self, addrs: &[u64]) {
-        if self.values_only() {
-            return;
-        }
         self.stats.int_ops += addrs.len() as u64;
         self.stats.atomic_ops += addrs.len() as u64;
         let _t = hotspot::scope(HotPhase::Coalesce);
@@ -391,36 +360,24 @@ impl<'a> BlockCtx<'a> {
 
     /// `n` warp-wide shared-memory transactions (load or store).
     pub fn shared_access(&mut self, n: u64) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += n;
         self.stats.shared_transactions += n;
     }
 
     /// One warp-wide FMA (`lanes` active lanes, 2 FLOPs each).
     pub fn fma_warp(&mut self, lanes: u32) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.fp32_flops += 2 * lanes as u64;
     }
 
     /// `n` warp-wide FMA instructions at full width.
     pub fn fma_warps(&mut self, n: u64) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += n;
         self.stats.fp32_flops += 2 * 32 * n;
     }
 
     /// One warp-wide non-FMA FP32 op (add/mul/exp approximations count 1).
     pub fn fp32_warp(&mut self, lanes: u32) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.fp32_flops += lanes as u64;
     }
@@ -428,27 +385,18 @@ impl<'a> BlockCtx<'a> {
     /// `n` warp-wide non-FMA FP32 instructions at full width (bulk form for
     /// per-edge shuffle/reduction charging).
     pub fn fp32_warps(&mut self, n: u64) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += n;
         self.stats.fp32_flops += 32 * n;
     }
 
     /// One warp-wide integer/address op.
     pub fn int_warp(&mut self, lanes: u32) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.int_ops += lanes as u64;
     }
 
     /// A tensor-core MMA instruction of the given FLOP count.
     pub fn tcu_mma(&mut self, flops: u64) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions += 1;
         self.stats.tcu_mma_instructions += 1;
         self.stats.tcu_flops += flops;
@@ -456,39 +404,8 @@ impl<'a> BlockCtx<'a> {
 
     /// Block-wide barrier.
     pub fn syncthreads(&mut self) {
-        if self.values_only() {
-            return;
-        }
         self.stats.warp_instructions +=
             u64::from(self.config.block_size.div_ceil(self.device.warp_size));
-    }
-}
-
-/// What a values-only [`BlockCtx`] points its counters at: the charge
-/// methods return at entry, so none of it is ever touched.
-#[derive(Default)]
-struct Discard {
-    stats: KernelStats,
-    ecc_armed: bool,
-    scratch: Vec<u64>,
-}
-
-impl Discard {
-    fn ctx<'a>(
-        &'a mut self,
-        device: &'a DeviceSpec,
-        cfg: GridConfig,
-        block_id: u64,
-    ) -> BlockCtx<'a> {
-        BlockCtx {
-            device,
-            block_id,
-            config: cfg,
-            stats: &mut self.stats,
-            mem: MemSim::ValuesOnly,
-            ecc_armed: &mut self.ecc_armed,
-            scratch: &mut self.scratch,
-        }
     }
 }
 
@@ -587,7 +504,7 @@ pub struct Launcher {
 
 impl Launcher {
     /// Creates a launcher for `device` with cold caches and no fault plan.
-    /// The worker-thread count for [`Launcher::launch_par`] comes from
+    /// The worker-thread count for [`Launcher::launch_par_values`] comes from
     /// `TCG_THREADS` (unset → 1, the fully sequential behavior).
     pub fn new(device: DeviceSpec) -> Self {
         let l2 = Cache::l2(device.l2_bytes);
@@ -626,13 +543,13 @@ impl Launcher {
         }
     }
 
-    /// Sets the worker-thread count used by [`Launcher::launch_par`]
+    /// Sets the worker-thread count used by [`Launcher::launch_par_values`]
     /// (`0` → all available cores; clamped to at least 1).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = crate::par::resolve_threads(Some(threads)).max(1);
     }
 
-    /// The worker-thread count [`Launcher::launch_par`] fans out over.
+    /// The worker-thread count [`Launcher::launch_par_values`] fans out over.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -723,16 +640,19 @@ impl Launcher {
     /// result.
     ///
     /// The caller vouches that `key` fixes every input of the launches `f`
-    /// makes except the values their bodies compute on. A launch's stats
-    /// then depend only on its own access sequence: its buffers are fresh
-    /// bump allocations (earlier launches left no line of them in L2, and
+    /// makes except the values they compute on. A launch's stats then
+    /// depend only on its own access sequence: its buffers are fresh bump
+    /// allocations (earlier launches left no line of them in L2, and
     /// shifting the whole layout keeps its set conflicts), the L1 is
-    /// flushed at every block, and the L2 is LRU (older lines always
-    /// evict first). So each launch is simulated once, recorded under
-    /// `(key, ordinal in the scope, config, blocks)`, and every repeat
-    /// runs its bodies values-only and replays the record, launch-log
-    /// entry included. The memo is off while a fault plan is attached
-    /// (ECC and OOM change the launch) or the hotspot profiler is on.
+    /// flushed at every block, and the L2 is LRU (older lines always evict
+    /// first). So each [`Launcher::launch_values`] or
+    /// [`Launcher::launch_par_values`] launch is simulated once, recorded
+    /// under `(key, ordinal in the scope, config, blocks)`, and every
+    /// repeat replays the record, launch-log entry included, and computes
+    /// its outputs with the kernel's plain loop: no block body runs. Other
+    /// launches simulate every time. The memo is off while a fault plan is
+    /// attached (ECC and OOM change the launch) or the hotspot profiler is
+    /// on.
     pub fn memoized<K: Hash, T>(&mut self, key: K, f: impl FnOnce(&mut Launcher) -> T) -> T {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -751,49 +671,55 @@ impl Launcher {
     ///
     /// The L1 is flushed at block boundaries (a block starts on a cold SM);
     /// the L2 persists across blocks *and* across launches, modeling
-    /// cross-kernel reuse of inputs. Inside a [`Launcher::memoized`] scope
-    /// a repeat launch replays its recorded counters instead.
+    /// cross-kernel reuse of inputs.
     pub fn launch<F>(&mut self, cfg: GridConfig, num_blocks: u64, body: F) -> KernelStats
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
-        self.launch_blocks(cfg, Blocks::All(num_blocks), body)
+        let stats = self.simulate(cfg, Blocks::All(num_blocks), body);
+        self.complete(stats)
     }
 
-    /// [`Launcher::launch`] over an explicit set of block ids: only those
-    /// blocks run and are charged, and the stats count only them.
-    fn launch_blocks<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: F) -> KernelStats
-    where
-        F: FnMut(&mut BlockCtx<'_>),
-    {
-        self.replay_or_simulate(
-            cfg,
-            blocks.len(),
-            body,
-            |l, body| l.simulate(cfg, blocks, body),
-            |l, mut body| {
-                let mut discard = Discard::default();
-                for i in 0..blocks.len() {
-                    body(&mut discard.ctx(&l.device, cfg, blocks.id(i)));
-                }
-            },
-        )
-    }
-
-    /// The memo around one launch: on a hit, runs `values_only` (or,
-    /// under `TCG_VERIFY=1`, `simulate` and a check) and replays the
-    /// record; otherwise simulates and records.
-    fn replay_or_simulate<B>(
+    /// [`Launcher::launch`] for a kernel whose outputs `out` a plain loop
+    /// can also compute: inside a [`Launcher::memoized`] scope a repeat
+    /// replays its recorded counters and runs `values(out)` instead of the
+    /// bodies. `body` gets every output whole; `values` must write the
+    /// bits the bodies write.
+    pub fn launch_values<const N: usize, F>(
         &mut self,
         cfg: GridConfig,
         num_blocks: u64,
-        body: B,
-        simulate: impl FnOnce(&mut Launcher, B) -> KernelStats,
-        values_only: impl FnOnce(&Launcher, B),
+        out: [&mut [f32]; N],
+        mut body: F,
+        values: impl FnOnce([&mut [f32]; N]),
+    ) -> KernelStats
+    where
+        F: FnMut(&mut BlockCtx<'_>, &mut [&mut [f32]; N]),
+    {
+        let blocks = Blocks::All(num_blocks);
+        let simulate = |l: &mut Launcher, out: &mut [&mut [f32]; N]| {
+            l.simulate(cfg, blocks, |ctx| body(ctx, out))
+        };
+        self.replay_or_simulate(cfg, num_blocks, out, simulate, values)
+    }
+
+    /// The memo around one launch writing `out`. A miss simulates, records
+    /// and returns the stats. A hit runs `values` on `out` and returns the
+    /// record; under `TCG_VERIFY=1` it also simulates into a copy of `out`
+    /// and asserts that the stats and every output bit agree (a NaN
+    /// matches any NaN: Rust leaves an arithmetic NaN's sign and payload
+    /// unspecified).
+    fn replay_or_simulate<const N: usize>(
+        &mut self,
+        cfg: GridConfig,
+        num_blocks: u64,
+        mut out: [&mut [f32]; N],
+        simulate: impl FnOnce(&mut Launcher, &mut [&mut [f32]; N]) -> KernelStats,
+        values: impl FnOnce([&mut [f32]; N]),
     ) -> KernelStats {
         let slot = self.memo_slot(cfg, num_blocks);
         let Some(recorded) = slot.and_then(|s| self.memo.get(&s)).cloned() else {
-            let stats = simulate(self, body);
+            let stats = simulate(self, &mut out);
             if let Some(slot) = slot {
                 self.memo.insert(slot, stats.clone());
             }
@@ -801,13 +727,24 @@ impl Launcher {
         };
         self.memo_hits += 1;
         if self.verify {
-            let full = simulate(self, body);
+            let mut full = out.each_ref().map(|o| o.to_vec());
+            let stats = simulate(self, &mut full.each_mut().map(|o| o.as_mut_slice()));
             assert_eq!(
-                full, recorded,
+                stats, recorded,
                 "a memo hit diverged from its full simulation"
             );
+            values(out.each_mut().map(|o| &mut **o));
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            for (k, (got, want)) in out.iter().zip(&full).enumerate() {
+                if let Some(i) = (0..want.len()).find(|&i| !same(got[i], want[i])) {
+                    panic!(
+                        "a memo hit's loop gives output {k}[{i}] = {}, its bodies {}",
+                        got[i], want[i]
+                    );
+                }
+            }
         } else {
-            values_only(self, body);
+            values(out);
         }
         self.complete(recorded)
     }
@@ -909,12 +846,17 @@ impl Launcher {
         stats
     }
 
-    /// Like [`Launcher::launch`], but fans block bodies out over the
-    /// launcher's worker-thread pool when the body is re-entrant.
+    /// Like [`Launcher::launch_values`], but fans block bodies out over
+    /// the launcher's worker-thread pool, and runs only the blocks
+    /// `blocks` names (the stats count only them). Each body gets its view
+    /// of every output and writes only its own block's disjoint ranges.
+    /// Memoized as [`Launcher::launch_values`] is, except that the loop is
+    /// per block too: a hit runs `values(block_id, views)` for every block,
+    /// fanned out over the same workers, and each call must write the bits
+    /// the block's body writes.
     ///
-    /// Stats, cost-model output, and (for kernels whose blocks write
-    /// disjoint output ranges — the SGT row-window contract) result bytes
-    /// are identical to the sequential path:
+    /// Stats, cost-model output and result bytes are identical to the
+    /// sequential path:
     ///
     /// - Each block runs against a **worker-private L1**. The harness
     ///   flushes the L1 at every block boundary anyway, so a block's L1
@@ -933,44 +875,52 @@ impl Launcher {
     /// 1, the grid is tiny, or an ECC fault is armed (the armed flip is
     /// consumed by the *first* tensor-core op in sequential block order —
     /// data-affecting semantics the parallel path must not reorder).
-    pub fn launch_par<F>(&mut self, cfg: GridConfig, num_blocks: u64, body: F) -> KernelStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        self.launch_par_blocks(cfg, Blocks::All(num_blocks), body)
-    }
-
-    /// [`Launcher::launch_par`] over an explicit set of block ids (see
-    /// [`Launcher::launch_blocks`]).
-    pub fn launch_par_blocks<F>(
+    pub fn launch_par_values<const N: usize, F, V>(
         &mut self,
         cfg: GridConfig,
         blocks: Blocks<'_>,
+        out: [&mut [f32]; N],
         body: F,
+        values: V,
     ) -> KernelStats
+    where
+        F: Fn(&mut BlockCtx<'_>, &[DisjointSlices<'_, f32>; N]) + Sync,
+        V: Fn(u64, &[DisjointSlices<'_, f32>; N]) + Sync,
+    {
+        let simulate = |l: &mut Launcher, out: &mut [&mut [f32]; N]| {
+            let views = out.each_mut().map(|o| DisjointSlices::new(o));
+            l.run_par(cfg, blocks, |ctx| body(ctx, &views))
+        };
+        let num_blocks = blocks.len();
+        let threads = self.threads.min(num_blocks as usize);
+        let values = |mut out: [&mut [f32]; N]| {
+            let views = out.each_mut().map(|o| DisjointSlices::new(o));
+            let block = |_: &mut (), i| values(blocks.id(i), &views);
+            if threads <= 1 {
+                (0..num_blocks).for_each(|i| block(&mut (), i));
+            } else {
+                fan_out(threads, num_blocks, || (), block);
+            }
+        };
+        self.replay_or_simulate(cfg, num_blocks, out, simulate, values)
+    }
+
+    /// The full simulation behind [`Launcher::launch_par_values`]: the
+    /// parallel one, or the sequential one where it falls back.
+    fn run_par<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: F) -> KernelStats
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
         let num_blocks = blocks.len();
         let threads = self.threads.min(num_blocks as usize);
         if threads <= 1 || num_blocks < 2 || self.ecc_armed {
-            return self.launch_blocks(cfg, blocks, body);
+            self.simulate(cfg, blocks, body)
+        } else {
+            self.simulate_par(cfg, blocks, threads, body)
         }
-        self.replay_or_simulate(
-            cfg,
-            num_blocks,
-            body,
-            |l, body| l.simulate_par(cfg, blocks, threads, body),
-            |l, body| {
-                let device = &l.device;
-                fan_out(threads, num_blocks, Discard::default, |discard, i| {
-                    body(&mut discard.ctx(device, cfg, blocks.id(i)));
-                });
-            },
-        )
     }
 
-    /// The full parallel simulation behind [`Launcher::launch_par`].
+    /// The full parallel simulation behind [`Launcher::launch_par_values`].
     fn simulate_par<F>(
         &mut self,
         cfg: GridConfig,
@@ -1342,12 +1292,14 @@ mod tests {
                 ctx.fma_warps(b as u64 % 5 + 1);
                 ctx.syncthreads();
             };
-            let first = l.launch_par(cfg, 64, body);
+            let mut par =
+                |blocks| l.launch_par_values(cfg, blocks, [], |ctx, _| body(ctx), |_, _| {});
+            let first = par(Blocks::All(64));
             // Second launch observes the L2 state the first left behind.
-            let second = l.launch_par(cfg, 64, body);
+            let second = par(Blocks::All(64));
             // A partial launch over a non-contiguous id list (the row
             // windows a receptive-field batch reads).
-            let partial = l.launch_par_blocks(cfg, Blocks::Only(&[1, 4, 5, 17, 40, 63]), body);
+            let partial = par(Blocks::Only(&[1, 4, 5, 17, 40, 63]));
             // And the sequential entry point sees the same L2 afterwards.
             let third = l.launch(cfg, 8, body);
             (first, second, partial, third)
@@ -1370,12 +1322,14 @@ mod tests {
         l.attach_fault_plan(Some(FaultPlan::new(1, cfg)));
         l.preflight("wmma", &GridConfig::with_block_size(32))
             .unwrap();
-        let stats = l.launch_par(GridConfig::with_block_size(32), 4, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>, _: &[DisjointSlices<'_, f32>; 0]| {
             let mut acc = FragmentAcc::default();
             mma_sync_gather(&mut acc, &[], &[], &[], 16, ctx);
             // Sequential fallback: block 0's first MMA takes the flip.
             assert_eq!(acc.get(0, 0).is_nan(), ctx.block_id == 0);
-        });
+        };
+        let cfg = GridConfig::with_block_size(32);
+        let stats = l.launch_par_values(cfg, Blocks::All(4), [], body, |_, _| {});
         assert_eq!(stats.ecc_faults, 1);
     }
 
@@ -1398,17 +1352,32 @@ mod tests {
     }
 
     /// One scoped launch of 8 blocks over a fresh buffer, each block
-    /// loading its own rows and the shared head; counts executed blocks.
-    fn scoped_launch(l: &mut Launcher, ran: &AtomicU64) -> KernelStats {
-        l.memoized("k", |l| {
+    /// loading its own rows and the shared head and writing `block · 0.5`
+    /// to its output slot; the loop writes `block · scale`. Counts
+    /// executed blocks; returns the stats and the output.
+    fn scoped_launch(l: &mut Launcher, ran: &AtomicU64, scale: f32) -> (KernelStats, Vec<f32>) {
+        let mut out = vec![0.0f32; 8];
+        let stats = l.memoized("k", |l| {
             let buf = l.try_alloc_f32(4096).unwrap();
-            l.launch_par(GridConfig::with_block_size(64), 8, |ctx| {
+            let cfg = GridConfig::with_block_size(64);
+            let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
                 ran.fetch_add(1, Ordering::Relaxed);
-                ctx.ld_global_contiguous(buf.f32_addr(ctx.block_id as usize * 256), 256, 4);
+                let b = ctx.block_id as usize;
+                ctx.ld_global_contiguous(buf.f32_addr(b * 256), 256, 4);
                 ctx.ld_global_contiguous(buf.base(), 64, 4);
                 ctx.fma_warps(3);
-            })
-        })
+                // SAFETY: block `b` alone writes slot `b`.
+                let slot = unsafe { out.range_mut(b, 1) };
+                slot[0] = b as f32 * 0.5;
+            };
+            let values = |b: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+                // SAFETY: block `b` alone writes slot `b`.
+                let slot = unsafe { out.range_mut(b as usize, 1) };
+                slot[0] = b as f32 * scale;
+            };
+            l.launch_par_values(cfg, Blocks::All(8), [&mut out], body, values)
+        });
+        (stats, out)
     }
 
     #[test]
@@ -1418,16 +1387,12 @@ mod tests {
             let mut l = memo_launcher(threads);
             l.set_launch_log(true);
             let ran = AtomicU64::new(0);
-            let miss = scoped_launch(&mut l, &ran);
-            let hit = scoped_launch(&mut l, &ran);
+            let miss = scoped_launch(&mut l, &ran, 0.5);
+            let hit = scoped_launch(&mut l, &ran, 0.5);
             assert_eq!(l.memo_hits(), 1);
             assert_eq!(hit, miss);
-            assert!(miss.l2_hits > 0, "the launch exercises the L2");
-            assert_eq!(
-                ran.load(Ordering::Relaxed),
-                16,
-                "a hit still runs every body"
-            );
+            assert!(miss.0.l2_hits > 0, "the launch exercises the L2");
+            assert_eq!(ran.load(Ordering::Relaxed), 8, "a hit runs no body");
             let log = l.take_launch_log();
             assert_eq!(log.len(), 2);
             assert_eq!(log[0].to_bits(), log[1].to_bits());
@@ -1439,11 +1404,36 @@ mod tests {
         let _lock = hotspot::test_lock();
         let mut l = memo_launcher(1);
         let ran = AtomicU64::new(0);
-        scoped_launch(&mut l, &ran);
+        scoped_launch(&mut l, &ran, 0.5);
         let probes = (l.l2.hits(), l.l2.misses());
-        scoped_launch(&mut l, &ran);
+        scoped_launch(&mut l, &ran, 0.5);
         assert_eq!(l.memo_hits(), 1);
         assert_eq!((l.l2.hits(), l.l2.misses()), probes);
+    }
+
+    #[test]
+    fn verified_hit_runs_the_bodies_and_the_loop() {
+        let _lock = hotspot::test_lock();
+        for threads in [1, 4] {
+            let mut l = memo_launcher(threads);
+            l.verify = true;
+            let ran = AtomicU64::new(0);
+            let miss = scoped_launch(&mut l, &ran, 0.5);
+            assert_eq!(scoped_launch(&mut l, &ran, 0.5), miss);
+            assert_eq!(l.memo_hits(), 1);
+            assert_eq!(ran.load(Ordering::Relaxed), 16);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a memo hit's loop gives output 0[1]")]
+    fn verified_hit_rejects_a_loop_that_disagrees_with_the_bodies() {
+        let _lock = hotspot::test_lock();
+        let mut l = memo_launcher(1);
+        l.verify = true;
+        let ran = AtomicU64::new(0);
+        scoped_launch(&mut l, &ran, 0.5);
+        scoped_launch(&mut l, &ran, 0.25);
     }
 
     #[test]
@@ -1453,14 +1443,14 @@ mod tests {
         let ran = AtomicU64::new(0);
         let mut l = memo_launcher(1);
         l.attach_fault_plan(Some(FaultPlan::new(1, FaultConfig::none())));
-        let first = scoped_launch(&mut l, &ran);
-        assert_eq!(scoped_launch(&mut l, &ran), first);
+        let first = scoped_launch(&mut l, &ran, 0.5);
+        assert_eq!(scoped_launch(&mut l, &ran, 0.5), first);
         assert_eq!(l.memo_hits(), 0);
 
         let mut l = memo_launcher(1);
         hotspot::set_enabled(true);
-        scoped_launch(&mut l, &ran);
-        scoped_launch(&mut l, &ran);
+        scoped_launch(&mut l, &ran, 0.5);
+        scoped_launch(&mut l, &ran, 0.5);
         hotspot::set_enabled(false);
         let _ = hotspot::take_report();
         assert_eq!(l.memo_hits(), 0);
@@ -1473,8 +1463,10 @@ mod tests {
         let cfg = GridConfig::with_block_size(32);
         let mut scope = || {
             l.memoized(7u64, |l| {
-                let a = l.launch(cfg, 4, |ctx| ctx.fma_warps(1));
-                let b = l.launch(cfg, 4, |ctx| ctx.fma_warps(3));
+                let a = l.launch_values(cfg, 4, [], |ctx, _| ctx.fma_warps(1), |_| {});
+                // A launch without a loop simulates every time.
+                l.launch(cfg, 4, |ctx| ctx.fma_warps(2));
+                let b = l.launch_values(cfg, 4, [], |ctx, _| ctx.fma_warps(3), |_| {});
                 (a, b)
             })
         };

@@ -1,8 +1,11 @@
 //! Shared problem types, CPU references and the kernel trait.
 
 use std::fmt;
+use std::ops::Range;
 
-use tcg_gpusim::{BlockCtx, Blocks, GridConfig, KernelReport, KernelStats, Launcher};
+use tcg_gpusim::{
+    BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, KernelStats, Launcher,
+};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::tf32::round_to_tf32;
@@ -238,25 +241,37 @@ pub(crate) fn check_windows(t: &TranslatedGraph, windows: &[u32]) -> Result<(), 
     }
 }
 
-/// Runs `body` as one launch over the windows of `mask` that are not
-/// [`WindowBackend::Skip`], block id = window id. A mask without `Skip`
-/// is exactly `launch_par` over every window.
-pub(crate) fn launch_mask<F>(
+/// Runs `body` as one launch writing `out` over the windows of `mask` that
+/// are not [`WindowBackend::Skip`], block id = window id; a memo hit runs
+/// `values` instead (see [`Launcher::launch_par_values`]). A mask without
+/// `Skip` launches every window.
+pub(crate) fn launch_mask<const N: usize, F, V>(
     launcher: &mut Launcher,
     cfg: GridConfig,
     mask: &[WindowBackend],
+    out: [&mut [f32]; N],
     body: F,
+    values: V,
 ) -> KernelStats
 where
-    F: Fn(&mut BlockCtx<'_>) + Sync,
+    F: Fn(&mut BlockCtx<'_>, &[DisjointSlices<'_, f32>; N]) + Sync,
+    V: Fn(u64, &[DisjointSlices<'_, f32>; N]) + Sync,
 {
-    if !mask.contains(&WindowBackend::Skip) {
-        return launcher.launch_par(cfg, mask.len() as u64, body);
-    }
-    let running: Vec<u32> = (0..mask.len() as u32)
-        .filter(|&w| mask[w as usize] != WindowBackend::Skip)
-        .collect();
-    launcher.launch_par_blocks(cfg, Blocks::Only(&running), body)
+    let running: Vec<u32>;
+    let blocks = if mask.contains(&WindowBackend::Skip) {
+        running = (0..mask.len() as u32)
+            .filter(|&w| mask[w as usize] != WindowBackend::Skip)
+            .collect();
+        Blocks::Only(&running)
+    } else {
+        Blocks::All(mask.len() as u64)
+    };
+    launcher.launch_par_values(cfg, blocks, out, body, values)
+}
+
+/// The rows of row window `w` in an `n`-node graph.
+pub(crate) fn window_rows(w: usize, n: usize) -> Range<usize> {
+    w * TC_BLK_H..((w + 1) * TC_BLK_H).min(n)
 }
 
 /// `x`'s elements rounded to TF-32 when some window of the launch runs a
@@ -275,6 +290,65 @@ pub(crate) fn tf32_operand(x: &DenseMatrix, tcu: bool) -> Vec<f32> {
 /// `tcg_gpusim::wmma::mma_sync_entries`).
 pub(crate) fn all_finite(x: &[f32]) -> bool {
     x.iter().all(|v| v.is_finite())
+}
+
+/// `orow += a · xrow`, a separate multiply and add per element: the step
+/// of every SpMM loop. Eight-element chunks let the compiler keep each in
+/// vector registers.
+#[inline(always)]
+pub(crate) fn axpy(orow: &mut [f32], a: f32, xrow: &[f32]) {
+    let mut o8 = orow.chunks_exact_mut(8);
+    let mut x8 = xrow.chunks_exact(8);
+    for (o, x) in o8.by_ref().zip(x8.by_ref()) {
+        for i in 0..8 {
+            o[i] += a * x[i];
+        }
+    }
+    for (o, &x) in o8.into_remainder().iter_mut().zip(x8.remainder()) {
+        *o += a * x;
+    }
+}
+
+/// `arow · b[u]` for each `u` of `nbrs` into `out` (one per neighbor),
+/// where row `u` of `b` starts at `u · arow.len()`: f32 from `+0.0`, `k`
+/// ascending, a separate multiply and add, skipping zero `arow[k]` when
+/// `skip_zeros`. The step of every SDDMM loop. Four dot products run
+/// interleaved, each its own chain of adds, so the adds overlap.
+pub(crate) fn row_dots(arow: &[f32], b: &[f32], nbrs: &[u32], skip_zeros: bool, out: &mut [f32]) {
+    if skip_zeros {
+        dots::<true>(arow, b, nbrs, out)
+    } else {
+        dots::<false>(arow, b, nbrs, out)
+    }
+}
+
+#[inline(always)]
+fn dots<const SKIP_ZEROS: bool>(arow: &[f32], b: &[f32], nbrs: &[u32], out: &mut [f32]) {
+    let d = arow.len();
+    let row = |u: u32| &b[u as usize * d..][..d];
+    let mut groups = nbrs.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (us, o) in groups.by_ref().zip(outs.by_ref()) {
+        let rows: [&[f32]; 4] = std::array::from_fn(|j| row(us[j]));
+        let mut s = [0.0f32; 4];
+        for (k, &a) in arow.iter().enumerate() {
+            if !SKIP_ZEROS || a != 0.0 {
+                for (sj, rj) in s.iter_mut().zip(&rows) {
+                    *sj += a * rj[k];
+                }
+            }
+        }
+        o.copy_from_slice(&s);
+    }
+    for (o, &u) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+        let mut s = 0.0f32;
+        for (&a, &bv) in arow.iter().zip(row(u)) {
+            if !SKIP_ZEROS || a != 0.0 {
+                s += a * bv;
+            }
+        }
+        *o = s;
+    }
 }
 
 /// CPU reference SpMM: `out[v] = Σ_{u ∈ N(v)} w(v,u) · x[u]`, f64-accumulated.

@@ -22,18 +22,22 @@
 //! (`mma_sync_entries`), stage 3 the gathered rows clipped to the width
 //! (`mma_sync_gather`).
 
+use std::ops::Range;
+
 use tcg_gpusim::wmma::{
     mma_sync_entries, mma_sync_gather, FragmentAcc, MmaEntry, FRAG_A_SMEM_TRANSACTIONS,
     FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
 };
-use tcg_gpusim::{Blocks, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{all_finite, check_translation, check_windows, tf32_operand, TcgError};
-use crate::sddmm::tcgnn::{fill_frame_atox, SDDMM_W};
-use crate::spmm::tcgnn::block_nonzeros;
+use crate::common::{
+    all_finite, check_translation, check_windows, tf32_operand, window_rows, TcgError,
+};
+use crate::sddmm::tcgnn::{fill_frame_atox, tcu_dot_rows, SDDMM_W};
+use crate::spmm::tcgnn::{block_nonzeros, tcu_rows};
 
 /// Output of the fused attention kernel.
 pub struct FusedAttentionOutput {
@@ -127,20 +131,15 @@ pub fn fused_attention_windows(
         shared_mem_bytes: smem_bytes,
         regs_per_thread: 96,
     };
-
-    // Each block owns all edges and output rows of its row window, so the
-    // three output buffers split into disjoint per-block slices and the
-    // body runs on the parallel path.
-    let y_slices = tcg_gpusim::DisjointSlices::new(y.as_mut_slice());
-    let cos_slices = tcg_gpusim::DisjointSlices::new(&mut cos);
-    let p_slices = tcg_gpusim::DisjointSlices::new(&mut p);
-
-    launcher.preflight("fused-attention", &cfg)?;
     let blocks = match windows {
         None => Blocks::All(t.num_row_windows as u64),
         Some(ids) => Blocks::Only(ids),
     };
-    let stats = launcher.launch_par_blocks(cfg, blocks, |ctx| {
+
+    // Each block owns all edges and output rows of its row window, so the
+    // three output buffers split into disjoint per-block slices and the
+    // body runs on the parallel path.
+    let body = |ctx: &mut BlockCtx<'_>, [y_out, cos_out, p_out]: &[DisjointSlices<'_, f32>; 3]| {
         let w = ctx.block_id as usize;
         let num_spmm_blocks = t.win_partition[w] as usize;
         if num_spmm_blocks == 0 {
@@ -166,9 +165,9 @@ pub fn fused_attention_windows(
         let (e_lo, e_hi) = t.window_edge_range(csr, w).expect("window in range");
         // SAFETY: window `w` exclusively owns rows [row_lo, row_hi) and the
         // edge range [e_lo, e_hi).
-        let y_win = unsafe { y_slices.range_mut(row_lo * dv, (row_hi - row_lo) * dv) };
-        let cos_win = unsafe { cos_slices.range_mut(e_lo, e_hi - e_lo) };
-        let p_win = unsafe { p_slices.range_mut(e_lo, e_hi - e_lo) };
+        let y_win = unsafe { y_out.range_mut(row_lo * dv, (row_hi - row_lo) * dv) };
+        let cos_win = unsafe { cos_out.range_mut(e_lo, e_hi - e_lo) };
+        let p_win = unsafe { p_out.range_mut(e_lo, e_hi - e_lo) };
 
         // --- Stage 1: SDDMM over the window's edges (16-wide frames). ----
         let num_sddmm_blocks = (num_spmm_blocks * t.blk_w).div_ceil(TC_BLK_H);
@@ -233,25 +232,7 @@ pub fn fused_attention_windows(
         }
 
         // --- Stage 2: row softmax, entirely in shared memory. ------------
-        for r in row_lo..row_hi {
-            let lo = csr.node_pointer()[r] - e_lo;
-            let hi = csr.node_pointer()[r + 1] - e_lo;
-            if hi == lo {
-                continue;
-            }
-            let m = cos_win[lo..hi]
-                .iter()
-                .map(|c| beta * c)
-                .fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for e in lo..hi {
-                p_win[e] = (beta * cos_win[e] - m).exp();
-                sum += p_win[e];
-            }
-            for pe in &mut p_win[lo..hi] {
-                *pe /= sum;
-            }
-        }
+        softmax_rows(csr, row_lo..row_hi, beta, cos_win, p_win);
         // max/exp-sum/divide passes over the window's edges.
         ctx.shared_access((((e_hi - e_lo) as u64) * 3).div_ceil(32).max(1));
         ctx.fp32_warps((((e_hi - e_lo) * 3) as u64).div_ceil(32).max(1));
@@ -306,9 +287,65 @@ pub fn fused_attention_windows(
                 }
             }
         }
-    });
+    };
+    // A memo hit runs the three stages as plain loops over each window's
+    // rows, in the MMAs' accumulation order (see `tcu_dot_rows` and
+    // `tcu_rows`).
+    let ptr = csr.node_pointer();
+    let values = |w: u64, [y, cos, p]: &[DisjointSlices<'_, f32>; 3]| {
+        let rows = window_rows(w as usize, n);
+        let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
+        // SAFETY: window `w` exclusively owns its rows and the edge range
+        // [e_lo, e_hi).
+        let (cos_win, p_win, y_win) = unsafe {
+            (
+                cos.range_mut(e_lo, e_hi - e_lo),
+                p.range_mut(e_lo, e_hi - e_lo),
+                y.range_mut(rows.start * dv, rows.len() * dv),
+            )
+        };
+        tcu_dot_rows(
+            csr,
+            &xa_tf32,
+            &xa_tf32,
+            da,
+            xa_finite,
+            rows.clone(),
+            cos_win,
+        );
+        softmax_rows(csr, rows.clone(), beta, cos_win, p_win);
+        tcu_rows(csr, |e| p_win[e - e_lo], &xv_tf32, dv, rows, y_win);
+    };
+    launcher.preflight("fused-attention", &cfg)?;
+    let out = [y.as_mut_slice(), cos.as_mut_slice(), p.as_mut_slice()];
+    let stats = launcher.launch_par_values(cfg, blocks, out, body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok(FusedAttentionOutput { y, cos, p, report })
+}
+
+/// Stage 2 over `rows`: each row's logits scaled by `beta` and softmaxed
+/// in f32, in edge order. `cos` and `p` are the rows' CSR edge range.
+fn softmax_rows(csr: &CsrGraph, rows: Range<usize>, beta: f32, cos: &[f32], p: &mut [f32]) {
+    let ptr = csr.node_pointer();
+    let e_base = ptr[rows.start];
+    for r in rows {
+        let (lo, hi) = (ptr[r] - e_base, ptr[r + 1] - e_base);
+        if hi == lo {
+            continue;
+        }
+        let m = cos[lo..hi]
+            .iter()
+            .map(|c| beta * c)
+            .fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for e in lo..hi {
+            p[e] = (beta * cos[e] - m).exp();
+            sum += p[e];
+        }
+        for pe in &mut p[lo..hi] {
+            *pe /= sum;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 use std::ops::Range;
 
 use tcg_gpusim::launch::Buffer;
-use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_tensor::DenseMatrix;
 
-use crate::common::TcgError;
+use crate::common::{row_dots, TcgError};
 use crate::sddmm::SddmmKernel;
 
 /// CUDA-core per-edge SDDMM.
@@ -59,17 +59,28 @@ impl SddmmKernel for CudaCoreSddmm {
 
         // Each block's rows own the contiguous edge range
         // [ptr[row0], ptr[row1]): disjoint output slices across blocks.
-        let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
-        launcher.preflight("cuda-core-sddmm", &cfg)?;
-        let stats = launcher.launch_par(cfg, num_blocks, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
             let (e0, e1) = (csr.node_pointer()[row0], csr.node_pointer()[row1]);
             // SAFETY: rows [row0, row1) own edges [e0, e1) exclusively.
-            rows.run(ctx, row0..row1, unsafe {
-                out_slices.range_mut(e0, e1 - e0)
-            });
-        });
+            rows.run(ctx, row0..row1, unsafe { out.range_mut(e0, e1 - e0) });
+        };
+        launcher.preflight("cuda-core-sddmm", &cfg)?;
+        let stats = launcher.launch_par_values(
+            cfg,
+            Blocks::All(num_blocks),
+            [out.as_mut_slice()],
+            body,
+            |block, [out]| {
+                let row0 = block as usize * ROWS_PER_BLOCK;
+                let row1 = (row0 + ROWS_PER_BLOCK).min(n);
+                let (e0, e1) = (csr.node_pointer()[row0], csr.node_pointer()[row1]);
+                // SAFETY: rows [row0, row1) own edges [e0, e1) exclusively.
+                let out_rows = unsafe { out.range_mut(e0, e1 - e0) };
+                dot_rows(csr, xa, xb, row0..row1, out_rows)
+            },
+        );
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }
@@ -150,18 +161,27 @@ impl CudaRows<'_> {
             ctx.fp32_warps(deg as u64 * shuffle_steps.max(1));
             // Scattered-ish store of edge values (contiguous per row).
             ctx.st_global_contiguous(self.buf_out.f32_addr(lo), deg, 4);
-
-            let xrow = xa.row(v);
-            let orow = &mut out[lo - e_base..hi - e_base];
-            for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                let urow = xb.row(u as usize);
-                let mut s = 0.0f32;
-                for (a, b) in xrow.iter().zip(urow) {
-                    s += a * b;
-                }
-                orow[i] = s;
-            }
+            dot_rows(csr, xa, xb, v..v + 1, &mut out[lo - e_base..hi - e_base]);
         }
+    }
+}
+
+/// `xa[v]·xb[u]` for each edge `(v, u)` of `rows` into `out` (their CSR
+/// edge range): f32 dot products from `+0.0`, `k` ascending. The
+/// arithmetic of [`CudaRows::run`], and the loop a memo hit runs for every
+/// CUDA-core SDDMM row.
+pub(crate) fn dot_rows(
+    csr: &CsrGraph,
+    xa: &DenseMatrix,
+    xb: &DenseMatrix,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let ptr = csr.node_pointer();
+    let e_base = ptr[rows.start];
+    for v in rows {
+        let out_v = &mut out[ptr[v] - e_base..ptr[v + 1] - e_base];
+        row_dots(xa.row(v), xb.as_slice(), csr.neighbors(v), false, out_v);
     }
 }
 

@@ -21,15 +21,15 @@
 use std::sync::Arc;
 
 use tcg_gpusim::wmma::WMMA_K;
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::DenseMatrix;
 
-use super::cuda_core::{check_features, CudaRows};
-use super::tcgnn::TcuWindow;
+use super::cuda_core::{check_features, dot_rows, CudaRows};
+use super::tcgnn::{tcu_dot_rows, TcuWindow};
 use crate::common::{
-    all_finite, check_translation, launch_mask, tf32_operand, window_mask, TcgError,
+    all_finite, check_translation, launch_mask, tf32_operand, window_mask, window_rows, TcgError,
 };
 use crate::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
 use crate::sddmm::SddmmKernel;
@@ -135,10 +135,11 @@ pub(crate) fn launch(
 
     let tcu_windows = mask.contains(&WindowBackend::Tcu);
     let (xa_tf32, xb_tf32) = (tf32_operand(xa, tcu_windows), tf32_operand(xb, tcu_windows));
+    let d = xa.cols();
     let tcu = TcuWindow {
         t,
         csr,
-        dim: xa.cols(),
+        dim: d,
         xa_tf32: &xa_tf32,
         xb_tf32: &xb_tf32,
         xb_finite: all_finite(&xb_tf32),
@@ -177,25 +178,38 @@ pub(crate) fn launch(
     // A window's edges are exactly its rows' CSR edges — the contiguous
     // range [ptr[row_lo], ptr[row_hi]) — so blocks write disjoint output
     // slices on both paths and the body runs on the parallel path.
-    let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
-
-    launcher.preflight(name, &cfg)?;
-    let stats = launch_mask(launcher, cfg, &mask, |ctx| {
+    let ptr = csr.node_pointer();
+    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
         let w = ctx.block_id as usize;
-        let row_lo = w * TC_BLK_H;
-        let row_hi = (row_lo + TC_BLK_H).min(n);
-        let (e_lo, e_hi) = (csr.node_pointer()[row_lo], csr.node_pointer()[row_hi]);
+        let rows = window_rows(w, n);
+        let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
         // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
-        let out_win = unsafe { out_slices.range_mut(e_lo, e_hi - e_lo) };
+        let out_win = unsafe { out.range_mut(e_lo, e_hi - e_lo) };
         match mask[w] {
             WindowBackend::Tcu => tcu.run(ctx, w, out_win),
             WindowBackend::CudaCore => cuda
                 .as_ref()
                 .expect("a CUDA-core window implies the edge buffer")
-                .run(ctx, row_lo..row_hi, out_win),
+                .run(ctx, rows, out_win),
             WindowBackend::Skip => {}
         }
-    });
+    };
+    let values = |w: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+        let w = w as usize;
+        let rows = window_rows(w, n);
+        let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
+        // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
+        let out_win = unsafe { out.range_mut(e_lo, e_hi - e_lo) };
+        match mask[w] {
+            WindowBackend::Tcu => {
+                tcu_dot_rows(csr, &xa_tf32, &xb_tf32, d, tcu.xb_finite, rows, out_win)
+            }
+            WindowBackend::CudaCore => dot_rows(csr, xa, xb, rows, out_win),
+            WindowBackend::Skip => {}
+        }
+    };
+    launcher.preflight(name, &cfg)?;
+    let stats = launch_mask(launcher, cfg, &mask, [out.as_mut_slice()], body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }

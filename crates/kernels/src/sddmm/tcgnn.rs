@@ -27,7 +27,7 @@ use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::TcgError;
+use crate::common::{row_dots, TcgError};
 use crate::hybrid::WindowBackend;
 use crate::sddmm::SddmmKernel;
 
@@ -218,6 +218,30 @@ impl TcuWindow<'_> {
             }
         }
         ctx.syncthreads();
+    }
+}
+
+/// The bits [`TcuWindow::run`] writes for the edges of `rows`, from a
+/// plain loop: the loop a memo hit runs for a TCU window. Each edge
+/// `(v, u)` gets `Σ_k xa_tf32[v][k] · xb_tf32[u][k]` in `out` (the rows'
+/// CSR edge range), from `+0.0`, `k` ascending, a separate multiply and
+/// add, skipping zero `xa` elements unless `xb_finite` (the rule of
+/// `mma_sync_entries`).
+pub(crate) fn tcu_dot_rows(
+    csr: &CsrGraph,
+    xa_tf32: &[f32],
+    xb_tf32: &[f32],
+    d: usize,
+    xb_finite: bool,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let ptr = csr.node_pointer();
+    let e_base = ptr[rows.start];
+    for v in rows {
+        let out_v = &mut out[ptr[v] - e_base..ptr[v + 1] - e_base];
+        let arow = &xa_tf32[v * d..][..d];
+        row_dots(arow, xb_tf32, csr.neighbors(v), !xb_finite, out_v);
     }
 }
 

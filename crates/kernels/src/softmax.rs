@@ -6,7 +6,7 @@
 //! cheap relative to SDDMM/SpMM, but it is a real kernel launch in every
 //! framework, so it participates in end-to-end timing.
 
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 
 use crate::common::TcgError;
@@ -39,9 +39,7 @@ pub fn sparse_row_softmax(
     };
     // A block's rows cover the contiguous edge range
     // [ptr[row0], ptr[row1]): disjoint output slices across blocks.
-    let out_slices = tcg_gpusim::DisjointSlices::new(&mut out);
-    launcher.preflight("edge-softmax", &cfg)?;
-    let stats = launcher.launch_par(cfg, n.div_ceil(ROWS_PER_BLOCK) as u64, |ctx| {
+    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
         let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
         let row1 = (row0 + ROWS_PER_BLOCK).min(n);
         for v in row0..row1 {
@@ -61,25 +59,41 @@ pub fn sparse_row_softmax(
             ctx.fp32_warp(deg.min(32) as u32); // divide
             ctx.st_global_contiguous(buf_vals.addr(lo, 4), deg, 4);
 
-            // Functional, numerically stable softmax.
             // SAFETY: row `v` belongs to this block alone; its edge slice
             // does not overlap any other block's.
-            let row = unsafe { out_slices.range_mut(lo, hi - lo) };
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                sum += *x;
-            }
-            if sum > 0.0 {
-                for x in row.iter_mut() {
-                    *x /= sum;
-                }
-            }
+            softmax_row(unsafe { out.range_mut(lo, hi - lo) });
         }
-    });
+    };
+    let values = |block: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+        let row0 = block as usize * ROWS_PER_BLOCK;
+        let row1 = (row0 + ROWS_PER_BLOCK).min(n);
+        for v in row0..row1 {
+            let (lo, hi) = (csr.node_pointer()[v], csr.node_pointer()[v + 1]);
+            // SAFETY: as in the body.
+            softmax_row(unsafe { out.range_mut(lo, hi - lo) });
+        }
+    };
+    launcher.preflight("edge-softmax", &cfg)?;
+    let blocks = Blocks::All(n.div_ceil(ROWS_PER_BLOCK) as u64);
+    let stats = launcher.launch_par_values(cfg, blocks, [out.as_mut_slice()], body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
+}
+
+/// Numerically stable softmax of one row's edge values, in place: the
+/// arithmetic of the kernel's body, and the loop a memo hit runs.
+fn softmax_row(row: &mut [f32]) {
+    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for x in row.iter_mut() {
+        *x = (*x - m).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,10 @@
 use std::ops::Range;
 
 use tcg_gpusim::launch::Buffer;
-use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{SpmmKernel, SpmmProblem, TcgError};
+use crate::common::{axpy, SpmmKernel, SpmmProblem, TcgError};
 
 /// cuSPARSE-style scalar CSR SpMM (thread per row).
 #[derive(Debug, Clone, Default)]
@@ -64,13 +64,11 @@ impl SpmmKernel for CusparseCsrSpmm {
 
         // Each block owns rows [block*256, block*256+256): disjoint output
         // slabs, so the body runs on the parallel path.
-        let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
-        launcher.preflight("cusparse-csr", &cfg)?;
-        let stats = launcher.launch_par(cfg, num_blocks, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
             // SAFETY: block owns rows [row0, row1) exclusively.
-            let out_rows = unsafe { out_slices.range_mut(row0 * d, (row1 - row0) * d) };
+            let out_rows = unsafe { out.range_mut(row0 * d, (row1 - row0) * d) };
             // Row pointers: coalesced across the block's threads.
             ctx.ld_global_contiguous(buf_ptr.addr(row0, 8), row1 - row0 + 1, 8);
 
@@ -79,7 +77,21 @@ impl SpmmKernel for CusparseCsrSpmm {
                 let w1 = (w0 + 32).min(row1);
                 rows.run(ctx, w0..w1, &mut out_rows[(w0 - row0) * d..(w1 - row0) * d]);
             }
-        });
+        };
+        launcher.preflight("cusparse-csr", &cfg)?;
+        let stats = launcher.launch_par_values(
+            cfg,
+            Blocks::All(num_blocks),
+            [out.as_mut_slice()],
+            body,
+            |block, [out]| {
+                let row0 = block as usize * ROWS_PER_BLOCK;
+                let row1 = (row0 + ROWS_PER_BLOCK).min(n);
+                // SAFETY: block owns rows [row0, row1) exclusively.
+                let out_rows = unsafe { out.range_mut(row0 * d, (row1 - row0) * d) };
+                accumulate_rows(prob, row0..row1, out_rows)
+            },
+        );
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }
@@ -147,17 +159,22 @@ impl CudaRows<'_> {
             ctx.st_global_warp(&addrs);
         }
 
-        // Functional accumulation.
-        for v in rows.clone() {
-            let lo = csr.node_pointer()[v];
-            let orow = &mut out_rows[(v - rows.start) * d..(v - rows.start + 1) * d];
-            for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                let wgt = prob.value(lo + i);
-                let xrow = prob.x.row(u as usize);
-                for (o, &xv) in orow.iter_mut().zip(xrow) {
-                    *o += wgt * xv;
-                }
-            }
+        accumulate_rows(prob, rows, out_rows);
+    }
+}
+
+/// Adds `(F ⊙ A)·X` over `rows` into `out_rows` (zeroed on entry): each
+/// row's edges in CSR order, in f32, a separate multiply and add. The
+/// arithmetic of [`CudaRows::run`], and the loop a memo hit runs for every
+/// CUDA-core SpMM row.
+pub(crate) fn accumulate_rows(prob: &SpmmProblem<'_>, rows: Range<usize>, out_rows: &mut [f32]) {
+    let csr = prob.csr;
+    let d = prob.dim();
+    for v in rows.clone() {
+        let lo = csr.node_pointer()[v];
+        let orow = &mut out_rows[(v - rows.start) * d..(v - rows.start + 1) * d];
+        for (i, &u) in csr.neighbors(v).iter().enumerate() {
+            axpy(orow, prob.value(lo + i), prob.x.row(u as usize));
         }
     }
 }

@@ -21,16 +21,16 @@
 use std::sync::Arc;
 
 use tcg_gpusim::wmma::WMMA_N;
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
-use super::cusparse::CudaRows;
-use super::tcgnn::TcuWindow;
+use super::cusparse::{accumulate_rows, CudaRows};
+use super::tcgnn::{tcu_rows, TcuWindow};
 use crate::common::{
-    check_translation, check_windows, launch_mask, tf32_operand, window_mask, SpmmKernel,
-    SpmmProblem, TcgError,
+    check_translation, check_windows, launch_mask, tf32_operand, window_mask, window_rows,
+    SpmmKernel, SpmmProblem, TcgError,
 };
 use crate::hybrid::{mask_over, DispatchPolicy, WindowBackend};
 
@@ -204,32 +204,41 @@ pub(crate) fn launch(
 
     // Blocks write disjoint row-window slabs of `out` on both paths, so
     // the body runs on the parallel path without locks.
-    let out_slices = tcg_gpusim::DisjointSlices::new(out.as_mut_slice());
-
-    launcher.preflight(name, &cfg)?;
-    let stats = launch_mask(launcher, cfg, &mask, |ctx| {
+    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
         let w = ctx.block_id as usize;
-        let row_lo = w * TC_BLK_H;
-        let row_hi = (row_lo + TC_BLK_H).min(n);
-        // SAFETY: window `w` owns rows [row_lo, row_hi) exclusively.
-        let out_win = unsafe { out_slices.range_mut(row_lo * d, (row_hi - row_lo) * d) };
+        let rows = window_rows(w, n);
+        // SAFETY: window `w` owns its rows exclusively.
+        let out_win = unsafe { out.range_mut(rows.start * d, rows.len() * d) };
         match mask[w] {
             WindowBackend::Tcu => tcu.run(ctx, w, out_win),
             // An edgeless window issues nothing, not even its row
             // pointers; otherwise its ≤16 rows are one lockstep group.
             WindowBackend::CudaCore => {
-                if csr.node_pointer()[row_lo] == csr.node_pointer()[row_hi] {
+                if csr.node_pointer()[rows.start] == csr.node_pointer()[rows.end] {
                     return;
                 }
                 let cuda = cuda
                     .as_ref()
                     .expect("a CUDA-core window implies the edge buffer");
-                ctx.ld_global_contiguous(tcu.buf_ptr.addr(row_lo, 8), row_hi - row_lo + 1, 8);
-                cuda.run(ctx, row_lo..row_hi, out_win);
+                ctx.ld_global_contiguous(tcu.buf_ptr.addr(rows.start, 8), rows.len() + 1, 8);
+                cuda.run(ctx, rows, out_win);
             }
             WindowBackend::Skip => {}
         }
-    });
+    };
+    let values = |w: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+        let w = w as usize;
+        let rows = window_rows(w, n);
+        // SAFETY: window `w` owns its rows exclusively.
+        let out_win = unsafe { out.range_mut(rows.start * d, rows.len() * d) };
+        match mask[w] {
+            WindowBackend::Tcu => tcu_rows(csr, |e| prob.value(e), &x_tf32, d, rows, out_win),
+            WindowBackend::CudaCore => accumulate_rows(prob, rows, out_win),
+            WindowBackend::Skip => {}
+        }
+    };
+    launcher.preflight(name, &cfg)?;
+    let stats = launch_mask(launcher, cfg, &mask, [out.as_mut_slice()], body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }

@@ -7,9 +7,10 @@
 //! operations for thread-level synchronization" the paper cites when
 //! explaining PyG's inferior performance (§6.2, 1.76×/2.82× behind TC-GNN).
 
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
+use super::cusparse::accumulate_rows;
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
 
 /// PyG-style edge-parallel scatter-gather aggregation.
@@ -58,8 +59,7 @@ impl SpmmKernel for ScatterGatherSpmm {
 
         let mut gather_bases: Vec<u64> = Vec::with_capacity(EDGES_PER_BLOCK);
         let mut atomic_addrs: Vec<u64> = Vec::with_capacity(32);
-        launcher.preflight("scatter-gather", &cfg)?;
-        let stats = launcher.launch(cfg, num_blocks, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>, [out]: &mut [&mut [f32]; 1]| {
             let e0 = ctx.block_id as usize * EDGES_PER_BLOCK;
             let e1 = (e0 + EDGES_PER_BLOCK).min(nnz);
             if e0 >= e1 {
@@ -100,15 +100,21 @@ impl SpmmKernel for ScatterGatherSpmm {
                 e = e_hi;
             }
 
-            // Functional accumulation.
+            // Functional accumulation, in edge order.
             for ee in e0..e1 {
                 let w = prob.value(ee);
                 let xrow = prob.x.row(src[ee] as usize);
-                let orow = out.row_mut(dst[ee] as usize);
+                let orow = &mut out[dst[ee] as usize * d..][..d];
                 for (o, &xv) in orow.iter_mut().zip(xrow) {
                     *o += w * xv;
                 }
             }
+        };
+        launcher.preflight("scatter-gather", &cfg)?;
+        // The edges of a row are consecutive in edge order, so each row
+        // accumulates them in CSR order: the CUDA-core row loop's bits.
+        let stats = launcher.launch_values(cfg, num_blocks, [out.as_mut_slice()], body, |[out]| {
+            accumulate_rows(prob, 0..n, out)
         });
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))

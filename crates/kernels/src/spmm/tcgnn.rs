@@ -19,6 +19,7 @@
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tcg_gpusim::hotspot::{self, HotPhase};
@@ -33,7 +34,7 @@ use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::tf32::round_to_tf32;
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{check_windows, SpmmKernel, SpmmProblem, TcgError};
+use crate::common::{axpy, check_windows, SpmmKernel, SpmmProblem, TcgError};
 use crate::hybrid::{mask_over, WindowBackend};
 
 // The MMA shape is the SGT tile: one fragment row per window row, one
@@ -241,6 +242,37 @@ impl TcuWindow<'_> {
             }
         }
         hotspot::annotate_window(win_nnz, win_cols);
+    }
+}
+
+/// The bits [`TcuWindow::run`] writes for `rows` of an SpMM with edge
+/// values `value(e)`, from a plain loop: the loop a memo hit runs for a
+/// TCU window. `out_rows` (`rows × d`, zeroed on entry) gets
+/// `Σ tf32(value(e)) · x_tf32[u]` over each row's edges `(e, u)` in CSR
+/// order, skipping zero `tf32(value(e))`, a separate multiply and add.
+///
+/// That is the MMA order: a row's tile entries ascend in condensed column
+/// over the window's TC blocks, the condensed columns are the window's
+/// sorted distinct neighbors, and `TranslatedGraph::validate` ties each
+/// to a distinct edge of the row, whose CSR neighbors ascend.
+pub(crate) fn tcu_rows(
+    csr: &CsrGraph,
+    value: impl Fn(usize) -> f32,
+    x_tf32: &[f32],
+    d: usize,
+    rows: Range<usize>,
+    out_rows: &mut [f32],
+) {
+    let ptr = csr.node_pointer();
+    for (i, v) in rows.enumerate() {
+        let orow = &mut out_rows[i * d..(i + 1) * d];
+        for (e, &u) in (ptr[v]..ptr[v + 1]).zip(csr.neighbors(v)) {
+            let a = round_to_tf32(value(e));
+            if a == 0.0 {
+                continue;
+            }
+            axpy(orow, a, &x_tf32[u as usize * d..][..d]);
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! Parallel block execution must be invisible: every kernel that runs on
-//! `Launcher::launch_par` has to produce bitwise-identical output bytes and
-//! `KernelStats` whether blocks execute sequentially or fanned out over a
-//! worker pool. These tests pin that contract at kernel granularity (the
-//! `tests/parallel_determinism.rs` suite pins it end-to-end).
+//! `Launcher::launch_par_values` has to produce bitwise-identical output
+//! bytes and `KernelStats` whether blocks execute sequentially or fanned
+//! out over a worker pool. These tests pin that contract at kernel
+//! granularity (the `tests/parallel_determinism.rs` suite pins it
+//! end-to-end).
 
 use tcg_gpusim::{DeviceSpec, Launcher};
 use tcg_graph::gen;

@@ -17,6 +17,12 @@
 //! (or edges) on their TCU windows and the pure CUDA-core kernel's on the
 //! rest. One case per kernel runs with an armed ECC flip, which poisons
 //! the first MMA's accumulator element `(0, 0)`.
+//!
+//! Every other case runs its kernel twice under one launch-memo key: a
+//! miss, which simulates the block bodies, and a hit, which computes the
+//! outputs with the kernel's plain loops instead. Both must give the
+//! reference's bits. (An armed flip needs a fault plan, which turns the
+//! memo off, so the ECC cases simulate once.)
 
 use rand::{Rng, SeedableRng};
 use tcg_fault::{FaultConfig, FaultPlan};
@@ -98,6 +104,16 @@ fn ecc_launcher() -> Launcher {
     l
 }
 
+/// Runs `kernel` twice on `l` under the memo key `key`: first a miss that
+/// simulates the block bodies, then a hit that the plain loops answer.
+fn miss_then_hit<T>(l: &mut Launcher, key: &str, kernel: impl Fn(&mut Launcher) -> T) -> [T; 2] {
+    let hits = l.memo_hits();
+    let miss = l.memoized(key, &kernel);
+    let hit = l.memoized(key, &kernel);
+    assert_eq!(l.memo_hits(), hits + 1, "{key}: the repeat is a memo hit");
+    [miss, hit]
+}
+
 /// Requires equal bits, or NaN on both sides.
 fn assert_bits(cell: &str, got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len(), "{cell}: length");
@@ -152,30 +168,38 @@ fn spmm_cells(name: &str, g: &CsrGraph, t: &TranslatedGraph, d: usize, seed: u64
         let prob = SpmmProblem::new(g, vals.as_deref(), &x).unwrap();
         let want = tcu_spmm(t, &x, vals.as_deref(), false);
         let mut l = Launcher::new(DeviceSpec::rtx3090());
-        let (got, _) = TcgnnSpmm::from_translated(t.clone())
-            .execute(&mut l, &prob)
-            .unwrap();
-        assert_bits(
-            &format!("tc-gnn spmm: {cell}"),
-            got.as_slice(),
-            want.as_slice(),
-        );
+        let tcgnn = TcgnnSpmm::from_translated(t.clone());
+        for got in miss_then_hit(&mut l, "tc-gnn", |l| tcgnn.execute(l, &prob).unwrap().0) {
+            assert_bits(
+                &format!("tc-gnn spmm: {cell}"),
+                got.as_slice(),
+                want.as_slice(),
+            );
+        }
 
-        let (cuda, _) = CusparseCsrSpmm.execute(&mut l, &prob).unwrap();
+        let [cuda, cuda_hit] = miss_then_hit(&mut l, "cusparse", |l| {
+            CusparseCsrSpmm.execute(l, &prob).unwrap().0
+        });
+        assert_bits(
+            &format!("cusparse spmm hit: {cell}"),
+            cuda_hit.as_slice(),
+            cuda.as_slice(),
+        );
         let policy = HybridSpmm::from_translated(t.clone());
         for (label, kernel) in [
             ("policy", policy.clone()),
             ("mixed", policy.with_mask(mixed_mask(t))),
         ] {
             let mask = kernel.dispatch_mask(g, d);
-            let (got, _) = kernel.execute(&mut l, &prob).unwrap();
             let rows = window_rows(g.num_nodes(), d);
             let want = stitch(&mask, want.as_slice(), cuda.as_slice(), rows);
-            assert_bits(
-                &format!("hybrid spmm ({label}): {cell}"),
-                got.as_slice(),
-                &want,
-            );
+            for got in miss_then_hit(&mut l, label, |l| kernel.execute(l, &prob).unwrap().0) {
+                assert_bits(
+                    &format!("hybrid spmm ({label}): {cell}"),
+                    got.as_slice(),
+                    &want,
+                );
+            }
         }
     }
 }
@@ -191,19 +215,21 @@ fn sddmm_cells(name: &str, g: &CsrGraph, t: &TranslatedGraph, d: usize, seed: u6
 fn sddmm_cell(cell: &str, g: &CsrGraph, t: &TranslatedGraph, xa: &DenseMatrix, xb: &DenseMatrix) {
     let want = tcu_sddmm(t, g, xa, xb, false);
     let mut l = Launcher::new(DeviceSpec::rtx3090());
-    let (got, _) = TcgnnSddmm::from_translated(t.clone())
-        .execute(&mut l, g, xa, xb)
-        .unwrap();
-    assert_bits(&format!("tc-gnn sddmm: {cell}"), &got, &want);
+    let tcgnn = TcgnnSddmm::from_translated(t.clone());
+    for got in miss_then_hit(&mut l, "tc-gnn", |l| tcgnn.execute(l, g, xa, xb).unwrap().0) {
+        assert_bits(&format!("tc-gnn sddmm: {cell}"), &got, &want);
+    }
 
-    let (cuda, _) = CudaCoreSddmm.execute(&mut l, g, xa, xb).unwrap();
+    let [cuda, cuda_hit] = miss_then_hit(&mut l, "cuda-core", |l| {
+        CudaCoreSddmm.execute(l, g, xa, xb).unwrap().0
+    });
+    assert_bits(&format!("cuda-core sddmm hit: {cell}"), &cuda_hit, &cuda);
     let mask = mixed_mask(t);
-    let (got, _) = HybridSddmm::from_translated(t.clone())
-        .with_mask(mask.clone())
-        .execute(&mut l, g, xa, xb)
-        .unwrap();
+    let hybrid = HybridSddmm::from_translated(t.clone()).with_mask(mask.clone());
     let want = stitch(&mask, &want, &cuda, window_edges(g));
-    assert_bits(&format!("hybrid sddmm (mixed): {cell}"), &got, &want);
+    for got in miss_then_hit(&mut l, "mixed", |l| hybrid.execute(l, g, xa, xb).unwrap().0) {
+        assert_bits(&format!("hybrid sddmm (mixed): {cell}"), &got, &want);
+    }
 }
 
 /// The fused kernel's stage 2: each row's `β`-scaled logits, softmaxed in
@@ -231,8 +257,10 @@ fn row_softmax(g: &CsrGraph, cos: &[f32], beta: f32) -> Vec<f32> {
     p
 }
 
-/// Runs the fused kernel on `l` and checks `y`, `cos` and `p` against the
-/// staged-tile SDDMM → softmax → staged-tile SpMM pipeline.
+/// Runs the fused kernel on `l` (twice, a memo miss and a hit, unless
+/// `ecc` arms a flip) and checks `y`, `cos` and `p` against the
+/// staged-tile SDDMM → softmax → staged-tile SpMM pipeline. Returns the
+/// ECC faults the first run consumed.
 #[allow(clippy::too_many_arguments)]
 fn fused_cell(
     cell: &str,
@@ -244,14 +272,21 @@ fn fused_cell(
     beta: f32,
     ecc: bool,
 ) -> u64 {
-    let out = fused_attention(l, g, t, xa, xv, beta).unwrap();
+    let run = |l: &mut Launcher| fused_attention(l, g, t, xa, xv, beta).unwrap();
+    let outs = if ecc {
+        vec![run(l)]
+    } else {
+        miss_then_hit(l, "fused", run).into()
+    };
     let cos = tcu_sddmm(t, g, xa, xa, ecc);
     let p = row_softmax(g, &cos, beta);
     let y = tcu_spmm(t, xv, Some(&p), false);
-    assert_bits(&format!("fused cos: {cell}"), &out.cos, &cos);
-    assert_bits(&format!("fused p: {cell}"), &out.p, &p);
-    assert_bits(&format!("fused y: {cell}"), out.y.as_slice(), y.as_slice());
-    out.report.stats.ecc_faults
+    for out in &outs {
+        assert_bits(&format!("fused cos: {cell}"), &out.cos, &cos);
+        assert_bits(&format!("fused p: {cell}"), &out.p, &p);
+        assert_bits(&format!("fused y: {cell}"), out.y.as_slice(), y.as_slice());
+    }
+    outs[0].report.stats.ecc_faults
 }
 
 #[test]

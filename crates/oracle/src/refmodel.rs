@@ -685,6 +685,22 @@ mod tests {
         }
     }
 
+    /// `gemm_tf32` rounds `A` a block of rows at a time: a full block, a
+    /// block plus one row and several blocks with a ragged tail must give
+    /// the reference's bits too.
+    #[test]
+    fn gemm_tf32_row_blocks_match_reference_bitwise() {
+        for (m, seed) in [(64, 1), (65, 2), (150, 3)] {
+            for (family, a, b) in both_families(m, 37, 21, seed) {
+                let reference = gemm_tf32(&a, &b).expect("shapes agree");
+                for isa in Isa::supported() {
+                    let fast = isa.gemm_tf32(&a, &b).expect("shapes agree");
+                    assert_eq!(bits(&fast), bits(&reference), "{isa:?} {family} m {m}");
+                }
+            }
+        }
+    }
+
     // --- The m16n16k8 description and the TCU primitives -------------------
 
     /// Columns `k0..k0 + 8` of `m`'s first 16 rows.

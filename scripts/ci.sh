@@ -19,8 +19,12 @@ cargo test --release -q
 
 step "tier-1 tests with every launch-memo hit cross-checked"
 # Under TCG_VERIFY=1 each memo hit also simulates the launch in full and
-# asserts that its stats equal the recorded ones.
+# asserts that its stats equal the recorded ones and that the kernel's
+# plain loop gives the block bodies' output bits.
 TCG_VERIFY=1 cargo test --release -q
+
+step "kernel and engine tests with every launch-memo hit cross-checked"
+TCG_VERIFY=1 cargo test --release -q -p tcg-kernels -p tcg-gnn
 
 if [[ $quick -eq 0 ]]; then
     step "workspace tests"

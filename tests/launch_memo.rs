@@ -120,6 +120,21 @@ fn agnn_on_dgl_unfused_attention_is_unchanged_by_the_memo() {
 }
 
 #[test]
+fn agnn_on_tcgnn_fused_attention_is_unchanged_by_the_memo() {
+    // The fused kernel on the pure TCU backend; TCU SDDMM and SpMM
+    // backward.
+    assert_memo_invisible(agnn(), Backend::TcGnn, 1);
+}
+
+#[test]
+fn gcn_and_agnn_on_pyg_scatter_are_unchanged_by_the_memo() {
+    // Scatter-gather SpMM (its edge-order atomics against the row loop
+    // of a hit) and CUDA-core SDDMM.
+    assert_memo_invisible(gcn(), Backend::PygLike, 1);
+    assert_memo_invisible(agnn(), Backend::PygLike, 1);
+}
+
+#[test]
 fn gcn_on_tcgnn_and_dgl_is_unchanged_by_the_memo() {
     assert_memo_invisible(gcn(), Backend::TcGnn, 1);
     assert_memo_invisible(gcn(), Backend::DglLike, 1);
