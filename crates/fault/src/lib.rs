@@ -811,6 +811,14 @@ impl TcgError {
     }
 }
 
+/// Whether `TCG_VERIFY=1` is set. Every fast path then also runs its slow
+/// reference and checks that the two agree: a launch-memo hit against a
+/// full simulation, a spliced translation against the full validate, an
+/// engine advance against a fresh build's checks.
+pub fn verify_requested() -> bool {
+    std::env::var("TCG_VERIFY").is_ok_and(|v| v == "1")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

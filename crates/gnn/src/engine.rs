@@ -3,6 +3,7 @@
 
 mod sharded;
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use sharded::ShardSet;
@@ -10,7 +11,7 @@ use tcg_dist::{DistReport, Partitioner, Shard};
 use tcg_fault::{FaultPlan, FaultReport, RetryPolicy, TcgError};
 use tcg_gpusim::cost::stream_pass_report;
 use tcg_gpusim::{DeviceSpec, Launcher};
-use tcg_graph::CsrGraph;
+use tcg_graph::{CsrGraph, NodeId};
 use tcg_kernels::common::{SpmmKernel, SpmmProblem};
 use tcg_kernels::hybrid::{render_mask, DispatchPolicy, KernelClass, WindowBackend};
 use tcg_kernels::sddmm::{CudaCoreSddmm, HybridSddmm, SddmmKernel, TcgnnSddmm};
@@ -169,69 +170,209 @@ impl Default for RecoveryPolicy {
 /// The per-graph normalization vectors, always computed on the global
 /// graph: a shard's halo rows are edgeless, so their local degree is 0.
 struct Norms {
-    /// Edge permutation realizing `Aᵀ` value alignment (empty on a shard's
-    /// device engine: transposes realign on the global graph).
-    t_perm: Vec<u32>,
     /// Per-edge `1/sqrt(d_u d_v)` (GCN symmetric normalization).
     gcn_norm: Vec<f32>,
     /// Per-edge `1/d_src` (GraphSAGE mean normalization).
     mean_norm: Vec<f32>,
-    /// `mean_norm` realigned to the transposed edge order.
-    mean_norm_t: Vec<f32>,
     /// Per-node `1/sqrt(d)` for the pre/post scaling path.
     inv_sqrt_deg: Vec<f32>,
+    /// What only the transposed ops read ([`Engine::spmm_t`],
+    /// [`Engine::mean_aggregate_t`]: backward passes and SAGE). After an
+    /// advance it is computed on first use, so a serving engine moving
+    /// along graph versions never pays for it.
+    transposed: OnceCell<Transposed>,
+}
+
+/// The transposed-order half of [`Norms`].
+struct Transposed {
+    /// Edge permutation realizing `Aᵀ` value alignment (empty on a shard's
+    /// device engine: transposes realign on the global graph).
+    t_perm: Vec<u32>,
+    /// `mean_norm` realigned to the transposed edge order.
+    mean_norm_t: Vec<f32>,
 }
 
 impl Norms {
     fn of(csr: &CsrGraph) -> Norms {
-        let t_perm = csr.transpose_permutation();
         let gcn_norm = csr.gcn_norm_edge_values();
         let mut mean_norm = Vec::with_capacity(csr.num_edges());
         for v in 0..csr.num_nodes() {
-            let inv = 1.0 / csr.degree(v).max(1) as f32;
-            mean_norm.extend(std::iter::repeat_n(inv, csr.degree(v)));
+            mean_norm.extend(std::iter::repeat_n(mean_norm_of(csr, v), csr.degree(v)));
         }
-        let mean_norm_t: Vec<f32> = t_perm.iter().map(|&i| mean_norm[i as usize]).collect();
-        let inv_sqrt_deg: Vec<f32> = (0..csr.num_nodes())
-            .map(|v| 1.0 / (csr.degree(v).max(1) as f32).sqrt())
+        let inv_sqrt_deg = (0..csr.num_nodes())
+            .map(|v| inv_sqrt_deg_of(csr, v))
             .collect();
-        Norms {
-            t_perm,
+        let norms = Norms {
             gcn_norm,
             mean_norm,
-            mean_norm_t,
             inv_sqrt_deg,
+            transposed: OnceCell::new(),
+        };
+        // Built now, not on first use: a training engine's first backward
+        // pass would otherwise allocate it among the epoch's temporaries,
+        // which raised peak RSS of AGNN training on PPI ÷16 from 32.7 to
+        // 40.7 MiB. An advanced engine computes it on first use.
+        norms.transposed(csr);
+        norms
+    }
+
+    /// The norms of `csr`, a version of `prev` (whose norms these are)
+    /// that differs in the `changed` rows (ascending). A row's edge values
+    /// move when its neighbour list does or when a neighbour's degree
+    /// does; only those rows are recomputed, and every run of rows between
+    /// them is copied across as one range.
+    fn advanced(&self, prev: &CsrGraph, csr: &CsrGraph, changed: &[usize]) -> Norms {
+        let mut stale = changed.to_vec();
+        for &v in changed {
+            if prev.degree(v) != csr.degree(v) {
+                // Symmetric: every row with an edge to `v` is a neighbour.
+                stale.extend(csr.neighbors(v).iter().map(|&u| u as usize));
+            }
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        let (old_ptr, n) = (prev.node_pointer(), csr.num_nodes());
+        let deg = |v: usize| csr.degree(v).max(1) as f32;
+        let mut gcn_norm = Vec::with_capacity(csr.num_edges());
+        let mut mean_norm = Vec::with_capacity(csr.num_edges());
+        let mut next = 0;
+        for v in stale.into_iter().chain([n]) {
+            // Rows `next..v` kept their values, at shifted edge offsets.
+            let kept = old_ptr[next]..old_ptr[v];
+            gcn_norm.extend_from_slice(&self.gcn_norm[kept.clone()]);
+            mean_norm.extend_from_slice(&self.mean_norm[kept]);
+            if v == n {
+                break;
+            }
+            let dv = deg(v);
+            let row = csr.neighbors(v).iter();
+            gcn_norm.extend(row.map(|&u| 1.0 / (dv * deg(u as usize)).sqrt()));
+            mean_norm.extend(std::iter::repeat_n(mean_norm_of(csr, v), csr.degree(v)));
+            next = v + 1;
+        }
+        let mut inv_sqrt_deg = self.inv_sqrt_deg.clone();
+        for &v in changed {
+            inv_sqrt_deg[v] = inv_sqrt_deg_of(csr, v);
+        }
+        Norms {
+            gcn_norm,
+            mean_norm,
+            inv_sqrt_deg,
+            transposed: OnceCell::new(),
         }
     }
 
-    /// `shard`'s view: edge vectors sliced into local edge order, node
-    /// vectors gathered per local row (`PAD` rows are out of range and
-    /// read 1; nothing uses them).
-    fn for_shard(&self, shard: &Shard) -> Norms {
-        Norms {
+    /// Whether the eagerly computed vectors equal `other`'s bit for bit.
+    fn same_bits(&self, other: &Norms) -> bool {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(&self.gcn_norm) == bits(&other.gcn_norm)
+            && bits(&self.mean_norm) == bits(&other.mean_norm)
+            && bits(&self.inv_sqrt_deg) == bits(&other.inv_sqrt_deg)
+    }
+
+    /// The transposed-order vectors of `csr` (the graph these norms are
+    /// of), computed on first use.
+    fn transposed(&self, csr: &CsrGraph) -> &Transposed {
+        self.transposed.get_or_init(|| {
+            let t_perm = csr.transpose_permutation();
+            let mean_norm_t = t_perm.iter().map(|&i| self.mean_norm[i as usize]).collect();
+            Transposed {
+                t_perm,
+                mean_norm_t,
+            }
+        })
+    }
+
+    /// `shard`'s view of the norms of `csr`: edge vectors sliced into
+    /// local edge order, node vectors gathered per local row (`PAD` rows
+    /// are out of range and read 1; nothing uses them).
+    fn for_shard(&self, csr: &CsrGraph, shard: &Shard) -> Norms {
+        let transposed = Transposed {
             t_perm: Vec::new(),
+            mean_norm_t: shard.slice_edge_values(&self.transposed(csr).mean_norm_t),
+        };
+        Norms {
             gcn_norm: shard.slice_edge_values(&self.gcn_norm),
             mean_norm: shard.slice_edge_values(&self.mean_norm),
-            mean_norm_t: shard.slice_edge_values(&self.mean_norm_t),
             inv_sqrt_deg: shard
                 .gather_map()
                 .iter()
                 .map(|&g| self.inv_sqrt_deg.get(g as usize).copied().unwrap_or(1.0))
                 .collect(),
+            transposed: OnceCell::from(transposed),
         }
     }
+}
+
+/// Row `v`'s GraphSAGE mean normalization `1/d` (isolated rows read 1).
+fn mean_norm_of(csr: &CsrGraph, v: usize) -> f32 {
+    1.0 / csr.degree(v).max(1) as f32
+}
+
+/// Row `v`'s `1/sqrt(d)` (isolated rows read 1).
+fn inv_sqrt_deg_of(csr: &CsrGraph, v: usize) -> f32 {
+    1.0 / (csr.degree(v).max(1) as f32).sqrt()
+}
+
+/// The rows whose neighbour lists differ between two graphs of the same
+/// node count, ascending. Runs of rows with unchanged degrees are compared
+/// as one slice and split in half only where they differ, so a small edit
+/// costs a few block compares, not one per row.
+fn changed_rows(old: &CsrGraph, new: &CsrGraph) -> Vec<usize> {
+    fn split(old: &CsrGraph, new: &CsrGraph, rows: std::ops::Range<usize>, out: &mut Vec<usize>) {
+        let (op, np) = (old.node_pointer(), new.node_pointer());
+        let (lo, hi) = (rows.start, rows.end);
+        if old.edge_list()[op[lo]..op[hi]] == new.edge_list()[np[lo]..np[hi]] {
+            return;
+        }
+        if hi - lo == 1 {
+            out.push(lo);
+            return;
+        }
+        let mid = lo + (hi - lo) / 2;
+        split(old, new, lo..mid, out);
+        split(old, new, mid..hi, out);
+    }
+    let mut changed = Vec::new();
+    let mut v = 0;
+    while v < old.num_nodes() {
+        let start = v;
+        while v < old.num_nodes() && old.degree(v) == new.degree(v) {
+            v += 1;
+        }
+        if start < v {
+            split(old, new, start..v, &mut changed);
+        }
+        if v < old.num_nodes() {
+            changed.push(v);
+            v += 1;
+        }
+    }
+    changed
+}
+
+/// Whether `csr` is symmetric, given that `prev` is and that they differ
+/// only in the `changed` rows: every edge that could have lost its
+/// partner has an endpoint among them, so checking each changed row's old
+/// and new neighbours both ways is enough.
+fn symmetric_after(prev: &CsrGraph, csr: &CsrGraph, changed: &[usize]) -> bool {
+    changed.iter().all(|&v| {
+        let both_ways = |&u: &NodeId| csr.has_edge(u as usize, v as NodeId) == csr.has_edge(v, u);
+        csr.neighbors(v).iter().all(both_ways) && prev.neighbors(v).iter().all(both_ways)
+    })
 }
 
 /// One simulated device bound to a graph: its warm launcher, the
 /// backend's kernels and the SGT translation they consume.
 ///
-/// All of it is fixed for the launcher's lifetime, so an op's launches
-/// are memoized (see [`Launcher::memoized`]) under a key holding just the
-/// op, its operand widths and whether it carries edge values: a repeat
-/// replays the first simulation's stats and computes its outputs with the
+/// All of it is fixed until [`Engine::advance`] moves the device to a new
+/// graph version and clears the memo, so an op's launches are memoized
+/// (see [`Launcher::memoized`]) under a key holding just the op, its
+/// operand widths and whether it carries edge values: a repeat replays
+/// the first simulation's stats and computes its outputs with the
 /// kernel's plain loops. A launch over some row windows only is never
 /// memoized: serve batches draw their windows from random targets, so a
-/// repeat is rare and each entry would stay for the engine's lifetime.
+/// repeat is rare and each entry would stay until the next advance.
 struct Device {
     launcher: Launcher,
     spmm: Box<dyn SpmmKernel>,
@@ -275,21 +416,7 @@ impl Device {
             let policy = DispatchPolicy::from_env;
             (policy(KernelClass::Spmm), policy(KernelClass::Sddmm))
         });
-        let (spmm, sddmm): (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>) =
-            match (translated.clone(), hybrid_policies) {
-                (None, _) if backend == Backend::PygLike => {
-                    (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm))
-                }
-                (None, _) => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm)),
-                (Some(t), None) => (
-                    Box::new(TcgnnSpmm::from_translated(Arc::clone(&t))),
-                    Box::new(TcgnnSddmm::from_translated(t)),
-                ),
-                (Some(t), Some((spmm, sddmm))) => (
-                    Box::new(HybridSpmm::from_translated(Arc::clone(&t)).with_policy(spmm)),
-                    Box::new(HybridSddmm::from_translated(t).with_policy(sddmm)),
-                ),
-            };
+        let (spmm, sddmm) = kernels(backend, translated.clone(), hybrid_policies);
         Ok(Device {
             launcher,
             spmm,
@@ -298,6 +425,42 @@ impl Device {
             hybrid_policies,
             preprocessing_ms,
         })
+    }
+
+    /// Moves the device to a new version of its graph, translated as
+    /// `translated`: the kernels rebind to it, and the launcher keeps its
+    /// warm state but forgets its memo (whose keys assume one graph) and
+    /// its fault plan (each version starts its own, as a new engine does).
+    /// The translation comes from outside, so it paid no preprocessing.
+    fn advance(&mut self, backend: Backend, translated: Option<Arc<TranslatedGraph>>) {
+        self.launcher.clear_memo();
+        self.launcher.attach_fault_plan(None);
+        (self.spmm, self.sddmm) = kernels(backend, translated.clone(), self.hybrid_policies);
+        self.translated = translated;
+        self.preprocessing_ms = 0.0;
+    }
+}
+
+/// `backend`'s SpMM and SDDMM kernels over `translated` (translating
+/// backends), with the hybrid backend's `(spmm, sddmm)` policies.
+fn kernels(
+    backend: Backend,
+    translated: Option<Arc<TranslatedGraph>>,
+    hybrid_policies: Option<(DispatchPolicy, DispatchPolicy)>,
+) -> (Box<dyn SpmmKernel>, Box<dyn SddmmKernel>) {
+    match (translated, hybrid_policies) {
+        (None, _) if backend == Backend::PygLike => {
+            (Box::new(ScatterGatherSpmm), Box::new(CudaCoreSddmm))
+        }
+        (None, _) => (Box::new(CusparseCsrSpmm), Box::new(CudaCoreSddmm)),
+        (Some(t), None) => (
+            Box::new(TcgnnSpmm::from_translated(Arc::clone(&t))),
+            Box::new(TcgnnSddmm::from_translated(t)),
+        ),
+        (Some(t), Some((spmm, sddmm))) => (
+            Box::new(HybridSpmm::from_translated(Arc::clone(&t)).with_policy(spmm)),
+            Box::new(HybridSddmm::from_translated(t).with_policy(sddmm)),
+        ),
     }
 }
 
@@ -435,10 +598,7 @@ impl EngineBuilder {
         } = self;
         check_devices(devices)?;
         if !csr.is_symmetric() {
-            return Err(TcgError::InvalidInput {
-                what: "engine graph",
-                detail: "adjacency must be symmetric (undirected)".into(),
-            });
+            return Err(asymmetric());
         }
         let threads = tcg_gpusim::resolve_threads(threads).max(1);
         let norms = Norms::of(&csr);
@@ -457,6 +617,14 @@ impl EngineBuilder {
             )?)),
         };
         Ok(Engine::assemble(backend, csr, norms, exec))
+    }
+}
+
+/// The error for a graph that is not symmetric.
+fn asymmetric() -> TcgError {
+    TcgError::InvalidInput {
+        what: "engine graph",
+        detail: "adjacency must be symmetric (undirected)".into(),
     }
 }
 
@@ -486,6 +654,111 @@ impl Engine {
             devices: 1,
             partitioner: Partitioner::Contiguous,
         }
+    }
+
+    /// Moves the engine to `csr`, a new version of its graph with the same
+    /// node count, and to `translation`, `csr`'s SGT translation (required
+    /// by a one-device engine on a translating backend, ignored by the
+    /// DGL/PyG backends and by a sharded engine, which translates its
+    /// shards).
+    ///
+    /// The result computes and costs every op exactly as a fresh
+    /// [`EngineBuilder::build`] of `csr` with the same settings, but a
+    /// one-device engine pays in proportion to the edit: it finds the rows
+    /// whose neighbour lists changed by comparing the two graphs, checks
+    /// symmetry on those rows and their neighbours, validates only the
+    /// translation windows holding them, recomputes the norms of the rows
+    /// whose values move and copies the rest, and keeps its launcher with
+    /// its memo cleared (the memo's keys assume one graph; a launch's stats
+    /// never depend on launcher history). A sharded engine repartitions and
+    /// rebuilds its device engines, retranslating each shard
+    /// ([`Engine::preprocessing_ms`] reports that cost again).
+    ///
+    /// The recovery policy, launch-log setting and profiler carry over.
+    /// Fault state restarts as on a fresh engine: the fault plan is
+    /// detached, a forced fallback released, and the retry and degrade
+    /// counts go back to zero, so read [`Engine::fault_report`] first and
+    /// attach the next version's plan after. On error (a node-count change, an asymmetric graph, a
+    /// translation that does not validate) the engine is left unchanged.
+    ///
+    /// Under `TCG_VERIFY=1` the full symmetry check, the from-scratch norms
+    /// and [`TranslatedGraph::validate`] also run, and any disagreement
+    /// with the incremental results panics.
+    pub fn advance(
+        &mut self,
+        csr: &CsrGraph,
+        translation: Option<Arc<TranslatedGraph>>,
+    ) -> Result<(), TcgError> {
+        if csr.num_nodes() != self.csr.num_nodes() {
+            return Err(TcgError::InvalidInput {
+                what: "engine advance",
+                detail: format!(
+                    "graph has {} nodes, the engine's {}: build a new engine",
+                    csr.num_nodes(),
+                    self.csr.num_nodes()
+                ),
+            });
+        }
+        let verify = tcg_fault::verify_requested();
+        let changed = changed_rows(&self.csr, csr);
+        let symmetric = symmetric_after(&self.csr, csr, &changed);
+        if verify {
+            assert_eq!(symmetric, csr.is_symmetric(), "incremental symmetry check");
+        }
+        if !symmetric {
+            return Err(asymmetric());
+        }
+        let norms = self.norms.advanced(&self.csr, csr, &changed);
+        if verify {
+            assert!(norms.same_bits(&Norms::of(csr)), "incremental norms");
+        }
+        match &mut self.exec {
+            Exec::Single(dev) => {
+                let translation = match (self.backend.uses_translation(), translation) {
+                    (false, _) => None,
+                    (true, Some(t)) => {
+                        let mut windows: Vec<usize> =
+                            changed.iter().map(|&v| v / t.win_size.max(1)).collect();
+                        windows.dedup();
+                        let checked = t.validate_windows(csr, windows);
+                        if verify {
+                            let full = t.validate(csr);
+                            assert_eq!(checked.is_ok(), full.is_ok(), "windowed validation");
+                        }
+                        checked?;
+                        Some(t)
+                    }
+                    (true, None) => {
+                        return Err(TcgError::InvalidInput {
+                            what: "engine advance",
+                            detail: format!(
+                                "{} needs the new graph's SGT translation",
+                                self.backend.name()
+                            ),
+                        })
+                    }
+                };
+                dev.advance(self.backend, translation);
+            }
+            Exec::Sharded(set) => {
+                **set = set.rebuilt(csr, &norms, self.backend)?;
+                for eng in set.engines_mut() {
+                    eng.set_recovery_policy(self.recovery);
+                    if let Some(p) = &self.profiler {
+                        eng.attach_profiler(Arc::clone(p));
+                    }
+                }
+            }
+        }
+        self.csr = csr.clone();
+        self.norms = norms;
+        self.forced_fallback = false;
+        self.retried = 0;
+        self.degraded = 0;
+        self.last_spmm_report = None;
+        self.last_sddmm_report = None;
+        self.last_fused_report = None;
+        Ok(())
     }
 
     /// The engine over `csr` running on `exec`, with default recovery.
@@ -1075,7 +1348,8 @@ impl Engine {
         SpmmProblem::new(&self.csr, values, x)?;
         // Realigned on the global graph: a transposed edge's partner may
         // live in another shard.
-        let vt: Vec<f32> = self.norms.t_perm.iter().map(|&i| v[i as usize]).collect();
+        let t_perm = &self.norms.transposed(&self.csr).t_perm;
+        let vt: Vec<f32> = t_perm.iter().map(|&i| v[i as usize]).collect();
         if matches!(self.exec, Exec::Sharded(_)) {
             return self.sharded_rows("spmm_t", x, |eng, sh, lx| {
                 eng.spmm_permuted(lx, &sh.slice_edge_values(&vt))
@@ -1458,7 +1732,7 @@ impl Engine {
         }
         // `Aᵀ = A` topologically; the transposed normalization values are
         // precomputed, so no runtime permutation pass is needed.
-        let norm_t = self.norms.mean_norm_t.clone();
+        let norm_t = self.norms.transposed(&self.csr).mean_norm_t.clone();
         self.spmm(x, Some(&norm_t))
     }
 
@@ -1807,6 +2081,37 @@ mod tests {
                 matches!(err, TcgError::InvalidInput { .. }),
                 "{devices} device(s): {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn advanced_norms_equal_fresh_norms_bit_for_bit() {
+        let mut g = gen::community(400, 3000, 16, 24, 1).unwrap();
+        let mut e = Engine::builder(g.clone())
+            .backend(Backend::DglLike)
+            .build()
+            .unwrap();
+        for step in 0..6u32 {
+            let mut delta = tcg_sgt::EdgeDelta::new();
+            let mut used = Vec::new();
+            for k in 0..4u32 {
+                let (u, v) = ((step * 37 + k * 101) % 400, (step * 53 + k * 7 + 1) % 400);
+                if u == v || used.contains(&(u.min(v), u.max(v))) {
+                    continue;
+                }
+                used.push((u.min(v), u.max(v)));
+                delta = match g.has_edge(u as usize, v) {
+                    true => delta.delete_undirected(u, v),
+                    false => delta.insert_undirected(u, v),
+                };
+            }
+            g = delta.apply_to(&g).unwrap();
+            e.advance(&g, None).unwrap();
+            let fresh = Norms::of(&g);
+            assert!(e.norms.same_bits(&fresh), "step {step}");
+            let (a, b) = (e.norms.transposed(&g), fresh.transposed(&g));
+            assert_eq!(a.t_perm, b.t_perm, "step {step}");
+            assert_eq!(a.mean_norm_t, b.mean_norm_t, "step {step}");
         }
     }
 

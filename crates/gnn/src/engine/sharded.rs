@@ -30,6 +30,7 @@ struct DeviceState {
 /// The device states of a sharded engine and the open run's accounting.
 pub(super) struct ShardSet {
     device: DeviceSpec,
+    partitioner: Partitioner,
     states: Vec<DeviceState>,
     /// The open run's report: the shards' static facts plus the exchanges
     /// so far; [`ShardSet::take_report`] adds the timelines.
@@ -59,7 +60,7 @@ impl ShardSet {
                 let engine = Engine::assemble(
                     backend,
                     local,
-                    norms.for_shard(&shard),
+                    norms.for_shard(csr, &shard),
                     Exec::Single(Box::new(dev)),
                 );
                 let streams = StreamSet::for_device(d, 2);
@@ -83,10 +84,33 @@ impl ShardSet {
         };
         Ok(ShardSet {
             device: device.clone(),
+            partitioner,
             states,
             open,
             launch_log: None,
         })
+    }
+
+    /// A shard set over `csr` (whose norms are `norms`) with this one's
+    /// device, partitioner, device count, thread count and launch-log
+    /// setting: the graph repartitioned and every shard retranslated.
+    pub(super) fn rebuilt(
+        &self,
+        csr: &CsrGraph,
+        norms: &Norms,
+        backend: Backend,
+    ) -> Result<ShardSet, TcgError> {
+        let mut set = ShardSet::build(
+            csr,
+            norms,
+            backend,
+            &self.device,
+            self.threads(),
+            self.states.len(),
+            self.partitioner,
+        )?;
+        set.set_launch_log(self.launch_log.is_some());
+        Ok(set)
     }
 
     /// The device engines, in device order.

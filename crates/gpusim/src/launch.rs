@@ -522,7 +522,7 @@ impl Launcher {
             memo: HashMap::new(),
             scope: None,
             memo_hits: 0,
-            verify: std::env::var("TCG_VERIFY").is_ok_and(|v| v == "1"),
+            verify: tcg_fault::verify_requested(),
         }
     }
 
@@ -665,6 +665,14 @@ impl Launcher {
     /// Launches answered from the memo so far.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
+    }
+
+    /// Forgets every recorded launch, for a caller whose memo keys stop
+    /// describing the launches (the graph they ran over changed). A
+    /// launch's stats do not depend on what ran before it, so the next
+    /// launch of each key simulates exactly as on a new launcher.
+    pub fn clear_memo(&mut self) {
+        self.memo.clear();
     }
 
     /// Runs `body` once per block and returns the accumulated counters.

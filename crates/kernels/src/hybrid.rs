@@ -269,36 +269,6 @@ impl DispatchPolicy {
             self.decide(&WindowGeometry::from_translation(t, csr, w), dim)
         })
     }
-
-    /// Delta counterpart of [`DispatchPolicy::mask`]: re-decides only the
-    /// `touched` windows of an existing mask after an incremental
-    /// retranslation. Because [`score`] is a pure function of one window's
-    /// geometry, untouched entries are exactly what a full recompute would
-    /// produce, so the refreshed mask is identical to
-    /// `self.mask(t, csr, dim)` at a cost proportional to the edit.
-    ///
-    /// # Panics
-    ///
-    /// If `mask` does not cover `t.num_row_windows` windows or a touched
-    /// index is out of range — both indicate the caller paired the mask
-    /// with the wrong translation generation.
-    pub fn refresh_mask(
-        &self,
-        mask: &mut [WindowBackend],
-        t: &TranslatedGraph,
-        csr: &CsrGraph,
-        dim: usize,
-        touched: &[usize],
-    ) {
-        assert_eq!(
-            mask.len(),
-            t.num_row_windows,
-            "dispatch mask length must match the translation's window count"
-        );
-        for &w in touched {
-            mask[w] = self.decide(&WindowGeometry::from_translation(t, csr, w), dim);
-        }
-    }
 }
 
 /// Renders a dispatch mask as a compact run-length string, e.g.
@@ -817,31 +787,6 @@ mod tests {
             assert!(fit.regret_cycles >= -1e-6);
             assert!(fit.oracle_cycles > 0.0);
         }
-    }
-
-    #[test]
-    fn refresh_mask_matches_full_recompute_after_delta() {
-        let g = gen::rmat_default(512, 5_000, 11).unwrap();
-        let mut t = Sgt::builder().translate(&g).unwrap();
-        let policy = DispatchPolicy::default();
-        let mut mask = policy.mask(&t, &g, 32);
-
-        // Rewire one window heavily so its geometry (and likely its
-        // dispatch decision) changes, then refresh only that window.
-        let mut delta = tcg_sgt::EdgeDelta::new();
-        for src in 32u32..40 {
-            for &d in g.neighbors(src as usize) {
-                delta.push_delete(src, d);
-            }
-        }
-        let g2 = delta.apply_to(&g).unwrap();
-        let report = t.apply_delta(&g2, &delta).unwrap();
-        policy.refresh_mask(&mut mask, &t, &g2, 32, &report.touched_windows);
-        assert_eq!(
-            mask,
-            policy.mask(&t, &g2, 32),
-            "refreshed mask must equal a full recompute"
-        );
     }
 
     #[test]

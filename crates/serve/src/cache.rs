@@ -13,10 +13,10 @@
 //! carries the per-window CSR fingerprints it was built from; when a lookup
 //! misses, the cache searches for a *predecessor* — a resident entry for a
 //! same-shaped graph sharing most window fingerprints — and, when one
-//! exists, clones it and re-runs Algorithm 1 only on the windows whose
-//! fingerprints moved ([`TranslatedGraph::retranslate_windows`]). Every
-//! untouched window is spliced verbatim, which is what keeps a small edit's
-//! cost proportional to the edit rather than to the graph.
+//! exists, builds the new translation from it, re-running Algorithm 1 only
+//! on the windows whose fingerprints moved ([`TranslatedGraph::spliced`]).
+//! Every untouched window is spliced verbatim, which is what keeps a small
+//! edit's cost proportional to the edit rather than to the graph.
 
 use std::sync::Arc;
 
@@ -353,8 +353,8 @@ impl TranslationCache {
     /// - **Hit** — the exact [`GraphVersion`] is resident; returned with
     ///   zero paid milliseconds.
     /// - **Delta** — a resident predecessor shares most per-window
-    ///   fingerprints; its translation is cloned and only the stale windows
-    ///   re-run Algorithm 1 ([`TranslatedGraph::retranslate_windows`]). The
+    ///   fingerprints; the new translation splices its windows and re-runs
+    ///   Algorithm 1 on the stale ones only ([`TranslatedGraph::spliced`]). The
     ///   paid cost is the (much cheaper) delta model, and every spliced
     ///   window counts as a [`CacheStats::window_hits`].
     /// - **Full** — Algorithm 1 runs from scratch.
@@ -370,18 +370,27 @@ impl TranslationCache {
     /// translations — the differential oracle exercises exactly this path as
     /// its "cached-translation" backend.
     pub fn get_or_translate(&mut self, csr: &CsrGraph) -> Resolution {
-        self.get_or_translate_version(csr, csr.fingerprint())
+        let window_fps = csr.window_fingerprints(TC_BLK_H);
+        self.get_or_translate_version(csr, csr.fingerprint(), &window_fps)
     }
 
     /// [`TranslationCache::get_or_translate`] for a caller that already
-    /// knows `csr`'s version (`csr.fingerprint()`): a server hashes each
-    /// graph version once, when it is created, not at every batch.
+    /// knows `csr`'s version (`csr.fingerprint()`) and its window
+    /// fingerprints (`csr.window_fingerprints(TC_BLK_H)`): a server hashes
+    /// each graph version once, when it is created, and rehashes only the
+    /// windows a mutation touched.
     pub(crate) fn get_or_translate_version(
         &mut self,
         csr: &CsrGraph,
         fp: GraphVersion,
+        window_fps: &[u64],
     ) -> Resolution {
         debug_assert_eq!(fp, csr.fingerprint(), "version of another graph");
+        debug_assert_eq!(
+            window_fps,
+            csr.window_fingerprints(TC_BLK_H),
+            "window fingerprints of another graph"
+        );
         let mut recovered_poison = false;
         if let Some(pos) = self.entries.iter().position(|(f, _)| *f == fp) {
             self.hit_seq += 1;
@@ -415,22 +424,20 @@ impl TranslationCache {
         self.stats.misses += 1;
         let full_ms = tcg_sgt::overhead::model_ms(csr);
 
-        // Delta path: splice from the closest resident predecessor. The
-        // window fingerprints are computed once and kept by the new entry.
-        let new_fps = csr.window_fingerprints(TC_BLK_H);
+        // Delta path: splice from the closest resident predecessor. The new
+        // entry keeps the window fingerprints.
         if self.delta_enabled {
-            if let Some(pos) = self.best_predecessor(&new_fps, csr.num_nodes()) {
+            if let Some(pos) = self.best_predecessor(window_fps, csr.num_nodes()) {
                 let cached = &self.entries[pos].1;
-                let touched: Vec<usize> = new_fps
+                let touched: Vec<usize> = window_fps
                     .iter()
                     .zip(&cached.window_fps)
                     .enumerate()
                     .filter(|(_, (a, b))| a != b)
                     .map(|(i, _)| i)
                     .collect();
-                let mut t = (*cached.translation).clone();
-                if t.retranslate_windows(csr, &touched).is_ok() {
-                    let preserved = new_fps.len() - touched.len();
+                if let Ok(t) = cached.translation.spliced(csr, &touched) {
+                    let preserved = window_fps.len() - touched.len();
                     let retranslated_edges: usize =
                         touched.iter().map(|&w| window_edge_count(csr, w)).sum();
                     let paid =
@@ -446,7 +453,7 @@ impl TranslationCache {
                         csr,
                         Arc::clone(&translation),
                         full_ms,
-                        new_fps,
+                        window_fps.to_vec(),
                     );
                     self.insert_entry(fp, cached);
                     if recovered_poison {
@@ -469,7 +476,12 @@ impl TranslationCache {
         self.stats.window_misses += csr.num_nodes().div_ceil(TC_BLK_H) as u64;
         self.insert(
             fp,
-            CachedTranslation::with_window_fps(csr, Arc::clone(&translation), full_ms, new_fps),
+            CachedTranslation::with_window_fps(
+                csr,
+                Arc::clone(&translation),
+                full_ms,
+                window_fps.to_vec(),
+            ),
         );
         if recovered_poison {
             self.stats.poison_recovered += 1;

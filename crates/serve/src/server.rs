@@ -7,13 +7,14 @@
 //! binding it to a stream (a sharded run skips the cache: its engines
 //! translate their own shards); a [`GraphMutation`] is a barrier that seals
 //! every open batch and then lands. One worker thread per stream executes
-//! its batches through one executor — engines keyed by `(graph, version)`,
-//! sharded across [`ServeConfig::devices`] when that is more than one —
-//! and one respond step turns each request's logit row into a Served/Late
-//! outcome. On a one-device translating backend a batch computes only the
-//! row windows its targets' receptive fields read
-//! ([`ServableModel::infer_targets`]); sharded, DGL/PyG and
-//! breaker-rerouted batches run the full-graph forward.
+//! its batches through one executor — one engine per graph, moved to each
+//! batch's graph version with [`Engine::advance`] and sharded across
+//! [`ServeConfig::devices`] when that is more than one — and one respond
+//! step turns each request's logit row into a Served/Late outcome. On a
+//! one-device translating backend a batch computes only the row windows
+//! its targets' receptive fields read ([`ServableModel::infer_targets`]);
+//! sharded, DGL/PyG and breaker-rerouted batches run the full-graph
+//! forward.
 //! [`ServeConfig::resilience`] is resolved once at entry; `None` resolves
 //! to policies that are all no-ops, so a run without the layer takes the
 //! same path.
@@ -34,7 +35,6 @@
 //! in open batches when an arrival is processed, so
 //! [`tcg_fault::TcgError::QueueFull`] shedding is a function of the trace.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tcg_dist::Partitioner;
@@ -45,7 +45,6 @@ use tcg_fault::{
 use tcg_gnn::{Backend, Engine, RecoveryPolicy};
 use tcg_gpusim::{DeviceSpec, Stream};
 use tcg_graph::{CsrGraph, GraphVersion};
-use tcg_kernels::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
 use tcg_profile::{Phase, RequestSpan, SharedProfiler, StreamingHistogram};
 use tcg_sgt::{EdgeDelta, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::{ops, DenseMatrix};
@@ -182,8 +181,10 @@ pub struct MutationSummary {
     pub windows_preserved: usize,
     /// Modeled milliseconds paid for delta retranslations.
     pub delta_translate_ms: f64,
-    /// Hybrid dispatch-mask entries re-decided (touched windows only;
-    /// 0 unless the backend is [`Backend::Hybrid`]).
+    /// Row windows retranslated by delta cache resolutions on the
+    /// [`Backend::Hybrid`] backend (0 on every other backend): the windows
+    /// whose dispatch decisions the hybrid kernels make afresh, since each
+    /// launch decides its mask from the translation it runs over.
     pub mask_refreshed_windows: usize,
 }
 
@@ -251,7 +252,8 @@ struct DispatchedBatch {
     /// When the batcher sealed the batch.
     close_ms: f64,
     /// Translation milliseconds paid before the batch can launch: at
-    /// dispatch on a cache miss, or by the sharded engine it builds.
+    /// dispatch on a cache miss, or by the sharded engine it builds or
+    /// advances.
     translate_ms: f64,
     /// Close time plus `translate_ms`.
     ready_ms: f64,
@@ -263,8 +265,8 @@ struct DispatchedBatch {
     /// session's CSR moves on, but this batch executes against the
     /// adjacency it was admitted for.
     csr: Arc<CsrGraph>,
-    /// Version of that snapshot; engines are keyed by `(graph, version)`
-    /// so a mutated graph gets a fresh engine instead of stale kernels.
+    /// Version of that snapshot: a stream's engine for the graph advances
+    /// to it when it differs from the version the engine is at.
     version: GraphVersion,
 }
 
@@ -440,7 +442,7 @@ pub fn serve_with_mutations(
         .graphs
         .iter()
         .zip(&d.snapshots)
-        .map(|(g, (_, version))| (g.name.clone(), version.as_u64()))
+        .map(|(g, snap)| (g.name.clone(), snap.version.as_u64()))
         .collect();
     if let Some(p) = profiler {
         record_trace(p, &d, &graph_versions, &mut workers);
@@ -594,14 +596,12 @@ struct Dispatcher<'s> {
     cancel: bool,
     batcher: Batcher,
     brownout: Option<BrownoutController>,
-    /// Hybrid backend: per-graph window dispatch masks, so a delta
-    /// resolution re-decides only the touched windows.
-    hybrid: Option<DispatchPolicy>,
-    masks: Vec<Option<Vec<WindowBackend>>>,
-    /// Per-graph CSR snapshots and their versions: batches capture the
-    /// adjacency they were admitted against, refreshed only by mutations.
-    /// Each version is hashed once: at start, or by the mutation.
-    snapshots: Vec<(Arc<CsrGraph>, GraphVersion)>,
+    /// Whether the backend is [`Backend::Hybrid`] (for
+    /// [`MutationSummary::mask_refreshed_windows`]).
+    hybrid: bool,
+    /// Per-graph snapshots: batches capture the adjacency they were
+    /// admitted against, refreshed only by mutations.
+    snapshots: Vec<Snapshot>,
     dispatched: Vec<DispatchedBatch>,
     /// Translations paid: host span name, milliseconds, trace ids.
     translations: Vec<(String, f64, Vec<u64>)>,
@@ -623,13 +623,11 @@ impl<'s> Dispatcher<'s> {
             brownout: policy
                 .brownout
                 .map(|bc| BrownoutController::new(bc, cfg.policy.max_batch, capacity)),
-            hybrid: matches!(cfg.backend, Backend::Hybrid)
-                .then(|| DispatchPolicy::from_env(KernelClass::Spmm)),
-            masks: vec![None; session.graphs.len()],
+            hybrid: cfg.backend == Backend::Hybrid,
             snapshots: session
                 .graphs
                 .iter()
-                .map(|g| (Arc::new(g.csr.clone()), g.csr.fingerprint()))
+                .map(|g| Snapshot::of(&g.csr))
                 .collect(),
             dispatched: Vec::new(),
             translations: Vec::new(),
@@ -718,7 +716,7 @@ impl<'s> Dispatcher<'s> {
             }
         };
         let index = self.dispatched.len();
-        let (csr, version) = &self.snapshots[closed.graph];
+        let snap = &self.snapshots[closed.graph];
         self.dispatched.push(DispatchedBatch {
             index,
             graph: closed.graph,
@@ -728,44 +726,37 @@ impl<'s> Dispatcher<'s> {
             ready_ms: close_ms + paid_ms,
             requests: closed.requests,
             translation,
-            csr: Arc::clone(csr),
-            version: *version,
+            csr: Arc::clone(&snap.csr),
+            version: snap.version,
         });
     }
 
     /// Resolves `closed`'s graph through the session cache, recording any
-    /// translation paid (and, on the hybrid backend, refreshing the graph's
-    /// window dispatch mask). Returns the translation and its cost.
+    /// translation paid. Returns the translation and its cost.
     fn resolve(&mut self, closed: &ClosedBatch) -> (Arc<TranslatedGraph>, f64) {
-        let g = &self.session.graphs[closed.graph];
-        let version = self.snapshots[closed.graph].1;
-        let r = self.session.cache.get_or_translate_version(&g.csr, version);
-        let (span, touched) = match &r.kind {
-            ResolutionKind::Hit => (None, None),
-            ResolutionKind::Full => (Some("sgt_translate"), None),
+        let snap = &self.snapshots[closed.graph];
+        let cache = &mut self.session.cache;
+        let r = cache.get_or_translate_version(&snap.csr, snap.version, &snap.window_fps);
+        let span = match &r.kind {
+            ResolutionKind::Hit => None,
+            ResolutionKind::Full => Some("sgt_translate"),
             ResolutionKind::Delta { touched, preserved } => {
-                self.mutations.windows_touched += touched.len();
-                self.mutations.windows_preserved += preserved;
-                self.mutations.delta_translate_ms += r.paid_ms;
-                (Some("sgt_delta"), Some(touched))
+                let m = &mut self.mutations;
+                m.windows_touched += touched.len();
+                m.windows_preserved += preserved;
+                m.delta_translate_ms += r.paid_ms;
+                if self.hybrid {
+                    m.mask_refreshed_windows += touched.len();
+                }
+                Some("sgt_delta")
             }
         };
         if let Some(span) = span {
             // Attributed to the batch that paid it: the host span carries
             // the same trace ids as the batch's kernels.
             let ids = closed.requests.iter().map(|r| r.id).collect();
-            let name = format!("{span}:{}", g.name);
+            let name = format!("{span}:{}", self.session.graphs[closed.graph].name);
             self.translations.push((name, r.paid_ms, ids));
-            if let Some(policy) = &self.hybrid {
-                let (slot, dim) = (&mut self.masks[closed.graph], g.features.cols());
-                match (slot.as_mut(), touched) {
-                    (Some(mask), Some(touched)) => {
-                        policy.refresh_mask(mask, &r.translation, &g.csr, dim, touched);
-                        self.mutations.mask_refreshed_windows += touched.len();
-                    }
-                    _ => *slot = Some(policy.mask(&r.translation, &g.csr, dim)),
-                }
-            }
         }
         (r.translation, r.paid_ms)
     }
@@ -780,11 +771,42 @@ impl<'s> Dispatcher<'s> {
                 m.applied += 1;
                 m.edges_inserted += out.inserted;
                 m.edges_deleted += out.deleted;
-                let csr = self.session.graphs[gm.graph].csr.clone();
-                self.snapshots[gm.graph] = (Arc::new(csr), out.version);
+                let csr = &self.session.graphs[gm.graph].csr;
+                self.snapshots[gm.graph].advance(csr, out.version, &out.touched_windows);
             }
             Err(_) => m.rejected += 1,
         }
+    }
+}
+
+/// One graph's current version as the dispatcher hands it to batches: the
+/// adjacency, its [`GraphVersion`] and its window fingerprints (at
+/// `TC_BLK_H` rows, the translation cache's delta signature). Each is
+/// computed once per version: at start, or by the mutation that made the
+/// version, which rehashes only the windows it touched.
+struct Snapshot {
+    csr: Arc<CsrGraph>,
+    version: GraphVersion,
+    window_fps: Vec<u64>,
+}
+
+impl Snapshot {
+    fn of(csr: &CsrGraph) -> Snapshot {
+        Snapshot {
+            csr: Arc::new(csr.clone()),
+            version: csr.fingerprint(),
+            window_fps: csr.window_fingerprints(TC_BLK_H),
+        }
+    }
+
+    /// Moves to `csr`, the graph at `version`, which differs from the
+    /// current one only in the `touched` windows.
+    fn advance(&mut self, csr: &CsrGraph, version: GraphVersion, touched: &[usize]) {
+        for &w in touched {
+            self.window_fps[w] = csr.window_fingerprint(TC_BLK_H, w);
+        }
+        self.csr = Arc::new(csr.clone());
+        self.version = version;
     }
 }
 
@@ -863,7 +885,8 @@ fn execute(run: &Run, dispatched: Vec<DispatchedBatch>, streams: usize) -> Vec<W
 /// Runs on a worker thread; engines (which hold non-`Send` kernel objects)
 /// are built inside it. One-device engines are seeded with the
 /// dispatcher-resolved translation, so Algorithm 1 never reruns here; a
-/// sharded engine translates its shards, delaying the batch that builds it.
+/// sharded engine translates its shards, delaying the batch that builds or
+/// advances it.
 fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
     let mut w = Worker {
         stream: Stream::new(id),
@@ -881,15 +904,8 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
         halo_bytes: 0,
         transfer_ms: 0.0,
     };
-    // Eviction compares global batch indices, which is sound only because
-    // a stream's batches run in ascending index order.
-    debug_assert!(batches.windows(2).all(|p| p[0].index < p[1].index));
     let mut executor = Executor {
-        engines: HashMap::new(),
-        last_use: batches
-            .iter()
-            .map(|b| ((b.graph, b.version.as_u64()), b.index))
-            .collect(),
+        engines: run.graphs.iter().map(|_| None).collect(),
     };
     for mut b in batches {
         // Where this batch would start on the stream's virtual clock —
@@ -898,15 +914,14 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
         let now = w.stream.now_ms();
         let start = if b.ready_ms > now { b.ready_ms } else { now };
         // Pre-launch checkpoint: deadlines already dead at the projected
-        // start never build an engine or launch a kernel.
+        // start never build or advance an engine or launch a kernel.
         let (cancel, stage) = (run.policy.deadline_cancellation, CancelStage::PreLaunch);
         if cull(cancel, &mut b.requests, stage, start, &mut w.responses) {
             let execution = executor.execute(run, &mut b, start, &mut w);
             respond(&b.requests, execution, &mut w.responses);
         }
     }
-    // Map order is arbitrary, but summing counters is not order-sensitive.
-    for eng in executor.engines.values() {
+    for (_, eng) in executor.engines.iter().flatten() {
         w.faults.absorb(&eng.fault_report());
     }
     // Engines hold the only other handles to the worker's recorder.
@@ -914,15 +929,16 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
     w
 }
 
-/// Stage 4: engines keyed by `(graph, version)` — a mutated graph's
-/// batches get a fresh engine built from their snapshot CSR. An engine is
-/// dropped once this stream's last batch for its version has run
-/// (`last_use`), so under churn superseded versions do not stay resident.
-/// With more than one device each engine is sharded and runs SGT per shard
-/// when built (the dispatcher resolves no whole-graph translation).
+/// Stage 4: one engine per graph the stream serves, built for the graph's
+/// first batch and moved to each later batch's graph version with
+/// [`Engine::advance`], which pays in proportion to the edit. Each version
+/// restarts the engine's fault accounting from the same `(stream, graph)`
+/// seed, as a freshly built engine would. With more than one device each
+/// engine is sharded and runs SGT per shard when built or advanced (the
+/// dispatcher resolves no whole-graph translation).
 struct Executor {
-    engines: HashMap<(usize, u64), Engine>,
-    last_use: HashMap<(usize, u64), usize>,
+    /// Indexed by graph: the engine and the graph version it is at.
+    engines: Vec<Option<(GraphVersion, Engine)>>,
 }
 
 /// What executing one batch produced.
@@ -943,62 +959,39 @@ impl Executor {
         w: &mut Worker,
     ) -> Execution {
         let (cfg, g) = (run.cfg, &run.graphs[b.graph]);
-        let Executor { engines, last_use } = self;
-        let key = (b.graph, b.version.as_u64());
-        engines.retain(|key, eng| {
-            let keep = last_use[key] >= b.index;
-            if !keep {
+        // One plan per (stream, graph) and version: the draw sequence
+        // depends only on this stream's batch order, never on scheduling.
+        let seed = cfg
+            .fault_seed
+            .wrapping_add((u64::from(w.stream.id()) + 1) << 32)
+            .wrapping_add(b.graph as u64);
+        let slot = &mut self.engines[b.graph];
+        let moved = match slot {
+            Some((version, _)) if *version == b.version => false,
+            Some((version, eng)) => {
+                // The version ends: its faults are counted before advance
+                // restarts the engine's accounting.
                 w.faults.absorb(&eng.fault_report());
+                eng.advance(&b.csr, b.translation.clone())
+                    .expect("mutations keep the served graph symmetric");
+                *version = b.version;
+                true
             }
-            keep
-        });
-        debug_assert!(
-            last_use[&key] >= b.index,
-            "batch arrived for an evicted engine"
-        );
-        let fresh = !engines.contains_key(&key);
-        let eng = engines.entry(key).or_insert_with(|| {
-            let mut builder = Engine::builder((*b.csr).clone())
-                .backend(cfg.backend)
-                .device(cfg.device.clone())
-                .threads(cfg.threads)
-                .devices(cfg.devices)
-                .partitioner(cfg.partitioner);
-            if let Some(t) = &b.translation {
-                builder = builder.translation(Arc::clone(t));
+            None => {
+                *slot = Some((b.version, build_engine(run, b, seed, w)));
+                true
             }
-            let mut eng = builder
-                .build()
-                .expect("session graphs and the serve config build an engine");
-            // One plan per (stream, graph): the draw sequence depends only
-            // on this stream's batch order, never on scheduling.
-            let seed = cfg
-                .fault_seed
-                .wrapping_add((u64::from(w.stream.id()) + 1) << 32)
-                .wrapping_add(b.graph as u64);
+        };
+        let (_, eng) = slot.as_mut().expect("the batch's engine is resident");
+        if moved {
             if let Some(fault_cfg) = cfg.fault {
                 eng.attach_fault_plan(FaultPlan::new(seed, fault_cfg));
             }
-            let jitter = run.policy.retry_jitter_frac;
-            if jitter > 0.0 {
-                // Seeded like the fault plan: bit-reproducible backoff.
-                let backoff = RetryPolicy::default().with_jitter(jitter, seed);
-                eng.set_recovery_policy(RecoveryPolicy {
-                    backoff,
-                    ..RecoveryPolicy::default()
-                });
-            }
-            // The kernel-boundary checkpoint reads the per-launch log.
-            eng.set_launch_log(run.policy.deadline_cancellation);
-            if let Some(p) = &w.profiler {
-                eng.attach_profiler(Arc::clone(p));
-            }
-            eng
-        });
-        // Translation the new engine paid itself (a sharded engine's shard
-        // SGT; zero when seeded from the cache) delays this batch the way a
-        // cache miss at dispatch does.
-        let sgt_ms = if fresh { eng.preprocessing_ms() } else { 0.0 };
+        }
+        // Translation a built or advanced engine paid itself (a sharded
+        // engine's shard SGT; zero when seeded from the cache) delays this
+        // batch the way a cache miss at dispatch does.
+        let sgt_ms = if moved { eng.preprocessing_ms() } else { 0.0 };
         let mut start = start;
         if sgt_ms > 0.0 {
             b.translate_ms += sgt_ms;
@@ -1058,6 +1051,41 @@ impl Executor {
             }
         }
     }
+}
+
+/// The engine a stream's first batch against a graph builds, seeded with
+/// the dispatcher-resolved translation (one-device runs) and configured for
+/// the run: recovery backoff seeded like the fault plan, the launch log
+/// deadline cancellation reads, and the worker's recorder.
+fn build_engine(run: &Run, b: &DispatchedBatch, seed: u64, w: &Worker) -> Engine {
+    let cfg = run.cfg;
+    let mut builder = Engine::builder((*b.csr).clone())
+        .backend(cfg.backend)
+        .device(cfg.device.clone())
+        .threads(cfg.threads)
+        .devices(cfg.devices)
+        .partitioner(cfg.partitioner);
+    if let Some(t) = &b.translation {
+        builder = builder.translation(Arc::clone(t));
+    }
+    let mut eng = builder
+        .build()
+        .expect("session graphs and the serve config build an engine");
+    let jitter = run.policy.retry_jitter_frac;
+    if jitter > 0.0 {
+        // Seeded like the fault plan: bit-reproducible backoff.
+        let backoff = RetryPolicy::default().with_jitter(jitter, seed);
+        eng.set_recovery_policy(RecoveryPolicy {
+            backoff,
+            ..RecoveryPolicy::default()
+        });
+    }
+    // The kernel-boundary checkpoint reads the per-launch log.
+    eng.set_launch_log(run.policy.deadline_cancellation);
+    if let Some(p) = &w.profiler {
+        eng.attach_profiler(Arc::clone(p));
+    }
+    eng
 }
 
 /// The kernel-boundary checkpoint: if even the latest deadline in the batch

@@ -255,7 +255,7 @@ impl TranslatedGraph {
                 });
             }
         }
-        self.retranslate_windows(csr, &touched)?;
+        *self = self.spliced(csr, &touched)?;
         let np = csr.node_pointer();
         let retranslated_edges = touched
             .iter()
@@ -276,10 +276,11 @@ impl TranslatedGraph {
         })
     }
 
-    /// Rebuilds the translation for `csr` by re-running Algorithm 1 + 2 on
-    /// the windows in `touched` (sorted, deduplicated, in range) and
-    /// splicing every other window's existing arrays with corrected edge
-    /// offsets.
+    /// The translation of `csr` built from this one: Algorithm 1 + 2 re-run
+    /// on the windows in `touched` (sorted, deduplicated, in range), and
+    /// every other window's arrays spliced over from `self` with corrected
+    /// edge offsets. `self` is only read, so a shared predecessor (a cache
+    /// entry) needs no copy first.
     ///
     /// Soundness precondition: every window *not* in `touched` must have
     /// identical CSR content (same rows, same neighbor lists) in `csr` as in
@@ -289,16 +290,12 @@ impl TranslatedGraph {
     /// ([`CsrGraph::window_fingerprint`]). An untouched window whose edge
     /// count nonetheless changed is detected and reported as
     /// [`TcgError::CorruptMeta`].
-    pub fn retranslate_windows(
-        &mut self,
-        csr: &CsrGraph,
-        touched: &[usize],
-    ) -> Result<(), TcgError> {
+    pub fn spliced(&self, csr: &CsrGraph, touched: &[usize]) -> Result<TranslatedGraph, TcgError> {
         let n = csr.num_nodes();
         let windows = n.div_ceil(self.win_size);
         if windows != self.num_row_windows {
             return Err(TcgError::InvalidInput {
-                what: "retranslate_windows",
+                what: "spliced translation",
                 detail: format!(
                     "graph has {windows} windows but translation has {}",
                     self.num_row_windows
@@ -308,7 +305,7 @@ impl TranslatedGraph {
         for &w in touched {
             if w >= windows {
                 return Err(TcgError::InvalidInput {
-                    what: "retranslate_windows",
+                    what: "spliced translation",
                     detail: format!("window {w} out of range: {windows} row windows"),
                 });
             }
@@ -352,7 +349,7 @@ impl TranslatedGraph {
                 let (old_lo, old_hi) = (old_spans[w], old_spans[w + 1]);
                 if old_hi - old_lo != new_hi - new_lo {
                     return Err(TcgError::CorruptMeta {
-                        what: "retranslate_windows",
+                        what: "spliced translation",
                         detail: format!(
                             "untouched window {w}: edge count changed {} -> {} — the \
                              touched-window set does not cover the graph edit",
@@ -391,18 +388,23 @@ impl TranslatedGraph {
             win_block_start.push(win_block_start.last().unwrap() + blocks as usize);
         }
 
-        self.win_partition = win_partition;
-        self.edge_to_col = edge_to_col;
-        self.edge_to_row = edge_to_row;
-        self.win_unique = win_unique;
-        self.win_block_start = win_block_start;
-        self.block_ptr = arrays.block_ptr;
-        self.perm_orig = arrays.perm_orig;
-        self.perm_pack = arrays.perm_pack;
-        self.block_atox = arrays.block_atox;
-        self.block_atox_ptr = arrays.block_atox_ptr;
-
-        post_validate(self, csr)
+        let t = TranslatedGraph {
+            win_size: self.win_size,
+            blk_w: self.blk_w,
+            num_row_windows: windows,
+            win_partition,
+            edge_to_col,
+            edge_to_row,
+            win_unique,
+            win_block_start,
+            block_ptr: arrays.block_ptr,
+            perm_orig: arrays.perm_orig,
+            perm_pack: arrays.perm_pack,
+            block_atox: arrays.block_atox,
+            block_atox_ptr: arrays.block_atox_ptr,
+        };
+        post_validate(&t, csr)?;
+        Ok(t)
     }
 }
 

@@ -157,55 +157,58 @@ impl TranslatedGraph {
     }
 
     /// Stable content checksum over every field of the translation: FNV-1a
-    /// over whole elements, `h = (h ^ v)·P`, one multiply per element.
+    /// over whole elements, `h = (h ^ v)·P`, one multiply per element, in
+    /// four interleaved lanes so the multiplies of neighbouring elements
+    /// overlap instead of forming one serial chain.
     ///
-    /// `O(E)` but branch-free and allocation-free — cheap enough for the
-    /// serving cache to verify on every hit, orders of magnitude cheaper
-    /// than a full [`TranslatedGraph::validate`] pass. Each step is a
-    /// bijection of `h` for a fixed element and injective in the element
-    /// for a fixed `h` (`P` is odd), so any mutation of one element of any
-    /// array (a poisoned cache entry) changes the digest. The value is
-    /// compared only with checksums of the same build; no report or pin
-    /// carries it.
+    /// Each array's elements go to lanes 0–3 in turn (a tail of fewer than
+    /// four starts again at lane 0), and the lanes fold into one word at
+    /// the end with the same step. `O(E)` but branch-free and
+    /// allocation-free — cheap enough for the serving cache to verify on
+    /// every hit, orders of magnitude cheaper than a full
+    /// [`TranslatedGraph::validate`] pass. Each step is a bijection of its
+    /// lane for a fixed element and injective in the element for a fixed
+    /// lane (`P` is odd), and the fold is a bijection of each lane for fixed
+    /// others, so any mutation of one element of any array (a poisoned
+    /// cache entry) changes the digest. The value is compared only with
+    /// checksums of the same build; no report or pin carries it.
     pub fn checksum(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(FNV_PRIME);
-        eat(self.win_size as u64);
-        eat(self.blk_w as u64);
-        eat(self.num_row_windows as u64);
-        for &v in &self.win_partition {
-            eat(u64::from(v));
+        fn step(h: u64, v: u64) -> u64 {
+            const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+            (h ^ v).wrapping_mul(FNV_PRIME)
         }
-        for &v in &self.edge_to_col {
-            eat(u64::from(v));
+        fn eat<T: Copy>(lanes: &mut [u64; 4], xs: &[T], word: impl Fn(T) -> u64) {
+            let chunks = xs.chunks_exact(4);
+            let tail = chunks.remainder();
+            // Four named chains: a loop over the lane array does not keep
+            // them in registers and runs at half the speed.
+            let [mut a, mut b, mut c, mut d] = *lanes;
+            for w in chunks {
+                a = step(a, word(w[0]));
+                b = step(b, word(w[1]));
+                c = step(c, word(w[2]));
+                d = step(d, word(w[3]));
+            }
+            *lanes = [a, b, c, d];
+            for (h, &v) in lanes.iter_mut().zip(tail) {
+                *h = step(*h, word(v));
+            }
         }
-        for &v in &self.edge_to_row {
-            eat(u64::from(v));
-        }
-        for &v in &self.win_unique {
-            eat(u64::from(v));
-        }
-        for &v in &self.win_block_start {
-            eat(v as u64);
-        }
-        for &v in &self.block_ptr {
-            eat(v as u64);
-        }
-        for &v in &self.perm_orig {
-            eat(u64::from(v));
-        }
-        for &v in &self.perm_pack {
-            eat(u64::from(v));
-        }
-        for &v in &self.block_atox {
-            eat(u64::from(v));
-        }
-        for &v in &self.block_atox_ptr {
-            eat(v as u64);
-        }
-        h
+        let mut lanes = [FNV_OFFSET; 4];
+        let geometry = [self.win_size, self.blk_w, self.num_row_windows];
+        eat(&mut lanes, &geometry, |v| v as u64);
+        eat(&mut lanes, &self.win_partition, u64::from);
+        eat(&mut lanes, &self.edge_to_col, u64::from);
+        eat(&mut lanes, &self.edge_to_row, u64::from);
+        eat(&mut lanes, &self.win_unique, u64::from);
+        eat(&mut lanes, &self.win_block_start, |v| v as u64);
+        eat(&mut lanes, &self.block_ptr, |v| v as u64);
+        eat(&mut lanes, &self.perm_orig, u64::from);
+        eat(&mut lanes, &self.perm_pack, u64::from);
+        eat(&mut lanes, &self.block_atox, u64::from);
+        eat(&mut lanes, &self.block_atox_ptr, |v| v as u64);
+        lanes.into_iter().fold(FNV_OFFSET, step)
     }
 
     /// Content checksum of row window `w` alone, normalized to be
@@ -295,6 +298,42 @@ impl TranslatedGraph {
     /// Cost is `O(E)` — intended to run once per translation, before the
     /// first kernel launch, not per launch.
     pub fn validate(&self, csr: &CsrGraph) -> Result<(), TcgError> {
+        self.validate_windows(csr, 0..self.num_row_windows)
+    }
+
+    /// [`TranslatedGraph::validate`] with the per-edge checks (column and
+    /// row bounds, chunk decoding, `AToX` slots, and that each window's
+    /// chunks permute exactly its own edges) run only on `windows`; the
+    /// array extents, the window partition and the chunk offsets are
+    /// checked whole. Costs `O(W + B)` plus the edges of `windows`: what a
+    /// caller that already validated the other windows' content pays.
+    /// An id that is not a window is [`TcgError::InvalidInput`].
+    pub fn validate_windows(
+        &self,
+        csr: &CsrGraph,
+        windows: impl IntoIterator<Item = usize>,
+    ) -> Result<(), TcgError> {
+        self.validate_structure(csr)?;
+        let mut seen = Vec::new();
+        for w in windows {
+            if w >= self.num_row_windows {
+                return Err(TcgError::InvalidInput {
+                    what: "sgt window index",
+                    detail: format!(
+                        "window {w} out of range: translation has {} row windows",
+                        self.num_row_windows
+                    ),
+                });
+            }
+            self.validate_window(csr, w, &mut seen)?;
+        }
+        Ok(())
+    }
+
+    /// The whole-translation part of [`TranslatedGraph::validate`]: array
+    /// extents, the window partition and its prefix sum, and monotone chunk
+    /// and `AToX` offsets that cover the edges. `O(W + B)`.
+    fn validate_structure(&self, csr: &CsrGraph) -> Result<(), TcgError> {
         let num_edges = csr.num_edges();
         let n = csr.num_nodes();
         if self.win_size == 0 || self.blk_w == 0 {
@@ -403,98 +442,102 @@ impl TranslatedGraph {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// The per-edge part of [`TranslatedGraph::validate`] for window `w`,
+    /// which must be in range; `seen` is scratch space.
+    fn validate_window(
+        &self,
+        csr: &CsrGraph,
+        w: usize,
+        seen: &mut Vec<bool>,
+    ) -> Result<(), TcgError> {
+        let n = csr.num_nodes();
         let edge_list = csr.edge_list();
-        let mut seen = vec![false; num_edges];
-        for w in 0..self.num_row_windows {
-            let (e_lo, e_hi) = self.window_edge_range_unchecked(csr, w);
-            let (b_lo, b_hi) = (self.win_block_start[w], self.win_block_start[w + 1]);
-            if b_lo < b_hi && (self.block_ptr[b_lo] != e_lo || self.block_ptr[b_hi] != e_hi) {
+        let (e_lo, e_hi) = self.window_edge_range_unchecked(csr, w);
+        let (b_lo, b_hi) = (self.win_block_start[w], self.win_block_start[w + 1]);
+        if b_lo < b_hi && (self.block_ptr[b_lo] != e_lo || self.block_ptr[b_hi] != e_hi) {
+            return Err(corrupt(
+                "block_ptr",
+                format!("window {w}: chunks do not tile CSR edge range {e_lo}..{e_hi}"),
+            ));
+        }
+        if b_lo == b_hi && e_lo != e_hi {
+            return Err(corrupt(
+                "win_partition",
+                format!("window {w}: {} edges but zero blocks", e_hi - e_lo),
+            ));
+        }
+        let unique = self.win_unique[w] as usize;
+        for e in e_lo..e_hi {
+            if self.edge_to_col[e] as usize >= unique {
                 return Err(corrupt(
-                    "block_ptr",
-                    format!("window {w}: chunks do not tile CSR edge range {e_lo}..{e_hi}"),
+                    "edge_to_col",
+                    format!(
+                        "edge {e} maps to condensed column {} of {unique} in window {w}",
+                        self.edge_to_col[e]
+                    ),
                 ));
             }
-            if b_lo == b_hi && e_lo != e_hi {
+            let row = self.edge_to_row[e] as usize;
+            if row < w * self.win_size || row >= ((w + 1) * self.win_size).min(n) {
                 return Err(corrupt(
-                    "win_partition",
-                    format!("window {w}: {} edges but zero blocks", e_hi - e_lo),
+                    "edge_to_row",
+                    format!("edge {e}: row {row} outside window {w}"),
                 ));
-            }
-            let unique = self.win_unique[w] as usize;
-            for e in e_lo..e_hi {
-                if self.edge_to_col[e] as usize >= unique {
-                    return Err(corrupt(
-                        "edge_to_col",
-                        format!(
-                            "edge {e} maps to condensed column {} of {unique} in window {w}",
-                            self.edge_to_col[e]
-                        ),
-                    ));
-                }
-                let row = self.edge_to_row[e] as usize;
-                if row < w * self.win_size || row >= ((w + 1) * self.win_size).min(n) {
-                    return Err(corrupt(
-                        "edge_to_row",
-                        format!("edge {e}: row {row} outside window {w}"),
-                    ));
-                }
-            }
-            for b in b_lo..b_hi {
-                let local_b = b - b_lo;
-                let atox_len = self.block_atox_ptr[b + 1] - self.block_atox_ptr[b];
-                let expect_slots = unique.saturating_sub(local_b * self.blk_w).min(self.blk_w);
-                if atox_len != expect_slots {
-                    return Err(corrupt(
-                        "block_atox",
-                        format!("block {b}: {atox_len} AToX slots, expected {expect_slots}"),
-                    ));
-                }
-                let atox = &self.block_atox[self.block_atox_ptr[b]..self.block_atox_ptr[b + 1]];
-                let (lo, hi) = (self.block_ptr[b], self.block_ptr[b + 1]);
-                for pos in lo..hi {
-                    let e = self.perm_orig[pos] as usize;
-                    if e >= num_edges {
-                        return Err(corrupt(
-                            "perm_orig",
-                            format!("position {pos}: edge id {e} out of range"),
-                        ));
-                    }
-                    if seen[e] {
-                        return Err(corrupt(
-                            "perm_orig",
-                            format!("edge {e} appears twice (not a permutation)"),
-                        ));
-                    }
-                    seen[e] = true;
-                    let (r, c) = self.unpack(self.perm_pack[pos]);
-                    if w * self.win_size + r != self.edge_to_row[e] as usize {
-                        return Err(corrupt(
-                            "perm_pack",
-                            format!("position {pos}: packed row disagrees with edge_to_row"),
-                        ));
-                    }
-                    if local_b * self.blk_w + c != self.edge_to_col[e] as usize {
-                        return Err(corrupt(
-                            "perm_pack",
-                            format!("position {pos}: packed column disagrees with edge_to_col"),
-                        ));
-                    }
-                    if c >= atox.len() || atox[c] != edge_list[e] {
-                        return Err(corrupt(
-                            "block_atox",
-                            format!(
-                                "block {b}: column {c} does not map back to edge {e}'s neighbor"
-                            ),
-                        ));
-                    }
-                }
             }
         }
-        if let Some(e) = seen.iter().position(|&s| !s) {
-            return Err(corrupt(
-                "perm_orig",
-                format!("edge {e} never appears in any chunk"),
-            ));
+        // The chunks hold exactly `e_hi - e_lo` positions, so distinct edge
+        // ids from the window's own range permute it.
+        seen.clear();
+        seen.resize(e_hi - e_lo, false);
+        for b in b_lo..b_hi {
+            let local_b = b - b_lo;
+            let atox_len = self.block_atox_ptr[b + 1] - self.block_atox_ptr[b];
+            let expect_slots = unique.saturating_sub(local_b * self.blk_w).min(self.blk_w);
+            if atox_len != expect_slots {
+                return Err(corrupt(
+                    "block_atox",
+                    format!("block {b}: {atox_len} AToX slots, expected {expect_slots}"),
+                ));
+            }
+            let atox = &self.block_atox[self.block_atox_ptr[b]..self.block_atox_ptr[b + 1]];
+            let (lo, hi) = (self.block_ptr[b], self.block_ptr[b + 1]);
+            for pos in lo..hi {
+                let e = self.perm_orig[pos] as usize;
+                if !(e_lo..e_hi).contains(&e) {
+                    return Err(corrupt(
+                        "perm_orig",
+                        format!("position {pos}: edge id {e} outside window {w}'s {e_lo}..{e_hi}"),
+                    ));
+                }
+                if std::mem::replace(&mut seen[e - e_lo], true) {
+                    return Err(corrupt(
+                        "perm_orig",
+                        format!("edge {e} appears twice (not a permutation)"),
+                    ));
+                }
+                let (r, c) = self.unpack(self.perm_pack[pos]);
+                if w * self.win_size + r != self.edge_to_row[e] as usize {
+                    return Err(corrupt(
+                        "perm_pack",
+                        format!("position {pos}: packed row disagrees with edge_to_row"),
+                    ));
+                }
+                if local_b * self.blk_w + c != self.edge_to_col[e] as usize {
+                    return Err(corrupt(
+                        "perm_pack",
+                        format!("position {pos}: packed column disagrees with edge_to_col"),
+                    ));
+                }
+                if c >= atox.len() || atox[c] != edge_list[e] {
+                    return Err(corrupt(
+                        "block_atox",
+                        format!("block {b}: column {c} does not map back to edge {e}'s neighbor"),
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -685,14 +728,6 @@ fn assemble(
     }
 }
 
-/// Whether `TCG_VERIFY=1` is set: every translation is then hard-validated
-/// against its source graph before being returned.
-fn verify_requested() -> bool {
-    std::env::var("TCG_VERIFY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// Post-translation self-check run at the end of every translation path.
 ///
 /// Under `TCG_VERIFY=1` the full [`TranslatedGraph::validate`] pass runs and
@@ -701,7 +736,7 @@ fn verify_requested() -> bool {
 /// means the translator itself is buggy and panicking is the right response.
 /// Cost is `O(E)`, the same order as translation.
 pub(crate) fn post_validate(t: &TranslatedGraph, csr: &CsrGraph) -> Result<(), TcgError> {
-    if verify_requested() {
+    if tcg_fault::verify_requested() {
         return t.validate(csr);
     }
     #[cfg(debug_assertions)]
@@ -1202,6 +1237,42 @@ mod tests {
         let mut t = base.clone();
         t.perm_pack.pop();
         assert!(matches!(t.validate(&g), Err(TcgError::CorruptMeta { .. })));
+    }
+
+    #[test]
+    fn checksum_moves_with_every_word_of_every_array() {
+        let g = gen::citation(120, 700, 5).unwrap();
+        let mut t = Sgt::builder().translate(&g).unwrap();
+        let base = t.checksum();
+        macro_rules! flip_each {
+            ($($field:ident),*) => {$(
+                for i in 0..t.$field.len() {
+                    t.$field[i] ^= 1;
+                    assert_ne!(t.checksum(), base, "{}[{i}]", stringify!($field));
+                    t.$field[i] ^= 1;
+                }
+            )*};
+        }
+        flip_each!(
+            win_partition,
+            edge_to_col,
+            edge_to_row,
+            win_unique,
+            win_block_start,
+            block_ptr,
+            perm_orig,
+            perm_pack,
+            block_atox,
+            block_atox_ptr
+        );
+        fn geometry(t: &mut TranslatedGraph, i: usize) -> &mut usize {
+            [&mut t.win_size, &mut t.blk_w, &mut t.num_row_windows][i]
+        }
+        for i in 0..3 {
+            *geometry(&mut t, i) ^= 1;
+            assert_ne!(t.checksum(), base, "geometry word {i}");
+            *geometry(&mut t, i) ^= 1;
+        }
     }
 
     #[test]

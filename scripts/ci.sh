@@ -26,6 +26,13 @@ TCG_VERIFY=1 cargo test --release -q
 step "kernel and engine tests with every launch-memo hit cross-checked"
 TCG_VERIFY=1 cargo test --release -q -p tcg-kernels -p tcg-gnn
 
+step "serving and SGT tests with every engine advance cross-checked"
+# Under TCG_VERIFY=1 each Engine::advance also runs the full symmetry
+# check, the from-scratch norms and the whole-translation validate, and
+# asserts that they agree with its incremental ones; every spliced
+# translation is validated whole too.
+TCG_VERIFY=1 cargo test --release -q -p tcg-serve -p tcg-sgt
+
 if [[ $quick -eq 0 ]]; then
     step "workspace tests"
     cargo test --workspace -q
