@@ -11,7 +11,7 @@
 use std::process::Command;
 
 fn main() {
-    if tcg_profile::profiling_requested() {
+    if tcg_profile::ProfileLevel::from_env().enabled() {
         eprintln!("[TCG_PROFILE set: profiling artifacts will be written to results/]");
     }
     let experiments = [

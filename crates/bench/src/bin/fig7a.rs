@@ -22,7 +22,9 @@ fn main() {
     println!("# Figure 7(a): SGT effectiveness — TCU block census\n");
     // This experiment is pure host work (no simulated kernels), so the
     // optional profile is a host-track timeline of wall-clock census spans.
-    let profiler = tcg_profile::profiling_requested().then(|| tcg_profile::shared("host"));
+    let profiler = tcg_profile::ProfileLevel::from_env()
+        .enabled()
+        .then(|| tcg_profile::shared("host"));
     let mut rows = Vec::new();
     for spec in tcg_graph::datasets::TABLE4.iter() {
         let ds = load_dataset(spec);

@@ -23,7 +23,9 @@ struct Row {
 
 fn main() {
     println!("# Figure 7(c): warps-per-block sweep of the TC-GNN SpMM kernel (D = {DIM})\n");
-    let profiler = tcg_profile::profiling_requested().then(|| tcg_profile::shared("TC-GNN"));
+    let profiler = tcg_profile::ProfileLevel::from_env()
+        .enabled()
+        .then(|| tcg_profile::shared("TC-GNN"));
     let mut rows = Vec::new();
     for name in ["Pubmed", "artist", "soc-BlogCatalog"] {
         let spec = tcg_graph::datasets::spec_by_name(name).expect("known dataset");

@@ -73,7 +73,9 @@ fn main() {
         ),
     ];
 
-    let profiler = tcg_profile::profiling_requested().then(|| tcg_profile::shared("table3"));
+    let profiler = tcg_profile::ProfileLevel::from_env()
+        .enabled()
+        .then(|| tcg_profile::shared("table3"));
     let mut rows = Vec::new();
     for (name, kernel, memory_bytes) in kernels {
         let mut launcher = Launcher::new(device());

@@ -1,10 +1,9 @@
 //! The common forward-pass vocabulary: every layer and model forward
-//! returns a [`Forward`] value instead of an ad-hoc 3-tuple, and every
-//! layer exposes the same surface through the [`Layer`] trait.
+//! returns a [`Forward`] value instead of an ad-hoc 3-tuple.
 
 use tcg_tensor::DenseMatrix;
 
-use crate::engine::{Cost, Engine};
+use crate::engine::Cost;
 
 /// Result of a forward pass: the output activations, the state the
 /// backward pass needs, and the simulated cost of the kernels launched.
@@ -34,35 +33,4 @@ impl<C> Forward<C> {
     pub fn into_parts(self) -> (DenseMatrix, C, Cost) {
         (self.out, self.cache, self.cost)
     }
-}
-
-/// The surface every GNN layer exposes: forward to a [`Forward`] bundle,
-/// a cache-free inference pass with identical math and cost, and a
-/// backward pass from the output gradient.
-///
-/// `needs_dx = false` lets input layers skip the input-gradient
-/// GEMM/aggregation, as real frameworks do; implementations whose math
-/// always produces `dX` anyway (e.g. AGNN's propagation layer) may ignore
-/// the flag and still return `Some`.
-pub trait Layer {
-    /// Intermediate activations the backward pass needs.
-    type Cache;
-    /// Parameter gradients produced by the backward pass.
-    type Grads;
-
-    /// Forward pass.
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<Self::Cache>;
-
-    /// Inference-only forward: identical kernels and simulated cost to
-    /// [`Layer::forward`], but no backward state is built.
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost);
-
-    /// Backward pass: given `dY` returns `(dX, grads, cost)`.
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &Self::Cache,
-        dy: &DenseMatrix,
-        needs_dx: bool,
-    ) -> (Option<DenseMatrix>, Self::Grads, Cost);
 }

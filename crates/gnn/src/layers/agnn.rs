@@ -9,7 +9,7 @@ use tcg_profile::Phase;
 use tcg_tensor::{ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
-use crate::forward::{Forward, Layer};
+use crate::forward::Forward;
 use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One AGNN propagation layer; the only parameter is the scalar `β`.
@@ -42,8 +42,13 @@ impl AgnnLayer {
         AgnnLayer { beta: 1.0 }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<AgnnCache> {
+    /// Forward pass under a receptive-field demand: `x` holds the rows of
+    /// `d.input` and the result the rows of `d.output`, compact (see
+    /// [`crate::receptive`]). The normalization runs on those input rows
+    /// only; the attention needs a translating backend (the unfused path is
+    /// always full demand). [`LayerDemand::FULL`] is the training forward;
+    /// the cache serves backward only then.
+    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<AgnnCache> {
         let mut cost = Cost::default();
         // Row-normalize for cosine similarity (one elementwise kernel).
         let mut x_hat = x.clone();
@@ -54,11 +59,12 @@ impl AgnnLayer {
         // weighted SpMM into one launch; the framework backends run the
         // stages as separate ops (what DGL/PyG actually do).
         let (y, cos, p) = if eng.supports_fused_attention() {
+            let (xa, xv) = (spread(d.input, &x_hat), spread(d.input, x));
             let (y, cos, p, ms) = eng
-                .fused_attention(&x_hat, x, self.beta)
+                .fused_attention_on(&xa, &xv, self.beta, d.output)
                 .expect("dims agree");
             cost += Cost::agg(ms);
-            (y, cos, p)
+            (gather_owned(d.output, y), cos, p)
         } else {
             let (cos, sddmm_ms) = eng.sddmm(&x_hat, &x_hat).expect("dims agree");
             cost += Cost::agg(sddmm_ms);
@@ -84,49 +90,6 @@ impl AgnnLayer {
             },
             cost,
         )
-    }
-
-    /// Inference-only forward: same attention pipeline and kernel costs as
-    /// [`AgnnLayer::forward`], discarding the cosine/softmax edge buffers
-    /// instead of caching them (and never cloning `x`).
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_on(eng, x, LayerDemand::FULL)
-    }
-
-    /// [`AgnnLayer::infer`] under a receptive-field demand: `x` holds the
-    /// rows of `d.input` and the result the rows of `d.output`, compact
-    /// (see [`crate::receptive`]). The normalization runs on those input
-    /// rows only; the attention needs a translating backend (the unfused
-    /// path is always full demand).
-    pub fn infer_on(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        d: LayerDemand,
-    ) -> (DenseMatrix, Cost) {
-        let mut cost = Cost::default();
-        let mut x_hat = x.clone();
-        ops::l2_normalize_rows(&mut x_hat);
-        cost += Cost::other(eng.elementwise_ms(x.len(), 1, 1));
-        let y = if eng.supports_fused_attention() {
-            let (xa, xv) = (spread(d.input, &x_hat), spread(d.input, x));
-            let (y, _, _, ms) = eng
-                .fused_attention_on(&xa, &xv, self.beta, d.output)
-                .expect("dims agree");
-            cost += Cost::agg(ms);
-            gather_owned(d.output, y)
-        } else {
-            let (cos, sddmm_ms) = eng.sddmm(&x_hat, &x_hat).expect("dims agree");
-            cost += Cost::agg(sddmm_ms);
-            let s: Vec<f32> = cos.iter().map(|c| self.beta * c).collect();
-            cost += Cost::agg(eng.edge_elementwise_ms("attn_beta_scale", Phase::Aggregation, 1, 1));
-            let (p, softmax_ms) = eng.edge_softmax(&s).expect("value count matches edges");
-            cost += Cost::agg(softmax_ms);
-            let (y, spmm_ms) = eng.spmm(x, Some(&p)).expect("dims agree");
-            cost += Cost::agg(spmm_ms);
-            y
-        };
-        (y, cost)
     }
 
     /// Backward pass: given `dY` returns `(dX, grads, cost)`.
@@ -190,32 +153,6 @@ impl Default for AgnnLayer {
     }
 }
 
-impl Layer for AgnnLayer {
-    type Cache = AgnnCache;
-    type Grads = AgnnGrads;
-
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<AgnnCache> {
-        AgnnLayer::forward(self, eng, x)
-    }
-
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        AgnnLayer::infer(self, eng, x)
-    }
-
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &AgnnCache,
-        dy: &DenseMatrix,
-        _needs_dx: bool,
-    ) -> (Option<DenseMatrix>, AgnnGrads, Cost) {
-        // The attention backward produces dX as a byproduct of the dβ
-        // pipeline, so `needs_dx = false` saves nothing here.
-        let (dx, grads, cost) = AgnnLayer::backward(self, eng, cache, dy);
-        (Some(dx), grads, cost)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +176,7 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = AgnnLayer { beta: 0.0 };
         let x = init::uniform(40, 6, -1.0, 1.0, 2);
-        let (y, _, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, _, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let g = eng.graph().clone();
         for v in 0..g.num_nodes() {
             let ns = g.neighbors(v);
@@ -261,7 +198,7 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, cost) = layer.forward(&mut eng, &x).into_parts();
+            let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert!(cost.aggregation_ms > 0.0);
             outs.push(y);
         }
@@ -275,12 +212,12 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = AgnnLayer { beta: 0.8 };
         let x = init::uniform(40, 5, -1.0, 1.0, 4);
-        let (y, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         // Loss = Σ y²/2 ⇒ dy = y.
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y);
 
         let loss = |l: &AgnnLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx).into_parts();
+            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))
@@ -324,7 +261,7 @@ mod tests {
         let mut eng = engine(Backend::TcGnn);
         let layer = AgnnLayer { beta: 2.0 };
         let x = init::uniform(40, 6, -1.0, 1.0, 5);
-        let (_, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (_, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let g = eng.graph();
         for v in 0..g.num_nodes() {
             let (lo, hi) = (g.node_pointer()[v], g.node_pointer()[v + 1]);

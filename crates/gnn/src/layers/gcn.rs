@@ -9,7 +9,7 @@
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
-use crate::forward::{Forward, Layer};
+use crate::forward::Forward;
 use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One GCN layer.
@@ -67,16 +67,23 @@ impl GcnLayer {
     /// Whether the forward pass aggregates before the weight multiply
     /// (DGL's `GraphConv` heuristic: aggregate first unless `in_dim >
     /// out_dim`). Public so callers that replay the layer op by op can
-    /// keep the exact op order of [`GcnLayer::infer`].
+    /// keep the exact op order of [`GcnLayer::forward`].
     pub fn aggregate_first(&self) -> bool {
         self.w.rows() <= self.w.cols()
     }
 
-    /// Forward pass.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GcnCache> {
+    /// Forward pass under a receptive-field demand: `x` holds the rows of
+    /// `d.input` and the result the rows of `d.output`, compact (see
+    /// [`crate::receptive`]), and every dense op runs on those rows only.
+    /// [`LayerDemand::FULL`] is the training forward; the cache serves
+    /// backward only then.
+    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<GcnCache> {
         match self.order() {
             Order::AggregateFirst => {
-                let (h_agg, agg_ms) = eng.gcn_aggregate(x).expect("graph and x dims agree");
+                let (h_agg, agg_ms) = eng
+                    .gcn_aggregate_on(&spread(d.input, x), d.output)
+                    .expect("graph and x dims agree");
+                let h_agg = gather_owned(d.output, h_agg);
                 let (mut y, gemm_ms) = eng.linear(&h_agg, &self.w);
                 ops::add_bias_inplace(&mut y, &self.b).expect("bias length matches out_dim");
                 let bias_ms = eng.elementwise_ms(y.len(), 1, 1);
@@ -93,59 +100,15 @@ impl GcnLayer {
                 let (mut h, gemm_ms) = eng.linear(x, &self.w);
                 ops::add_bias_inplace(&mut h, &self.b).expect("bias length matches out_dim");
                 let bias_ms = eng.elementwise_ms(h.len(), 1, 1);
-                let (y, agg_ms) = eng.gcn_aggregate(&h).expect("dims agree");
+                let (y, agg_ms) = eng
+                    .gcn_aggregate_on(&spread(d.input, &h), d.output)
+                    .expect("dims agree");
                 Forward::new(
-                    y,
+                    gather_owned(d.output, y),
                     GcnCache {
                         order: Order::UpdateFirst,
                         saved: x.clone(),
                     },
-                    Cost::update(gemm_ms) + Cost::other(bias_ms) + Cost::agg(agg_ms),
-                )
-            }
-        }
-    }
-
-    /// Inference-only forward: identical math and kernel costs to
-    /// [`GcnLayer::forward`], but no backward state is built — the
-    /// aggregate-first path hands its intermediate straight to the GEMM and
-    /// the update-first path never clones `x`.
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_on(eng, x, LayerDemand::FULL)
-    }
-
-    /// [`GcnLayer::infer`] under a receptive-field demand: `x` holds the
-    /// rows of `d.input` and the result the rows of `d.output`, compact
-    /// (see [`crate::receptive`]). Every dense op runs on those rows only.
-    pub fn infer_on(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        d: LayerDemand,
-    ) -> (DenseMatrix, Cost) {
-        match self.order() {
-            Order::AggregateFirst => {
-                let (h_agg, agg_ms) = eng
-                    .gcn_aggregate_on(&spread(d.input, x), d.output)
-                    .expect("graph and x dims agree");
-                let h_agg = gather_owned(d.output, h_agg);
-                let (mut y, gemm_ms) = eng.linear(&h_agg, &self.w);
-                ops::add_bias_inplace(&mut y, &self.b).expect("bias length matches out_dim");
-                let bias_ms = eng.elementwise_ms(y.len(), 1, 1);
-                (
-                    y,
-                    Cost::agg(agg_ms) + Cost::update(gemm_ms) + Cost::other(bias_ms),
-                )
-            }
-            Order::UpdateFirst => {
-                let (mut h, gemm_ms) = eng.linear(x, &self.w);
-                ops::add_bias_inplace(&mut h, &self.b).expect("bias length matches out_dim");
-                let bias_ms = eng.elementwise_ms(h.len(), 1, 1);
-                let (y, agg_ms) = eng
-                    .gcn_aggregate_on(&spread(d.input, &h), d.output)
-                    .expect("dims agree");
-                (
-                    gather_owned(d.output, y),
                     Cost::update(gemm_ms) + Cost::other(bias_ms) + Cost::agg(agg_ms),
                 )
             }
@@ -202,29 +165,6 @@ impl GcnLayer {
     }
 }
 
-impl Layer for GcnLayer {
-    type Cache = GcnCache;
-    type Grads = GcnGrads;
-
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GcnCache> {
-        GcnLayer::forward(self, eng, x)
-    }
-
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        GcnLayer::infer(self, eng, x)
-    }
-
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &GcnCache,
-        dy: &DenseMatrix,
-        needs_dx: bool,
-    ) -> (Option<DenseMatrix>, GcnGrads, Cost) {
-        GcnLayer::backward(self, eng, cache, dy, needs_dx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +197,7 @@ mod tests {
         // in < out: aggregate-first.
         let wide = GcnLayer::new(6, 9, 3);
         // in > out with the numerically identical weight: build by hand.
-        let (y_wide, _, _) = wide.forward(&mut eng, &x).into_parts();
+        let (y_wide, _, _) = wide.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         // Manually compute Â(X·W) and compare.
         let (h, _) = eng.linear(&x, &wide.w);
         let (y_manual, _) = eng.gcn_aggregate(&h).unwrap();
@@ -269,7 +209,7 @@ mod tests {
         let mut eng = engine(Backend::TcGnn);
         let layer = GcnLayer::new(6, 4, 1);
         let x = init::uniform(48, 6, -1.0, 1.0, 2);
-        let (y, _, cost) = layer.forward(&mut eng, &x).into_parts();
+        let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         assert_eq!(y.shape(), (48, 4));
         assert!(cost.aggregation_ms > 0.0);
         assert!(cost.update_ms > 0.0);
@@ -282,7 +222,7 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, _) = layer.forward(&mut eng, &x).into_parts();
+            let (y, _, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             outs.push(y);
         }
         for y in &outs[1..] {
@@ -295,7 +235,7 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = GcnLayer::new(4, 3, 5);
         let x = init::uniform(48, 4, -1.0, 1.0, 6);
-        let (y, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let (dx_some, _, cost_full) = layer.backward(&mut eng, &cache, &y, true);
         let (dx_none, _, cost_skip) = layer.backward(&mut eng, &cache, &y, false);
         assert!(dx_some.is_some());
@@ -305,12 +245,12 @@ mod tests {
 
     fn check_gradients(layer: &GcnLayer, eng: &mut Engine) {
         let x = init::uniform(48, layer.w.rows(), -1.0, 1.0, 6);
-        let (y, cache, _) = layer.forward(eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(eng, &x, LayerDemand::FULL).into_parts();
         // Loss = Σ y² / 2 ⇒ dy = y.
         let (dx, grads, _) = layer.backward(eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &GcnLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx).into_parts();
+            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

@@ -9,7 +9,7 @@ use tcg_profile::Phase;
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
-use crate::forward::{Forward, Layer};
+use crate::forward::Forward;
 use crate::receptive::{gather, gather_owned, spread, LayerDemand};
 
 /// One GIN layer.
@@ -63,9 +63,16 @@ impl GinLayer {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GinCache> {
-        let (mut h, agg_ms) = eng.sum_aggregate(x).expect("dims agree");
+    /// Forward pass under a receptive-field demand: `x` holds the rows of
+    /// `d.input` and the result the rows of `d.output`, compact (see
+    /// [`crate::receptive`]). The self term and the MLP run on the output
+    /// rows only. [`LayerDemand::FULL`] is the training forward; the cache
+    /// serves backward only then.
+    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<GinCache> {
+        let x_full = spread(d.input, x);
+        let (h, agg_ms) = eng.sum_aggregate_on(&x_full, d.output).expect("dims agree");
+        let mut h = gather_owned(d.output, h);
+        let x = gather(d.output, &x_full);
         for (hv, xv) in h.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *hv += (1.0 + self.eps) * xv;
         }
@@ -86,51 +93,13 @@ impl GinLayer {
         Forward::new(
             y,
             GinCache {
-                x: x.clone(),
+                x: x.into_owned(),
                 h,
                 z1,
                 a1,
             },
             cost,
         )
-    }
-
-    /// Inference-only forward: same kernels and cost as
-    /// [`GinLayer::forward`] with no backward state retained.
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_on(eng, x, LayerDemand::FULL)
-    }
-
-    /// [`GinLayer::infer`] under a receptive-field demand: `x` holds the
-    /// rows of `d.input` and the result the rows of `d.output`, compact
-    /// (see [`crate::receptive`]). The self term and the MLP run on the
-    /// output rows only.
-    pub fn infer_on(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        d: LayerDemand,
-    ) -> (DenseMatrix, Cost) {
-        let x_full = spread(d.input, x);
-        let (h, agg_ms) = eng.sum_aggregate_on(&x_full, d.output).expect("dims agree");
-        let mut h = gather_owned(d.output, h);
-        let x = gather(d.output, &x_full);
-        for (hv, xv) in h.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *hv += (1.0 + self.eps) * xv;
-        }
-        let mut cost = Cost::agg(agg_ms) + Cost::other(eng.elementwise_ms(h.len(), 2, 1));
-        let (mut z1, ms1) = eng.linear(&h, &self.w1);
-        ops::add_bias_inplace(&mut z1, &self.b1).expect("bias length");
-        let a1 = ops::relu(&z1);
-        cost += Cost::update(ms1)
-            + Cost::other(
-                eng.elementwise_tagged_ms("bias_add", Phase::Other, z1.len(), 1, 1)
-                    + eng.elementwise_tagged_ms("relu", Phase::Other, z1.len(), 1, 1),
-            );
-        let (mut y, ms2) = eng.linear(&a1, &self.w2);
-        ops::add_bias_inplace(&mut y, &self.b2).expect("bias length");
-        cost += Cost::update(ms2) + Cost::other(eng.elementwise_ms(y.len(), 1, 1));
-        (y, cost)
     }
 
     /// Backward pass.
@@ -190,29 +159,6 @@ impl GinLayer {
     }
 }
 
-impl Layer for GinLayer {
-    type Cache = GinCache;
-    type Grads = GinGrads;
-
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GinCache> {
-        GinLayer::forward(self, eng, x)
-    }
-
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        GinLayer::infer(self, eng, x)
-    }
-
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &GinCache,
-        dy: &DenseMatrix,
-        needs_dx: bool,
-    ) -> (Option<DenseMatrix>, GinGrads, Cost) {
-        GinLayer::backward(self, eng, cache, dy, needs_dx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +182,7 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, cost) = layer.forward(&mut eng, &x).into_parts();
+            let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert_eq!(y.shape(), (40, 4));
             assert!(cost.aggregation_ms > 0.0 && cost.update_ms > 0.0);
             outs.push(y);
@@ -258,7 +204,7 @@ mod tests {
         let mut layer = GinLayer::new(3, 4, 2, 5);
         layer.eps = 1.0;
         let x = init::uniform(4, 3, -1.0, 1.0, 6);
-        let (_, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (_, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         for (h, xv) in cache.h.as_slice().iter().zip(x.as_slice()) {
             assert!((h - 2.0 * xv).abs() < 1e-5);
         }
@@ -269,11 +215,11 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = GinLayer::new(4, 6, 3, 7);
         let x = init::uniform(40, 4, -1.0, 1.0, 8);
-        let (y, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &GinLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx).into_parts();
+            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

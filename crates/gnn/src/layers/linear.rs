@@ -3,7 +3,7 @@
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
-use crate::forward::{Forward, Layer};
+use crate::forward::Forward;
 
 /// A dense layer `y = x·W + b`.
 #[derive(Debug, Clone)]
@@ -50,15 +50,6 @@ impl Linear {
         )
     }
 
-    /// Inference-only forward: same math and cost as [`Linear::forward`]
-    /// with no activation cloned for backward.
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        let (mut y, gemm_ms) = eng.linear(x, &self.w);
-        ops::add_bias_inplace(&mut y, &self.b).expect("bias length matches out_dim");
-        let bias_ms = eng.elementwise_ms(y.len(), 1, 1);
-        (y, Cost::update(gemm_ms) + Cost::other(bias_ms))
-    }
-
     /// Backward: given `dy`, returns `(dx, grads, cost)`. Input layers pass
     /// `needs_dx = false` to skip the `dY·Wᵀ` GEMM entirely.
     pub fn backward(
@@ -80,29 +71,6 @@ impl Linear {
             None
         };
         (dx, LinearGrads { dw, db }, cost)
-    }
-}
-
-impl Layer for Linear {
-    type Cache = LinearCache;
-    type Grads = LinearGrads;
-
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<LinearCache> {
-        Linear::forward(self, eng, x)
-    }
-
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        Linear::infer(self, eng, x)
-    }
-
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &LinearCache,
-        dy: &DenseMatrix,
-        needs_dx: bool,
-    ) -> (Option<DenseMatrix>, LinearGrads, Cost) {
-        Linear::backward(self, eng, cache, dy, needs_dx)
     }
 }
 

@@ -9,7 +9,7 @@
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
-use crate::forward::{Forward, Layer};
+use crate::forward::Forward;
 use crate::receptive::{gather, gather_owned, spread, LayerDemand};
 
 /// One GraphSAGE (mean) layer.
@@ -51,48 +51,29 @@ impl SageLayer {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<SageCache> {
-        let (mean, agg_ms) = eng.mean_aggregate(x).expect("dims agree");
-        let (mut y, ms1) = eng.linear(x, &self.w_self);
+    /// Forward pass under a receptive-field demand: `x` holds the rows of
+    /// `d.input` and the result the rows of `d.output`, compact (see
+    /// [`crate::receptive`]). Both GEMMs run on the output rows only.
+    /// [`LayerDemand::FULL`] is the training forward; the cache serves
+    /// backward only then.
+    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<SageCache> {
+        let x_full = spread(d.input, x);
+        let (mean, agg_ms) = eng
+            .mean_aggregate_on(&x_full, d.output)
+            .expect("dims agree");
+        let mean = gather_owned(d.output, mean);
+        let x = gather(d.output, &x_full);
+        let (mut y, ms1) = eng.linear(&x, &self.w_self);
         let (y2, ms2) = eng.linear(&mean, &self.w_neigh);
         y.add_assign(&y2).expect("same shape");
         ops::add_bias_inplace(&mut y, &self.b).expect("bias length");
         let ew_ms = eng.elementwise_ms(y.len(), 2, 1);
         Forward::new(
             y,
-            SageCache { x: x.clone(), mean },
-            Cost::agg(agg_ms) + Cost::update(ms1 + ms2) + Cost::other(ew_ms),
-        )
-    }
-
-    /// Inference-only forward: same kernels and cost as
-    /// [`SageLayer::forward`] with no backward state retained.
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_on(eng, x, LayerDemand::FULL)
-    }
-
-    /// [`SageLayer::infer`] under a receptive-field demand: `x` holds the
-    /// rows of `d.input` and the result the rows of `d.output`, compact
-    /// (see [`crate::receptive`]). Both GEMMs run on the output rows only.
-    pub fn infer_on(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        d: LayerDemand,
-    ) -> (DenseMatrix, Cost) {
-        let x_full = spread(d.input, x);
-        let (mean, agg_ms) = eng
-            .mean_aggregate_on(&x_full, d.output)
-            .expect("dims agree");
-        let mean = gather_owned(d.output, mean);
-        let (mut y, ms1) = eng.linear(&gather(d.output, &x_full), &self.w_self);
-        let (y2, ms2) = eng.linear(&mean, &self.w_neigh);
-        y.add_assign(&y2).expect("same shape");
-        ops::add_bias_inplace(&mut y, &self.b).expect("bias length");
-        let ew_ms = eng.elementwise_ms(y.len(), 2, 1);
-        (
-            y,
+            SageCache {
+                x: x.into_owned(),
+                mean,
+            },
             Cost::agg(agg_ms) + Cost::update(ms1 + ms2) + Cost::other(ew_ms),
         )
     }
@@ -134,29 +115,6 @@ impl SageLayer {
     }
 }
 
-impl Layer for SageLayer {
-    type Cache = SageCache;
-    type Grads = SageGrads;
-
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<SageCache> {
-        SageLayer::forward(self, eng, x)
-    }
-
-    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        SageLayer::infer(self, eng, x)
-    }
-
-    fn backward(
-        &self,
-        eng: &mut Engine,
-        cache: &SageCache,
-        dy: &DenseMatrix,
-        needs_dx: bool,
-    ) -> (Option<DenseMatrix>, SageGrads, Cost) {
-        SageLayer::backward(self, eng, cache, dy, needs_dx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +138,7 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, cost) = layer.forward(&mut eng, &x).into_parts();
+            let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert_eq!(y.shape(), (44, 4));
             assert!(cost.aggregation_ms > 0.0 && cost.update_ms > 0.0);
             outs.push(y);
@@ -201,7 +159,7 @@ mod tests {
             .expect("graph is symmetric");
         let layer = SageLayer::new(2, 2, 4);
         let x = init::uniform(3, 2, -1.0, 1.0, 5);
-        let (y, _, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, _, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let expect = tcg_tensor::gemm::gemm(&x, &layer.w_self).unwrap();
         for j in 0..2 {
             assert!((y.get(2, j) - expect.get(2, j)).abs() < 1e-4);
@@ -213,11 +171,11 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = SageLayer::new(4, 3, 6);
         let x = init::uniform(44, 4, -1.0, 1.0, 7);
-        let (y, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &SageLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx).into_parts();
+            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

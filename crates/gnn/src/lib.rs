@@ -31,7 +31,7 @@ pub mod receptive;
 pub mod trainer;
 
 pub use engine::{Backend, Cost, Engine, EngineBuilder, RecoveryPolicy};
-pub use forward::{Forward, Layer};
+pub use forward::Forward;
 pub use model::{AgnnModel, GcnModel, GinModel, SageModel};
 pub use receptive::{Demand, LayerDemand, WindowSet};
 pub use trainer::{

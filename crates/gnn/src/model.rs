@@ -23,6 +23,11 @@ fn prof_set_layer(eng: &Engine, layer: Option<u32>) {
     }
 }
 
+/// A forward pass's logits and cost, its backward state dropped.
+fn logits<C>(f: Forward<C>) -> (DenseMatrix, Cost) {
+    (f.out, f.cost)
+}
+
 /// Whether every value of a weight matrix is finite.
 fn mat_finite(m: &DenseMatrix) -> bool {
     m.as_slice().iter().all(|v| v.is_finite())
@@ -66,29 +71,14 @@ impl GcnModel {
 
     /// Forward pass to logits.
     pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GcnModelCache> {
-        prof_set_layer(eng, Some(0));
-        let (z1, c1, cost1) = self.l1.forward(eng, x).into_parts();
-        let h1 = ops::relu(&z1);
-        let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
-        prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1).into_parts();
-        prof_set_layer(eng, None);
-        Forward::new(
-            logits,
-            GcnModelCache {
-                c1,
-                h1: z1, // pre-activation saved for the ReLU mask
-                c2,
-            },
-            cost1 + cost2 + Cost::other(relu_ms),
-        )
+        self.pass(eng, x, &Demand::full())
     }
 
-    /// Inference-only forward to logits: same kernels and simulated cost as
-    /// [`GcnModel::forward`], but no gradient buffers are allocated — the
+    /// Inference-only forward to logits: [`GcnModel::forward`]'s pass,
+    /// kernels and simulated cost, with the backward state dropped — the
     /// frozen-model path an inference server runs per batch.
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::full())
+        logits(self.forward(eng, x))
     }
 
     /// Inference of the logit rows `targets` only: each layer computes just
@@ -101,26 +91,29 @@ impl GcnModel {
         x: &DenseMatrix,
         targets: &[usize],
     ) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
     }
 
-    fn infer_demand(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        demand: &Demand,
-    ) -> (DenseMatrix, Cost) {
+    /// The model's one forward pass, each layer under its share of
+    /// `demand`; full demand is the training forward.
+    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GcnModelCache> {
         prof_set_layer(eng, Some(0));
-        let (z1, cost1) = self
+        let (z1, c1, cost1) = self
             .l1
-            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
+            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .into_parts();
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
+        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
         prof_set_layer(eng, None);
-        (
+        Forward::new(
             spread_owned(demand.output(), logits),
+            GcnModelCache {
+                c1,
+                h1: z1, // pre-activation saved for the ReLU mask
+                c2,
+            },
             cost1 + cost2 + Cost::other(relu_ms),
         )
     }
@@ -211,37 +204,12 @@ impl AgnnModel {
 
     /// Forward pass to logits.
     pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<AgnnModelCache> {
-        prof_set_layer(eng, Some(0));
-        let (z0, cin, mut cost) = self.lin_in.forward(eng, x).into_parts();
-        let mut h = ops::relu(&z0);
-        cost += Cost::other(eng.elementwise_tagged_ms("relu", Phase::Other, h.len(), 1, 1));
-        let mut prop_caches = Vec::with_capacity(self.props.len());
-        for (i, prop) in self.props.iter().enumerate() {
-            prof_set_layer(eng, Some(i as u32 + 1));
-            let (h_next, cache, c) = prop.forward(eng, &h).into_parts();
-            prop_caches.push(cache);
-            cost += c;
-            h = h_next;
-        }
-        prof_set_layer(eng, Some(self.props.len() as u32 + 1));
-        let (logits, cout, c) = self.lin_out.forward(eng, &h).into_parts();
-        prof_set_layer(eng, None);
-        cost += c;
-        Forward::new(
-            logits,
-            AgnnModelCache {
-                cin,
-                z0,
-                prop_caches,
-                cout,
-            },
-            cost,
-        )
+        self.pass(eng, x, &Demand::full())
     }
 
-    /// Inference-only forward to logits (no gradient buffers).
+    /// Inference-only forward to logits (the backward state dropped).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::full())
+        logits(self.forward(eng, x))
     }
 
     /// Inference of the logit rows `targets` only (see
@@ -255,30 +223,41 @@ impl AgnnModel {
         targets: &[usize],
     ) -> (DenseMatrix, Cost) {
         let demand = Demand::for_targets(eng, targets, self.props.len());
-        self.infer_demand(eng, x, &demand)
+        logits(self.pass(eng, x, &demand))
     }
 
-    fn infer_demand(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        demand: &Demand,
-    ) -> (DenseMatrix, Cost) {
+    /// The model's one forward pass, each layer under its share of
+    /// `demand`; full demand is the training forward.
+    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<AgnnModelCache> {
         prof_set_layer(eng, Some(0));
-        let (z0, mut cost) = self.lin_in.infer(eng, &gather(demand.input(), x));
+        let (z0, cin, mut cost) = self
+            .lin_in
+            .forward(eng, &gather(demand.input(), x))
+            .into_parts();
         let mut h = ops::relu(&z0);
         cost += Cost::other(eng.elementwise_tagged_ms("relu", Phase::Other, h.len(), 1, 1));
+        let mut prop_caches = Vec::with_capacity(self.props.len());
         for (i, prop) in self.props.iter().enumerate() {
             prof_set_layer(eng, Some(i as u32 + 1));
-            let (h_next, c) = prop.infer_on(eng, &h, demand.layer(i + 1));
+            let (h_next, cache, c) = prop.forward(eng, &h, demand.layer(i + 1)).into_parts();
+            prop_caches.push(cache);
             cost += c;
             h = h_next;
         }
         prof_set_layer(eng, Some(self.props.len() as u32 + 1));
-        let (logits, c) = self.lin_out.infer(eng, &h);
+        let (logits, cout, c) = self.lin_out.forward(eng, &h).into_parts();
         prof_set_layer(eng, None);
         cost += c;
-        (spread_owned(demand.output(), logits), cost)
+        Forward::new(
+            spread_owned(demand.output(), logits),
+            AgnnModelCache {
+                cin,
+                z0,
+                prop_caches,
+                cout,
+            },
+            cost,
+        )
     }
 
     /// Backward pass from logits gradient.
@@ -380,23 +359,12 @@ impl SageModel {
 
     /// Forward pass to logits.
     pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<SageModelCache> {
-        prof_set_layer(eng, Some(0));
-        let (z1, c1, cost1) = self.l1.forward(eng, x).into_parts();
-        let h1 = ops::relu(&z1);
-        let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
-        prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1).into_parts();
-        prof_set_layer(eng, None);
-        Forward::new(
-            logits,
-            SageModelCache { c1, z1, c2 },
-            cost1 + cost2 + Cost::other(relu_ms),
-        )
+        self.pass(eng, x, &Demand::full())
     }
 
-    /// Inference-only forward to logits (no gradient buffers).
+    /// Inference-only forward to logits (the backward state dropped).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::full())
+        logits(self.forward(eng, x))
     }
 
     /// Inference of the logit rows `targets` only (see
@@ -407,26 +375,25 @@ impl SageModel {
         x: &DenseMatrix,
         targets: &[usize],
     ) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
     }
 
-    fn infer_demand(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        demand: &Demand,
-    ) -> (DenseMatrix, Cost) {
+    /// The model's one forward pass, each layer under its share of
+    /// `demand`; full demand is the training forward.
+    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<SageModelCache> {
         prof_set_layer(eng, Some(0));
-        let (z1, cost1) = self
+        let (z1, c1, cost1) = self
             .l1
-            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
+            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .into_parts();
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
+        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
         prof_set_layer(eng, None);
-        (
+        Forward::new(
             spread_owned(demand.output(), logits),
+            SageModelCache { c1, z1, c2 },
             cost1 + cost2 + Cost::other(relu_ms),
         )
     }
@@ -513,17 +480,12 @@ impl GinModel {
 
     /// Forward pass to logits.
     pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GinModelCache> {
-        prof_set_layer(eng, Some(0));
-        let (h1, c1, cost1) = self.l1.forward(eng, x).into_parts();
-        prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1).into_parts();
-        prof_set_layer(eng, None);
-        Forward::new(logits, GinModelCache { c1, c2 }, cost1 + cost2)
+        self.pass(eng, x, &Demand::full())
     }
 
-    /// Inference-only forward to logits (no gradient buffers).
+    /// Inference-only forward to logits (the backward state dropped).
     pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::full())
+        logits(self.forward(eng, x))
     }
 
     /// Inference of the logit rows `targets` only (see
@@ -534,23 +496,25 @@ impl GinModel {
         x: &DenseMatrix,
         targets: &[usize],
     ) -> (DenseMatrix, Cost) {
-        self.infer_demand(eng, x, &Demand::for_targets(eng, targets, 2))
+        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
     }
 
-    fn infer_demand(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        demand: &Demand,
-    ) -> (DenseMatrix, Cost) {
+    /// The model's one forward pass, each layer under its share of
+    /// `demand`; full demand is the training forward.
+    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GinModelCache> {
         prof_set_layer(eng, Some(0));
-        let (h1, cost1) = self
+        let (h1, c1, cost1) = self
             .l1
-            .infer_on(eng, &gather(demand.input(), x), demand.layer(1));
+            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .into_parts();
         prof_set_layer(eng, Some(1));
-        let (logits, cost2) = self.l2.infer_on(eng, &h1, demand.layer(2));
+        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
         prof_set_layer(eng, None);
-        (spread_owned(demand.output(), logits), cost1 + cost2)
+        Forward::new(
+            spread_owned(demand.output(), logits),
+            GinModelCache { c1, c2 },
+            cost1 + cost2,
+        )
     }
 
     /// Backward pass from logits gradient.
@@ -686,50 +650,6 @@ mod tests {
         let (grads, _) = model.backward(&mut eng, &cache, &logits);
         assert_eq!(grads.g1.dw1.shape(), (7, 10));
         assert_eq!(grads.g2.dw2.shape(), (10, 4));
-    }
-
-    #[test]
-    fn infer_matches_forward_logits_and_cost() {
-        // Same kernels run in the same order, so inference must agree with
-        // the training forward bit-for-bit and millisecond-for-millisecond.
-        // Fresh engines per pass: the launcher's L2 simulator persists
-        // across launches, so reusing one engine would make the second
-        // pass's cost reflect a warm cache rather than a code difference.
-        let fresh = |backend| {
-            let g = gen::erdos_renyi(60, 400, 1).unwrap();
-            Engine::builder(g)
-                .backend(backend)
-                .device(DeviceSpec::rtx3090())
-                .build()
-                .expect("graph is symmetric")
-        };
-        let x8 = init::uniform(60, 8, -1.0, 1.0, 2);
-        let x10 = init::uniform(60, 10, -1.0, 1.0, 2);
-        for backend in Backend::all() {
-            let gcn = GcnModel::new(10, 16, 4, 1);
-            let (fwd, _, fcost) = gcn.forward(&mut fresh(backend), &x10).into_parts();
-            let (inf, icost) = gcn.infer(&mut fresh(backend), &x10);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let agnn = AgnnModel::new(8, 32, 5, 2, 1);
-            let (fwd, _, fcost) = agnn.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = agnn.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let sage = SageModel::new(8, 12, 5, 1);
-            let (fwd, _, fcost) = sage.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = sage.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let gin = GinModel::new(8, 10, 4, 1);
-            let (fwd, _, fcost) = gin.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = gin.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-        }
     }
 
     #[test]

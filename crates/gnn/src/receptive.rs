@@ -20,7 +20,8 @@
 //! its input set and returns the rows of its own set, in
 //! [`WindowSet::gather`] order, and [`spread`]s its input back to full
 //! height only for its sparse op. Under full demand every helper here is
-//! the identity, so the full forward runs exactly as it did before.
+//! the identity: each layer and model has this one pass, and the training
+//! forward is the pass under full demand.
 
 use std::borrow::Cow;
 

@@ -14,8 +14,8 @@
 //!   nothing. No `Instant::now()`, no TLS touch.
 //! - **No locks on the hot path.** Each thread accumulates into a
 //!   thread-local sheet; sheets drain into a global accumulator only when
-//!   a worker thread exits (scoped pools join before a launch returns) or
-//!   when [`take_report`] flushes the calling thread explicitly.
+//!   a pool worker finishes its share of a launch ([`flush_thread`]) or
+//!   when [`take_report`] flushes the calling thread.
 //! - **Reconciliation by construction.** Every scope's elapsed
 //!   nanoseconds are added to its phase total *and* to the current
 //!   row-window accumulator in the same thread-local sheet, so
@@ -41,9 +41,10 @@ pub const OUTSIDE_WINDOW: u64 = u64::MAX;
 pub enum HotPhase {
     /// Sector sort/dedup in warp-wide loads, stores, and atomics.
     Coalesce = 0,
-    /// L1/L2/DRAM probe loops (per-sector cache walks).
+    /// L1 probe loops (per-sector cache walks) of a block's body.
     CacheProbe = 1,
-    /// Phase-2 ordered L2 miss-log replay of the parallel launcher.
+    /// The L2 probes: every launch's replay of each block's L1-miss log
+    /// through the shared L2, in block order, in-order launches included.
     L2Replay = 2,
     /// The MMA inner loops (`mma_sync_gather` / `mma_sync_entries`, with
     /// the ECC consume).
@@ -393,11 +394,20 @@ impl HotspotReport {
     }
 }
 
+/// Drains the calling thread's sheet into the global accumulator. A pool
+/// worker calls this before it returns: a scoped join can return before
+/// the thread's locals are destroyed, so leaving it to the sheet's `Drop`
+/// could land a launch's samples in a later report or in none.
+pub fn flush_thread() {
+    if enabled() {
+        SHEET.with(|s| s.borrow_mut().flush());
+    }
+}
+
 /// Flushes the calling thread's sheet and drains the global accumulator.
 ///
-/// Worker sheets flush when their (scoped) threads exit, which happens
-/// before any `Launcher::launch*` returns — so after a workload completes
-/// this sees every thread's contribution.
+/// Pool workers flush before any `Launcher::launch*` returns, so after a
+/// workload completes this sees every thread's contribution.
 pub fn take_report() -> HotspotReport {
     SHEET.with(|s| s.borrow_mut().flush());
     let mut global = lock_global();

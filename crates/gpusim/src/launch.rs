@@ -12,6 +12,14 @@
 //! assigns them *synthetic device addresses* via [`AddressSpace`] so the
 //! cache simulation sees a realistic address stream.
 //!
+//! Every block reaches memory in two phases. Phase 1 runs its body against
+//! a private L1, flushed when the block starts, and logs the sectors that
+//! miss it. Phase 2 replays that log through the launcher's shared L2,
+//! which persists across blocks and launches, and folds the block's
+//! counters into the launch's. Blocks retire in launch order whether phase
+//! 1 ran in order on the calling thread or fanned out over worker threads
+//! ([`Launcher::launch_par_values`]), so both give the same stats.
+//!
 //! Inside a [`Launcher::memoized`] scope each launch that also has a plain
 //! loop for its outputs ([`Launcher::launch_values`],
 //! [`Launcher::launch_par_values`]) is simulated once: a repeat replays the
@@ -116,59 +124,44 @@ impl AddressSpace {
     }
 }
 
-/// How a [`BlockCtx`] drives the memory-hierarchy simulation.
+/// The memory state phase 1 of a block runs against: a private L1, the
+/// block's log of L1-miss sectors, and the coalescer's sort buffer.
 ///
-/// The sequential path probes the launcher's shared L1/L2 inline. The
-/// parallel path gives every block a private L1 (semantically identical:
-/// the harness flushes the L1 at block boundaries anyway, so L1 behavior
-/// is a pure function of the block's own probe sequence) and *defers* the
-/// shared-L2 probes by logging each L1-miss sector; the launcher replays
-/// the logs through the real L2 in block-id order afterwards, reproducing
-/// the sequential path's L2 state and counters bit for bit.
-enum MemSim<'a> {
-    /// Probe the launcher's shared caches inline.
-    Live {
-        l1: &'a mut Cache,
-        l2: &'a mut Cache,
-    },
-    /// Probe a block-private L1; log L1-miss sectors for ordered L2 replay.
-    Deferred {
-        l1: &'a mut Cache,
-        l2_log: &'a mut Vec<u64>,
-    },
+/// The L1 is flushed when a block starts, so a block's L1 hits and misses
+/// are a pure function of its own probe sequence. Its L2 probes are the
+/// logged misses, replayed through the launcher's shared L2 in block order
+/// by [`retire_block`]. The launcher keeps one for blocks it runs in order;
+/// each worker of a fanned-out launch keeps its own.
+struct BlockMem {
+    l1: Cache,
+    l2_log: Vec<u64>,
+    scratch: Vec<u64>,
 }
 
-impl MemSim<'_> {
-    /// Probes each sector through L1 (and L2 or the L2 log on a miss),
-    /// counting into `stats`. The variant is matched once per call, not
-    /// per sector.
-    fn probe(&mut self, stats: &mut KernelStats, sectors: impl Iterator<Item = u64>) {
-        match self {
-            MemSim::Live { l1, l2 } => {
-                for sector in sectors {
-                    if l1.access(sector) == Probe::Hit {
-                        stats.l1_hits += 1;
-                        continue;
-                    }
-                    stats.l1_misses += 1;
-                    if l2.access(sector) == Probe::Hit {
-                        stats.l2_hits += 1;
-                    } else {
-                        stats.l2_misses += 1;
-                        stats.dram_read_bytes += SECTOR_BYTES;
-                    }
-                }
-            }
-            MemSim::Deferred { l1, l2_log } => {
-                for sector in sectors {
-                    if l1.access(sector) == Probe::Hit {
-                        stats.l1_hits += 1;
-                    } else {
-                        stats.l1_misses += 1;
-                        l2_log.push(sector);
-                    }
-                }
-            }
+impl BlockMem {
+    fn new(device: &DeviceSpec) -> Self {
+        BlockMem {
+            l1: Cache::l1(device.l1_bytes_per_sm),
+            l2_log: Vec::new(),
+            scratch: Vec::with_capacity(64),
+        }
+    }
+}
+
+/// Probes each sector through `l1`, counting into `stats` and logging
+/// every miss for the block's L2 replay.
+fn probe_l1(
+    l1: &mut Cache,
+    l2_log: &mut Vec<u64>,
+    stats: &mut KernelStats,
+    sectors: impl Iterator<Item = u64>,
+) {
+    for sector in sectors {
+        if l1.access(sector) == Probe::Hit {
+            stats.l1_hits += 1;
+        } else {
+            stats.l1_misses += 1;
+            l2_log.push(sector);
         }
     }
 }
@@ -182,11 +175,8 @@ pub struct BlockCtx<'a> {
     /// Launch configuration.
     pub config: GridConfig,
     stats: &'a mut KernelStats,
-    mem: MemSim<'a>,
+    mem: &'a mut BlockMem,
     ecc_armed: &'a mut bool,
-    /// Sector sort/dedup buffer, owned by the launcher (or the worker) so
-    /// no warp instruction allocates.
-    scratch: &'a mut Vec<u64>,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -207,15 +197,20 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
+    /// Probes `sectors` through the block's L1 (see [`probe_l1`]).
+    fn probe(&mut self, sectors: impl Iterator<Item = u64>) {
+        probe_l1(&mut self.mem.l1, &mut self.mem.l2_log, self.stats, sectors);
+    }
+
     /// Fills the scratch buffer with the sorted, deduplicated sector bases
     /// of `addrs` (the general coalescer, without allocating).
     fn coalesce_into_scratch(&mut self, addrs: &[u64]) {
         let _t = hotspot::scope(HotPhase::Coalesce);
-        self.scratch.clear();
-        self.scratch
-            .extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
+        let scratch = &mut self.mem.scratch;
+        scratch.clear();
+        scratch.extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
+        scratch.sort_unstable();
+        scratch.dedup();
     }
 
     /// One warp-wide global load with arbitrary lane addresses.
@@ -223,9 +218,14 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64; // address arithmetic
         self.coalesce_into_scratch(addrs);
-        self.stats.gl_load_transactions += self.scratch.len() as u64;
+        let BlockMem {
+            l1,
+            l2_log,
+            scratch,
+        } = &mut *self.mem;
+        self.stats.gl_load_transactions += scratch.len() as u64;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        self.mem.probe(self.stats, self.scratch.iter().copied());
+        probe_l1(l1, l2_log, self.stats, scratch.iter().copied());
     }
 
     /// Global load of `count` contiguous elements of `elem_bytes` starting at
@@ -242,7 +242,7 @@ impl<'a> BlockCtx<'a> {
         let sectors = sector_span(base, count, elem_bytes);
         self.stats.gl_load_transactions += sectors.len() as u64;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        self.mem.probe(self.stats, sectors);
+        self.probe(sectors);
     }
 
     /// Gathers `elems_per_row` consecutive elements from each of the given
@@ -270,7 +270,7 @@ impl<'a> BlockCtx<'a> {
             .iter()
             .map(|&base| sector_span(base, elems_per_row, elem_bytes));
         self.stats.gl_load_transactions += spans.clone().map(|s| s.len() as u64).sum::<u64>();
-        self.mem.probe(self.stats, spans.flatten());
+        self.probe(spans.flatten());
     }
 
     /// Scatters `elems_per_row` consecutive elements to each row base — the
@@ -301,7 +301,7 @@ impl<'a> BlockCtx<'a> {
         self.stats.gl_load_transactions += 1;
         let sector = (addr / SECTOR_BYTES) * SECTOR_BYTES;
         let _t = hotspot::scope(HotPhase::CacheProbe);
-        self.mem.probe(self.stats, std::iter::once(sector));
+        self.probe(std::iter::once(sector));
     }
 
     /// One warp-wide global store with arbitrary lane addresses.
@@ -309,7 +309,7 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_instructions += 1;
         self.stats.int_ops += addrs.len() as u64;
         self.coalesce_into_scratch(addrs);
-        let n = self.scratch.len() as u64;
+        let n = self.mem.scratch.len() as u64;
         self.stats.gl_store_transactions += n;
         self.stats.dram_write_bytes += n * SECTOR_BYTES;
     }
@@ -334,12 +334,13 @@ impl<'a> BlockCtx<'a> {
         self.stats.atomic_ops += addrs.len() as u64;
         let _t = hotspot::scope(HotPhase::Coalesce);
         // Lanes hitting the same address replay serially.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(addrs);
-        self.scratch.sort_unstable();
+        let scratch = &mut self.mem.scratch;
+        scratch.clear();
+        scratch.extend_from_slice(addrs);
+        scratch.sort_unstable();
         let mut max_run = 1u64;
         let mut run = 1u64;
-        for w in self.scratch.windows(2) {
+        for w in scratch.windows(2) {
             if w[0] == w[1] {
                 run += 1;
                 max_run = max_run.max(run);
@@ -349,11 +350,11 @@ impl<'a> BlockCtx<'a> {
         }
         self.stats.warp_instructions += max_run;
         // Atomics read-modify-write through L2.
-        self.scratch
+        scratch
             .iter_mut()
             .for_each(|a| *a = (*a / SECTOR_BYTES) * SECTOR_BYTES);
-        self.scratch.dedup();
-        let n = self.scratch.len() as u64;
+        scratch.dedup();
+        let n = scratch.len() as u64;
         self.stats.gl_store_transactions += n;
         self.stats.dram_write_bytes += n * SECTOR_BYTES;
     }
@@ -471,6 +472,7 @@ fn fan_out<S>(
                         block(&mut state, i);
                     }
                 }
+                hotspot::flush_thread();
             });
         }
     });
@@ -484,13 +486,13 @@ type MemoSlot = (u64, u32, GridConfig, u64);
 pub struct Launcher {
     device: DeviceSpec,
     l2: Cache,
-    l1: Cache,
+    /// Phase-1 state of the blocks run in order.
+    mem: BlockMem,
     address_space: AddressSpace,
     fault_plan: Option<FaultPlan>,
     ecc_armed: bool,
     threads: usize,
     launch_log: Option<Vec<f64>>,
-    scratch: Vec<u64>,
     /// Stats recorded by the first full simulation of each memo slot.
     memo: HashMap<MemoSlot, KernelStats>,
     /// The open [`Launcher::memoized`] scope: its key and the number of
@@ -507,18 +509,15 @@ impl Launcher {
     /// The worker-thread count for [`Launcher::launch_par_values`] comes from
     /// `TCG_THREADS` (unset → 1, the fully sequential behavior).
     pub fn new(device: DeviceSpec) -> Self {
-        let l2 = Cache::l2(device.l2_bytes);
-        let l1 = Cache::l1(device.l1_bytes_per_sm);
         Launcher {
+            l2: Cache::l2(device.l2_bytes),
+            mem: BlockMem::new(&device),
             device,
-            l2,
-            l1,
             address_space: AddressSpace::new(),
             fault_plan: None,
             ecc_armed: false,
             threads: crate::par::threads_from_env(),
             launch_log: None,
-            scratch: Vec::with_capacity(64),
             memo: HashMap::new(),
             scope: None,
             memo_hits: 0,
@@ -675,7 +674,8 @@ impl Launcher {
         self.memo.clear();
     }
 
-    /// Runs `body` once per block and returns the accumulated counters.
+    /// Runs `body` once per block, in order, and returns the accumulated
+    /// counters.
     ///
     /// The L1 is flushed at block boundaries (a block starts on a cold SM);
     /// the L2 persists across blocks *and* across launches, modeling
@@ -784,74 +784,28 @@ impl Launcher {
         stats
     }
 
-    /// The full sequential simulation behind [`Launcher::launch`].
+    /// The full simulation of `blocks` in order on the calling thread:
+    /// each block runs its phase 1 ([`run_block`]) and is retired
+    /// ([`retire_block`]) before the next starts.
     fn simulate<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, mut body: F) -> KernelStats
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
-        let mut stats = KernelStats {
-            num_blocks: blocks.len(),
-            block_size: cfg.block_size,
-            shared_mem_per_block: cfg.shared_mem_bytes,
-            regs_per_thread: cfg.regs_per_thread,
-            ..Default::default()
-        };
-        if hotspot::enabled() {
-            // Hotspot variant: execute each block against its own stats so
-            // the cost model's per-block (= per row window in the SGT
-            // kernels) simulated time can be attributed alongside the host
-            // nanoseconds the scoped timers collect. Counters are u64 sums,
-            // so folding per-block stats reproduces the inline totals
-            // exactly (`KernelStats::merge` keeps the outer shape fields).
-            for i in 0..blocks.len() {
-                let block_id = blocks.id(i);
-                self.l1.flush();
-                hotspot::begin_window(block_id);
-                let mut block_stats = KernelStats {
-                    num_blocks: 1,
-                    block_size: cfg.block_size,
-                    shared_mem_per_block: cfg.shared_mem_bytes,
-                    regs_per_thread: cfg.regs_per_thread,
-                    ..Default::default()
-                };
-                let mut ctx = BlockCtx {
-                    device: &self.device,
-                    block_id,
-                    config: cfg,
-                    stats: &mut block_stats,
-                    mem: MemSim::Live {
-                        l1: &mut self.l1,
-                        l2: &mut self.l2,
-                    },
-                    ecc_armed: &mut self.ecc_armed,
-                    scratch: &mut self.scratch,
-                };
-                body(&mut ctx);
-                let report = cost::analyze(&self.device, &block_stats);
-                hotspot::add_window_sim_ns(report.time_ms * 1e6);
-                hotspot::end_window();
-                stats.merge(&block_stats);
-            }
-        } else {
-            for i in 0..blocks.len() {
-                let block_id = blocks.id(i);
-                self.l1.flush();
-                let mut ctx = BlockCtx {
-                    device: &self.device,
-                    block_id,
-                    config: cfg,
-                    stats: &mut stats,
-                    mem: MemSim::Live {
-                        l1: &mut self.l1,
-                        l2: &mut self.l2,
-                    },
-                    ecc_armed: &mut self.ecc_armed,
-                    scratch: &mut self.scratch,
-                };
-                body(&mut ctx);
-            }
+        let mut total = launch_stats(cfg, blocks.len());
+        for i in 0..blocks.len() {
+            let block_id = blocks.id(i);
+            let (device, mem) = (&self.device, &mut self.mem);
+            let stats = run_block(device, cfg, block_id, mem, &mut self.ecc_armed, &mut body);
+            retire_block(
+                device,
+                &mut self.l2,
+                block_id,
+                stats,
+                &mem.l2_log,
+                &mut total,
+            );
         }
-        stats
+        total
     }
 
     /// Like [`Launcher::launch_values`], but fans block bodies out over
@@ -863,26 +817,17 @@ impl Launcher {
     /// fanned out over the same workers, and each call must write the bits
     /// the block's body writes.
     ///
-    /// Stats, cost-model output and result bytes are identical to the
-    /// sequential path:
+    /// Stats, cost-model output and result bytes do not depend on the
+    /// thread count. The workers run each block's phase 1 (`run_block`)
+    /// against their own L1, flushed per block as an in-order launch's is,
+    /// and log its L1 misses. The blocks then retire (`retire_block`) in
+    /// launch order, so the shared L2 sees the probe order of an in-order
+    /// launch and the stats fold in the same order.
     ///
-    /// - Each block runs against a **worker-private L1**. The harness
-    ///   flushes the L1 at every block boundary anyway, so a block's L1
-    ///   hits/misses are a pure function of its own probe sequence — the
-    ///   private cache reproduces them exactly.
-    /// - Sectors that miss the private L1 are **logged, not probed**:
-    ///   after all blocks complete, the logs replay through the shared L2
-    ///   in block-id order, which is byte-for-byte the probe order of the
-    ///   sequential loop (the L2 persists across blocks and launches, so
-    ///   order matters and is preserved).
-    /// - Per-block [`KernelStats`] are folded into the total in block-id
-    ///   order (a deterministic ordered fold; the counters are also
-    ///   order-independent sums, so no precision caveats apply).
-    ///
-    /// Falls back to the sequential loop when the resolved thread count is
-    /// 1, the grid is tiny, or an ECC fault is armed (the armed flip is
-    /// consumed by the *first* tensor-core op in sequential block order —
-    /// data-affecting semantics the parallel path must not reorder).
+    /// Blocks run in order on the calling thread when the resolved thread
+    /// count is 1, the grid is tiny, or an ECC fault is armed (the armed
+    /// flip is consumed by the *first* tensor-core op in block order —
+    /// data-affecting semantics fanning out must not reorder).
     pub fn launch_par_values<const N: usize, F, V>(
         &mut self,
         cfg: GridConfig,
@@ -913,8 +858,8 @@ impl Launcher {
         self.replay_or_simulate(cfg, num_blocks, out, simulate, values)
     }
 
-    /// The full simulation behind [`Launcher::launch_par_values`]: the
-    /// parallel one, or the sequential one where it falls back.
+    /// The full simulation behind [`Launcher::launch_par_values`]: fanned
+    /// out over the workers, or in order where it must be.
     fn run_par<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: F) -> KernelStats
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
@@ -928,7 +873,9 @@ impl Launcher {
         }
     }
 
-    /// The full parallel simulation behind [`Launcher::launch_par_values`].
+    /// The full parallel simulation behind [`Launcher::launch_par_values`]:
+    /// phase 1 of every block on the worker threads, then every block
+    /// retired in launch order.
     fn simulate_par<F>(
         &mut self,
         cfg: GridConfig,
@@ -940,90 +887,117 @@ impl Launcher {
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
         let num_blocks = grid.len();
-        // Phase 1: execute bodies in parallel. Workers claim chunks of
-        // launch indices from a shared cursor; results land in per-block
-        // slots, so the claim order has no effect on the outcome.
+        // Workers claim chunks of launch indices from a shared cursor;
+        // results land in per-block slots, so the claim order has no effect
+        // on the outcome. No ECC flip is armed here (`run_par`).
         let mut blocks: Vec<Option<(KernelStats, Vec<u64>)>> = Vec::new();
         blocks.resize_with(num_blocks as usize, || None);
         {
-            let slots = crate::par::DisjointSlices::new(&mut blocks);
+            let slots = DisjointSlices::new(&mut blocks);
             let device = &self.device;
-            let worker = || (Cache::l1(device.l1_bytes_per_sm), Vec::with_capacity(64));
-            fan_out(threads, num_blocks, worker, |(l1, scratch), i| {
-                let block_id = grid.id(i);
-                l1.reset();
-                hotspot::begin_window(block_id);
-                let mut stats = KernelStats::default();
-                let mut l2_log = Vec::new();
-                let mut ecc = false;
-                let mut ctx = BlockCtx {
-                    device,
-                    block_id,
-                    config: cfg,
-                    stats: &mut stats,
-                    mem: MemSim::Deferred {
-                        l1,
-                        l2_log: &mut l2_log,
-                    },
-                    ecc_armed: &mut ecc,
-                    scratch,
-                };
-                body(&mut ctx);
-                hotspot::end_window();
-                // SAFETY: each launch index is claimed by exactly one
-                // worker (fetch_add), so the ranges are disjoint.
-                let slot = unsafe { slots.range_mut(i as usize, 1) };
-                slot[0] = Some((stats, l2_log));
-            });
+            fan_out(
+                threads,
+                num_blocks,
+                || BlockMem::new(device),
+                |mem, i| {
+                    let stats = run_block(device, cfg, grid.id(i), mem, &mut false, &body);
+                    // SAFETY: each launch index is claimed by exactly one
+                    // worker (fetch_add), so the ranges are disjoint.
+                    let slot = unsafe { slots.range_mut(i as usize, 1) };
+                    slot[0] = Some((stats, std::mem::take(&mut mem.l2_log)));
+                },
+            );
         }
-        // Phase 2: ordered L2 replay + ordered stats fold, in block order.
-        let mut total = KernelStats {
-            num_blocks,
-            block_size: cfg.block_size,
-            shared_mem_per_block: cfg.shared_mem_bytes,
-            regs_per_thread: cfg.regs_per_thread,
-            ..Default::default()
-        };
-        let hot = hotspot::enabled();
-        for (i, slot) in blocks.iter_mut().enumerate() {
-            let (mut stats, l2_log) = slot.take().expect("every block id was executed");
-            if hot {
-                hotspot::begin_window(grid.id(i as u64));
-            }
-            {
-                let _t = hotspot::scope(HotPhase::L2Replay);
-                for sector in l2_log {
-                    match self.l2.access(sector) {
-                        Probe::Hit => stats.l2_hits += 1,
-                        Probe::Miss => {
-                            stats.l2_misses += 1;
-                            stats.dram_read_bytes += SECTOR_BYTES;
-                        }
-                    }
-                }
-            }
-            if hot {
-                // The block's counters are only complete once its L2 probes
-                // have replayed, so simulated time attributes here.
-                let mut shaped = stats.clone();
-                shaped.num_blocks = 1;
-                shaped.block_size = cfg.block_size;
-                shaped.shared_mem_per_block = cfg.shared_mem_bytes;
-                shaped.regs_per_thread = cfg.regs_per_thread;
-                let report = cost::analyze(&self.device, &shaped);
-                hotspot::add_window_sim_ns(report.time_ms * 1e6);
-                hotspot::end_window();
-            }
-            total.merge(&stats);
+        let mut total = launch_stats(cfg, num_blocks);
+        for (i, slot) in blocks.into_iter().enumerate() {
+            let (stats, l2_log) = slot.expect("every block id was executed");
+            let block_id = grid.id(i as u64);
+            retire_block(
+                &self.device,
+                &mut self.l2,
+                block_id,
+                stats,
+                &l2_log,
+                &mut total,
+            );
         }
         total
     }
 
     /// Drops all cached state (e.g. between unrelated experiments).
     pub fn reset_caches(&mut self) {
-        self.l1.reset();
+        self.mem.l1.reset();
         self.l2.reset();
     }
+}
+
+/// Zeroed counters in the shape of a launch of `num_blocks` blocks.
+fn launch_stats(cfg: GridConfig, num_blocks: u64) -> KernelStats {
+    KernelStats {
+        num_blocks,
+        block_size: cfg.block_size,
+        shared_mem_per_block: cfg.shared_mem_bytes,
+        regs_per_thread: cfg.regs_per_thread,
+        ..Default::default()
+    }
+}
+
+/// Phase 1 of block `block_id`: runs `body` against `mem`'s L1, flushed
+/// first, and leaves the block's L1-miss sectors in `mem.l2_log`. Returns
+/// the block's counters, complete but for its L2 ones.
+fn run_block(
+    device: &DeviceSpec,
+    config: GridConfig,
+    block_id: u64,
+    mem: &mut BlockMem,
+    ecc_armed: &mut bool,
+    body: impl FnOnce(&mut BlockCtx<'_>),
+) -> KernelStats {
+    mem.l1.flush();
+    mem.l2_log.clear();
+    let mut stats = launch_stats(config, 1);
+    hotspot::begin_window(block_id);
+    body(&mut BlockCtx {
+        device,
+        block_id,
+        config,
+        stats: &mut stats,
+        mem,
+        ecc_armed,
+    });
+    hotspot::end_window();
+    stats
+}
+
+/// Phase 2 of block `block_id`: replays its L1-miss log through the shared
+/// `l2`, which completes its counters, attributes its simulated time to its
+/// hotspot window, and folds it into `total`. Blocks retire in launch
+/// order, so the L2 sees the probe order of one block after another.
+fn retire_block(
+    device: &DeviceSpec,
+    l2: &mut Cache,
+    block_id: u64,
+    mut stats: KernelStats,
+    l2_log: &[u64],
+    total: &mut KernelStats,
+) {
+    hotspot::begin_window(block_id);
+    {
+        let _t = hotspot::scope(HotPhase::L2Replay);
+        for &sector in l2_log {
+            if l2.access(sector) == Probe::Hit {
+                stats.l2_hits += 1;
+            } else {
+                stats.l2_misses += 1;
+                stats.dram_read_bytes += SECTOR_BYTES;
+            }
+        }
+    }
+    if hotspot::enabled() {
+        hotspot::add_window_sim_ns(cost::analyze(device, &stats).time_ms * 1e6);
+    }
+    hotspot::end_window();
+    total.merge(&stats);
 }
 
 #[cfg(test)]
@@ -1339,6 +1313,53 @@ mod tests {
         let cfg = GridConfig::with_block_size(32);
         let stats = l.launch_par_values(cfg, Blocks::All(4), [], body, |_, _| {});
         assert_eq!(stats.ecc_faults, 1);
+    }
+
+    #[test]
+    fn hotspot_windows_do_not_depend_on_the_thread_count() {
+        let _lock = hotspot::test_lock();
+        let cfg = GridConfig::with_block_size(128);
+        // Block ids no other test in this binary launches, so a concurrent
+        // test's samples cannot land in these windows.
+        let ids: Vec<u32> = (0..12).map(|i| 90_000 + i * 7).collect();
+        let run = |threads: usize| {
+            let mut l = launcher();
+            l.set_threads(threads);
+            let buf = l.try_alloc_f32(1 << 14).unwrap();
+            let body = |ctx: &mut BlockCtx<'_>, _: &[DisjointSlices<'_, f32>; 0]| {
+                let b = ((ctx.block_id - 90_000) / 7) as usize;
+                hotspot::annotate_window(b as u64 * 3 + 1, 1);
+                ctx.ld_global_contiguous(buf.f32_addr(b * 256), 512, 4);
+                ctx.ld_global_contiguous(buf.base(), 64, 4);
+                ctx.fma_warps(b as u64 + 1);
+            };
+            hotspot::set_enabled(true);
+            let _ = hotspot::take_report();
+            // A worker id of its own: other tests' callers are worker 0.
+            hotspot::set_worker(77);
+            l.launch_par_values(cfg, Blocks::Only(&ids), [], body, |_, _| {});
+            let report = hotspot::take_report();
+            hotspot::set_worker(0);
+            hotspot::set_enabled(false);
+            report
+        };
+        let windows = |r: &hotspot::HotspotReport| -> Vec<(u64, u64, u64)> {
+            ids.iter()
+                .map(|&id| {
+                    let w = r.windows.get(&u64::from(id)).copied().unwrap_or_default();
+                    (u64::from(id), w.sim_ns.to_bits(), w.nnz)
+                })
+                .collect()
+        };
+        let in_order = run(1);
+        assert_eq!(in_order.total_phase_ns(), in_order.total_window_ns());
+        let main = in_order.workers.get(&77).expect("blocks ran on the caller");
+        let hits = |p: HotPhase| main.phase_hits[p.idx()];
+        assert!(hits(HotPhase::CacheProbe) > 0);
+        assert_eq!(hits(HotPhase::L2Replay), ids.len() as u64);
+        let in_order = windows(&in_order);
+        assert!(in_order.iter().all(|&(_, sim, nnz)| sim > 0 && nnz > 0));
+        assert_eq!(windows(&run(4)), in_order);
     }
 
     #[test]

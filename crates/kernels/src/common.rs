@@ -1,6 +1,5 @@
 //! Shared problem types, CPU references and the kernel trait.
 
-use std::fmt;
 use std::ops::Range;
 
 use tcg_gpusim::{
@@ -36,9 +35,9 @@ impl<'a> SpmmProblem<'a> {
         csr: &'a CsrGraph,
         edge_values: Option<&'a [f32]>,
         x: &'a DenseMatrix,
-    ) -> Result<Self, KernelError> {
+    ) -> Result<Self, TcgError> {
         if x.rows() != csr.num_nodes() {
-            return Err(KernelError::DimMismatch {
+            return Err(TcgError::DimMismatch {
                 what: "x rows vs graph nodes",
                 expected: csr.num_nodes(),
                 actual: x.rows(),
@@ -46,7 +45,7 @@ impl<'a> SpmmProblem<'a> {
         }
         if let Some(v) = edge_values {
             if v.len() != csr.num_edges() {
-                return Err(KernelError::DimMismatch {
+                return Err(TcgError::DimMismatch {
                     what: "edge value count vs edges",
                     expected: csr.num_edges(),
                     actual: v.len(),
@@ -69,77 +68,6 @@ impl<'a> SpmmProblem<'a> {
     #[inline]
     pub fn value(&self, e: usize) -> f32 {
         self.edge_values.map_or(1.0, |v| v[e])
-    }
-}
-
-/// Errors from kernel setup or execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KernelError {
-    /// Operand dimensions disagree.
-    DimMismatch {
-        /// What was compared.
-        what: &'static str,
-        /// Expected size.
-        expected: usize,
-        /// Actual size.
-        actual: usize,
-    },
-    /// The kernel's working set exceeds device memory (dense-GEMM baseline
-    /// on large graphs — the Table 2 failure mode).
-    MemoryExceeded {
-        /// Bytes the kernel would need.
-        required_bytes: u128,
-        /// Device capacity used for the check.
-        capacity_bytes: u128,
-    },
-}
-
-impl fmt::Display for KernelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            KernelError::DimMismatch {
-                what,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "dimension mismatch ({what}): expected {expected}, got {actual}"
-            ),
-            KernelError::MemoryExceeded {
-                required_bytes,
-                capacity_bytes,
-            } => write!(
-                f,
-                "working set of {required_bytes} bytes exceeds device capacity {capacity_bytes}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for KernelError {}
-
-/// Kernel setup errors fold into the unified taxonomy, so `?` composes
-/// `SpmmProblem::new` with the fault-aware launcher calls.
-impl From<KernelError> for TcgError {
-    fn from(e: KernelError) -> Self {
-        match e {
-            KernelError::DimMismatch {
-                what,
-                expected,
-                actual,
-            } => TcgError::DimMismatch {
-                what,
-                expected,
-                actual,
-            },
-            KernelError::MemoryExceeded {
-                required_bytes,
-                capacity_bytes,
-            } => TcgError::MemoryExceeded {
-                required_bytes,
-                capacity_bytes,
-            },
-        }
     }
 }
 

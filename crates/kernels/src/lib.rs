@@ -28,5 +28,5 @@ pub mod sddmm;
 pub mod softmax;
 pub mod spmm;
 
-pub use common::{reference_sddmm, reference_spmm, KernelError, SpmmProblem, TcgError};
+pub use common::{reference_sddmm, reference_spmm, SpmmProblem, TcgError};
 pub use hybrid::{render_mask, DispatchPolicy, KernelClass, WindowBackend, WindowGeometry};

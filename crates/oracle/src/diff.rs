@@ -285,7 +285,7 @@ pub fn run_case(
                 }
                 _ => None,
             };
-            let prob = SpmmProblem::new(csr, values, &x).map_err(|e| err(e.into()))?;
+            let prob = SpmmProblem::new(csr, values, &x).map_err(err)?;
             let want = golden::scalar_spmm(csr, values, &x);
             let got = match backend {
                 BackendKind::CudaCore => {
@@ -397,7 +397,7 @@ pub fn run_case(
                         .0;
                     let scaled: Vec<f32> = cos.iter().map(|&c| BETA * c).collect();
                     let (p, _) = sparse_row_softmax(&mut launcher, csr, &scaled).map_err(err)?;
-                    let prob = SpmmProblem::new(csr, Some(&p), &xb).map_err(|e| err(e.into()))?;
+                    let prob = SpmmProblem::new(csr, Some(&p), &xb).map_err(err)?;
                     let y = CusparseCsrSpmm
                         .execute(&mut launcher, &prob)
                         .map_err(err)?
@@ -415,7 +415,7 @@ pub fn run_case(
                         .0;
                     let scaled: Vec<f32> = cos.iter().map(|&c| BETA * c).collect();
                     let (p, _) = sparse_row_softmax(&mut launcher, csr, &scaled).map_err(err)?;
-                    let prob = SpmmProblem::new(csr, Some(&p), &xb).map_err(|e| err(e.into()))?;
+                    let prob = SpmmProblem::new(csr, Some(&p), &xb).map_err(err)?;
                     let y = HybridSpmm::from_translated(t.clone())
                         .execute(&mut launcher, &prob)
                         .map_err(err)?

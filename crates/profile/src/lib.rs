@@ -144,14 +144,6 @@ impl std::fmt::Display for ProfileLevel {
     }
 }
 
-/// Whether profiling was requested via [`PROFILE_ENV_VAR`].
-///
-/// Compatibility wrapper over [`ProfileLevel::from_env`]: true at any
-/// level other than [`ProfileLevel::Off`].
-pub fn profiling_requested() -> bool {
-    ProfileLevel::from_env().enabled()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,21 +17,14 @@ cargo build --release --workspace
 step "tier-1 tests (root package)"
 cargo test --release -q
 
-step "tier-1 tests with every launch-memo hit cross-checked"
-# Under TCG_VERIFY=1 each memo hit also simulates the launch in full and
-# asserts that its stats equal the recorded ones and that the kernel's
-# plain loop gives the block bodies' output bits.
-TCG_VERIFY=1 cargo test --release -q
-
-step "kernel and engine tests with every launch-memo hit cross-checked"
-TCG_VERIFY=1 cargo test --release -q -p tcg-kernels -p tcg-gnn
-
-step "serving and SGT tests with every engine advance cross-checked"
-# Under TCG_VERIFY=1 each Engine::advance also runs the full symmetry
-# check, the from-scratch norms and the whole-translation validate, and
-# asserts that they agree with its incremental ones; every spliced
-# translation is validated whole too.
-TCG_VERIFY=1 cargo test --release -q -p tcg-serve -p tcg-sgt
+step "workspace tests with every memo hit and engine advance cross-checked"
+# Under TCG_VERIFY=1 each launch-memo hit also simulates the launch in full
+# and asserts that its stats equal the recorded ones and that the kernel's
+# plain loop gives the block bodies' output bits. Each Engine::advance also
+# runs the full symmetry check, the from-scratch norms and the
+# whole-translation validate, and asserts that they agree with its
+# incremental ones; every spliced translation is validated whole too.
+TCG_VERIFY=1 cargo test --release -q --workspace
 
 if [[ $quick -eq 0 ]]; then
     step "workspace tests"
