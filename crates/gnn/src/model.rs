@@ -653,6 +653,50 @@ mod tests {
     }
 
     #[test]
+    fn infer_matches_forward_logits_and_cost() {
+        // Same kernels run in the same order, so inference must agree with
+        // the training forward bit-for-bit and millisecond-for-millisecond.
+        // Fresh engines per pass: the launcher's L2 simulator persists
+        // across launches, so reusing one engine would make the second
+        // pass's cost reflect a warm cache rather than a code difference.
+        let fresh = |backend| {
+            let g = gen::erdos_renyi(60, 400, 1).unwrap();
+            Engine::builder(g)
+                .backend(backend)
+                .device(DeviceSpec::rtx3090())
+                .build()
+                .expect("graph is symmetric")
+        };
+        let x8 = init::uniform(60, 8, -1.0, 1.0, 2);
+        let x10 = init::uniform(60, 10, -1.0, 1.0, 2);
+        for backend in Backend::all() {
+            let gcn = GcnModel::new(10, 16, 4, 1);
+            let (fwd, _, fcost) = gcn.forward(&mut fresh(backend), &x10).into_parts();
+            let (inf, icost) = gcn.infer(&mut fresh(backend), &x10);
+            assert_eq!(fwd.as_slice(), inf.as_slice());
+            assert_eq!(fcost.total_ms(), icost.total_ms());
+
+            let agnn = AgnnModel::new(8, 32, 5, 2, 1);
+            let (fwd, _, fcost) = agnn.forward(&mut fresh(backend), &x8).into_parts();
+            let (inf, icost) = agnn.infer(&mut fresh(backend), &x8);
+            assert_eq!(fwd.as_slice(), inf.as_slice());
+            assert_eq!(fcost.total_ms(), icost.total_ms());
+
+            let sage = SageModel::new(8, 12, 5, 1);
+            let (fwd, _, fcost) = sage.forward(&mut fresh(backend), &x8).into_parts();
+            let (inf, icost) = sage.infer(&mut fresh(backend), &x8);
+            assert_eq!(fwd.as_slice(), inf.as_slice());
+            assert_eq!(fcost.total_ms(), icost.total_ms());
+
+            let gin = GinModel::new(8, 10, 4, 1);
+            let (fwd, _, fcost) = gin.forward(&mut fresh(backend), &x8).into_parts();
+            let (inf, icost) = gin.infer(&mut fresh(backend), &x8);
+            assert_eq!(fwd.as_slice(), inf.as_slice());
+            assert_eq!(fcost.total_ms(), icost.total_ms());
+        }
+    }
+
+    #[test]
     fn apply_grads_changes_parameters() {
         let mut eng = engine();
         let mut model = GcnModel::new(6, 8, 3, 4);
