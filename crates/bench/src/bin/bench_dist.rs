@@ -23,7 +23,7 @@
 use serde::Value;
 use tcg_bench::{print_table, save_json, save_profile_artifacts, sentinel};
 use tcg_dist::{DistReport, Partitioner};
-use tcg_gnn::{Backend, Engine, GcnModel};
+use tcg_gnn::{Backend, Engine, GcnModel, TrainableModel};
 use tcg_gpusim::DeviceSpec;
 use tcg_graph::{synth, CsrGraph};
 use tcg_tensor::{init, DenseMatrix};

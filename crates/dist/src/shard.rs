@@ -36,7 +36,7 @@ use tcg_tensor::DenseMatrix;
 
 use crate::partition::Partition;
 
-/// Sentinel in [`Shard::gather`] for alignment padding rows.
+/// Sentinel in `Shard::gather` for alignment padding rows.
 pub const PAD: u32 = u32::MAX;
 
 /// One owned row window mapped into the local graph.

@@ -1,5 +1,5 @@
 //! The aggregation engine: one graph, one backend, simulated costs — on
-//! one simulated device, or sharded across several (see [`sharded`]).
+//! one simulated device, or sharded across several (see the `sharded` module).
 
 mod sharded;
 
@@ -477,7 +477,7 @@ enum Exec {
 /// TC-GNN, symmetric-normalization values, transpose permutation).
 ///
 /// Built for more than one device, the engine is sharded: its ops compute
-/// the same bits on one device engine per shard (see [`sharded`]) and cost
+/// the same bits on one device engine per shard (see the `sharded` module) and cost
 /// their share of the distributed makespan.
 pub struct Engine {
     backend: Backend,
@@ -1265,7 +1265,7 @@ impl Engine {
     /// errors — dimension mismatches and the like — reach the caller.
     /// The hybrid backend recovers from a detected ECC flip at *window*
     /// granularity instead: only the poisoned windows are re-dispatched to
-    /// the CUDA-core body (see [`Engine::hybrid_spmm_window_degrade`]).
+    /// the CUDA-core body (see `Engine::hybrid_spmm_window_degrade`).
     pub fn spmm(
         &mut self,
         x: &DenseMatrix,

@@ -258,7 +258,7 @@ impl ShardSet {
 mod tests {
     use super::*;
     use crate::optim::Adam;
-    use crate::GcnModel;
+    use crate::{GcnModel, TrainableModel};
     use tcg_graph::gen;
     use tcg_profile::Phase;
     use tcg_tensor::{init, DenseMatrix};

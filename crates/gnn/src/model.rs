@@ -14,6 +14,7 @@ use crate::layers::linear::{Linear, LinearCache, LinearGrads};
 use crate::layers::sage::{SageCache, SageGrads, SageLayer};
 use crate::optim::Adam;
 use crate::receptive::{gather, spread_owned, Demand};
+use crate::trainer::TrainableModel;
 
 /// Tags subsequent profiler events with a model-layer index (no-op when
 /// the engine has no profiler attached).
@@ -21,11 +22,6 @@ fn prof_set_layer(eng: &Engine, layer: Option<u32>) {
     if let Some(p) = eng.profiler() {
         p.write().expect("profiler lock").set_layer(layer);
     }
-}
-
-/// A forward pass's logits and cost, its backward state dropped.
-fn logits<C>(f: Forward<C>) -> (DenseMatrix, Cost) {
-    (f.out, f.cost)
 }
 
 /// Whether every value of a weight matrix is finite.
@@ -68,34 +64,16 @@ impl GcnModel {
             l2: GcnLayer::new(hidden, num_classes, seed ^ 0x9e37),
         }
     }
+}
 
-    /// Forward pass to logits.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GcnModelCache> {
-        self.pass(eng, x, &Demand::full())
+impl TrainableModel for GcnModel {
+    type Cache = GcnModelCache;
+    type Grads = GcnModelGrads;
+
+    fn depth(&self) -> usize {
+        2
     }
 
-    /// Inference-only forward to logits: [`GcnModel::forward`]'s pass,
-    /// kernels and simulated cost, with the backward state dropped — the
-    /// frozen-model path an inference server runs per batch.
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        logits(self.forward(eng, x))
-    }
-
-    /// Inference of the logit rows `targets` only: each layer computes just
-    /// the row windows its receptive field needs (see
-    /// [`crate::receptive`]). Target rows are bitwise [`GcnModel::infer`]'s;
-    /// other rows are zero unless the engine computes every window.
-    pub fn infer_targets(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        targets: &[usize],
-    ) -> (DenseMatrix, Cost) {
-        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
-    }
-
-    /// The model's one forward pass, each layer under its share of
-    /// `demand`; full demand is the training forward.
     fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GcnModelCache> {
         prof_set_layer(eng, Some(0));
         let (z1, c1, cost1) = self
@@ -118,8 +96,7 @@ impl GcnModel {
         )
     }
 
-    /// Backward pass from logits gradient.
-    pub fn backward(
+    fn backward(
         &self,
         eng: &mut Engine,
         cache: &GcnModelCache,
@@ -140,13 +117,7 @@ impl GcnModel {
         )
     }
 
-    /// Applies one Adam step; returns the optimizer's simulated cost.
-    pub fn apply_grads(
-        &mut self,
-        eng: &mut Engine,
-        adam: &mut Adam,
-        grads: &GcnModelGrads,
-    ) -> Cost {
+    fn apply_grads(&mut self, eng: &mut Engine, adam: &mut Adam, grads: &GcnModelGrads) -> Cost {
         let n_params: usize = self.l1.w.len() + self.l1.b.len() + self.l2.w.len() + self.l2.b.len();
         adam.step(&mut [
             (self.l1.w.as_mut_slice(), grads.g1.dw.as_slice()),
@@ -157,8 +128,7 @@ impl GcnModel {
         Cost::other(eng.optimizer_step_ms(n_params))
     }
 
-    /// Whether no parameter has been contaminated by NaN/Inf.
-    pub fn params_finite(&self) -> bool {
+    fn params_finite(&self) -> bool {
         mat_finite(&self.l1.w)
             && vec_finite(&self.l1.b)
             && mat_finite(&self.l2.w)
@@ -201,33 +171,18 @@ impl AgnnModel {
             lin_out: Linear::new(hidden, num_classes, seed ^ 0x51ab),
         }
     }
+}
 
-    /// Forward pass to logits.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<AgnnModelCache> {
-        self.pass(eng, x, &Demand::full())
+impl TrainableModel for AgnnModel {
+    type Cache = AgnnModelCache;
+    type Grads = AgnnModelGrads;
+
+    /// Each propagation layer is one receptive-field hop; the linear
+    /// layers run on the rows of the hop next to them.
+    fn depth(&self) -> usize {
+        self.props.len()
     }
 
-    /// Inference-only forward to logits (the backward state dropped).
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        logits(self.forward(eng, x))
-    }
-
-    /// Inference of the logit rows `targets` only (see
-    /// [`GcnModel::infer_targets`]); each propagation layer is one
-    /// receptive-field hop, and the linear layers run on the rows of the
-    /// hop next to them.
-    pub fn infer_targets(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        targets: &[usize],
-    ) -> (DenseMatrix, Cost) {
-        let demand = Demand::for_targets(eng, targets, self.props.len());
-        logits(self.pass(eng, x, &demand))
-    }
-
-    /// The model's one forward pass, each layer under its share of
-    /// `demand`; full demand is the training forward.
     fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<AgnnModelCache> {
         prof_set_layer(eng, Some(0));
         let (z0, cin, mut cost) = self
@@ -260,8 +215,7 @@ impl AgnnModel {
         )
     }
 
-    /// Backward pass from logits gradient.
-    pub fn backward(
+    fn backward(
         &self,
         eng: &mut Engine,
         cache: &AgnnModelCache,
@@ -289,13 +243,7 @@ impl AgnnModel {
         (AgnnModelGrads { gin, gprops, gout }, cost)
     }
 
-    /// Applies one Adam step; returns the optimizer's simulated cost.
-    pub fn apply_grads(
-        &mut self,
-        eng: &mut Engine,
-        adam: &mut Adam,
-        grads: &AgnnModelGrads,
-    ) -> Cost {
+    fn apply_grads(&mut self, eng: &mut Engine, adam: &mut Adam, grads: &AgnnModelGrads) -> Cost {
         let mut betas: Vec<f32> = self.props.iter().map(|p| p.beta).collect();
         let dbetas: Vec<f32> = grads.gprops.iter().map(|g| g.dbeta).collect();
         let n_params = self.lin_in.w.len()
@@ -316,8 +264,7 @@ impl AgnnModel {
         Cost::other(eng.optimizer_step_ms(n_params))
     }
 
-    /// Whether no parameter has been contaminated by NaN/Inf.
-    pub fn params_finite(&self) -> bool {
+    fn params_finite(&self) -> bool {
         mat_finite(&self.lin_in.w)
             && vec_finite(&self.lin_in.b)
             && mat_finite(&self.lin_out.w)
@@ -356,30 +303,16 @@ impl SageModel {
             l2: SageLayer::new(hidden, num_classes, seed ^ 0x5a6e),
         }
     }
+}
 
-    /// Forward pass to logits.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<SageModelCache> {
-        self.pass(eng, x, &Demand::full())
+impl TrainableModel for SageModel {
+    type Cache = SageModelCache;
+    type Grads = SageModelGrads;
+
+    fn depth(&self) -> usize {
+        2
     }
 
-    /// Inference-only forward to logits (the backward state dropped).
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        logits(self.forward(eng, x))
-    }
-
-    /// Inference of the logit rows `targets` only (see
-    /// [`GcnModel::infer_targets`]).
-    pub fn infer_targets(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        targets: &[usize],
-    ) -> (DenseMatrix, Cost) {
-        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
-    }
-
-    /// The model's one forward pass, each layer under its share of
-    /// `demand`; full demand is the training forward.
     fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<SageModelCache> {
         prof_set_layer(eng, Some(0));
         let (z1, c1, cost1) = self
@@ -398,8 +331,7 @@ impl SageModel {
         )
     }
 
-    /// Backward pass from logits gradient.
-    pub fn backward(
+    fn backward(
         &self,
         eng: &mut Engine,
         cache: &SageModelCache,
@@ -419,13 +351,7 @@ impl SageModel {
         )
     }
 
-    /// Applies one Adam step; returns the optimizer's simulated cost.
-    pub fn apply_grads(
-        &mut self,
-        eng: &mut Engine,
-        adam: &mut Adam,
-        grads: &SageModelGrads,
-    ) -> Cost {
+    fn apply_grads(&mut self, eng: &mut Engine, adam: &mut Adam, grads: &SageModelGrads) -> Cost {
         let n_params =
             self.l1.w_self.len() * 2 + self.l1.b.len() + self.l2.w_self.len() * 2 + self.l2.b.len();
         adam.step(&mut [
@@ -439,8 +365,7 @@ impl SageModel {
         Cost::other(eng.optimizer_step_ms(n_params))
     }
 
-    /// Whether no parameter has been contaminated by NaN/Inf.
-    pub fn params_finite(&self) -> bool {
+    fn params_finite(&self) -> bool {
         [&self.l1, &self.l2]
             .iter()
             .all(|l| mat_finite(&l.w_self) && mat_finite(&l.w_neigh) && vec_finite(&l.b))
@@ -477,30 +402,16 @@ impl GinModel {
             l2: GinLayer::new(hidden, hidden, num_classes, seed ^ 0x6169),
         }
     }
+}
 
-    /// Forward pass to logits.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<GinModelCache> {
-        self.pass(eng, x, &Demand::full())
+impl TrainableModel for GinModel {
+    type Cache = GinModelCache;
+    type Grads = GinModelGrads;
+
+    fn depth(&self) -> usize {
+        2
     }
 
-    /// Inference-only forward to logits (the backward state dropped).
-    pub fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
-        logits(self.forward(eng, x))
-    }
-
-    /// Inference of the logit rows `targets` only (see
-    /// [`GcnModel::infer_targets`]).
-    pub fn infer_targets(
-        &self,
-        eng: &mut Engine,
-        x: &DenseMatrix,
-        targets: &[usize],
-    ) -> (DenseMatrix, Cost) {
-        logits(self.pass(eng, x, &Demand::for_targets(eng, targets, 2)))
-    }
-
-    /// The model's one forward pass, each layer under its share of
-    /// `demand`; full demand is the training forward.
     fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GinModelCache> {
         prof_set_layer(eng, Some(0));
         let (h1, c1, cost1) = self
@@ -517,8 +428,7 @@ impl GinModel {
         )
     }
 
-    /// Backward pass from logits gradient.
-    pub fn backward(
+    fn backward(
         &self,
         eng: &mut Engine,
         cache: &GinModelCache,
@@ -533,13 +443,7 @@ impl GinModel {
         (GinModelGrads { g1, g2 }, cost1 + cost2)
     }
 
-    /// Applies one Adam step; returns the optimizer's simulated cost.
-    pub fn apply_grads(
-        &mut self,
-        eng: &mut Engine,
-        adam: &mut Adam,
-        grads: &GinModelGrads,
-    ) -> Cost {
+    fn apply_grads(&mut self, eng: &mut Engine, adam: &mut Adam, grads: &GinModelGrads) -> Cost {
         let mut eps = [self.l1.eps, self.l2.eps];
         let deps = [grads.g1.deps, grads.g2.deps];
         let n_params = self.l1.w1.len()
@@ -567,8 +471,7 @@ impl GinModel {
         Cost::other(eng.optimizer_step_ms(n_params))
     }
 
-    /// Whether no parameter has been contaminated by NaN/Inf.
-    pub fn params_finite(&self) -> bool {
+    fn params_finite(&self) -> bool {
         [&self.l1, &self.l2].iter().all(|l| {
             l.eps.is_finite()
                 && mat_finite(&l.w1)
@@ -652,14 +555,17 @@ mod tests {
         assert_eq!(grads.g2.dw2.shape(), (10, 4));
     }
 
-    #[test]
-    fn infer_matches_forward_logits_and_cost() {
-        // Same kernels run in the same order, so inference must agree with
-        // the training forward bit-for-bit and millisecond-for-millisecond.
-        // Fresh engines per pass: the launcher's L2 simulator persists
-        // across launches, so reusing one engine would make the second
-        // pass's cost reflect a warm cache rather than a code difference.
-        let fresh = |backend| {
+    /// Inference must agree with the training forward bit-for-bit and
+    /// millisecond-for-millisecond: the same kernels run in the same order.
+    /// Fresh engines per pass: the launcher's L2 simulator persists across
+    /// launches, so reusing one engine would make the second pass's cost
+    /// reflect a warm cache rather than a code difference.
+    fn assert_infer_matches_forward<M: TrainableModel>(
+        model: &M,
+        x: &DenseMatrix,
+        backend: Backend,
+    ) {
+        let fresh = || {
             let g = gen::erdos_renyi(60, 400, 1).unwrap();
             Engine::builder(g)
                 .backend(backend)
@@ -667,32 +573,21 @@ mod tests {
                 .build()
                 .expect("graph is symmetric")
         };
+        let (fwd, _, fcost) = model.forward(&mut fresh(), x).into_parts();
+        let (inf, icost) = model.infer(&mut fresh(), x);
+        assert_eq!(fwd.as_slice(), inf.as_slice());
+        assert_eq!(fcost.total_ms(), icost.total_ms());
+    }
+
+    #[test]
+    fn infer_matches_forward_logits_and_cost() {
         let x8 = init::uniform(60, 8, -1.0, 1.0, 2);
         let x10 = init::uniform(60, 10, -1.0, 1.0, 2);
-        for backend in Backend::all() {
-            let gcn = GcnModel::new(10, 16, 4, 1);
-            let (fwd, _, fcost) = gcn.forward(&mut fresh(backend), &x10).into_parts();
-            let (inf, icost) = gcn.infer(&mut fresh(backend), &x10);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let agnn = AgnnModel::new(8, 32, 5, 2, 1);
-            let (fwd, _, fcost) = agnn.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = agnn.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let sage = SageModel::new(8, 12, 5, 1);
-            let (fwd, _, fcost) = sage.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = sage.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
-
-            let gin = GinModel::new(8, 10, 4, 1);
-            let (fwd, _, fcost) = gin.forward(&mut fresh(backend), &x8).into_parts();
-            let (inf, icost) = gin.infer(&mut fresh(backend), &x8);
-            assert_eq!(fwd.as_slice(), inf.as_slice());
-            assert_eq!(fcost.total_ms(), icost.total_ms());
+        for backend in Backend::all().into_iter().chain([Backend::Hybrid]) {
+            assert_infer_matches_forward(&GcnModel::new(10, 16, 4, 1), &x10, backend);
+            assert_infer_matches_forward(&AgnnModel::new(8, 32, 5, 2, 1), &x8, backend);
+            assert_infer_matches_forward(&SageModel::new(8, 12, 5, 1), &x8, backend);
+            assert_infer_matches_forward(&GinModel::new(8, 10, 4, 1), &x8, backend);
         }
     }
 

@@ -11,6 +11,7 @@ use crate::forward::Forward;
 use crate::loss::masked_cross_entropy;
 use crate::model::{AgnnModel, GcnModel, GinModel, SageModel};
 use crate::optim::Adam;
+use crate::receptive::Demand;
 
 /// Opens epoch `epoch` on the engine's profiler, if one is attached, so
 /// every event the epoch records carries its index.
@@ -151,8 +152,10 @@ impl TrainResult {
     }
 }
 
-/// A model the generic training loop can drive: forward to logits,
-/// backward from the logits gradient, and one optimizer step.
+/// The one model interface: a forward pass over a receptive-field
+/// [`Demand`], backward from the logits gradient, and one optimizer step.
+/// Training's `forward` and serving's `infer`/`infer_targets` are provided
+/// here once, as that pass at full or targeted demand.
 ///
 /// `Clone` is the checkpoint mechanism — under an attached fault plan the
 /// loop snapshots `(model, optimizer)` at each epoch boundary and restores
@@ -163,8 +166,41 @@ pub trait TrainableModel: Clone {
     /// Parameter gradients produced by the backward pass.
     type Grads;
 
+    /// Number of aggregation layers: the receptive-field hops between a
+    /// target's logits and the input features.
+    fn depth(&self) -> usize;
+
+    /// The model's one forward pass, each layer under its share of
+    /// `demand`; full demand is the training forward.
+    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<Self::Cache>;
+
     /// Forward pass to logits.
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<Self::Cache>;
+    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<Self::Cache> {
+        self.pass(eng, x, &Demand::full())
+    }
+
+    /// Inference-only forward to logits: [`TrainableModel::forward`]'s
+    /// pass, kernels and simulated cost, with the backward state dropped —
+    /// the frozen-model path an inference server runs per batch.
+    fn infer(&self, eng: &mut Engine, x: &DenseMatrix) -> (DenseMatrix, Cost) {
+        let f = self.forward(eng, x);
+        (f.out, f.cost)
+    }
+
+    /// Inference of the logit rows `targets` only: each layer computes just
+    /// the row windows its receptive field needs (see [`crate::receptive`]).
+    /// Target rows are bitwise [`TrainableModel::infer`]'s; other rows are
+    /// zero unless the engine computes every window.
+    fn infer_targets(
+        &self,
+        eng: &mut Engine,
+        x: &DenseMatrix,
+        targets: &[usize],
+    ) -> (DenseMatrix, Cost) {
+        let demand = Demand::for_targets(eng, targets, self.depth());
+        let f = self.pass(eng, x, &demand);
+        (f.out, f.cost)
+    }
 
     /// Backward pass from the logits gradient.
     fn backward(
@@ -183,58 +219,6 @@ pub trait TrainableModel: Clone {
     /// logits.
     fn params_finite(&self) -> bool;
 }
-
-macro_rules! impl_trainable {
-    ($model:ty, $cache:ty, $grads:ty) => {
-        impl TrainableModel for $model {
-            type Cache = $cache;
-            type Grads = $grads;
-            fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<Self::Cache> {
-                <$model>::forward(self, eng, x)
-            }
-            fn backward(
-                &self,
-                eng: &mut Engine,
-                cache: &Self::Cache,
-                dlogits: &DenseMatrix,
-            ) -> (Self::Grads, Cost) {
-                <$model>::backward(self, eng, cache, dlogits)
-            }
-            fn apply_grads(
-                &mut self,
-                eng: &mut Engine,
-                adam: &mut Adam,
-                grads: &Self::Grads,
-            ) -> Cost {
-                <$model>::apply_grads(self, eng, adam, grads)
-            }
-            fn params_finite(&self) -> bool {
-                <$model>::params_finite(self)
-            }
-        }
-    };
-}
-
-impl_trainable!(
-    GcnModel,
-    crate::model::GcnModelCache,
-    crate::model::GcnModelGrads
-);
-impl_trainable!(
-    AgnnModel,
-    crate::model::AgnnModelCache,
-    crate::model::AgnnModelGrads
-);
-impl_trainable!(
-    SageModel,
-    crate::model::SageModelCache,
-    crate::model::SageModelGrads
-);
-impl_trainable!(
-    GinModel,
-    crate::model::GinModelCache,
-    crate::model::GinModelGrads
-);
 
 /// Outcome of one epoch attempt.
 struct EpochAttempt {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{GraphError, NodeId, Result};
+use crate::{NodeId, Result};
 
 /// A graph as an explicit edge list.
 ///
@@ -26,29 +26,6 @@ impl CooGraph {
             src: Vec::new(),
             dst: Vec::new(),
         }
-    }
-
-    /// Creates a COO graph from parallel endpoint arrays.
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if any endpoint is out of
-    /// range, and [`GraphError::MalformedNodePointer`] if the arrays have
-    /// different lengths.
-    pub fn from_edges(num_nodes: usize, src: Vec<NodeId>, dst: Vec<NodeId>) -> Result<Self> {
-        if src.len() != dst.len() {
-            return Err(GraphError::MalformedNodePointer {
-                reason: format!("src len {} != dst len {}", src.len(), dst.len()),
-            });
-        }
-        for &v in src.iter().chain(dst.iter()) {
-            if v as usize >= num_nodes {
-                return Err(GraphError::NodeOutOfRange { node: v, num_nodes });
-            }
-        }
-        Ok(CooGraph {
-            num_nodes,
-            src,
-            dst,
-        })
     }
 
     /// Number of nodes.
@@ -133,16 +110,17 @@ impl CooGraph {
 mod tests {
     use super::*;
 
-    #[test]
-    fn from_edges_validates_range() {
-        assert!(CooGraph::from_edges(3, vec![0, 1], vec![2, 3]).is_err());
-        assert!(CooGraph::from_edges(4, vec![0, 1], vec![2, 3]).is_ok());
-        assert!(CooGraph::from_edges(4, vec![0], vec![1, 2]).is_err());
+    fn coo(num_nodes: usize, edges: &[(NodeId, NodeId)]) -> CooGraph {
+        let mut g = CooGraph::new(num_nodes);
+        for &(s, d) in edges {
+            g.push_edge(s, d);
+        }
+        g
     }
 
     #[test]
     fn symmetrize_doubles_non_loops() {
-        let mut g = CooGraph::from_edges(3, vec![0, 1, 2], vec![1, 2, 2]).unwrap();
+        let mut g = coo(3, &[(0, 1), (1, 2), (2, 2)]);
         g.symmetrize();
         // Edge (2,2) is a self loop and is not mirrored.
         assert_eq!(g.num_edges(), 5);
@@ -150,7 +128,7 @@ mod tests {
 
     #[test]
     fn dedup_removes_duplicates_and_sorts() {
-        let mut g = CooGraph::from_edges(3, vec![1, 0, 1, 0], vec![2, 1, 2, 1]).unwrap();
+        let mut g = coo(3, &[(1, 2), (0, 1), (1, 2), (0, 1)]);
         g.dedup();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.src(), &[0, 1]);
@@ -159,7 +137,7 @@ mod tests {
 
     #[test]
     fn into_csr_roundtrip() {
-        let g = CooGraph::from_edges(4, vec![2, 0, 0, 3], vec![1, 3, 1, 0]).unwrap();
+        let g = coo(4, &[(2, 1), (0, 3), (0, 1), (3, 0)]);
         let csr = g.into_csr().unwrap();
         assert_eq!(csr.num_nodes(), 4);
         assert_eq!(csr.num_edges(), 4);

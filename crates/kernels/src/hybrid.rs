@@ -444,7 +444,7 @@ fn cuda_sddmm_stats(geom: &WindowGeometry, dim: usize) -> KernelStats {
 
 /// Predicted marginal device cycles for running one window on `backend` in
 /// a saturated mixed launch: the per-window stats are replicated across the
-/// device (see [`replicas`]), analyzed by the `tcg_gpusim` roofline, and
+/// device (see `replicas`), analyzed by the `tcg_gpusim` roofline, and
 /// the per-window share returned with launch overhead stripped (the mixed
 /// launch pays it once, not per window).
 pub fn predict_cycles(

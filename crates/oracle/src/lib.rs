@@ -28,7 +28,7 @@
 //! - [`refmodel`] — reference models of the simulator's own hot-path
 //!   primitives (LRU cache, contiguous coalescer, TF-32 rounding), which
 //!   the fast versions are property-tested against;
-//! - [`shrink`] — a greedy input minimizer that reduces a failing graph
+//! - [`shrink`](mod@shrink) — a greedy input minimizer that reduces a failing graph
 //!   while preserving the failure, so repro cases stay small;
 //! - [`conformance`] — the full backend × kernel × family matrix behind
 //!   `tcgnn verify` and the `fuzz_kernels` binary.

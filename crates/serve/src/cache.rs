@@ -45,8 +45,8 @@ pub struct CachedTranslation {
 impl CachedTranslation {
     /// Wraps a translation, recording its integrity checksum. The entry
     /// carries no window fingerprints, so it participates in exact-match
-    /// lookups only — use [`CachedTranslation::for_graph`] to make it a
-    /// delta predecessor candidate.
+    /// lookups only; entries the cache translates itself record their
+    /// graph's fingerprints and become delta predecessor candidates.
     pub fn new(translation: Arc<TranslatedGraph>, sgt_ms: f64) -> Self {
         let checksum = translation.checksum();
         CachedTranslation {
@@ -58,14 +58,9 @@ impl CachedTranslation {
         }
     }
 
-    /// Wraps a translation together with the per-window fingerprints of the
-    /// graph it was built from, enabling delta reuse after mutations.
-    pub fn for_graph(csr: &CsrGraph, translation: Arc<TranslatedGraph>, sgt_ms: f64) -> Self {
-        Self::with_window_fps(csr, translation, sgt_ms, csr.window_fingerprints(TC_BLK_H))
-    }
-
-    /// [`CachedTranslation::for_graph`] with `csr`'s window fingerprints
-    /// already computed.
+    /// Wraps a translation together with `window_fps`, the per-window
+    /// fingerprints of `csr`, the graph it was built from, enabling delta
+    /// reuse after mutations.
     fn with_window_fps(
         csr: &CsrGraph,
         translation: Arc<TranslatedGraph>,

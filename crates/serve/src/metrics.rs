@@ -3,12 +3,11 @@
 //! text exposition (`tcgnn serve --metrics <path>`) and as the `tcgnn top`
 //! ASCII dashboard.
 //!
-//! Everything derives from a [`ServeReport`] (or, for the rolling window,
-//! from the id-ordered response list), so the output is as deterministic
-//! as the serve run itself: no wall-clock values, no sampling jitter.
+//! Everything derives from a [`ServeReport`] and its id-ordered response
+//! list, so the output is as deterministic as the serve run itself: no
+//! wall-clock values, no sampling jitter.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 use tcg_profile::StreamingHistogram;
 
@@ -16,13 +15,9 @@ use crate::request::{Outcome, Response};
 use crate::server::ServeReport;
 
 /// A RED registry folded over responses in id order: cumulative counters
-/// and a cumulative latency histogram, plus a bounded rolling window for
-/// recent-quantile queries (p50/p95/p99 over the last `window` answers).
-#[derive(Debug, Clone)]
+/// and a cumulative latency histogram.
+#[derive(Debug, Clone, Default)]
 pub struct RedMetrics {
-    /// Rolling-window capacity (answered requests).
-    window: usize,
-    recent: VecDeque<f64>,
     /// Requests observed.
     pub requests: u64,
     /// Answered within deadline (or with none set).
@@ -38,20 +33,6 @@ pub struct RedMetrics {
 }
 
 impl RedMetrics {
-    /// An empty registry with a rolling window of `window` answers.
-    pub fn new(window: usize) -> Self {
-        RedMetrics {
-            window: window.max(1),
-            recent: VecDeque::new(),
-            requests: 0,
-            on_time: 0,
-            late: 0,
-            shed: 0,
-            cancelled: 0,
-            latency: StreamingHistogram::new(),
-        }
-    }
-
     /// Folds one response in.
     pub fn observe(&mut self, response: &Response) {
         self.requests += 1;
@@ -63,10 +44,6 @@ impl RedMetrics {
         }
         if let Some(ms) = response.outcome.latency_ms() {
             self.latency.record(ms);
-            if self.recent.len() == self.window {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(ms);
         }
     }
 
@@ -84,21 +61,9 @@ impl RedMetrics {
         ]
     }
 
-    /// Quantile over the rolling window (the last `window` answers), via
-    /// nearest-rank on a sorted copy. 0 when nothing was answered yet.
-    pub fn rolling_quantile(&self, q: f64) -> f64 {
-        if self.recent.is_empty() {
-            return 0.0;
-        }
-        let mut sorted: Vec<f64> = self.recent.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank - 1]
-    }
-
     /// Builds the registry from a finished report's id-ordered responses.
-    pub fn from_report(report: &ServeReport, window: usize) -> Self {
-        let mut red = RedMetrics::new(window);
+    pub fn from_report(report: &ServeReport) -> Self {
+        let mut red = RedMetrics::default();
         for r in &report.responses {
             red.observe(r);
         }
@@ -122,7 +87,7 @@ fn plain(value: f64) -> Vec<(String, f64)> {
 /// queue saturation, cache efficiency, fault accounting, and per-stream
 /// utilization.
 pub fn prometheus_text(report: &ServeReport) -> String {
-    let red = RedMetrics::from_report(report, report.responses.len().max(1));
+    let red = RedMetrics::from_report(report);
     let mut out = String::new();
     metric(
         &mut out,
@@ -446,7 +411,7 @@ pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, f64>, String> {
 
 /// Renders the `tcgnn top` ASCII dashboard: RED at a glance.
 pub fn render_top(report: &ServeReport) -> String {
-    let red = RedMetrics::from_report(report, report.responses.len().max(1));
+    let red = RedMetrics::from_report(report);
     let mut out = String::new();
     out.push_str(&format!(
         "tcgnn top — {} {} | {} stream(s)\n",
@@ -630,8 +595,8 @@ mod tests {
     }
 
     #[test]
-    fn red_metrics_fold_the_error_taxonomy_and_rolling_quantiles() {
-        let red = RedMetrics::from_report(&sample_report(), 2);
+    fn red_metrics_fold_the_error_taxonomy() {
+        let red = RedMetrics::from_report(&sample_report());
         assert_eq!(red.requests, 5);
         assert_eq!(red.answered(), 3);
         assert_eq!(
@@ -642,10 +607,7 @@ mod tests {
                 ("queue_full", 1)
             ]
         );
-        // Window of 2 holds [9.0, 4.0]: p50 = 4.0, p99 = 9.0.
-        assert_eq!(red.rolling_quantile(0.5), 4.0);
-        assert_eq!(red.rolling_quantile(0.99), 9.0);
-        // Cumulative histogram still sees all three answers.
+        // The cumulative histogram sees all three answers.
         assert_eq!(red.latency.count(), 3);
     }
 

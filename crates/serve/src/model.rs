@@ -1,6 +1,6 @@
 //! The frozen-model wrapper a session serves.
 
-use tcg_gnn::{AgnnModel, Cost, Engine, GcnModel, GinModel, SageModel};
+use tcg_gnn::{AgnnModel, Cost, Engine, GcnModel, GinModel, SageModel, TrainableModel};
 use tcg_tensor::DenseMatrix;
 
 /// A trained model frozen for inference — one variant per architecture the

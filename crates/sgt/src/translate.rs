@@ -747,7 +747,7 @@ pub(crate) fn post_validate(t: &TranslatedGraph, csr: &CsrGraph) -> Result<(), T
 }
 
 /// Entry point to the fluent SGT API: [`Sgt::builder`] mirrors
-/// [`Engine::builder`] from `tcg-gnn`.
+/// `Engine::builder` from `tcg-gnn`.
 ///
 /// ```ignore
 /// let t = Sgt::builder().window(16).block_width(8).threads(4).translate(&csr)?;

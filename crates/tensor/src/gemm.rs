@@ -121,7 +121,7 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
 /// numerics of the simulated tensor-core path without its tiling machinery.
 ///
 /// Every operand element is rounded once, before the [`gemm`] kernel
-/// multiplies it: `B` up front, `A` a block of [`TF32_ROWS`] rows at a
+/// multiplies it: `B` up front, `A` a block of `TF32_ROWS` rows at a
 /// time into a buffer that stays in cache. A full rounded copy of a large
 /// `A` costs more in fresh pages than the kernel does: on a 4096×4096
 /// dense adjacency times 4096×32 (2-vCPU AVX-512F Xeon) the call took

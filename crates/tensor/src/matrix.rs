@@ -200,44 +200,11 @@ impl DenseMatrix {
         Ok(())
     }
 
-    /// Element-wise `self -= other`.
-    pub fn sub_assign(&mut self, other: &DenseMatrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::DimMismatch {
-                op: "sub_assign",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// Scales every element by `s`.
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
             *v *= s;
         }
-    }
-
-    /// Element-wise product (`Hadamard`), returning a new matrix.
-    pub fn hadamard(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::DimMismatch {
-                op: "hadamard",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        DenseMatrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Maximum absolute element-wise difference against `other`.
@@ -332,12 +299,8 @@ mod tests {
         let b = DenseMatrix::filled(2, 2, 2.0);
         a.add_assign(&b).unwrap();
         assert_eq!(a.as_slice(), &[3.0; 4]);
-        a.sub_assign(&b).unwrap();
-        assert_eq!(a.as_slice(), &[1.0; 4]);
         a.scale(5.0);
-        assert_eq!(a.as_slice(), &[5.0; 4]);
-        let h = a.hadamard(&b).unwrap();
-        assert_eq!(h.as_slice(), &[10.0; 4]);
+        assert_eq!(a.as_slice(), &[15.0; 4]);
     }
 
     #[test]
@@ -345,8 +308,6 @@ mod tests {
         let mut a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(3, 2);
         assert!(a.add_assign(&b).is_err());
-        assert!(a.sub_assign(&b).is_err());
-        assert!(a.hadamard(&b).is_err());
         assert!(a.max_abs_diff(&b).is_err());
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: build, tier-1 tests, full workspace tests, formatting, lints.
+# CI gate: build, tier-1 tests, full workspace tests, docs, formatting, lints.
 #
 # Usage: scripts/ci.sh [--quick]
 #   --quick   skip the full-workspace test pass (tier-1 only)
@@ -297,6 +297,10 @@ TCG_THREADS=4 cargo test --release -q --test sharded_equivalence
 # Scaling-curve sentinel over the committed BENCH_dist baselines (the full
 # 1M-node workload is `cargo run --release -p tcg-bench --bin bench_dist`).
 cargo run --release -q -p tcg-bench --bin bench_dist -- --check
+
+step "cargo doc: every doc link resolves, none points at a private item"
+# Catches links a refactor leaves dangling. Covers the vendored shims too.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "cargo fmt --check"
 cargo fmt --check

@@ -118,7 +118,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         len: std::ops::Range<usize>,

@@ -31,8 +31,8 @@ use std::process::ExitCode;
 
 use tc_gnn::fault::FaultPlan;
 use tc_gnn::gnn::{
-    train_agnn, train_gcn, train_gin, train_model_returning, train_sage, AgnnModel, Backend,
-    Engine, GcnModel, GinModel, SageModel, TrainConfig,
+    train_gcn, train_model_returning, AgnnModel, Backend, Engine, GcnModel, GinModel, SageModel,
+    TrainConfig, TrainResult, TrainableModel,
 };
 use tc_gnn::gpusim::{DeviceSpec, Launcher};
 use tc_gnn::graph::datasets::{spec_by_name, Dataset, TABLE4};
@@ -42,6 +42,7 @@ use tc_gnn::kernels::spmm::{
     CondensedEllSpmm, CusparseCsrSpmm, GeSpmm, ScatterGatherSpmm, TcgnnSpmm, TritonBlockSparseSpmm,
     TsparseLikeSpmm,
 };
+use tc_gnn::serve::ServableModel;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -247,18 +248,8 @@ fn cmd_train(args: &[String]) -> ExitCode {
     let epochs: u32 = flag_value(args, "--epochs")
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let cfg = if model == "agnn" {
-        TrainConfig::agnn_paper()
-    } else {
-        TrainConfig::gcn_paper()
-    }
-    .with_epochs(epochs);
 
-    let mut eng = Engine::builder(ds.graph.clone())
-        .backend(backend)
-        .device(DeviceSpec::rtx3090())
-        .build()
-        .expect("graph is symmetric");
+    let mut eng = paper_engine(&ds.graph, backend);
     // Chaos mode: TCG_FAULT_RATE (and optionally TCG_FAULT_SEED) attach a
     // deterministic fault-injection schedule to the run.
     let chaos = FaultPlan::from_env();
@@ -270,13 +261,10 @@ fn cmd_train(args: &[String]) -> ExitCode {
         );
         eng.attach_fault_plan(plan);
     }
-    let result = match model.as_str() {
-        "gcn" => train_gcn(&mut eng, &ds, cfg),
-        "sage" => train_sage(&mut eng, &ds, cfg),
-        "gin" => train_gin(&mut eng, &ds, cfg),
-        "agnn" => train_agnn(&mut eng, &ds, cfg),
-        other => {
-            eprintln!("unknown model: {other}");
+    let result = match train_named(&model, &mut eng, &ds, epochs) {
+        Ok((_, r)) => r,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -320,6 +308,15 @@ fn cmd_train(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// An engine for `graph` on `backend` and the paper's RTX 3090.
+fn paper_engine(graph: &CsrGraph, backend: Backend) -> Engine {
+    Engine::builder(graph.clone())
+        .backend(backend)
+        .device(DeviceSpec::rtx3090())
+        .build()
+        .expect("graph is symmetric")
+}
+
 /// Parses `--backend` (defaulting to the paper's TC-GNN backend).
 fn parse_backend(args: &[String]) -> Result<Backend, ExitCode> {
     match flag_value(args, "--backend").as_deref() {
@@ -349,50 +346,52 @@ fn load_dataset_arg(arg: &str) -> Result<Dataset, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Trains the requested architecture on `ds` and freezes it for serving.
-fn train_frozen(
+/// Trains the architecture named `model` on `ds` at its paper config with
+/// `epochs` epochs; returns it frozen for serving, with the run's result.
+fn train_named(
     model: &str,
-    backend: Backend,
+    eng: &mut Engine,
     ds: &Dataset,
     epochs: u32,
-) -> Result<tc_gnn::serve::ServableModel, String> {
+) -> Result<(ServableModel, TrainResult), String> {
     let cfg = if model == "agnn" {
         TrainConfig::agnn_paper()
     } else {
         TrainConfig::gcn_paper()
     }
     .with_epochs(epochs);
-    let mut eng = Engine::builder(ds.graph.clone())
-        .backend(backend)
-        .device(DeviceSpec::rtx3090())
-        .build()
-        .expect("graph is symmetric");
-    let frozen = match model {
+    let (f, h, c, seed) = (ds.spec.feat_dim, cfg.hidden, ds.spec.num_classes, cfg.seed);
+    Ok(match model {
         "gcn" => {
-            let m = GcnModel::new(ds.spec.feat_dim, cfg.hidden, ds.spec.num_classes, cfg.seed);
-            tc_gnn::serve::ServableModel::Gcn(train_model_returning(&mut eng, ds, cfg, m).0)
+            let m = GcnModel::new(f, h, c, seed);
+            train_into(eng, ds, cfg, m, ServableModel::Gcn)
         }
         "sage" => {
-            let m = SageModel::new(ds.spec.feat_dim, cfg.hidden, ds.spec.num_classes, cfg.seed);
-            tc_gnn::serve::ServableModel::Sage(train_model_returning(&mut eng, ds, cfg, m).0)
+            let m = SageModel::new(f, h, c, seed);
+            train_into(eng, ds, cfg, m, ServableModel::Sage)
         }
         "gin" => {
-            let m = GinModel::new(ds.spec.feat_dim, cfg.hidden, ds.spec.num_classes, cfg.seed);
-            tc_gnn::serve::ServableModel::Gin(train_model_returning(&mut eng, ds, cfg, m).0)
+            let m = GinModel::new(f, h, c, seed);
+            train_into(eng, ds, cfg, m, ServableModel::Gin)
         }
         "agnn" => {
-            let m = AgnnModel::new(
-                ds.spec.feat_dim,
-                cfg.hidden,
-                ds.spec.num_classes,
-                cfg.layers,
-                cfg.seed,
-            );
-            tc_gnn::serve::ServableModel::Agnn(train_model_returning(&mut eng, ds, cfg, m).0)
+            let m = AgnnModel::new(f, h, c, cfg.layers, seed);
+            train_into(eng, ds, cfg, m, ServableModel::Agnn)
         }
         other => return Err(format!("unknown model: {other}")),
-    };
-    Ok(frozen)
+    })
+}
+
+/// Trains `model` and wraps the trained parameters with `freeze`.
+fn train_into<M: TrainableModel>(
+    eng: &mut Engine,
+    ds: &Dataset,
+    cfg: TrainConfig,
+    model: M,
+    freeze: fn(M) -> ServableModel,
+) -> (ServableModel, TrainResult) {
+    let (model, result) = train_model_returning(eng, ds, cfg, model);
+    (freeze(model), result)
 }
 
 fn cmd_eval(args: &[String]) -> ExitCode {
@@ -414,8 +413,8 @@ fn cmd_eval(args: &[String]) -> ExitCode {
     let epochs: u32 = flag_value(args, "--epochs")
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let frozen = match train_frozen(&model, backend, &ds, epochs) {
-        Ok(f) => f,
+    let frozen = match train_named(&model, &mut paper_engine(&ds.graph, backend), &ds, epochs) {
+        Ok((f, _)) => f,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -423,11 +422,7 @@ fn cmd_eval(args: &[String]) -> ExitCode {
     };
     // Fresh engine so the inference cost reflects a cold serving instance,
     // not the warmed caches left behind by training.
-    let mut eng = Engine::builder(ds.graph.clone())
-        .backend(backend)
-        .device(DeviceSpec::rtx3090())
-        .build()
-        .expect("graph is symmetric");
+    let mut eng = paper_engine(&ds.graph, backend);
     // Chaos mode rides the same TCG_FAULT_RATE/TCG_FAULT_SEED switch as
     // serve and train: injected faults degrade the forward to the
     // CUDA-core path instead of failing it.
@@ -554,8 +549,9 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
         "training frozen {model} model on {}...",
         datasets[0].spec.name
     );
-    let frozen = match train_frozen(&model, backend, &datasets[0], epochs) {
-        Ok(f) => f,
+    let ds = &datasets[0];
+    let frozen = match train_named(&model, &mut paper_engine(&ds.graph, backend), ds, epochs) {
+        Ok((f, _)) => f,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -703,11 +699,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             }
         }
         let ds = tc_gnn::bench::load_dataset(spec);
-        let mut eng = Engine::builder(ds.graph.clone())
-            .backend(Backend::TcGnn)
-            .device(DeviceSpec::rtx3090())
-            .build()
-            .expect("graph is symmetric");
+        let mut eng = paper_engine(&ds.graph, Backend::TcGnn);
         let _ = train_gcn(&mut eng, &ds, TrainConfig::gcn_paper().with_epochs(epochs));
         eprintln!("  [profile] {} done", spec.name);
         ran += 1;

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use tc_gnn::fault::FaultReport;
-use tc_gnn::gnn::{AgnnModel, Backend, Cost, Engine, GcnModel};
+use tc_gnn::gnn::{AgnnModel, Backend, Cost, Engine, GcnModel, TrainableModel};
 use tc_gnn::gpusim::KernelStats;
 use tc_gnn::graph::CsrGraph;
 use tc_gnn::oracle::{random_edit_script, Family};

@@ -8,7 +8,7 @@
 //! whose mixed launches fan out over the same disjoint row-window slices —
 //! and the ten adversarial graph families.
 
-use tc_gnn::gnn::{Backend, Engine, GcnModel};
+use tc_gnn::gnn::{Backend, Engine, GcnModel, TrainableModel};
 use tc_gnn::gpusim::KernelReport;
 use tc_gnn::oracle::advgen::Family;
 use tc_gnn::tensor::{init, DenseMatrix};
