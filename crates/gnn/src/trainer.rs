@@ -448,7 +448,7 @@ mod tests {
             seed: 3,
         };
         let mut losses = Vec::new();
-        for b in Backend::all() {
+        for b in Backend::all().into_iter().chain([Backend::Hybrid]) {
             let mut eng = Engine::builder(ds.graph.clone())
                 .backend(b)
                 .device(DeviceSpec::rtx3090())

@@ -4,13 +4,23 @@ use serde::{Deserialize, Serialize};
 
 use crate::{GraphError, NodeId, Result};
 
-/// Typed content hash of a [`CsrGraph`] — the value returned by
-/// [`CsrGraph::fingerprint`].
+/// Typed content hash of a [`CsrGraph`].
 ///
-/// Wrapping the raw FNV-1a word in a newtype keeps translation-cache keys,
+/// A graph has two versions, both in this newtype, derived differently
+/// and never compared with each other:
+///
+/// - [`CsrGraph::fingerprint`], a byte-wise FNV-1a over the whole CSR, is
+///   the *stamp* reports and traces print;
+/// - [`GraphVersion::from_windows`], a word-wise hash over the node count
+///   and the per-window fingerprints, is the *key* the serve-side
+///   translation cache and engines use. It is cheap to keep current
+///   under mutation: an edit rehashes only the windows it touched, then
+///   recomposes the key in `O(windows)`.
+///
+/// Wrapping the raw word in a newtype keeps translation-cache keys,
 /// serve-report stamps, and trace metadata from being confused with other
-/// `u64`s (edge counts, seeds, checksums). Two graphs share a version iff
-/// their CSR arrays are identical.
+/// `u64`s (edge counts, seeds, checksums). Two graphs share a version of
+/// either kind iff their CSR arrays are identical (up to hash collisions).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -27,6 +37,26 @@ impl GraphVersion {
     /// The raw 64-bit hash, for serialization into reports and traces.
     pub fn as_u64(self) -> u64 {
         self.raw
+    }
+
+    /// The version key of a graph with `num_nodes` nodes whose windows
+    /// have the fingerprints `window_fps`
+    /// ([`CsrGraph::window_fingerprints`], in window order).
+    ///
+    /// One FNV-1a step per 64-bit word: each step is a bijection of the
+    /// running hash for a fixed word and injective in the word for a fixed
+    /// hash, so two inputs of the same length that differ in one window
+    /// never share a key. The node count and the window fingerprints
+    /// determine the CSR, so equal keys mean equal graphs up to hash
+    /// collisions.
+    pub fn from_windows(num_nodes: usize, window_fps: &[u64]) -> Self {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let step = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
+        let head = step(step(FNV_OFFSET, num_nodes as u64), window_fps.len() as u64);
+        GraphVersion {
+            raw: window_fps.iter().fold(head, |h, &fp| step(h, fp)),
+        }
     }
 }
 
@@ -316,11 +346,12 @@ impl CsrGraph {
     /// Stable content hash over the graph's structure: node count, row
     /// pointers, and column indices, folded through FNV-1a (64-bit).
     ///
-    /// Two graphs share a fingerprint iff their CSR arrays are identical, so
-    /// the value is a sound cache key for structure-derived artifacts such as
-    /// SGT translations. The hash is a pure function of the arrays — no
-    /// pointer identity, no randomized hasher state — so it is stable across
-    /// processes and runs.
+    /// Two graphs share a fingerprint iff their CSR arrays are identical.
+    /// The hash is a pure function of the arrays — no pointer identity, no
+    /// randomized hasher state — so it is stable across processes and runs,
+    /// which makes it the provenance stamp reports and traces print. It
+    /// reads every byte of the graph; a key that must follow a graph
+    /// through many edits is [`GraphVersion::from_windows`] instead.
     pub fn fingerprint(&self) -> GraphVersion {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -448,6 +479,103 @@ impl CsrGraph {
             }
             Err(_) => Ok(false),
         }
+    }
+
+    /// This graph with the directed edges `deletes` removed and `inserts`
+    /// added, built in one merge pass over the rows: each run of untouched
+    /// rows is copied as one slice with its row pointers shifted by one
+    /// constant, and each edited row is merged with its sorted edits.
+    /// `O(V + E + k log k)` for `k` edits, against `O(E)` per edit for
+    /// [`Self::insert_edge`] and [`Self::remove_edge`], whose result it
+    /// equals.
+    ///
+    /// Errors, leaving `self` untouched, if an endpoint is out of range, an
+    /// edge appears twice in one list, a deleted edge is absent or an
+    /// inserted one present (an edge in both lists is one of the latter).
+    pub fn edited(
+        &self,
+        deletes: &[(NodeId, NodeId)],
+        inserts: &[(NodeId, NodeId)],
+    ) -> Result<CsrGraph> {
+        let n = self.num_nodes;
+        let sorted = |ops: &[(NodeId, NodeId)]| -> Result<Vec<(NodeId, NodeId)>> {
+            let mut ops = ops.to_vec();
+            ops.sort_unstable();
+            if let Some(p) = ops.windows(2).find(|p| p[0] == p[1]) {
+                let (src, dst) = p[0];
+                return Err(GraphError::DuplicateEdge { src, dst });
+            }
+            match ops
+                .iter()
+                .flat_map(|&(s, d)| [s, d])
+                .find(|&v| v as usize >= n)
+            {
+                Some(node) => Err(GraphError::NodeOutOfRange { node, num_nodes: n }),
+                None => Ok(ops),
+            }
+        };
+        let (deletes, inserts) = (sorted(deletes)?, sorted(inserts)?);
+        let mut node_pointer = Vec::with_capacity(n + 1);
+        let mut edge_list = Vec::with_capacity(
+            (self.edge_list.len() + inserts.len()).saturating_sub(deletes.len()),
+        );
+        node_pointer.push(0usize);
+        let (mut dels, mut ins) = (&deletes[..], &inserts[..]);
+        let mut row = 0usize;
+        while row < n {
+            let next = [dels.first(), ins.first()]
+                .into_iter()
+                .flatten()
+                .map(|&(s, _)| s as usize)
+                .min()
+                .unwrap_or(n);
+            let (lo, base) = (self.node_pointer[row], edge_list.len());
+            edge_list.extend_from_slice(&self.edge_list[lo..self.node_pointer[next]]);
+            node_pointer.extend(
+                self.node_pointer[row + 1..=next]
+                    .iter()
+                    .map(|&p| p - lo + base),
+            );
+            if next == n {
+                break;
+            }
+            let split =
+                |ops: &[(NodeId, NodeId)]| ops.partition_point(|&(s, _)| s as usize == next);
+            let (row_dels, rest) = dels.split_at(split(dels));
+            dels = rest;
+            let (row_ins, rest) = ins.split_at(split(ins));
+            ins = rest;
+            let src = next as NodeId;
+            let (mut d, mut i) = (row_dels.iter().map(|e| e.1).peekable(), row_ins.iter());
+            let mut pending = i.next().map(|e| e.1);
+            for &u in self.neighbors(next) {
+                while let Some(v) = pending.filter(|&v| v <= u) {
+                    if v == u {
+                        return Err(GraphError::DuplicateEdge { src, dst: u });
+                    }
+                    edge_list.push(v);
+                    pending = i.next().map(|e| e.1);
+                }
+                match d.peek() {
+                    Some(&v) if v == u => {
+                        d.next();
+                    }
+                    Some(&v) if v < u => return Err(GraphError::MissingEdge { src, dst: v }),
+                    _ => edge_list.push(u),
+                }
+            }
+            if let Some(dst) = d.next() {
+                return Err(GraphError::MissingEdge { src, dst });
+            }
+            edge_list.extend(pending.into_iter().chain(i.map(|e| e.1)));
+            node_pointer.push(edge_list.len());
+            row = next + 1;
+        }
+        Ok(CsrGraph {
+            num_nodes: n,
+            node_pointer,
+            edge_list,
+        })
     }
 
     /// The subgraph induced by the nodes with `keep[v] == true`: kept nodes
@@ -735,5 +863,57 @@ mod tests {
         // Empty graph has no windows.
         let empty = CsrGraph::from_raw(0, vec![0], vec![]).unwrap();
         assert!(empty.window_fingerprints(16).is_empty());
+    }
+
+    #[test]
+    fn window_composed_version_follows_the_windows_and_the_node_count() {
+        let key =
+            |g: &CsrGraph| GraphVersion::from_windows(g.num_nodes(), &g.window_fingerprints(2));
+        let g = small();
+        assert_eq!(key(&g), key(&g.clone()));
+        let mut h = g.clone();
+        h.insert_edge(3, 1).unwrap();
+        assert_ne!(key(&g), key(&h));
+        // The same window hashes under another node count are another key.
+        let fps = g.window_fingerprints(2);
+        assert_ne!(
+            GraphVersion::from_windows(4, &fps),
+            GraphVersion::from_windows(5, &fps)
+        );
+        // Edge-free graphs of different sizes differ.
+        let e3 = CsrGraph::from_raw(3, vec![0; 4], vec![]).unwrap();
+        let e4 = CsrGraph::from_raw(4, vec![0; 5], vec![]).unwrap();
+        assert_ne!(key(&e3), key(&e4));
+    }
+
+    #[test]
+    fn edited_equals_single_edge_edits_and_rejects_bad_edits() {
+        let g = small();
+        let mut want = g.clone();
+        want.remove_edge(0, 2).unwrap();
+        want.remove_edge(3, 0).unwrap();
+        want.insert_edge(2, 3).unwrap();
+        want.insert_edge(0, 3).unwrap();
+        want.insert_edge(0, 0).unwrap();
+        // Lists in any order; the rows between edits are copied.
+        let got = g.edited(&[(3, 0), (0, 2)], &[(2, 3), (0, 3), (0, 0)]);
+        assert_eq!(got, Ok(want));
+        assert_eq!(g.edited(&[], &[]), Ok(g.clone()));
+
+        let missing = GraphError::MissingEdge { src: 1, dst: 0 };
+        assert_eq!(g.edited(&[(1, 0)], &[]), Err(missing));
+        // Missing past the row's last neighbour, too.
+        let missing = GraphError::MissingEdge { src: 2, dst: 3 };
+        assert_eq!(g.edited(&[(2, 3)], &[]), Err(missing));
+        let present = GraphError::DuplicateEdge { src: 0, dst: 1 };
+        assert_eq!(g.edited(&[], &[(0, 1)]), Err(present));
+        let twice = GraphError::DuplicateEdge { src: 1, dst: 3 };
+        assert_eq!(g.edited(&[], &[(1, 3), (1, 3)]), Err(twice));
+        let range = GraphError::NodeOutOfRange {
+            node: 9,
+            num_nodes: 4,
+        };
+        assert_eq!(g.edited(&[], &[(1, 9)]), Err(range.clone()));
+        assert_eq!(g.edited(&[(9, 1)], &[]), Err(range));
     }
 }

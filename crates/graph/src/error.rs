@@ -30,6 +30,13 @@ pub enum GraphError {
         /// Destination node.
         dst: u32,
     },
+    /// An edit removed an edge the graph does not have.
+    MissingEdge {
+        /// Source node.
+        src: u32,
+        /// Destination node.
+        dst: u32,
+    },
     /// Dataset materialization was asked for an unknown dataset name.
     UnknownDataset {
         /// The name that failed to resolve.
@@ -56,6 +63,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::DuplicateEdge { src, dst } => {
                 write!(f, "duplicate edge ({src}, {dst})")
+            }
+            GraphError::MissingEdge { src, dst } => {
+                write!(f, "missing edge ({src}, {dst})")
             }
             GraphError::UnknownDataset { name } => {
                 write!(f, "unknown dataset: {name}")

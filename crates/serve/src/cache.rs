@@ -4,10 +4,12 @@
 //! graph and its cost is spread over every later kernel invocation — is the
 //! economics this cache implements for a serving session: the first batch
 //! against a graph pays the translation, every later batch skips it. The key
-//! is [`CsrGraph::fingerprint`](tcg_graph::CsrGraph::fingerprint), a stable
-//! content hash wrapped in the typed [`GraphVersion`] newtype, so
-//! structurally identical graphs share one entry and a mutated graph can
-//! never alias a stale translation.
+//! is [`version_key`]: the typed [`GraphVersion`] composed from the graph's
+//! node count and its per-window CSR fingerprints at `TC_BLK_H` rows
+//! ([`GraphVersion::from_windows`]). Structurally identical graphs share
+//! one entry and a mutated graph can never alias a stale translation, and a
+//! server that keeps the window fingerprints of each graph current
+//! recomposes the key of a mutated graph without reading the CSR again.
 //!
 //! Mutation does not throw the whole entry away. Each resident translation
 //! carries the per-window CSR fingerprints it was built from; when a lookup
@@ -366,30 +368,44 @@ impl TranslationCache {
     /// its "cached-translation" backend.
     pub fn get_or_translate(&mut self, csr: &CsrGraph) -> Resolution {
         let window_fps = csr.window_fingerprints(TC_BLK_H);
-        self.get_or_translate_version(csr, csr.fingerprint(), &window_fps)
+        let key = GraphVersion::from_windows(csr.num_nodes(), &window_fps);
+        self.get_or_translate_version(csr, key, &window_fps)
     }
 
     /// [`TranslationCache::get_or_translate`] for a caller that already
-    /// knows `csr`'s version (`csr.fingerprint()`) and its window
-    /// fingerprints (`csr.window_fingerprints(TC_BLK_H)`): a server hashes
-    /// each graph version once, when it is created, and rehashes only the
-    /// windows a mutation touched.
+    /// knows `csr`'s window fingerprints
+    /// (`csr.window_fingerprints(TC_BLK_H)`) and its key, composed from
+    /// them ([`version_key`]): a server hashes each graph's windows once,
+    /// then rehashes only the windows a mutation touched.
+    ///
+    /// Under `TCG_VERIFY=1` a hit also checks that the entry was built from
+    /// a graph with the same window fingerprints, where it recorded them.
     pub(crate) fn get_or_translate_version(
         &mut self,
         csr: &CsrGraph,
         fp: GraphVersion,
         window_fps: &[u64],
     ) -> Resolution {
-        debug_assert_eq!(fp, csr.fingerprint(), "version of another graph");
         debug_assert_eq!(
             window_fps,
             csr.window_fingerprints(TC_BLK_H),
             "window fingerprints of another graph"
         );
+        debug_assert_eq!(
+            fp,
+            GraphVersion::from_windows(csr.num_nodes(), window_fps),
+            "key of another graph"
+        );
         let mut recovered_poison = false;
         if let Some(pos) = self.entries.iter().position(|(f, _)| *f == fp) {
             self.hit_seq += 1;
             let cached = &self.entries[pos].1;
+            if tcg_fault::verify_requested() && !cached.window_fps.is_empty() {
+                assert_eq!(
+                    cached.window_fps, window_fps,
+                    "cache hit on {fp} built from another graph"
+                );
+            }
             let clean = cached.translation.checksum() == cached.checksum
                 && (self.spot_check_every == 0
                     || !self.hit_seq.is_multiple_of(self.spot_check_every)
@@ -489,6 +505,15 @@ impl TranslationCache {
     }
 }
 
+/// The key [`TranslationCache`] files `csr`'s translation under:
+/// [`GraphVersion::from_windows`] over `csr`'s node count and its window
+/// fingerprints at `TC_BLK_H` rows. `O(E)`, like
+/// [`CsrGraph::fingerprint`], but a caller that keeps the window
+/// fingerprints current recomposes it in `O(windows)`.
+pub fn version_key(csr: &CsrGraph) -> GraphVersion {
+    GraphVersion::from_windows(csr.num_nodes(), &csr.window_fingerprints(TC_BLK_H))
+}
+
 /// Edges whose source row lies in window `w` (at `TC_BLK_H` rows).
 fn window_edge_count(csr: &CsrGraph, w: usize) -> usize {
     let lo = w * TC_BLK_H;
@@ -532,7 +557,7 @@ mod tests {
     #[test]
     fn poisoned_hit_is_quarantined_and_retranslated() {
         let g = tcg_graph::CsrGraph::from_raw(2, vec![0, 1, 2], vec![1, 0]).unwrap();
-        let fp = g.fingerprint();
+        let fp = version_key(&g);
         let mut c = TranslationCache::new(2);
         assert!(!c.get_or_translate(&g).hit());
         assert!(c.corrupt_resident(fp, |t| t.edge_to_col[0] ^= 1));
@@ -560,7 +585,7 @@ mod tests {
         // `CachedTranslation::new`) is only caught by the sampled full
         // validate pass.
         let g = tcg_graph::CsrGraph::from_raw(2, vec![0, 1, 2], vec![1, 0]).unwrap();
-        let fp = g.fingerprint();
+        let fp = version_key(&g);
         let mut c = TranslationCache::new(2);
         c.set_spot_check_every(1);
         assert!(!c.get_or_translate(&g).hit());
@@ -645,7 +670,7 @@ mod tests {
     #[test]
     fn corrupt_predecessor_is_never_spliced() {
         let g = gen::rmat_default(256, 2_000, 4).unwrap();
-        let fp = g.fingerprint();
+        let fp = version_key(&g);
         let mut c = TranslationCache::new(4);
         c.get_or_translate(&g);
         assert!(c.corrupt_resident(fp, |t| t.edge_to_col[0] ^= 1));

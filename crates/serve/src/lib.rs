@@ -6,7 +6,7 @@
 //! existing layers:
 //!
 //! - [`Session`]: a frozen trained model ([`ServableModel`]) over a set of
-//!   graphs, with a fingerprint-keyed LRU [`cache`] of SGT translations —
+//!   graphs, with a version-keyed LRU [`cache`] of SGT translations —
 //!   a cache hit skips Algorithm 1 entirely and records the saved
 //!   milliseconds.
 //! - [`batcher`]: a dynamic micro-batcher coalescing queued
@@ -44,7 +44,9 @@ pub mod resilience;
 pub mod server;
 
 pub use batcher::{BatchPolicy, Batcher, ClosedBatch};
-pub use cache::{CacheStats, CachedTranslation, Resolution, ResolutionKind, TranslationCache};
+pub use cache::{
+    version_key, CacheStats, CachedTranslation, Resolution, ResolutionKind, TranslationCache,
+};
 pub use loadgen::{churn_schedule, poisson_trace, ChurnConfig, LoadgenConfig};
 pub use metrics::{parse_prometheus, prometheus_text, render_top, RedMetrics};
 pub use model::ServableModel;

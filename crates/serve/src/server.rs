@@ -110,8 +110,11 @@ impl Session {
     /// rejects the whole delta and leaves the graph untouched — a rejected
     /// mutation is observable, never half-applied. On success the served
     /// CSR is replaced; the next batch dispatched against this graph
-    /// resolves its translation under the new [`GraphVersion`], which the
-    /// cache typically satisfies by retranslating only the touched windows.
+    /// resolves its translation under the new version key
+    /// ([`cache::version_key`](crate::cache::version_key)), which the cache
+    /// typically satisfies by retranslating only the touched windows. No
+    /// whole-graph hash runs here: a serve run rehashes only the windows in
+    /// [`MutationOutcome::touched_windows`] and recomposes the key from them.
     pub fn mutate(&mut self, graph: usize, delta: &EdgeDelta) -> Result<MutationOutcome, TcgError> {
         let count = self.graphs.len();
         let g = self
@@ -126,7 +129,6 @@ impl Session {
             touched_windows: delta.touched_windows(TC_BLK_H),
             inserted: delta.inserts().len(),
             deleted: delta.deletes().len(),
-            version: g.csr.fingerprint(),
         })
     }
 }
@@ -140,8 +142,6 @@ pub struct MutationOutcome {
     pub inserted: usize,
     /// Edges deleted.
     pub deleted: usize,
-    /// The graph's version after the edit.
-    pub version: GraphVersion,
 }
 
 /// A scheduled edge edit interleaved with a request trace.
@@ -265,8 +265,8 @@ struct DispatchedBatch {
     /// session's CSR moves on, but this batch executes against the
     /// adjacency it was admitted for.
     csr: Arc<CsrGraph>,
-    /// Version of that snapshot: a stream's engine for the graph advances
-    /// to it when it differs from the version the engine is at.
+    /// Version key of that snapshot: a stream's engine for the graph
+    /// advances to it when it differs from the key the engine is at.
     version: GraphVersion,
 }
 
@@ -372,8 +372,8 @@ pub struct ServeReport {
     pub resilience: Option<ResilienceSummary>,
     /// Mutation accounting (all zeros when the run had no mutations).
     pub mutations: MutationSummary,
-    /// Final [`GraphVersion`] of every served graph, by name, after all
-    /// mutations applied — the provenance stamp for this report.
+    /// Final [`CsrGraph::fingerprint`] of every served graph, by name, after
+    /// all mutations applied — the provenance stamp for this report.
     pub graph_versions: Vec<(String, u64)>,
     /// Per-request records, id-ordered.
     pub responses: Vec<Response>,
@@ -437,12 +437,13 @@ pub fn serve_with_mutations(
     let mut workers = execute(&run, std::mem::take(&mut d.dispatched), d.streams);
 
     // ---- Merge (deterministic: stream order, then id order). ----
+    // The printed stamp is the whole-graph fingerprint, hashed once per
+    // graph here; the run itself keys versions by their window hashes.
     let graph_versions: Vec<(String, u64)> = d
         .session
         .graphs
         .iter()
-        .zip(&d.snapshots)
-        .map(|(g, snap)| (g.name.clone(), snap.version.as_u64()))
+        .map(|g| (g.name.clone(), g.csr.fingerprint().as_u64()))
         .collect();
     if let Some(p) = profiler {
         record_trace(p, &d, &graph_versions, &mut workers);
@@ -772,7 +773,7 @@ impl<'s> Dispatcher<'s> {
                 m.edges_inserted += out.inserted;
                 m.edges_deleted += out.deleted;
                 let csr = &self.session.graphs[gm.graph].csr;
-                self.snapshots[gm.graph].advance(csr, out.version, &out.touched_windows);
+                self.snapshots[gm.graph].advance(csr, &out.touched_windows);
             }
             Err(_) => m.rejected += 1,
         }
@@ -780,10 +781,12 @@ impl<'s> Dispatcher<'s> {
 }
 
 /// One graph's current version as the dispatcher hands it to batches: the
-/// adjacency, its [`GraphVersion`] and its window fingerprints (at
-/// `TC_BLK_H` rows, the translation cache's delta signature). Each is
-/// computed once per version: at start, or by the mutation that made the
-/// version, which rehashes only the windows it touched.
+/// adjacency, its window fingerprints (at `TC_BLK_H` rows, the translation
+/// cache's delta signature) and the version key composed from them
+/// ([`GraphVersion::from_windows`]). The fingerprints are hashed once per
+/// version: at start, or by the mutation that made the version, which
+/// rehashes only the windows it touched; the key is then recomposed in
+/// `O(windows)`.
 struct Snapshot {
     csr: Arc<CsrGraph>,
     version: GraphVersion,
@@ -792,21 +795,30 @@ struct Snapshot {
 
 impl Snapshot {
     fn of(csr: &CsrGraph) -> Snapshot {
+        let window_fps = csr.window_fingerprints(TC_BLK_H);
         Snapshot {
             csr: Arc::new(csr.clone()),
-            version: csr.fingerprint(),
-            window_fps: csr.window_fingerprints(TC_BLK_H),
+            version: GraphVersion::from_windows(csr.num_nodes(), &window_fps),
+            window_fps,
         }
     }
 
-    /// Moves to `csr`, the graph at `version`, which differs from the
-    /// current one only in the `touched` windows.
-    fn advance(&mut self, csr: &CsrGraph, version: GraphVersion, touched: &[usize]) {
+    /// Moves to `csr`, which differs from the current graph only in the
+    /// `touched` windows. Under `TCG_VERIFY=1` the maintained key is
+    /// checked against one composed from scratch.
+    fn advance(&mut self, csr: &CsrGraph, touched: &[usize]) {
         for &w in touched {
             self.window_fps[w] = csr.window_fingerprint(TC_BLK_H, w);
         }
+        self.version = GraphVersion::from_windows(csr.num_nodes(), &self.window_fps);
+        if tcg_fault::verify_requested() {
+            assert_eq!(
+                self.version,
+                crate::cache::version_key(csr),
+                "maintained version key"
+            );
+        }
         self.csr = Arc::new(csr.clone());
-        self.version = version;
     }
 }
 

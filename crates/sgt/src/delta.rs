@@ -114,56 +114,18 @@ impl EdgeDelta {
         self.deletes.dedup();
     }
 
-    /// Applies the delta to `csr`, returning the mutated graph.
+    /// Applies the delta to `csr`, returning the mutated graph, built in one
+    /// merge pass over the rows ([`CsrGraph::edited`]).
     ///
     /// Errors with [`TcgError::InvalidInput`] if an endpoint is out of
     /// range, an inserted edge already exists, a deleted edge is missing, or
-    /// an edge appears in both sets.
+    /// an op repeats; an edge in both sets is one of the middle two.
     pub fn apply_to(&self, csr: &CsrGraph) -> Result<CsrGraph, TcgError> {
-        for &(s, d) in &self.inserts {
-            if self.deletes.contains(&(s, d)) {
-                return Err(TcgError::InvalidInput {
-                    what: "edge delta",
-                    detail: format!("edge ({s}, {d}) appears in both inserts and deletes"),
-                });
-            }
-        }
-        let mut out = csr.clone();
-        for &(s, d) in &self.deletes {
-            match out.remove_edge(s, d) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(TcgError::InvalidInput {
-                        what: "edge delta",
-                        detail: format!("delete of missing edge ({s}, {d})"),
-                    })
-                }
-                Err(e) => {
-                    return Err(TcgError::InvalidInput {
-                        what: "edge delta",
-                        detail: format!("delete ({s}, {d}): {e}"),
-                    })
-                }
-            }
-        }
-        for &(s, d) in &self.inserts {
-            match out.insert_edge(s, d) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(TcgError::InvalidInput {
-                        what: "edge delta",
-                        detail: format!("insert of existing edge ({s}, {d})"),
-                    })
-                }
-                Err(e) => {
-                    return Err(TcgError::InvalidInput {
-                        what: "edge delta",
-                        detail: format!("insert ({s}, {d}): {e}"),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        csr.edited(&self.deletes, &self.inserts)
+            .map_err(|e| TcgError::InvalidInput {
+                what: "edge delta",
+                detail: e.to_string(),
+            })
     }
 
     /// The sorted, deduplicated row windows (of height `win_size`) whose
@@ -277,10 +239,11 @@ impl TranslatedGraph {
     }
 
     /// The translation of `csr` built from this one: Algorithm 1 + 2 re-run
-    /// on the windows in `touched` (sorted, deduplicated, in range), and
-    /// every other window's arrays spliced over from `self` with corrected
-    /// edge offsets. `self` is only read, so a shared predecessor (a cache
-    /// entry) needs no copy first.
+    /// on the windows in `touched` (sorted, deduplicated, in range; anything
+    /// else is [`TcgError::InvalidInput`]), and every maximal run of other
+    /// windows copied over from `self` as slices, its global offsets shifted
+    /// by one constant. `self` is only read, so a shared predecessor (a
+    /// cache entry) needs no copy first.
     ///
     /// Soundness precondition: every window *not* in `touched` must have
     /// identical CSR content (same rows, same neighbor lists) in `csr` as in
@@ -310,14 +273,24 @@ impl TranslatedGraph {
                 });
             }
         }
-        debug_assert!(touched.windows(2).all(|p| p[0] < p[1]), "sorted + deduped");
+        if let Some(p) = touched.windows(2).find(|p| p[0] >= p[1]) {
+            return Err(TcgError::InvalidInput {
+                what: "spliced translation",
+                detail: format!(
+                    "touched windows must be sorted and distinct: {} before {}",
+                    p[0], p[1]
+                ),
+            });
+        }
 
         let num_edges = csr.num_edges();
         let np = csr.node_pointer();
         let old_spans = self.window_edge_spans();
 
-        let mut edge_to_col = vec![0u32; num_edges];
-        let mut edge_to_row = vec![0 as NodeId; num_edges];
+        // Both grow in edge order: a touched window's slots are zeroed for
+        // `translate_window` to fill, a copied run is appended.
+        let mut edge_to_col = Vec::with_capacity(num_edges);
+        let mut edge_to_row = Vec::with_capacity(num_edges);
         let mut win_partition = Vec::with_capacity(windows);
         let mut win_unique = Vec::with_capacity(windows);
         let mut arrays = BlockArrays::with_capacity(
@@ -326,13 +299,15 @@ impl TranslatedGraph {
             self.block_atox.len(),
         );
 
-        let mut ti = 0usize;
-        for w in 0..windows {
-            let row_lo = w * self.win_size;
-            let row_hi = ((w + 1) * self.win_size).min(n);
-            let (new_lo, new_hi) = (np[row_lo], np[row_hi]);
-            if ti < touched.len() && touched[ti] == w {
-                ti += 1;
+        let mut touched = touched.iter().copied().peekable();
+        let mut w = 0usize;
+        while w < windows {
+            if touched.next_if_eq(&w).is_some() {
+                let row_lo = w * self.win_size;
+                let row_hi = ((w + 1) * self.win_size).min(n);
+                let (new_lo, new_hi) = (np[row_lo], np[row_hi]);
+                edge_to_col.resize(new_hi, 0);
+                edge_to_row.resize(new_hi, 0);
                 let o = translate_window(
                     csr,
                     w,
@@ -345,41 +320,61 @@ impl TranslatedGraph {
                 win_partition.push(o.blocks);
                 win_unique.push(o.unique);
                 assemble_window_into(&o, w, self.win_size, self.blk_w, &mut arrays);
-            } else {
-                let (old_lo, old_hi) = (old_spans[w], old_spans[w + 1]);
-                if old_hi - old_lo != new_hi - new_lo {
+                w += 1;
+                continue;
+            }
+            // The maximal run `w..end` of untouched windows is copied in one
+            // pass: its content is identical, and every global offset in it
+            // shifts by the same net edge-count change upstream.
+            let end = touched.peek().copied().unwrap_or(windows);
+            for v in w..end {
+                let old = old_spans[v + 1] - old_spans[v];
+                let new = np[((v + 1) * self.win_size).min(n)] - np[v * self.win_size];
+                if old != new {
                     return Err(TcgError::CorruptMeta {
                         what: "spliced translation",
                         detail: format!(
-                            "untouched window {w}: edge count changed {} -> {} — the \
-                             touched-window set does not cover the graph edit",
-                            old_hi - old_lo,
-                            new_hi - new_lo
+                            "untouched window {v}: edge count changed {old} -> {new} — the \
+                             touched-window set does not cover the graph edit"
                         ),
                     });
                 }
-                edge_to_col[new_lo..new_hi].copy_from_slice(&self.edge_to_col[old_lo..old_hi]);
-                edge_to_row[new_lo..new_hi].copy_from_slice(&self.edge_to_row[old_lo..old_hi]);
-                win_partition.push(self.win_partition[w]);
-                win_unique.push(self.win_unique[w]);
-                let (b_lo, b_hi) = (self.win_block_start[w], self.win_block_start[w + 1]);
-                // Untouched content is identical; only the global edge ids in
-                // `perm_orig` shift by the net edge-count change upstream.
-                let shift = new_lo as i64 - old_lo as i64;
-                for b in b_lo..b_hi {
-                    for pos in self.block_ptr[b]..self.block_ptr[b + 1] {
-                        arrays
-                            .perm_orig
-                            .push((i64::from(self.perm_orig[pos]) + shift) as u32);
-                        arrays.perm_pack.push(self.perm_pack[pos]);
-                    }
-                    arrays.block_ptr.push(arrays.perm_pack.len());
-                    arrays.block_atox.extend_from_slice(
-                        &self.block_atox[self.block_atox_ptr[b]..self.block_atox_ptr[b + 1]],
-                    );
-                    arrays.block_atox_ptr.push(arrays.block_atox.len());
-                }
             }
+            let (old_lo, old_hi) = (old_spans[w], old_spans[end]);
+            let new_lo = np[w * self.win_size];
+            debug_assert_eq!(edge_to_col.len(), new_lo);
+            edge_to_col.extend_from_slice(&self.edge_to_col[old_lo..old_hi]);
+            edge_to_row.extend_from_slice(&self.edge_to_row[old_lo..old_hi]);
+            win_partition.extend_from_slice(&self.win_partition[w..end]);
+            win_unique.extend_from_slice(&self.win_unique[w..end]);
+            // Sorted positions tile the edges window by window, so the run's
+            // blocks own exactly the positions `old_lo..old_hi`.
+            let (b_lo, b_hi) = (self.win_block_start[w], self.win_block_start[end]);
+            debug_assert_eq!(arrays.perm_pack.len(), new_lo);
+            arrays.perm_orig.extend(
+                self.perm_orig[old_lo..old_hi]
+                    .iter()
+                    .map(|&e| (e as usize + new_lo - old_lo) as u32),
+            );
+            arrays
+                .perm_pack
+                .extend_from_slice(&self.perm_pack[old_lo..old_hi]);
+            arrays.block_ptr.extend(
+                self.block_ptr[b_lo + 1..=b_hi]
+                    .iter()
+                    .map(|&p| p + new_lo - old_lo),
+            );
+            let (a_lo, a_hi) = (self.block_atox_ptr[b_lo], self.block_atox_ptr[b_hi]);
+            let a_base = arrays.block_atox.len();
+            arrays
+                .block_atox
+                .extend_from_slice(&self.block_atox[a_lo..a_hi]);
+            arrays.block_atox_ptr.extend(
+                self.block_atox_ptr[b_lo + 1..=b_hi]
+                    .iter()
+                    .map(|&a| a + a_base - a_lo),
+            );
+            w = end;
         }
 
         let mut win_block_start = Vec::with_capacity(windows + 1);
@@ -463,6 +458,161 @@ mod tests {
         assert!(g2.has_edge(u as usize, v));
         let g3 = EdgeDelta::new().delete(u, v).apply_to(&g2).unwrap();
         assert_eq!(g3, g);
+    }
+
+    /// [`EdgeDelta::apply_to`] as a chain of single-edge edits: the
+    /// semantics the merge pass must reproduce, rejections included.
+    fn sequential(delta: &EdgeDelta, csr: &CsrGraph) -> Result<CsrGraph, TcgError> {
+        let invalid = || TcgError::InvalidInput {
+            what: "edge delta",
+            detail: String::new(),
+        };
+        if delta.inserts().iter().any(|e| delta.deletes().contains(e)) {
+            return Err(invalid());
+        }
+        let mut out = csr.clone();
+        for &(s, d) in delta.deletes() {
+            if out.remove_edge(s, d) != Ok(true) {
+                return Err(invalid());
+            }
+        }
+        for &(s, d) in delta.inserts() {
+            if out.insert_edge(s, d) != Ok(true) {
+                return Err(invalid());
+            }
+        }
+        Ok(out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The merge pass builds the same CSR, bit for bit, as applying the
+        /// ops one at a time, and rejects exactly the deltas that chain
+        /// rejects, with the same error variant and `what`.
+        #[test]
+        fn apply_to_equals_sequential_edits(
+            seed in 0u64..1_000,
+            n in 1usize..48,
+            picks in proptest::collection::vec((0u32..64, 0u32..64, 0u8..16), 0..12),
+        ) {
+            let g = gen::erdos_renyi(n, 3 * n, seed).unwrap();
+            let before = g.clone();
+            let mut delta = EdgeDelta::new();
+            for (a, b, kind) in picks {
+                // The source is out of range once in `n + 1` draws.
+                let (s, d) = (a % (n as u32 + 1), b % n as u32);
+                let present = (s as usize) < n && g.has_edge(s as usize, d);
+                // Kinds 0 and 1 force an op that may be invalid; the rest
+                // toggle, which is invalid only when a pair repeats.
+                match kind {
+                    0 => delta.push_delete(s, d),
+                    1 => delta.push_insert(s, d),
+                    _ if present => delta.push_delete(s, d),
+                    _ => delta.push_insert(s, d),
+                }
+            }
+            let merged = delta.apply_to(&g);
+            match (&merged, sequential(&delta, &g)) {
+                (Ok(m), Ok(s)) => proptest::prop_assert_eq!(m, &s),
+                (
+                    Err(TcgError::InvalidInput { what, .. }),
+                    Err(TcgError::InvalidInput { what: want, .. }),
+                ) => proptest::prop_assert_eq!(*what, want),
+                (got, want) => proptest::prop_assert!(false, "{got:?} against {want:?}"),
+            }
+            proptest::prop_assert_eq!(&g, &before);
+            if let Ok(m) = merged {
+                let rebuilt = CsrGraph::from_raw(
+                    m.num_nodes(),
+                    m.node_pointer().to_vec(),
+                    m.edge_list().to_vec(),
+                );
+                proptest::prop_assert_eq!(rebuilt.as_ref(), Ok(&m));
+            }
+        }
+    }
+
+    /// A directed graph of `windows` 16-row windows where the rows of
+    /// window `w` have `w % 3` out-edges each (every third window has none).
+    fn striped(windows: usize) -> CsrGraph {
+        let n = windows * 16;
+        let mut coo = tcg_graph::CooGraph::new(n);
+        for v in 0..n {
+            for k in 0..(v / 16) % 3 {
+                let u = (v * 7 + 13 * (k + 1)) % n;
+                if u != v {
+                    coo.push_edge(v as u32, u as u32);
+                }
+            }
+        }
+        coo.into_csr().unwrap()
+    }
+
+    /// The run-wise splice at its run boundaries: touched windows first,
+    /// last and adjacent, zero-edge windows inside the copied runs, every
+    /// window touched and none. Each result equals the from-scratch
+    /// translation bit for bit.
+    #[test]
+    fn splice_runs_equal_scratch_at_every_boundary() {
+        let g = striped(12);
+        let t = full(&g);
+        let last = t.num_row_windows - 1;
+        let cases: [Vec<usize>; 7] = [
+            vec![],
+            vec![0],
+            vec![last],
+            vec![0, last],
+            vec![4, 5, 6],
+            vec![1, 2, 9, 10, last],
+            (0..=last).collect(),
+        ];
+        for touched in cases {
+            // Toggle the edge (v, v + 1) in the first row of every touched
+            // window, both directions, so the edit lands exactly there
+            // (the reverse direction lands one row below, same window).
+            let mut delta = EdgeDelta::new();
+            for &w in &touched {
+                let v = (w * 16) as u32;
+                delta = if g.has_edge(v as usize, v + 1) {
+                    delta.delete_undirected(v, v + 1)
+                } else {
+                    delta.insert_undirected(v, v + 1)
+                };
+            }
+            assert_eq!(delta.touched_windows(16), touched);
+            let g2 = delta.apply_to(&g).unwrap();
+            let spliced = t.spliced(&g2, &touched).unwrap();
+            assert_eq!(spliced, full(&g2), "touched {touched:?}");
+            // Re-running windows whose content did not change is allowed
+            // and changes nothing.
+            let all: Vec<usize> = (0..=last).collect();
+            assert_eq!(t.spliced(&g2, &all).unwrap(), full(&g2));
+        }
+        // Zero-edge windows are present in the copied runs.
+        assert!((0..=last).any(|w| t.win_partition[w] == 0));
+    }
+
+    #[test]
+    fn splice_rejects_unsorted_or_uncovering_touched_sets() {
+        let g = striped(6);
+        let t = full(&g);
+        let g2 = EdgeDelta::new()
+            .insert_undirected(16, 17)
+            .apply_to(&g)
+            .unwrap();
+        assert!(matches!(
+            t.spliced(&g2, &[1, 1]),
+            Err(TcgError::InvalidInput { .. })
+        ));
+        assert!(matches!(
+            t.spliced(&g2, &[2, 1]),
+            Err(TcgError::InvalidInput { .. })
+        ));
+        assert!(matches!(
+            t.spliced(&g2, &[]),
+            Err(TcgError::CorruptMeta { .. })
+        ));
     }
 
     #[test]

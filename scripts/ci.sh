@@ -252,7 +252,10 @@ step "dynamic graphs: metamorphic edit-script suite + churn bench gate"
 TCG_VERIFY=1 TCG_THREADS=4 cargo test --release -q --test delta_translation
 # CLI churn smoke: mutations must all apply and resolve through the
 # delta-translation path (touched windows retranslate, the rest reuse).
-churn_out=$(./target/release/tcgnn serve Cora --requests 32 --rate 2000 --epochs 2 --churn 3)
+# TCG_VERIFY=1 also checks each graph version's key, kept current from the
+# touched windows, against one composed from the whole graph, and each
+# cache hit's window fingerprints against the served graph's.
+churn_out=$(TCG_VERIFY=1 ./target/release/tcgnn serve Cora --requests 32 --rate 2000 --epochs 2 --churn 3)
 sed -n '/^{/,$p' <<<"$churn_out" | python3 -c "
 import json, sys
 d = json.load(sys.stdin)

@@ -408,7 +408,7 @@ fn poisoned_cache_entry_is_quarantined_and_answers_stay_bitwise_correct() {
 
     let (model, graphs) = fixture();
     let graphs = vec![graphs.into_iter().next().expect("first graph")];
-    let fp = graphs[0].csr.fingerprint();
+    let fp = tc_gnn::serve::version_key(&graphs[0].csr);
     let mut session = Session::new(model, graphs, 4);
     let _ = serve(&mut session, &cfg, &warmup, None);
     // Bit-flip the resident translation behind the cache's back — the
