@@ -21,7 +21,7 @@ fn bench_e2e(c: &mut Criterion) {
     let cfg = TrainConfig::gcn_paper().with_epochs(1);
     let mut group = c.benchmark_group("gcn_epoch_2k_nodes");
     group.sample_size(10);
-    for backend in Backend::all() {
+    for backend in [Backend::DglLike, Backend::PygLike, Backend::TcGnn] {
         group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
             b.iter(|| {
                 let mut eng = Engine::builder(ds.graph.clone())

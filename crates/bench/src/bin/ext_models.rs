@@ -39,7 +39,10 @@ fn main() {
             }
             .with_epochs(E2E_EPOCHS);
             let mut ms = [0.0f64; 3];
-            for (i, b) in Backend::all().iter().enumerate() {
+            for (i, b) in [Backend::DglLike, Backend::PygLike, Backend::TcGnn]
+                .iter()
+                .enumerate()
+            {
                 let mut eng = Engine::builder(ds.graph.clone())
                     .backend(*b)
                     .device(device())

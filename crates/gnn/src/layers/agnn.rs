@@ -196,7 +196,7 @@ mod tests {
         let layer = AgnnLayer { beta: 1.3 };
         let x = init::uniform(40, 8, -1.0, 1.0, 3);
         let mut outs = Vec::new();
-        for b in Backend::all().into_iter().chain([Backend::Hybrid]) {
+        for b in Backend::all() {
             let mut eng = engine(b);
             let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert!(cost.aggregation_ms > 0.0);

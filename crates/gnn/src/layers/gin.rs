@@ -180,7 +180,7 @@ mod tests {
         let layer = GinLayer::new(5, 8, 4, 2);
         let x = init::uniform(40, 5, -1.0, 1.0, 3);
         let mut outs = Vec::new();
-        for b in Backend::all().into_iter().chain([Backend::Hybrid]) {
+        for b in Backend::all() {
             let mut eng = engine(b);
             let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert_eq!(y.shape(), (40, 4));

@@ -136,7 +136,7 @@ mod tests {
         let layer = SageLayer::new(5, 4, 2);
         let x = init::uniform(44, 5, -1.0, 1.0, 3);
         let mut outs = Vec::new();
-        for b in Backend::all().into_iter().chain([Backend::Hybrid]) {
+        for b in Backend::all() {
             let mut eng = engine(b);
             let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
             assert_eq!(y.shape(), (44, 4));

@@ -448,7 +448,7 @@ mod tests {
             seed: 3,
         };
         let mut losses = Vec::new();
-        for b in Backend::all().into_iter().chain([Backend::Hybrid]) {
+        for b in Backend::all() {
             let mut eng = Engine::builder(ds.graph.clone())
                 .backend(b)
                 .device(DeviceSpec::rtx3090())

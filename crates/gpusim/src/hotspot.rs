@@ -46,26 +46,15 @@ pub enum HotPhase {
     /// The L2 probes: every launch's replay of each block's L1-miss log
     /// through the shared L2, in block order, in-order launches included.
     L2Replay = 2,
-    /// The MMA inner loops (`mma_sync_gather` / `mma_sync_entries`, with
-    /// the ECC consume).
-    MmaInner = 3,
-    /// Kernel-side operand staging (a block's sparse non-zero list).
-    Staging = 4,
 }
 
 impl HotPhase {
     /// Number of phases (array extent for per-phase accumulators).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 3;
 
     /// All phases, in enum order.
     pub fn all() -> [HotPhase; HotPhase::COUNT] {
-        [
-            HotPhase::Coalesce,
-            HotPhase::CacheProbe,
-            HotPhase::L2Replay,
-            HotPhase::MmaInner,
-            HotPhase::Staging,
-        ]
+        [HotPhase::Coalesce, HotPhase::CacheProbe, HotPhase::L2Replay]
     }
 
     /// Stable snake_case label (used in collapsed stacks and tables).
@@ -74,8 +63,6 @@ impl HotPhase {
             HotPhase::Coalesce => "coalesce",
             HotPhase::CacheProbe => "cache_probe",
             HotPhase::L2Replay => "l2_replay",
-            HotPhase::MmaInner => "mma_inner",
-            HotPhase::Staging => "staging",
         }
     }
 
@@ -118,7 +105,7 @@ fn calibrate_scope_ns() -> f64 {
     });
     let start = Instant::now();
     for _ in 0..ROUNDS {
-        let guard = scope(HotPhase::Staging);
+        let guard = scope(HotPhase::Coalesce);
         std::hint::black_box(&guard);
     }
     let mean = start.elapsed().as_nanos() as f64 / f64::from(ROUNDS);
@@ -450,7 +437,7 @@ mod tests {
         set_worker(3);
         begin_window(7);
         {
-            let _s = scope(HotPhase::MmaInner);
+            let _s = scope(HotPhase::L2Replay);
             std::hint::black_box(0u64);
         }
         annotate_window(42, 5);
@@ -468,7 +455,7 @@ mod tests {
         assert_eq!((w7.nnz, w7.distinct_cols), (42, 5));
         assert_eq!(w7.sim_ns, 1500.0);
         let worker = report.workers.get(&3).expect("worker 3 recorded");
-        assert_eq!(worker.phase_hits[HotPhase::MmaInner as usize], 1);
+        assert_eq!(worker.phase_hits[HotPhase::L2Replay as usize], 1);
         assert_eq!(worker.phase_hits[HotPhase::CacheProbe as usize], 1);
         assert!(report.windows.contains_key(&OUTSIDE_WINDOW));
 

@@ -2,9 +2,7 @@
 
 use std::ops::Range;
 
-use tcg_gpusim::{
-    BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, KernelStats, Launcher,
-};
+use tcg_gpusim::{BlockCtx, Blocks, GridConfig, KernelReport, KernelStats, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::tf32::round_to_tf32;
@@ -169,21 +167,20 @@ pub(crate) fn check_windows(t: &TranslatedGraph, windows: &[u32]) -> Result<(), 
     }
 }
 
-/// Runs `body` as one launch writing `out` over the windows of `mask` that
-/// are not [`WindowBackend::Skip`], block id = window id; a memo hit runs
-/// `values` instead (see [`Launcher::launch_par_values`]). A mask without
-/// `Skip` launches every window.
-pub(crate) fn launch_mask<const N: usize, F, V>(
+/// Runs `body` as one launch over the windows of `mask` that are not
+/// [`WindowBackend::Skip`], block id = window id, and `values` for each of
+/// them (see [`Launcher::launch_par_values`]). A mask without `Skip`
+/// launches every window.
+pub(crate) fn launch_mask<F, V>(
     launcher: &mut Launcher,
     cfg: GridConfig,
     mask: &[WindowBackend],
-    out: [&mut [f32]; N],
     body: F,
     values: V,
 ) -> KernelStats
 where
-    F: Fn(&mut BlockCtx<'_>, &[DisjointSlices<'_, f32>; N]) + Sync,
-    V: Fn(u64, &[DisjointSlices<'_, f32>; N]) + Sync,
+    F: Fn(&mut BlockCtx<'_>) + Sync,
+    V: Fn(u64) + Sync,
 {
     let running: Vec<u32>;
     let blocks = if mask.contains(&WindowBackend::Skip) {
@@ -194,7 +191,17 @@ where
     } else {
         Blocks::All(mask.len() as u64)
     };
-    launcher.launch_par_values(cfg, blocks, out, body, values)
+    launcher.launch_par_values(cfg, blocks, body, values)
+}
+
+/// The window whose TCU body runs a launch's first MMA, the one an armed
+/// ECC flip poisons: the first of the ascending `launched` windows that
+/// has a TC block.
+pub(crate) fn first_mma_window(
+    t: &TranslatedGraph,
+    mut launched: impl Iterator<Item = usize>,
+) -> Option<usize> {
+    launched.find(|&w| t.win_partition[w] > 0)
 }
 
 /// The rows of row window `w` in an `n`-node graph.
@@ -202,10 +209,10 @@ pub(crate) fn window_rows(w: usize, n: usize) -> Range<usize> {
     w * TC_BLK_H..((w + 1) * TC_BLK_H).min(n)
 }
 
-/// `x`'s elements rounded to TF-32 when some window of the launch runs a
-/// TCU body (empty otherwise). The TCU bodies read their dense operands
-/// from this copy, made once per launch, where the fragment loads would
-/// round each element at every MMA.
+/// `x`'s elements rounded to TF-32 when some window of the launch runs on
+/// TCUs (empty otherwise). The TCU loops read their dense operands from
+/// this copy, made once per launch, where the fragment loads round each
+/// element at every MMA.
 pub(crate) fn tf32_operand(x: &DenseMatrix, tcu: bool) -> Vec<f32> {
     if !tcu {
         return Vec::new();
@@ -213,9 +220,8 @@ pub(crate) fn tf32_operand(x: &DenseMatrix, tcu: bool) -> Vec<f32> {
     x.as_slice().iter().map(|&v| round_to_tf32(v)).collect()
 }
 
-/// Whether every element of a launch's TF-32 operand is finite: the
-/// SDDMM-shape MMA then skips no zero element (see
-/// `tcg_gpusim::wmma::mma_sync_entries`).
+/// Whether every element of a launch's TF-32 operand is finite: the SDDMM
+/// loops then drop their zero test (see `crate::sddmm::tcgnn::tcu_dot_rows`).
 pub(crate) fn all_finite(x: &[f32]) -> bool {
     x.iter().all(|v| v.is_finite())
 }

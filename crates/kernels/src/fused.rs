@@ -16,17 +16,14 @@
 //! staging shared-memory traffic and 8 extra shared transactions per MMA,
 //! and stage 3 loads no AToX or value permutation (both block-resident).
 //! Sharing the bodies would make them branch on their caller; only the
-//! side-effect-free staging helpers are shared. As in those bodies, the
-//! MMAs compute only the outputs the kernel keeps, from operands rounded
-//! to TF-32 once per launch: stage 1 only the edge entries
-//! (`mma_sync_entries`), stage 3 the gathered rows clipped to the width
-//! (`mma_sync_gather`).
+//! frame AToX helper is shared. As in those bodies, the block body only
+//! charges. The outputs come from the SDDMM and SpMM kernels' TCU loops
+//! (`tcu_dot_rows`, `tcu_rows`) around the stage-2 softmax, per window.
 
 use std::ops::Range;
 
 use tcg_gpusim::wmma::{
-    mma_sync_entries, mma_sync_gather, FragmentAcc, MmaEntry, FRAG_A_SMEM_TRANSACTIONS,
-    FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
+    mma_sync, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_N,
 };
 use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
@@ -34,10 +31,11 @@ use tcg_sgt::{TranslatedGraph, TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{
-    all_finite, check_translation, check_windows, tf32_operand, window_rows, TcgError,
+    all_finite, check_translation, check_windows, first_mma_window, tf32_operand, window_rows,
+    TcgError,
 };
-use crate::sddmm::tcgnn::{fill_frame_atox, tcu_dot_rows, SDDMM_W};
-use crate::spmm::tcgnn::{block_nonzeros, tcu_rows};
+use crate::sddmm::tcgnn::{fill_frame_atox, first_entry_edge, tcu_dot_rows, SDDMM_W};
+use crate::spmm::tcgnn::tcu_rows;
 
 /// Output of the fused attention kernel.
 pub struct FusedAttentionOutput {
@@ -136,10 +134,7 @@ pub fn fused_attention_windows(
         Some(ids) => Blocks::Only(ids),
     };
 
-    // Each block owns all edges and output rows of its row window, so the
-    // three output buffers split into disjoint per-block slices and the
-    // body runs on the parallel path.
-    let body = |ctx: &mut BlockCtx<'_>, [y_out, cos_out, p_out]: &[DisjointSlices<'_, f32>; 3]| {
+    let body = |ctx: &mut BlockCtx<'_>| {
         let w = ctx.block_id as usize;
         let num_spmm_blocks = t.win_partition[w] as usize;
         if num_spmm_blocks == 0 {
@@ -155,19 +150,8 @@ pub fn fused_attention_windows(
         // Per-block scratch (bodies run concurrently on the parallel path,
         // so nothing mutable is captured from the outer scope).
         let mut atox = [u32::MAX; SDDMM_W];
-        let mut entries: Vec<MmaEntry> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
-        let mut edges: Vec<usize> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
-        let mut logits: Vec<f32> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
-        let mut nonzeros = Vec::with_capacity(TC_BLK_H * TC_BLK_W);
-        let mut b_rows: Vec<usize> = Vec::with_capacity(TC_BLK_W);
-        let mut accs: Vec<FragmentAcc> = (0..slabs).map(|_| FragmentAcc::default()).collect();
         let mut bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
         let (e_lo, e_hi) = t.window_edge_range(csr, w).expect("window in range");
-        // SAFETY: window `w` exclusively owns rows [row_lo, row_hi) and the
-        // edge range [e_lo, e_hi).
-        let y_win = unsafe { y_out.range_mut(row_lo * dv, (row_hi - row_lo) * dv) };
-        let cos_win = unsafe { cos_out.range_mut(e_lo, e_hi - e_lo) };
-        let p_win = unsafe { p_out.range_mut(e_lo, e_hi - e_lo) };
 
         // --- Stage 1: SDDMM over the window's edges (16-wide frames). ----
         let num_sddmm_blocks = (num_spmm_blocks * t.blk_w).div_ceil(TC_BLK_H);
@@ -184,21 +168,6 @@ pub fn fused_attention_windows(
                 4,
             );
             fill_frame_atox(&mut atox, t, cb_lo..cb_hi);
-            // The frame's edge entries, in chunk order.
-            entries.clear();
-            edges.clear();
-            for (half, cb) in (cb_lo..cb_hi).enumerate() {
-                let (h_lo, h_hi) = t.block_chunk(cb);
-                for pos in h_lo..h_hi {
-                    let (r, c8) = t.unpack(t.perm_pack[pos]);
-                    let c = c8 + half * t.blk_w;
-                    let (a_row, b_row) = ((row_lo + r) * da, atox[c] as usize * da);
-                    entries.push(MmaEntry { r, c, a_row, b_row });
-                    edges.push(t.perm_orig[pos] as usize);
-                }
-            }
-            logits.clear();
-            logits.resize(entries.len(), 0.0);
             for dim0 in (0..da).step_by(WMMA_K) {
                 let kw = (da - dim0).min(WMMA_K);
                 bases.clear();
@@ -212,27 +181,14 @@ pub fn fused_attention_windows(
                 );
                 ctx.ld_global_gather_rows(&bases, kw, 4);
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS + 8);
-                let ks = dim0..dim0 + kw;
-                mma_sync_entries(
-                    &mut logits,
-                    &entries,
-                    &xa_tf32,
-                    &xa_tf32,
-                    ks,
-                    xa_finite,
-                    ctx,
-                );
+                mma_sync(ctx);
             }
             // Scatter logits into the window-local shared buffer (stays in
             // shared memory — the fusion's point; charged as shared traffic).
-            for (&e, &v) in edges.iter().zip(&logits) {
-                cos_win[e - e_lo] = v;
-            }
             ctx.shared_access(((c_hi - c_lo) as u64).div_ceil(32).max(1));
         }
 
         // --- Stage 2: row softmax, entirely in shared memory. ------------
-        softmax_rows(csr, row_lo..row_hi, beta, cos_win, p_win);
         // max/exp-sum/divide passes over the window's edges.
         ctx.shared_access((((e_hi - e_lo) as u64) * 3).div_ceil(32).max(1));
         ctx.fp32_warps((((e_hi - e_lo) * 3) as u64).div_ceil(32).max(1));
@@ -241,22 +197,16 @@ pub fn fused_attention_windows(
         ctx.st_global_contiguous(buf_cos.f32_addr(e_lo), e_hi - e_lo, 4);
 
         // --- Stage 3: weighted SpMM over the same translation. -----------
-        for acc in accs.iter_mut() {
-            acc.zero();
-        }
         for i in 0..num_spmm_blocks {
             let b = b_lo + i;
             let (c_lo, c_hi) = t.block_chunk(b);
             // pack/atox are already block-resident from stage 1 (L1 hits).
             ctx.ld_global_contiguous(buf_pack.addr(c_lo, 1), c_hi - c_lo, 1);
             let atox_ids = t.block_atox(b);
-            // The A operand is the same for every dim slab: stage it once
-            // per TC block (each warp's load is still charged).
-            block_nonzeros(&mut nonzeros, t, b, |e| p_win[e - e_lo]);
+            // The A operand is the same for every dim slab: staged once per
+            // TC block (each warp's load is still charged).
             ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32) + 1);
-            b_rows.clear();
-            b_rows.extend(atox_ids.iter().map(|&u| u as usize * dv));
-            for (s, acc) in accs.iter_mut().enumerate() {
+            for s in 0..slabs {
                 let dim0 = s * WMMA_N;
                 let width = (dv - dim0).min(WMMA_N);
                 bases.clear();
@@ -269,39 +219,46 @@ pub fn fused_attention_windows(
                 ctx.ld_global_gather_rows(&bases, width, 4);
                 ctx.shared_access(((TC_BLK_W * WMMA_N) as u64).div_ceil(32));
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                let b_slab = &xv_tf32[dim0..];
-                mma_sync_gather(acc, &nonzeros, b_slab, &b_rows, width, ctx);
+                mma_sync(ctx);
             }
         }
         ctx.syncthreads();
-        for (s, acc) in accs.iter().enumerate() {
+        for s in 0..slabs {
             let dim0 = s * WMMA_N;
             let width = (dv - dim0).min(WMMA_N);
             bases.clear();
             bases.extend((row_lo..row_hi).map(|r| buf_out.f32_addr(r * dv + dim0)));
             ctx.st_global_gather_rows(&bases, width, 4);
-            for ri in 0..(row_hi - row_lo) {
-                let orow = &mut y_win[ri * dv..(ri + 1) * dv];
-                for c in 0..width {
-                    orow[dim0 + c] = acc.get(ri, c);
-                }
-            }
         }
     };
-    // A memo hit runs the three stages as plain loops over each window's
-    // rows, in the MMAs' accumulation order (see `tcu_dot_rows` and
-    // `tcu_rows`).
+    // The three stages as plain loops over each window's rows, in the
+    // MMAs' accumulation order (see `tcu_dot_rows` and `tcu_rows`). Each
+    // window owns all edges and output rows of its rows, so the three
+    // outputs split into disjoint per-window slices and the loop runs on
+    // the parallel path.
     let ptr = csr.node_pointer();
-    let values = |w: u64, [y, cos, p]: &[DisjointSlices<'_, f32>; 3]| {
+    // Stages 2 and 3 of `rows` from their logits (`cos`, `p`: the rows'
+    // edge range; `y`: their output rows, zeroed on entry).
+    let attend = |rows: Range<usize>, cos: &[f32], p: &mut [f32], y: &mut [f32]| {
+        let e_lo = ptr[rows.start];
+        softmax_rows(csr, rows.clone(), beta, cos, p);
+        tcu_rows(csr, |e| p[e - e_lo], &xv_tf32, dv, rows, y);
+    };
+    let (y_view, cos_view, p_view) = (
+        DisjointSlices::new(y.as_mut_slice()),
+        DisjointSlices::new(&mut cos),
+        DisjointSlices::new(&mut p),
+    );
+    let values = |w: u64| {
         let rows = window_rows(w as usize, n);
         let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
         // SAFETY: window `w` exclusively owns its rows and the edge range
         // [e_lo, e_hi).
-        let (cos_win, p_win, y_win) = unsafe {
+        let (y_win, cos_win, p_win) = unsafe {
             (
-                cos.range_mut(e_lo, e_hi - e_lo),
-                p.range_mut(e_lo, e_hi - e_lo),
-                y.range_mut(rows.start * dv, rows.len() * dv),
+                y_view.range_mut(rows.start * dv, rows.len() * dv),
+                cos_view.range_mut(e_lo, e_hi - e_lo),
+                p_view.range_mut(e_lo, e_hi - e_lo),
             )
         };
         tcu_dot_rows(
@@ -313,12 +270,29 @@ pub fn fused_attention_windows(
             rows.clone(),
             cos_win,
         );
-        softmax_rows(csr, rows.clone(), beta, cos_win, p_win);
-        tcu_rows(csr, |e| p_win[e - e_lo], &xv_tf32, dv, rows, y_win);
+        attend(rows, cos_win, p_win, y_win);
     };
     launcher.preflight("fused-attention", &cfg)?;
-    let out = [y.as_mut_slice(), cos.as_mut_slice(), p.as_mut_slice()];
-    let stats = launcher.launch_par_values(cfg, blocks, out, body, values);
+    let stats = launcher.launch_par_values(cfg, blocks, body, values);
+    if stats.ecc_faults > 0 {
+        // The flip poisons accumulator element (0, 0) of the launch's first
+        // MMA. With logits to compute, that is the first window's edge
+        // logit at its first frame's entry (0, 0), if there is one, and the
+        // NaN runs through its row's softmax and output; without, stage 3's
+        // output row 0, column 0.
+        let launched = (0..blocks.len()).map(|i| blocks.id(i) as usize);
+        let w = first_mma_window(t, launched).expect("an MMA consumed the flip");
+        let row = window_rows(w, n).start;
+        if da == 0 {
+            y.as_mut_slice()[row * dv] = f32::NAN;
+        } else if let Some(e) = first_entry_edge(t, w) {
+            cos[e] = f32::NAN;
+            let edges = ptr[row]..ptr[row + 1];
+            let y_row = y.row_mut(row);
+            y_row.fill(0.0);
+            attend(row..row + 1, &cos[edges.clone()], &mut p[edges], y_row);
+        }
+    }
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok(FusedAttentionOutput { y, cos, p, report })
 }

@@ -41,8 +41,7 @@ impl SddmmKernel for CudaCoreSddmm {
 
         let rows = CudaRows {
             csr,
-            xa,
-            xb,
+            dim: xa.cols(),
             buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
             buf_edges: launcher.try_alloc(csr.num_edges() * 4)?,
             buf_xa: launcher.try_alloc_f32(xa.len())?,
@@ -57,30 +56,24 @@ impl SddmmKernel for CudaCoreSddmm {
             regs_per_thread: 40,
         };
 
+        let block_rows = |block: u64| {
+            let row0 = block as usize * ROWS_PER_BLOCK;
+            row0..(row0 + ROWS_PER_BLOCK).min(n)
+        };
+        let body = |ctx: &mut BlockCtx<'_>| rows.run(ctx, block_rows(ctx.block_id));
         // Each block's rows own the contiguous edge range
         // [ptr[row0], ptr[row1]): disjoint output slices across blocks.
-        let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
-            let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
-            let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-            let (e0, e1) = (csr.node_pointer()[row0], csr.node_pointer()[row1]);
-            // SAFETY: rows [row0, row1) own edges [e0, e1) exclusively.
-            rows.run(ctx, row0..row1, unsafe { out.range_mut(e0, e1 - e0) });
+        let out_view = DisjointSlices::new(&mut out);
+        let values = |block: u64| {
+            let rows = block_rows(block);
+            let (e0, e1) = (csr.node_pointer()[rows.start], csr.node_pointer()[rows.end]);
+            // SAFETY: the block's rows own edges [e0, e1) exclusively.
+            let out_rows = unsafe { out_view.range_mut(e0, e1 - e0) };
+            dot_rows(csr, xa, xb, rows, out_rows)
         };
         launcher.preflight("cuda-core-sddmm", &cfg)?;
-        let stats = launcher.launch_par_values(
-            cfg,
-            Blocks::All(num_blocks),
-            [out.as_mut_slice()],
-            body,
-            |block, [out]| {
-                let row0 = block as usize * ROWS_PER_BLOCK;
-                let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-                let (e0, e1) = (csr.node_pointer()[row0], csr.node_pointer()[row1]);
-                // SAFETY: rows [row0, row1) own edges [e0, e1) exclusively.
-                let out_rows = unsafe { out.range_mut(e0, e1 - e0) };
-                dot_rows(csr, xa, xb, row0..row1, out_rows)
-            },
-        );
+        let blocks = Blocks::All(num_blocks);
+        let stats = launcher.launch_par_values(cfg, blocks, body, values);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }
@@ -111,12 +104,12 @@ pub(crate) fn check_features(
 
 /// The per-row warp body with the device buffers it reads and writes: the
 /// CUDA-core body of this kernel and of the hybrid launch's CUDA-core
-/// windows.
+/// windows. It only charges.
 #[derive(Clone, Copy)]
 pub(crate) struct CudaRows<'a> {
     pub csr: &'a CsrGraph,
-    pub xa: &'a DenseMatrix,
-    pub xb: &'a DenseMatrix,
+    /// Feature width of both operands.
+    pub dim: usize,
     pub buf_ptr: Buffer,
     pub buf_edges: Buffer,
     pub buf_xa: Buffer,
@@ -125,13 +118,9 @@ pub(crate) struct CudaRows<'a> {
 }
 
 impl CudaRows<'_> {
-    /// Runs one warp per row of `rows`, writing their edge values into
-    /// `out` (the rows' CSR edge range). Each dot product depends on its
-    /// edge alone, so every grouping of rows yields the same bits.
-    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>, out: &mut [f32]) {
-        let (csr, xa, xb) = (self.csr, self.xa, self.xb);
-        let d = xa.cols();
-        let e_base = csr.node_pointer()[rows.start];
+    /// Charges one warp per row of `rows`.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>) {
+        let (csr, d) = (self.csr, self.dim);
         let mut bases: Vec<u64> = Vec::with_capacity(64);
         for v in rows {
             let lo = csr.node_pointer()[v];
@@ -161,15 +150,15 @@ impl CudaRows<'_> {
             ctx.fp32_warps(deg as u64 * shuffle_steps.max(1));
             // Scattered-ish store of edge values (contiguous per row).
             ctx.st_global_contiguous(self.buf_out.f32_addr(lo), deg, 4);
-            dot_rows(csr, xa, xb, v..v + 1, &mut out[lo - e_base..hi - e_base]);
         }
     }
 }
 
 /// `xa[v]·xb[u]` for each edge `(v, u)` of `rows` into `out` (their CSR
-/// edge range): f32 dot products from `+0.0`, `k` ascending. The
-/// arithmetic of [`CudaRows::run`], and the loop a memo hit runs for every
-/// CUDA-core SDDMM row.
+/// edge range): f32 dot products from `+0.0`, `k` ascending. The loop
+/// every launch computes its CUDA-core SDDMM rows with; each dot product
+/// depends on its edge alone, so every grouping of rows yields the same
+/// bits.
 pub(crate) fn dot_rows(
     csr: &CsrGraph,
     xa: &DenseMatrix,

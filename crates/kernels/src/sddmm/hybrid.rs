@@ -27,9 +27,10 @@ use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H};
 use tcg_tensor::DenseMatrix;
 
 use super::cuda_core::{check_features, dot_rows, CudaRows};
-use super::tcgnn::{tcu_dot_rows, TcuWindow};
+use super::tcgnn::{first_entry_edge, tcu_dot_rows, TcuWindow};
 use crate::common::{
-    all_finite, check_translation, launch_mask, tf32_operand, window_mask, window_rows, TcgError,
+    all_finite, check_translation, first_mma_window, launch_mask, tf32_operand, window_mask,
+    window_rows, TcgError,
 };
 use crate::hybrid::{DispatchPolicy, KernelClass, WindowBackend};
 use crate::sddmm::SddmmKernel;
@@ -135,14 +136,12 @@ pub(crate) fn launch(
 
     let tcu_windows = mask.contains(&WindowBackend::Tcu);
     let (xa_tf32, xb_tf32) = (tf32_operand(xa, tcu_windows), tf32_operand(xb, tcu_windows));
+    let xb_finite = all_finite(&xb_tf32);
     let d = xa.cols();
     let tcu = TcuWindow {
         t,
         csr,
         dim: d,
-        xa_tf32: &xa_tf32,
-        xb_tf32: &xb_tf32,
-        xb_finite: all_finite(&xb_tf32),
         buf_ptr: launcher.try_alloc(csr.node_pointer().len() * 8)?,
         buf_pack: launcher.try_alloc(csr.num_edges())?,
         buf_atox: launcher.try_alloc(t.block_atox.len() * 4)?,
@@ -154,8 +153,7 @@ pub(crate) fn launch(
     let cuda = if mask.contains(&WindowBackend::CudaCore) {
         Some(CudaRows {
             csr,
-            xa,
-            xb,
+            dim: d,
             buf_ptr: tcu.buf_ptr,
             buf_edges: launcher.try_alloc(csr.num_edges() * 4)?,
             buf_xa: tcu.buf_xa,
@@ -175,41 +173,47 @@ pub(crate) fn launch(
         regs_per_thread: 72,
     };
 
-    // A window's edges are exactly its rows' CSR edges — the contiguous
-    // range [ptr[row_lo], ptr[row_hi]) — so blocks write disjoint output
-    // slices on both paths and the body runs on the parallel path.
-    let ptr = csr.node_pointer();
-    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    let body = |ctx: &mut BlockCtx<'_>| {
         let w = ctx.block_id as usize;
-        let rows = window_rows(w, n);
-        let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
-        // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
-        let out_win = unsafe { out.range_mut(e_lo, e_hi - e_lo) };
         match mask[w] {
-            WindowBackend::Tcu => tcu.run(ctx, w, out_win),
+            WindowBackend::Tcu => tcu.run(ctx, w),
             WindowBackend::CudaCore => cuda
                 .as_ref()
                 .expect("a CUDA-core window implies the edge buffer")
-                .run(ctx, rows, out_win),
+                .run(ctx, window_rows(w, n)),
             WindowBackend::Skip => {}
         }
     };
-    let values = |w: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    // A window's edges are exactly its rows' CSR edges — the contiguous
+    // range [ptr[row_lo], ptr[row_hi]) — so windows write disjoint output
+    // slices on both paths and the loop runs on the parallel path.
+    let ptr = csr.node_pointer();
+    let out_view = DisjointSlices::new(&mut out);
+    let values = |w: u64| {
         let w = w as usize;
         let rows = window_rows(w, n);
         let (e_lo, e_hi) = (ptr[rows.start], ptr[rows.end]);
         // SAFETY: window `w` owns the edge range [e_lo, e_hi) exclusively.
-        let out_win = unsafe { out.range_mut(e_lo, e_hi - e_lo) };
+        let out_win = unsafe { out_view.range_mut(e_lo, e_hi - e_lo) };
         match mask[w] {
             WindowBackend::Tcu => {
-                tcu_dot_rows(csr, &xa_tf32, &xb_tf32, d, tcu.xb_finite, rows, out_win)
+                tcu_dot_rows(csr, &xa_tf32, &xb_tf32, d, xb_finite, rows, out_win)
             }
             WindowBackend::CudaCore => dot_rows(csr, xa, xb, rows, out_win),
             WindowBackend::Skip => {}
         }
     };
     launcher.preflight(name, &cfg)?;
-    let stats = launch_mask(launcher, cfg, &mask, [out.as_mut_slice()], body, values);
+    let stats = launch_mask(launcher, cfg, &mask, body, values);
+    if stats.ecc_faults > 0 {
+        // The flip poisons accumulator element (0, 0) of the launch's
+        // first MMA: an edge of its window's first frame, if there is one.
+        let tcu_windows = (0..mask.len()).filter(|&w| mask[w] == WindowBackend::Tcu);
+        let w = first_mma_window(t, tcu_windows).expect("an MMA consumed the flip");
+        if let Some(e) = first_entry_edge(t, w) {
+            out[e] = f32::NAN;
+        }
+    }
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }

@@ -8,9 +8,10 @@
 //! dense-to-sparse conversion writes each edge's scalar back to
 //! `edgeValList`.
 //!
-//! The body charges the full 16×16 tile's staging and MMAs, but computes
-//! only the frame's edge entries, from the operands rounded to TF-32 once
-//! per launch (`mma_sync_entries`), with the staged tiles' bits.
+//! The body charges the full 16×16 tile's staging and MMAs and computes no
+//! value. The outputs come from a plain loop over each row's edges,
+//! `tcu_dot_rows`, in the MMAs' accumulation order, so they carry the bits
+//! of the staged-tile loop `tcg_oracle::refmodel::tcu_sddmm`.
 //!
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
@@ -19,9 +20,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use tcg_gpusim::launch::Buffer;
-use tcg_gpusim::wmma::{
-    mma_sync_entries, MmaEntry, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K,
-};
+use tcg_gpusim::wmma::{mma_sync, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K};
 use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_sgt::{Sgt, TranslatedGraph, TC_BLK_H};
@@ -83,20 +82,13 @@ impl SddmmKernel for TcgnnSddmm {
 }
 
 /// The TCU row-window body of Listing 3, with the device buffers it reads
-/// and writes (allocated by the launch).
+/// and writes (allocated by the launch). It only charges.
 #[derive(Clone, Copy)]
 pub(crate) struct TcuWindow<'a> {
     pub t: &'a TranslatedGraph,
     pub csr: &'a CsrGraph,
     /// Feature width of both operands.
     pub dim: usize,
-    /// `xa` rounded to TF-32, row-major.
-    pub xa_tf32: &'a [f32],
-    /// `xb` rounded to TF-32, row-major.
-    pub xb_tf32: &'a [f32],
-    /// Whether every element of `xb_tf32` is finite (the MMA then drops
-    /// its zero test).
-    pub xb_finite: bool,
     pub buf_ptr: Buffer,
     pub buf_pack: Buffer,
     pub buf_atox: Buffer,
@@ -107,9 +99,8 @@ pub(crate) struct TcuWindow<'a> {
 }
 
 impl TcuWindow<'_> {
-    /// Runs row window `w`, writing its edges' values into `out_win` (the
-    /// window's CSR edge range). An empty window issues nothing.
-    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize, out_win: &mut [f32]) {
+    /// Charges row window `w`. An empty window issues nothing.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize) {
         let (t, csr, d) = (self.t, self.csr, self.dim);
         // Listing 3 line 9: SDDMM block count from the SpMM partition.
         let num_tc_blocks = (t.win_partition[w] as usize * t.blk_w).div_ceil(SDDMM_W);
@@ -122,15 +113,11 @@ impl TcuWindow<'_> {
         ctx.ld_global_scalar(self.buf_ptr.addr(row_hi, 8));
         let b_lo = t.win_block_start[w];
         let b_hi = t.win_block_start[w + 1];
-        let e_lo = csr.node_pointer()[row_lo];
 
         // Per-block scratch (bodies run concurrently on the parallel
         // path, so nothing mutable is shared between blocks).
         let mut edge_map = vec![usize::MAX; TC_BLK_H * SDDMM_W];
         let mut atox = [u32::MAX; SDDMM_W];
-        let mut entries: Vec<MmaEntry> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
-        let mut edges: Vec<usize> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
-        let mut acc: Vec<f32> = Vec::with_capacity(TC_BLK_H * SDDMM_W);
         let mut store_addrs: Vec<u64> = Vec::with_capacity(64);
         let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
 
@@ -166,22 +153,6 @@ impl TcuWindow<'_> {
             ctx.shared_access(((TC_BLK_H * SDDMM_W) as u64).div_ceil(32));
             ctx.shared_access((chunk as u64).div_ceil(32).max(1));
             ctx.shared_access(1);
-            // The accumulator elements the dense-to-sparse conversion
-            // keeps: the frame's edges, row-major.
-            entries.clear();
-            edges.clear();
-            for (i, &e) in edge_map
-                .iter()
-                .enumerate()
-                .filter(|&(_, &e)| e != usize::MAX)
-            {
-                let (r, c) = (i / SDDMM_W, i % SDDMM_W);
-                let (a_row, b_row) = ((row_lo + r) * d, atox[c] as usize * d);
-                entries.push(MmaEntry { r, c, a_row, b_row });
-                edges.push(e);
-            }
-            acc.clear();
-            acc.resize(entries.len(), 0.0);
             for dim0 in (0..d).step_by(WMMA_K) {
                 let kw = (d - dim0).min(WMMA_K);
 
@@ -202,17 +173,18 @@ impl TcuWindow<'_> {
                 ctx.shared_access(((WMMA_K * TC_BLK_H) as u64).div_ceil(32));
 
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                let (xa, xb) = (self.xa_tf32, self.xb_tf32);
-                let ks = dim0..dim0 + kw;
-                mma_sync_entries(&mut acc, &entries, xa, xb, ks, self.xb_finite, ctx);
+                mma_sync(ctx);
             }
 
-            // Dense-to-sparse conversion: scatter edge scalars.
+            // Dense-to-sparse conversion: scatter the frame's edge
+            // scalars, row-major over the tile.
             store_addrs.clear();
-            for (&e, &v) in edges.iter().zip(&acc) {
-                out_win[e - e_lo] = v;
-                store_addrs.push(self.buf_out.f32_addr(e));
-            }
+            store_addrs.extend(
+                edge_map
+                    .iter()
+                    .filter(|&&e| e != usize::MAX)
+                    .map(|&e| self.buf_out.f32_addr(e)),
+            );
             for chunk in store_addrs.chunks(32) {
                 ctx.st_global_warp(chunk);
             }
@@ -221,12 +193,18 @@ impl TcuWindow<'_> {
     }
 }
 
-/// The bits [`TcuWindow::run`] writes for the edges of `rows`, from a
-/// plain loop: the loop a memo hit runs for a TCU window. Each edge
-/// `(v, u)` gets `Σ_k xa_tf32[v][k] · xb_tf32[u][k]` in `out` (the rows'
-/// CSR edge range), from `+0.0`, `k` ascending, a separate multiply and
-/// add, skipping zero `xa` elements unless `xb_finite` (the rule of
-/// `mma_sync_entries`).
+/// The outputs of a TCU window's `rows` for an SDDMM: the loop every
+/// launch computes a TCU window with. Each edge `(v, u)` gets
+/// `Σ_k xa_tf32[v][k] · xb_tf32[u][k]` in `out` (the rows' CSR edge
+/// range), from `+0.0`, `k` ascending, a separate multiply and add: the
+/// order in which the staged-tile MMAs accumulate an edge's entry.
+///
+/// The MMA skips zero elements of `xa`. The loop skips them only when
+/// `xb_finite` is false: if every element of `xb_tf32` is finite, a zero
+/// `xa` element times it is `±0`, and adding `±0` leaves a sum that is
+/// never `−0` unchanged (a sum from `+0` is `−0` only when both addends
+/// are), so dropping the test, whose branch mispredicts on ReLU'd
+/// operands, keeps the bits.
 pub(crate) fn tcu_dot_rows(
     csr: &CsrGraph,
     xa_tf32: &[f32],
@@ -243,6 +221,16 @@ pub(crate) fn tcu_dot_rows(
         let arow = &xa_tf32[v * d..][..d];
         row_dots(arow, xb_tf32, csr.neighbors(v), !xb_finite, out_v);
     }
+}
+
+/// The edge at entry `(0, 0)` of window `w`'s first frame, if the window's
+/// first row has an edge to its first condensed column: the output an
+/// armed ECC flip poisons when the window's first MMA consumes it. The
+/// window must have a TC block.
+pub(crate) fn first_entry_edge(t: &TranslatedGraph, w: usize) -> Option<usize> {
+    let (lo, hi) = t.block_chunk(t.win_block_start[w]);
+    let pos = (lo..hi).find(|&pos| t.unpack(t.perm_pack[pos]) == (0, 0))?;
+    Some(t.perm_orig[pos] as usize)
 }
 
 /// Builds the 16-entry AToX of the frame fusing SpMM blocks `blocks` (one

@@ -37,9 +37,7 @@ pub fn sparse_row_softmax(
         shared_mem_bytes: 0,
         regs_per_thread: 28,
     };
-    // A block's rows cover the contiguous edge range
-    // [ptr[row0], ptr[row1]): disjoint output slices across blocks.
-    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    let body = |ctx: &mut BlockCtx<'_>| {
         let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
         let row1 = (row0 + ROWS_PER_BLOCK).min(n);
         for v in row0..row1 {
@@ -58,30 +56,30 @@ pub fn sparse_row_softmax(
             ctx.fp32_warp(deg.min(32) as u32); // sum reduction
             ctx.fp32_warp(deg.min(32) as u32); // divide
             ctx.st_global_contiguous(buf_vals.addr(lo, 4), deg, 4);
-
-            // SAFETY: row `v` belongs to this block alone; its edge slice
-            // does not overlap any other block's.
-            softmax_row(unsafe { out.range_mut(lo, hi - lo) });
         }
     };
-    let values = |block: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    // A block's rows cover the contiguous edge range
+    // [ptr[row0], ptr[row1]): disjoint output slices across blocks.
+    let out_view = DisjointSlices::new(&mut out);
+    let values = |block: u64| {
         let row0 = block as usize * ROWS_PER_BLOCK;
         let row1 = (row0 + ROWS_PER_BLOCK).min(n);
         for v in row0..row1 {
             let (lo, hi) = (csr.node_pointer()[v], csr.node_pointer()[v + 1]);
-            // SAFETY: as in the body.
-            softmax_row(unsafe { out.range_mut(lo, hi - lo) });
+            // SAFETY: row `v` belongs to this block alone; its edge slice
+            // does not overlap any other block's.
+            softmax_row(unsafe { out_view.range_mut(lo, hi - lo) });
         }
     };
     launcher.preflight("edge-softmax", &cfg)?;
     let blocks = Blocks::All(n.div_ceil(ROWS_PER_BLOCK) as u64);
-    let stats = launcher.launch_par_values(cfg, blocks, [out.as_mut_slice()], body, values);
+    let stats = launcher.launch_par_values(cfg, blocks, body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }
 
-/// Numerically stable softmax of one row's edge values, in place: the
-/// arithmetic of the kernel's body, and the loop a memo hit runs.
+/// Numerically stable softmax of one row's edge values, in place: the loop
+/// the kernel computes each row with.
 fn softmax_row(row: &mut [f32]) {
     let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;

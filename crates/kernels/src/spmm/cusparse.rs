@@ -62,36 +62,30 @@ impl SpmmKernel for CusparseCsrSpmm {
             regs_per_thread: 64,
         };
 
-        // Each block owns rows [block*256, block*256+256): disjoint output
-        // slabs, so the body runs on the parallel path.
-        let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
+        let body = |ctx: &mut BlockCtx<'_>| {
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-            // SAFETY: block owns rows [row0, row1) exclusively.
-            let out_rows = unsafe { out.range_mut(row0 * d, (row1 - row0) * d) };
             // Row pointers: coalesced across the block's threads.
             ctx.ld_global_contiguous(buf_ptr.addr(row0, 8), row1 - row0 + 1, 8);
 
             // Warp by warp: 32 consecutive rows in lockstep.
             for w0 in (row0..row1).step_by(32) {
-                let w1 = (w0 + 32).min(row1);
-                rows.run(ctx, w0..w1, &mut out_rows[(w0 - row0) * d..(w1 - row0) * d]);
+                rows.run(ctx, w0..(w0 + 32).min(row1));
             }
         };
+        // Each block owns rows [block*256, block*256+256): disjoint output
+        // slabs, so the loop runs on the parallel path.
+        let out_view = DisjointSlices::new(out.as_mut_slice());
+        let values = |block: u64| {
+            let row0 = block as usize * ROWS_PER_BLOCK;
+            let row1 = (row0 + ROWS_PER_BLOCK).min(n);
+            // SAFETY: block owns rows [row0, row1) exclusively.
+            let out_rows = unsafe { out_view.range_mut(row0 * d, (row1 - row0) * d) };
+            accumulate_rows(prob, row0..row1, out_rows)
+        };
         launcher.preflight("cusparse-csr", &cfg)?;
-        let stats = launcher.launch_par_values(
-            cfg,
-            Blocks::All(num_blocks),
-            [out.as_mut_slice()],
-            body,
-            |block, [out]| {
-                let row0 = block as usize * ROWS_PER_BLOCK;
-                let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-                // SAFETY: block owns rows [row0, row1) exclusively.
-                let out_rows = unsafe { out.range_mut(row0 * d, (row1 - row0) * d) };
-                accumulate_rows(prob, row0..row1, out_rows)
-            },
-        );
+        let blocks = Blocks::All(num_blocks);
+        let stats = launcher.launch_par_values(cfg, blocks, body, values);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }
@@ -99,7 +93,7 @@ impl SpmmKernel for CusparseCsrSpmm {
 
 /// One lockstep group of thread-per-row lanes (≤ 32 rows) with the device
 /// buffers it reads and writes: the CUDA-core body of this kernel and of
-/// the hybrid launch's CUDA-core windows.
+/// the hybrid launch's CUDA-core windows. It only charges.
 #[derive(Clone, Copy)]
 pub(crate) struct CudaRows<'a> {
     pub prob: &'a SpmmProblem<'a>,
@@ -110,11 +104,9 @@ pub(crate) struct CudaRows<'a> {
 }
 
 impl CudaRows<'_> {
-    /// Walks `rows` in lockstep and writes them into `out_rows`. The group
-    /// runs as long as its highest-degree row, so a smaller group pays
-    /// less divergence. The functional accumulation is per row in CSR edge
-    /// order, so every grouping of rows yields the same bits.
-    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>, out_rows: &mut [f32]) {
+    /// Charges a lockstep walk of `rows`. The group runs as long as its
+    /// highest-degree row, so a smaller group pays less divergence.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, rows: Range<usize>) {
         let prob = self.prob;
         let csr = prob.csr;
         let d = prob.dim();
@@ -158,15 +150,13 @@ impl CudaRows<'_> {
             );
             ctx.st_global_warp(&addrs);
         }
-
-        accumulate_rows(prob, rows, out_rows);
     }
 }
 
 /// Adds `(F ⊙ A)·X` over `rows` into `out_rows` (zeroed on entry): each
-/// row's edges in CSR order, in f32, a separate multiply and add. The
-/// arithmetic of [`CudaRows::run`], and the loop a memo hit runs for every
-/// CUDA-core SpMM row.
+/// row's edges in CSR order, in f32, a separate multiply and add. The loop
+/// every launch computes its CUDA-core SpMM rows with; it depends on no
+/// grouping of the rows, so every grouping yields the same bits.
 pub(crate) fn accumulate_rows(prob: &SpmmProblem<'_>, rows: Range<usize>, out_rows: &mut [f32]) {
     let csr = prob.csr;
     let d = prob.dim();

@@ -29,8 +29,8 @@ use tcg_tensor::DenseMatrix;
 use super::cusparse::{accumulate_rows, CudaRows};
 use super::tcgnn::{tcu_rows, TcuWindow};
 use crate::common::{
-    check_translation, check_windows, launch_mask, tf32_operand, window_mask, window_rows,
-    SpmmKernel, SpmmProblem, TcgError,
+    check_translation, check_windows, first_mma_window, launch_mask, tf32_operand, window_mask,
+    window_rows, SpmmKernel, SpmmProblem, TcgError,
 };
 use crate::hybrid::{mask_over, DispatchPolicy, WindowBackend};
 
@@ -179,7 +179,6 @@ pub(crate) fn launch(
         buf_vals: launcher.try_alloc(csr.num_edges() * 4)?,
         buf_x: launcher.try_alloc_f32(prob.x.len())?,
         buf_out: launcher.try_alloc_f32(out.len())?,
-        x_tf32: &x_tf32,
     };
     let cuda = if mask.contains(&WindowBackend::CudaCore) {
         Some(CudaRows {
@@ -202,15 +201,11 @@ pub(crate) fn launch(
         regs_per_thread: 64,
     };
 
-    // Blocks write disjoint row-window slabs of `out` on both paths, so
-    // the body runs on the parallel path without locks.
-    let body = |ctx: &mut BlockCtx<'_>, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    let body = |ctx: &mut BlockCtx<'_>| {
         let w = ctx.block_id as usize;
         let rows = window_rows(w, n);
-        // SAFETY: window `w` owns its rows exclusively.
-        let out_win = unsafe { out.range_mut(rows.start * d, rows.len() * d) };
         match mask[w] {
-            WindowBackend::Tcu => tcu.run(ctx, w, out_win),
+            WindowBackend::Tcu => tcu.run(ctx, w),
             // An edgeless window issues nothing, not even its row
             // pointers; otherwise its ≤16 rows are one lockstep group.
             WindowBackend::CudaCore => {
@@ -221,16 +216,19 @@ pub(crate) fn launch(
                     .as_ref()
                     .expect("a CUDA-core window implies the edge buffer");
                 ctx.ld_global_contiguous(tcu.buf_ptr.addr(rows.start, 8), rows.len() + 1, 8);
-                cuda.run(ctx, rows, out_win);
+                cuda.run(ctx, rows);
             }
             WindowBackend::Skip => {}
         }
     };
-    let values = |w: u64, [out]: &[DisjointSlices<'_, f32>; 1]| {
+    // Windows write disjoint row slabs of `out`, so the loop runs on the
+    // parallel path without locks.
+    let out_view = DisjointSlices::new(out.as_mut_slice());
+    let values = |w: u64| {
         let w = w as usize;
         let rows = window_rows(w, n);
         // SAFETY: window `w` owns its rows exclusively.
-        let out_win = unsafe { out.range_mut(rows.start * d, rows.len() * d) };
+        let out_win = unsafe { out_view.range_mut(rows.start * d, rows.len() * d) };
         match mask[w] {
             WindowBackend::Tcu => tcu_rows(csr, |e| prob.value(e), &x_tf32, d, rows, out_win),
             WindowBackend::CudaCore => accumulate_rows(prob, rows, out_win),
@@ -238,7 +236,14 @@ pub(crate) fn launch(
         }
     };
     launcher.preflight(name, &cfg)?;
-    let stats = launch_mask(launcher, cfg, &mask, [out.as_mut_slice()], body, values);
+    let stats = launch_mask(launcher, cfg, &mask, body, values);
+    if stats.ecc_faults > 0 {
+        // The flip poisons accumulator element (0, 0) of the launch's
+        // first MMA: row 0, column 0 of its window.
+        let tcu_windows = (0..mask.len()).filter(|&w| mask[w] == WindowBackend::Tcu);
+        let w = first_mma_window(t, tcu_windows).expect("an MMA consumed the flip");
+        out.as_mut_slice()[w * TC_BLK_H * d] = f32::NAN;
+    }
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }

@@ -59,7 +59,7 @@ impl SpmmKernel for ScatterGatherSpmm {
 
         let mut gather_bases: Vec<u64> = Vec::with_capacity(EDGES_PER_BLOCK);
         let mut atomic_addrs: Vec<u64> = Vec::with_capacity(32);
-        let body = |ctx: &mut BlockCtx<'_>, [out]: &mut [&mut [f32]; 1]| {
+        let body = |ctx: &mut BlockCtx<'_>| {
             let e0 = ctx.block_id as usize * EDGES_PER_BLOCK;
             let e1 = (e0 + EDGES_PER_BLOCK).min(nnz);
             if e0 >= e1 {
@@ -99,23 +99,13 @@ impl SpmmKernel for ScatterGatherSpmm {
                 ctx.fma_warps(((e_hi - e) * d).div_ceil(32) as u64);
                 e = e_hi;
             }
-
-            // Functional accumulation, in edge order.
-            for ee in e0..e1 {
-                let w = prob.value(ee);
-                let xrow = prob.x.row(src[ee] as usize);
-                let orow = &mut out[dst[ee] as usize * d..][..d];
-                for (o, &xv) in orow.iter_mut().zip(xrow) {
-                    *o += w * xv;
-                }
-            }
         };
         launcher.preflight("scatter-gather", &cfg)?;
-        // The edges of a row are consecutive in edge order, so each row
-        // accumulates them in CSR order: the CUDA-core row loop's bits.
-        let stats = launcher.launch_values(cfg, num_blocks, [out.as_mut_slice()], body, |[out]| {
-            accumulate_rows(prob, 0..n, out)
-        });
+        // The atomics add each edge's term in edge order. The edges of a
+        // row are consecutive in edge order, so each row accumulates them
+        // in CSR order: the CUDA-core row loop's bits.
+        let values = || accumulate_rows(prob, 0..n, out.as_mut_slice());
+        let stats = launcher.launch_values(cfg, num_blocks, body, values);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

@@ -11,10 +11,10 @@
 //! dimension-split strategy), so every warp reuses the same shared sparse
 //! tile — the data-reuse benefit of the two-level workload mapping.
 //!
-//! The body charges that staging and every MMA in full, but computes only
-//! what it keeps: each MMA multiplies the block's non-zero list with the
-//! gathered rows of `X` (rounded to TF-32 once per launch), up to the
-//! slab's width (`mma_sync_gather`), with the staged tiles' bits.
+//! The body charges that staging and every MMA in full and computes no
+//! value. The outputs come from a plain loop over each row's edges,
+//! `tcu_rows`, in the MMAs' accumulation order, so they carry the bits of
+//! the staged-tile loop `tcg_oracle::refmodel::tcu_spmm`.
 //!
 //! The window body, `TcuWindow`, is the one the hybrid launch runs for
 //! its TCU windows; this kernel is that launch under an all-TCU mask.
@@ -22,11 +22,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use tcg_gpusim::hotspot::{self, HotPhase};
+use tcg_gpusim::hotspot;
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
-    mma_sync_gather, FragmentAcc, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS,
-    FRAG_B_SMEM_TRANSACTIONS, WMMA_K, WMMA_M, WMMA_N,
+    mma_sync, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K,
+    WMMA_M, WMMA_N,
 };
 use tcg_gpusim::{BlockCtx, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
@@ -109,7 +109,7 @@ impl SpmmKernel for TcgnnSpmm {
 }
 
 /// The TCU row-window body of Listing 2, with the device buffers it reads
-/// and writes (allocated by the launch).
+/// and writes (allocated by the launch). It only charges.
 #[derive(Clone, Copy)]
 pub(crate) struct TcuWindow<'a> {
     pub t: &'a TranslatedGraph,
@@ -121,20 +121,18 @@ pub(crate) struct TcuWindow<'a> {
     pub buf_vals: Buffer,
     pub buf_x: Buffer,
     pub buf_out: Buffer,
-    /// `prob.x` rounded to TF-32, row-major.
-    pub x_tf32: &'a [f32],
 }
 
 impl TcuWindow<'_> {
-    /// Runs row window `w`, writing its rows into `out_win`. An empty
-    /// window issues nothing.
-    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize, out_win: &mut [f32]) {
+    /// Charges row window `w`. An empty window issues nothing.
+    pub(crate) fn run(&self, ctx: &mut BlockCtx<'_>, w: usize) {
         let (t, prob) = (self.t, self.prob);
         let num_tc_blocks = t.win_partition[w] as usize;
         if num_tc_blocks == 0 {
             return;
         }
         let d = prob.dim();
+        let slabs = d.div_ceil(WMMA_N);
         let row_lo = w * TC_BLK_H;
         let row_hi = (row_lo + TC_BLK_H).min(prob.csr.num_nodes());
 
@@ -144,9 +142,6 @@ impl TcuWindow<'_> {
 
         // Per-block scratch (the parallel path runs bodies concurrently,
         // so nothing mutable is shared between blocks).
-        let mut nonzeros = Vec::with_capacity(TC_BLK_H * TC_BLK_W);
-        let mut b_rows: Vec<usize> = Vec::with_capacity(TC_BLK_W);
-        let mut accs = vec![FragmentAcc::default(); d.div_ceil(WMMA_N)];
         let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
         let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
         let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
@@ -186,9 +181,8 @@ impl TcuWindow<'_> {
                 }
             }
 
-            // The A operand is the same for every dim slab: stage it
-            // once per TC block (each warp's load is still charged).
-            block_nonzeros(&mut nonzeros, t, b, |e| prob.value(e));
+            // The A operand is the same for every dim slab: staged once
+            // per TC block (each warp's load is still charged).
             let nnz_blk = chunk as u64;
             win_nnz += nnz_blk;
             // Shared-memory writes: zero-init + nnz scatter + index row.
@@ -205,10 +199,8 @@ impl TcuWindow<'_> {
                     .map(|&u| self.buf_x.f32_addr(u as usize * d)),
             );
             win_cols += row_bases.len() as u64;
-            b_rows.clear();
-            b_rows.extend(atox_ids.iter().map(|&u| u as usize * d));
 
-            for (s, acc) in accs.iter_mut().enumerate() {
+            for s in 0..slabs {
                 let dim0 = s * WMMA_N;
                 let width = (d - dim0).min(WMMA_N);
                 // Stage dense_X: each referenced row contributes its
@@ -220,41 +212,35 @@ impl TcuWindow<'_> {
 
                 // --- TCU phase (Listing 2 lines 36-37) --------------
                 ctx.shared_access(FRAG_A_SMEM_TRANSACTIONS + FRAG_B_SMEM_TRANSACTIONS);
-                let b_slab = &self.x_tf32[dim0..];
-                mma_sync_gather(acc, &nonzeros, b_slab, &b_rows, width, ctx);
+                mma_sync(ctx);
             }
         }
         ctx.syncthreads();
 
         // Store each warp's 16×16 output slab (boundary-clipped).
-        for (s, acc) in accs.iter().enumerate() {
+        for s in 0..slabs {
             let dim0 = s * WMMA_N;
             let width = (d - dim0).min(WMMA_N);
             slab_bases.clear();
             slab_bases.extend((row_lo..row_hi).map(|r| self.buf_out.f32_addr(r * d + dim0)));
             ctx.st_global_gather_rows(&slab_bases, width, 4);
             ctx.shared_access(FRAG_ACC_TRANSACTIONS);
-            for ri in 0..(row_hi - row_lo) {
-                let orow = &mut out_win[ri * d..(ri + 1) * d];
-                for c in 0..width {
-                    orow[dim0 + c] = acc.get(ri, c);
-                }
-            }
         }
         hotspot::annotate_window(win_nnz, win_cols);
     }
 }
 
-/// The bits [`TcuWindow::run`] writes for `rows` of an SpMM with edge
-/// values `value(e)`, from a plain loop: the loop a memo hit runs for a
-/// TCU window. `out_rows` (`rows × d`, zeroed on entry) gets
-/// `Σ tf32(value(e)) · x_tf32[u]` over each row's edges `(e, u)` in CSR
-/// order, skipping zero `tf32(value(e))`, a separate multiply and add.
+/// The outputs of a TCU window's `rows` for an SpMM with edge values
+/// `value(e)`: the loop every launch computes a TCU window with. `out_rows`
+/// (`rows × d`, zeroed on entry) gets `Σ tf32(value(e)) · x_tf32[u]` over
+/// each row's edges `(e, u)` in CSR order, skipping zero
+/// `tf32(value(e))`, a separate multiply and add.
 ///
-/// That is the MMA order: a row's tile entries ascend in condensed column
-/// over the window's TC blocks, the condensed columns are the window's
-/// sorted distinct neighbors, and `TranslatedGraph::validate` ties each
-/// to a distinct edge of the row, whose CSR neighbors ascend.
+/// That is the MMA order of the staged tiles: a row's tile entries ascend
+/// in condensed column over the window's TC blocks, the condensed columns
+/// are the window's sorted distinct neighbors, and
+/// `TranslatedGraph::validate` ties each to a distinct edge of the row,
+/// whose CSR neighbors ascend.
 pub(crate) fn tcu_rows(
     csr: &CsrGraph,
     value: impl Fn(usize) -> f32,
@@ -274,45 +260,6 @@ pub(crate) fn tcu_rows(
             axpy(orow, a, &x_tf32[u as usize * d..][..d]);
         }
     }
-}
-
-/// Stages the A operand of TC block `b`'s MMAs: the non-zeros `(r, k,
-/// value)` of its `16×8` sparse tile, straight from the block's chunk, each
-/// value `value(original edge id)` rounded to TF-32.
-///
-/// Their order gives each output the dense tile loop's bits: SGT sorts a
-/// chunk by condensed column, so each row's `k` ascends, and
-/// `TranslatedGraph::validate` ties every chunk position to a distinct
-/// edge of a duplicate-free CSR row, so no `(r, k)` comes twice.
-pub(crate) fn block_nonzeros(
-    nonzeros: &mut Vec<(usize, usize, f32)>,
-    t: &TranslatedGraph,
-    b: usize,
-    value: impl Fn(usize) -> f32,
-) {
-    let _t = hotspot::scope(HotPhase::Staging);
-    let (lo, hi) = t.block_chunk(b);
-    debug_assert!(
-        rows_ascend(t, lo, hi),
-        "block {b}: a row's columns do not strictly ascend"
-    );
-    nonzeros.clear();
-    nonzeros.extend((lo..hi).map(|pos| {
-        let (r, k) = t.unpack(t.perm_pack[pos]);
-        (r, k, round_to_tf32(value(t.perm_orig[pos] as usize)))
-    }));
-}
-
-/// Whether every tile row meets its columns in strictly ascending order
-/// over chunk positions `lo..hi`.
-fn rows_ascend(t: &TranslatedGraph, lo: usize, hi: usize) -> bool {
-    let mut next = [0usize; TC_BLK_H];
-    t.perm_pack[lo..hi].iter().all(|&p| {
-        let (r, k) = t.unpack(p);
-        let ascends = k >= next[r];
-        next[r] = k + 1;
-        ascends
-    })
 }
 
 #[cfg(test)]

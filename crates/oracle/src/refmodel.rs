@@ -792,112 +792,91 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    fn in_block(body: impl Fn(&mut tcg_gpusim::BlockCtx<'_>)) {
+    /// Runs `kernel` twice on one launcher under one launch-memo key: a
+    /// miss, which simulates the block bodies, and a hit, which replays
+    /// their stats. Returns both outputs.
+    fn miss_and_hit<T>(kernel: impl Fn(&mut tcg_gpusim::Launcher) -> T) -> [T; 2] {
         let mut l = tcg_gpusim::Launcher::new(tcg_gpusim::DeviceSpec::rtx3090());
-        l.launch(tcg_gpusim::GridConfig::with_block_size(32), 1, body);
+        let miss = l.memoized(0u8, &kernel);
+        let hit = l.memoized(0u8, &kernel);
+        assert_eq!(l.memo_hits(), 1, "the repeat is a memo hit");
+        [miss, hit]
+    }
+
+    /// A one-window graph of `WMMA_M` nodes whose row `r` has an edge to
+    /// `cols[k]` for each `k` with `held(r, k)`. `cols` ascends, so each
+    /// row's neighbors do.
+    fn tile_graph(cols: &[u32], held: impl Fn(usize, usize) -> bool) -> CsrGraph {
+        let mut ptr = vec![0];
+        let mut nbrs = Vec::new();
+        for r in 0..WMMA_M {
+            nbrs.extend((0..cols.len()).filter(|&k| held(r, k)).map(|k| cols[k]));
+            ptr.push(nbrs.len());
+        }
+        CsrGraph::from_raw(WMMA_M, ptr, nbrs).unwrap()
+    }
+
+    /// Requires equal bits, or NaN on both sides, at every element.
+    fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(same_bits(g, w), "{what}: element {i}: {g} vs {w}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn mma_sync_gather_matches_the_dense_loop_bitwise(
-            seed in 0u64..u64::MAX, width in 1usize..=WMMA_N, density in 0usize..=8,
+        fn tcgnn_spmm_matches_the_staged_tile_loop_bitwise(
+            seed in 0u64..u64::MAX, width in 1usize..=2 * WMMA_N + 3, density in 0usize..=8,
         ) {
-            use tcg_gpusim::wmma::{mma_sync_gather, FragmentAcc};
+            use tcg_kernels::{common::SpmmKernel, spmm::TcgnnSpmm, SpmmProblem};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // The sparse tile: a position holds a value with probability
-            // density/8; a held value may itself be zero.
-            let mut a = [0.0f32; WMMA_M * WMMA_K];
-            let mut held = Vec::new();
-            for k in 0..WMMA_K {
-                for r in 0..WMMA_M {
-                    if rng.random_range(0..8) < density {
-                        a[r * WMMA_K + k] = operand(&mut rng, true);
-                        held.push((r, k));
-                    }
-                }
+            // The sparse 16×8 tile: a position holds an edge with
+            // probability density/8, and column `k` is neighbor `cols[k]`,
+            // 8 distinct ids in ascending order.
+            let held: Vec<bool> = (0..WMMA_M * WMMA_K).map(|_| rng.random_range(0..8) < density).collect();
+            let mut cols: Vec<u32> = (0..WMMA_M as u32).collect();
+            for i in (1..cols.len()).rev() {
+                cols.swap(i, rng.random_range(0..=i));
             }
-            // B rows live at scattered offsets of a larger operand whose
-            // columns past the width hold anything, NaN included.
-            let ld = WMMA_N + 5;
-            let b_op: Vec<f32> = (0..WMMA_K * 2 * ld).map(|_| operand(&mut rng, true)).collect();
-            let b_rows: Vec<usize> = (0..WMMA_K).map(|k| ((k * 5 + 3) % (2 * WMMA_K)) * ld).collect();
-            let b: TileB = std::array::from_fn(|i| b_op[b_rows[i / WMMA_N] + i % WMMA_N]);
-            let start: Vec<f32> = (0..WMMA_M * WMMA_N).map(|_| operand(&mut rng, false)).collect();
-
-            let mut want: TileAcc = std::array::from_fn(|i| start[i]);
-            mma_m16n16k8(&mut want, &a, &b);
-            let b_tf32: Vec<f32> = b_op.iter().map(|&v| round_to_tf32(v)).collect();
-            let nonzeros: Vec<(usize, usize, f32)> = held
-                .iter()
-                .map(|&(r, k)| (r, k, round_to_tf32(a[r * WMMA_K + k])))
-                .collect();
-            in_block(|ctx| {
-                let mut acc = FragmentAcc::default();
-                acc.data_mut().copy_from_slice(&start);
-                mma_sync_gather(&mut acc, &nonzeros, &b_tf32, &b_rows, width, ctx);
-                for r in 0..WMMA_M {
-                    for c in 0..width {
-                        let i = r * WMMA_N + c;
-                        let (got, want) = (acc.data()[i], want[i]);
-                        assert!(same_bits(got, want), "({r},{c}) seed {seed}: {got} vs {want}");
-                    }
-                }
-            });
+            cols.truncate(WMMA_K);
+            cols.sort_unstable();
+            let g = tile_graph(&cols, |r, k| held[r * WMMA_K + k]);
+            // An edge's value may itself be zero or special, as may `x`.
+            let values: Vec<f32> = (0..g.num_edges()).map(|_| operand(&mut rng, true)).collect();
+            let x = DenseMatrix::from_fn(WMMA_M, width, |_, _| operand(&mut rng, true));
+            let t = tcg_sgt::Sgt::builder().translate(&g).unwrap();
+            let want = tcu_spmm(&t, &x, Some(&values), false);
+            let prob = SpmmProblem::new(&g, Some(&values), &x).unwrap();
+            let kernel = TcgnnSpmm::from_translated(t);
+            for got in miss_and_hit(|l| kernel.execute(l, &prob).unwrap().0) {
+                assert_same_bits(&format!("seed {seed}"), got.as_slice(), want.as_slice());
+            }
         }
 
         #[test]
-        fn mma_sync_entries_matches_the_dense_loop_bitwise(
-            seed in 0u64..u64::MAX, kw in 1usize..=WMMA_K, k0 in 0usize..6, kept in 0usize..=WMMA_M * WMMA_N,
+        fn tcgnn_sddmm_matches_the_staged_tile_loop_bitwise(
+            seed in 0u64..u64::MAX, width in 1usize..=2 * WMMA_K + 3, density in 0usize..=8,
             b_specials in 0u8..2,
         ) {
-            use tcg_gpusim::wmma::{mma_sync_entries, MmaEntry};
+            use tcg_kernels::sddmm::{SddmmKernel, TcgnnSddmm};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // A rows and B columns are rows of width `len`; the MMA reads
-            // columns `k0..k0 + kw` of each.
-            let len = k0 + kw + 3;
-            let a_op: Vec<f32> = (0..WMMA_M * len).map(|_| operand(&mut rng, true)).collect();
-            let b_op: Vec<f32> = (0..WMMA_N * len).map(|_| operand(&mut rng, b_specials == 1)).collect();
-            let a: TileA = std::array::from_fn(|i| {
-                let (r, k) = (i / WMMA_K, i % WMMA_K);
-                if k < kw { a_op[r * len + k0 + k] } else { 0.0 }
-            });
-            let b: TileB = std::array::from_fn(|i| {
-                let (k, c) = (i / WMMA_N, i % WMMA_N);
-                if k < kw { b_op[c * len + k0 + k] } else { f32::NAN }
-            });
-            let b_tf32: Vec<f32> = b_op.iter().map(|&v| round_to_tf32(v)).collect();
-            let start: Vec<f32> = (0..WMMA_M * WMMA_N).map(|_| operand(&mut rng, false)).collect();
-            // A finite B takes the loop without the zero test, which holds
-            // for accumulators that are never −0, as the kernels' are; a
-            // −0 start keeps the zero test.
-            let b_finite = b_tf32.iter().all(|v| v.is_finite())
-                && !start.iter().any(|v| *v == 0.0 && v.is_sign_negative());
-            let mut want: TileAcc = std::array::from_fn(|i| start[i]);
-            mma_m16n16k8(&mut want, &a, &b);
-
-            // `kept` distinct elements, in a shuffled order.
-            let mut cells: Vec<usize> = (0..WMMA_M * WMMA_N).collect();
-            for i in (1..cells.len()).rev() {
-                cells.swap(i, rng.random_range(0..=i));
+            // The 16×16 edge frame of two 16×8 tiles: a position holds an
+            // edge with probability density/8.
+            let held: Vec<bool> = (0..WMMA_M * WMMA_N).map(|_| rng.random_range(0..8) < density).collect();
+            let cols: Vec<u32> = (0..WMMA_N as u32).collect();
+            let g = tile_graph(&cols, |r, c| held[r * WMMA_N + c]);
+            // A finite B operand takes the loop without the zero test.
+            let xa = DenseMatrix::from_fn(WMMA_M, width, |_, _| operand(&mut rng, true));
+            let xb = DenseMatrix::from_fn(WMMA_M, width, |_, _| operand(&mut rng, b_specials == 1));
+            let t = tcg_sgt::Sgt::builder().translate(&g).unwrap();
+            let want = tcu_sddmm(&t, &g, &xa, &xb, false);
+            let kernel = TcgnnSddmm::from_translated(t);
+            for got in miss_and_hit(|l| kernel.execute(l, &g, &xa, &xb).unwrap().0) {
+                assert_same_bits(&format!("seed {seed}"), &got, &want);
             }
-            cells.truncate(kept);
-            let entries: Vec<MmaEntry> = cells
-                .iter()
-                .map(|&i| {
-                    let (r, c) = (i / WMMA_N, i % WMMA_N);
-                    MmaEntry { r, c, a_row: r * len, b_row: c * len }
-                })
-                .collect();
-            let a_tf32: Vec<f32> = a_op.iter().map(|&v| round_to_tf32(v)).collect();
-            in_block(|ctx| {
-                let mut acc: Vec<f32> = cells.iter().map(|&i| start[i]).collect();
-                mma_sync_entries(&mut acc, &entries, &a_tf32, &b_tf32, k0..k0 + kw, b_finite, ctx);
-                for (v, &i) in acc.iter().zip(&cells) {
-                    assert!(same_bits(*v, want[i]), "element {i} seed {seed}: {v} vs {}", want[i]);
-                }
-            });
         }
     }
 }

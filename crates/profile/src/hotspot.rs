@@ -2,8 +2,8 @@
 //! [`tcg_gpusim::hotspot`].
 //!
 //! The gpusim layer measures where *host* wall-clock time goes while the
-//! simulator runs — cache probes, coalescing analysis, operand staging,
-//! MMA inner loops — attributed both per phase and per SGT row window.
+//! simulator runs — coalescing analysis, L1 probes, the L2 replay —
+//! attributed both per phase and per SGT row window.
 //! This module renders a [`HotspotReport`] as
 //!
 //! - a flamegraph-ready collapsed-stack file (`inferno` / `flamegraph.pl`
@@ -228,12 +228,12 @@ mod tests {
         let mut main = WorkerPhases::default();
         main.phase_ns[HotPhase::CacheProbe.idx()] = 60_000;
         main.phase_hits[HotPhase::CacheProbe.idx()] = 30;
-        main.phase_ns[HotPhase::MmaInner.idx()] = 1_500_000;
-        main.phase_hits[HotPhase::MmaInner.idx()] = 50;
+        main.phase_ns[HotPhase::L2Replay.idx()] = 1_500_000;
+        main.phase_hits[HotPhase::L2Replay.idx()] = 50;
         report.workers.insert(0, main);
         let mut w1 = WorkerPhases::default();
-        w1.phase_ns[HotPhase::Staging.idx()] = 440_000;
-        w1.phase_hits[HotPhase::Staging.idx()] = 11;
+        w1.phase_ns[HotPhase::Coalesce.idx()] = 440_000;
+        w1.phase_hits[HotPhase::Coalesce.idx()] = 11;
         report.workers.insert(1, w1);
         report.windows.insert(
             3,
@@ -271,9 +271,9 @@ mod tests {
         let folded = collapsed_stacks(&sample_report());
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines.contains(&"tcgnn;main;mma_inner 1500000"));
+        assert!(lines.contains(&"tcgnn;main;l2_replay 1500000"));
         assert!(lines.contains(&"tcgnn;main;cache_probe 60000"));
-        assert!(lines.contains(&"tcgnn;worker-1;staging 440000"));
+        assert!(lines.contains(&"tcgnn;worker-1;coalesce 440000"));
         for line in lines {
             let (stack, count) = line.rsplit_once(' ').unwrap();
             assert_eq!(stack.split(';').count(), 3);
@@ -285,11 +285,11 @@ mod tests {
     fn table_ranks_phases_and_reconciles() {
         let report = sample_report();
         let table = hotspot_table(&report);
-        // Descending by host ns: mma_inner first.
-        let mma = table.find("mma_inner").unwrap();
-        let staging = table.find("staging").unwrap();
+        // Descending by host ns: l2_replay first.
+        let replay = table.find("l2_replay").unwrap();
+        let coalesce = table.find("coalesce").unwrap();
         let probe = table.find("cache_probe").unwrap();
-        assert!(mma < staging && staging < probe);
+        assert!(replay < coalesce && coalesce < probe);
         assert!(table.contains("top row windows"));
         assert!(table.contains("outside-windows"));
         // 60k + 1.5M + 440k phases == 1.7M + 250k + 50k windows == 2M.
@@ -303,8 +303,8 @@ mod tests {
         let row = |label: &str| table.lines().find(|l| l.starts_with(label)).unwrap();
         // cache_probe: 2us/hit < 3 x 1us scope cost.
         assert!(row("cache_probe").ends_with(" *"));
-        assert!(!row("mma_inner").ends_with('*'));
-        assert!(!row("staging").ends_with('*'));
+        assert!(!row("l2_replay").ends_with('*'));
+        assert!(!row("coalesce").ends_with('*'));
         // Uncalibrated reports print no timer line and flag nothing.
         let mut report = sample_report();
         report.scope_cost_ns = 0.0;
@@ -313,18 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn phases_are_the_five_interpreter_phases_with_folded_safe_labels() {
+    fn phases_are_the_three_interpreter_phases_with_folded_safe_labels() {
         let labels: Vec<&str> = HotPhase::all().iter().map(|p| p.label()).collect();
-        assert_eq!(
-            labels,
-            [
-                "coalesce",
-                "cache_probe",
-                "l2_replay",
-                "mma_inner",
-                "staging"
-            ]
-        );
+        assert_eq!(labels, ["coalesce", "cache_probe", "l2_replay"]);
         for (i, phase) in HotPhase::all().into_iter().enumerate() {
             assert_eq!(phase.idx(), i);
             // A collapsed-stack frame: no `;` separators, no spaces.

@@ -36,7 +36,10 @@ fn main() {
     ];
     for (name, runner) in models {
         let mut ms = [0.0f64; 3];
-        for (i, b) in Backend::all().iter().enumerate() {
+        for (i, b) in [Backend::DglLike, Backend::PygLike, Backend::TcGnn]
+            .iter()
+            .enumerate()
+        {
             let mut eng = Engine::builder(ds.graph.clone())
                 .backend(*b)
                 .device(DeviceSpec::rtx3090())

@@ -19,8 +19,8 @@ cargo test --release -q
 
 step "workspace tests with every memo hit and engine advance cross-checked"
 # Under TCG_VERIFY=1 each launch-memo hit also simulates the launch in full
-# and asserts that its stats equal the recorded ones and that the kernel's
-# plain loop gives the block bodies' output bits. Each Engine::advance also
+# and asserts that its stats equal the recorded ones (the kernel's plain
+# loop computes the outputs on a miss as on a hit). Each Engine::advance also
 # runs the full symmetry check, the from-scratch norms and the
 # whole-translation validate, and asserts that they agree with its
 # incremental ones; every spliced translation is validated whole too.
@@ -69,10 +69,11 @@ step "simulator reference models: fast hot-path primitives vs their slow referen
 # rounding must agree exactly with the reference models in tcg-oracle, and
 # the register-blocked update GEMMs (X·W, Xᵀ·dY, dY·Wᵀ, TF-32) must equal the
 # naive loop bit for bit on every vector ISA the host has, which training,
-# serving and dist results rely on. The
-# TCU MMA primitives (gather, entries) must match the staged-fragment
-# m16n16k8 reference, and every TCU kernel's outputs (TC-GNN, hybrid,
-# fused) its staged-tile SpMM/SDDMM loops, bit for bit.
+# serving and dist results rely on. TC-GNN SpMM and SDDMM on random
+# one-window tiles with special values, and every TCU kernel's outputs
+# (TC-GNN, hybrid, fused) on the oracle families, must match the
+# staged-tile SpMM/SDDMM loops over the m16n16k8 reference bit for bit, on
+# a memo miss and a memo hit.
 cargo test --release -q -p tcg-oracle refmodel
 cargo test --release -q -p tcg-tensor
 cargo test --release -q -p tcg-kernels --test tcu_values
