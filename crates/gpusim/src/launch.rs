@@ -1,14 +1,13 @@
 //! Kernel launch harness: blocks, warp-level cost charging, address space.
 //!
-//! Kernels are Rust closures invoked once per thread block with a
-//! [`BlockCtx`]. The closure charges every warp-level action of the block
-//! to the context: global loads/stores run through the coalescer and the
-//! L1/L2 simulators, arithmetic charges the right pipe, shared-memory
-//! traffic and instruction issue are counted. [`Launcher::launch`] then
-//! feeds the totals to [`crate::cost::analyze`]. A kernel with a plain loop
-//! for its outputs launches through [`Launcher::launch_values`] or
-//! [`Launcher::launch_par_values`]: its block bodies only charge, and the
-//! loop computes every output value.
+//! Every kernel launches through [`Launcher::launch`] with two closures.
+//! The block body is invoked once per thread block with a [`BlockCtx`] and
+//! only charges: it charges every warp-level action of the block to the
+//! context (global loads/stores run through the coalescer and the L1/L2
+//! simulators, arithmetic charges the right pipe, shared-memory traffic
+//! and instruction issue are counted), and the totals feed
+//! [`crate::cost::analyze`]. The kernel's plain loop, called once per
+//! block, computes every output value.
 //!
 //! Data buffers live in the kernel's own Rust memory; the launcher only
 //! assigns them *synthetic device addresses* via [`AddressSpace`] so the
@@ -19,14 +18,12 @@
 //! miss it. Phase 2 replays that log through the launcher's shared L2,
 //! which persists across blocks and launches, and folds the block's
 //! counters into the launch's. Blocks retire in launch order whether phase
-//! 1 ran in order on the calling thread or fanned out over worker threads
-//! ([`Launcher::launch_par_values`]), so both give the same stats.
+//! 1 ran in order on the calling thread or fanned out over worker threads,
+//! so both give the same stats.
 //!
-//! Inside a [`Launcher::memoized`] scope each launch that has a plain loop
-//! ([`Launcher::launch_values`], [`Launcher::launch_par_values`]) is
-//! simulated once: a repeat replays the recorded [`KernelStats`] and runs
-//! only the loop ([`Launcher::launch_par_values`]' per-block loop on the
-//! same worker threads as its bodies).
+//! Inside a [`Launcher::memoized`] scope each launch is simulated once: a
+//! repeat replays the recorded [`KernelStats`] and runs only the per-block
+//! loop, on the same worker threads as the bodies.
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -503,8 +500,8 @@ pub struct Launcher {
 
 impl Launcher {
     /// Creates a launcher for `device` with cold caches and no fault plan.
-    /// The worker-thread count for [`Launcher::launch_par_values`] comes from
-    /// `TCG_THREADS` (unset → 1, the fully sequential behavior).
+    /// The worker-thread count [`Launcher::launch`] fans out over comes
+    /// from `TCG_THREADS` (unset → 1, the fully sequential behavior).
     pub fn new(device: DeviceSpec) -> Self {
         Launcher {
             l2: Cache::l2(device.l2_bytes),
@@ -539,13 +536,13 @@ impl Launcher {
         }
     }
 
-    /// Sets the worker-thread count used by [`Launcher::launch_par_values`]
-    /// (`0` → all available cores; clamped to at least 1).
+    /// Sets the worker-thread count used by [`Launcher::launch`] (`0` → all
+    /// available cores; clamped to at least 1).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = crate::par::resolve_threads(Some(threads)).max(1);
     }
 
-    /// The worker-thread count [`Launcher::launch_par_values`] fans out over.
+    /// The worker-thread count [`Launcher::launch`] fans out over.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -600,8 +597,8 @@ impl Launcher {
         self.try_alloc(n * 4)
     }
 
-    /// Validates a launch and consults the fault plan, to be called by
-    /// fallible kernels immediately before [`Launcher::launch`].
+    /// Validates a launch and consults the fault plan, to be called by a
+    /// kernel immediately before its [`Launcher::launch`].
     ///
     /// Always rejects configurations whose per-block shared memory exceeds
     /// the SM carve-out (a genuine [`TcgError::SmemOvercommit`]); with a
@@ -641,14 +638,12 @@ impl Launcher {
     /// allocations (earlier launches left no line of them in L2, and
     /// shifting the whole layout keeps its set conflicts), the L1 is
     /// flushed at every block, and the L2 is LRU (older lines always evict
-    /// first). So each [`Launcher::launch_values`] or
-    /// [`Launcher::launch_par_values`] launch is simulated once, recorded
+    /// first). So each [`Launcher::launch`] is simulated once, recorded
     /// under `(key, ordinal in the scope, config, blocks)`, and every
     /// repeat replays the record, launch-log entry included, and computes
-    /// its outputs with the kernel's plain loop: no block body runs. Other
-    /// launches simulate every time. The memo is off while a fault plan is
-    /// attached (ECC and OOM change the launch) or the hotspot profiler is
-    /// on.
+    /// its outputs with the kernel's plain loop: no block body runs. The
+    /// memo is off while a fault plan is attached (ECC and OOM change the
+    /// launch) or the hotspot profiler is on.
     pub fn memoized<K: Hash, T>(&mut self, key: K, f: impl FnOnce(&mut Launcher) -> T) -> T {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -671,55 +666,48 @@ impl Launcher {
         self.memo.clear();
     }
 
-    /// Runs `body` once per block, in order, and returns the accumulated
-    /// counters.
+    /// Runs one launch over `blocks` and returns its counters: `body`
+    /// charges each block's warp-level actions, and `values(block_id)`
+    /// computes the outputs of one block, for every block. Each `values`
+    /// call must write only its own block's disjoint ranges; a body writes
+    /// no output at all.
     ///
-    /// The L1 is flushed at block boundaries (a block starts on a cold SM);
-    /// the L2 persists across blocks *and* across launches, modeling
-    /// cross-kernel reuse of inputs.
-    pub fn launch<F>(&mut self, cfg: GridConfig, num_blocks: u64, body: F) -> KernelStats
-    where
-        F: FnMut(&mut BlockCtx<'_>),
-    {
-        let stats = self.simulate(cfg, Blocks::All(num_blocks), body);
-        self.complete(stats)
-    }
-
-    /// [`Launcher::launch`] for a kernel whose outputs a plain loop
-    /// computes: `body` only charges, and `values` computes every output
-    /// once the blocks are charged. Inside a [`Launcher::memoized`] scope a
-    /// repeat replays the recorded counters and runs only `values`.
-    pub fn launch_values<F>(
+    /// Both fan out over the launcher's worker-thread pool. Stats,
+    /// cost-model output and result bytes do not depend on the thread
+    /// count. The workers run each block's phase 1 (`run_block`) against
+    /// their own L1, flushed per block as an in-order launch's is, and log
+    /// its L1 misses. The blocks then retire (`retire_block`) in launch
+    /// order, so the shared L2 sees the probe order of an in-order launch
+    /// and the stats fold in the same order. The L2 persists across blocks
+    /// *and* across launches, modeling cross-kernel reuse of inputs.
+    ///
+    /// Blocks run in order on the calling thread when the resolved thread
+    /// count is 1, the grid is tiny, or an ECC fault is armed (the armed
+    /// flip is consumed by the *first* tensor-core op in block order —
+    /// data-affecting semantics fanning out must not reorder).
+    ///
+    /// Inside a [`Launcher::memoized`] scope a miss simulates the bodies
+    /// and records the stats, a hit takes the record, and either way
+    /// `values` then computes the outputs. Under `TCG_VERIFY=1` a hit also
+    /// simulates in full and asserts that the stats equal the record.
+    pub fn launch<F, V>(
         &mut self,
         cfg: GridConfig,
-        num_blocks: u64,
+        blocks: Blocks<'_>,
         body: F,
-        values: impl FnOnce(),
+        values: V,
     ) -> KernelStats
     where
-        F: FnMut(&mut BlockCtx<'_>),
+        F: Fn(&mut BlockCtx<'_>) + Sync,
+        V: Fn(u64) + Sync,
     {
-        let simulate = |l: &mut Launcher| l.simulate(cfg, Blocks::All(num_blocks), body);
-        self.replay_or_simulate(cfg, num_blocks, simulate, values)
-    }
-
-    /// The memo around one launch: a miss simulates the bodies and records
-    /// the stats, a hit takes the record, and either way `values` then
-    /// computes the outputs. Under `TCG_VERIFY=1` a hit also simulates in
-    /// full and asserts that the stats equal the record.
-    fn replay_or_simulate(
-        &mut self,
-        cfg: GridConfig,
-        num_blocks: u64,
-        simulate: impl FnOnce(&mut Launcher) -> KernelStats,
-        values: impl FnOnce(),
-    ) -> KernelStats {
+        let num_blocks = blocks.len();
         let slot = self.memo_slot(cfg, num_blocks);
         let stats = match slot.and_then(|s| self.memo.get(&s)).cloned() {
             Some(recorded) => {
                 self.memo_hits += 1;
                 if self.verify {
-                    let stats = simulate(self);
+                    let stats = self.simulate(cfg, blocks, &body);
                     assert_eq!(
                         stats, recorded,
                         "a memo hit diverged from its full simulation"
@@ -728,14 +716,20 @@ impl Launcher {
                 recorded
             }
             None => {
-                let stats = simulate(self);
+                let stats = self.simulate(cfg, blocks, &body);
                 if let Some(slot) = slot {
                     self.memo.insert(slot, stats.clone());
                 }
                 stats
             }
         };
-        values();
+        let threads = self.threads.min(num_blocks as usize);
+        let block = |_: &mut (), i| values(blocks.id(i));
+        if threads <= 1 {
+            (0..num_blocks).for_each(|i| block(&mut (), i));
+        } else {
+            fan_out(threads, num_blocks, || (), block);
+        }
         self.complete(stats)
     }
 
@@ -766,18 +760,33 @@ impl Launcher {
         stats
     }
 
+    /// The full simulation behind [`Launcher::launch`]: fanned out over
+    /// the workers, or in order where it must be.
+    fn simulate<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: &F) -> KernelStats
+    where
+        F: Fn(&mut BlockCtx<'_>) + Sync,
+    {
+        let num_blocks = blocks.len();
+        let threads = self.threads.min(num_blocks as usize);
+        if threads <= 1 || num_blocks < 2 || self.ecc_armed {
+            self.simulate_in_order(cfg, blocks, body)
+        } else {
+            self.simulate_par(cfg, blocks, threads, body)
+        }
+    }
+
     /// The full simulation of `blocks` in order on the calling thread:
     /// each block runs its phase 1 ([`run_block`]) and is retired
     /// ([`retire_block`]) before the next starts.
-    fn simulate<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, mut body: F) -> KernelStats
+    fn simulate_in_order<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: &F) -> KernelStats
     where
-        F: FnMut(&mut BlockCtx<'_>),
+        F: Fn(&mut BlockCtx<'_>),
     {
         let mut total = launch_stats(cfg, blocks.len());
         for i in 0..blocks.len() {
             let block_id = blocks.id(i);
             let (device, mem) = (&self.device, &mut self.mem);
-            let stats = run_block(device, cfg, block_id, mem, &mut self.ecc_armed, &mut body);
+            let stats = run_block(device, cfg, block_id, mem, &mut self.ecc_armed, body);
             retire_block(
                 device,
                 &mut self.l2,
@@ -790,74 +799,15 @@ impl Launcher {
         total
     }
 
-    /// Like [`Launcher::launch_values`], but fans block bodies out over
-    /// the launcher's worker-thread pool, and runs only the blocks
-    /// `blocks` names (the stats count only them). The loop is per block
-    /// too: `values(block_id)` computes the outputs of one block, for every
-    /// block, fanned out over the same workers, so each call must write
-    /// only its own block's disjoint ranges. Memoized as
-    /// [`Launcher::launch_values`] is.
-    ///
-    /// Stats, cost-model output and result bytes do not depend on the
-    /// thread count. The workers run each block's phase 1 (`run_block`)
-    /// against their own L1, flushed per block as an in-order launch's is,
-    /// and log its L1 misses. The blocks then retire (`retire_block`) in
-    /// launch order, so the shared L2 sees the probe order of an in-order
-    /// launch and the stats fold in the same order.
-    ///
-    /// Blocks run in order on the calling thread when the resolved thread
-    /// count is 1, the grid is tiny, or an ECC fault is armed (the armed
-    /// flip is consumed by the *first* tensor-core op in block order —
-    /// data-affecting semantics fanning out must not reorder).
-    pub fn launch_par_values<F, V>(
-        &mut self,
-        cfg: GridConfig,
-        blocks: Blocks<'_>,
-        body: F,
-        values: V,
-    ) -> KernelStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-        V: Fn(u64) + Sync,
-    {
-        let simulate = |l: &mut Launcher| l.run_par(cfg, blocks, body);
-        let num_blocks = blocks.len();
-        let threads = self.threads.min(num_blocks as usize);
-        let values = || {
-            let block = |_: &mut (), i| values(blocks.id(i));
-            if threads <= 1 {
-                (0..num_blocks).for_each(|i| block(&mut (), i));
-            } else {
-                fan_out(threads, num_blocks, || (), block);
-            }
-        };
-        self.replay_or_simulate(cfg, num_blocks, simulate, values)
-    }
-
-    /// The full simulation behind [`Launcher::launch_par_values`]: fanned
-    /// out over the workers, or in order where it must be.
-    fn run_par<F>(&mut self, cfg: GridConfig, blocks: Blocks<'_>, body: F) -> KernelStats
-    where
-        F: Fn(&mut BlockCtx<'_>) + Sync,
-    {
-        let num_blocks = blocks.len();
-        let threads = self.threads.min(num_blocks as usize);
-        if threads <= 1 || num_blocks < 2 || self.ecc_armed {
-            self.simulate(cfg, blocks, body)
-        } else {
-            self.simulate_par(cfg, blocks, threads, body)
-        }
-    }
-
-    /// The full parallel simulation behind [`Launcher::launch_par_values`]:
-    /// phase 1 of every block on the worker threads, then every block
-    /// retired in launch order.
+    /// The full parallel simulation behind [`Launcher::launch`]: phase 1
+    /// of every block on the worker threads, then every block retired in
+    /// launch order.
     fn simulate_par<F>(
         &mut self,
         cfg: GridConfig,
         grid: Blocks<'_>,
         threads: usize,
-        body: F,
+        body: &F,
     ) -> KernelStats
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
@@ -865,7 +815,7 @@ impl Launcher {
         let num_blocks = grid.len();
         // Workers claim chunks of launch indices from a shared cursor;
         // results land in per-block slots, so the claim order has no effect
-        // on the outcome. No ECC flip is armed here (`run_par`).
+        // on the outcome. No ECC flip is armed here (`simulate`).
         let mut blocks: Vec<Option<(KernelStats, Vec<u64>)>> = Vec::new();
         blocks.resize_with(num_blocks as usize, || None);
         {
@@ -876,7 +826,7 @@ impl Launcher {
                 num_blocks,
                 || BlockMem::new(device),
                 |mem, i| {
-                    let stats = run_block(device, cfg, grid.id(i), mem, &mut false, &body);
+                    let stats = run_block(device, cfg, grid.id(i), mem, &mut false, body);
                     // SAFETY: each launch index is claimed by exactly one
                     // worker (fetch_add), so the ranges are disjoint.
                     let slot = unsafe { slots.range_mut(i as usize, 1) };
@@ -984,6 +934,16 @@ mod tests {
         Launcher::new(DeviceSpec::rtx3090())
     }
 
+    /// Launches blocks `0..n` of `body` with no outputs to compute.
+    fn charge(
+        l: &mut Launcher,
+        cfg: GridConfig,
+        n: u64,
+        body: impl Fn(&mut BlockCtx<'_>) + Sync,
+    ) -> KernelStats {
+        l.launch(cfg, Blocks::All(n), body, |_| {})
+    }
+
     #[test]
     fn address_space_is_disjoint_and_aligned() {
         let mut a = AddressSpace::new();
@@ -999,7 +959,7 @@ mod tests {
     #[test]
     fn launch_counts_blocks_and_instructions() {
         let mut l = launcher();
-        let stats = l.launch(GridConfig::with_block_size(128), 10, |ctx| {
+        let stats = charge(&mut l, GridConfig::with_block_size(128), 10, |ctx| {
             ctx.fma_warp(32);
             ctx.syncthreads();
         });
@@ -1014,7 +974,7 @@ mod tests {
         let mut l = launcher();
         let buf = l.try_alloc_f32(1024).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
-        let stats = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let stats = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs);
             ctx.ld_global_warp(&addrs);
         });
@@ -1028,7 +988,7 @@ mod tests {
         let mut l = launcher();
         let buf = l.try_alloc_f32(1024).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
-        let stats = l.launch(GridConfig::with_block_size(32), 2, |ctx| {
+        let stats = charge(&mut l, GridConfig::with_block_size(32), 2, |ctx| {
             ctx.ld_global_warp(&addrs);
         });
         // Block 0: 4 L1 misses → 4 L2 misses. Block 1: 4 L1 misses → 4 L2 hits.
@@ -1044,17 +1004,17 @@ mod tests {
         let mut l = launcher();
         let buf = l.try_alloc_f32(64).unwrap();
         let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
-        let s1 = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s1 = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs)
         });
         assert_eq!(s1.l2_misses, 4);
-        let s2 = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s2 = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs)
         });
         assert_eq!(s2.l2_misses, 0);
         assert_eq!(s2.l2_hits, 4);
         l.reset_caches();
-        let s3 = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s3 = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_warp(&addrs)
         });
         assert_eq!(s3.l2_misses, 4);
@@ -1064,11 +1024,11 @@ mod tests {
     fn contiguous_load_matches_warp_loads() {
         let mut l = launcher();
         let buf = l.try_alloc_f32(256).unwrap();
-        let s_contig = l.launch(GridConfig::with_block_size(256), 1, |ctx| {
+        let s_contig = charge(&mut l, GridConfig::with_block_size(256), 1, |ctx| {
             ctx.ld_global_contiguous(buf.base(), 256, 4);
         });
         l.reset_caches();
-        let s_warp = l.launch(GridConfig::with_block_size(256), 1, |ctx| {
+        let s_warp = charge(&mut l, GridConfig::with_block_size(256), 1, |ctx| {
             for w in 0..8 {
                 let addrs: Vec<u64> = (0..32).map(|i| buf.f32_addr(w * 32 + i)).collect();
                 ctx.ld_global_warp(&addrs);
@@ -1084,7 +1044,7 @@ mod tests {
         let buf = l.try_alloc_f32(100_000).unwrap();
         let dense: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
         let sparse: Vec<u64> = (0..32).map(|i| buf.f32_addr(i * 1000)).collect();
-        let s = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.st_global_warp(&dense);
             ctx.st_global_warp(&sparse);
         });
@@ -1097,11 +1057,11 @@ mod tests {
         let buf = l.try_alloc_f32(1024).unwrap();
         let conflict: Vec<u64> = vec![buf.f32_addr(0); 32];
         let spread: Vec<u64> = (0..32).map(|i| buf.f32_addr(i)).collect();
-        let s_conflict = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s_conflict = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.atomic_add_global(&conflict)
         });
         l.reset_caches();
-        let s_spread = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s_spread = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.atomic_add_global(&spread)
         });
         assert!(s_conflict.warp_instructions > s_spread.warp_instructions);
@@ -1115,11 +1075,11 @@ mod tests {
         // 8 adjacent rows of 16 f32 vs 8 rows scattered 4 KB apart.
         let adjacent: Vec<u64> = (0..8).map(|r| buf.f32_addr(r * 16)).collect();
         let scattered: Vec<u64> = (0..8).map(|r| buf.f32_addr(r * 1024)).collect();
-        let s_adj = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s_adj = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_gather_rows(&adjacent, 16, 4);
         });
         l.reset_caches();
-        let s_sc = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s_sc = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_gather_rows(&scattered, 16, 4);
         });
         // Same instructions (4 warps of 128 lanes), same transactions here
@@ -1129,7 +1089,7 @@ mod tests {
         assert_eq!(s_adj.gl_load_transactions, 16);
         assert_eq!(s_sc.gl_load_transactions, 16);
         // Store mirror.
-        let s_st = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s_st = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.st_global_gather_rows(&scattered, 16, 4);
         });
         assert_eq!(s_st.gl_store_transactions, 16);
@@ -1139,7 +1099,7 @@ mod tests {
     fn scalar_load_counts_one_transaction() {
         let mut l = launcher();
         let buf = l.try_alloc_f32(16).unwrap();
-        let s = l.launch(GridConfig::with_block_size(32), 1, |ctx| {
+        let s = charge(&mut l, GridConfig::with_block_size(32), 1, |ctx| {
             ctx.ld_global_scalar(buf.f32_addr(0));
             ctx.ld_global_scalar(buf.f32_addr(1)); // same sector: L1 hit
         });
@@ -1194,7 +1154,7 @@ mod tests {
         l.attach_fault_plan(Some(FaultPlan::new(1, cfg)));
         l.preflight("wmma", &GridConfig::with_block_size(32))
             .unwrap();
-        let stats = l.launch(GridConfig::with_block_size(32), 2, |ctx| {
+        let stats = charge(&mut l, GridConfig::with_block_size(32), 2, |ctx| {
             mma_sync(ctx);
             mma_sync(ctx);
         });
@@ -1202,7 +1162,7 @@ mod tests {
         assert_eq!(stats.ecc_faults, 1, "the flip is consumed exactly once");
         assert_eq!(l.fault_plan().unwrap().injected(FaultSite::EccBitFlip), 1);
         // Without a fresh preflight the next launch is clean.
-        let stats2 = l.launch(GridConfig::with_block_size(32), 1, mma_sync);
+        let stats2 = charge(&mut l, GridConfig::with_block_size(32), 1, mma_sync);
         assert_eq!(stats2.ecc_faults, 0);
     }
 
@@ -1242,15 +1202,15 @@ mod tests {
                 ctx.fma_warps(b as u64 % 5 + 1);
                 ctx.syncthreads();
             };
-            let mut par = |blocks| l.launch_par_values(cfg, blocks, body, |_| {});
+            let mut par = |blocks| l.launch(cfg, blocks, body, |_| {});
             let first = par(Blocks::All(64));
             // Second launch observes the L2 state the first left behind.
             let second = par(Blocks::All(64));
             // A partial launch over a non-contiguous id list (the row
             // windows a receptive-field batch reads).
             let partial = par(Blocks::Only(&[1, 4, 5, 17, 40, 63]));
-            // And the sequential entry point sees the same L2 afterwards.
-            let third = l.launch(cfg, 8, body);
+            // And a later launch sees the same L2 afterwards.
+            let third = par(Blocks::All(8));
             (first, second, partial, third)
         };
         let seq = run(1);
@@ -1275,7 +1235,7 @@ mod tests {
             assert_eq!(ctx.consume_ecc(), ctx.block_id == 0);
         };
         let cfg = GridConfig::with_block_size(32);
-        let stats = l.launch_par_values(cfg, Blocks::All(4), body, |_| {});
+        let stats = l.launch(cfg, Blocks::All(4), body, |_| {});
         assert_eq!(stats.ecc_faults, 1);
     }
 
@@ -1301,7 +1261,7 @@ mod tests {
             let _ = hotspot::take_report();
             // A worker id of its own: other tests' callers are worker 0.
             hotspot::set_worker(77);
-            l.launch_par_values(cfg, Blocks::Only(&ids), body, |_| {});
+            l.launch(cfg, Blocks::Only(&ids), body, |_| {});
             let report = hotspot::take_report();
             hotspot::set_worker(0);
             hotspot::set_enabled(false);
@@ -1366,7 +1326,7 @@ mod tests {
                 let slot = unsafe { views.range_mut(b as usize, 1) };
                 slot[0] = b as f32 * scale;
             };
-            l.launch_par_values(cfg, Blocks::All(8), body, values)
+            l.launch(cfg, Blocks::All(8), body, values)
         });
         (stats, out)
     }
@@ -1450,10 +1410,9 @@ mod tests {
         let cfg = GridConfig::with_block_size(32);
         let mut scope = || {
             l.memoized(7u64, |l| {
-                let a = l.launch_values(cfg, 4, |ctx| ctx.fma_warps(1), || {});
-                // A launch without a loop simulates every time.
-                l.launch(cfg, 4, |ctx| ctx.fma_warps(2));
-                let b = l.launch_values(cfg, 4, |ctx| ctx.fma_warps(3), || {});
+                let a = charge(l, cfg, 4, |ctx| ctx.fma_warps(1));
+                charge(l, cfg, 4, |ctx| ctx.fma_warps(2));
+                let b = charge(l, cfg, 4, |ctx| ctx.fma_warps(3));
                 (a, b)
             })
         };
@@ -1461,13 +1420,13 @@ mod tests {
         let (a2, b2) = scope();
         assert_ne!(a1, b1);
         assert_eq!((a2, b2), (a1, b1));
-        assert_eq!(l.memo_hits(), 2);
+        assert_eq!(l.memo_hits(), 3);
     }
 
     #[test]
     fn launch_analyzed_produces_report() {
         let mut l = launcher();
-        let stats = l.launch(GridConfig::with_block_size(128), 82 * 6, |ctx| {
+        let stats = charge(&mut l, GridConfig::with_block_size(128), 82 * 6, |ctx| {
             ctx.fma_warps(100);
         });
         let r = cost::analyze(l.device(), &stats);

@@ -52,7 +52,8 @@ mod tests {
     #[test]
     fn mma_sync_charges_one_tcu_instruction() {
         let mut l = crate::Launcher::new(crate::DeviceSpec::rtx3090());
-        let stats = l.launch(crate::GridConfig::with_block_size(32), 1, mma_sync);
+        let cfg = crate::GridConfig::with_block_size(32);
+        let stats = l.launch(cfg, crate::Blocks::All(1), mma_sync, |_| {});
         assert_eq!(stats.tcu_mma_instructions, 1);
         assert_eq!(stats.warp_instructions, 1);
         assert_eq!(stats.tcu_flops, MMA_FLOPS);

@@ -169,8 +169,8 @@ pub(crate) fn check_windows(t: &TranslatedGraph, windows: &[u32]) -> Result<(), 
 
 /// Runs `body` as one launch over the windows of `mask` that are not
 /// [`WindowBackend::Skip`], block id = window id, and `values` for each of
-/// them (see [`Launcher::launch_par_values`]). A mask without `Skip`
-/// launches every window.
+/// them (see [`Launcher::launch`]). A mask without `Skip` launches every
+/// window.
 pub(crate) fn launch_mask<F, V>(
     launcher: &mut Launcher,
     cfg: GridConfig,
@@ -191,7 +191,7 @@ where
     } else {
         Blocks::All(mask.len() as u64)
     };
-    launcher.launch_par_values(cfg, blocks, body, values)
+    launcher.launch(cfg, blocks, body, values)
 }
 
 /// The window whose TCU body runs a launch's first MMA, the one an armed

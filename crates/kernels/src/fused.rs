@@ -273,7 +273,7 @@ pub fn fused_attention_windows(
         attend(rows, cos_win, p_win, y_win);
     };
     launcher.preflight("fused-attention", &cfg)?;
-    let stats = launcher.launch_par_values(cfg, blocks, body, values);
+    let stats = launcher.launch(cfg, blocks, body, values);
     if stats.ecc_faults > 0 {
         // The flip poisons accumulator element (0, 0) of the launch's first
         // MMA. With logits to compute, that is the first window's edge

@@ -73,7 +73,7 @@ impl SddmmKernel for CudaCoreSddmm {
         };
         launcher.preflight("cuda-core-sddmm", &cfg)?;
         let blocks = Blocks::All(num_blocks);
-        let stats = launcher.launch_par_values(cfg, blocks, body, values);
+        let stats = launcher.launch(cfg, blocks, body, values);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

@@ -73,7 +73,7 @@ pub fn sparse_row_softmax(
     };
     launcher.preflight("edge-softmax", &cfg)?;
     let blocks = Blocks::All(n.div_ceil(ROWS_PER_BLOCK) as u64);
-    let stats = launcher.launch_par_values(cfg, blocks, body, values);
+    let stats = launcher.launch(cfg, blocks, body, values);
     let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
     Ok((out, report))
 }

@@ -8,13 +8,19 @@
 //! zero blocks" the paper credits for TC-GNN's 1.76× advantage. Padding
 //! blocks are traversed, loaded and MMA'd like real ones (that is the
 //! format's semantics) but contribute nothing to the output.
+//!
+//! Both kernels' block bodies only charge. The outputs come from the
+//! CUDA-core row loop ([`super::cusparse`]'s `accumulate_rows`): each block
+//! row (raw) or row window (condensed) computes its 16 rows, each row's
+//! edges in CSR order.
 
 use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::tiling::{block_row_tiles, num_block_rows};
+use crate::spmm::cusparse::launch_rows;
+use crate::spmm::tiling::{block_row_tiles, num_block_rows, tile_counts};
 
 /// Blocked-ELL block edge (cuSPARSE supports powers of two; the paper's TCU
 /// geometry makes 16 the natural choice).
@@ -39,12 +45,9 @@ impl BlockedEllSpmm {
     /// `(ell_cols, total_slots)` for a graph: the padded width and the
     /// total number of stored blocks.
     pub fn ell_shape(csr: &tcg_graph::CsrGraph) -> (usize, usize) {
-        let brs = num_block_rows(csr, ELL_BLK);
-        let mut ell_cols = 0usize;
-        for br in 0..brs {
-            ell_cols = ell_cols.max(block_row_tiles(csr, br, ELL_BLK).len());
-        }
-        (ell_cols, ell_cols * brs)
+        let counts = tile_counts(csr, ELL_BLK);
+        let ell_cols = counts.iter().copied().max().unwrap_or(0);
+        (ell_cols, ell_cols * counts.len())
     }
 
     /// Bytes of the Blocked-ELL values array.
@@ -98,26 +101,23 @@ impl SpmmKernel for BlockedEllSpmm {
             regs_per_thread: 64,
         };
 
-        let mut acc = vec![0.0f32; ELL_BLK * 16];
-        let mut padding_slots_skipped: u64 = 0;
-        let stats_ref = &mut padding_slots_skipped;
-        launcher.preflight("blocked-ell", &cfg)?;
-        let stats = launcher.launch(cfg, brs as u64, |ctx| {
+        // The fast path skips each block row's padding slots.
+        let padding_slots_skipped: u64 = if fast_padding {
+            let counts = tile_counts(csr, ELL_BLK);
+            counts.iter().map(|&c| (ell_cols - c) as u64).sum()
+        } else {
+            0
+        };
+        let body = |ctx: &mut BlockCtx<'_>| {
             let br = ctx.block_id as usize;
             let tiles = block_row_tiles(csr, br, ELL_BLK);
             let row_lo = br * ELL_BLK;
             let row_hi = (row_lo + ELL_BLK).min(n);
-            let slot_count = if fast_padding {
-                *stats_ref += (ell_cols - tiles.len()) as u64;
-                tiles.len()
-            } else {
-                ell_cols
-            };
+            let slot_count = if fast_padding { tiles.len() } else { ell_cols };
 
             for s in 0..slabs {
                 let dim0 = s * 16;
                 let width = (d - dim0).min(16);
-                acc.iter_mut().for_each(|v| *v = 0.0);
 
                 for slot in 0..slot_count {
                     // Column-index and values loads happen for every slot,
@@ -142,19 +142,6 @@ impl SpmmKernel for BlockedEllSpmm {
                     ctx.shared_access(8);
                     ctx.tcu_mma(MMA_FLOPS);
                     ctx.tcu_mma(MMA_FLOPS);
-
-                    // Functional work only for real tiles.
-                    if let Some(t) = tile {
-                        for &(r, c, e) in &t.entries {
-                            let w = prob.value(e);
-                            let u = t.col_block as usize * ELL_BLK + c as usize;
-                            let xrow = prob.x.row(u);
-                            let arow = &mut acc[r as usize * 16..(r as usize + 1) * 16];
-                            for (j, a) in arow.iter_mut().take(width).enumerate() {
-                                *a += w * xrow[dim0 + j];
-                            }
-                        }
-                    }
                 }
 
                 // Store this slab of the block row.
@@ -162,14 +149,14 @@ impl SpmmKernel for BlockedEllSpmm {
                     .map(|r| buf_out.f32_addr(r * d + dim0))
                     .collect();
                 ctx.st_global_gather_rows(&bases, width, 4);
-                for (ri, r) in (row_lo..row_hi).enumerate() {
-                    let orow = out.row_mut(r);
-                    orow[dim0..dim0 + width].copy_from_slice(&acc[ri * 16..ri * 16 + width]);
-                }
             }
-        });
-        let mut stats = stats;
-        if fast_padding && padding_slots_skipped > 0 {
+        };
+        launcher.preflight("blocked-ell", &cfg)?;
+        // Only real tiles hold values: each block row computes its 16
+        // rows, each row's edges in CSR order.
+        let first_row = |br: u64| (br as usize * ELL_BLK).min(n);
+        let mut stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
+        if padding_slots_skipped > 0 {
             // Batch-charge the skipped padding slots (per slot and slab:
             // one index scalar + a streamed 1 KiB values block from DRAM,
             // an L2-resident X tile gather, two MMAs, shared staging).
@@ -276,21 +263,21 @@ impl SpmmKernel for CondensedEllSpmm {
             regs_per_thread: 64,
         };
 
-        let mut acc = vec![0.0f32; tcg_sgt::TC_BLK_H * 16];
-        let mut padding_slots: u64 = 0;
-        let pad_ref = &mut padding_slots;
-        launcher.preflight("blocked-ell-condensed", &cfg)?;
-        let stats = launcher.launch(cfg, t.num_row_windows as u64, |ctx| {
+        // Every window pads its blocks to `ell_cols` slots.
+        let padding_slots: u64 = t
+            .win_partition
+            .iter()
+            .map(|&real| (ell_cols - real as usize) as u64)
+            .sum();
+        let body = |ctx: &mut BlockCtx<'_>| {
             let w = ctx.block_id as usize;
             let real = t.win_partition[w] as usize;
-            *pad_ref += (ell_cols - real) as u64;
             let row_lo = w * tcg_sgt::TC_BLK_H;
             let row_hi = (row_lo + tcg_sgt::TC_BLK_H).min(n);
 
             for s in 0..slabs {
                 let dim0 = s * 16;
                 let width = (d - dim0).min(16);
-                acc.iter_mut().for_each(|v| *v = 0.0);
                 for i in 0..real {
                     let b = t.win_block_start[w] + i;
                     let slot = w * ell_cols + i;
@@ -309,33 +296,22 @@ impl SpmmKernel for CondensedEllSpmm {
                     ctx.ld_global_gather_rows(&bases, width, 4);
                     ctx.shared_access(8);
                     ctx.tcu_mma(MMA_FLOPS);
-
-                    // Functional accumulation from the block's edge chunk.
-                    let (c_lo, c_hi) = t.block_chunk(b);
-                    for pos in c_lo..c_hi {
-                        let (r, c) = t.unpack(t.perm_pack[pos]);
-                        let u = atox[c] as usize;
-                        let wgt = prob.value(t.perm_orig[pos] as usize);
-                        let xrow = prob.x.row(u);
-                        let arow = &mut acc[r * 16..(r + 1) * 16];
-                        for (j, a) in arow.iter_mut().take(width).enumerate() {
-                            *a += wgt * xrow[dim0 + j];
-                        }
-                    }
                 }
                 let bases: Vec<u64> = (row_lo..row_hi)
                     .map(|r| buf_out.f32_addr(r * d + dim0))
                     .collect();
                 ctx.st_global_gather_rows(&bases, width, 4);
-                for (ri, r) in (row_lo..row_hi).enumerate() {
-                    let orow = out.row_mut(r);
-                    orow[dim0..dim0 + width].copy_from_slice(&acc[ri * 16..ri * 16 + width]);
-                }
             }
-        });
+        };
+        launcher.preflight("blocked-ell-condensed", &cfg)?;
+        // The blocks take a row's edges in ascending condensed column, the
+        // order of its CSR neighbors: each window computes its 16 rows,
+        // each row's edges in CSR order.
+        let first_row = |w: u64| (w as usize * tcg_sgt::TC_BLK_H).min(n);
+        let num_blocks = t.num_row_windows as u64;
+        let mut stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
         // Padding slots: identical loads + MMA, no useful work — batch
         // charged (streamed dense values → DRAM; index + tiny X gather).
-        let mut stats = stats;
         if padding_slots > 0 {
             let per = padding_slots * slabs as u64;
             let val_sectors = (blk_elems as u64 * 4).div_ceil(32);

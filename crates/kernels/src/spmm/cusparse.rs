@@ -17,7 +17,9 @@
 use std::ops::Range;
 
 use tcg_gpusim::launch::Buffer;
-use tcg_gpusim::{BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{
+    BlockCtx, Blocks, DisjointSlices, GridConfig, KernelReport, KernelStats, Launcher,
+};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{axpy, SpmmKernel, SpmmProblem, TcgError};
@@ -73,22 +75,42 @@ impl SpmmKernel for CusparseCsrSpmm {
                 rows.run(ctx, w0..(w0 + 32).min(row1));
             }
         };
-        // Each block owns rows [block*256, block*256+256): disjoint output
-        // slabs, so the loop runs on the parallel path.
-        let out_view = DisjointSlices::new(out.as_mut_slice());
-        let values = |block: u64| {
-            let row0 = block as usize * ROWS_PER_BLOCK;
-            let row1 = (row0 + ROWS_PER_BLOCK).min(n);
-            // SAFETY: block owns rows [row0, row1) exclusively.
-            let out_rows = unsafe { out_view.range_mut(row0 * d, (row1 - row0) * d) };
-            accumulate_rows(prob, row0..row1, out_rows)
-        };
         launcher.preflight("cusparse-csr", &cfg)?;
-        let blocks = Blocks::All(num_blocks);
-        let stats = launcher.launch_par_values(cfg, blocks, body, values);
+        let first_row = |block: u64| (block as usize * ROWS_PER_BLOCK).min(n);
+        let stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }
+}
+
+/// Launches `body` over blocks `0..num_blocks` with [`accumulate_rows`] as
+/// the per-block loop: block `b` computes output rows
+/// `first_row(b)..first_row(b + 1)` of `out`. The loop of every kernel
+/// whose blocks each own a run of output rows; `first_row` must not
+/// decrease, so no two blocks share a row.
+pub(crate) fn launch_rows(
+    launcher: &mut Launcher,
+    cfg: GridConfig,
+    num_blocks: u64,
+    body: impl Fn(&mut BlockCtx<'_>) + Sync,
+    prob: &SpmmProblem<'_>,
+    first_row: impl Fn(u64) -> usize + Sync,
+    out: &mut DenseMatrix,
+) -> KernelStats {
+    assert!(
+        (0..num_blocks).all(|b| first_row(b) <= first_row(b + 1))
+            && first_row(num_blocks) <= out.rows(),
+        "block row ranges must ascend within the output"
+    );
+    let d = prob.dim();
+    let out_view = DisjointSlices::new(out.as_mut_slice());
+    let values = |block: u64| {
+        let rows = first_row(block)..first_row(block + 1);
+        // SAFETY: the ranges ascend, so block `block` alone owns `rows`.
+        let out_rows = unsafe { out_view.range_mut(rows.start * d, rows.len() * d) };
+        accumulate_rows(prob, rows, out_rows)
+    };
+    launcher.launch(cfg, Blocks::All(num_blocks), body, values)
 }
 
 /// One lockstep group of thread-per-row lanes (≤ 32 rows) with the device

@@ -8,10 +8,15 @@
 //! loads and raise ILP. The dense-row gather remains irregular — GE-SpMM
 //! improves over cuSPARSE but stays CUDA-core-bound, which is exactly
 //! where the paper positions it (§3.1).
+//!
+//! The block body only charges; each block's 8 rows are computed by the
+//! CUDA-core row loop ([`super::cusparse`]'s `accumulate_rows`), each row's
+//! edges in CSR order.
 
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
+use super::cusparse::launch_rows;
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
 
 /// GE-SpMM-style kernel: row caching + warp merging.
@@ -54,13 +59,12 @@ impl SpmmKernel for GeSpmm {
             regs_per_thread: 48,
         };
 
-        let mut row_bases: Vec<u64> = Vec::with_capacity(64);
-        launcher.preflight("ge-spmm", &cfg)?;
-        let stats = launcher.launch(cfg, num_blocks, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>| {
             let row0 = ctx.block_id as usize * ROWS_PER_BLOCK;
             let row1 = (row0 + ROWS_PER_BLOCK).min(n);
             // Row pointers for the whole block: one coalesced load.
             ctx.ld_global_contiguous(buf_ptr.addr(row0, 8), row1 - row0 + 1, 8);
+            let mut row_bases: Vec<u64> = Vec::with_capacity(64);
             for pair0 in (row0..row1).step_by(MERGE) {
                 let pair1 = (pair0 + MERGE).min(row1);
                 // Merged rows share index-staging instructions.
@@ -89,19 +93,14 @@ impl SpmmKernel for GeSpmm {
                             .div_ceil((32 * MERGE) as u64)
                             .max(1),
                     );
-
-                    let orow = out.row_mut(v);
-                    for (i, &u) in csr.neighbors(v).iter().enumerate() {
-                        let w = prob.value(lo + i);
-                        let xrow = prob.x.row(u as usize);
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += w * xv;
-                        }
-                    }
                     ctx.st_global_contiguous(buf_out.f32_addr(v * d), d, 4);
                 }
             }
-        });
+        };
+        launcher.preflight("ge-spmm", &cfg)?;
+        // Each row sums its edges in CSR order, as the CUDA-core row loop.
+        let first_row = |block: u64| (block as usize * ROWS_PER_BLOCK).min(n);
+        let stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

@@ -6,11 +6,15 @@
 //! the same destination produce atomic conflicts — the "high-overhead atomic
 //! operations for thread-level synchronization" the paper cites when
 //! explaining PyG's inferior performance (§6.2, 1.76×/2.82× behind TC-GNN).
+//!
+//! The block body only charges. The outputs come from the CUDA-core row
+//! loop ([`super::cusparse`]'s `accumulate_rows`): edge block `b` computes
+//! the rows whose first edge lies in its 64-edge range.
 
 use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
-use super::cusparse::accumulate_rows;
+use super::cusparse::launch_rows;
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
 
 /// PyG-style edge-parallel scatter-gather aggregation.
@@ -57,8 +61,6 @@ impl SpmmKernel for ScatterGatherSpmm {
             regs_per_thread: 32,
         };
 
-        let mut gather_bases: Vec<u64> = Vec::with_capacity(EDGES_PER_BLOCK);
-        let mut atomic_addrs: Vec<u64> = Vec::with_capacity(32);
         let body = |ctx: &mut BlockCtx<'_>| {
             let e0 = ctx.block_id as usize * EDGES_PER_BLOCK;
             let e1 = (e0 + EDGES_PER_BLOCK).min(nnz);
@@ -72,14 +74,17 @@ impl SpmmKernel for ScatterGatherSpmm {
                 ctx.ld_global_contiguous(buf_vals.addr(e0, 4), e1 - e0, 4);
             }
             // Gather source rows.
-            gather_bases.clear();
-            gather_bases.extend(src[e0..e1].iter().map(|&u| buf_x.f32_addr(u as usize * d)));
+            let gather_bases: Vec<u64> = src[e0..e1]
+                .iter()
+                .map(|&u| buf_x.f32_addr(u as usize * d))
+                .collect();
             ctx.ld_global_gather_rows(&gather_bases, d, 4);
 
             // Scatter with atomics: warps cover (edge, dim) lanes; lanes
             // aiming at the same (dst, dim) element serialize.
             let lanes_per_edge = d.min(32);
             let edges_per_warp = (32 / lanes_per_edge).max(1);
+            let mut atomic_addrs: Vec<u64> = Vec::with_capacity(32);
             let mut e = e0;
             while e < e1 {
                 let e_hi = (e + edges_per_warp).min(e1);
@@ -103,9 +108,13 @@ impl SpmmKernel for ScatterGatherSpmm {
         launcher.preflight("scatter-gather", &cfg)?;
         // The atomics add each edge's term in edge order. The edges of a
         // row are consecutive in edge order, so each row accumulates them
-        // in CSR order: the CUDA-core row loop's bits.
-        let values = || accumulate_rows(prob, 0..n, out.as_mut_slice());
-        let stats = launcher.launch_values(cfg, num_blocks, body, values);
+        // in CSR order: the CUDA-core row loop's bits. Edge block `b`
+        // computes the rows whose first edge lies in its edge range, a run
+        // of rows that covers every row with an edge exactly once.
+        let row_starts = &csr.node_pointer()[..n];
+        let first_row =
+            |block: u64| row_starts.partition_point(|&e| e < block as usize * EDGES_PER_BLOCK);
+        let stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

@@ -44,6 +44,13 @@ pub(crate) fn block_row_tiles(csr: &CsrGraph, br: usize, blk: usize) -> Vec<Tile
     tiles
 }
 
+/// The number of non-empty tiles in each block row.
+pub(crate) fn tile_counts(csr: &CsrGraph, blk: usize) -> Vec<usize> {
+    (0..num_block_rows(csr, blk))
+        .map(|br| block_row_tiles(csr, br, blk).len())
+        .collect()
+}
+
 /// Number of block rows for a `blk`-sized tiling.
 pub(crate) fn num_block_rows(csr: &CsrGraph, blk: usize) -> usize {
     csr.num_nodes().div_ceil(blk)

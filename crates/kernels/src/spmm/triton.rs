@@ -8,13 +8,18 @@
 //! non-zeros (full MMA + full tile fetch for 1-2 useful values), and the
 //! lookup table itself is streamed per block with no graph-aware staging —
 //! which is why the paper measures Triton behind even tSparse.
+//!
+//! The program bodies only charge. The outputs come from the CUDA-core row
+//! loop ([`super::cusparse`]'s `accumulate_rows`): the slab-0 program of
+//! each block row computes its 16 rows, each row's edges in CSR order.
 
 use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::tiling::{block_row_tiles, num_block_rows};
+use crate::spmm::cusparse::launch_rows;
+use crate::spmm::tiling::{block_row_tiles, num_block_rows, tile_counts};
 
 /// Block edge length of the block-sparse layout.
 const BLK: usize = 16;
@@ -52,10 +57,17 @@ impl SpmmKernel for TritonBlockSparseSpmm {
             regs_per_thread: 80,
         };
 
-        let mut acc = vec![0.0f32; BLK * 16];
-        let mut block_counter = 0usize;
-        launcher.preflight("triton-blocksparse", &cfg)?;
-        let stats = launcher.launch(cfg, (brs * slabs) as u64, |ctx| {
+        // Programs stream the LUT in launch order: program (br, s) starts
+        // at the entry after every tile of the programs before it.
+        let first_entry: Vec<usize> = tile_counts(csr, BLK)
+            .iter()
+            .scan(0, |seen, &c| {
+                let first = *seen;
+                *seen += slabs * c;
+                Some(first)
+            })
+            .collect();
+        let body = |ctx: &mut BlockCtx<'_>| {
             // Triton launches one program per (block-row, output slab).
             let pid = ctx.block_id as usize;
             let br = pid / slabs;
@@ -68,13 +80,11 @@ impl SpmmKernel for TritonBlockSparseSpmm {
             let row_hi = (row_lo + BLK).min(n);
             let dim0 = s * 16;
             let width = (d - dim0).min(16);
-            acc.iter_mut().for_each(|v| *v = 0.0);
-
-            for tile in &tiles {
+            let lut = first_entry[br] + s * tiles.len();
+            for (entry, tile) in (lut..).zip(&tiles) {
                 // LUT entry: block coordinates + value offset (streamed,
                 // no reuse across programs).
-                ctx.ld_global_contiguous(buf_lut.addr(block_counter % csr.num_edges(), 16), 4, 4);
-                block_counter += 1;
+                ctx.ld_global_contiguous(buf_lut.addr(entry % csr.num_edges(), 16), 4, 4);
                 // Full dense 16×16 block of A from global memory.
                 ctx.ld_global_contiguous(
                     buf_blocks.addr((tile.entries[0].2 % csr.num_edges()) * BLK * BLK, 4),
@@ -92,26 +102,22 @@ impl SpmmKernel for TritonBlockSparseSpmm {
                 // 16×16 A tile = two k8 MMAs.
                 ctx.tcu_mma(MMA_FLOPS);
                 ctx.tcu_mma(MMA_FLOPS);
-
-                for &(r, c, e) in &tile.entries {
-                    let w = prob.value(e);
-                    let xrow = prob.x.row(col_base + c as usize);
-                    let arow = &mut acc[r as usize * 16..(r as usize + 1) * 16];
-                    for (j, a) in arow.iter_mut().take(width).enumerate() {
-                        *a += w * xrow[dim0 + j];
-                    }
-                }
             }
 
             let bases: Vec<u64> = (row_lo..row_hi)
                 .map(|r| buf_out.f32_addr(r * d + dim0))
                 .collect();
             ctx.st_global_gather_rows(&bases, width, 4);
-            for (ri, r) in (row_lo..row_hi).enumerate() {
-                let orow = out.row_mut(r);
-                orow[dim0..dim0 + width].copy_from_slice(&acc[ri * 16..ri * 16 + width]);
-            }
-        });
+        };
+        launcher.preflight("triton-blocksparse", &cfg)?;
+        // The slab-0 program of each block row computes the row's whole
+        // output; the other slab programs compute nothing.
+        let first_row = |pid: u64| {
+            let (br, s) = (pid as usize / slabs.max(1), pid as usize % slabs.max(1));
+            (if s == 0 { br * BLK } else { (br + 1) * BLK }).min(n)
+        };
+        let num_programs = (brs * slabs) as u64;
+        let stats = launch_rows(launcher, cfg, num_programs, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

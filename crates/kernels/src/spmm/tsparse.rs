@@ -7,12 +7,17 @@
 //! their non-zero elements but ignores the potential of compressing
 //! non-zero elements into fewer tiles" — so on scattered graphs most tiles
 //! carry a handful of non-zeros and the TCU tiles stay mostly empty.
+//!
+//! The block body only charges, on either path. The outputs come from the
+//! CUDA-core row loop ([`super::cusparse`]'s `accumulate_rows`): each block
+//! row computes its 16 rows, each row's edges in CSR order.
 
 use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
+use crate::spmm::cusparse::launch_rows;
 use crate::spmm::tiling::{block_row_tiles, num_block_rows};
 
 /// Tile edge length.
@@ -59,9 +64,7 @@ impl SpmmKernel for TsparseLikeSpmm {
             regs_per_thread: 56,
         };
 
-        let mut acc = vec![0.0f32; BLK * 16];
-        launcher.preflight("tsparse-like", &cfg)?;
-        let stats = launcher.launch(cfg, brs as u64, |ctx| {
+        let body = |ctx: &mut BlockCtx<'_>| {
             let br = ctx.block_id as usize;
             let tiles = block_row_tiles(csr, br, BLK);
             if tiles.is_empty() {
@@ -73,7 +76,6 @@ impl SpmmKernel for TsparseLikeSpmm {
             for s in 0..slabs {
                 let dim0 = s * 16;
                 let width = (d - dim0).min(16);
-                acc.iter_mut().for_each(|v| *v = 0.0);
 
                 for tile in &tiles {
                     // Tile metadata traversal (the "sparse control" cost of
@@ -126,28 +128,19 @@ impl SpmmKernel for TsparseLikeSpmm {
                         .map(|r| buf_out.f32_addr(r * d + dim0))
                         .collect();
                     ctx.atomic_add_global(&out_bases);
-
-                    // Functional accumulation (identical for both paths).
-                    for &(r, c, e) in &tile.entries {
-                        let w = prob.value(e);
-                        let xrow = prob.x.row(col_base + c as usize);
-                        let arow = &mut acc[r as usize * 16..(r as usize + 1) * 16];
-                        for (j, a) in arow.iter_mut().take(width).enumerate() {
-                            *a += w * xrow[dim0 + j];
-                        }
-                    }
                 }
 
                 let bases: Vec<u64> = (row_lo..row_hi)
                     .map(|r| buf_out.f32_addr(r * d + dim0))
                     .collect();
                 ctx.st_global_gather_rows(&bases, width, 4);
-                for (ri, r) in (row_lo..row_hi).enumerate() {
-                    let orow = out.row_mut(r);
-                    orow[dim0..dim0 + width].copy_from_slice(&acc[ri * 16..ri * 16 + width]);
-                }
             }
-        });
+        };
+        launcher.preflight("tsparse-like", &cfg)?;
+        // Both paths compute the same values: each block row's 16 rows,
+        // each row's edges in CSR order.
+        let first_row = |br: u64| (br as usize * BLK).min(n);
+        let stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
         Ok((out, report))
     }

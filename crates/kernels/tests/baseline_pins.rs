@@ -1,5 +1,5 @@
 //! Pins the simulated charges of the figure-only SpMM baselines and of the
-//! PyG scatter SpMM.
+//! PyG scatter SpMM, and checks that each computes cuSPARSE's output bits.
 //!
 //! GE-SpMM, Triton, tSparse and both Blocked-ELL kernels reach the paper's
 //! figures only through their cost reports, and no engine runs them; the
@@ -12,8 +12,8 @@ use tcg_gpusim::{DeviceSpec, KernelReport, Launcher};
 use tcg_graph::{gen, CsrGraph};
 use tcg_kernels::common::SpmmKernel;
 use tcg_kernels::spmm::{
-    BlockedEllSpmm, CondensedEllSpmm, GeSpmm, ScatterGatherSpmm, TritonBlockSparseSpmm,
-    TsparseLikeSpmm,
+    BlockedEllSpmm, CondensedEllSpmm, CusparseCsrSpmm, GeSpmm, ScatterGatherSpmm,
+    TritonBlockSparseSpmm, TsparseLikeSpmm,
 };
 use tcg_kernels::SpmmProblem;
 use tcg_tensor::init;
@@ -144,23 +144,29 @@ fn kernels(g: &CsrGraph) -> Vec<(&'static str, Box<dyn SpmmKernel>)> {
 }
 
 /// Runs every kernel on `g` at width `d`, without and with edge values,
-/// handing each case's name, output and report to `check`.
+/// handing each case's name, output and report to `check` together with
+/// cuSPARSE's output on the same problem.
 fn run_cases(
     name: &str,
     g: &CsrGraph,
     d: usize,
-    mut check: impl FnMut(String, &[f32], &KernelReport),
+    mut check: impl FnMut(String, &[f32], &KernelReport, &[f32]),
 ) {
     let x = init::uniform(g.num_nodes(), d, -1.0, 1.0, 7);
     let vals: Vec<f32> = (0..g.num_edges())
         .map(|e| 0.05 + (e % 13) as f32 * 0.07)
         .collect();
-    for (kname, k) in kernels(g) {
-        for (wname, v) in [("u", None), ("w", Some(vals.as_slice()))] {
-            let prob = SpmmProblem::new(g, v, &x).unwrap();
-            let mut l = Launcher::new(DeviceSpec::rtx3090());
-            let (out, rep) = k.execute(&mut l, &prob).unwrap();
-            check(format!("{name}/d{d}/{kname}/{wname}"), out.as_slice(), &rep);
+    let run = |k: &dyn SpmmKernel, v| {
+        let prob = SpmmProblem::new(g, v, &x).unwrap();
+        k.execute(&mut Launcher::new(DeviceSpec::rtx3090()), &prob)
+            .unwrap()
+    };
+    for (wname, v) in [("u", None), ("w", Some(vals.as_slice()))] {
+        let (reference, _) = run(&CusparseCsrSpmm, v);
+        for (kname, k) in kernels(g) {
+            let (out, rep) = run(k.as_ref(), v);
+            let case = format!("{name}/d{d}/{kname}/{wname}");
+            check(case, out.as_slice(), &rep, reference.as_slice());
         }
     }
 }
@@ -179,7 +185,7 @@ fn baselines_match_pinned_charges() {
     let mut actual = Vec::new();
     for (name, g) in &graphs() {
         for &d in widths(name) {
-            run_cases(name, g, d, |case, _, rep| actual.push(pin(case, rep)));
+            run_cases(name, g, d, |case, _, rep, _| actual.push(pin(case, rep)));
         }
     }
     let drifted: Vec<&String> = actual
@@ -189,5 +195,26 @@ fn baselines_match_pinned_charges() {
     assert!(
         drifted.is_empty() && actual.len() == PINS.len(),
         "baselines drifted from the pinned charges: {drifted:#?}\ncurrent table: {actual:#?}"
+    );
+}
+
+/// Every baseline computes its outputs with the CUDA-core row loop, each
+/// row's edges in CSR order, so each equals cuSPARSE bit for bit.
+#[test]
+fn baselines_compute_cusparse_bits() {
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut differ = Vec::new();
+    for (name, g) in &graphs() {
+        for &d in widths(name) {
+            run_cases(name, g, d, |case, out, _, reference| {
+                if bits(out) != bits(reference) {
+                    differ.push(case);
+                }
+            });
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "outputs differ from cuSPARSE's bits: {differ:#?}"
     );
 }

@@ -10,7 +10,7 @@
 //! launcher with different operands, and between runs an odd-sized
 //! allocation and an unrelated launch disturb the address space and L2.
 
-use tcg_gpusim::{DeviceSpec, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{BlockCtx, Blocks, DeviceSpec, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
 use tcg_kernels::common::SpmmKernel;
 use tcg_kernels::fused::fused_attention;
@@ -30,10 +30,16 @@ const RUNS: u64 = 4;
 /// unrelated launch's lines in L2.
 fn disturb(l: &mut Launcher, run: u64) {
     let buf = l.try_alloc(777 * run as usize + 13).unwrap();
-    l.launch(GridConfig::with_block_size(64), 3, |ctx| {
+    let body = |ctx: &mut BlockCtx<'_>| {
         ctx.ld_global_contiguous(buf.base(), 190, 4);
         ctx.st_global_contiguous(buf.base(), 64, 4);
-    });
+    };
+    l.launch(
+        GridConfig::with_block_size(64),
+        Blocks::All(3),
+        body,
+        |_| {},
+    );
 }
 
 /// Runs `kernel` [`RUNS`] times on one launcher, disturbed in between, and

@@ -1,5 +1,5 @@
-//! Parallel block execution must be invisible: every kernel that runs on
-//! `Launcher::launch_par_values` has to produce bitwise-identical output
+//! Parallel block execution must be invisible: every kernel, since each
+//! runs on `Launcher::launch`, has to produce bitwise-identical output
 //! bytes and `KernelStats` whether blocks execute sequentially or fanned
 //! out over a worker pool. These tests pin that contract at kernel
 //! granularity (the `tests/parallel_determinism.rs` suite pins it
@@ -11,7 +11,10 @@ use tcg_kernels::common::SpmmKernel;
 use tcg_kernels::fused::fused_attention;
 use tcg_kernels::sddmm::{CudaCoreSddmm, SddmmKernel, TcgnnSddmm};
 use tcg_kernels::softmax::sparse_row_softmax;
-use tcg_kernels::spmm::{CusparseCsrSpmm, TcgnnSpmm};
+use tcg_kernels::spmm::{
+    BlockedEllSpmm, CondensedEllSpmm, CusparseCsrSpmm, GeSpmm, ScatterGatherSpmm, TcgnnSpmm,
+    TritonBlockSparseSpmm, TsparseLikeSpmm,
+};
 use tcg_kernels::SpmmProblem;
 use tcg_tensor::init;
 
@@ -46,6 +49,35 @@ fn cusparse_spmm_parallel_matches_sequential() {
     let (out_par, rep_par) = CusparseCsrSpmm.execute(&mut launcher(8), &prob).unwrap();
     assert_eq!(out_seq.as_slice(), out_par.as_slice());
     assert_eq!(rep_seq.stats, rep_par.stats);
+}
+
+#[test]
+fn baseline_spmm_parallel_matches_sequential() {
+    let g = gen::rmat_default(2048, 20_000, 16).unwrap();
+    let x = init::uniform(2048, 24, -1.0, 1.0, 17);
+    let vals: Vec<f32> = (0..g.num_edges())
+        .map(|e| 0.05 + (e % 9) as f32 * 0.1)
+        .collect();
+    let prob = SpmmProblem::new(&g, Some(&vals), &x).unwrap();
+    let kernels: [Box<dyn SpmmKernel>; 6] = [
+        Box::new(GeSpmm),
+        Box::new(ScatterGatherSpmm),
+        Box::new(TritonBlockSparseSpmm),
+        Box::new(TsparseLikeSpmm::default()),
+        Box::new(BlockedEllSpmm::default()),
+        Box::new(CondensedEllSpmm::new(&g)),
+    ];
+    for k in &kernels {
+        let (out_seq, rep_seq) = k.execute(&mut launcher(1), &prob).unwrap();
+        let (out_par, rep_par) = k.execute(&mut launcher(8), &prob).unwrap();
+        assert_eq!(
+            out_seq.as_slice(),
+            out_par.as_slice(),
+            "{} output",
+            k.name()
+        );
+        assert_eq!(rep_seq.stats, rep_par.stats, "{} stats", k.name());
+    }
 }
 
 #[test]

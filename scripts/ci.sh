@@ -11,6 +11,28 @@ quick=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# replay_equal <name>: the regenerated $replay_dir/<name>.json must equal
+# the committed results/<name>.json in every value, apart from the
+# host-specific `_meta` and fig7b's host-clock `sgt_wallclock_ms`.
+replay_equal() {
+    python3 -c "
+import json, sys
+host_clock = {'fig7b': ['sgt_wallclock_ms']}.get(sys.argv[3], [])
+def load(p):
+    d = json.load(open(p))
+    if isinstance(d, dict):
+        d.pop('_meta', None)
+    for row in d if isinstance(d, list) else []:
+        for k in host_clock:
+            row.pop(k, None)
+    return d
+assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the replay'
+" "results/$1.json" "$replay_dir/$1.json" "$1" || {
+        echo "replay: $1.json no longer reproduces" >&2
+        exit 1
+    }
+}
+
 step "cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -84,20 +106,31 @@ step "verify: oracle conformance matrix (every backend x kernel x family)"
 ./target/release/tcgnn verify --seed 2023
 
 step "parallel execution: determinism suite + conformance matrix at TCG_THREADS=4"
-# The parallel launcher must be invisible: the same conformance matrix and
-# a chaos schedule must pass with block bodies fanned over 4 workers, and
-# 8-vs-1-thread runs must be bitwise identical (logits, kernel reports,
-# cost totals).
+# The parallel launcher must be invisible: every kernel launches through
+# Launcher::launch, which fans block bodies and per-block loops over the
+# workers. The same conformance matrix and a chaos schedule must pass with
+# 4 workers, and 8-vs-1-thread runs must be bitwise identical (logits,
+# kernel reports, cost totals).
 cargo test --release -q --test parallel_determinism
 TCG_THREADS=4 cargo test --release -q -p tcg-gpusim --lib
-# Kernel unit tests, the window-body charge pins (one body per window
-# type, shared by the pure and hybrid launches) and the launch-purity pin
-# (stats independent of operand values and launcher history, which the
-# launch memo relies on) with bodies on 4 workers.
+# Kernel unit tests, the window-body and baseline charge pins (one body per
+# window type, shared by the pure and hybrid launches; the figure-only
+# baselines and the scatter SpMM) and the launch-purity pin (stats
+# independent of operand values and launcher history, which the launch
+# memo relies on) with bodies on 4 workers.
 TCG_THREADS=4 cargo test --release -q -p tcg-kernels
 TCG_THREADS=4 ./target/release/tcgnn verify --seed 2023
 TCG_THREADS=4 TCG_FAULT_RATE=0.05 TCG_FAULT_SEED=2023 \
     ./target/release/tcgnn train Pubmed/0.05 --epochs 3 | grep -q 'faults: '
+# The figure bins of the Triton, tSparse and Blocked-ELL baselines, whose
+# bodies fan out like every other kernel's, must reproduce results/ with
+# 4 workers.
+replay_dir=$(mktemp -d)
+for b in table5 fig6c; do
+    TCG_THREADS=4 TCG_RESULTS_DIR="$replay_dir" ./target/release/$b >/dev/null
+    replay_equal "$b"
+done
+rm -rf "$replay_dir"
 
 step "verify: 30s differential fuzz smoke (fixed seed)"
 cargo run --release -q -p tcg-oracle --bin fuzz_kernels -- --seed 2023 --budget-ms 30000
@@ -151,28 +184,6 @@ folded="$obs_dir/profile-hotspots.folded"
 # verdict exits nonzero and gates CI; warnings are reported but pass.
 ./target/release/tcgnn bench --check
 
-# replay_equal <name>: the regenerated $replay_dir/<name>.json must equal
-# the committed results/<name>.json in every value, apart from the
-# host-specific `_meta` and fig7b's host-clock `sgt_wallclock_ms`.
-replay_equal() {
-    python3 -c "
-import json, sys
-host_clock = {'fig7b': ['sgt_wallclock_ms']}.get(sys.argv[3], [])
-def load(p):
-    d = json.load(open(p))
-    if isinstance(d, dict):
-        d.pop('_meta', None)
-    for row in d if isinstance(d, list) else []:
-        for k in host_clock:
-            row.pop(k, None)
-    return d
-assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the replay'
-" "results/$1.json" "$replay_dir/$1.json" "$1" || {
-        echo "replay: $1.json no longer reproduces" >&2
-        exit 1
-    }
-}
-
 step "serve replay: regenerated serve benches equal the committed files"
 # The sentinel above compares committed files with baselines; this step
 # re-runs the serving benches and requires every report byte to reproduce,
@@ -186,7 +197,9 @@ rm -rf "$replay_dir"
 
 step "figure replay: regenerated figures, tables and ablations equal the committed files"
 # Every paper figure, table and ablation is simulated-clock output, so a
-# change that moves no simulated number must reproduce each file exactly.
+# change that moves no simulated number must reproduce each file exactly,
+# with every launch's blocks in order (TCG_THREADS=1). table5 and fig6c
+# also replay with 4 workers in the parallel-execution step.
 replay_dir=$(mktemp -d)
 for b in fig6a fig6b fig6c fig7a fig7b fig7c table1 table2 table3 table5 \
     ablation_cyclesim ablation_device ablation_geometry ext_models; do

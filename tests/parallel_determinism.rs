@@ -49,7 +49,7 @@ fn run(family: Family, backend: Backend, threads: usize) -> Run {
 #[test]
 fn eight_threads_bitwise_match_one_thread_everywhere() {
     for family in Family::ALL {
-        for backend in Backend::all().into_iter().chain([Backend::Hybrid]) {
+        for backend in Backend::all() {
             let seq = run(family, backend, 1);
             let par = run(family, backend, 8);
             let cell = format!("{}/{}", family.name(), backend.name());

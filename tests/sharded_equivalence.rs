@@ -30,7 +30,7 @@ const SHARDINGS: [(usize, Partitioner); 4] = [
 ];
 
 fn backends() -> impl Iterator<Item = Backend> {
-    Backend::all().into_iter().chain([Backend::Hybrid])
+    Backend::all().into_iter()
 }
 
 fn engine(g: &CsrGraph, backend: Backend, devices: usize, p: Partitioner) -> Engine {
