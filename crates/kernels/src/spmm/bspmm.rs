@@ -41,20 +41,27 @@ impl Default for BlockedEllSpmm {
     }
 }
 
+/// Bytes of one stored 16×16 f32 block.
+const SLOT_BYTES: u128 = (ELL_BLK * ELL_BLK * 4) as u128;
+
 impl BlockedEllSpmm {
     /// `(ell_cols, total_slots)` for a graph: the padded width and the
     /// total number of stored blocks.
     pub fn ell_shape(csr: &tcg_graph::CsrGraph) -> (usize, usize) {
-        let counts = tile_counts(csr, ELL_BLK);
-        let ell_cols = counts.iter().copied().max().unwrap_or(0);
-        (ell_cols, ell_cols * counts.len())
+        shape(&tile_counts(csr, ELL_BLK))
     }
 
     /// Bytes of the Blocked-ELL values array.
     pub fn memory_bytes(csr: &tcg_graph::CsrGraph) -> u128 {
-        let (_, slots) = Self::ell_shape(csr);
-        slots as u128 * (ELL_BLK * ELL_BLK * 4) as u128
+        Self::ell_shape(csr).1 as u128 * SLOT_BYTES
     }
+}
+
+/// `(ell_cols, total_slots)` of the layout whose block rows hold `counts`
+/// tiles.
+fn shape(counts: &[usize]) -> (usize, usize) {
+    let ell_cols = counts.iter().copied().max().unwrap_or(0);
+    (ell_cols, ell_cols * counts.len())
 }
 
 impl SpmmKernel for BlockedEllSpmm {
@@ -70,14 +77,15 @@ impl SpmmKernel for BlockedEllSpmm {
         let csr = prob.csr;
         let n = csr.num_nodes();
         let d = prob.dim();
-        let required = Self::memory_bytes(csr);
+        let counts = tile_counts(csr, ELL_BLK);
+        let (ell_cols, slots) = shape(&counts);
+        let required = slots as u128 * SLOT_BYTES;
         if required > self.memory_capacity_bytes {
             return Err(TcgError::MemoryExceeded {
                 required_bytes: required,
                 capacity_bytes: self.memory_capacity_bytes,
             });
         }
-        let (ell_cols, slots) = Self::ell_shape(csr);
         let mut out = DenseMatrix::zeros(n, d);
         // Heavily padded layouts (power-law block rows) would spend minutes
         // cache-simulating billions of identical all-zero-block accesses;
@@ -103,7 +111,6 @@ impl SpmmKernel for BlockedEllSpmm {
 
         // The fast path skips each block row's padding slots.
         let padding_slots_skipped: u64 = if fast_padding {
-            let counts = tile_counts(csr, ELL_BLK);
             counts.iter().map(|&c| (ell_cols - c) as u64).sum()
         } else {
             0
