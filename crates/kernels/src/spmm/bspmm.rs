@@ -159,8 +159,6 @@ impl SpmmKernel for BlockedEllSpmm {
             }
         };
         launcher.preflight("blocked-ell", &cfg)?;
-        // Only real tiles hold values: each block row computes its 16
-        // rows, each row's edges in CSR order.
         let first_row = |br: u64| (br as usize * ELL_BLK).min(n);
         let mut stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
         if padding_slots_skipped > 0 {
@@ -311,9 +309,6 @@ impl SpmmKernel for CondensedEllSpmm {
             }
         };
         launcher.preflight("blocked-ell-condensed", &cfg)?;
-        // The blocks take a row's edges in ascending condensed column, the
-        // order of its CSR neighbors: each window computes its 16 rows,
-        // each row's edges in CSR order.
         let first_row = |w: u64| (w as usize * tcg_sgt::TC_BLK_H).min(n);
         let num_blocks = t.num_row_windows as u64;
         let mut stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);

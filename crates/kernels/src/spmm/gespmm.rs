@@ -98,7 +98,6 @@ impl SpmmKernel for GeSpmm {
             }
         };
         launcher.preflight("ge-spmm", &cfg)?;
-        // Each row sums its edges in CSR order, as the CUDA-core row loop.
         let first_row = |block: u64| (block as usize * ROWS_PER_BLOCK).min(n);
         let stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);

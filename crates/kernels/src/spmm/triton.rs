@@ -110,8 +110,6 @@ impl SpmmKernel for TritonBlockSparseSpmm {
             ctx.st_global_gather_rows(&bases, width, 4);
         };
         launcher.preflight("triton-blocksparse", &cfg)?;
-        // The slab-0 program of each block row computes the row's whole
-        // output; the other slab programs compute nothing.
         let first_row = |pid: u64| {
             let (br, s) = (pid as usize / slabs.max(1), pid as usize % slabs.max(1));
             (if s == 0 { br * BLK } else { (br + 1) * BLK }).min(n)

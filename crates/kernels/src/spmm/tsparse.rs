@@ -137,8 +137,6 @@ impl SpmmKernel for TsparseLikeSpmm {
             }
         };
         launcher.preflight("tsparse-like", &cfg)?;
-        // Both paths compute the same values: each block row's 16 rows,
-        // each row's edges in CSR order.
         let first_row = |br: u64| (br as usize * BLK).min(n);
         let stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
         let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
