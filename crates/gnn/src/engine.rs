@@ -4,6 +4,7 @@
 mod sharded;
 
 use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sharded::ShardSet;
@@ -487,7 +488,9 @@ enum Exec {
 pub struct Engine {
     backend: Backend,
     csr: CsrGraph,
-    norms: Norms,
+    /// Shared so an op can read a norm vector while it launches through
+    /// `&mut self` without copying it.
+    norms: Rc<Norms>,
     exec: Exec,
     /// Most recent SpMM kernel report (for profiling tables).
     pub last_spmm_report: Option<tcg_gpusim::KernelReport>,
@@ -756,7 +759,7 @@ impl Engine {
             }
         }
         self.csr = csr.clone();
-        self.norms = norms;
+        self.norms = Rc::new(norms);
         self.forced_fallback = false;
         self.retried = 0;
         self.degraded = 0;
@@ -771,7 +774,7 @@ impl Engine {
         Engine {
             backend,
             csr,
-            norms,
+            norms: Rc::new(norms),
             exec,
             last_spmm_report: None,
             last_sddmm_report: None,
@@ -1654,8 +1657,8 @@ impl Engine {
         }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
-                let norm = self.norms.gcn_norm.clone();
-                self.spmm_on(x, Some(&norm), windows)
+                let norms = Rc::clone(&self.norms);
+                self.spmm_on(x, Some(&norms.gcn_norm), windows)
             }
             _ => {
                 let nd_bytes = (x.len() * 4) as u64;
@@ -1711,8 +1714,8 @@ impl Engine {
         }
         match self.backend {
             Backend::TcGnn | Backend::Hybrid => {
-                let norm = self.norms.mean_norm.clone();
-                self.spmm_on(x, Some(&norm), windows)
+                let norms = Rc::clone(&self.norms);
+                self.spmm_on(x, Some(&norms.mean_norm), windows)
             }
             _ => {
                 let (mut out, spmm_ms) = self.spmm(x, None)?;
@@ -1737,8 +1740,8 @@ impl Engine {
         }
         // `Aᵀ = A` topologically; the transposed normalization values are
         // precomputed, so no runtime permutation pass is needed.
-        let norm_t = self.norms.transposed(&self.csr).mean_norm_t.clone();
-        self.spmm(x, Some(&norm_t))
+        let norms = Rc::clone(&self.norms);
+        self.spmm(x, Some(&norms.transposed(&self.csr).mean_norm_t))
     }
 
     /// Unweighted sum aggregation `A · X` (GIN's aggregator).

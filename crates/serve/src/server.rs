@@ -7,8 +7,10 @@
 //! binding it to a stream (a sharded run skips the cache: its engines
 //! translate their own shards); a [`GraphMutation`] is a barrier that seals
 //! every open batch and then lands. One worker thread per stream executes
-//! its batches through one executor — one engine per graph, moved to each
-//! batch's graph version with [`Engine::advance`] and sharded across
+//! its batches while the dispatcher walks on: each batch goes down its
+//! stream's channel as soon as it is bound, and the worker runs it through
+//! one executor — one engine per graph, moved to each batch's graph
+//! version with [`Engine::advance`] and sharded across
 //! [`ServeConfig::devices`] when that is more than one — and one respond
 //! step turns each request's logit row into a Served/Late outcome. On a
 //! one-device translating backend a batch computes only the row windows
@@ -19,6 +21,11 @@
 //! to policies that are all no-ops, so a run without the layer takes the
 //! same path.
 //!
+//! The dispatcher's snapshots own each graph's versions, so it never
+//! borrows the session's graphs mutably while the workers read them; once
+//! the workers have joined, each graph a mutation moved gets its last
+//! version written back into the session.
+//!
 //! # Determinism
 //!
 //! Worker threads notwithstanding, every run over the same session and
@@ -26,7 +33,10 @@
 //!
 //! 1. **Batch formation is trace-pure**: batches seal from arrival times
 //!    alone, never from execution timing.
-//! 2. **Stream assignment is round-robin** over the batch index.
+//! 2. **Stream assignment is round-robin** over the batch index, and
+//!    everything a batch carries is fixed at dispatch: no dispatch
+//!    decision reads an execution result, and a worker sees its batches
+//!    in dispatch order however the threads interleave.
 //! 3. **Each stream owns its virtual clock**: a worker places each batch at
 //!    `max(ready, previous end)` on its [`tcg_gpusim::Stream`] and reads no
 //!    cross-thread state; fault plans are seeded from `(stream, graph)`.
@@ -35,6 +45,7 @@
 //! in open batches when an arrival is processed, so
 //! [`tcg_fault::TcgError::QueueFull`] shedding is a function of the trace.
 
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
 use tcg_dist::Partitioner;
@@ -116,21 +127,37 @@ impl Session {
     /// whole-graph hash runs here: a serve run rehashes only the windows in
     /// [`MutationOutcome::touched_windows`] and recomposes the key from them.
     pub fn mutate(&mut self, graph: usize, delta: &EdgeDelta) -> Result<MutationOutcome, TcgError> {
-        let count = self.graphs.len();
-        let g = self
-            .graphs
-            .get_mut(graph)
-            .ok_or_else(|| TcgError::InvalidInput {
-                what: "mutation graph index",
-                detail: format!("graph {graph} out of range (session serves {count} graphs)"),
-            })?;
-        g.csr = delta.apply_to(&g.csr)?;
-        Ok(MutationOutcome {
-            touched_windows: delta.touched_windows(TC_BLK_H),
-            inserted: delta.inserts().len(),
-            deleted: delta.deletes().len(),
-        })
+        let (csr, outcome) = edit(&self.graphs, |g| &g.csr, graph, delta)?;
+        self.graphs[graph].csr = csr;
+        Ok(outcome)
     }
+}
+
+/// The one mutation step behind [`Session::mutate`] and a serve run's
+/// snapshots: `delta` applied strictly ([`EdgeDelta::apply_to`]) to the
+/// adjacency `csr` reads off `graphs[graph]`. Returns the edited adjacency
+/// and what changed; an out-of-range index or a delta that does not apply
+/// is an error, and the caller keeps its graph.
+fn edit<T>(
+    graphs: &[T],
+    csr: impl Fn(&T) -> &CsrGraph,
+    graph: usize,
+    delta: &EdgeDelta,
+) -> Result<(CsrGraph, MutationOutcome), TcgError> {
+    let g = graphs.get(graph).ok_or_else(|| TcgError::InvalidInput {
+        what: "mutation graph index",
+        detail: format!(
+            "graph {graph} out of range (session serves {} graphs)",
+            graphs.len()
+        ),
+    })?;
+    let edited = delta.apply_to(csr(g))?;
+    let outcome = MutationOutcome {
+        touched_windows: delta.touched_windows(TC_BLK_H),
+        inserted: delta.inserts().len(),
+        deleted: delta.deletes().len(),
+    };
+    Ok((edited, outcome))
 }
 
 /// What one applied [`Session::mutate`] call did to its graph.
@@ -243,12 +270,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// A sealed batch bound to a stream, with its translation resolved.
+/// A sealed batch bound to a stream, with its translation resolved: the
+/// message the dispatcher sends down that stream's channel. Everything in
+/// it is fixed at dispatch, so its worker runs it while the dispatcher
+/// walks on.
 #[derive(Debug)]
 struct DispatchedBatch {
     index: usize,
     graph: usize,
-    stream: u32,
     /// When the batcher sealed the batch.
     close_ms: f64,
     /// Translation milliseconds paid before the batch can launch: at
@@ -261,9 +290,9 @@ struct DispatchedBatch {
     /// The cache-resolved whole-graph translation (`None` on a sharded
     /// run, whose engines translate their own shards).
     translation: Option<Arc<TranslatedGraph>>,
-    /// Snapshot of the graph at dispatch time — under mutations the
-    /// session's CSR moves on, but this batch executes against the
-    /// adjacency it was admitted for.
+    /// The graph version current at dispatch, shared with the dispatcher's
+    /// snapshot — under mutations the snapshot moves on, but this batch
+    /// executes against the adjacency it was admitted for.
     csr: Arc<CsrGraph>,
     /// Version key of that snapshot: a stream's engine for the graph
     /// advances to it when it differs from the key the engine is at.
@@ -397,11 +426,18 @@ pub fn serve(
 /// `mutations` must be sorted by [`GraphMutation::at_ms`]. Each mutation is
 /// a barrier within the dispatcher's virtual-time walk: when the walk
 /// reaches `at_ms`, every open batch is sealed and dispatched against the
-/// pre-edit graph, then the edit is applied via [`Session::mutate`] (a
-/// rejected delta is counted, not fatal), and every later batch resolves
-/// under the new [`GraphVersion`] — which the translation cache typically
-/// satisfies by retranslating only the touched windows. Mutations
-/// scheduled after the last arrival are applied after the trace drains.
+/// pre-edit graph, then the edit is applied with the same validation and
+/// errors as [`Session::mutate`] (a rejected delta is counted, not fatal),
+/// and every later batch resolves under the new [`GraphVersion`] — which
+/// the translation cache typically satisfies by retranslating only the
+/// touched windows. Mutations scheduled after the last arrival are applied
+/// after the trace drains.
+///
+/// The walk runs on the calling thread while one worker per stream
+/// executes each batch as it is dispatched. The edits land on the run's
+/// own graph versions; after the workers join, each edited graph's last
+/// version replaces its CSR in `session`, before the report's
+/// `graph_versions` are hashed. A panic on a worker is raised again here.
 pub fn serve_with_mutations(
     session: &mut Session,
     cfg: &ServeConfig,
@@ -420,38 +456,69 @@ pub fn serve_with_mutations(
     if let Err(e) = tcg_gnn::engine::check_devices(cfg.devices) {
         panic!("serve config: {e}");
     }
+    let Session {
+        model,
+        graphs,
+        cache,
+    } = session;
     if let Some(r) = &cfg.resilience {
-        session.cache.set_spot_check_every(r.spot_check_every);
+        cache.set_spot_check_every(r.spot_check_every);
     }
     let off = ResilienceConfig::off();
     let policy = cfg.resilience.as_ref().unwrap_or(&off);
-    let mut d = Dispatcher::new(session, cfg, policy);
-    d.run(trace, mutations);
+    let streams = cfg.streams.max(1);
     let run = Run {
         cfg,
-        graphs: &d.session.graphs,
-        model: &d.session.model,
+        graphs,
+        model,
         policy,
         profiled: profiler.is_some(),
     };
-    let mut workers = execute(&run, std::mem::take(&mut d.dispatched), d.streams);
+    // Stages 1–3 run on this thread while stage 4 runs on one worker per
+    // stream: each batch goes down its stream's channel as it is bound.
+    let (mut d, mut workers) = std::thread::scope(|scope| {
+        let (senders, handles): (Vec<_>, Vec<_>) = (0..streams as u32)
+            .map(|id| {
+                let (tx, rx) = mpsc::channel();
+                let run = &run;
+                (tx, scope.spawn(move || run_stream(id, rx, run)))
+            })
+            .unzip();
+        let mut d = Dispatcher::new(graphs, cache, cfg, policy, senders);
+        d.run(trace, mutations);
+        // Hanging up ends each worker once it has drained its channel.
+        d.senders.clear();
+        let workers: Vec<Worker> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        (d, workers)
+    });
 
     // ---- Merge (deterministic: stream order, then id order). ----
+    // Every batch and engine is gone, so each edited graph's last version
+    // moves into the session without a copy.
+    for (g, snap) in graphs.iter_mut().zip(std::mem::take(&mut d.snapshots)) {
+        if snap.edited {
+            g.csr = Arc::unwrap_or_clone(snap.csr);
+        }
+    }
     // The printed stamp is the whole-graph fingerprint, hashed once per
     // graph here; the run itself keys versions by their window hashes.
-    let graph_versions: Vec<(String, u64)> = d
-        .session
-        .graphs
+    let graph_versions: Vec<(String, u64)> = graphs
         .iter()
         .map(|g| (g.name.clone(), g.csr.fingerprint().as_u64()))
         .collect();
     if let Some(p) = profiler {
-        record_trace(p, &d, &graph_versions, &mut workers);
+        record_trace(p, &d, graphs, &graph_versions, &mut workers);
     }
     let mut responses = std::mem::take(&mut d.early);
     let (mut faults, mut breaker) = (FaultReport::default(), BreakerStats::default());
     let (mut breaker_transitions, mut halo_bytes, mut transfer_ms) = (0, 0, 0.0);
-    let mut per_stream = Vec::with_capacity(d.streams);
+    let mut per_stream = Vec::with_capacity(streams);
     for w in workers {
         faults.absorb(&w.faults);
         halo_bytes += w.halo_bytes;
@@ -493,8 +560,8 @@ pub fn serve_with_mutations(
     let ratio = |n: usize, over: f64| if over > 0.0 { n as f64 / over } else { 0.0 };
     ServeReport {
         backend: cfg.backend.name(),
-        model: d.session.model.kind(),
-        streams: d.streams,
+        model: model.kind(),
+        streams,
         devices: cfg.devices,
         partitioner: if cfg.devices > 1 {
             cfg.partitioner.name()
@@ -515,7 +582,7 @@ pub fn serve_with_mutations(
         makespan_ms,
         throughput_rps: ratio(answered, makespan_ms) * 1000.0,
         latency,
-        cache: d.session.cache.stats(),
+        cache: d.cache.stats(),
         faults,
         queue: d.queue,
         per_stream,
@@ -536,11 +603,17 @@ pub fn serve_with_mutations(
 /// Folds the translations the dispatcher paid, the final graph versions and
 /// every worker's stream timeline and private recorder into the run's
 /// trace, in stream order so the merged event list is deterministic.
-fn record_trace(p: &SharedProfiler, d: &Dispatcher, versions: &[(String, u64)], ws: &mut [Worker]) {
+fn record_trace(
+    p: &SharedProfiler,
+    d: &Dispatcher,
+    graphs: &[ServedGraph],
+    versions: &[(String, u64)],
+    ws: &mut [Worker],
+) {
     let mut p = p.write().expect("profiler lock");
-    for (name, ms, ids) in &d.translations {
+    for (span, graph, ms, ids) in &d.translations {
         p.set_trace(ids);
-        p.record_host(name, *ms);
+        p.record_host(&format!("{span}:{}", graphs[*graph].name), *ms);
     }
     p.clear_trace();
     for (name, v) in versions {
@@ -586,10 +659,13 @@ fn cull(
 }
 
 /// Stages 1–3: admission, batching and translation resolution, serial and
-/// in virtual time.
+/// in virtual time. Each bound batch goes straight to its stream's worker.
 struct Dispatcher<'s> {
-    session: &'s mut Session,
-    streams: usize,
+    cache: &'s mut TranslationCache,
+    /// One channel per stream worker, indexed by stream id.
+    senders: Vec<Sender<DispatchedBatch>>,
+    /// Batches bound so far (the next batch's index).
+    bound: usize,
     /// Sharded engines translate each shard when built, so a sharded run
     /// never resolves whole-graph translations through the cache.
     sharded: bool,
@@ -600,12 +676,11 @@ struct Dispatcher<'s> {
     /// Whether the backend is [`Backend::Hybrid`] (for
     /// [`MutationSummary::mask_refreshed_windows`]).
     hybrid: bool,
-    /// Per-graph snapshots: batches capture the adjacency they were
-    /// admitted against, refreshed only by mutations.
+    /// Per-graph snapshots: each owns its graph's current version, which
+    /// batches capture as they are bound; only mutations move them.
     snapshots: Vec<Snapshot>,
-    dispatched: Vec<DispatchedBatch>,
-    /// Translations paid: host span name, milliseconds, trace ids.
-    translations: Vec<(String, f64, Vec<u64>)>,
+    /// Translations paid: host span kind, graph, milliseconds, trace ids.
+    translations: Vec<(&'static str, usize, f64, Vec<u64>)>,
     /// Shed and pre-translate-cancelled responses.
     early: Vec<Response>,
     queue: QueueDepth,
@@ -613,10 +688,18 @@ struct Dispatcher<'s> {
 }
 
 impl<'s> Dispatcher<'s> {
-    fn new(session: &'s mut Session, cfg: &ServeConfig, policy: &ResilienceConfig) -> Self {
+    fn new(
+        graphs: &[ServedGraph],
+        cache: &'s mut TranslationCache,
+        cfg: &ServeConfig,
+        policy: &ResilienceConfig,
+        senders: Vec<Sender<DispatchedBatch>>,
+    ) -> Self {
         let capacity = cfg.queue_capacity.max(1);
         Dispatcher {
-            streams: cfg.streams.max(1),
+            cache,
+            senders,
+            bound: 0,
             sharded: cfg.devices > 1,
             capacity,
             cancel: policy.deadline_cancellation,
@@ -625,17 +708,11 @@ impl<'s> Dispatcher<'s> {
                 .brownout
                 .map(|bc| BrownoutController::new(bc, cfg.policy.max_batch, capacity)),
             hybrid: cfg.backend == Backend::Hybrid,
-            snapshots: session
-                .graphs
-                .iter()
-                .map(|g| Snapshot::of(&g.csr))
-                .collect(),
-            dispatched: Vec::new(),
+            snapshots: graphs.iter().map(|g| Snapshot::of(&g.csr)).collect(),
             translations: Vec::new(),
             early: Vec::new(),
             queue: QueueDepth::default(),
             mutations: MutationSummary::default(),
-            session,
         }
     }
 
@@ -696,7 +773,8 @@ impl<'s> Dispatcher<'s> {
 
     /// Stage 3: culls requests already dead when the batch sealed, resolves
     /// the batch's translation through the session cache (one-device runs)
-    /// and binds it to a stream round-robin.
+    /// and binds it to a stream round-robin, sending it to that stream's
+    /// worker.
     fn dispatch(&mut self, mut closed: ClosedBatch) {
         let close_ms = closed.close_ms;
         if let Some(ctl) = self.brownout.as_mut() {
@@ -716,12 +794,13 @@ impl<'s> Dispatcher<'s> {
                 (Some(t), ms)
             }
         };
-        let index = self.dispatched.len();
+        let index = self.bound;
+        self.bound += 1;
+        let stream = index % self.senders.len();
         let snap = &self.snapshots[closed.graph];
-        self.dispatched.push(DispatchedBatch {
+        let batch = DispatchedBatch {
             index,
             graph: closed.graph,
-            stream: (index % self.streams) as u32,
             close_ms,
             translate_ms: paid_ms,
             ready_ms: close_ms + paid_ms,
@@ -729,15 +808,18 @@ impl<'s> Dispatcher<'s> {
             translation,
             csr: Arc::clone(&snap.csr),
             version: snap.version,
-        });
+        };
+        // A worker that panicked has hung up; joining it raises its panic.
+        let _ = self.senders[stream].send(batch);
     }
 
     /// Resolves `closed`'s graph through the session cache, recording any
     /// translation paid. Returns the translation and its cost.
     fn resolve(&mut self, closed: &ClosedBatch) -> (Arc<TranslatedGraph>, f64) {
         let snap = &self.snapshots[closed.graph];
-        let cache = &mut self.session.cache;
-        let r = cache.get_or_translate_version(&snap.csr, snap.version, &snap.window_fps);
+        let r = self
+            .cache
+            .get_or_translate_version(&snap.csr, snap.version, &snap.window_fps);
         let span = match &r.kind {
             ResolutionKind::Hit => None,
             ResolutionKind::Full => Some("sgt_translate"),
@@ -756,8 +838,8 @@ impl<'s> Dispatcher<'s> {
             // Attributed to the batch that paid it: the host span carries
             // the same trace ids as the batch's kernels.
             let ids = closed.requests.iter().map(|r| r.id).collect();
-            let name = format!("{span}:{}", self.session.graphs[closed.graph].name);
-            self.translations.push((name, r.paid_ms, ids));
+            let paid = (span, closed.graph, r.paid_ms, ids);
+            self.translations.push(paid);
         }
         (r.translation, r.paid_ms)
     }
@@ -767,12 +849,11 @@ impl<'s> Dispatcher<'s> {
     fn apply_mutation(&mut self, gm: &GraphMutation) {
         let m = &mut self.mutations;
         m.requested += 1;
-        match self.session.mutate(gm.graph, &gm.delta) {
-            Ok(out) => {
+        match edit(&self.snapshots, |s| &*s.csr, gm.graph, &gm.delta) {
+            Ok((csr, out)) => {
                 m.applied += 1;
                 m.edges_inserted += out.inserted;
                 m.edges_deleted += out.deleted;
-                let csr = &self.session.graphs[gm.graph].csr;
                 self.snapshots[gm.graph].advance(csr, &out.touched_windows);
             }
             Err(_) => m.rejected += 1,
@@ -787,10 +868,16 @@ impl<'s> Dispatcher<'s> {
 /// version: at start, or by the mutation that made the version, which
 /// rehashes only the windows it touched; the key is then recomposed in
 /// `O(windows)`.
+///
+/// The snapshot owns each version: batches share it until they have run,
+/// and after the workers join an edited graph's last version is moved into
+/// the session.
 struct Snapshot {
     csr: Arc<CsrGraph>,
     version: GraphVersion,
     window_fps: Vec<u64>,
+    /// Whether a mutation has moved the graph during this run.
+    edited: bool,
 }
 
 impl Snapshot {
@@ -800,13 +887,14 @@ impl Snapshot {
             csr: Arc::new(csr.clone()),
             version: GraphVersion::from_windows(csr.num_nodes(), &window_fps),
             window_fps,
+            edited: false,
         }
     }
 
     /// Moves to `csr`, which differs from the current graph only in the
     /// `touched` windows. Under `TCG_VERIFY=1` the maintained key is
     /// checked against one composed from scratch.
-    fn advance(&mut self, csr: &CsrGraph, touched: &[usize]) {
+    fn advance(&mut self, csr: CsrGraph, touched: &[usize]) {
         for &w in touched {
             self.window_fps[w] = csr.window_fingerprint(TC_BLK_H, w);
         }
@@ -814,15 +902,18 @@ impl Snapshot {
         if tcg_fault::verify_requested() {
             assert_eq!(
                 self.version,
-                crate::cache::version_key(csr),
+                crate::cache::version_key(&csr),
                 "maintained version key"
             );
         }
-        self.csr = Arc::new(csr.clone());
+        self.csr = Arc::new(csr);
+        self.edited = true;
     }
 }
 
-/// What every stream worker reads.
+/// What every stream worker reads while the dispatcher runs: of each
+/// graph only its name and features, since batches carry their version's
+/// CSR.
 struct Run<'a> {
     cfg: &'a ServeConfig,
     graphs: &'a [ServedGraph],
@@ -876,30 +967,16 @@ impl Worker {
     }
 }
 
-/// Stage 4: one worker thread per stream.
-fn execute(run: &Run, dispatched: Vec<DispatchedBatch>, streams: usize) -> Vec<Worker> {
-    let mut per_stream: Vec<Vec<DispatchedBatch>> = (0..streams).map(|_| Vec::new()).collect();
-    for b in dispatched {
-        per_stream[b.stream as usize].push(b);
-    }
-    std::thread::scope(|scope| {
-        let spawn = |(id, batches)| scope.spawn(move || run_stream(id as u32, batches, run));
-        let handles: Vec<_> = per_stream.into_iter().enumerate().map(spawn).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stream worker panicked"))
-            .collect()
-    })
-}
-
-/// Executes one stream's batches in dispatch order on its virtual clock.
+/// Stage 4: executes one stream's batches on its virtual clock in the order
+/// they arrive on `batches` (dispatch order), from the first dispatch until
+/// the dispatcher hangs up.
 ///
 /// Runs on a worker thread; engines (which hold non-`Send` kernel objects)
 /// are built inside it. One-device engines are seeded with the
 /// dispatcher-resolved translation, so Algorithm 1 never reruns here; a
 /// sharded engine translates its shards, delaying the batch that builds or
 /// advances it.
-fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
+fn run_stream(id: u32, batches: Receiver<DispatchedBatch>, run: &Run) -> Worker {
     let mut w = Worker {
         stream: Stream::new(id),
         breaker: run.policy.breaker.map(CircuitBreaker::new),
@@ -943,7 +1020,9 @@ fn run_stream(id: u32, batches: Vec<DispatchedBatch>, run: &Run) -> Worker {
 
 /// Stage 4: one engine per graph the stream serves, built for the graph's
 /// first batch and moved to each later batch's graph version with
-/// [`Engine::advance`], which pays in proportion to the edit. Each version
+/// [`Engine::advance`], which pays in proportion to the edit. A stream's
+/// batches reach it in dispatch order, so each engine moves through the
+/// versions in the order the dispatcher made them. Each version
 /// restarts the engine's fault accounting from the same `(stream, graph)`
 /// seed, as a freshly built engine would. With more than one device each
 /// engine is sharded and runs SGT per shard when built or advanced (the

@@ -241,6 +241,15 @@ print(f\"resilience gate: {d['cancelled']} cancelled, \"
     exit 1
 }
 
+step "serve overlap: dispatcher, stream workers and launcher fan-out at TCG_THREADS=4"
+# The dispatcher binds batches while one worker per stream executes them,
+# and each worker's launches fan block bodies over 4 more threads. The
+# pinned serve artifacts, the serving and chaos suites, the session
+# write-back and the repeated 4-stream runs must hold with all of them
+# interleaving.
+TCG_THREADS=4 cargo test --release -q --test serve_pipeline_pins --test serving \
+    --test chaos --test serve_overlap
+
 step "receptive-field serving: targeted rows equal the full forward at TCG_THREADS=4"
 # A serve batch computes only the row windows its targets' receptive fields
 # read, layer by layer. Every servable model on TC-GNN and hybrid over the
