@@ -487,7 +487,9 @@ enum Exec {
 /// their share of the distributed makespan.
 pub struct Engine {
     backend: Backend,
-    csr: CsrGraph,
+    /// Shared with whoever built or advanced the engine (a serving
+    /// session's graph snapshot), not copied.
+    csr: Arc<CsrGraph>,
     /// Shared so an op can read a norm vector while it launches through
     /// `&mut self` without copying it.
     norms: Rc<Norms>,
@@ -526,7 +528,7 @@ pub struct Engine {
 #[must_use = "call .build() to construct the engine"]
 pub struct EngineBuilder {
     backend: Backend,
-    csr: CsrGraph,
+    csr: Arc<CsrGraph>,
     device: DeviceSpec,
     translation: Option<Arc<TranslatedGraph>>,
     threads: Option<usize>,
@@ -651,11 +653,12 @@ pub fn check_devices(devices: usize) -> Result<(), TcgError> {
 impl Engine {
     /// Starts building an engine bound to `csr`. Defaults: TC-GNN backend,
     /// RTX 3090 device, no cached translation, thread count from
-    /// `TCG_THREADS` (unset → 1).
-    pub fn builder(csr: CsrGraph) -> EngineBuilder {
+    /// `TCG_THREADS` (unset → 1). An `Arc` is shared by the engine, not
+    /// copied.
+    pub fn builder(csr: impl Into<Arc<CsrGraph>>) -> EngineBuilder {
         EngineBuilder {
             backend: Backend::TcGnn,
-            csr,
+            csr: csr.into(),
             device: DeviceSpec::rtx3090(),
             translation: None,
             threads: None,
@@ -692,11 +695,16 @@ impl Engine {
     /// Under `TCG_VERIFY=1` the full symmetry check, the from-scratch norms
     /// and [`TranslatedGraph::validate`] also run, and any disagreement
     /// with the incremental results panics.
+    ///
+    /// An `Arc` is shared by the engine, not copied; a borrowed graph is
+    /// copied once.
     pub fn advance(
         &mut self,
-        csr: &CsrGraph,
+        csr: impl Into<Arc<CsrGraph>>,
         translation: Option<Arc<TranslatedGraph>>,
     ) -> Result<(), TcgError> {
+        let next: Arc<CsrGraph> = csr.into();
+        let csr = &*next;
         if csr.num_nodes() != self.csr.num_nodes() {
             return Err(TcgError::InvalidInput {
                 what: "engine advance",
@@ -758,7 +766,7 @@ impl Engine {
                 }
             }
         }
-        self.csr = csr.clone();
+        self.csr = next;
         self.norms = Rc::new(norms);
         self.forced_fallback = false;
         self.retried = 0;
@@ -770,7 +778,7 @@ impl Engine {
     }
 
     /// The engine over `csr` running on `exec`, with default recovery.
-    fn assemble(backend: Backend, csr: CsrGraph, norms: Norms, exec: Exec) -> Engine {
+    fn assemble(backend: Backend, csr: Arc<CsrGraph>, norms: Norms, exec: Exec) -> Engine {
         Engine {
             backend,
             csr,
@@ -792,7 +800,7 @@ impl Engine {
     /// calls this.
     fn local(&mut self) -> (&mut Device, &CsrGraph) {
         match &mut self.exec {
-            Exec::Single(dev) => (dev, &self.csr),
+            Exec::Single(dev) => (dev, &*self.csr),
             Exec::Sharded(_) => unreachable!("one-device path on a sharded engine"),
         }
     }

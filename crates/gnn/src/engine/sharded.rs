@@ -7,6 +7,8 @@
 //! drain time); timelines accumulate until [`Engine::take_dist_report`].
 //! DESIGN.md §14 has the full model.
 
+use std::sync::Arc;
+
 use tcg_dist::{DistReport, Partitioner, Shard};
 use tcg_fault::{FaultPlan, FaultReport, TcgError};
 use tcg_gpusim::stream::DEVICE_STREAM_STRIDE;
@@ -59,7 +61,7 @@ impl ShardSet {
                 let dev = Device::build(backend, &local, device, threads, None)?;
                 let engine = Engine::assemble(
                     backend,
-                    local,
+                    Arc::new(local),
                     norms.for_shard(csr, &shard),
                     Exec::Single(Box::new(dev)),
                 );

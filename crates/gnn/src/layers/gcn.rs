@@ -6,6 +6,8 @@
 //! smaller dimension; otherwise aggregation runs first. Gradients mirror
 //! the chosen order and reuse the same backend aggregation (`Âᵀ = Â`).
 
+use std::borrow::Cow;
+
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
@@ -30,12 +32,12 @@ enum Order {
     UpdateFirst,
 }
 
-/// Saved forward state for backward.
+/// Saved forward state for backward, borrowing the layer input for `'x`.
 #[derive(Debug, Clone)]
-pub struct GcnCache {
+pub struct GcnCache<'x> {
     order: Order,
-    /// `Â X` (aggregate-first) or `X` (update-first).
-    saved: DenseMatrix,
+    /// `Â X` (aggregate-first) or `X` itself, as handed in (update-first).
+    pub(crate) saved: Cow<'x, DenseMatrix>,
 }
 
 /// Parameter gradients.
@@ -76,12 +78,18 @@ impl GcnLayer {
     /// `d.input` and the result the rows of `d.output`, compact (see
     /// [`crate::receptive`]), and every dense op runs on those rows only.
     /// [`LayerDemand::FULL`] is the training forward; the cache serves
-    /// backward only then.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<GcnCache> {
+    /// backward only then. The update-first cache keeps `x` as handed in:
+    /// a borrowed input stays borrowed.
+    pub fn forward<'x>(
+        &self,
+        eng: &mut Engine,
+        x: Cow<'x, DenseMatrix>,
+        d: LayerDemand,
+    ) -> Forward<GcnCache<'x>> {
         match self.order() {
             Order::AggregateFirst => {
                 let (h_agg, agg_ms) = eng
-                    .gcn_aggregate_on(&spread(d.input, x), d.output)
+                    .gcn_aggregate_on(&spread(d.input, &x), d.output)
                     .expect("graph and x dims agree");
                 let h_agg = gather_owned(d.output, h_agg);
                 let (mut y, gemm_ms) = eng.linear(&h_agg, &self.w);
@@ -91,13 +99,13 @@ impl GcnLayer {
                     y,
                     GcnCache {
                         order: Order::AggregateFirst,
-                        saved: h_agg,
+                        saved: Cow::Owned(h_agg),
                     },
                     Cost::agg(agg_ms) + Cost::update(gemm_ms) + Cost::other(bias_ms),
                 )
             }
             Order::UpdateFirst => {
-                let (mut h, gemm_ms) = eng.linear(x, &self.w);
+                let (mut h, gemm_ms) = eng.linear(&x, &self.w);
                 ops::add_bias_inplace(&mut h, &self.b).expect("bias length matches out_dim");
                 let bias_ms = eng.elementwise_ms(h.len(), 1, 1);
                 let (y, agg_ms) = eng
@@ -107,7 +115,7 @@ impl GcnLayer {
                     gather_owned(d.output, y),
                     GcnCache {
                         order: Order::UpdateFirst,
-                        saved: x.clone(),
+                        saved: x,
                     },
                     Cost::update(gemm_ms) + Cost::other(bias_ms) + Cost::agg(agg_ms),
                 )
@@ -122,7 +130,7 @@ impl GcnLayer {
     pub fn backward(
         &self,
         eng: &mut Engine,
-        cache: &GcnCache,
+        cache: &GcnCache<'_>,
         dy: &DenseMatrix,
         needs_dx: bool,
     ) -> (Option<DenseMatrix>, GcnGrads, Cost) {
@@ -197,7 +205,9 @@ mod tests {
         // in < out: aggregate-first.
         let wide = GcnLayer::new(6, 9, 3);
         // in > out with the numerically identical weight: build by hand.
-        let (y_wide, _, _) = wide.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y_wide, _, _) = wide
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         // Manually compute Â(X·W) and compare.
         let (h, _) = eng.linear(&x, &wide.w);
         let (y_manual, _) = eng.gcn_aggregate(&h).unwrap();
@@ -209,7 +219,9 @@ mod tests {
         let mut eng = engine(Backend::TcGnn);
         let layer = GcnLayer::new(6, 4, 1);
         let x = init::uniform(48, 6, -1.0, 1.0, 2);
-        let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y, _, cost) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         assert_eq!(y.shape(), (48, 4));
         assert!(cost.aggregation_ms > 0.0);
         assert!(cost.update_ms > 0.0);
@@ -222,7 +234,9 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+            let (y, _, _) = layer
+                .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+                .into_parts();
             outs.push(y);
         }
         for y in &outs[1..] {
@@ -235,7 +249,9 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = GcnLayer::new(4, 3, 5);
         let x = init::uniform(48, 4, -1.0, 1.0, 6);
-        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y, cache, _) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         let (dx_some, _, cost_full) = layer.backward(&mut eng, &cache, &y, true);
         let (dx_none, _, cost_skip) = layer.backward(&mut eng, &cache, &y, false);
         assert!(dx_some.is_some());
@@ -245,12 +261,16 @@ mod tests {
 
     fn check_gradients(layer: &GcnLayer, eng: &mut Engine) {
         let x = init::uniform(48, layer.w.rows(), -1.0, 1.0, 6);
-        let (y, cache, _) = layer.forward(eng, &x, LayerDemand::FULL).into_parts();
+        let (y, cache, _) = layer
+            .forward(eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         // Loss = Σ y² / 2 ⇒ dy = y.
         let (dx, grads, _) = layer.backward(eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &GcnLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
+            let (yy, _, _) = l
+                .forward(e, Cow::Borrowed(xx), LayerDemand::FULL)
+                .into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

@@ -5,12 +5,14 @@
 //! trainable `ε` and a two-layer MLP update. GIN is the other model the
 //! paper's §2.1 names as using pure adjacency aggregation.
 
+use std::borrow::Cow;
+
 use tcg_profile::Phase;
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::Forward;
-use crate::receptive::{gather, gather_owned, spread, LayerDemand};
+use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One GIN layer.
 #[derive(Debug, Clone)]
@@ -27,10 +29,11 @@ pub struct GinLayer {
     pub b2: Vec<f32>,
 }
 
-/// Saved forward state.
+/// Saved forward state, borrowing the layer input for `'x`.
 #[derive(Debug, Clone)]
-pub struct GinCache {
-    x: DenseMatrix,
+pub struct GinCache<'x> {
+    /// The self term's input rows: `x` as handed in at full demand.
+    pub(crate) x: Cow<'x, DenseMatrix>,
     h: DenseMatrix,
     z1: DenseMatrix,
     a1: DenseMatrix,
@@ -67,12 +70,22 @@ impl GinLayer {
     /// `d.input` and the result the rows of `d.output`, compact (see
     /// [`crate::receptive`]). The self term and the MLP run on the output
     /// rows only. [`LayerDemand::FULL`] is the training forward; the cache
-    /// serves backward only then.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<GinCache> {
-        let x_full = spread(d.input, x);
+    /// serves backward only then, and keeps `x` as handed in.
+    pub fn forward<'x>(
+        &self,
+        eng: &mut Engine,
+        x: Cow<'x, DenseMatrix>,
+        d: LayerDemand,
+    ) -> Forward<GinCache<'x>> {
+        let x_full = spread(d.input, &x);
         let (h, agg_ms) = eng.sum_aggregate_on(&x_full, d.output).expect("dims agree");
         let mut h = gather_owned(d.output, h);
-        let x = gather(d.output, &x_full);
+        // The self term's rows; with no output set `x` is already all of
+        // them (an input set implies an output set).
+        let x = match d.output {
+            None => x,
+            Some(set) => Cow::Owned(set.gather(&x_full)),
+        };
         for (hv, xv) in h.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *hv += (1.0 + self.eps) * xv;
         }
@@ -90,23 +103,14 @@ impl GinLayer {
         let (mut y, ms2) = eng.linear(&a1, &self.w2);
         ops::add_bias_inplace(&mut y, &self.b2).expect("bias length");
         cost += Cost::update(ms2) + Cost::other(eng.elementwise_ms(y.len(), 1, 1));
-        Forward::new(
-            y,
-            GinCache {
-                x: x.into_owned(),
-                h,
-                z1,
-                a1,
-            },
-            cost,
-        )
+        Forward::new(y, GinCache { x, h, z1, a1 }, cost)
     }
 
     /// Backward pass.
     pub fn backward(
         &self,
         eng: &mut Engine,
-        cache: &GinCache,
+        cache: &GinCache<'_>,
         dy: &DenseMatrix,
         needs_dx: bool,
     ) -> (Option<DenseMatrix>, GinGrads, Cost) {
@@ -182,7 +186,9 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+            let (y, _, cost) = layer
+                .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+                .into_parts();
             assert_eq!(y.shape(), (40, 4));
             assert!(cost.aggregation_ms > 0.0 && cost.update_ms > 0.0);
             outs.push(y);
@@ -204,7 +210,9 @@ mod tests {
         let mut layer = GinLayer::new(3, 4, 2, 5);
         layer.eps = 1.0;
         let x = init::uniform(4, 3, -1.0, 1.0, 6);
-        let (_, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (_, cache, _) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         for (h, xv) in cache.h.as_slice().iter().zip(x.as_slice()) {
             assert!((h - 2.0 * xv).abs() < 1e-5);
         }
@@ -215,11 +223,15 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = GinLayer::new(4, 6, 3, 7);
         let x = init::uniform(40, 4, -1.0, 1.0, 8);
-        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y, cache, _) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &GinLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
+            let (yy, _, _) = l
+                .forward(e, Cow::Borrowed(xx), LayerDemand::FULL)
+                .into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

@@ -1,5 +1,7 @@
 //! Fully-connected layer (the GNN *Update* function `w·a + b`).
 
+use std::borrow::Cow;
+
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
@@ -14,10 +16,11 @@ pub struct Linear {
     pub b: Vec<f32>,
 }
 
-/// Saved activations for the backward pass.
+/// Saved activations for the backward pass: the input as handed in,
+/// borrowed for `'x` when it was borrowed.
 #[derive(Debug, Clone)]
-pub struct LinearCache {
-    x: DenseMatrix,
+pub struct LinearCache<'x> {
+    pub(crate) x: Cow<'x, DenseMatrix>,
 }
 
 /// Parameter gradients of a [`Linear`].
@@ -38,14 +41,18 @@ impl Linear {
         }
     }
 
-    /// Forward: `y = x·W + b`.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<LinearCache> {
-        let (mut y, gemm_ms) = eng.linear(x, &self.w);
+    /// Forward: `y = x·W + b`. The cache keeps `x` as handed in.
+    pub fn forward<'x>(
+        &self,
+        eng: &mut Engine,
+        x: Cow<'x, DenseMatrix>,
+    ) -> Forward<LinearCache<'x>> {
+        let (mut y, gemm_ms) = eng.linear(&x, &self.w);
         ops::add_bias_inplace(&mut y, &self.b).expect("bias length matches out_dim");
         let bias_ms = eng.elementwise_ms(y.len(), 1, 1);
         Forward::new(
             y,
-            LinearCache { x: x.clone() },
+            LinearCache { x },
             Cost::update(gemm_ms) + Cost::other(bias_ms),
         )
     }
@@ -55,7 +62,7 @@ impl Linear {
     pub fn backward(
         &self,
         eng: &mut Engine,
-        cache: &LinearCache,
+        cache: &LinearCache<'_>,
         dy: &DenseMatrix,
         needs_dx: bool,
     ) -> (Option<DenseMatrix>, LinearGrads, Cost) {
@@ -96,7 +103,7 @@ mod tests {
         let mut layer = Linear::new(4, 3, 1);
         layer.b = vec![1.0, 2.0, 3.0];
         let x = DenseMatrix::zeros(64, 4);
-        let (y, _, cost) = layer.forward(&mut eng, &x).into_parts();
+        let (y, _, cost) = layer.forward(&mut eng, Cow::Borrowed(&x)).into_parts();
         assert_eq!(y.row(0), &[1.0, 2.0, 3.0]);
         assert!(cost.update_ms > 0.0 && cost.other_ms > 0.0);
     }
@@ -107,12 +114,12 @@ mod tests {
         let layer = Linear::new(3, 2, 2);
         let x = init::uniform(64, 3, -1.0, 1.0, 3);
         // Loss = sum(y^2)/2 so dy = y.
-        let (y, cache, _) = layer.forward(&mut eng, &x).into_parts();
+        let (y, cache, _) = layer.forward(&mut eng, Cow::Borrowed(&x)).into_parts();
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y, true);
         let dx = dx.unwrap();
 
         let loss = |l: &Linear, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx).into_parts();
+            let (yy, _, _) = l.forward(e, Cow::Borrowed(xx)).into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

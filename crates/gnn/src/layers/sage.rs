@@ -6,11 +6,13 @@
 //! GNNs, such as GraphSAGE"); this layer exercises the engine's
 //! mean-normalized aggregation path.
 
+use std::borrow::Cow;
+
 use tcg_tensor::{init, ops, DenseMatrix};
 
 use crate::engine::{Cost, Engine};
 use crate::forward::Forward;
-use crate::receptive::{gather, gather_owned, spread, LayerDemand};
+use crate::receptive::{gather_owned, spread, LayerDemand};
 
 /// One GraphSAGE (mean) layer.
 #[derive(Debug, Clone)]
@@ -23,10 +25,11 @@ pub struct SageLayer {
     pub b: Vec<f32>,
 }
 
-/// Saved forward state.
+/// Saved forward state, borrowing the layer input for `'x`.
 #[derive(Debug, Clone)]
-pub struct SageCache {
-    x: DenseMatrix,
+pub struct SageCache<'x> {
+    /// The self term's input rows: `x` as handed in at full demand.
+    pub(crate) x: Cow<'x, DenseMatrix>,
     mean: DenseMatrix,
 }
 
@@ -55,14 +58,24 @@ impl SageLayer {
     /// `d.input` and the result the rows of `d.output`, compact (see
     /// [`crate::receptive`]). Both GEMMs run on the output rows only.
     /// [`LayerDemand::FULL`] is the training forward; the cache serves
-    /// backward only then.
-    pub fn forward(&self, eng: &mut Engine, x: &DenseMatrix, d: LayerDemand) -> Forward<SageCache> {
-        let x_full = spread(d.input, x);
+    /// backward only then, and keeps `x` as handed in.
+    pub fn forward<'x>(
+        &self,
+        eng: &mut Engine,
+        x: Cow<'x, DenseMatrix>,
+        d: LayerDemand,
+    ) -> Forward<SageCache<'x>> {
+        let x_full = spread(d.input, &x);
         let (mean, agg_ms) = eng
             .mean_aggregate_on(&x_full, d.output)
             .expect("dims agree");
         let mean = gather_owned(d.output, mean);
-        let x = gather(d.output, &x_full);
+        // The self term's rows; with no output set `x` is already all of
+        // them (an input set implies an output set).
+        let x = match d.output {
+            None => x,
+            Some(set) => Cow::Owned(set.gather(&x_full)),
+        };
         let (mut y, ms1) = eng.linear(&x, &self.w_self);
         let (y2, ms2) = eng.linear(&mean, &self.w_neigh);
         y.add_assign(&y2).expect("same shape");
@@ -70,10 +83,7 @@ impl SageLayer {
         let ew_ms = eng.elementwise_ms(y.len(), 2, 1);
         Forward::new(
             y,
-            SageCache {
-                x: x.into_owned(),
-                mean,
-            },
+            SageCache { x, mean },
             Cost::agg(agg_ms) + Cost::update(ms1 + ms2) + Cost::other(ew_ms),
         )
     }
@@ -82,7 +92,7 @@ impl SageLayer {
     pub fn backward(
         &self,
         eng: &mut Engine,
-        cache: &SageCache,
+        cache: &SageCache<'_>,
         dy: &DenseMatrix,
         needs_dx: bool,
     ) -> (Option<DenseMatrix>, SageGrads, Cost) {
@@ -138,7 +148,9 @@ mod tests {
         let mut outs = Vec::new();
         for b in Backend::all() {
             let mut eng = engine(b);
-            let (y, _, cost) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+            let (y, _, cost) = layer
+                .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+                .into_parts();
             assert_eq!(y.shape(), (44, 4));
             assert!(cost.aggregation_ms > 0.0 && cost.update_ms > 0.0);
             outs.push(y);
@@ -159,7 +171,9 @@ mod tests {
             .expect("graph is symmetric");
         let layer = SageLayer::new(2, 2, 4);
         let x = init::uniform(3, 2, -1.0, 1.0, 5);
-        let (y, _, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y, _, _) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         let expect = tcg_tensor::gemm::gemm(&x, &layer.w_self).unwrap();
         for j in 0..2 {
             assert!((y.get(2, j) - expect.get(2, j)).abs() < 1e-4);
@@ -171,11 +185,15 @@ mod tests {
         let mut eng = engine(Backend::DglLike);
         let layer = SageLayer::new(4, 3, 6);
         let x = init::uniform(44, 4, -1.0, 1.0, 7);
-        let (y, cache, _) = layer.forward(&mut eng, &x, LayerDemand::FULL).into_parts();
+        let (y, cache, _) = layer
+            .forward(&mut eng, Cow::Borrowed(&x), LayerDemand::FULL)
+            .into_parts();
         let (dx, grads, _) = layer.backward(&mut eng, &cache, &y, true);
         let dx = dx.unwrap();
         let loss = |l: &SageLayer, xx: &DenseMatrix, e: &mut Engine| -> f64 {
-            let (yy, _, _) = l.forward(e, xx, LayerDemand::FULL).into_parts();
+            let (yy, _, _) = l
+                .forward(e, Cow::Borrowed(xx), LayerDemand::FULL)
+                .into_parts();
             yy.as_slice()
                 .iter()
                 .map(|v| (*v as f64).powi(2))

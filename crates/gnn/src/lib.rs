@@ -22,7 +22,9 @@
 //! differences in the tests), the four [`model`]s, [`loss`],
 //! [`optim::Adam`], and [`trainer`]. Each model implements
 //! [`TrainableModel`] once; the trait provides its training `forward` and
-//! its serving `infer`/`infer_targets` over the model's one pass. The
+//! its serving `infer`/`infer_targets` over the model's one pass. A pass's
+//! backward state borrows the caller's input features rather than copying
+//! them, as PyTorch's autograd keeps a layer input by reference. The
 //! trainer runs full training loops and attributes simulated GPU
 //! milliseconds to the aggregation / update / other phases — the split
 //! behind the paper's Table 1 and the end-to-end numbers behind Figure 6.

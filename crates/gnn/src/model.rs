@@ -2,6 +2,8 @@
 //! (4 propagation layers, 32 hidden) — plus the GraphSAGE and GIN models
 //! §6's "benefit a broad range of GNNs" argument covers.
 
+use std::borrow::Cow;
+
 use tcg_profile::Phase;
 use tcg_tensor::{ops, DenseMatrix};
 
@@ -43,11 +45,11 @@ pub struct GcnModel {
     pub l2: GcnLayer,
 }
 
-/// Forward state of [`GcnModel`].
-pub struct GcnModelCache {
-    c1: GcnCache,
+/// Forward state of [`GcnModel`], borrowing the model input for `'x`.
+pub struct GcnModelCache<'x> {
+    c1: GcnCache<'x>,
     h1: DenseMatrix,
-    c2: GcnCache,
+    c2: GcnCache<'x>,
 }
 
 /// Gradients of [`GcnModel`].
@@ -67,23 +69,31 @@ impl GcnModel {
 }
 
 impl TrainableModel for GcnModel {
-    type Cache = GcnModelCache;
+    type Cache<'x> = GcnModelCache<'x>;
     type Grads = GcnModelGrads;
 
     fn depth(&self) -> usize {
         2
     }
 
-    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GcnModelCache> {
+    fn pass<'x>(
+        &self,
+        eng: &mut Engine,
+        x: &'x DenseMatrix,
+        demand: &Demand,
+    ) -> Forward<GcnModelCache<'x>> {
         prof_set_layer(eng, Some(0));
         let (z1, c1, cost1) = self
             .l1
-            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .forward(eng, gather(demand.input(), x), demand.layer(1))
             .into_parts();
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
+        let (logits, c2, cost2) = self
+            .l2
+            .forward(eng, Cow::Owned(h1), demand.layer(2))
+            .into_parts();
         prof_set_layer(eng, None);
         Forward::new(
             spread_owned(demand.output(), logits),
@@ -99,7 +109,7 @@ impl TrainableModel for GcnModel {
     fn backward(
         &self,
         eng: &mut Engine,
-        cache: &GcnModelCache,
+        cache: &GcnModelCache<'_>,
         dlogits: &DenseMatrix,
     ) -> (GcnModelGrads, Cost) {
         prof_set_layer(eng, Some(1));
@@ -147,12 +157,12 @@ pub struct AgnnModel {
     pub lin_out: Linear,
 }
 
-/// Forward state of [`AgnnModel`].
-pub struct AgnnModelCache {
-    cin: LinearCache,
+/// Forward state of [`AgnnModel`], borrowing the model input for `'x`.
+pub struct AgnnModelCache<'x> {
+    cin: LinearCache<'x>,
     z0: DenseMatrix,
     prop_caches: Vec<AgnnCache>,
-    cout: LinearCache,
+    cout: LinearCache<'x>,
 }
 
 /// Gradients of [`AgnnModel`].
@@ -174,7 +184,7 @@ impl AgnnModel {
 }
 
 impl TrainableModel for AgnnModel {
-    type Cache = AgnnModelCache;
+    type Cache<'x> = AgnnModelCache<'x>;
     type Grads = AgnnModelGrads;
 
     /// Each propagation layer is one receptive-field hop; the linear
@@ -183,11 +193,21 @@ impl TrainableModel for AgnnModel {
         self.props.len()
     }
 
-    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<AgnnModelCache> {
+    /// Only `lin_in` borrows its input. The propagation layers and
+    /// `lin_out` copy their hidden inputs into their caches: moving those
+    /// activations in instead raised `agnn-ppi`'s peak RSS, which glibc's
+    /// dynamic mmap threshold sets there rather than the live bytes
+    /// (DESIGN.md §9).
+    fn pass<'x>(
+        &self,
+        eng: &mut Engine,
+        x: &'x DenseMatrix,
+        demand: &Demand,
+    ) -> Forward<AgnnModelCache<'x>> {
         prof_set_layer(eng, Some(0));
         let (z0, cin, mut cost) = self
             .lin_in
-            .forward(eng, &gather(demand.input(), x))
+            .forward(eng, gather(demand.input(), x))
             .into_parts();
         let mut h = ops::relu(&z0);
         cost += Cost::other(eng.elementwise_tagged_ms("relu", Phase::Other, h.len(), 1, 1));
@@ -200,7 +220,10 @@ impl TrainableModel for AgnnModel {
             h = h_next;
         }
         prof_set_layer(eng, Some(self.props.len() as u32 + 1));
-        let (logits, cout, c) = self.lin_out.forward(eng, &h).into_parts();
+        let (logits, cout, c) = self
+            .lin_out
+            .forward(eng, Cow::Owned(h.clone()))
+            .into_parts();
         prof_set_layer(eng, None);
         cost += c;
         Forward::new(
@@ -218,7 +241,7 @@ impl TrainableModel for AgnnModel {
     fn backward(
         &self,
         eng: &mut Engine,
-        cache: &AgnnModelCache,
+        cache: &AgnnModelCache<'_>,
         dlogits: &DenseMatrix,
     ) -> (AgnnModelGrads, Cost) {
         prof_set_layer(eng, Some(self.props.len() as u32 + 1));
@@ -282,11 +305,11 @@ pub struct SageModel {
     pub l2: SageLayer,
 }
 
-/// Forward state of [`SageModel`].
-pub struct SageModelCache {
-    c1: SageCache,
+/// Forward state of [`SageModel`], borrowing the model input for `'x`.
+pub struct SageModelCache<'x> {
+    c1: SageCache<'x>,
     z1: DenseMatrix,
-    c2: SageCache,
+    c2: SageCache<'x>,
 }
 
 /// Gradients of [`SageModel`].
@@ -306,23 +329,31 @@ impl SageModel {
 }
 
 impl TrainableModel for SageModel {
-    type Cache = SageModelCache;
+    type Cache<'x> = SageModelCache<'x>;
     type Grads = SageModelGrads;
 
     fn depth(&self) -> usize {
         2
     }
 
-    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<SageModelCache> {
+    fn pass<'x>(
+        &self,
+        eng: &mut Engine,
+        x: &'x DenseMatrix,
+        demand: &Demand,
+    ) -> Forward<SageModelCache<'x>> {
         prof_set_layer(eng, Some(0));
         let (z1, c1, cost1) = self
             .l1
-            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .forward(eng, gather(demand.input(), x), demand.layer(1))
             .into_parts();
         let h1 = ops::relu(&z1);
         let relu_ms = eng.elementwise_tagged_ms("relu", Phase::Other, h1.len(), 1, 1);
         prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
+        let (logits, c2, cost2) = self
+            .l2
+            .forward(eng, Cow::Owned(h1), demand.layer(2))
+            .into_parts();
         prof_set_layer(eng, None);
         Forward::new(
             spread_owned(demand.output(), logits),
@@ -334,7 +365,7 @@ impl TrainableModel for SageModel {
     fn backward(
         &self,
         eng: &mut Engine,
-        cache: &SageModelCache,
+        cache: &SageModelCache<'_>,
         dlogits: &DenseMatrix,
     ) -> (SageModelGrads, Cost) {
         prof_set_layer(eng, Some(1));
@@ -382,10 +413,10 @@ pub struct GinModel {
     pub l2: GinLayer,
 }
 
-/// Forward state of [`GinModel`].
-pub struct GinModelCache {
-    c1: GinCache,
-    c2: GinCache,
+/// Forward state of [`GinModel`], borrowing the model input for `'x`.
+pub struct GinModelCache<'x> {
+    c1: GinCache<'x>,
+    c2: GinCache<'x>,
 }
 
 /// Gradients of [`GinModel`].
@@ -405,21 +436,29 @@ impl GinModel {
 }
 
 impl TrainableModel for GinModel {
-    type Cache = GinModelCache;
+    type Cache<'x> = GinModelCache<'x>;
     type Grads = GinModelGrads;
 
     fn depth(&self) -> usize {
         2
     }
 
-    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<GinModelCache> {
+    fn pass<'x>(
+        &self,
+        eng: &mut Engine,
+        x: &'x DenseMatrix,
+        demand: &Demand,
+    ) -> Forward<GinModelCache<'x>> {
         prof_set_layer(eng, Some(0));
         let (h1, c1, cost1) = self
             .l1
-            .forward(eng, &gather(demand.input(), x), demand.layer(1))
+            .forward(eng, gather(demand.input(), x), demand.layer(1))
             .into_parts();
         prof_set_layer(eng, Some(1));
-        let (logits, c2, cost2) = self.l2.forward(eng, &h1, demand.layer(2)).into_parts();
+        let (logits, c2, cost2) = self
+            .l2
+            .forward(eng, Cow::Owned(h1), demand.layer(2))
+            .into_parts();
         prof_set_layer(eng, None);
         Forward::new(
             spread_owned(demand.output(), logits),
@@ -431,7 +470,7 @@ impl TrainableModel for GinModel {
     fn backward(
         &self,
         eng: &mut Engine,
-        cache: &GinModelCache,
+        cache: &GinModelCache<'_>,
         dlogits: &DenseMatrix,
     ) -> (GinModelGrads, Cost) {
         prof_set_layer(eng, Some(1));
@@ -589,6 +628,48 @@ mod tests {
             assert_infer_matches_forward(&SageModel::new(8, 12, 5, 1), &x8, backend);
             assert_infer_matches_forward(&GinModel::new(8, 10, 4, 1), &x8, backend);
         }
+    }
+
+    /// The first layer's cache keeps the caller's features `x`, not a copy,
+    /// at full demand, and owns exactly the rows it reads on a targeted
+    /// one: the input set's rows for an update first (GCN, AGNN's
+    /// `lin_in`), the first layer's own rows for a self term (SAGE, GIN).
+    /// `saved` reads the first layer's cached input.
+    fn assert_first_layer_borrows<'x, M: TrainableModel>(
+        model: &M,
+        x: &'x DenseMatrix,
+        saved: impl Fn(&M::Cache<'x>) -> Cow<'x, DenseMatrix>,
+        self_term: bool,
+    ) {
+        let g = gen::watts_strogatz(x.rows(), 4, 0.0, 1).unwrap();
+        let mut eng = Engine::builder(g)
+            .backend(Backend::TcGnn)
+            .build()
+            .expect("graph is symmetric");
+        let full = saved(&model.forward(&mut eng, x).cache);
+        assert_eq!(full.as_slice().as_ptr(), x.as_slice().as_ptr());
+
+        let demand = Demand::for_targets(&eng, &[0], model.depth());
+        let d = demand.layer(1);
+        let rows = if self_term { d.output } else { d.input };
+        let rows = rows.expect("a ring lattice's two hops are not every window");
+        match saved(&model.pass(&mut eng, x, &demand).cache) {
+            Cow::Owned(m) => assert_eq!(m, rows.gather(x)),
+            Cow::Borrowed(_) => panic!("a targeted pass borrowed the full features"),
+        }
+    }
+
+    #[test]
+    fn first_layer_caches_borrow_the_features() {
+        let x = init::uniform(400, 20, -1.0, 1.0, 2);
+        let gcn = GcnModel::new(20, 16, 4, 1);
+        assert_first_layer_borrows(&gcn, &x, |c| c.c1.saved.clone(), false);
+        let agnn = AgnnModel::new(20, 8, 4, 2, 1);
+        assert_first_layer_borrows(&agnn, &x, |c| c.cin.x.clone(), false);
+        let sage = SageModel::new(20, 8, 4, 1);
+        assert_first_layer_borrows(&sage, &x, |c| c.c1.x.clone(), true);
+        let gin = GinModel::new(20, 8, 4, 1);
+        assert_first_layer_borrows(&gin, &x, |c| c.c1.x.clone(), true);
     }
 
     #[test]

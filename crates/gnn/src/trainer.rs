@@ -157,12 +157,18 @@ impl TrainResult {
 /// Training's `forward` and serving's `infer`/`infer_targets` are provided
 /// here once, as that pass at full or targeted demand.
 ///
+/// The cache borrows the caller's input for `'x`, as a framework's autograd
+/// keeps a layer input by reference: at full demand the first layer's
+/// cache holds `x` itself, never a copy, and a targeted pass's cache owns
+/// the rows it gathered.
+///
 /// `Clone` is the checkpoint mechanism — under an attached fault plan the
 /// loop snapshots `(model, optimizer)` at each epoch boundary and restores
 /// the pair if the epoch's loss or gradients come back poisoned.
 pub trait TrainableModel: Clone {
-    /// Intermediate activations the backward pass needs.
-    type Cache;
+    /// Intermediate activations the backward pass needs, borrowing the
+    /// model input for `'x`.
+    type Cache<'x>;
     /// Parameter gradients produced by the backward pass.
     type Grads;
 
@@ -172,10 +178,15 @@ pub trait TrainableModel: Clone {
 
     /// The model's one forward pass, each layer under its share of
     /// `demand`; full demand is the training forward.
-    fn pass(&self, eng: &mut Engine, x: &DenseMatrix, demand: &Demand) -> Forward<Self::Cache>;
+    fn pass<'x>(
+        &self,
+        eng: &mut Engine,
+        x: &'x DenseMatrix,
+        demand: &Demand,
+    ) -> Forward<Self::Cache<'x>>;
 
     /// Forward pass to logits.
-    fn forward(&self, eng: &mut Engine, x: &DenseMatrix) -> Forward<Self::Cache> {
+    fn forward<'x>(&self, eng: &mut Engine, x: &'x DenseMatrix) -> Forward<Self::Cache<'x>> {
         self.pass(eng, x, &Demand::full())
     }
 
@@ -206,7 +217,7 @@ pub trait TrainableModel: Clone {
     fn backward(
         &self,
         eng: &mut Engine,
-        cache: &Self::Cache,
+        cache: &Self::Cache<'_>,
         dlogits: &DenseMatrix,
     ) -> (Self::Grads, Cost);
 

@@ -80,6 +80,14 @@ pub struct CsrGraph {
     edge_list: Vec<NodeId>,
 }
 
+/// A shared copy of a borrowed graph, as `String::from(&str)` copies: lets
+/// an API that keeps its graph behind an `Arc` also accept `&CsrGraph`.
+impl From<&CsrGraph> for std::sync::Arc<CsrGraph> {
+    fn from(g: &CsrGraph) -> Self {
+        std::sync::Arc::new(g.clone())
+    }
+}
+
 impl CsrGraph {
     /// Builds a CSR graph from raw arrays, validating all invariants.
     ///

@@ -1063,7 +1063,7 @@ impl Executor {
                 // The version ends: its faults are counted before advance
                 // restarts the engine's accounting.
                 w.faults.absorb(&eng.fault_report());
-                eng.advance(&b.csr, b.translation.clone())
+                eng.advance(Arc::clone(&b.csr), b.translation.clone())
                     .expect("mutations keep the served graph symmetric");
                 *version = b.version;
                 true
@@ -1150,7 +1150,7 @@ impl Executor {
 /// deadline cancellation reads, and the worker's recorder.
 fn build_engine(run: &Run, b: &DispatchedBatch, seed: u64, w: &Worker) -> Engine {
     let cfg = run.cfg;
-    let mut builder = Engine::builder((*b.csr).clone())
+    let mut builder = Engine::builder(Arc::clone(&b.csr))
         .backend(cfg.backend)
         .device(cfg.device.clone())
         .threads(cfg.threads)

@@ -36,6 +36,25 @@ assert load(sys.argv[1]) == load(sys.argv[2]), f'{sys.argv[1]} differs from the 
 step "cargo build --release --workspace"
 cargo build --release --workspace
 
+step "perfbench builds unedited against the workspace"
+# perfbench, the benchmark BENCHMARK.json runs, is a package of its own that
+# calls the crates' public API, so an API change that breaks it fails here.
+# It builds from a temporary copy beside perfbench/ (its path dependencies
+# resolve as from perfbench/), because the build rewrites the package's
+# Cargo.lock; the checkout's perfbench/ must come out as it went in.
+pb_before=$(git status --porcelain perfbench)
+pb_dir=$(mktemp -d "$PWD/.perfbench-ci.XXXXXX")
+trap 'rm -rf "$pb_dir"' EXIT
+cp -R perfbench/Cargo.toml perfbench/Cargo.lock perfbench/src "$pb_dir"/
+cargo build --release --offline --manifest-path "$pb_dir/Cargo.toml" \
+    --target-dir target/perfbench
+rm -rf "$pb_dir"
+trap - EXIT
+[[ "$(git status --porcelain perfbench)" == "$pb_before" ]] || {
+    echo "perfbench build changed files under perfbench/" >&2
+    exit 1
+}
+
 step "tier-1 tests (root package)"
 cargo test --release -q
 
