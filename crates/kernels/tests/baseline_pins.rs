@@ -30,6 +30,8 @@ const PINS: &[&str] = &[
     "community/d50/tsparse/w 529753e7d1204711 40c36d1c00000000",
     "community/d50/tsparse-t0/u 2dc9628668c0ee83 40c3fe950d79435e",
     "community/d50/tsparse-t0/w 2dc9628668c0ee83 40c3fe950d79435e",
+    "community/d50/tsparse-tmax/u ca687b1659ef6f1f 40c2080fca1af286",
+    "community/d50/tsparse-tmax/w ca687b1659ef6f1f 40c2080fca1af286",
     "community/d50/blocked-ell/u 3274b335fc6c3424 40c68cfd435e50d8",
     "community/d50/blocked-ell/w 3274b335fc6c3424 40c68cfd435e50d8",
     "community/d50/condensed-ell/u 91ca51d6a6236281 40c830c9af286bca",
@@ -44,6 +46,8 @@ const PINS: &[&str] = &[
     "community/d16/tsparse/w 681e1a69caba9267 40b9dd006bca1af2",
     "community/d16/tsparse-t0/u 1abaf35600d5d723 40ba3d750d79435e",
     "community/d16/tsparse-t0/w 1abaf35600d5d723 40ba3d750d79435e",
+    "community/d16/tsparse-tmax/u ee109d3a1528e416 40b88117286bca1b",
+    "community/d16/tsparse-tmax/w ee109d3a1528e416 40b88117286bca1b",
     "community/d16/blocked-ell/u cae8df189f695eb0 40c176ba50d79436",
     "community/d16/blocked-ell/w cae8df189f695eb0 40c176ba50d79436",
     "community/d16/condensed-ell/u 5ab5a7a4fce70c06 40bf2ba79435e50e",
@@ -58,6 +62,8 @@ const PINS: &[&str] = &[
     "rmat/d50/tsparse/w 1a4fc619c5a3b174 40c74adca1af286c",
     "rmat/d50/tsparse-t0/u 819268f78f3e0343 40d23fa6a1af286c",
     "rmat/d50/tsparse-t0/w 819268f78f3e0343 40d23fa6a1af286c",
+    "rmat/d50/tsparse-tmax/u 3d8f8e74eecfd1cd 40c6da010d79435e",
+    "rmat/d50/tsparse-tmax/w 3d8f8e74eecfd1cd 40c6da010d79435e",
     "rmat/d50/blocked-ell/u af8e7945cfb3d282 40dae17179435e51",
     "rmat/d50/blocked-ell/w af8e7945cfb3d282 40dae17179435e51",
     "rmat/d50/condensed-ell/u 192fd39e7616cd82 40d8782be50d7943",
@@ -72,6 +78,8 @@ const PINS: &[&str] = &[
     "rmat/d16/tsparse/w e21574be07a5d98d 40bb044650d79436",
     "rmat/d16/tsparse-t0/u 26113a07cb78d8f4 40c1d69fca1af286",
     "rmat/d16/tsparse-t0/w 26113a07cb78d8f4 40c1d69fca1af286",
+    "rmat/d16/tsparse-tmax/u fd03549f6d26eb41 40baaf379435e50e",
+    "rmat/d16/tsparse-tmax/w fd03549f6d26eb41 40baaf379435e50e",
     "rmat/d16/blocked-ell/u 7425aaa4b0603be4 40d531f10d79435e",
     "rmat/d16/blocked-ell/w 7425aaa4b0603be4 40d531f10d79435e",
     "rmat/d16/condensed-ell/u 9d1cbfdc1af8294c 40c4ce379435e50e",
@@ -86,6 +94,8 @@ const PINS: &[&str] = &[
     "hub/d16/tsparse/w dab556c2b6cd5e18 40dcefdcd1004338",
     "hub/d16/tsparse-t0/u ecc756d8352184d2 40dd40a767063e70",
     "hub/d16/tsparse-t0/w ecc756d8352184d2 40dd40a767063e70",
+    "hub/d16/tsparse-tmax/u dab556c2b6cd5e18 40dcefdcd1004338",
+    "hub/d16/tsparse-tmax/w dab556c2b6cd5e18 40dcefdcd1004338",
     "hub/d16/blocked-ell/u d8526539477c03e7 4148e69d00f3831f",
     "hub/d16/blocked-ell/w d8526539477c03e7 4148e69d00f3831f",
     "hub/d16/condensed-ell/u eecee9ad6466af1b 410a8c21f63e7064",
@@ -137,6 +147,12 @@ fn kernels(g: &CsrGraph) -> Vec<(&'static str, Box<dyn SpmmKernel>)> {
         (
             "tsparse-t0",
             Box::new(TsparseLikeSpmm { dense_threshold: 0 }),
+        ),
+        (
+            "tsparse-tmax",
+            Box::new(TsparseLikeSpmm {
+                dense_threshold: usize::MAX,
+            }),
         ),
         ("blocked-ell", Box::new(BlockedEllSpmm::default())),
         ("condensed-ell", Box::new(CondensedEllSpmm::new(g))),
