@@ -9,18 +9,15 @@
 //! blocks are traversed, loaded and MMA'd like real ones (that is the
 //! format's semantics) but contribute nothing to the output.
 //!
-//! Both kernels' block bodies only charge. The outputs come from the
-//! CUDA-core row loop ([`super::cusparse`]'s `accumulate_rows`): each block
-//! row (raw) or row window (condensed) computes its 16 rows, each row's
-//! edges in CSR order.
+//! Each program is one block row (raw) or row window (condensed) of the
+//! shared tiled body ([`super::tiling`]), padded to `ell_cols` slots.
 
-use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{KernelReport, Launcher};
+use tcg_sgt::{TC_BLK_H, TC_BLK_W};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::cusparse::launch_rows;
-use crate::spmm::tiling::{block_row_tiles, num_block_rows, tile_counts};
+use crate::spmm::tiling::{grid, launch_tiled, Padding, Tiled, Tiling, Walk};
 
 /// Blocked-ELL block edge (cuSPARSE supports powers of two; the paper's TCU
 /// geometry makes 16 the natural choice).
@@ -48,20 +45,13 @@ impl BlockedEllSpmm {
     /// `(ell_cols, total_slots)` for a graph: the padded width and the
     /// total number of stored blocks.
     pub fn ell_shape(csr: &tcg_graph::CsrGraph) -> (usize, usize) {
-        shape(&tile_counts(csr, ELL_BLK))
+        Tiling::new(csr).ell_shape()
     }
 
     /// Bytes of the Blocked-ELL values array.
     pub fn memory_bytes(csr: &tcg_graph::CsrGraph) -> u128 {
         Self::ell_shape(csr).1 as u128 * SLOT_BYTES
     }
-}
-
-/// `(ell_cols, total_slots)` of the layout whose block rows hold `counts`
-/// tiles.
-fn shape(counts: &[usize]) -> (usize, usize) {
-    let ell_cols = counts.iter().copied().max().unwrap_or(0);
-    (ell_cols, ell_cols * counts.len())
 }
 
 impl SpmmKernel for BlockedEllSpmm {
@@ -74,11 +64,8 @@ impl SpmmKernel for BlockedEllSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
-        let n = csr.num_nodes();
-        let d = prob.dim();
-        let counts = tile_counts(csr, ELL_BLK);
-        let (ell_cols, slots) = shape(&counts);
+        let tiling = Tiling::new(prob.csr);
+        let (ell_cols, slots) = tiling.ell_shape();
         let required = slots as u128 * SLOT_BYTES;
         if required > self.memory_capacity_bytes {
             return Err(TcgError::MemoryExceeded {
@@ -86,99 +73,37 @@ impl SpmmKernel for BlockedEllSpmm {
                 capacity_bytes: self.memory_capacity_bytes,
             });
         }
-        let mut out = DenseMatrix::zeros(n, d);
         // Heavily padded layouts (power-law block rows) would spend minutes
         // cache-simulating billions of identical all-zero-block accesses;
         // above this slot count the padding traffic is batch-charged
         // analytically (streamed values array → DRAM; X tile → L2-resident)
         // while real tiles still run through the full simulation.
         const FAST_PATH_SLOTS: usize = 1_000_000;
-        let fast_padding = slots > FAST_PATH_SLOTS;
-
-        let buf_colind = launcher.try_alloc(num_block_rows(csr, ELL_BLK) * ell_cols * 4)?;
-        let buf_values =
-            launcher.try_alloc(num_block_rows(csr, ELL_BLK) * ell_cols * ELL_BLK * ELL_BLK * 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
-
-        let slabs = d.div_ceil(16);
-        let brs = num_block_rows(csr, ELL_BLK);
-        let cfg = GridConfig {
-            block_size: 128,
-            shared_mem_bytes: (ELL_BLK * ELL_BLK + 16 * ELL_BLK) * 4,
-            regs_per_thread: 64,
+        let walked = if slots > FAST_PATH_SLOTS { 0 } else { ell_cols };
+        let colind = launcher.try_alloc(slots * 4)?;
+        let values = launcher.try_alloc(slots * ELL_BLK * ELL_BLK * 4)?;
+        let tiled = Tiled {
+            name: self.name(),
+            cfg: grid((ELL_BLK * ELL_BLK + 16 * ELL_BLK) * 4, 64),
+            walk: Walk::Padded(&tiling, walked),
+            dense_threshold: 0,
+            per_slab: false,
+            // Column-index and values loads happen for every slot, padding
+            // included — the format stores them all.
+            descriptor: &|ctx, at| ctx.ld_global_scalar(colind.addr(at.br * ell_cols + at.slot, 4)),
+            a_tile: &|_, at| {
+                let slot = at.br * ell_cols + at.slot;
+                (values.addr(slot * ELL_BLK * ELL_BLK, 4), ELL_BLK * ELL_BLK)
+            },
+            atomic_merge: false,
+            padding: Some(Padding {
+                ell_cols,
+                warp_instructions: 44,
+                int_ops: 64,
+                shared_transactions: 17,
+            }),
         };
-
-        // The fast path skips each block row's padding slots.
-        let padding_slots_skipped: u64 = if fast_padding {
-            counts.iter().map(|&c| (ell_cols - c) as u64).sum()
-        } else {
-            0
-        };
-        let body = |ctx: &mut BlockCtx<'_>| {
-            let br = ctx.block_id as usize;
-            let tiles = block_row_tiles(csr, br, ELL_BLK);
-            let row_lo = br * ELL_BLK;
-            let row_hi = (row_lo + ELL_BLK).min(n);
-            let slot_count = if fast_padding { tiles.len() } else { ell_cols };
-
-            for s in 0..slabs {
-                let dim0 = s * 16;
-                let width = (d - dim0).min(16);
-
-                for slot in 0..slot_count {
-                    // Column-index and values loads happen for every slot,
-                    // padding included — the format stores them all.
-                    ctx.ld_global_scalar(buf_colind.addr(br * ell_cols + slot, 4));
-                    ctx.ld_global_contiguous(
-                        buf_values.addr((br * ell_cols + slot) * ELL_BLK * ELL_BLK, 4),
-                        ELL_BLK * ELL_BLK,
-                        4,
-                    );
-                    ctx.shared_access(((ELL_BLK * ELL_BLK) as u64).div_ceil(32));
-
-                    let tile = tiles.get(slot);
-                    let col_base = tile.map_or(0, |t| t.col_block as usize * ELL_BLK);
-                    // X tile gather: 16 rows × slab width.
-                    let bases: Vec<u64> = (0..ELL_BLK)
-                        .map(|k| buf_x.f32_addr((col_base + k).min(n.saturating_sub(1)) * d + dim0))
-                        .collect();
-                    ctx.ld_global_gather_rows(&bases, width, 4);
-
-                    // A 16×16 tile = two m16n16k8 MMAs per slab.
-                    ctx.shared_access(8);
-                    ctx.tcu_mma(MMA_FLOPS);
-                    ctx.tcu_mma(MMA_FLOPS);
-                }
-
-                // Store this slab of the block row.
-                let bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_out.f32_addr(r * d + dim0))
-                    .collect();
-                ctx.st_global_gather_rows(&bases, width, 4);
-            }
-        };
-        launcher.preflight("blocked-ell", &cfg)?;
-        let first_row = |br: u64| (br as usize * ELL_BLK).min(n);
-        let mut stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
-        if padding_slots_skipped > 0 {
-            // Batch-charge the skipped padding slots (per slot and slab:
-            // one index scalar + a streamed 1 KiB values block from DRAM,
-            // an L2-resident X tile gather, two MMAs, shared staging).
-            let per = padding_slots_skipped * slabs as u64;
-            stats.warp_instructions += per * 44;
-            stats.int_ops += per * 64;
-            stats.gl_load_transactions += per * (1 + 32 + 32);
-            stats.l1_misses += per * (1 + 32 + 32);
-            stats.l2_misses += per * 33;
-            stats.l2_hits += per * 32;
-            stats.dram_read_bytes += per * 33 * 32;
-            stats.tcu_mma_instructions += per * 2;
-            stats.tcu_flops += per * 2 * MMA_FLOPS;
-            stats.shared_transactions += per * 17;
-        }
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+        launch_tiled(launcher, prob, tiled)
     }
 }
 
@@ -240,96 +165,39 @@ impl SpmmKernel for CondensedEllSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
         let t = &self.translated;
-        if t.edge_to_col.len() != csr.num_edges() {
+        if t.edge_to_col.len() != prob.csr.num_edges() {
             return Err(TcgError::DimMismatch {
                 what: "translation edge count vs graph",
-                expected: csr.num_edges(),
+                expected: prob.csr.num_edges(),
                 actual: t.edge_to_col.len(),
             });
         }
-        let n = csr.num_nodes();
-        let d = prob.dim();
         let ell_cols = self.ell_cols();
-        let slabs = d.div_ceil(16);
-        let blk_elems = tcg_sgt::TC_BLK_H * tcg_sgt::TC_BLK_W; // dense 16×8 values
-        let mut out = DenseMatrix::zeros(n, d);
-
-        let buf_colind = launcher.try_alloc(t.num_row_windows * ell_cols * 4 + 4)?;
-        let buf_values = launcher.try_alloc(t.num_row_windows * ell_cols * blk_elems * 4 + 4)?;
+        let elems = TC_BLK_H * TC_BLK_W; // dense 16×8 values
+        let colind = launcher.try_alloc(t.num_row_windows * ell_cols * 4 + 4)?;
+        let values = launcher.try_alloc(t.num_row_windows * ell_cols * elems * 4 + 4)?;
         let buf_atox = launcher.try_alloc(t.block_atox.len() * 4 + 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
-
-        let cfg = GridConfig {
-            block_size: 128,
-            shared_mem_bytes: (blk_elems + 16 * 16) * 4,
-            regs_per_thread: 64,
+        let tiled = Tiled {
+            name: self.name(),
+            cfg: grid((elems + 16 * 16) * 4, 64),
+            walk: Walk::Condensed(t, buf_atox),
+            dense_threshold: 0,
+            per_slab: false,
+            // Dense block values + column ids (the ELL arrays).
+            descriptor: &|ctx, at| ctx.ld_global_scalar(colind.addr(at.br * ell_cols + at.slot, 4)),
+            a_tile: &|_, at| (values.addr((at.br * ell_cols + at.slot) * elems, 4), elems),
+            atomic_merge: false,
+            // Every window pads its blocks to `ell_cols` slots; the padding
+            // (identical loads + MMA, no useful work) is charged in bulk.
+            padding: Some(Padding {
+                ell_cols,
+                warp_instructions: 28,
+                int_ops: 40,
+                shared_transactions: 24,
+            }),
         };
-
-        // Every window pads its blocks to `ell_cols` slots.
-        let padding_slots: u64 = t
-            .win_partition
-            .iter()
-            .map(|&real| (ell_cols - real as usize) as u64)
-            .sum();
-        let body = |ctx: &mut BlockCtx<'_>| {
-            let w = ctx.block_id as usize;
-            let real = t.win_partition[w] as usize;
-            let row_lo = w * tcg_sgt::TC_BLK_H;
-            let row_hi = (row_lo + tcg_sgt::TC_BLK_H).min(n);
-
-            for s in 0..slabs {
-                let dim0 = s * 16;
-                let width = (d - dim0).min(16);
-                for i in 0..real {
-                    let b = t.win_block_start[w] + i;
-                    let slot = w * ell_cols + i;
-                    // Dense block values + column ids (the ELL arrays).
-                    ctx.ld_global_scalar(buf_colind.addr(slot, 4));
-                    ctx.ld_global_contiguous(buf_values.addr(slot * blk_elems, 4), blk_elems, 4);
-                    ctx.shared_access((blk_elems as u64).div_ceil(32));
-                    // X gather for this block's (condensed) columns.
-                    let atox = t.block_atox(b);
-                    ctx.ld_global_contiguous(buf_atox.addr(t.block_atox_ptr[b], 4), atox.len(), 4);
-                    let bases: Vec<u64> = atox
-                        .iter()
-                        .filter(|&&u| u != u32::MAX)
-                        .map(|&u| buf_x.f32_addr(u as usize * d + dim0))
-                        .collect();
-                    ctx.ld_global_gather_rows(&bases, width, 4);
-                    ctx.shared_access(8);
-                    ctx.tcu_mma(MMA_FLOPS);
-                }
-                let bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_out.f32_addr(r * d + dim0))
-                    .collect();
-                ctx.st_global_gather_rows(&bases, width, 4);
-            }
-        };
-        launcher.preflight("blocked-ell-condensed", &cfg)?;
-        let first_row = |w: u64| (w as usize * tcg_sgt::TC_BLK_H).min(n);
-        let num_blocks = t.num_row_windows as u64;
-        let mut stats = launch_rows(launcher, cfg, num_blocks, body, prob, first_row, &mut out);
-        // Padding slots: identical loads + MMA, no useful work — batch
-        // charged (streamed dense values → DRAM; index + tiny X gather).
-        if padding_slots > 0 {
-            let per = padding_slots * slabs as u64;
-            let val_sectors = (blk_elems as u64 * 4).div_ceil(32);
-            stats.warp_instructions += per * (val_sectors + 12);
-            stats.int_ops += per * 40;
-            stats.gl_load_transactions += per * (1 + val_sectors + 16);
-            stats.l1_misses += per * (1 + val_sectors + 16);
-            stats.l2_misses += per * (1 + val_sectors);
-            stats.l2_hits += per * 16;
-            stats.dram_read_bytes += per * (1 + val_sectors) * 32;
-            stats.tcu_mma_instructions += per;
-            stats.tcu_flops += per * MMA_FLOPS;
-            stats.shared_transactions += per * (val_sectors + 8);
-        }
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+        launch_tiled(launcher, prob, tiled)
     }
 }
 

@@ -1,10 +1,30 @@
-//! Shared 2D-tiling helper for the hybrid sparse-dense baselines.
+//! The one tiled body of the block-sparse baselines.
 //!
 //! bSpMM, tSparse and Triton all view the raw adjacency as a grid of
-//! `blk × blk` tiles (no SGT condensation). This module groups a block
-//! row's edges by column block, which is the unit those kernels process.
+//! `blk × blk` tiles (no SGT condensation), and the condensed Blocked-ELL
+//! kernel walks each row window's SGT blocks the same way. A program walks
+//! the tiles of one block row per 16-wide output slab: per tile a
+//! descriptor fetch, the A-tile load, the X-tile gather and the MMAs (or
+//! CUDA-core FMAs), then the slab's store. [`launch_tiled`] writes that
+//! walk once; each kernel is a [`Tiled`] policy over it.
+//!
+//! The program bodies only charge. The outputs come from the CUDA-core row
+//! loop ([`super::cusparse`]'s `accumulate_rows`): the (slab-0) program of
+//! each block row or window computes its 16 rows, each row's edges in CSR
+//! order.
 
+use tcg_gpusim::launch::Buffer;
+use tcg_gpusim::wmma::{MMA_FLOPS, WMMA_K};
+use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
+use tcg_sgt::{TranslatedGraph, TC_BLK_W};
+use tcg_tensor::DenseMatrix;
+
+use crate::common::{SpmmProblem, TcgError};
+use crate::spmm::cusparse::launch_rows;
+
+/// Tile edge: the rows of a block row and the width of an output slab.
+pub(crate) const BLK: usize = 16;
 
 /// One non-empty `blk × blk` tile of the raw adjacency.
 #[derive(Debug, Clone)]
@@ -14,6 +34,12 @@ pub(crate) struct Tile {
     /// Entries as `(row_in_tile, col_in_tile, global_edge_index)`.
     pub entries: Vec<(u8, u8, usize)>,
 }
+
+/// A padding slot, or a condensed block: no raw tile, column block 0.
+static NO_TILE: Tile = Tile {
+    col_block: 0,
+    entries: Vec::new(),
+};
 
 /// Collects the non-empty tiles of block row `br` (rows
 /// `[br·blk, (br+1)·blk)`), sorted by column block.
@@ -44,16 +70,249 @@ pub(crate) fn block_row_tiles(csr: &CsrGraph, br: usize, blk: usize) -> Vec<Tile
     tiles
 }
 
-/// The number of non-empty tiles in each block row.
-pub(crate) fn tile_counts(csr: &CsrGraph, blk: usize) -> Vec<usize> {
-    (0..num_block_rows(csr, blk))
-        .map(|br| block_row_tiles(csr, br, blk).len())
-        .collect()
+/// The non-empty `BLK × BLK` tiles of every block row, built once per
+/// launch.
+pub(crate) struct Tiling {
+    /// Block row `br` holds tiles `ptr[br]..ptr[br + 1]`.
+    pub ptr: Vec<usize>,
+    tiles: Vec<Tile>,
+}
+
+impl Tiling {
+    pub(crate) fn new(csr: &CsrGraph) -> Self {
+        let (mut ptr, mut tiles) = (vec![0], Vec::new());
+        for br in 0..num_block_rows(csr, BLK) {
+            tiles.extend(block_row_tiles(csr, br, BLK));
+            ptr.push(tiles.len());
+        }
+        Tiling { ptr, tiles }
+    }
+
+    /// The tiles of block row `br`.
+    pub(crate) fn row(&self, br: usize) -> &[Tile] {
+        &self.tiles[self.ptr[br]..self.ptr[br + 1]]
+    }
+
+    /// `(ell_cols, total_slots)`: the widest block row's tile count, and
+    /// the slots of every block row padded to it.
+    pub(crate) fn ell_shape(&self) -> (usize, usize) {
+        let ell_cols = self.ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        (ell_cols, ell_cols * (self.ptr.len() - 1))
+    }
 }
 
 /// Number of block rows for a `blk`-sized tiling.
 pub(crate) fn num_block_rows(csr: &CsrGraph, blk: usize) -> usize {
     csr.num_nodes().div_ceil(blk)
+}
+
+/// Which tiles each program walks.
+pub(crate) enum Walk<'a> {
+    /// The non-empty raw tiles; a block row without one does no work.
+    Tiles(&'a Tiling),
+    /// The raw tiles, then all-zero padding slots up to the given count.
+    Padded(&'a Tiling, usize),
+    /// Each row window's condensed 16×8 SGT blocks; the buffer holds
+    /// `block_atox`, which a block's X gather reads first.
+    Condensed(&'a TranslatedGraph, Buffer),
+}
+
+impl Walk<'_> {
+    fn block_rows(&self) -> usize {
+        match self {
+            Walk::Tiles(t) | Walk::Padded(t, _) => t.ptr.len() - 1,
+            Walk::Condensed(t, _) => t.num_row_windows,
+        }
+    }
+
+    /// The slots block row `br` walks, and the raw tile of each.
+    fn slots(&self, br: usize) -> (usize, &[Tile]) {
+        match *self {
+            Walk::Tiles(t) => (t.row(br).len(), t.row(br)),
+            Walk::Padded(t, pad) => (t.row(br).len().max(pad), t.row(br)),
+            Walk::Condensed(t, _) => (t.win_partition[br] as usize, &[]),
+        }
+    }
+}
+
+/// A program of 128 threads with `shared_mem_bytes` of shared memory.
+pub(crate) fn grid(shared_mem_bytes: usize, regs_per_thread: u32) -> GridConfig {
+    GridConfig {
+        block_size: 128,
+        shared_mem_bytes,
+        regs_per_thread,
+    }
+}
+
+/// One walked slot, as a policy's charge hooks see it.
+pub(crate) struct At<'a> {
+    /// Block row (row window) and output slab.
+    pub br: usize,
+    pub slab: usize,
+    /// The slot's position in its block row's walk.
+    pub slot: usize,
+    /// The raw tile; an empty tile at column block 0 for a padding slot or
+    /// a condensed block.
+    pub tile: &'a Tile,
+}
+
+/// A charge hook of a policy.
+type Hook<'a, T> = &'a (dyn Fn(&mut BlockCtx<'_>, &At<'_>) -> T + Sync);
+
+/// A block-sparse baseline: its launch, walk, per-tile path and program
+/// shape as data, and its storage format's charges as hooks.
+pub(crate) struct Tiled<'a> {
+    /// Kernel name, for the preflight.
+    pub name: &'static str,
+    pub cfg: GridConfig,
+    pub walk: Walk<'a>,
+    /// Tiles with fewer non-zeros take the CUDA-core path (0: none does).
+    pub dense_threshold: usize,
+    /// One program per block row × output slab, instead of one per block
+    /// row walking every slab.
+    pub per_slab: bool,
+    /// Charges the fetch of a tile's descriptor.
+    pub descriptor: Hook<'a, ()>,
+    /// The A tile's values: first address and count, 4 B each.
+    pub a_tile: Hook<'a, (u64, usize)>,
+    /// Each tile's partial result is merged into the output with atomics.
+    pub atomic_merge: bool,
+    /// Padding slots the walk skips, charged in bulk.
+    pub padding: Option<Padding>,
+}
+
+/// Blocked-ELL padding charged in bulk: every block row pads to `ell_cols`
+/// slots, and each slot the walk skips charges per slab one index scalar,
+/// its A values block streamed from DRAM, an L2-resident X gather of as
+/// many elements (a `16 × k` A tile meets a `k × 16` X tile) and its MMAs,
+/// plus these per-kernel constants.
+pub(crate) struct Padding {
+    pub ell_cols: usize,
+    pub warp_instructions: u64,
+    pub int_ops: u64,
+    pub shared_transactions: u64,
+}
+
+/// Launches a block-sparse baseline over `prob`: the one body every
+/// [`Tiled`] policy runs.
+pub(crate) fn launch_tiled(
+    launcher: &mut Launcher,
+    prob: &SpmmProblem<'_>,
+    p: Tiled<'_>,
+) -> Result<(DenseMatrix, KernelReport), TcgError> {
+    let n = prob.csr.num_nodes();
+    let d = prob.dim();
+    let mut out = DenseMatrix::zeros(n, d);
+    let buf_x = launcher.try_alloc_f32(prob.x.len())?;
+    let buf_out = launcher.try_alloc_f32(out.len())?;
+
+    let slabs = d.div_ceil(BLK);
+    // A raw 16×16 tile is two k8 MMAs, a condensed 16×8 block one.
+    let k = match p.walk {
+        Walk::Condensed(..) => TC_BLK_W,
+        _ => BLK,
+    };
+    let a_elems = BLK * k;
+    let program = |pid: u64| {
+        let (pid, per) = (pid as usize, if p.per_slab { slabs.max(1) } else { 1 });
+        let slab = pid % per;
+        let slabs = if p.per_slab { slab..slab + 1 } else { 0..slabs };
+        (pid / per, slabs)
+    };
+    let body = |ctx: &mut BlockCtx<'_>| {
+        let (br, slab_range) = program(ctx.block_id);
+        let (slots, tiles) = p.walk.slots(br);
+        if slots == 0 && matches!(p.walk, Walk::Tiles(_)) {
+            return;
+        }
+        let rows = br * BLK..((br + 1) * BLK).min(n);
+        for slab in slab_range {
+            let dim0 = slab * BLK;
+            let width = (d - dim0).min(BLK);
+            let x_row = |u: usize| buf_x.f32_addr(u * d + dim0);
+            let out_rows: Vec<u64> = rows
+                .clone()
+                .map(|r| buf_out.f32_addr(r * d + dim0))
+                .collect();
+            for slot in 0..slots {
+                let tile = tiles.get(slot).unwrap_or(&NO_TILE);
+                let at = At {
+                    br,
+                    slab,
+                    slot,
+                    tile,
+                };
+                (p.descriptor)(ctx, &at);
+                let col_base = tile.col_block as usize * BLK;
+                if tile.entries.len() >= p.dense_threshold {
+                    let (addr, len) = (p.a_tile)(ctx, &at);
+                    ctx.ld_global_contiguous(addr, len, 4);
+                    ctx.shared_access((a_elems as u64).div_ceil(32));
+                    let x_rows: Vec<u64> = match p.walk {
+                        Walk::Condensed(t, buf_atox) => {
+                            let b = t.win_block_start[br] + slot;
+                            let (atox, first) = (t.block_atox(b), t.block_atox_ptr[b]);
+                            ctx.ld_global_contiguous(buf_atox.addr(first, 4), atox.len(), 4);
+                            atox.iter()
+                                .filter(|&&u| u != u32::MAX)
+                                .map(|&u| x_row(u as usize))
+                                .collect()
+                        }
+                        // The full X tile, clamped to the graph.
+                        _ => (0..BLK)
+                            .map(|k| x_row((col_base + k).min(n.saturating_sub(1))))
+                            .collect(),
+                    };
+                    ctx.ld_global_gather_rows(&x_rows, width, 4);
+                    ctx.shared_access(8);
+                    for _ in 0..k / WMMA_K {
+                        ctx.tcu_mma(MMA_FLOPS);
+                    }
+                } else {
+                    // CUDA-core path: per-edge gather + FMA.
+                    let x_rows: Vec<u64> = tile
+                        .entries
+                        .iter()
+                        .map(|&(_, c, _)| x_row(col_base + c as usize))
+                        .collect();
+                    ctx.ld_global_gather_rows(&x_rows, width, 4);
+                    ctx.fma_warps(((tile.entries.len() * width) as u64).div_ceil(32));
+                }
+                if p.atomic_merge {
+                    ctx.atomic_add_global(&out_rows);
+                }
+            }
+            ctx.st_global_gather_rows(&out_rows, width, 4);
+        }
+    };
+    launcher.preflight(p.name, &p.cfg)?;
+    // A block row's rows belong to its slab-0 program.
+    let first_row = |pid: u64| {
+        let (br, slabs) = program(pid);
+        ((br + usize::from(slabs.start > 0)) * BLK).min(n)
+    };
+    let programs = (p.walk.block_rows() * if p.per_slab { slabs } else { 1 }) as u64;
+    let mut stats = launch_rows(launcher, p.cfg, programs, body, prob, first_row, &mut out);
+    if let Some(pad) = &p.padding {
+        let skipped: usize = (0..p.walk.block_rows())
+            .map(|br| pad.ell_cols - p.walk.slots(br).0)
+            .sum();
+        let per = (skipped * slabs) as u64;
+        let sectors = (a_elems as u64 * 4).div_ceil(32);
+        let mmas = (k / WMMA_K) as u64;
+        stats.warp_instructions += per * pad.warp_instructions;
+        stats.int_ops += per * pad.int_ops;
+        stats.gl_load_transactions += per * (1 + 2 * sectors);
+        stats.l1_misses += per * (1 + 2 * sectors);
+        stats.l2_misses += per * (1 + sectors);
+        stats.l2_hits += per * sectors;
+        stats.dram_read_bytes += per * (1 + sectors) * 32;
+        stats.tcu_mma_instructions += per * mmas;
+        stats.tcu_flops += per * mmas * MMA_FLOPS;
+        stats.shared_transactions += per * pad.shared_transactions;
+    }
+    let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
+    Ok((out, report))
 }
 
 #[cfg(test)]

@@ -9,20 +9,14 @@
 //! lookup table itself is streamed per block with no graph-aware staging —
 //! which is why the paper measures Triton behind even tSparse.
 //!
-//! The program bodies only charge. The outputs come from the CUDA-core row
-//! loop ([`super::cusparse`]'s `accumulate_rows`): the slab-0 program of
-//! each block row computes its 16 rows, each row's edges in CSR order.
+//! Each program is one block row × output slab of the shared tiled body
+//! ([`super::tiling`]), which walks the block row's non-empty tiles.
 
-use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::cusparse::launch_rows;
-use crate::spmm::tiling::{block_row_tiles, num_block_rows, tile_counts};
-
-/// Block edge length of the block-sparse layout.
-const BLK: usize = 16;
+use crate::spmm::tiling::{grid, launch_tiled, Tiled, Tiling, Walk, BLK};
 
 /// Triton-like block-sparse SpMM: every non-empty block on the TCU.
 #[derive(Debug, Clone, Default)]
@@ -38,86 +32,35 @@ impl SpmmKernel for TritonBlockSparseSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
-        let n = csr.num_nodes();
-        let d = prob.dim();
-        let mut out = DenseMatrix::zeros(n, d);
-
+        let edges = prob.csr.num_edges();
+        let tiling = Tiling::new(prob.csr);
         // Block-sparse storage: dense values per non-empty block + LUT.
-        let buf_lut = launcher.try_alloc(csr.num_edges() * 16)?;
-        let buf_blocks = launcher.try_alloc(csr.num_edges() * BLK * BLK * 4)?; // upper bound
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
-
-        let slabs = d.div_ceil(16);
-        let brs = num_block_rows(csr, BLK);
-        let cfg = GridConfig {
-            block_size: 128,
-            shared_mem_bytes: 2 * (BLK * BLK) * 4,
-            regs_per_thread: 80,
+        let buf_lut = launcher.try_alloc(edges * 16)?;
+        let buf_blocks = launcher.try_alloc(edges * BLK * BLK * 4)?; // upper bound
+        let slabs = prob.dim().div_ceil(BLK);
+        let tiled = Tiled {
+            name: self.name(),
+            cfg: grid(2 * (BLK * BLK) * 4, 80),
+            walk: Walk::Tiles(&tiling),
+            dense_threshold: 0,
+            per_slab: true,
+            // LUT entry: block coordinates + value offset (streamed, no
+            // reuse across programs). Programs stream the LUT in launch
+            // order: program (br, s) starts at the entry after every tile of
+            // the programs before it.
+            descriptor: &|ctx, at| {
+                let entry = slabs * tiling.ptr[at.br] + at.slab * tiling.row(at.br).len() + at.slot;
+                ctx.ld_global_contiguous(buf_lut.addr(entry % edges, 16), 4, 4);
+            },
+            // Full dense 16×16 block of A from global memory.
+            a_tile: &|_, at| {
+                let e = at.tile.entries[0].2 % edges;
+                (buf_blocks.addr(e * BLK * BLK, 4), BLK * BLK)
+            },
+            atomic_merge: false,
+            padding: None,
         };
-
-        // Programs stream the LUT in launch order: program (br, s) starts
-        // at the entry after every tile of the programs before it.
-        let first_entry: Vec<usize> = tile_counts(csr, BLK)
-            .iter()
-            .scan(0, |seen, &c| {
-                let first = *seen;
-                *seen += slabs * c;
-                Some(first)
-            })
-            .collect();
-        let body = |ctx: &mut BlockCtx<'_>| {
-            // Triton launches one program per (block-row, output slab).
-            let pid = ctx.block_id as usize;
-            let br = pid / slabs;
-            let s = pid % slabs;
-            let tiles = block_row_tiles(csr, br, BLK);
-            if tiles.is_empty() {
-                return;
-            }
-            let row_lo = br * BLK;
-            let row_hi = (row_lo + BLK).min(n);
-            let dim0 = s * 16;
-            let width = (d - dim0).min(16);
-            let lut = first_entry[br] + s * tiles.len();
-            for (entry, tile) in (lut..).zip(&tiles) {
-                // LUT entry: block coordinates + value offset (streamed,
-                // no reuse across programs).
-                ctx.ld_global_contiguous(buf_lut.addr(entry % csr.num_edges(), 16), 4, 4);
-                // Full dense 16×16 block of A from global memory.
-                ctx.ld_global_contiguous(
-                    buf_blocks.addr((tile.entries[0].2 % csr.num_edges()) * BLK * BLK, 4),
-                    BLK * BLK,
-                    4,
-                );
-                ctx.shared_access(((BLK * BLK) as u64).div_ceil(32));
-                // Full X tile, fetched from global for this program alone.
-                let col_base = tile.col_block as usize * BLK;
-                let bases: Vec<u64> = (0..BLK)
-                    .map(|k| buf_x.f32_addr((col_base + k).min(n.saturating_sub(1)) * d + dim0))
-                    .collect();
-                ctx.ld_global_gather_rows(&bases, width, 4);
-                ctx.shared_access(8);
-                // 16×16 A tile = two k8 MMAs.
-                ctx.tcu_mma(MMA_FLOPS);
-                ctx.tcu_mma(MMA_FLOPS);
-            }
-
-            let bases: Vec<u64> = (row_lo..row_hi)
-                .map(|r| buf_out.f32_addr(r * d + dim0))
-                .collect();
-            ctx.st_global_gather_rows(&bases, width, 4);
-        };
-        launcher.preflight("triton-blocksparse", &cfg)?;
-        let first_row = |pid: u64| {
-            let (br, s) = (pid as usize / slabs.max(1), pid as usize % slabs.max(1));
-            (if s == 0 { br * BLK } else { (br + 1) * BLK }).min(n)
-        };
-        let num_programs = (brs * slabs) as u64;
-        let stats = launch_rows(launcher, cfg, num_programs, body, prob, first_row, &mut out);
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+        launch_tiled(launcher, prob, tiled)
     }
 }
 

@@ -8,20 +8,14 @@
 //! non-zero elements into fewer tiles" — so on scattered graphs most tiles
 //! carry a handful of non-zeros and the TCU tiles stay mostly empty.
 //!
-//! The block body only charges, on either path. The outputs come from the
-//! CUDA-core row loop ([`super::cusparse`]'s `accumulate_rows`): each block
-//! row computes its 16 rows, each row's edges in CSR order.
+//! Each program is one block row of the shared tiled body
+//! ([`super::tiling`]), which walks the block row's non-empty tiles.
 
-use tcg_gpusim::wmma::MMA_FLOPS;
-use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
+use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::cusparse::launch_rows;
-use crate::spmm::tiling::{block_row_tiles, num_block_rows};
-
-/// Tile edge length.
-const BLK: usize = 16;
+use crate::spmm::tiling::{grid, launch_tiled, Tiled, Tiling, Walk, BLK};
 
 /// tSparse-like hybrid SpMM.
 #[derive(Debug, Clone)]
@@ -46,101 +40,42 @@ impl SpmmKernel for TsparseLikeSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let csr = prob.csr;
-        let n = csr.num_nodes();
-        let d = prob.dim();
-        let mut out = DenseMatrix::zeros(n, d);
-
-        let buf_meta = launcher.try_alloc(csr.num_edges() * 8)?;
-        let buf_vals = launcher.try_alloc(csr.num_edges() * 4)?;
-        let buf_x = launcher.try_alloc_f32(prob.x.len())?;
-        let buf_out = launcher.try_alloc_f32(out.len())?;
-
-        let slabs = d.div_ceil(16);
-        let brs = num_block_rows(csr, BLK);
-        let cfg = GridConfig {
-            block_size: 128,
-            shared_mem_bytes: (BLK * BLK + 16 * BLK) * 4,
-            regs_per_thread: 56,
+        let edges = prob.csr.num_edges();
+        let tiling = Tiling::new(prob.csr);
+        let buf_meta = launcher.try_alloc(edges * 8)?;
+        let buf_vals = launcher.try_alloc(edges * 4)?;
+        let tiled = Tiled {
+            name: self.name(),
+            cfg: grid((BLK * BLK + 16 * BLK) * 4, 56),
+            walk: Walk::Tiles(&tiling),
+            dense_threshold: self.dense_threshold,
+            per_slab: false,
+            // Tile metadata traversal (the "sparse control" cost of §3.3):
+            // tSparse keeps a per-tile descriptor (coordinates, nnz bitmap,
+            // value offset) that must be fetched and decoded before the tile
+            // can be routed to a compute path.
+            descriptor: &|ctx, at| {
+                let e = at.tile.entries[0].2;
+                ctx.ld_global_scalar(buf_meta.addr(at.tile.col_block as usize, 8));
+                ctx.ld_global_contiguous(buf_meta.addr(e.min(edges - 1), 8), 2, 8);
+                ctx.int_warp(32); // coordinate decode
+                ctx.int_warp(32); // bitmap popcount / routing
+                ctx.shared_access(1); // staged descriptor
+            },
+            // TCU path: the tile's packed values, staged dense.
+            a_tile: &|_, at| {
+                (
+                    buf_vals.addr(at.tile.entries[0].2, 4),
+                    at.tile.entries.len(),
+                )
+            },
+            // tSparse's merge phase: per-tile partial results are
+            // accumulated into global memory with atomics (the
+            // SpGEMM-heritage design §6.2 criticizes).
+            atomic_merge: true,
+            padding: None,
         };
-
-        let body = |ctx: &mut BlockCtx<'_>| {
-            let br = ctx.block_id as usize;
-            let tiles = block_row_tiles(csr, br, BLK);
-            if tiles.is_empty() {
-                return;
-            }
-            let row_lo = br * BLK;
-            let row_hi = (row_lo + BLK).min(n);
-
-            for s in 0..slabs {
-                let dim0 = s * 16;
-                let width = (d - dim0).min(16);
-
-                for tile in &tiles {
-                    // Tile metadata traversal (the "sparse control" cost of
-                    // §3.3): tSparse keeps a per-tile descriptor (coordinates,
-                    // nnz bitmap, value offset) that must be fetched and
-                    // decoded before the tile can be routed to a compute path.
-                    ctx.ld_global_scalar(buf_meta.addr(tile.col_block as usize, 8));
-                    ctx.ld_global_contiguous(
-                        buf_meta.addr((tile.entries[0].2).min(csr.num_edges() - 1), 8),
-                        2,
-                        8,
-                    );
-                    ctx.int_warp(32); // coordinate decode
-                    ctx.int_warp(32); // bitmap popcount / routing
-                    ctx.shared_access(1); // staged descriptor
-
-                    let col_base = tile.col_block as usize * BLK;
-                    if tile.entries.len() >= self.dense_threshold {
-                        // TCU path: stage the tile dense + X tile, 2 MMAs.
-                        ctx.ld_global_contiguous(
-                            buf_vals.addr(tile.entries[0].2, 4),
-                            tile.entries.len(),
-                            4,
-                        );
-                        ctx.shared_access(((BLK * BLK) as u64).div_ceil(32));
-                        let bases: Vec<u64> = (0..BLK)
-                            .map(|k| {
-                                buf_x.f32_addr((col_base + k).min(n.saturating_sub(1)) * d + dim0)
-                            })
-                            .collect();
-                        ctx.ld_global_gather_rows(&bases, width, 4);
-                        ctx.shared_access(8);
-                        ctx.tcu_mma(MMA_FLOPS);
-                        ctx.tcu_mma(MMA_FLOPS);
-                    } else {
-                        // CUDA-core path: per-edge gather + FMA.
-                        let bases: Vec<u64> = tile
-                            .entries
-                            .iter()
-                            .map(|&(_, c, _)| buf_x.f32_addr((col_base + c as usize) * d + dim0))
-                            .collect();
-                        ctx.ld_global_gather_rows(&bases, width, 4);
-                        ctx.fma_warps(((tile.entries.len() * width) as u64).div_ceil(32));
-                    }
-
-                    // tSparse's merge phase: per-tile partial results are
-                    // accumulated into global memory with atomics (the
-                    // SpGEMM-heritage design §6.2 criticizes).
-                    let out_bases: Vec<u64> = (row_lo..row_hi)
-                        .map(|r| buf_out.f32_addr(r * d + dim0))
-                        .collect();
-                    ctx.atomic_add_global(&out_bases);
-                }
-
-                let bases: Vec<u64> = (row_lo..row_hi)
-                    .map(|r| buf_out.f32_addr(r * d + dim0))
-                    .collect();
-                ctx.st_global_gather_rows(&bases, width, 4);
-            }
-        };
-        launcher.preflight("tsparse-like", &cfg)?;
-        let first_row = |br: u64| (br as usize * BLK).min(n);
-        let stats = launch_rows(launcher, cfg, brs as u64, body, prob, first_row, &mut out);
-        let report = tcg_gpusim::cost::analyze(launcher.device(), &stats);
-        Ok((out, report))
+        launch_tiled(launcher, prob, tiled)
     }
 }
 
