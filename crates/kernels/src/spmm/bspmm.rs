@@ -13,11 +13,11 @@
 //! shared tiled body ([`super::tiling`]), padded to `ell_cols` slots.
 
 use tcg_gpusim::{KernelReport, Launcher};
-use tcg_sgt::{TC_BLK_H, TC_BLK_W};
+use tcg_sgt::TC_BLK_W;
 use tcg_tensor::DenseMatrix;
 
-use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::tiling::{grid, launch_tiled, Padding, Tiled, Tiling, Walk};
+use crate::common::{check_translation, SpmmKernel, SpmmProblem, TcgError};
+use crate::spmm::tiling::{grid, launch_tiled, tile_x_rows, Padding, Tiled, Tiling, BLK};
 
 /// Blocked-ELL block edge (cuSPARSE supports powers of two; the paper's TCU
 /// geometry makes 16 the natural choice).
@@ -79,13 +79,13 @@ impl SpmmKernel for BlockedEllSpmm {
         // analytically (streamed values array → DRAM; X tile → L2-resident)
         // while real tiles still run through the full simulation.
         const FAST_PATH_SLOTS: usize = 1_000_000;
-        let walked = if slots > FAST_PATH_SLOTS { 0 } else { ell_cols };
         let colind = launcher.try_alloc(slots * 4)?;
         let values = launcher.try_alloc(slots * ELL_BLK * ELL_BLK * 4)?;
         let tiled = Tiled {
             name: self.name(),
             cfg: grid((ELL_BLK * ELL_BLK + 16 * ELL_BLK) * 4, 64),
-            walk: Walk::Padded(&tiling, walked),
+            tiling: &tiling,
+            k: ELL_BLK,
             dense_threshold: 0,
             per_slab: false,
             // Column-index and values loads happen for every slot, padding
@@ -95,9 +95,11 @@ impl SpmmKernel for BlockedEllSpmm {
                 let slot = at.br * ell_cols + at.slot;
                 (values.addr(slot * ELL_BLK * ELL_BLK, 4), ELL_BLK * ELL_BLK)
             },
+            x_rows: &tile_x_rows,
             atomic_merge: false,
             padding: Some(Padding {
                 ell_cols,
+                walked: if slots > FAST_PATH_SLOTS { 0 } else { ell_cols },
                 warp_instructions: 44,
                 int_ops: 64,
                 shared_transactions: 17,
@@ -140,18 +142,13 @@ impl CondensedEllSpmm {
 
     /// Padded width: the maximum condensed block count over all windows.
     pub fn ell_cols(&self) -> usize {
-        self.translated
-            .win_partition
-            .iter()
-            .map(|&b| b as usize)
-            .max()
-            .unwrap_or(0)
+        Tiling::condensed(&self.translated).ell_shape().0
     }
 
     /// Ratio of padded slots to real condensed blocks.
     pub fn padding_ratio(&self) -> f64 {
         let real = self.translated.total_tc_blocks().max(1);
-        (self.ell_cols() as u64 * self.translated.num_row_windows as u64) as f64 / real as f64
+        Tiling::condensed(&self.translated).ell_shape().1 as f64 / real as f64
     }
 }
 
@@ -166,32 +163,39 @@ impl SpmmKernel for CondensedEllSpmm {
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
         let t = &self.translated;
-        if t.edge_to_col.len() != prob.csr.num_edges() {
-            return Err(TcgError::DimMismatch {
-                what: "translation edge count vs graph",
-                expected: prob.csr.num_edges(),
-                actual: t.edge_to_col.len(),
-            });
-        }
-        let ell_cols = self.ell_cols();
-        let elems = TC_BLK_H * TC_BLK_W; // dense 16×8 values
-        let colind = launcher.try_alloc(t.num_row_windows * ell_cols * 4 + 4)?;
-        let values = launcher.try_alloc(t.num_row_windows * ell_cols * elems * 4 + 4)?;
+        check_translation(t, prob.csr)?;
+        let tiling = Tiling::condensed(t);
+        let (ell_cols, slots) = tiling.ell_shape();
+        let elems = BLK * TC_BLK_W; // dense 16×8 values
+        let colind = launcher.try_alloc(slots * 4 + 4)?;
+        let values = launcher.try_alloc(slots * elems * 4 + 4)?;
         let buf_atox = launcher.try_alloc(t.block_atox.len() * 4 + 4)?;
         let tiled = Tiled {
             name: self.name(),
             cfg: grid((elems + 16 * 16) * 4, 64),
-            walk: Walk::Condensed(t, buf_atox),
+            tiling: &tiling,
+            k: TC_BLK_W,
             dense_threshold: 0,
             per_slab: false,
             // Dense block values + column ids (the ELL arrays).
             descriptor: &|ctx, at| ctx.ld_global_scalar(colind.addr(at.br * ell_cols + at.slot, 4)),
             a_tile: &|_, at| (values.addr((at.br * ell_cols + at.slot) * elems, 4), elems),
+            // X gather for this block's (condensed) columns.
+            x_rows: &|ctx, at| {
+                let b = tiling.ptr[at.br] + at.slot;
+                let (atox, first) = (t.block_atox(b), t.block_atox_ptr[b]);
+                ctx.ld_global_contiguous(buf_atox.addr(first, 4), atox.len(), 4);
+                atox.iter()
+                    .filter(|&&u| u != u32::MAX)
+                    .map(|&u| u as usize)
+                    .collect()
+            },
             atomic_merge: false,
             // Every window pads its blocks to `ell_cols` slots; the padding
             // (identical loads + MMA, no useful work) is charged in bulk.
             padding: Some(Padding {
                 ell_cols,
+                walked: 0,
                 warp_instructions: 28,
                 int_ops: 40,
                 shared_transactions: 24,

@@ -13,11 +13,10 @@
 //! each block row or window computes its 16 rows, each row's edges in CSR
 //! order.
 
-use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{MMA_FLOPS, WMMA_K};
 use tcg_gpusim::{BlockCtx, GridConfig, KernelReport, Launcher};
 use tcg_graph::CsrGraph;
-use tcg_sgt::{TranslatedGraph, TC_BLK_W};
+use tcg_sgt::TranslatedGraph;
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmProblem, TcgError};
@@ -27,7 +26,7 @@ use crate::spmm::cusparse::launch_rows;
 pub(crate) const BLK: usize = 16;
 
 /// One non-empty `blk × blk` tile of the raw adjacency.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Tile {
     /// Column-block index (`neighbor_id / blk`).
     pub col_block: u32,
@@ -35,50 +34,43 @@ pub(crate) struct Tile {
     pub entries: Vec<(u8, u8, usize)>,
 }
 
-/// A padding slot, or a condensed block: no raw tile, column block 0.
-static NO_TILE: Tile = Tile {
-    col_block: 0,
-    entries: Vec::new(),
-};
-
 /// Collects the non-empty tiles of block row `br` (rows
 /// `[br·blk, (br+1)·blk)`), sorted by column block.
 pub(crate) fn block_row_tiles(csr: &CsrGraph, br: usize, blk: usize) -> Vec<Tile> {
-    let n = csr.num_nodes();
     let row_lo = br * blk;
-    let row_hi = (row_lo + blk).min(n);
     // (col_block, r, c, edge) tuples, then group.
     let mut tuples: Vec<(u32, u8, u8, usize)> = Vec::new();
-    for v in row_lo..row_hi {
+    for v in row_lo..(row_lo + blk).min(csr.num_nodes()) {
         let e_lo = csr.node_pointer()[v];
         for (i, &u) in csr.neighbors(v).iter().enumerate() {
-            let cb = u / blk as u32;
-            tuples.push(((cb), (v - row_lo) as u8, (u as usize % blk) as u8, e_lo + i));
+            let (r, c) = ((v - row_lo) as u8, (u as usize % blk) as u8);
+            tuples.push((u / blk as u32, r, c, e_lo + i));
         }
     }
     tuples.sort_unstable_by_key(|t| t.0);
-    let mut tiles: Vec<Tile> = Vec::new();
-    for (cb, r, c, e) in tuples {
-        match tiles.last_mut() {
-            Some(t) if t.col_block == cb => t.entries.push((r, c, e)),
-            _ => tiles.push(Tile {
-                col_block: cb,
-                entries: vec![(r, c, e)],
-            }),
-        }
-    }
-    tiles
+    let tile = |g: &[(u32, u8, u8, usize)]| Tile {
+        col_block: g[0].0,
+        entries: g.iter().map(|&(_, r, c, e)| (r, c, e)).collect(),
+    };
+    tuples.chunk_by(|a, b| a.0 == b.0).map(tile).collect()
 }
 
-/// The non-empty `BLK × BLK` tiles of every block row, built once per
-/// launch.
+/// Number of block rows for a `blk`-sized tiling.
+pub(crate) fn num_block_rows(csr: &CsrGraph, blk: usize) -> usize {
+    csr.num_nodes().div_ceil(blk)
+}
+
+/// The slots of every block row, built once per launch: block row `br`
+/// walks slots `ptr[br]..ptr[br + 1]`, each a raw tile or a condensed
+/// block.
 pub(crate) struct Tiling {
-    /// Block row `br` holds tiles `ptr[br]..ptr[br + 1]`.
     pub ptr: Vec<usize>,
+    /// The raw tiles (none for a condensed tiling).
     tiles: Vec<Tile>,
 }
 
 impl Tiling {
+    /// The non-empty `BLK × BLK` tiles of the raw adjacency.
     pub(crate) fn new(csr: &CsrGraph) -> Self {
         let (mut ptr, mut tiles) = (vec![0], Vec::new());
         for br in 0..num_block_rows(csr, BLK) {
@@ -88,50 +80,23 @@ impl Tiling {
         Tiling { ptr, tiles }
     }
 
-    /// The tiles of block row `br`.
-    pub(crate) fn row(&self, br: usize) -> &[Tile] {
-        &self.tiles[self.ptr[br]..self.ptr[br + 1]]
+    /// Each row window's condensed 16×8 SGT blocks.
+    pub(crate) fn condensed(t: &TranslatedGraph) -> Self {
+        let (ptr, tiles) = (t.win_block_start.clone(), Vec::new());
+        Tiling { ptr, tiles }
     }
 
-    /// `(ell_cols, total_slots)`: the widest block row's tile count, and
+    /// Block row `br`'s slot count and raw tiles.
+    pub(crate) fn row(&self, br: usize) -> (usize, &[Tile]) {
+        let slots = self.ptr[br]..self.ptr[br + 1];
+        (slots.len(), self.tiles.get(slots).unwrap_or(&[]))
+    }
+
+    /// `(ell_cols, total_slots)`: the widest block row's slot count, and
     /// the slots of every block row padded to it.
     pub(crate) fn ell_shape(&self) -> (usize, usize) {
         let ell_cols = self.ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         (ell_cols, ell_cols * (self.ptr.len() - 1))
-    }
-}
-
-/// Number of block rows for a `blk`-sized tiling.
-pub(crate) fn num_block_rows(csr: &CsrGraph, blk: usize) -> usize {
-    csr.num_nodes().div_ceil(blk)
-}
-
-/// Which tiles each program walks.
-pub(crate) enum Walk<'a> {
-    /// The non-empty raw tiles; a block row without one does no work.
-    Tiles(&'a Tiling),
-    /// The raw tiles, then all-zero padding slots up to the given count.
-    Padded(&'a Tiling, usize),
-    /// Each row window's condensed 16×8 SGT blocks; the buffer holds
-    /// `block_atox`, which a block's X gather reads first.
-    Condensed(&'a TranslatedGraph, Buffer),
-}
-
-impl Walk<'_> {
-    fn block_rows(&self) -> usize {
-        match self {
-            Walk::Tiles(t) | Walk::Padded(t, _) => t.ptr.len() - 1,
-            Walk::Condensed(t, _) => t.num_row_windows,
-        }
-    }
-
-    /// The slots block row `br` walks, and the raw tile of each.
-    fn slots(&self, br: usize) -> (usize, &[Tile]) {
-        match *self {
-            Walk::Tiles(t) => (t.row(br).len(), t.row(br)),
-            Walk::Padded(t, pad) => (t.row(br).len().max(pad), t.row(br)),
-            Walk::Condensed(t, _) => (t.win_partition[br] as usize, &[]),
-        }
     }
 }
 
@@ -146,10 +111,10 @@ pub(crate) fn grid(shared_mem_bytes: usize, regs_per_thread: u32) -> GridConfig 
 
 /// One walked slot, as a policy's charge hooks see it.
 pub(crate) struct At<'a> {
-    /// Block row (row window) and output slab.
+    /// Block row (row window), output slab and the slot's position in its
+    /// block row's walk.
     pub br: usize,
     pub slab: usize,
-    /// The slot's position in its block row's walk.
     pub slot: usize,
     /// The raw tile; an empty tile at column block 0 for a padding slot or
     /// a condensed block.
@@ -165,7 +130,11 @@ pub(crate) struct Tiled<'a> {
     /// Kernel name, for the preflight.
     pub name: &'static str,
     pub cfg: GridConfig,
-    pub walk: Walk<'a>,
+    /// The slots each block row walks.
+    pub tiling: &'a Tiling,
+    /// A-tile width: a raw 16×16 tile is two k8 MMAs, a condensed 16×8
+    /// block one.
+    pub k: usize,
     /// Tiles with fewer non-zeros take the CUDA-core path (0: none does).
     pub dense_threshold: usize,
     /// One program per block row × output slab, instead of one per block
@@ -175,19 +144,29 @@ pub(crate) struct Tiled<'a> {
     pub descriptor: Hook<'a, ()>,
     /// The A tile's values: first address and count, 4 B each.
     pub a_tile: Hook<'a, (u64, usize)>,
+    /// Charges what locates a TCU tile's X rows, and returns those rows.
+    pub x_rows: Hook<'a, Vec<usize>>,
     /// Each tile's partial result is merged into the output with atomics.
     pub atomic_merge: bool,
-    /// Padding slots the walk skips, charged in bulk.
+    /// Blocked-ELL's padding. Without it a block row with no slots does no
+    /// work.
     pub padding: Option<Padding>,
 }
 
-/// Blocked-ELL padding charged in bulk: every block row pads to `ell_cols`
-/// slots, and each slot the walk skips charges per slab one index scalar,
-/// its A values block streamed from DRAM, an L2-resident X gather of as
-/// many elements (a `16 × k` A tile meets a `k × 16` X tile) and its MMAs,
-/// plus these per-kernel constants.
+/// The X rows of a raw tile: the 16 from its first column.
+pub(crate) fn tile_x_rows(_: &mut BlockCtx<'_>, at: &At<'_>) -> Vec<usize> {
+    let col_base = at.tile.col_block as usize * BLK;
+    (col_base..col_base + BLK).collect()
+}
+
+/// Blocked-ELL padding: every block row pads to `ell_cols` slots. The walk
+/// pads each block row to `walked` slots; each slot it skips is charged in
+/// bulk, per slab one index scalar, its A values block streamed from DRAM,
+/// an L2-resident X gather of as many elements (a `16 × k` A tile meets a
+/// `k × 16` X tile) and its MMAs, plus these per-kernel constants.
 pub(crate) struct Padding {
     pub ell_cols: usize,
+    pub walked: usize,
     pub warp_instructions: u64,
     pub int_ops: u64,
     pub shared_transactions: u64,
@@ -200,42 +179,34 @@ pub(crate) fn launch_tiled(
     prob: &SpmmProblem<'_>,
     p: Tiled<'_>,
 ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-    let n = prob.csr.num_nodes();
-    let d = prob.dim();
+    let (n, d) = (prob.csr.num_nodes(), prob.dim());
     let mut out = DenseMatrix::zeros(n, d);
     let buf_x = launcher.try_alloc_f32(prob.x.len())?;
     let buf_out = launcher.try_alloc_f32(out.len())?;
-
-    let slabs = d.div_ceil(BLK);
-    // A raw 16×16 tile is two k8 MMAs, a condensed 16×8 block one.
-    let k = match p.walk {
-        Walk::Condensed(..) => TC_BLK_W,
-        _ => BLK,
-    };
-    let a_elems = BLK * k;
-    let program = |pid: u64| {
-        let (pid, per) = (pid as usize, if p.per_slab { slabs.max(1) } else { 1 });
-        let slab = pid % per;
-        let slabs = if p.per_slab { slab..slab + 1 } else { 0..slabs };
-        (pid / per, slabs)
-    };
+    let (slabs, block_rows) = (d.div_ceil(BLK), p.tiling.ptr.len() - 1);
+    let a_elems = BLK * p.k;
+    // Programs per block row; the slots a block row walks one by one.
+    let per = if p.per_slab { slabs.max(1) } else { 1 };
+    let walked = p.padding.as_ref().map_or(0, |pad| pad.walked);
+    // A padding slot or a condensed block: no raw tile, column block 0.
+    let no_tile = Tile::default();
     let body = |ctx: &mut BlockCtx<'_>| {
-        let (br, slab_range) = program(ctx.block_id);
-        let (slots, tiles) = p.walk.slots(br);
-        if slots == 0 && matches!(p.walk, Walk::Tiles(_)) {
+        let (br, own_slab) = (ctx.block_id as usize / per, ctx.block_id as usize % per);
+        let (real, tiles) = p.tiling.row(br);
+        if real == 0 && p.padding.is_none() {
             return;
         }
         let rows = br * BLK..((br + 1) * BLK).min(n);
-        for slab in slab_range {
+        for slab in (0..slabs).filter(|&s| !p.per_slab || s == own_slab) {
             let dim0 = slab * BLK;
             let width = (d - dim0).min(BLK);
-            let x_row = |u: usize| buf_x.f32_addr(u * d + dim0);
+            let x_row = |u: usize| buf_x.f32_addr(u.min(n.saturating_sub(1)) * d + dim0);
             let out_rows: Vec<u64> = rows
                 .clone()
                 .map(|r| buf_out.f32_addr(r * d + dim0))
                 .collect();
-            for slot in 0..slots {
-                let tile = tiles.get(slot).unwrap_or(&NO_TILE);
+            for slot in 0..real.max(walked) {
+                let tile = tiles.get(slot).unwrap_or(&no_tile);
                 let at = At {
                     br,
                     slab,
@@ -243,33 +214,19 @@ pub(crate) fn launch_tiled(
                     tile,
                 };
                 (p.descriptor)(ctx, &at);
-                let col_base = tile.col_block as usize * BLK;
                 if tile.entries.len() >= p.dense_threshold {
                     let (addr, len) = (p.a_tile)(ctx, &at);
                     ctx.ld_global_contiguous(addr, len, 4);
                     ctx.shared_access((a_elems as u64).div_ceil(32));
-                    let x_rows: Vec<u64> = match p.walk {
-                        Walk::Condensed(t, buf_atox) => {
-                            let b = t.win_block_start[br] + slot;
-                            let (atox, first) = (t.block_atox(b), t.block_atox_ptr[b]);
-                            ctx.ld_global_contiguous(buf_atox.addr(first, 4), atox.len(), 4);
-                            atox.iter()
-                                .filter(|&&u| u != u32::MAX)
-                                .map(|&u| x_row(u as usize))
-                                .collect()
-                        }
-                        // The full X tile, clamped to the graph.
-                        _ => (0..BLK)
-                            .map(|k| x_row((col_base + k).min(n.saturating_sub(1))))
-                            .collect(),
-                    };
+                    let x_rows: Vec<u64> = (p.x_rows)(ctx, &at).into_iter().map(x_row).collect();
                     ctx.ld_global_gather_rows(&x_rows, width, 4);
                     ctx.shared_access(8);
-                    for _ in 0..k / WMMA_K {
+                    for _ in 0..p.k / WMMA_K {
                         ctx.tcu_mma(MMA_FLOPS);
                     }
                 } else {
                     // CUDA-core path: per-edge gather + FMA.
+                    let col_base = tile.col_block as usize * BLK;
                     let x_rows: Vec<u64> = tile
                         .entries
                         .iter()
@@ -287,19 +244,16 @@ pub(crate) fn launch_tiled(
     };
     launcher.preflight(p.name, &p.cfg)?;
     // A block row's rows belong to its slab-0 program.
-    let first_row = |pid: u64| {
-        let (br, slabs) = program(pid);
-        ((br + usize::from(slabs.start > 0)) * BLK).min(n)
-    };
-    let programs = (p.walk.block_rows() * if p.per_slab { slabs } else { 1 }) as u64;
+    let first_row = |pid: u64| ((pid as usize).div_ceil(per) * BLK).min(n);
+    let programs = (block_rows * if p.per_slab { slabs } else { 1 }) as u64;
     let mut stats = launch_rows(launcher, p.cfg, programs, body, prob, first_row, &mut out);
     if let Some(pad) = &p.padding {
-        let skipped: usize = (0..p.walk.block_rows())
-            .map(|br| pad.ell_cols - p.walk.slots(br).0)
+        let skipped: usize = (0..block_rows)
+            .map(|br| pad.ell_cols - p.tiling.row(br).0.max(walked))
             .sum();
         let per = (skipped * slabs) as u64;
         let sectors = (a_elems as u64 * 4).div_ceil(32);
-        let mmas = (k / WMMA_K) as u64;
+        let mmas = (p.k / WMMA_K) as u64;
         stats.warp_instructions += per * pad.warp_instructions;
         stats.int_ops += per * pad.int_ops;
         stats.gl_load_transactions += per * (1 + 2 * sectors);

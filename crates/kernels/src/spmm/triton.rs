@@ -16,7 +16,7 @@ use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::tiling::{grid, launch_tiled, Tiled, Tiling, Walk, BLK};
+use crate::spmm::tiling::{grid, launch_tiled, tile_x_rows, Tiled, Tiling, BLK};
 
 /// Triton-like block-sparse SpMM: every non-empty block on the TCU.
 #[derive(Debug, Clone, Default)]
@@ -32,8 +32,7 @@ impl SpmmKernel for TritonBlockSparseSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let edges = prob.csr.num_edges();
-        let tiling = Tiling::new(prob.csr);
+        let (edges, tiling) = (prob.csr.num_edges(), Tiling::new(prob.csr));
         // Block-sparse storage: dense values per non-empty block + LUT.
         let buf_lut = launcher.try_alloc(edges * 16)?;
         let buf_blocks = launcher.try_alloc(edges * BLK * BLK * 4)?; // upper bound
@@ -41,7 +40,8 @@ impl SpmmKernel for TritonBlockSparseSpmm {
         let tiled = Tiled {
             name: self.name(),
             cfg: grid(2 * (BLK * BLK) * 4, 80),
-            walk: Walk::Tiles(&tiling),
+            tiling: &tiling,
+            k: BLK,
             dense_threshold: 0,
             per_slab: true,
             // LUT entry: block coordinates + value offset (streamed, no
@@ -49,14 +49,17 @@ impl SpmmKernel for TritonBlockSparseSpmm {
             // order: program (br, s) starts at the entry after every tile of
             // the programs before it.
             descriptor: &|ctx, at| {
-                let entry = slabs * tiling.ptr[at.br] + at.slab * tiling.row(at.br).len() + at.slot;
+                let entry = slabs * tiling.ptr[at.br] + at.slab * tiling.row(at.br).0 + at.slot;
                 ctx.ld_global_contiguous(buf_lut.addr(entry % edges, 16), 4, 4);
             },
             // Full dense 16×16 block of A from global memory.
             a_tile: &|_, at| {
-                let e = at.tile.entries[0].2 % edges;
-                (buf_blocks.addr(e * BLK * BLK, 4), BLK * BLK)
+                (
+                    buf_blocks.addr(at.tile.entries[0].2 * BLK * BLK, 4),
+                    BLK * BLK,
+                )
             },
+            x_rows: &tile_x_rows,
             atomic_merge: false,
             padding: None,
         };

@@ -15,7 +15,7 @@ use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
 
 use crate::common::{SpmmKernel, SpmmProblem, TcgError};
-use crate::spmm::tiling::{grid, launch_tiled, Tiled, Tiling, Walk, BLK};
+use crate::spmm::tiling::{grid, launch_tiled, tile_x_rows, Tiled, Tiling, BLK};
 
 /// tSparse-like hybrid SpMM.
 #[derive(Debug, Clone)]
@@ -40,14 +40,14 @@ impl SpmmKernel for TsparseLikeSpmm {
         launcher: &mut Launcher,
         prob: &SpmmProblem<'_>,
     ) -> Result<(DenseMatrix, KernelReport), TcgError> {
-        let edges = prob.csr.num_edges();
-        let tiling = Tiling::new(prob.csr);
+        let (edges, tiling) = (prob.csr.num_edges(), Tiling::new(prob.csr));
         let buf_meta = launcher.try_alloc(edges * 8)?;
         let buf_vals = launcher.try_alloc(edges * 4)?;
         let tiled = Tiled {
             name: self.name(),
             cfg: grid((BLK * BLK + 16 * BLK) * 4, 56),
-            walk: Walk::Tiles(&tiling),
+            tiling: &tiling,
+            k: BLK,
             dense_threshold: self.dense_threshold,
             per_slab: false,
             // Tile metadata traversal (the "sparse control" cost of §3.3):
@@ -55,9 +55,8 @@ impl SpmmKernel for TsparseLikeSpmm {
             // value offset) that must be fetched and decoded before the tile
             // can be routed to a compute path.
             descriptor: &|ctx, at| {
-                let e = at.tile.entries[0].2;
                 ctx.ld_global_scalar(buf_meta.addr(at.tile.col_block as usize, 8));
-                ctx.ld_global_contiguous(buf_meta.addr(e.min(edges - 1), 8), 2, 8);
+                ctx.ld_global_contiguous(buf_meta.addr(at.tile.entries[0].2, 8), 2, 8);
                 ctx.int_warp(32); // coordinate decode
                 ctx.int_warp(32); // bitmap popcount / routing
                 ctx.shared_access(1); // staged descriptor
@@ -69,6 +68,7 @@ impl SpmmKernel for TsparseLikeSpmm {
                     at.tile.entries.len(),
                 )
             },
+            x_rows: &tile_x_rows,
             // tSparse's merge phase: per-tile partial results are
             // accumulated into global memory with atomics (the
             // SpGEMM-heritage design §6.2 criticizes).
