@@ -17,6 +17,11 @@
 //! | Triton block-sparse       | [`spmm::triton`]            |
 //! | per-edge SDDMM (DGL)      | [`sddmm::cuda_core`]        |
 //!
+//! The last three SpMM modules hold policies over one tiled body (the
+//! crate-private `spmm::tiling`): each module sets which tiles its kernel
+//! walks, which path a tile takes, its program shape and its format's
+//! charges.
+//!
 //! Every kernel executes *functionally* (tests compare its output against
 //! the CPU references in [`common`]) while charging the gpusim cost model,
 //! so each returns both a result matrix and a [`tcg_gpusim::KernelReport`].

@@ -97,6 +97,15 @@ cache_hits=$(sed -n 's/.*"hits": \([0-9]*\).*/\1/p' <<<"$serve_out" | head -1)
     exit 1
 }
 
+step "spmm smoke: every SpMM kernel runs through the CLI"
+# One row per kernel the command lists, each named by its own name().
+spmm_out=$(./target/release/tcgnn spmm Cora --dim 16)
+spmm_rows=$(sed -n '/^kernel /,$p' <<<"$spmm_out" | tail -n +2 | grep -vc ' failed: ' || true)
+[[ "$spmm_rows" -eq 7 ]] || {
+    echo "spmm smoke: $spmm_rows kernel rows, expected 7" >&2
+    exit 1
+}
+
 step "chaos serve: injected faults must degrade batches, never fail requests"
 chaos_out=$(TCG_FAULT_RATE=0.2 TCG_FAULT_SEED=7 \
     ./target/release/tcgnn serve Cora --requests 32 --rate 1000 --epochs 2)
@@ -141,11 +150,12 @@ TCG_THREADS=4 cargo test --release -q -p tcg-kernels
 TCG_THREADS=4 ./target/release/tcgnn verify --seed 2023
 TCG_THREADS=4 TCG_FAULT_RATE=0.05 TCG_FAULT_SEED=2023 \
     ./target/release/tcgnn train Pubmed/0.05 --epochs 3 | grep -q 'faults: '
-# The figure bins of the Triton, tSparse and Blocked-ELL baselines, whose
-# bodies fan out like every other kernel's, must reproduce results/ with
-# 4 workers.
+# The figure bins that time the tiled block-sparse baselines (Triton and
+# tSparse in table5, condensed Blocked-ELL in fig6c, raw Blocked-ELL in
+# table3; one body in crates/kernels/src/spmm/tiling.rs, whose programs fan
+# out like every other kernel's) must reproduce results/ with 4 workers.
 replay_dir=$(mktemp -d)
-for b in table5 fig6c; do
+for b in table5 fig6c table3; do
     TCG_THREADS=4 TCG_RESULTS_DIR="$replay_dir" ./target/release/$b >/dev/null
     replay_equal "$b"
 done
@@ -217,8 +227,8 @@ rm -rf "$replay_dir"
 step "figure replay: regenerated figures, tables and ablations equal the committed files"
 # Every paper figure, table and ablation is simulated-clock output, so a
 # change that moves no simulated number must reproduce each file exactly,
-# with every launch's blocks in order (TCG_THREADS=1). table5 and fig6c
-# also replay with 4 workers in the parallel-execution step.
+# with every launch's blocks in order (TCG_THREADS=1). table5, fig6c and
+# table3 also replay with 4 workers in the parallel-execution step.
 replay_dir=$(mktemp -d)
 for b in fig6a fig6b fig6c fig7a fig7b fig7c table1 table2 table3 table5 \
     ablation_cyclesim ablation_device ablation_geometry ext_models; do

@@ -191,31 +191,31 @@ fn cmd_spmm(graph: &CsrGraph, dim: usize) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let kernels: Vec<(&str, Box<dyn SpmmKernel>)> = vec![
-        ("cusparse-csr", Box::new(CusparseCsrSpmm)),
-        ("ge-spmm", Box::new(GeSpmm)),
-        ("scatter (PyG)", Box::new(ScatterGatherSpmm)),
-        ("blocked-ell", Box::new(CondensedEllSpmm::new(graph))),
-        ("tsparse-like", Box::new(TsparseLikeSpmm::default())),
-        ("triton-like", Box::new(TritonBlockSparseSpmm)),
-        ("tc-gnn", Box::new(TcgnnSpmm::new(graph))),
+    let kernels: Vec<Box<dyn SpmmKernel>> = vec![
+        Box::new(CusparseCsrSpmm),
+        Box::new(GeSpmm),
+        Box::new(ScatterGatherSpmm),
+        Box::new(CondensedEllSpmm::new(graph)),
+        Box::new(TsparseLikeSpmm::default()),
+        Box::new(TritonBlockSparseSpmm),
+        Box::new(TcgnnSpmm::new(graph)),
     ];
     println!(
-        "{:16} {:>10} {:>18} {:>6} {:>7}",
+        "{:21} {:>10} {:>18} {:>6} {:>7}",
         "kernel", "sim ms", "bound by", "occ", "L1 hit"
     );
-    for (name, k) in kernels {
+    for k in kernels {
         let mut l = Launcher::new(DeviceSpec::rtx3090());
         match k.execute(&mut l, &prob) {
             Ok((_, r)) => println!(
-                "{:16} {:>10.4} {:>18} {:>5.0}% {:>6.0}%",
-                name,
+                "{:21} {:>10.4} {:>18} {:>5.0}% {:>6.0}%",
+                k.name(),
                 r.time_ms,
                 r.bound_by,
                 100.0 * r.occupancy,
                 100.0 * r.l1_hit_rate
             ),
-            Err(e) => println!("{name:16} failed: {e}"),
+            Err(e) => println!("{:21} failed: {e}", k.name()),
         }
     }
     ExitCode::SUCCESS
