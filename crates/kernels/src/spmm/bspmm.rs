@@ -10,7 +10,7 @@
 //! format's semantics) but contribute nothing to the output.
 //!
 //! Each program is one block row (raw) or row window (condensed) of the
-//! shared tiled body ([`super::tiling`]), padded to `ell_cols` slots.
+//! shared tiled body (`spmm::tiling`), padded to `ell_cols` slots.
 
 use tcg_gpusim::{KernelReport, Launcher};
 use tcg_sgt::TC_BLK_W;

@@ -10,7 +10,7 @@
 //! which is why the paper measures Triton behind even tSparse.
 //!
 //! Each program is one block row × output slab of the shared tiled body
-//! ([`super::tiling`]), which walks the block row's non-empty tiles.
+//! (`spmm::tiling`), which walks the block row's non-empty tiles.
 
 use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;

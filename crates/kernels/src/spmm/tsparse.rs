@@ -9,7 +9,7 @@
 //! carry a handful of non-zeros and the TCU tiles stay mostly empty.
 //!
 //! Each program is one block row of the shared tiled body
-//! ([`super::tiling`]), which walks the block row's non-empty tiles.
+//! (`spmm::tiling`), which walks the block row's non-empty tiles.
 
 use tcg_gpusim::{KernelReport, Launcher};
 use tcg_tensor::DenseMatrix;
