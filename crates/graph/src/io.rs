@@ -15,11 +15,17 @@ use std::path::Path;
 
 use crate::{CooGraph, CsrGraph, GraphError, NodeId, Result};
 
-/// Ceiling on the node count a text loader will materialize. A single
-/// corrupted id (one flipped high bit in `src dst`) would otherwise make
-/// `max id + 1` allocate hundreds of gigabytes before any structural
+/// Ceiling on the bytes of the node pointer (`n + 1` offsets) a text
+/// loader will allocate. A single corrupted id (one flipped high bit in
+/// `src dst`), or a size line that declares far more nodes than its
+/// entries use, would otherwise allocate gigabytes before any structural
 /// validation runs; past this bound the file is treated as malformed.
-const MAX_TEXT_NODES: usize = 1 << 28;
+const MAX_NODE_POINTER_BYTES: usize = 64 << 20;
+
+/// The node count whose node pointer fills [`MAX_NODE_POINTER_BYTES`]:
+/// 8,388,607 nodes with 8-byte offsets, against 410,236 for the largest
+/// registry dataset.
+const MAX_TEXT_NODES: usize = MAX_NODE_POINTER_BYTES / std::mem::size_of::<usize>() - 1;
 
 /// Saves a CSR graph as JSON.
 pub fn save_csr(graph: &CsrGraph, path: &Path) -> Result<()> {
@@ -355,6 +361,29 @@ mod tests {
         )
         .unwrap();
         assert!(load_matrix_market(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn edge_list_rejects_one_node_past_the_bound() {
+        let path = tmp("pastbound.txt");
+        std::fs::write(&path, format!("0 {MAX_TEXT_NODES}\n")).unwrap();
+        let err = load_edge_list(&path, false).unwrap_err();
+        assert!(matches!(err, GraphError::Io { .. }), "got {err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn matrix_market_rejects_one_node_past_the_bound() {
+        let path = tmp("pastbound.mtx");
+        let n = MAX_TEXT_NODES + 1;
+        std::fs::write(
+            &path,
+            format!("%%MatrixMarket matrix coordinate pattern general\n{n} {n} 1\n1 2\n"),
+        )
+        .unwrap();
+        let err = load_matrix_market(&path).unwrap_err();
+        assert!(matches!(err, GraphError::Io { .. }), "got {err:?}");
         std::fs::remove_file(&path).ok();
     }
 
