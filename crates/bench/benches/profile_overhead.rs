@@ -5,10 +5,11 @@
 //!    every launch. The disabled path is a single `Option` check per
 //!    launch — no allocation — so the two times should be statistically
 //!    indistinguishable at this scale.
-//! 2. **Hotspot timers** (`TCG_PROFILE=hotspot`): single-thread SpMM with
-//!    the in-loop host timers off vs on. The disabled path is one relaxed
-//!    atomic load per instrumented scope; the guard below *asserts* its
-//!    aggregate cost stays under 2% of the un-profiled run.
+//! 2. **Hotspot timers** (`tcgnn profile --hotspots`): single-thread SpMM
+//!    with the per-block host timers off vs on. The disabled path is one
+//!    relaxed atomic load per scope, two scopes per simulated block; the
+//!    guard below *asserts* its aggregate cost stays under 2% of the
+//!    un-profiled run.
 
 use std::time::Instant;
 
@@ -46,7 +47,7 @@ fn spmm_once(graph: &tcg_graph::CsrGraph, x: &tcg_tensor::DenseMatrix) -> u64 {
 /// Asserts the *disabled* hotspot path costs <2% of the un-profiled
 /// single-thread SpMM run.
 ///
-/// The timers are compiled into the hot loops unconditionally, so a pure
+/// The timers are compiled into every block unconditionally, so a pure
 /// with/without wall-clock A/B does not exist at runtime. Instead the
 /// guard bounds the disabled cost from its parts: (scopes the workload
 /// actually enters, counted from one enabled run) x (measured per-call
@@ -75,7 +76,7 @@ fn assert_disabled_hotspot_overhead() {
     const CALLS: u64 = 1_000_000;
     let start = Instant::now();
     for _ in 0..CALLS {
-        let guard = std::hint::black_box(hotspot::scope(HotPhase::CacheProbe));
+        let guard = std::hint::black_box(hotspot::scope(HotPhase::BlockBody, 0));
         drop(guard);
     }
     let per_call_ns = start.elapsed().as_nanos() as f64 / CALLS as f64;

@@ -278,14 +278,11 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
 }
 
 /// A fresh [`SharedProfiler`] labeled for `backend` at the level requested
-/// via `TCG_PROFILE` (`Off` → `None`; `metrics` → aggregates only;
-/// `hotspot` additionally arms the gpusim host-side wall-clock timers).
+/// via `TCG_PROFILE` (`Off` → `None`; `metrics` → aggregates only). It
+/// never arms the host hotspot timers: `tcgnn profile --hotspots` and
+/// `tcgnn serve` do, and write their report.
 pub fn maybe_profiler(backend: Backend) -> Option<SharedProfiler> {
-    let level = ProfileLevel::from_env();
-    if level.hotspots() {
-        tcg_gpusim::hotspot::set_enabled(true);
-    }
-    level
+    ProfileLevel::from_env()
         .profiler(backend.name())
         .map(|p| std::sync::Arc::new(std::sync::RwLock::new(p)))
 }

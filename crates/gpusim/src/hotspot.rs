@@ -1,13 +1,15 @@
-//! Host-side hotspot profiler: where does *wall-clock* time go inside the
-//! simulator's interpreter loop?
+//! Host-side hotspot profiler: where does *wall-clock* time go while the
+//! simulator runs its blocks?
 //!
 //! Everything else in this repo accounts **simulated** GPU milliseconds;
-//! this module accounts the **host** nanoseconds spent producing them —
-//! the measurement substrate for the "make the hot loop 5x faster"
-//! roadmap item and for the hybrid TCU/CUDA-core dispatcher, which needs
-//! per-row-window cost telemetry to learn its decision threshold.
+//! this module accounts the **host** nanoseconds spent producing them.
+//! It times the two phases every simulated block has (DESIGN §11): the
+//! body against the block's private L1 ([`HotPhase::BlockBody`]) and the
+//! replay of its L1 misses through the shared L2 ([`HotPhase::L2Replay`]).
+//! A block's scopes are coarse enough that the timer's own cost is small
+//! beside what they measure.
 //!
-//! Design constraints (this code sits *inside* the loops it measures):
+//! Design constraints:
 //!
 //! - **Single branch when disabled.** [`scope`] reads one relaxed atomic;
 //!   when off it returns a guard holding `None` and the `Drop` does
@@ -16,12 +18,11 @@
 //!   thread-local sheet; sheets drain into a global accumulator only when
 //!   a pool worker finishes its share of a launch ([`flush_thread`]) or
 //!   when [`take_report`] flushes the calling thread.
-//! - **Reconciliation by construction.** Every scope's elapsed
-//!   nanoseconds are added to its phase total *and* to the current
-//!   row-window accumulator in the same thread-local sheet, so
+//! - **Reconciliation by construction.** Every scope names its block id
+//!   and adds its elapsed nanoseconds to its phase total *and* to that
+//!   block's accumulator in the same thread-local sheet, so
 //!   `Σ per-phase ns == Σ per-window ns` exactly — the host-side mirror
-//!   of PR 1's cost↔trace invariant. Time measured outside any window
-//!   lands in the [`OUTSIDE_WINDOW`] bucket so the sums still balance.
+//!   of the cost↔trace invariant.
 //!
 //! The accumulator is process-global (like the simulator's `TCG_THREADS`
 //! handling): enable, run the workload, then [`take_report`] drains
@@ -33,35 +34,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Window id used for time recorded while no row window is open.
-pub const OUTSIDE_WINDOW: u64 = u64::MAX;
-
-/// The interpreter phases worth timing — the candidates for the 5x PR.
+/// The two phases of a simulated block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HotPhase {
-    /// Sector sort/dedup in warp-wide loads, stores, and atomics.
-    Coalesce = 0,
-    /// L1 probe loops (per-sector cache walks) of a block's body.
-    CacheProbe = 1,
-    /// The L2 probes: every launch's replay of each block's L1-miss log
-    /// through the shared L2, in block order, in-order launches included.
-    L2Replay = 2,
+    /// Phase 1: the block's body against its private L1, flushed first.
+    BlockBody = 0,
+    /// Phase 2: the replay of the block's L1-miss log through the shared
+    /// L2 when it retires, in block order, in-order launches included.
+    L2Replay = 1,
 }
 
 impl HotPhase {
     /// Number of phases (array extent for per-phase accumulators).
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// All phases, in enum order.
     pub fn all() -> [HotPhase; HotPhase::COUNT] {
-        [HotPhase::Coalesce, HotPhase::CacheProbe, HotPhase::L2Replay]
+        [HotPhase::BlockBody, HotPhase::L2Replay]
     }
 
     /// Stable snake_case label (used in collapsed stacks and tables).
     pub fn label(self) -> &'static str {
         match self {
-            HotPhase::Coalesce => "coalesce",
-            HotPhase::CacheProbe => "cache_probe",
+            HotPhase::BlockBody => "block_body",
             HotPhase::L2Replay => "l2_replay",
         }
     }
@@ -95,24 +90,22 @@ pub fn scope_cost_ns() -> f64 {
     f64::from_bits(SCOPE_COST_NS.load(Ordering::Relaxed))
 }
 
-/// Times a run of empty scopes on the calling thread, then restores the
-/// thread's sheet so the calibration leaves no samples behind.
+/// Times a run of empty scopes on the calling thread against an empty
+/// sheet, then swaps the thread's own sheet back in and drops the
+/// calibration's samples.
 fn calibrate_scope_ns() -> f64 {
     const ROUNDS: u32 = 20_000;
-    let saved = SHEET.with(|s| {
-        let s = s.borrow();
-        (s.phases, s.window_ns)
-    });
+    let saved = SHEET.replace(Sheet::new());
     let start = Instant::now();
     for _ in 0..ROUNDS {
-        let guard = scope(HotPhase::Coalesce);
+        let guard = scope(HotPhase::BlockBody, 0);
         std::hint::black_box(&guard);
     }
     let mean = start.elapsed().as_nanos() as f64 / f64::from(ROUNDS);
-    SHEET.with(|s| {
-        let mut s = s.borrow_mut();
-        (s.phases, s.window_ns) = saved;
-    });
+    // Empty the calibration's sheet so that dropping it flushes nothing.
+    let mut samples = SHEET.replace(saved);
+    samples.phases = WorkerPhases::default();
+    samples.windows.clear();
     mean
 }
 
@@ -123,29 +116,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-row-window attribution: what the hybrid dispatcher trains on.
+/// Per-block attribution, keyed by block id (a row window for the SGT
+/// kernels), summed over every launch.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WindowAcc {
-    /// Host nanoseconds spent in instrumented scopes for this window.
+    /// Host nanoseconds spent in this block's scopes.
     pub host_ns: u64,
-    /// Simulated nanoseconds the cost model charged this window's block.
+    /// Simulated nanoseconds the cost model charged this block.
     pub sim_ns: f64,
-    /// Non-zeros the window's TC blocks cover.
-    pub nnz: u64,
-    /// Distinct source columns after SGT condensation.
-    pub distinct_cols: u64,
-}
-
-impl WindowAcc {
-    fn merge(&mut self, other: &WindowAcc) {
-        self.host_ns += other.host_ns;
-        self.sim_ns += other.sim_ns;
-        // Shape facts, not accumulators: the same window can be visited by
-        // a worker (host time) and the main thread (sim replay) — take the
-        // max so double annotation never double-counts.
-        self.nnz = self.nnz.max(other.nnz);
-        self.distinct_cols = self.distinct_cols.max(other.distinct_cols);
-    }
 }
 
 /// One worker's per-phase totals.
@@ -160,8 +138,6 @@ pub struct WorkerPhases {
 struct Sheet {
     worker: u64,
     phases: WorkerPhases,
-    window: u64,
-    window_ns: u64,
     windows: BTreeMap<u64, WindowAcc>,
 }
 
@@ -173,25 +149,13 @@ impl Sheet {
                 phase_ns: [0; HotPhase::COUNT],
                 phase_hits: [0; HotPhase::COUNT],
             },
-            window: OUTSIDE_WINDOW,
-            window_ns: 0,
             windows: BTreeMap::new(),
-        }
-    }
-
-    /// Moves pending `window_ns` into the windows map (entry for the
-    /// currently open window).
-    fn settle_window(&mut self) {
-        if self.window_ns > 0 {
-            self.windows.entry(self.window).or_default().host_ns += self.window_ns;
-            self.window_ns = 0;
         }
     }
 
     /// Drains everything into the global accumulator, leaving the sheet
     /// empty (safe to call again from the TLS destructor).
     fn flush(&mut self) {
-        self.settle_window();
         let has_phases = self.phases.phase_hits.iter().any(|&h| h > 0);
         if !has_phases && self.windows.is_empty() {
             return;
@@ -206,7 +170,9 @@ impl Sheet {
             self.phases = WorkerPhases::default();
         }
         for (id, acc) in std::mem::take(&mut self.windows) {
-            global.windows.entry(id).or_default().merge(&acc);
+            let sum = global.windows.entry(id).or_default();
+            sum.host_ns += acc.host_ns;
+            sum.sim_ns += acc.sim_ns;
         }
     }
 }
@@ -240,15 +206,17 @@ fn lock_global() -> std::sync::MutexGuard<'static, GlobalAccum> {
 #[must_use = "a dropped-immediately scope measures nothing"]
 pub struct HotScope {
     phase: HotPhase,
+    block_id: u64,
     start: Option<Instant>,
 }
 
-/// Opens a timing scope for `phase`. When hotspot profiling is disabled
-/// this is one atomic load and a `None`.
+/// Opens a timing scope for `phase` of block `block_id`. When hotspot
+/// profiling is disabled this is one atomic load and a `None`.
 #[inline(always)]
-pub fn scope(phase: HotPhase) -> HotScope {
+pub fn scope(phase: HotPhase, block_id: u64) -> HotScope {
     HotScope {
         phase,
+        block_id,
         start: if enabled() {
             Some(Instant::now())
         } else {
@@ -265,7 +233,7 @@ impl Drop for HotScope {
                 let mut s = s.borrow_mut();
                 s.phases.phase_ns[self.phase.idx()] += ns;
                 s.phases.phase_hits[self.phase.idx()] += 1;
-                s.window_ns += ns;
+                s.windows.entry(self.block_id).or_default().host_ns += ns;
             });
         }
     }
@@ -280,54 +248,13 @@ pub fn set_worker(id: u64) {
     SHEET.with(|s| s.borrow_mut().worker = id);
 }
 
-/// Opens row window `id`: subsequent scope time on this thread is
-/// attributed to it until [`end_window`] or the next `begin_window`.
-pub fn begin_window(id: u64) {
+/// Adds the cost model's simulated nanoseconds for block `block_id`.
+pub fn add_block_sim_ns(block_id: u64, sim_ns: f64) {
     if !enabled() {
         return;
     }
     SHEET.with(|s| {
-        let mut s = s.borrow_mut();
-        s.settle_window();
-        s.window = id;
-    });
-}
-
-/// Closes the current row window; time falls back to [`OUTSIDE_WINDOW`].
-pub fn end_window() {
-    if !enabled() {
-        return;
-    }
-    SHEET.with(|s| {
-        let mut s = s.borrow_mut();
-        s.settle_window();
-        s.window = OUTSIDE_WINDOW;
-    });
-}
-
-/// Records the current window's shape (nnz covered, distinct SGT columns).
-pub fn annotate_window(nnz: u64, distinct_cols: u64) {
-    if !enabled() {
-        return;
-    }
-    SHEET.with(|s| {
-        let mut s = s.borrow_mut();
-        let id = s.window;
-        let acc = s.windows.entry(id).or_default();
-        acc.nnz = acc.nnz.max(nnz);
-        acc.distinct_cols = acc.distinct_cols.max(distinct_cols);
-    });
-}
-
-/// Adds the cost model's simulated nanoseconds for the current window.
-pub fn add_window_sim_ns(sim_ns: f64) {
-    if !enabled() {
-        return;
-    }
-    SHEET.with(|s| {
-        let mut s = s.borrow_mut();
-        let id = s.window;
-        s.windows.entry(id).or_default().sim_ns += sim_ns;
+        s.borrow_mut().windows.entry(block_id).or_default().sim_ns += sim_ns;
     });
 }
 
@@ -336,7 +263,7 @@ pub fn add_window_sim_ns(sim_ns: f64) {
 pub struct HotspotReport {
     /// Per-worker per-phase host time (worker 0 = main thread).
     pub workers: BTreeMap<u64, WorkerPhases>,
-    /// Per-row-window attribution ([`OUTSIDE_WINDOW`] = unattributed).
+    /// Per-block attribution, keyed by block id.
     pub windows: BTreeMap<u64, WindowAcc>,
     /// Mean host cost of one empty scope ([`scope_cost_ns`]) when the
     /// report was taken; 0 when uncalibrated.
@@ -352,7 +279,7 @@ impl HotspotReport {
             .sum()
     }
 
-    /// `Σ` host ns over every window (incl. [`OUTSIDE_WINDOW`]).
+    /// `Σ` host ns over every window.
     pub fn total_window_ns(&self) -> u64 {
         self.windows.values().map(|w| w.host_ns).sum()
     }
@@ -418,48 +345,40 @@ mod tests {
     use super::*;
 
     /// One self-contained test: the global accumulator is process-wide, so
-    /// enable→record→drain must happen inside a single test body.
+    /// enable→record→drain must happen inside a single test body. Block ids
+    /// no launch in this binary uses keep concurrent tests' samples apart.
     #[test]
-    fn scopes_reconcile_with_windows_and_disabled_path_records_nothing() {
+    fn scopes_reconcile_with_blocks_and_disabled_path_records_nothing() {
         let _lock = test_lock();
         // Disabled: scopes are inert.
         set_enabled(false);
         {
-            let _s = scope(HotPhase::Coalesce);
+            let _s = scope(HotPhase::BlockBody, 7_000_001);
         }
-        begin_window(1);
-        annotate_window(9, 9);
-        end_window();
+        add_block_sim_ns(7_000_001, 9.0);
 
         set_enabled(true);
         let _ = take_report(); // drop anything a concurrent test left behind
         assert!(scope_cost_ns() > 0.0, "enabling calibrates the timer");
         set_worker(3);
-        begin_window(7);
         {
-            let _s = scope(HotPhase::L2Replay);
+            let _s = scope(HotPhase::L2Replay, 7_000_007);
             std::hint::black_box(0u64);
         }
-        annotate_window(42, 5);
-        add_window_sim_ns(1500.0);
-        end_window();
+        add_block_sim_ns(7_000_007, 1500.0);
         {
-            let _s = scope(HotPhase::CacheProbe); // outside any window
+            let _s = scope(HotPhase::BlockBody, 7_000_008);
         }
         let report = take_report();
+        set_worker(0);
         set_enabled(false);
 
         // The invariant the `tcgnn profile --hotspots` table prints.
         assert_eq!(report.total_phase_ns(), report.total_window_ns());
-        let w7 = report.windows.get(&7).expect("window 7 recorded");
-        assert_eq!((w7.nnz, w7.distinct_cols), (42, 5));
-        assert_eq!(w7.sim_ns, 1500.0);
+        assert!(!report.windows.contains_key(&7_000_001));
+        assert_eq!(report.windows[&7_000_007].sim_ns, 1500.0);
+        assert!(report.windows.contains_key(&7_000_008));
         let worker = report.workers.get(&3).expect("worker 3 recorded");
-        assert_eq!(worker.phase_hits[HotPhase::L2Replay as usize], 1);
-        assert_eq!(worker.phase_hits[HotPhase::CacheProbe as usize], 1);
-        assert!(report.windows.contains_key(&OUTSIDE_WINDOW));
-
-        // Drained: a second take is empty (modulo concurrent tests).
-        // (Not asserted — other tests in this binary may be recording.)
+        assert_eq!(worker.phase_hits, [1, 1]);
     }
 }

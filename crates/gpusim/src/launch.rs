@@ -199,7 +199,6 @@ impl<'a> BlockCtx<'a> {
     /// Fills the scratch buffer with the sorted, deduplicated sector bases
     /// of `addrs` (the general coalescer, without allocating).
     fn coalesce_into_scratch(&mut self, addrs: &[u64]) {
-        let _t = hotspot::scope(HotPhase::Coalesce);
         let scratch = &mut self.mem.scratch;
         scratch.clear();
         scratch.extend(addrs.iter().map(|a| (a / SECTOR_BYTES) * SECTOR_BYTES));
@@ -218,7 +217,6 @@ impl<'a> BlockCtx<'a> {
             scratch,
         } = &mut *self.mem;
         self.stats.gl_load_transactions += scratch.len() as u64;
-        let _t = hotspot::scope(HotPhase::CacheProbe);
         probe_l1(l1, l2_log, self.stats, scratch.iter().copied());
     }
 
@@ -235,7 +233,6 @@ impl<'a> BlockCtx<'a> {
         self.stats.int_ops += count as u64;
         let sectors = sector_span(base, count, elem_bytes);
         self.stats.gl_load_transactions += sectors.len() as u64;
-        let _t = hotspot::scope(HotPhase::CacheProbe);
         self.probe(sectors);
     }
 
@@ -259,7 +256,6 @@ impl<'a> BlockCtx<'a> {
         let total = bases.len() * elems_per_row;
         self.stats.warp_instructions += (total as u64).div_ceil(32);
         self.stats.int_ops += total as u64;
-        let _t = hotspot::scope(HotPhase::CacheProbe);
         let spans = bases
             .iter()
             .map(|&base| sector_span(base, elems_per_row, elem_bytes));
@@ -294,7 +290,6 @@ impl<'a> BlockCtx<'a> {
         self.stats.int_ops += 1;
         self.stats.gl_load_transactions += 1;
         let sector = (addr / SECTOR_BYTES) * SECTOR_BYTES;
-        let _t = hotspot::scope(HotPhase::CacheProbe);
         self.probe(std::iter::once(sector));
     }
 
@@ -326,7 +321,6 @@ impl<'a> BlockCtx<'a> {
     pub fn atomic_add_global(&mut self, addrs: &[u64]) {
         self.stats.int_ops += addrs.len() as u64;
         self.stats.atomic_ops += addrs.len() as u64;
-        let _t = hotspot::scope(HotPhase::Coalesce);
         // Lanes hitting the same address replay serially.
         let scratch = &mut self.mem.scratch;
         scratch.clear();
@@ -870,7 +864,8 @@ fn launch_stats(cfg: GridConfig, num_blocks: u64) -> KernelStats {
 
 /// Phase 1 of block `block_id`: runs `body` against `mem`'s L1, flushed
 /// first, and leaves the block's L1-miss sectors in `mem.l2_log`. Returns
-/// the block's counters, complete but for its L2 ones.
+/// the block's counters, complete but for its L2 ones. The hotspot
+/// profiler times the whole phase as the block's `block_body`.
 fn run_block(
     device: &DeviceSpec,
     config: GridConfig,
@@ -879,10 +874,10 @@ fn run_block(
     ecc_armed: &mut bool,
     body: impl FnOnce(&mut BlockCtx<'_>),
 ) -> KernelStats {
+    let _t = hotspot::scope(HotPhase::BlockBody, block_id);
     mem.l1.flush();
     mem.l2_log.clear();
     let mut stats = launch_stats(config, 1);
-    hotspot::begin_window(block_id);
     body(&mut BlockCtx {
         device,
         block_id,
@@ -891,14 +886,14 @@ fn run_block(
         mem,
         ecc_armed,
     });
-    hotspot::end_window();
     stats
 }
 
 /// Phase 2 of block `block_id`: replays its L1-miss log through the shared
-/// `l2`, which completes its counters, attributes its simulated time to its
-/// hotspot window, and folds it into `total`. Blocks retire in launch
-/// order, so the L2 sees the probe order of one block after another.
+/// `l2`, which completes its counters, attributes its simulated time to the
+/// block in the hotspot profiler, and folds it into `total`. Blocks retire
+/// in launch order, so the L2 sees the probe order of one block after
+/// another.
 fn retire_block(
     device: &DeviceSpec,
     l2: &mut Cache,
@@ -907,9 +902,8 @@ fn retire_block(
     l2_log: &[u64],
     total: &mut KernelStats,
 ) {
-    hotspot::begin_window(block_id);
     {
-        let _t = hotspot::scope(HotPhase::L2Replay);
+        let _t = hotspot::scope(HotPhase::L2Replay, block_id);
         for &sector in l2_log {
             if l2.access(sector) == Probe::Hit {
                 stats.l2_hits += 1;
@@ -920,9 +914,8 @@ fn retire_block(
         }
     }
     if hotspot::enabled() {
-        hotspot::add_window_sim_ns(cost::analyze(device, &stats).time_ms * 1e6);
+        hotspot::add_block_sim_ns(block_id, cost::analyze(device, &stats).time_ms * 1e6);
     }
-    hotspot::end_window();
     total.merge(&stats);
 }
 
@@ -1252,7 +1245,6 @@ mod tests {
             let buf = l.try_alloc_f32(1 << 14).unwrap();
             let body = |ctx: &mut BlockCtx<'_>| {
                 let b = ((ctx.block_id - 90_000) / 7) as usize;
-                hotspot::annotate_window(b as u64 * 3 + 1, 1);
                 ctx.ld_global_contiguous(buf.f32_addr(b * 256), 512, 4);
                 ctx.ld_global_contiguous(buf.base(), 64, 4);
                 ctx.fma_warps(b as u64 + 1);
@@ -1267,22 +1259,21 @@ mod tests {
             hotspot::set_enabled(false);
             report
         };
-        let windows = |r: &hotspot::HotspotReport| -> Vec<(u64, u64, u64)> {
+        let windows = |r: &hotspot::HotspotReport| -> Vec<(u64, u64)> {
             ids.iter()
                 .map(|&id| {
                     let w = r.windows.get(&u64::from(id)).copied().unwrap_or_default();
-                    (u64::from(id), w.sim_ns.to_bits(), w.nnz)
+                    (u64::from(id), w.sim_ns.to_bits())
                 })
                 .collect()
         };
         let in_order = run(1);
         assert_eq!(in_order.total_phase_ns(), in_order.total_window_ns());
         let main = in_order.workers.get(&77).expect("blocks ran on the caller");
-        let hits = |p: HotPhase| main.phase_hits[p.idx()];
-        assert!(hits(HotPhase::CacheProbe) > 0);
-        assert_eq!(hits(HotPhase::L2Replay), ids.len() as u64);
+        // One scope per phase per block.
+        assert_eq!(main.phase_hits, [ids.len() as u64; HotPhase::COUNT]);
         let in_order = windows(&in_order);
-        assert!(in_order.iter().all(|&(_, sim, nnz)| sim > 0 && nnz > 0));
+        assert!(in_order.iter().all(|&(_, sim)| f64::from_bits(sim) > 0.0));
         assert_eq!(windows(&run(4)), in_order);
     }
 

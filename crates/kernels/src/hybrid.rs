@@ -112,8 +112,8 @@ pub struct WindowGeometry {
     /// Non-zeros (CSR edges) owned by the window's rows.
     pub nnz: usize,
     /// Distinct condensed columns (unique neighbors) after SGT.
-    pub distinct_cols: usize,
-    /// TC blocks the window condenses to (`ceil(distinct_cols / 8)`).
+    pub unique_cols: usize,
+    /// TC blocks the window condenses to (`ceil(unique_cols / 8)`).
     pub tc_blocks: usize,
 }
 
@@ -126,7 +126,7 @@ impl WindowGeometry {
         WindowGeometry {
             rows: row_hi - row_lo,
             nnz: e_hi - e_lo,
-            distinct_cols: t.win_unique[w] as usize,
+            unique_cols: t.win_unique[w] as usize,
             tc_blocks: t.win_partition[w] as usize,
         }
     }
@@ -316,10 +316,10 @@ fn tcu_spmm_stats(geom: &WindowGeometry, dim: usize) -> KernelStats {
     let warps = slabs.clamp(4, 8);
     let smem = TC_BLK_H * TC_BLK_W * 4 + TC_BLK_W * 4 + warps * TC_BLK_W * WMMA_N * 4;
     let mma = (geom.tc_blocks * slabs) as u64;
-    let gathers = geom.distinct_cols as u64 * slabs as u64 * row_sectors(dim.min(WMMA_N));
+    let gathers = geom.unique_cols as u64 * slabs as u64 * row_sectors(dim.min(WMMA_N));
     // Packed coords (1 B/nnz), AToX lists, per-block ptr scalars.
     let aux = (geom.nnz as u64).div_ceil(32)
-        + (geom.distinct_cols as u64).div_ceil(8)
+        + (geom.unique_cols as u64).div_ceil(8)
         + geom.tc_blocks as u64
         + 2;
     let loads = gathers + aux;
@@ -386,10 +386,10 @@ fn tcu_sddmm_stats(geom: &WindowGeometry, dim: usize) -> KernelStats {
     let kslabs = dim.div_ceil(WMMA_K) as u64;
     let mma = sddmm_blocks * kslabs;
     let x_gathers = geom.rows as u64 * sddmm_blocks * kslabs * row_sectors(dim.min(WMMA_K));
-    let y_gathers = geom.distinct_cols as u64 * kslabs * row_sectors(dim.min(WMMA_K));
+    let y_gathers = geom.unique_cols as u64 * kslabs * row_sectors(dim.min(WMMA_K));
     let aux = (geom.nnz as u64).div_ceil(32)
         + (geom.nnz as u64).div_ceil(8)
-        + (geom.distinct_cols as u64).div_ceil(8)
+        + (geom.unique_cols as u64).div_ceil(8)
         + 2;
     let loads = x_gathers + y_gathers + aux;
     let stores = (geom.nnz as u64).div_ceil(8).max(1);
@@ -618,7 +618,7 @@ mod tests {
             t.total_tc_blocks()
         );
         for g in &gs {
-            assert_eq!(g.tc_blocks, g.distinct_cols.div_ceil(TC_BLK_W));
+            assert_eq!(g.tc_blocks, g.unique_cols.div_ceil(TC_BLK_W));
             let occ = g.occupancy();
             assert!((0.0..=1.0 + 1e-9).contains(&occ), "occupancy {occ}");
         }
@@ -645,7 +645,7 @@ mod tests {
         let geom = WindowGeometry {
             rows: 16,
             nnz: 0,
-            distinct_cols: 0,
+            unique_cols: 0,
             tc_blocks: 0,
         };
         assert_eq!(
@@ -666,7 +666,7 @@ mod tests {
         let dense = WindowGeometry {
             rows: 16,
             nnz: 128,
-            distinct_cols: 8,
+            unique_cols: 8,
             tc_blocks: 1,
         };
         let dev = DeviceSpec::rtx3090();
@@ -688,13 +688,13 @@ mod tests {
         let sparse = WindowGeometry {
             rows: 16,
             nnz: 16,
-            distinct_cols: 16,
+            unique_cols: 16,
             tc_blocks: 2,
         };
         let dense = WindowGeometry {
             rows: 16,
             nnz: 128,
-            distinct_cols: 8,
+            unique_cols: 8,
             tc_blocks: 1,
         };
         assert!(score(&dense, 32, KernelClass::Sddmm) < score(&sparse, 32, KernelClass::Sddmm));

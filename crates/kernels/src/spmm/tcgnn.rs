@@ -22,7 +22,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use tcg_gpusim::hotspot;
 use tcg_gpusim::launch::Buffer;
 use tcg_gpusim::wmma::{
     mma_sync, FRAG_ACC_TRANSACTIONS, FRAG_A_SMEM_TRANSACTIONS, FRAG_B_SMEM_TRANSACTIONS, WMMA_K,
@@ -145,10 +144,6 @@ impl TcuWindow<'_> {
         let mut row_bases: Vec<u64> = Vec::with_capacity(TC_BLK_W);
         let mut slab_bases: Vec<u64> = Vec::with_capacity(TC_BLK_H);
         let mut addr_scratch: Vec<u64> = Vec::with_capacity(64);
-        // Per-row-window telemetry for the hotspot profiler (free when
-        // disabled: two integer adds per TC block, one gated call).
-        let mut win_nnz = 0u64;
-        let mut win_cols = 0u64;
 
         for i in 0..num_tc_blocks {
             // --- CUDA-core staging phase (Alg. 2's GetChunk + the
@@ -184,7 +179,6 @@ impl TcuWindow<'_> {
             // The A operand is the same for every dim slab: staged once
             // per TC block (each warp's load is still charged).
             let nnz_blk = chunk as u64;
-            win_nnz += nnz_blk;
             // Shared-memory writes: zero-init + nnz scatter + index row.
             ctx.shared_access(((TC_BLK_H * TC_BLK_W) as u64).div_ceil(32));
             ctx.shared_access(nnz_blk.div_ceil(32).max(1));
@@ -198,7 +192,6 @@ impl TcuWindow<'_> {
                     .filter(|&&u| u != u32::MAX)
                     .map(|&u| self.buf_x.f32_addr(u as usize * d)),
             );
-            win_cols += row_bases.len() as u64;
 
             for s in 0..slabs {
                 let dim0 = s * WMMA_N;
@@ -226,7 +219,6 @@ impl TcuWindow<'_> {
             ctx.st_global_gather_rows(&slab_bases, width, 4);
             ctx.shared_access(FRAG_ACC_TRANSACTIONS);
         }
-        hotspot::annotate_window(win_nnz, win_cols);
     }
 }
 

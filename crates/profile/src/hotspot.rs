@@ -2,28 +2,26 @@
 //! [`tcg_gpusim::hotspot`].
 //!
 //! The gpusim layer measures where *host* wall-clock time goes while the
-//! simulator runs — coalescing analysis, L1 probes, the L2 replay —
-//! attributed both per phase and per SGT row window.
-//! This module renders a [`HotspotReport`] as
+//! simulator runs its blocks — each block's body and its L2 replay —
+//! attributed both per phase and per block id (a row window for the SGT
+//! kernels). This module renders a [`HotspotReport`] as
 //!
 //! - a flamegraph-ready collapsed-stack file (`inferno` / `flamegraph.pl`
 //!   folded format: `frame;frame;frame count`, count in nanoseconds),
 //! - a ranked per-phase hotspot table with a reconciliation line proving
 //!   that per-phase totals equal per-window totals, and
-//! - a per-row-window attribution CSV (window id, nnz, distinct columns,
-//!   host ns, simulated ns) for offline correlation of host cost against
-//!   simulated kernel cost.
+//! - a per-window attribution CSV (window id, host ns, simulated ns) for
+//!   offline correlation of host cost against simulated kernel cost.
 //!
 //! Reconciliation holds *by construction*: every timed scope adds its
-//! elapsed nanoseconds to its phase total and to the current window's
-//! accumulator in the same thread-local sheet, so the two sums are equal
-//! exactly (integer nanoseconds, no float drift). Time measured outside
-//! any row window lands in the `outside-windows` bucket.
+//! elapsed nanoseconds to its phase total and to its block's accumulator
+//! in the same thread-local sheet, so the two sums are equal exactly
+//! (integer nanoseconds, no float drift).
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use tcg_gpusim::hotspot::{HotPhase, HotspotReport, OUTSIDE_WINDOW};
+use tcg_gpusim::hotspot::{HotPhase, HotspotReport};
 
 /// Renders the report in the collapsed-stack ("folded") format consumed
 /// by `flamegraph.pl` and <https://www.speedscope.app>: one line per
@@ -81,11 +79,7 @@ pub fn hotspot_table(report: &HotspotReport) -> String {
         "Host hotspots — {} across {} worker(s), {} row window(s)\n",
         fmt_ns(phase_total),
         report.workers.len(),
-        report
-            .windows
-            .keys()
-            .filter(|w| **w != OUTSIDE_WINDOW)
-            .count(),
+        report.windows.len(),
     ));
     // Each hit pays one scope's own timer cost; a phase whose per-hit time
     // is within a few scope costs mostly measures the timer.
@@ -127,35 +121,21 @@ pub fn hotspot_table(report: &HotspotReport) -> String {
     }
     // Hottest row windows: where the host actually spent its time, next to
     // what the cost model says the GPU would have spent there.
-    let mut hot: Vec<(&u64, &tcg_gpusim::WindowAcc)> = report
-        .windows
-        .iter()
-        .filter(|(id, _)| **id != OUTSIDE_WINDOW)
-        .collect();
+    let mut hot: Vec<(&u64, &tcg_gpusim::WindowAcc)> = report.windows.iter().collect();
     hot.sort_by(|a, b| b.1.host_ns.cmp(&a.1.host_ns).then(a.0.cmp(b.0)));
     if !hot.is_empty() {
         out.push_str(&format!(
             "\ntop row windows by host time (of {}):\n",
             hot.len()
         ));
-        out.push_str(&format!(
-            "{:<10}{:>12}{:>12}{:>10}{:>14}\n",
-            "window", "host", "sim", "nnz", "distinct_cols"
-        ));
+        out.push_str(&format!("{:<10}{:>12}{:>12}\n", "window", "host", "sim"));
         for (id, acc) in hot.iter().take(10) {
             out.push_str(&format!(
-                "{:<10}{:>12}{:>12}{:>10}{:>14}\n",
+                "{:<10}{:>12}{:>12}\n",
                 id,
                 fmt_ns(acc.host_ns),
                 fmt_ns(acc.sim_ns as u64),
-                acc.nnz,
-                acc.distinct_cols,
             ));
-        }
-    }
-    if let Some(outside) = report.windows.get(&OUTSIDE_WINDOW) {
-        if outside.host_ns > 0 {
-            out.push_str(&format!("outside-windows: {}\n", fmt_ns(outside.host_ns)));
         }
     }
     let verdict = if phase_total == window_total {
@@ -169,21 +149,11 @@ pub fn hotspot_table(report: &HotspotReport) -> String {
     out
 }
 
-/// Renders the per-row-window attribution as CSV:
-/// `window,nnz,distinct_cols,host_ns,sim_ns` (the `outside` row collects
-/// time not attributable to any window).
+/// Renders the per-window attribution as CSV: `window,host_ns,sim_ns`.
 pub fn windows_csv(report: &HotspotReport) -> String {
-    let mut out = String::from("window,nnz,distinct_cols,host_ns,sim_ns\n");
+    let mut out = String::from("window,host_ns,sim_ns\n");
     for (id, acc) in &report.windows {
-        let label = if *id == OUTSIDE_WINDOW {
-            "outside".to_string()
-        } else {
-            id.to_string()
-        };
-        out.push_str(&format!(
-            "{label},{},{},{},{:.0}\n",
-            acc.nnz, acc.distinct_cols, acc.host_ns, acc.sim_ns
-        ));
+        out.push_str(&format!("{id},{},{:.0}\n", acc.host_ns, acc.sim_ns));
     }
     out
 }
@@ -226,43 +196,30 @@ mod tests {
     fn sample_report() -> HotspotReport {
         let mut report = HotspotReport::default();
         let mut main = WorkerPhases::default();
-        main.phase_ns[HotPhase::CacheProbe.idx()] = 60_000;
-        main.phase_hits[HotPhase::CacheProbe.idx()] = 30;
+        main.phase_ns[HotPhase::BlockBody.idx()] = 60_000;
+        main.phase_hits[HotPhase::BlockBody.idx()] = 30;
         main.phase_ns[HotPhase::L2Replay.idx()] = 1_500_000;
         main.phase_hits[HotPhase::L2Replay.idx()] = 50;
         report.workers.insert(0, main);
         let mut w1 = WorkerPhases::default();
-        w1.phase_ns[HotPhase::Coalesce.idx()] = 440_000;
-        w1.phase_hits[HotPhase::Coalesce.idx()] = 11;
+        w1.phase_ns[HotPhase::BlockBody.idx()] = 440_000;
+        w1.phase_hits[HotPhase::BlockBody.idx()] = 11;
         report.workers.insert(1, w1);
         report.windows.insert(
             3,
             WindowAcc {
                 host_ns: 1_700_000,
                 sim_ns: 2_000_000.0,
-                nnz: 128,
-                distinct_cols: 17,
             },
         );
         report.windows.insert(
             5,
             WindowAcc {
-                host_ns: 250_000,
+                host_ns: 300_000,
                 sim_ns: 90_000.0,
-                nnz: 12,
-                distinct_cols: 4,
             },
         );
-        report.windows.insert(
-            OUTSIDE_WINDOW,
-            WindowAcc {
-                host_ns: 50_000,
-                sim_ns: 0.0,
-                nnz: 0,
-                distinct_cols: 0,
-            },
-        );
-        report.scope_cost_ns = 1000.0;
+        report.scope_cost_ns = 5000.0;
         report
     }
 
@@ -272,8 +229,8 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines.contains(&"tcgnn;main;l2_replay 1500000"));
-        assert!(lines.contains(&"tcgnn;main;cache_probe 60000"));
-        assert!(lines.contains(&"tcgnn;worker-1;coalesce 440000"));
+        assert!(lines.contains(&"tcgnn;main;block_body 60000"));
+        assert!(lines.contains(&"tcgnn;worker-1;block_body 440000"));
         for line in lines {
             let (stack, count) = line.rsplit_once(' ').unwrap();
             assert_eq!(stack.split(';').count(), 3);
@@ -287,24 +244,21 @@ mod tests {
         let table = hotspot_table(&report);
         // Descending by host ns: l2_replay first.
         let replay = table.find("l2_replay").unwrap();
-        let coalesce = table.find("coalesce").unwrap();
-        let probe = table.find("cache_probe").unwrap();
-        assert!(replay < coalesce && coalesce < probe);
+        let body = table.find("block_body").unwrap();
+        assert!(replay < body);
         assert!(table.contains("top row windows"));
-        assert!(table.contains("outside-windows"));
-        // 60k + 1.5M + 440k phases == 1.7M + 250k + 50k windows == 2M.
+        // 60k + 1.5M + 440k phases == 1.7M + 300k windows == 2M.
         assert!(table.contains("reconciliation: phases 2000000 ns == windows 2000000 ns (OK)"));
     }
 
     #[test]
     fn table_reports_timer_cost_and_flags_measurement_dominated_phases() {
         let table = hotspot_table(&sample_report());
-        assert!(table.contains("timer: empty scope 1000.0ns"));
+        assert!(table.contains("timer: empty scope 5000.0ns"));
         let row = |label: &str| table.lines().find(|l| l.starts_with(label)).unwrap();
-        // cache_probe: 2us/hit < 3 x 1us scope cost.
-        assert!(row("cache_probe").ends_with(" *"));
+        // block_body: 500us over 41 hits, about 12us/hit < 3 x 5us.
+        assert!(row("block_body").ends_with(" *"));
         assert!(!row("l2_replay").ends_with('*'));
-        assert!(!row("coalesce").ends_with('*'));
         // Uncalibrated reports print no timer line and flag nothing.
         let mut report = sample_report();
         report.scope_cost_ns = 0.0;
@@ -313,9 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn phases_are_the_three_interpreter_phases_with_folded_safe_labels() {
+    fn phases_are_the_two_block_phases_with_folded_safe_labels() {
         let labels: Vec<&str> = HotPhase::all().iter().map(|p| p.label()).collect();
-        assert_eq!(labels, ["coalesce", "cache_probe", "l2_replay"]);
+        assert_eq!(labels, ["block_body", "l2_replay"]);
         for (i, phase) in HotPhase::all().into_iter().enumerate() {
             assert_eq!(phase.idx(), i);
             // A collapsed-stack frame: no `;` separators, no spaces.
@@ -332,12 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn windows_csv_lists_every_window_and_the_outside_bucket() {
+    fn windows_csv_lists_every_window() {
         let csv = windows_csv(&sample_report());
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "window,nnz,distinct_cols,host_ns,sim_ns");
-        assert!(lines.contains(&"3,128,17,1700000,2000000"));
-        assert!(lines.contains(&"outside,0,0,50000,0"));
+        assert_eq!(
+            lines,
+            [
+                "window,host_ns,sim_ns",
+                "3,1700000,2000000",
+                "5,300000,90000"
+            ]
+        );
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   async spans.
 //! - **Host hotspot export.** The [`hotspot`] module renders the gpusim
 //!   host-side wall-clock profiler
-//!   ([`tcg_gpusim::hotspot`]) as a flamegraph-ready collapsed-stack file
-//!   and a ranked per-phase table with per-row-window attribution.
+//!   ([`tcg_gpusim::hotspot`]), which times each simulated block's body
+//!   and L2 replay, as a flamegraph-ready collapsed-stack file and a ranked
+//!   per-phase table with per-block attribution.
 //!
 //! # Invariant: events partition the cost model
 //!
@@ -68,6 +69,9 @@ pub const PROFILE_ENV_VAR: &str = "TCG_PROFILE";
 /// | `1`, `true`, `trace`        | `Trace`   | full event trace + registry           |
 /// | `metrics`                   | `Metrics` | registry + phase totals, events dropped |
 /// | `hotspot`                   | `Hotspot` | `Trace` + host-side wall-clock timers |
+///
+/// Only `tcgnn serve` arms the host timers at `Hotspot` (and writes their
+/// report); elsewhere the level traces like `Trace`.
 ///
 /// Unrecognized values keep the historical truthiness behavior and map to
 /// [`ProfileLevel::Trace`].

@@ -195,17 +195,29 @@ cargo test --release -q -p tcg-serve metrics
     echo "observability: top dashboard did not render" >&2
     exit 1
 }
-# Hotspot profile on a registry subset: ranked table + reconciliation +
-# well-formed collapsed-stack artifact: non-empty, and every line is
-# 'tcgnn;<worker>;<phase> ns'.
-TCG_RESULTS_DIR="$obs_dir" \
-    ./target/release/tcgnn profile --hotspots --datasets Cora --epochs 1 \
-    | grep -q 'reconciliation: .* (OK)' || {
+# Hotspot profile on a registry subset, with block bodies on two workers:
+# ranked table + reconciliation, no phase starred as measurement-dominated
+# (a row ending in ' *'), the per-window CSV's header, and a well-formed
+# collapsed-stack artifact: non-empty, every line 'tcgnn;<worker>;<phase>
+# ns', and the pool workers' frames present.
+TCG_THREADS=2 TCG_RESULTS_DIR="$obs_dir" \
+    ./target/release/tcgnn profile --hotspots --datasets Cora --epochs 1 >/dev/null
+table="$obs_dir/profile-hotspots.hotspots.txt"
+grep -q 'reconciliation: .* (OK)' "$table" || {
     echo "observability: hotspot reconciliation failed" >&2
     exit 1
 }
+! grep -q ' \*$' "$table" || {
+    echo "observability: the hotspot table stars a phase as measurement-dominated" >&2
+    exit 1
+}
+[ "$(head -n 1 "$obs_dir/profile-hotspots.windows.csv")" = 'window,host_ns,sim_ns' ] || {
+    echo "observability: hotspot windows CSV has the wrong header" >&2
+    exit 1
+}
 folded="$obs_dir/profile-hotspots.folded"
-[ -s "$folded" ] && ! grep -Evq '^tcgnn;(main|worker-[0-9]+);[a-z0-9_]+ [0-9]+$' "$folded" || {
+[ -s "$folded" ] && ! grep -Evq '^tcgnn;(main|worker-[0-9]+);[a-z0-9_]+ [0-9]+$' "$folded" \
+    && grep -Eq '^tcgnn;worker-[0-9]+;' "$folded" || {
     echo "observability: malformed collapsed-stack artifact" >&2
     exit 1
 }

@@ -78,6 +78,7 @@ fn usage() -> ExitCode {
                      run the serve workload, render an ASCII dashboard\n\
            profile   --hotspots [--datasets a,b,...] [--epochs N]\n\
                      host-side hotspot profile of the fig7b training suite:\n\
+                     each simulated block's body and L2 replay timed,\n\
                      ranked per-phase table + flamegraph-ready .folded file\n\
            bench     --check [--baselines DIR]\n\
                      compare results/ against committed baselines; nonzero\n\
@@ -674,10 +675,11 @@ fn cmd_serve(args: &[String], dashboard: bool) -> ExitCode {
 
 /// `tcgnn profile --hotspots`: runs the fig7b training suite (Table 4
 /// datasets under the scale policy, short GCN runs on the TC-GNN backend)
-/// with the gpusim host-side wall-clock timers armed, then prints the
-/// ranked per-phase hotspot table — whose total host nanoseconds reconcile
-/// exactly with the sum of per-row-window attributions — and writes the
-/// flamegraph-ready artifacts under the results directory.
+/// with the gpusim host-side wall-clock timers armed on every simulated
+/// block's two phases (body, L2 replay), then prints the ranked per-phase
+/// hotspot table — whose total host nanoseconds reconcile exactly with the
+/// sum of per-block attributions — and writes the flamegraph-ready
+/// artifacts under the results directory.
 fn cmd_profile(args: &[String]) -> ExitCode {
     if !args.iter().any(|a| a == "--hotspots") {
         eprintln!("profile: only --hotspots mode exists (launch tracing is TCG_PROFILE=1)");

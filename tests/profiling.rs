@@ -219,8 +219,8 @@ fn nsight_table_reports_hardware_counters_for_both_kernel_families() {
 #[test]
 fn hotspot_phase_totals_reconcile_with_window_attributions() {
     // The host-side hotspot profiler adds every scope's elapsed
-    // nanoseconds to its phase total AND to the current row-window
-    // accumulator in the same thread-local sheet, so the two sums must be
+    // nanoseconds to its phase total AND to its block's accumulator in
+    // the same thread-local sheet, so the two sums must be
     // *exactly* equal — the host-time mirror of the trace↔cost invariant
     // above. The accumulator is process-global; the invariant survives
     // concurrent tests because sheets flush phase and window time
@@ -248,17 +248,12 @@ fn hotspot_phase_totals_reconcile_with_window_attributions() {
     // The ranked table is built from the same totals.
     let ranked_total: u64 = report.ranked_phases().iter().map(|(_, ns, _)| ns).sum();
     assert_eq!(ranked_total, report.total_phase_ns());
-    // Row-window attribution carries the SGT telemetry the hybrid
-    // dispatcher needs: nnz and distinct columns on real windows.
-    let real_windows: Vec<_> = report
-        .windows
-        .iter()
-        .filter(|(id, _)| **id != hotspot::OUTSIDE_WINDOW)
-        .collect();
-    assert!(!real_windows.is_empty(), "no per-window attributions");
+    // Each block's attribution carries the simulated time the cost model
+    // charged it next to its host time.
+    assert!(!report.windows.is_empty(), "no per-window attributions");
     assert!(
-        real_windows.iter().any(|(_, w)| w.nnz > 0),
-        "windows carry no nnz annotations"
+        report.windows.values().any(|w| w.sim_ns > 0.0),
+        "windows carry no simulated time"
     );
     let table = tc_gnn::profile::hotspot_table(&report);
     assert!(
